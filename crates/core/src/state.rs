@@ -17,17 +17,34 @@
 //! records compact and makes snapshots portable across the erased and
 //! struct-of-arrays fleet backends.
 //!
-//! The wire format is little-endian, length-prefixed, and framed as
-//! `[version u32][payload][crc32 u32]` by [`SamplerState::encode_record`];
-//! [`SamplerState::decode_record`] rejects any truncation, bit flip, or
-//! version skew with a [`StateError`] — never a panic, never silently
-//! wrong state (property-tested in `swsample-durable`).
+//! The payload layout is versioned. Version 2 (written today) stores
+//! every count, index, timestamp, schedule field and collection length
+//! as an LEB128 varint of `v.wrapping_add(1)` (so the `u64::MAX`
+//! "never" sentinels cost one byte), while RNG words, coin buffers,
+//! selector masks, priorities and values stay fixed-width. Version 1
+//! stored every such field as a fixed little-endian `u64` and every
+//! length as a `u32`; it still decodes. Both layouts go through one
+//! version-switched primitive pair ([`StateWriter::put_field`] /
+//! [`StateReader::get_field`], plus the matching collection counts), so
+//! every family has exactly one encoder and one decoder.
+//!
+//! [`SamplerState::encode_record`] frames a standalone record as
+//! `[version u32][payload][crc32 u32]`; [`SamplerState::decode_record`]
+//! rejects any truncation, bit flip, or version skew with a
+//! [`StateError`] — never a panic, never silently wrong state
+//! (property-tested in `swsample-durable`). Fleet snapshots skip that
+//! wrapper and carry `[version][payload]` inside their own CRC frames.
 
 use crate::sample::Sample;
 use std::fmt;
 
-/// Version tag stamped on every encoded state record.
-pub const STATE_VERSION: u32 = 1;
+/// Version tag stamped on every newly encoded state record: the
+/// varint-field layout (see the module docs).
+pub const STATE_VERSION: u32 = 2;
+
+/// Oldest state-record version the decoders still accept: the
+/// fixed-width layout.
+pub const STATE_VERSION_MIN: u32 = 1;
 
 /// Why a save, restore, or decode failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,7 +73,10 @@ impl fmt::Display for StateError {
             StateError::Unsupported => write!(f, "sampler state capture unsupported"),
             StateError::Corrupt(why) => write!(f, "corrupt state record: {why}"),
             StateError::Version(v) => {
-                write!(f, "state record version {v} (expected {STATE_VERSION})")
+                write!(
+                    f,
+                    "state record version {v} (supported {STATE_VERSION_MIN}..={STATE_VERSION})"
+                )
             }
             StateError::Mismatch { expected, found } => {
                 write!(
@@ -130,9 +150,17 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Little-endian binary writer for state records.
+///
+/// A writer also carries the state-record layout its
+/// [`put_field`](Self::put_field) / [`put_count`](Self::put_count) calls
+/// use: [`new`](Self::new) and [`with_capacity`](Self::with_capacity)
+/// write the fixed-width version-1 layout,
+/// [`for_state_version`](Self::for_state_version) picks one explicitly.
 #[derive(Debug, Default)]
 pub struct StateWriter {
     buf: Vec<u8>,
+    /// Version ≥ 2 layout: fields and counts as varints.
+    varint_fields: bool,
 }
 
 impl StateWriter {
@@ -146,6 +174,40 @@ impl StateWriter {
     pub fn with_capacity(bytes: usize) -> Self {
         Self {
             buf: Vec::with_capacity(bytes),
+            varint_fields: false,
+        }
+    }
+
+    /// Fresh writer whose fields and counts use the layout of
+    /// state-record `version` (the caller stamps the version itself).
+    pub fn for_state_version(version: u32) -> Self {
+        Self {
+            buf: Vec::new(),
+            varint_fields: version >= 2,
+        }
+    }
+
+    /// Append a count, index, timestamp or schedule field in this
+    /// writer's layout: a fixed little-endian `u64` (version 1), or an
+    /// LEB128 varint of `v.wrapping_add(1)` (version 2), which keeps
+    /// small values small and stores the `u64::MAX` sentinel in one
+    /// byte.
+    pub fn put_field(&mut self, v: u64) {
+        if self.varint_fields {
+            self.put_varint_u64(v.wrapping_add(1));
+        } else {
+            self.put_u64(v);
+        }
+    }
+
+    /// Append a collection length in this writer's layout: a `u32`
+    /// (version 1) or a field (version 2). Read back with
+    /// [`StateReader::get_count`].
+    pub fn put_count(&mut self, n: usize) {
+        if self.varint_fields {
+            self.put_field(n as u64);
+        } else {
+            self.put_u32(n as u32);
         }
     }
 
@@ -186,6 +248,17 @@ impl StateWriter {
         self.put_bytes(bytes);
     }
 
+    /// Append a `u32`-length-prefixed byte string that `fill` writes in
+    /// place — [`put_len_bytes`](Self::put_len_bytes) without encoding
+    /// into a separate buffer first and copying it over.
+    pub fn put_len_prefixed(&mut self, fill: impl FnOnce(&mut Self)) {
+        let at = self.buf.len();
+        self.put_u32(0);
+        fill(self);
+        let len = (self.buf.len() - at - 4) as u32;
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -194,6 +267,17 @@ impl StateWriter {
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forget the bytes written, keeping the allocation and the layout —
+    /// one writer can then encode a whole stream of records.
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 
     /// Consume the writer, returning the buffer.
@@ -205,16 +289,38 @@ impl StateWriter {
 /// Bounds-checked little-endian reader over a state record. Every getter
 /// returns [`StateError::Corrupt`] instead of panicking when the buffer
 /// runs short.
+///
+/// Like [`StateWriter`], a reader carries the layout its
+/// [`get_field`](Self::get_field) / [`get_count`](Self::get_count) calls
+/// decode: version 1 until [`set_state_version`](Self::set_state_version)
+/// says otherwise.
 #[derive(Debug)]
 pub struct StateReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Version ≥ 2 layout: fields and counts as varints.
+    varint_fields: bool,
 }
 
 impl<'a> StateReader<'a> {
     /// Read from the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self {
+            buf,
+            pos: 0,
+            varint_fields: false,
+        }
+    }
+
+    /// Decode the rest of the buffer's fields and counts in the layout
+    /// of state-record `version`; [`StateError::Version`] if this build
+    /// cannot read it.
+    pub fn set_state_version(&mut self, version: u32) -> Result<(), StateError> {
+        if !(STATE_VERSION_MIN..=STATE_VERSION).contains(&version) {
+            return Err(StateError::Version(version));
+        }
+        self.varint_fields = version >= 2;
+        Ok(())
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], StateError> {
@@ -280,17 +386,32 @@ impl<'a> StateReader<'a> {
         }
     }
 
+    /// Next field written by [`StateWriter::put_field`] in this
+    /// reader's layout. Overlong or out-of-range varints are corruption.
+    pub fn get_field(&mut self) -> Result<u64, StateError> {
+        if self.varint_fields {
+            Ok(self.get_varint_u64()?.wrapping_sub(1))
+        } else {
+            self.get_u64()
+        }
+    }
+
     /// Next `u32`-length-prefixed byte string.
     pub fn get_len_bytes(&mut self) -> Result<&'a [u8], StateError> {
         let n = self.get_u32()? as usize;
         self.take(n)
     }
 
-    /// A collection length, validated against the bytes actually left
-    /// (each element needs at least `min_elem_bytes`), so a corrupted
-    /// length can never trigger a huge allocation.
+    /// A collection length written by [`StateWriter::put_count`] in this
+    /// reader's layout, validated against the bytes actually left (each
+    /// element needs at least `min_elem_bytes`), so a corrupted length
+    /// can never trigger a huge allocation.
     pub fn get_count(&mut self, min_elem_bytes: usize) -> Result<usize, StateError> {
-        let n = self.get_u32()? as usize;
+        let n = if self.varint_fields {
+            usize::try_from(self.get_field()?).unwrap_or(usize::MAX)
+        } else {
+            self.get_u32()? as usize
+        };
         let left = self.buf.len() - self.pos;
         if n.saturating_mul(min_elem_bytes.max(1)) > left {
             return Err(StateError::Corrupt(format!(
@@ -646,18 +767,21 @@ fn get_bits(r: &mut StateReader<'_>) -> Result<BitsState, StateError> {
 
 fn put_sample<T: StateCodec>(w: &mut StateWriter, s: &Sample<T>) {
     s.value().encode_state(w);
-    w.put_u64(s.index());
-    w.put_u64(s.timestamp());
+    w.put_field(s.index());
+    w.put_field(s.timestamp());
 }
 
 fn get_sample<T: StateCodec>(r: &mut StateReader<'_>) -> Result<Sample<T>, StateError> {
     let value = T::decode_state(r)?;
-    let index = r.get_u64()?;
-    let timestamp = r.get_u64()?;
+    let index = r.get_field()?;
+    let timestamp = r.get_field()?;
     Ok(Sample::new(value, index, timestamp))
 }
 
-const SAMPLE_MIN: usize = 16; // index + timestamp; value adds T::MIN_BYTES
+// Minimum encoded sizes for `get_count` bounds, in the varint layout
+// (the smaller of the two, so they bound version-1 records too).
+const FIELD_MIN: usize = 1;
+const SAMPLE_MIN: usize = 2 * FIELD_MIN; // index + timestamp; value adds T::MIN_BYTES
 
 fn put_opt_sample<T: StateCodec>(w: &mut StateWriter, s: &Option<Sample<T>>) {
     match s {
@@ -678,7 +802,7 @@ fn get_opt_sample<T: StateCodec>(r: &mut StateReader<'_>) -> Result<Option<Sampl
 }
 
 fn put_samples<T: StateCodec>(w: &mut StateWriter, samples: &[Sample<T>]) {
-    w.put_u32(samples.len() as u32);
+    w.put_count(samples.len());
     for s in samples {
         put_sample(w, s);
     }
@@ -693,38 +817,46 @@ fn get_samples<T: StateCodec>(r: &mut StateReader<'_>) -> Result<Vec<Sample<T>>,
     Ok(out)
 }
 
-fn put_prio_entries<T: StateCodec>(w: &mut StateWriter, entries: &[(Sample<T>, u64)]) {
-    w.put_u32(entries.len() as u32);
-    for (s, p) in entries {
+/// `(sample, u64)` pairs. Chain links pair a sample with its
+/// successor's stream *index* (a field); priority entries pair it with
+/// a random *priority*, which stays fixed-width like the RNG words.
+fn put_pairs<T: StateCodec>(
+    w: &mut StateWriter,
+    pairs: &[(Sample<T>, u64)],
+    put_second: fn(&mut StateWriter, u64),
+) {
+    w.put_count(pairs.len());
+    for (s, second) in pairs {
         put_sample(w, s);
-        w.put_u64(*p);
+        put_second(w, *second);
     }
 }
 
-fn get_prio_entries<T: StateCodec>(
-    r: &mut StateReader<'_>,
+fn get_pairs<'a, T: StateCodec>(
+    r: &mut StateReader<'a>,
+    get_second: fn(&mut StateReader<'a>) -> Result<u64, StateError>,
 ) -> Result<Vec<(Sample<T>, u64)>, StateError> {
-    let n = r.get_count(SAMPLE_MIN + T::MIN_BYTES + 8)?;
+    let n = r.get_count(SAMPLE_MIN + T::MIN_BYTES + FIELD_MIN)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let s = get_sample(r)?;
-        let p = r.get_u64()?;
-        out.push((s, p));
+        let second = get_second(r)?;
+        out.push((s, second));
     }
     Ok(out)
 }
 
 fn put_reservoir<T: StateCodec>(w: &mut StateWriter, res: &ReservoirLState<T>) {
     put_samples(w, &res.entries);
-    w.put_u64(res.seen);
-    w.put_u64(res.next_accept);
+    w.put_field(res.seen);
+    w.put_field(res.next_accept);
     w.put_u64(res.w_bits);
 }
 
 fn get_reservoir<T: StateCodec>(r: &mut StateReader<'_>) -> Result<ReservoirLState<T>, StateError> {
     let entries = get_samples(r)?;
-    let seen = r.get_u64()?;
-    let next_accept = r.get_u64()?;
+    let seen = r.get_field()?;
+    let next_accept = r.get_field()?;
     let w_bits = r.get_u64()?;
     Ok(ReservoirLState {
         entries,
@@ -735,9 +867,9 @@ fn get_reservoir<T: StateCodec>(r: &mut StateReader<'_>) -> Result<ReservoirLSta
 }
 
 fn put_bank_bucket<T: StateCodec>(w: &mut StateWriter, b: &TsBankBucketState<T>) {
-    w.put_u64(b.a);
-    w.put_u64(b.b);
-    w.put_u64(b.ts_first);
+    w.put_field(b.a);
+    w.put_field(b.b);
+    w.put_field(b.ts_first);
     match &b.samples {
         TsLaneSamplesState::Shared(s) => {
             w.put_u8(0);
@@ -761,9 +893,9 @@ fn put_bank_bucket<T: StateCodec>(w: &mut StateWriter, b: &TsBankBucketState<T>)
 fn get_bank_bucket<T: StateCodec>(
     r: &mut StateReader<'_>,
 ) -> Result<TsBankBucketState<T>, StateError> {
-    let a = r.get_u64()?;
-    let b = r.get_u64()?;
-    let ts_first = r.get_u64()?;
+    let a = r.get_field()?;
+    let b = r.get_field()?;
+    let ts_first = r.get_field()?;
     let samples = match r.get_u8()? {
         0 => TsLaneSamplesState::Shared(get_sample(r)?),
         1 => {
@@ -788,10 +920,10 @@ fn get_bank_bucket<T: StateCodec>(
     })
 }
 
-const BUCKET_MIN: usize = 25; // a + b + ts_first + samples tag
+const BUCKET_MIN: usize = 3 * FIELD_MIN + 1; // a + b + ts_first + samples tag
 
 fn put_bank_buckets<T: StateCodec>(w: &mut StateWriter, buckets: &[TsBankBucketState<T>]) {
-    w.put_u32(buckets.len() as u32);
+    w.put_count(buckets.len());
     for b in buckets {
         put_bank_bucket(w, b);
     }
@@ -809,7 +941,7 @@ fn get_bank_buckets<T: StateCodec>(
 }
 
 fn put_bank<T: StateCodec>(w: &mut StateWriter, bank: &TsBankState<T>) {
-    w.put_u64(bank.now);
+    w.put_field(bank.now);
     put_bits(w, &bank.bits);
     match &bank.kind {
         TsBankKind::Empty => w.put_u8(0),
@@ -826,7 +958,7 @@ fn put_bank<T: StateCodec>(w: &mut StateWriter, bank: &TsBankState<T>) {
 }
 
 fn get_bank<T: StateCodec>(r: &mut StateReader<'_>) -> Result<TsBankState<T>, StateError> {
-    let now = r.get_u64()?;
+    let now = r.get_field()?;
     let bits = get_bits(r)?;
     let kind = match r.get_u8()? {
         0 => TsBankKind::Empty,
@@ -870,14 +1002,14 @@ impl<T: StateCodec> SamplerState<T> {
                 lanes,
             } => {
                 w.put_u8(TAG_SEQ_WR);
-                w.put_u64(*count);
-                w.put_u64(*accepts);
+                w.put_field(*count);
+                w.put_field(*accepts);
                 put_rng(w, rng);
-                w.put_u32(lanes.len() as u32);
+                w.put_count(lanes.len());
                 for lane in lanes {
                     put_opt_sample(w, &lane.prev);
                     put_opt_sample(w, &lane.cur);
-                    w.put_u64(lane.next_accept);
+                    w.put_field(lane.next_accept);
                 }
             }
             SamplerState::SeqWor {
@@ -887,7 +1019,7 @@ impl<T: StateCodec> SamplerState<T> {
                 cur,
             } => {
                 w.put_u8(TAG_SEQ_WOR);
-                w.put_u64(*count);
+                w.put_field(*count);
                 put_rng(w, rng);
                 put_samples(w, prev);
                 put_reservoir(w, cur);
@@ -898,7 +1030,7 @@ impl<T: StateCodec> SamplerState<T> {
                 res,
             } => {
                 w.put_u8(TAG_STREAM_L);
-                w.put_u64(*next_index);
+                w.put_field(*next_index);
                 put_rng(w, rng);
                 put_reservoir(w, res);
             }
@@ -909,8 +1041,8 @@ impl<T: StateCodec> SamplerState<T> {
                 bank,
             } => {
                 w.put_u8(TAG_TS_WR);
-                w.put_u64(*now);
-                w.put_u64(*next_index);
+                w.put_field(*now);
+                w.put_field(*next_index);
                 put_rng(w, rng);
                 put_bank(w, bank);
             }
@@ -922,8 +1054,8 @@ impl<T: StateCodec> SamplerState<T> {
                 bank,
             } => {
                 w.put_u8(TAG_TS_WOR);
-                w.put_u64(*now);
-                w.put_u64(*next_index);
+                w.put_field(*now);
+                w.put_field(*next_index);
                 put_rng(w, rng);
                 put_samples(w, recent);
                 put_bank(w, bank);
@@ -935,13 +1067,13 @@ impl<T: StateCodec> SamplerState<T> {
                 chains,
             } => {
                 w.put_u8(TAG_CHAIN);
-                w.put_u64(*count);
+                w.put_field(*count);
                 put_rng(w, rng);
                 put_bits(w, bits);
-                w.put_u32(chains.len() as u32);
+                w.put_count(chains.len());
                 for chain in chains {
-                    put_prio_entries(w, &chain.links);
-                    w.put_u64(chain.next_adopt);
+                    put_pairs(w, &chain.links, StateWriter::put_field);
+                    w.put_field(chain.next_adopt);
                 }
             }
             SamplerState::Priority {
@@ -951,12 +1083,12 @@ impl<T: StateCodec> SamplerState<T> {
                 stacks,
             } => {
                 w.put_u8(TAG_PRIORITY);
-                w.put_u64(*now);
-                w.put_u64(*next_index);
+                w.put_field(*now);
+                w.put_field(*next_index);
                 put_rng(w, rng);
-                w.put_u32(stacks.len() as u32);
+                w.put_count(stacks.len());
                 for stack in stacks {
-                    put_prio_entries(w, stack);
+                    put_pairs(w, stack, StateWriter::put_u64);
                 }
             }
             SamplerState::PriorityTopK {
@@ -967,11 +1099,11 @@ impl<T: StateCodec> SamplerState<T> {
                 watermark,
             } => {
                 w.put_u8(TAG_PRIORITY_TOPK);
-                w.put_u64(*now);
-                w.put_u64(*next_index);
+                w.put_field(*now);
+                w.put_field(*next_index);
                 put_rng(w, rng);
-                put_prio_entries(w, entries);
-                w.put_u64(*watermark);
+                put_pairs(w, entries, StateWriter::put_u64);
+                w.put_field(*watermark);
             }
             SamplerState::WindowBuffer {
                 now,
@@ -980,8 +1112,8 @@ impl<T: StateCodec> SamplerState<T> {
                 buf,
             } => {
                 w.put_u8(TAG_WINDOW_BUFFER);
-                w.put_u64(*now);
-                w.put_u64(*next_index);
+                w.put_field(*now);
+                w.put_field(*next_index);
                 put_rng(w, rng);
                 put_samples(w, buf);
             }
@@ -993,15 +1125,15 @@ impl<T: StateCodec> SamplerState<T> {
     pub fn decode_payload(r: &mut StateReader<'_>) -> Result<Self, StateError> {
         match r.get_u8()? {
             TAG_SEQ_WR => {
-                let count = r.get_u64()?;
-                let accepts = r.get_u64()?;
+                let count = r.get_field()?;
+                let accepts = r.get_field()?;
                 let rng = get_rng(r)?;
-                let n = r.get_count(10)?; // two option tags + next_accept
+                let n = r.get_count(2 + FIELD_MIN)?; // two option tags + next_accept
                 let mut lanes = Vec::with_capacity(n);
                 for _ in 0..n {
                     let prev = get_opt_sample(r)?;
                     let cur = get_opt_sample(r)?;
-                    let next_accept = r.get_u64()?;
+                    let next_accept = r.get_field()?;
                     lanes.push(SeqWrLaneState {
                         prev,
                         cur,
@@ -1016,7 +1148,7 @@ impl<T: StateCodec> SamplerState<T> {
                 })
             }
             TAG_SEQ_WOR => {
-                let count = r.get_u64()?;
+                let count = r.get_field()?;
                 let rng = get_rng(r)?;
                 let prev = get_samples(r)?;
                 let cur = get_reservoir(r)?;
@@ -1028,7 +1160,7 @@ impl<T: StateCodec> SamplerState<T> {
                 })
             }
             TAG_STREAM_L => {
-                let next_index = r.get_u64()?;
+                let next_index = r.get_field()?;
                 let rng = get_rng(r)?;
                 let res = get_reservoir(r)?;
                 Ok(SamplerState::StreamL {
@@ -1038,8 +1170,8 @@ impl<T: StateCodec> SamplerState<T> {
                 })
             }
             TAG_TS_WR => {
-                let now = r.get_u64()?;
-                let next_index = r.get_u64()?;
+                let now = r.get_field()?;
+                let next_index = r.get_field()?;
                 let rng = get_rng(r)?;
                 let bank = get_bank(r)?;
                 Ok(SamplerState::TsWr {
@@ -1050,8 +1182,8 @@ impl<T: StateCodec> SamplerState<T> {
                 })
             }
             TAG_TS_WOR => {
-                let now = r.get_u64()?;
-                let next_index = r.get_u64()?;
+                let now = r.get_field()?;
+                let next_index = r.get_field()?;
                 let rng = get_rng(r)?;
                 let recent = get_samples(r)?;
                 let bank = get_bank(r)?;
@@ -1064,14 +1196,14 @@ impl<T: StateCodec> SamplerState<T> {
                 })
             }
             TAG_CHAIN => {
-                let count = r.get_u64()?;
+                let count = r.get_field()?;
                 let rng = get_rng(r)?;
                 let bits = get_bits(r)?;
-                let n = r.get_count(12)?; // links count + next_adopt
+                let n = r.get_count(2 * FIELD_MIN)?; // links count + next_adopt
                 let mut chains = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let links = get_prio_entries(r)?;
-                    let next_adopt = r.get_u64()?;
+                    let links = get_pairs(r, StateReader::get_field)?;
+                    let next_adopt = r.get_field()?;
                     chains.push(ChainLaneState { links, next_adopt });
                 }
                 Ok(SamplerState::Chain {
@@ -1082,13 +1214,13 @@ impl<T: StateCodec> SamplerState<T> {
                 })
             }
             TAG_PRIORITY => {
-                let now = r.get_u64()?;
-                let next_index = r.get_u64()?;
+                let now = r.get_field()?;
+                let next_index = r.get_field()?;
                 let rng = get_rng(r)?;
-                let n = r.get_count(4)?;
+                let n = r.get_count(FIELD_MIN)?;
                 let mut stacks = Vec::with_capacity(n);
                 for _ in 0..n {
-                    stacks.push(get_prio_entries(r)?);
+                    stacks.push(get_pairs(r, StateReader::get_u64)?);
                 }
                 Ok(SamplerState::Priority {
                     now,
@@ -1098,11 +1230,11 @@ impl<T: StateCodec> SamplerState<T> {
                 })
             }
             TAG_PRIORITY_TOPK => {
-                let now = r.get_u64()?;
-                let next_index = r.get_u64()?;
+                let now = r.get_field()?;
+                let next_index = r.get_field()?;
                 let rng = get_rng(r)?;
-                let entries = get_prio_entries(r)?;
-                let watermark = r.get_u64()?;
+                let entries = get_pairs(r, StateReader::get_u64)?;
+                let watermark = r.get_field()?;
                 Ok(SamplerState::PriorityTopK {
                     now,
                     next_index,
@@ -1112,8 +1244,8 @@ impl<T: StateCodec> SamplerState<T> {
                 })
             }
             TAG_WINDOW_BUFFER => {
-                let now = r.get_u64()?;
-                let next_index = r.get_u64()?;
+                let now = r.get_field()?;
+                let next_index = r.get_field()?;
                 let rng = get_rng(r)?;
                 let buf = get_samples(r)?;
                 Ok(SamplerState::WindowBuffer {
@@ -1128,9 +1260,10 @@ impl<T: StateCodec> SamplerState<T> {
     }
 
     /// Encode a self-validating record:
-    /// `[version u32][payload][crc32(version ‖ payload) u32]`.
+    /// `[version u32][payload][crc32(version ‖ payload) u32]`, in the
+    /// current ([`STATE_VERSION`]) layout.
     pub fn encode_record(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
+        let mut w = StateWriter::for_state_version(STATE_VERSION);
         w.put_u32(STATE_VERSION);
         self.encode_payload(&mut w);
         let mut bytes = w.into_bytes();
@@ -1159,9 +1292,7 @@ impl<T: StateCodec> SamplerState<T> {
         }
         let mut r = StateReader::new(body);
         let version = r.get_u32()?;
-        if version != STATE_VERSION {
-            return Err(StateError::Version(version));
-        }
+        r.set_state_version(version)?;
         let state = Self::decode_payload(&mut r)?;
         r.finish()?;
         Ok(state)
@@ -1310,6 +1441,63 @@ mod tests {
         }
     }
 
+    /// A standalone record in the fixed-width version-1 layout, as
+    /// earlier builds wrote it.
+    fn encode_v1_record(state: &SamplerState<u64>) -> Vec<u8> {
+        let mut w = StateWriter::for_state_version(1);
+        w.put_u32(1);
+        state.encode_payload(&mut w);
+        let mut bytes = w.into_bytes();
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn version_1_records_still_decode_and_version_2_is_smaller() {
+        for state in example_states() {
+            let v1 = encode_v1_record(&state);
+            let back = SamplerState::<u64>::decode_record(&v1)
+                .unwrap_or_else(|e| panic!("{} v1: {e}", state.family()));
+            assert_eq!(back, state, "{}", state.family());
+            let v2 = state.encode_record();
+            assert!(
+                v2.len() < v1.len(),
+                "{}: v2 {} bytes, v1 {} bytes",
+                state.family(),
+                v2.len(),
+                v1.len()
+            );
+        }
+    }
+
+    #[test]
+    fn varint_fields_store_sentinels_in_one_byte() {
+        let mut w = StateWriter::for_state_version(STATE_VERSION);
+        for v in [u64::MAX, 0, 126] {
+            w.put_field(v);
+        }
+        w.put_count(3);
+        assert_eq!(w.as_bytes(), &[0x00, 0x01, 0x7F, 0x04]);
+        let bytes = w.into_bytes();
+        let mut r = StateReader::new(&bytes);
+        r.set_state_version(STATE_VERSION).expect("supported");
+        assert_eq!(r.get_field(), Ok(u64::MAX));
+        assert_eq!(r.get_field(), Ok(0));
+        assert_eq!(r.get_field(), Ok(126));
+        // A count of 3 with no elements behind it is bounded, not trusted.
+        assert!(r.get_count(1).is_err());
+        // Version 1 keeps the fixed-width layout.
+        let mut w = StateWriter::for_state_version(1);
+        w.put_field(u64::MAX);
+        w.put_count(3);
+        assert_eq!(w.len(), 12);
+        assert_eq!(
+            StateReader::new(&[]).set_state_version(STATE_VERSION + 1),
+            Err(StateError::Version(STATE_VERSION + 1))
+        );
+    }
+
     #[test]
     fn string_values_round_trip() {
         let state = SamplerState::WindowBuffer {
@@ -1435,18 +1623,21 @@ mod tests {
 
     #[test]
     fn huge_count_does_not_allocate() {
-        // A corrupted count must be rejected by bounds, not by OOM.
-        let mut w = StateWriter::new();
-        w.put_u32(STATE_VERSION);
-        w.put_u8(super::TAG_PRIORITY);
-        w.put_u64(0);
-        w.put_u64(0);
-        put_rng(&mut w, &RngState([1, 2, 3, 4]));
-        w.put_u32(u32::MAX); // absurd stack count
-        let mut bytes = w.into_bytes();
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        let err = SamplerState::<u64>::decode_record(&bytes).expect_err("must reject");
-        assert!(matches!(err, StateError::Corrupt(_)));
+        // A corrupted count must be rejected by bounds, not by OOM, in
+        // either layout.
+        for version in [1, STATE_VERSION] {
+            let mut w = StateWriter::for_state_version(version);
+            w.put_u32(version);
+            w.put_u8(super::TAG_PRIORITY);
+            w.put_field(0);
+            w.put_field(0);
+            put_rng(&mut w, &RngState([1, 2, 3, 4]));
+            w.put_count(u32::MAX as usize); // absurd stack count
+            let mut bytes = w.into_bytes();
+            let crc = crc32(&bytes);
+            bytes.extend_from_slice(&crc.to_le_bytes());
+            let err = SamplerState::<u64>::decode_record(&bytes).expect_err("must reject");
+            assert!(matches!(err, StateError::Corrupt(_)), "v{version}: {err:?}");
+        }
     }
 }

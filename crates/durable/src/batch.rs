@@ -61,10 +61,28 @@ where
     K: StateCodec + Clone + 'static,
     T: StateCodec + Clone + 'static,
 {
+    // Columnar varints: capacity is a heuristic (hot batches land well
+    // under 6 bytes/event-column-triple). Row-major: exact for
+    // fixed-width key/value types, a lower bound otherwise. Either way
+    // the buffer never reallocates its way up from empty on every batch.
+    let per_event = if u64_fleet::<K, T>() {
+        6
+    } else {
+        K::MIN_BYTES + 8 + T::MIN_BYTES
+    };
+    let mut w = StateWriter::with_capacity(5 + batch.len() * per_event);
+    encode_batch_into(&mut w, batch);
+    w.into_bytes()
+}
+
+/// [`encode_batch`], appending the record to `w` — for callers that
+/// embed it in a larger message.
+pub fn encode_batch_into<K, T>(w: &mut StateWriter, batch: &[Event<K, T>])
+where
+    K: StateCodec + Clone + 'static,
+    T: StateCodec + Clone + 'static,
+{
     if u64_fleet::<K, T>() {
-        // Columnar varints: capacity is a heuristic (hot batches land
-        // well under 6 bytes/event-column-triple).
-        let mut w = StateWriter::with_capacity(5 + batch.len() * 6);
         w.put_u8(BATCH_U64_COLUMNS);
         w.put_u32(batch.len() as u32);
         for (key, ..) in batch {
@@ -81,20 +99,15 @@ where
             w.put_varint_u64(zigzag(v.wrapping_sub(prev)));
             prev = v;
         }
-        return w.into_bytes();
+        return;
     }
-    // Exact for fixed-width key/value types; a lower bound otherwise —
-    // either way the buffer never reallocates its way up from empty on
-    // every batch.
-    let mut w = StateWriter::with_capacity(5 + batch.len() * (K::MIN_BYTES + 8 + T::MIN_BYTES));
     w.put_u8(BATCH_ROWS);
     w.put_u32(batch.len() as u32);
     for (key, now, value) in batch {
-        key.encode_state(&mut w);
+        key.encode_state(w);
         w.put_u64(*now);
-        value.encode_state(&mut w);
+        value.encode_state(w);
     }
-    w.into_bytes()
 }
 
 /// Decode a record produced by [`encode_batch`]. Malformed bytes —

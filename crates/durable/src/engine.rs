@@ -295,22 +295,25 @@ where
         self.snapshot()
     }
 
-    /// Fsync the WAL, then write a snapshot of every key's state with
-    /// the post-sync sequence watermark. Atomic: a crash mid-write
-    /// leaves the previous snapshot as the recovery point.
+    /// Fsync the WAL, then stream a snapshot of every key's state with
+    /// the post-sync sequence watermark, shard by shard, straight to
+    /// disk. Atomic: a crash mid-write leaves the previous snapshot as
+    /// the recovery point. Only the newest
+    /// [`SNAPSHOTS_KEPT`](snapshot::SNAPSHOTS_KEPT) snapshots remain.
     pub fn snapshot(&mut self) -> Result<PathBuf, DurableError> {
         self.ride_out_transients(FaultSite::WalFsync, "WAL fsync")?;
         self.wal.sync()?;
-        let states = self.engine.save_states()?;
         let meta = SnapshotMeta {
             template: self.engine.template().to_string(),
             backend: self.engine.backend().token().to_string(),
             shards: self.engine.num_shards() as u64,
             threads: self.engine.num_threads() as u64,
             wal_seq: self.wal.next_seq(),
-            keys: states.len() as u64,
+            keys: self.engine.num_keys() as u64,
         };
-        let path = snapshot::write_snapshot(&self.dir, &meta, &states)?;
+        let path = snapshot::write_snapshot(&self.dir, &meta, |emit| {
+            self.engine.for_each_state(|key, state| emit(key, &state))
+        })?;
         if let Some(offset) = self.opts.fail.corrupt_snapshot_byte.take() {
             let mut bytes = std::fs::read(&path)?;
             if !bytes.is_empty() {

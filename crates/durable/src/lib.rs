@@ -27,12 +27,14 @@
 //! * **Snapshots** ([`snapshot`]) — `snap-<wal_seq>.snap` files: a
 //!   header frame (template spec string, backend, shard/thread counts,
 //!   the first WAL seq *not* covered, key count) followed by one frame
-//!   per key wrapping the key and the sampler's own checksummed
-//!   [`SamplerState`](swsample_core::SamplerState) record. Written to a
-//!   temp file, fsynced, then renamed — a crash mid-snapshot leaves the
-//!   previous snapshot intact. Recovery takes the newest snapshot that
-//!   validates end-to-end and silently falls back to older ones (a
-//!   corrupted byte anywhere in a snapshot fails its CRC).
+//!   per key, `[key][state version][payload]`, whose CRC is the key's
+//!   only checksum and whose [`SamplerState`](swsample_core::SamplerState)
+//!   payload stores its counters as varints. Streamed shard by shard
+//!   to a temp file, fsynced, then renamed — a crash mid-snapshot leaves
+//!   the previous snapshot intact — and only the newest two are kept.
+//!   Recovery takes the newest snapshot that validates end-to-end and
+//!   silently falls back to the older one (a corrupted byte anywhere in
+//!   a snapshot fails its CRC). Format-v1 snapshots still open.
 //! * **Recovery** ([`engine::DurableEngine::open`]) — latest valid
 //!   snapshot + replay of WAL records with `seq >=` the snapshot's
 //!   position.

@@ -1,28 +1,56 @@
 //! `O(k)`-per-key fleet snapshots: `snap-<wal_seq>.snap` files holding a
 //! config header plus every key's compact sampler state.
 //!
-//! A snapshot is written to a temp file, fsynced, and renamed into
-//! place, so a crash mid-write can never damage an existing snapshot.
+//! Format version 2 (written today) is a header frame followed by one
+//! CRC frame per key, `[key][state version varint][state payload]`: the
+//! frame's CRC is the only checksum, and the payload uses the varint
+//! field layout of [`swsample_core::state`]. Version-1 key frames wrapped
+//! a length-prefixed, separately checksummed
+//! [`SamplerState::encode_record`] instead; they still decode, through
+//! the same payload decoder.
+//!
+//! A snapshot is streamed — one reused encode buffer, one large
+//! `BufWriter` — to a temp file, fsynced, and renamed into place, so a
+//! crash mid-write can never damage an existing snapshot. After the
+//! rename, all but the newest [`SNAPSHOTS_KEPT`] snapshots are deleted.
 //! Reading validates every frame's CRC, the header version, the key
-//! count, and each embedded sampler record's own checksum; any failure
-//! makes the whole snapshot invalid, and recovery falls back to the next
-//! older one.
+//! count, and each state payload; any failure makes the whole snapshot
+//! invalid, and recovery falls back to the next older one.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use swsample_core::state::{SamplerState, StateCodec, StateReader, StateWriter};
+use swsample_core::state::{
+    SamplerState, StateCodec, StateError, StateReader, StateWriter, STATE_VERSION,
+};
 
 use crate::frame::{self, FrameRead};
 use crate::DurableError;
 
-/// Version tag leading every snapshot header.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Version tag leading every snapshot header written today.
+pub const SNAPSHOT_VERSION: u32 = 2;
+
+/// The version whose key frames wrap a checksummed state record.
+const SNAPSHOT_VERSION_V1: u32 = 1;
+
+/// Snapshots left in a directory after each write: the newest, plus the
+/// one recovery falls back to should the newest fail to validate. WAL
+/// segments are all kept — replay from either snapshot needs them, and
+/// [`SegmentLog::open`](crate::wal::SegmentLog::open) requires a log
+/// that starts at sequence 0.
+pub const SNAPSHOTS_KEPT: usize = 2;
+
+/// Snapshot write buffer: large enough that a fleet-wide snapshot costs
+/// a few dozen write syscalls, not thousands.
+const WRITE_BUFFER_BYTES: usize = 1 << 20;
 
 /// What a snapshot file decodes to: its recorded fleet configuration
 /// plus every key's sampler state.
 pub type SnapshotContents<K, T> = (SnapshotMeta, Vec<(K, SamplerState<T>)>);
+
+/// The per-key callback [`write_snapshot`] hands its visitor.
+pub type EmitState<'a, K, T> = dyn FnMut(&K, &SamplerState<T>) -> Result<(), DurableError> + 'a;
 
 /// The fleet configuration a snapshot records alongside its states —
 /// everything needed to rebuild the engine before restoring keys.
@@ -74,51 +102,91 @@ fn corrupt(path: &Path, detail: impl Into<String>) -> DurableError {
     }
 }
 
-/// Write a snapshot of `states` to `dir`, atomically. Returns the final
-/// path. Overwrites an existing snapshot at the same `wal_seq` (the
-/// newer states cover at least as much of the log).
-pub fn write_snapshot<K: StateCodec, T: StateCodec + Clone>(
+/// Stream a snapshot to `dir`, atomically, and prune all but the newest
+/// [`SNAPSHOTS_KEPT`]. Returns the final path. Overwrites an existing
+/// snapshot at the same `wal_seq` (the newer states cover at least as
+/// much of the log).
+///
+/// `visit` is called once with an emitter and must pass it every key's
+/// state — exactly `meta.keys` of them, which the header has already
+/// promised; any other count is a [`DurableError::Config`] and leaves
+/// no snapshot behind. Each key is encoded into one reused buffer and
+/// written as it arrives, so the fleet is never materialized.
+pub fn write_snapshot<K: StateCodec, T: StateCodec>(
     dir: &Path,
     meta: &SnapshotMeta,
-    states: &[(K, SamplerState<T>)],
+    visit: impl FnOnce(&mut EmitState<'_, K, T>) -> Result<(), DurableError>,
 ) -> Result<PathBuf, DurableError> {
-    assert_eq!(meta.keys as usize, states.len(), "meta.keys mismatch");
     let tmp_path = dir.join("snap.tmp");
     let final_path = dir.join(snapshot_name(meta.wal_seq));
-    {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp_path)?;
-        let mut w = BufWriter::new(file);
-        let mut header = StateWriter::new();
-        header.put_u32(SNAPSHOT_VERSION);
-        header.put_len_bytes(meta.template.as_bytes());
-        header.put_len_bytes(meta.backend.as_bytes());
-        header.put_u64(meta.shards);
-        header.put_u64(meta.threads);
-        header.put_u64(meta.wal_seq);
-        header.put_u64(meta.keys);
-        frame::write_frame(&mut w, &header.into_bytes())?;
-        for (key, state) in states {
-            let mut body = StateWriter::new();
-            key.encode_state(&mut body);
-            body.put_len_bytes(&state.encode_record());
-            frame::write_frame(&mut w, &body.into_bytes())?;
-        }
-        w.flush()?;
-        w.get_ref().sync_all()?;
+    if let Err(e) = write_tmp(&tmp_path, meta, visit) {
+        let _ = fs::remove_file(&tmp_path);
+        return Err(e);
     }
     fs::rename(&tmp_path, &final_path)?;
     // Persist the rename itself.
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
     }
+    // The new snapshot is durable; superseded ones are only disk use.
+    if let Err(e) = prune_snapshots(dir) {
+        eprintln!("swsample-durable: could not prune old snapshots: {e}");
+    }
     Ok(final_path)
 }
 
-/// Read and fully validate one snapshot file.
+fn write_tmp<K: StateCodec, T: StateCodec>(
+    tmp_path: &Path,
+    meta: &SnapshotMeta,
+    visit: impl FnOnce(&mut EmitState<'_, K, T>) -> Result<(), DurableError>,
+) -> Result<(), DurableError> {
+    let file = OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(true)
+        .open(tmp_path)?;
+    let mut out = BufWriter::with_capacity(WRITE_BUFFER_BYTES, file);
+    let mut buf = StateWriter::for_state_version(STATE_VERSION);
+    buf.put_u32(SNAPSHOT_VERSION);
+    buf.put_len_bytes(meta.template.as_bytes());
+    buf.put_len_bytes(meta.backend.as_bytes());
+    buf.put_u64(meta.shards);
+    buf.put_u64(meta.threads);
+    buf.put_u64(meta.wal_seq);
+    buf.put_u64(meta.keys);
+    frame::write_frame(&mut out, buf.as_bytes())?;
+    let mut written = 0u64;
+    visit(&mut |key, state| {
+        buf.clear();
+        key.encode_state(&mut buf);
+        buf.put_varint_u64(STATE_VERSION.into());
+        state.encode_payload(&mut buf);
+        frame::write_frame(&mut out, buf.as_bytes())?;
+        written += 1;
+        Ok(())
+    })?;
+    if written != meta.keys {
+        return Err(DurableError::Config(format!(
+            "snapshot header promises {} keys, the fleet produced {written}",
+            meta.keys
+        )));
+    }
+    out.flush()?;
+    out.get_ref().sync_all()?;
+    Ok(())
+}
+
+/// Delete all but the newest [`SNAPSHOTS_KEPT`] snapshots in `dir`.
+fn prune_snapshots(dir: &Path) -> std::io::Result<()> {
+    let snapshots = list_snapshots(dir)?;
+    let stale = snapshots.len().saturating_sub(SNAPSHOTS_KEPT);
+    for (_, path) in &snapshots[..stale] {
+        fs::remove_file(path)?;
+    }
+    Ok(())
+}
+
+/// Read and fully validate one snapshot file (either format version).
 pub fn read_snapshot<K: StateCodec, T: StateCodec + Clone>(
     path: &Path,
 ) -> Result<SnapshotContents<K, T>, DurableError> {
@@ -129,28 +197,31 @@ pub fn read_snapshot<K: StateCodec, T: StateCodec + Clone>(
         FrameRead::Torn(detail) => return Err(corrupt(path, format!("header: {detail}"))),
     };
     let mut hr = StateReader::new(&header);
-    let meta = (|| -> Result<SnapshotMeta, swsample_core::state::StateError> {
+    let (version, meta) = (|| -> Result<(u32, SnapshotMeta), StateError> {
         let version = hr.get_u32()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(swsample_core::state::StateError::Version(version));
+        if !(SNAPSHOT_VERSION_V1..=SNAPSHOT_VERSION).contains(&version) {
+            return Err(StateError::Version(version));
         }
         let template = String::from_utf8(hr.get_len_bytes()?.to_vec())
-            .map_err(|_| swsample_core::state::StateError::Corrupt("non-utf8 template".into()))?;
+            .map_err(|_| StateError::Corrupt("non-utf8 template".into()))?;
         let backend = String::from_utf8(hr.get_len_bytes()?.to_vec())
-            .map_err(|_| swsample_core::state::StateError::Corrupt("non-utf8 backend".into()))?;
+            .map_err(|_| StateError::Corrupt("non-utf8 backend".into()))?;
         let shards = hr.get_u64()?;
         let threads = hr.get_u64()?;
         let wal_seq = hr.get_u64()?;
         let keys = hr.get_u64()?;
         hr.finish()?;
-        Ok(SnapshotMeta {
-            template,
-            backend,
-            shards,
-            threads,
-            wal_seq,
-            keys,
-        })
+        Ok((
+            version,
+            SnapshotMeta {
+                template,
+                backend,
+                shards,
+                threads,
+                wal_seq,
+                keys,
+            },
+        ))
     })()
     .map_err(|e| corrupt(path, format!("header: {e}")))?;
     if let Some(expect) =
@@ -181,10 +252,15 @@ pub fn read_snapshot<K: StateCodec, T: StateCodec + Clone>(
             }
         };
         let mut br = StateReader::new(&body);
-        let entry = (|| -> Result<(K, SamplerState<T>), swsample_core::state::StateError> {
+        let entry = (|| -> Result<(K, SamplerState<T>), StateError> {
             let key = K::decode_state(&mut br)?;
-            let record = br.get_len_bytes()?;
-            let state = SamplerState::<T>::decode_record(record)?;
+            let state = if version == SNAPSHOT_VERSION_V1 {
+                SamplerState::<T>::decode_record(br.get_len_bytes()?)?
+            } else {
+                let state_version = br.get_varint_u64()?;
+                br.set_state_version(u32::try_from(state_version).unwrap_or(u32::MAX))?;
+                SamplerState::<T>::decode_payload(&mut br)?
+            };
             br.finish()?;
             Ok((key, state))
         })()
@@ -266,12 +342,22 @@ mod tests {
         }
     }
 
+    fn write_states(
+        dir: &Path,
+        meta: &SnapshotMeta,
+        states: &[(u64, SamplerState<u64>)],
+    ) -> Result<PathBuf, DurableError> {
+        write_snapshot(dir, meta, |emit| {
+            states.iter().try_for_each(|(key, state)| emit(key, state))
+        })
+    }
+
     #[test]
     fn round_trips_meta_and_states() {
         let dir = tmp_dir("roundtrip");
         let states = demo_states(5);
         let meta = demo_meta(5, 42);
-        let path = write_snapshot(&dir, &meta, &states).expect("write");
+        let path = write_states(&dir, &meta, &states).expect("write");
         assert_eq!(
             path.file_name().unwrap().to_str().unwrap(),
             snapshot_name(42)
@@ -285,8 +371,8 @@ mod tests {
     #[test]
     fn latest_valid_skips_corrupt_newest() {
         let dir = tmp_dir("fallback");
-        write_snapshot(&dir, &demo_meta(3, 10), &demo_states(3)).expect("older");
-        let newer = write_snapshot(&dir, &demo_meta(4, 20), &demo_states(4)).expect("newer");
+        write_states(&dir, &demo_meta(3, 10), &demo_states(3)).expect("older");
+        let newer = write_states(&dir, &demo_meta(4, 20), &demo_states(4)).expect("newer");
         // Corrupt one byte in the middle of the newest snapshot.
         let mut bytes = fs::read(&newer).expect("read");
         let mid = bytes.len() / 2;
@@ -308,7 +394,7 @@ mod tests {
     fn all_corrupt_is_an_error_and_no_snapshots_is_none() {
         let dir = tmp_dir("allcorrupt");
         assert!(latest_valid::<u64, u64>(&dir).expect("scan").is_none());
-        let path = write_snapshot(&dir, &demo_meta(2, 5), &demo_states(2)).expect("write");
+        let path = write_states(&dir, &demo_meta(2, 5), &demo_states(2)).expect("write");
         let mut bytes = fs::read(&path).expect("read");
         bytes[4] ^= 0x01;
         fs::write(&path, bytes).expect("write");
@@ -322,7 +408,7 @@ mod tests {
     #[test]
     fn every_truncation_of_a_snapshot_is_an_error() {
         let dir = tmp_dir("trunc");
-        let path = write_snapshot(&dir, &demo_meta(3, 9), &demo_states(3)).expect("write");
+        let path = write_states(&dir, &demo_meta(3, 9), &demo_states(3)).expect("write");
         let bytes = fs::read(&path).expect("read");
         for cut in 0..bytes.len() {
             fs::write(&path, &bytes[..cut]).expect("write");
@@ -331,6 +417,33 @@ mod tests {
                 "truncation to {cut} bytes was accepted"
             );
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn only_the_newest_snapshots_are_kept() {
+        let dir = tmp_dir("retention");
+        for wal_seq in 0..6 {
+            write_states(&dir, &demo_meta(2, wal_seq), &demo_states(2)).expect("write");
+        }
+        let left: Vec<u64> = list_snapshots(&dir)
+            .expect("list")
+            .into_iter()
+            .map(|(seq, _)| seq)
+            .collect();
+        assert_eq!(left, vec![4, 5]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn key_count_mismatch_is_an_error_and_leaves_no_file() {
+        let dir = tmp_dir("mismatch");
+        for (promised, produced) in [(3, 2), (2, 3)] {
+            let err = write_states(&dir, &demo_meta(promised, 7), &demo_states(produced))
+                .expect_err("count mismatch");
+            assert!(matches!(err, DurableError::Config(_)), "got {err:?}");
+        }
+        assert_eq!(fs::read_dir(&dir).expect("read dir").count(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -9,11 +9,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use swsample_core::state::SamplerState;
+use swsample_core::state::{SamplerState, StateReader, StateWriter, STATE_VERSION};
 use swsample_core::{FleetBackend, SamplerSpec};
-use swsample_durable::snapshot::read_snapshot;
+use swsample_durable::frame::write_frame;
+use swsample_durable::snapshot::{read_snapshot, SNAPSHOT_VERSION};
 use swsample_durable::wal::SegmentLog;
-use swsample_durable::{DurableEngine, DurableOptions};
+use swsample_durable::{DurableEngine, DurableError, DurableOptions};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -67,6 +68,77 @@ fn real_state_record() -> &'static [u8] {
     })
 }
 
+/// A one-key current-format snapshot whose key frame is
+/// `[key][state_version varint][payload]` — CRC-valid, so only the
+/// state decoder stands between `payload` and the fleet.
+fn crafted_snapshot(tag: &str, state_version: u8, payload: &[u8]) -> PathBuf {
+    let dir = case_dir(tag);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("snap-0000000000000001.snap");
+    let mut header = StateWriter::new();
+    header.put_u32(SNAPSHOT_VERSION);
+    header.put_len_bytes(b"--window seq --n 24 --mode wr --algo paper --k 3 --seed 9");
+    header.put_len_bytes(b"erased");
+    for v in [4u64, 1, 1, 1] {
+        header.put_u64(v); // shards, threads, wal_seq, keys
+    }
+    let mut body = 7u64.to_le_bytes().to_vec();
+    body.push(state_version);
+    body.extend_from_slice(payload);
+    let mut file = Vec::new();
+    write_frame(&mut file, &header.into_bytes()).expect("vec write");
+    write_frame(&mut file, &body).expect("vec write");
+    std::fs::write(&path, file).expect("write");
+    path
+}
+
+/// A seq-WR payload prefix: family tag, `count` and `accepts` fields
+/// (both 0), and the four RNG words.
+fn seq_wr_prefix() -> Vec<u8> {
+    let mut p = vec![1u8, 0x01, 0x01];
+    p.extend_from_slice(&[0xAB; 32]);
+    p
+}
+
+/// Hand-made v2 state payloads that pass the frame CRC but lie inside:
+/// each is a typed `Corrupt`, never a panic or an allocation storm.
+#[test]
+fn hostile_v2_state_payloads_are_typed_corruption() {
+    // Sanity: the crafted frame shape decodes when the payload is sound
+    // (a seq-WR state with zero lanes).
+    let mut sound = seq_wr_prefix();
+    sound.push(0x01);
+    let path = crafted_snapshot("v2-sound", STATE_VERSION as u8, &sound);
+    let (_, states) = read_snapshot::<u64, u64>(&path).expect("sound payload decodes");
+    assert_eq!(states.len(), 1);
+
+    // An 11-byte varint where the `count` field belongs.
+    let mut overlong = vec![1u8];
+    overlong.extend_from_slice(&[0x80; 10]);
+    overlong.push(0x00);
+    // A lane count of 2^32 with no lanes behind it.
+    let mut oversized = seq_wr_prefix();
+    oversized.extend_from_slice(&[0x81, 0x80, 0x80, 0x80, 0x10]);
+    // One lane whose `next_accept` sentinel is stored as 2^64 — one past
+    // the `u64::MAX + 1` that encodes "never".
+    let mut sentinel = seq_wr_prefix();
+    sentinel.extend_from_slice(&[0x02, 0x00, 0x00]);
+    sentinel.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02]);
+    let cases: [(&str, u8, &[u8]); 4] = [
+        ("overlong varint", STATE_VERSION as u8, &overlong),
+        ("oversized count", STATE_VERSION as u8, &oversized),
+        ("out-of-range sentinel", STATE_VERSION as u8, &sentinel),
+        ("unknown state version", STATE_VERSION as u8 + 1, &sound),
+    ];
+    for (what, version, payload) in cases {
+        let path = crafted_snapshot("v2-hostile", version, payload);
+        match read_snapshot::<u64, u64>(&path) {
+            Err(DurableError::Corrupt { .. }) => {}
+            other => panic!("{what}: expected typed corruption, got {other:?}"),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -74,6 +146,15 @@ proptest! {
     #[test]
     fn arbitrary_state_record_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = SamplerState::<u64>::decode_record(&bytes);
+    }
+
+    /// Arbitrary bytes decoded as a v2 snapshot payload (the frame CRC
+    /// already passed, so nothing else checks them): never a panic.
+    #[test]
+    fn arbitrary_v2_payload_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+        let mut r = StateReader::new(&bytes);
+        r.set_state_version(STATE_VERSION).expect("current version");
+        let _ = SamplerState::<u64>::decode_payload(&mut r);
     }
 
     /// Any single bit flip in a real state record is rejected.

@@ -9,6 +9,7 @@
 use std::path::PathBuf;
 
 use swsample_core::{FleetBackend, Sample, SamplerSpec};
+use swsample_durable::snapshot::SNAPSHOT_VERSION;
 use swsample_durable::{DurableEngine, DurableOptions};
 use swsample_stream::MultiStreamEngine;
 
@@ -121,7 +122,14 @@ fn every_family_survives_save_restore_in_lockstep() {
         for b in 0..BATCHES / 2 {
             durable.ingest(&batch(b)).unwrap();
         }
-        durable.snapshot().unwrap();
+        let snap = durable.snapshot().unwrap();
+        // The round trip under test is the current (varint) format.
+        let header = std::fs::read(&snap).expect("read snapshot");
+        assert_eq!(
+            u32::from_le_bytes(header[8..12].try_into().unwrap()),
+            SNAPSHOT_VERSION,
+            "family {name}"
+        );
         drop(durable);
         let mut durable = DurableEngine::<u64, u64>::open(&dir, DurableOptions::default())
             .unwrap_or_else(|e| panic!("family {name}: open: {e}"));

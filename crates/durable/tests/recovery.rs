@@ -225,6 +225,56 @@ fn corrupt_snapshot_falls_back_to_older_and_stays_identical() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Snapshot retention: a long run keeps only the newest two snapshots
+/// (WAL segments all stay), and with the newest corrupted, recovery
+/// still falls back to the older one plus a longer replay.
+#[test]
+fn only_two_snapshots_remain_and_the_older_still_recovers() {
+    let spec: SamplerSpec = "--window ts --w 40 --mode wor --algo paper --k 3 --seed 906"
+        .parse()
+        .expect("spec");
+    let expected = reference_samples(&spec);
+    let dir = tmp_dir("retention");
+    let mut durable = DurableEngine::<u64, u64>::create(
+        &dir,
+        spec,
+        4,
+        2,
+        FleetBackend::Auto,
+        DurableOptions {
+            snapshot_every: Some(3),
+            ..DurableOptions::default()
+        },
+    )
+    .expect("create");
+    // The initial snapshot plus six automatic ones.
+    for b in 0..19 {
+        durable.ingest(&batch(b)).unwrap();
+    }
+    durable.sync().unwrap();
+    drop(durable);
+    let snaps = fs::read_dir(&dir)
+        .expect("read dir")
+        .filter(|e| {
+            e.as_ref()
+                .expect("entry")
+                .path()
+                .extension()
+                .is_some_and(|x| x == "snap")
+        })
+        .count();
+    assert_eq!(snaps, 2, "superseded snapshots must be pruned");
+    let snap = newest_snapshot(&dir);
+    let mut bytes = fs::read(&snap).expect("read snapshot");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    fs::write(&snap, bytes).expect("corrupt snapshot");
+
+    let got = resume_and_finish(&dir, ResumeOverrides::default());
+    assert_eq!(got, expected, "fallback recovery after pruning diverged");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// The corrupt-snapshot failpoint produces the same situation from
 /// inside the engine (the CI smoke uses the env-var form).
 #[test]

@@ -16,8 +16,8 @@ use swsample_core::fault::mix64;
 use swsample_durable::frame::write_frame;
 
 use crate::protocol::{
-    read_server_msg, ClientMsg, ReadOutcome, ServerMsg, SubscribeKind, WireEvent, WireSample,
-    PROTOCOL_VERSION,
+    encode_ingest, read_server_msg, ClientMsg, ReadOutcome, ServerMsg, SubscribeKind, WireEvent,
+    WireSample, PROTOCOL_VERSION,
 };
 use crate::stats::StatsSnapshot;
 
@@ -142,7 +142,11 @@ impl Client {
     }
 
     fn send(&mut self, msg: &ClientMsg) -> io::Result<()> {
-        write_frame(&mut self.writer, &msg.encode())?;
+        self.send_payload(&msg.encode())
+    }
+
+    fn send_payload(&mut self, payload: &[u8]) -> io::Result<()> {
+        write_frame(&mut self.writer, payload)?;
         self.writer.flush()
     }
 
@@ -189,10 +193,7 @@ impl Client {
 
     /// One `INGEST` attempt: applied, or rejected with backpressure.
     pub fn ingest(&mut self, seq: u64, batch: &[WireEvent]) -> io::Result<IngestOutcome> {
-        self.send(&ClientMsg::Ingest {
-            seq,
-            batch: batch.to_vec(),
-        })?;
+        self.send_payload(&encode_ingest(seq, batch))?;
         match self.recv_reply()? {
             ServerMsg::IngestOk { seq: got, events } if got == seq => {
                 Ok(IngestOutcome::Applied(events))

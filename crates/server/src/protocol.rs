@@ -22,7 +22,7 @@
 use std::io::{self, Read};
 
 use swsample_core::state::{StateError, StateReader, StateWriter};
-use swsample_durable::batch::{decode_batch, encode_batch};
+use swsample_durable::batch::{decode_batch, encode_batch_into};
 use swsample_durable::frame::{read_frame_capped, FrameRead, FRAME_HEADER_BYTES};
 
 use crate::stats::StatsSnapshot;
@@ -272,6 +272,17 @@ pub enum ServerMsg {
     Bye,
 }
 
+/// The frame payload of [`ClientMsg::Ingest`], encoded straight from a
+/// borrowed batch: the batch record is written in place behind its
+/// length prefix, so neither the events nor the record are copied.
+pub fn encode_ingest(seq: u64, batch: &[WireEvent]) -> Vec<u8> {
+    let mut w = StateWriter::with_capacity(16 + batch.len() * 6);
+    w.put_u8(OP_INGEST);
+    w.put_varint_u64(seq);
+    w.put_len_prefixed(|w| encode_batch_into(w, batch));
+    w.into_bytes()
+}
+
 impl ClientMsg {
     /// Encode to a frame payload (opcode byte + body).
     pub fn encode(&self) -> Vec<u8> {
@@ -287,11 +298,7 @@ impl ClientMsg {
                 w.put_len_bytes(name.as_bytes());
                 w.put_varint_u64(*session);
             }
-            ClientMsg::Ingest { seq, batch } => {
-                w.put_u8(OP_INGEST);
-                w.put_varint_u64(*seq);
-                w.put_len_bytes(&encode_batch(batch));
-            }
+            ClientMsg::Ingest { seq, batch } => return encode_ingest(*seq, batch),
             ClientMsg::Query { key } => {
                 w.put_u8(OP_QUERY);
                 w.put_varint_u64(*key);

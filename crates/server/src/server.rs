@@ -460,6 +460,10 @@ struct Shared {
     reader_threads: Mutex<Vec<JoinHandle<()>>>,
     writer_threads: Mutex<Vec<JoinHandle<()>>>,
     started: Instant,
+    /// From the start of the first applied batch to the end of the
+    /// latest one: the span the shutdown line's `elems_per_sec` divides
+    /// by, so idle time before and after the traffic does not count.
+    apply_span: Mutex<Option<(Instant, Instant)>>,
 }
 
 impl Shared {
@@ -523,6 +527,21 @@ impl Shared {
         }
     }
 
+    /// Extend the apply span by a batch applied from `began` until now.
+    fn record_apply(&self, began: Instant) {
+        let mut span = self.apply_span.lock().expect("apply span poisoned");
+        let first = span.map_or(began, |(first, _)| first);
+        *span = Some((first, Instant::now()));
+    }
+
+    /// Events applied per second of the apply span (0 before any batch).
+    fn apply_rate(&self, events_applied: u64) -> f64 {
+        match *self.apply_span.lock().expect("apply span poisoned") {
+            Some((first, last)) => events_applied as f64 / (last - first).as_secs_f64().max(1e-9),
+            None => 0.0,
+        }
+    }
+
     fn conn(&self, id: u64) -> Option<Arc<Conn>> {
         self.conns
             .lock()
@@ -570,6 +589,7 @@ impl Server {
             reader_threads: Mutex::new(Vec::new()),
             writer_threads: Mutex::new(Vec::new()),
             started: Instant::now(),
+            apply_span: Mutex::new(None),
         });
         let spawn = |name: &str, body: Box<dyn FnOnce() + Send>| -> io::Result<JoinHandle<()>> {
             let tag = name.to_string();
@@ -690,8 +710,7 @@ impl Server {
         for handle in writers {
             let _ = handle.join();
         }
-        let elapsed = self.shared.started.elapsed().as_secs_f64().max(1e-9);
-        let elems_per_sec = stats.global.events_applied as f64 / elapsed;
+        let elems_per_sec = self.shared.apply_rate(stats.global.events_applied);
         eprintln!("{}", stats.metrics_line(elems_per_sec));
         stats
     }
@@ -1178,8 +1197,10 @@ fn ingest_loop(shared: Arc<Shared>) {
                 events: n,
             }
         } else {
+            let began = Instant::now();
             match shared.fleet.apply(&batch.events) {
                 Ok(()) => {
+                    shared.record_apply(began);
                     shared.global().events_applied += n;
                     if batch.session != 0 {
                         shared

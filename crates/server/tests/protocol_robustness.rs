@@ -4,10 +4,12 @@
 //! carrying the byte offset of the offending frame.
 
 use proptest::prelude::*;
+use swsample_core::state::StateWriter;
+use swsample_durable::batch::encode_batch;
 use swsample_durable::frame::{write_frame, FRAME_HEADER_BYTES};
 use swsample_server::protocol::{
-    read_client_msg, read_server_msg, ClientMsg, ErrorCode, ReadOutcome, ServerMsg, SubscribeKind,
-    MAX_MESSAGE_BYTES, PROTOCOL_VERSION,
+    encode_ingest, read_client_msg, read_server_msg, ClientMsg, ErrorCode, ReadOutcome, ServerMsg,
+    SubscribeKind, MAX_MESSAGE_BYTES, PROTOCOL_VERSION,
 };
 use swsample_server::stats::StatsSnapshot;
 
@@ -78,6 +80,28 @@ fn framed(payload: &[u8]) -> Vec<u8> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `INGEST` frames encoded from a borrowed batch are byte-identical
+    /// to the owned message's encoding and to the wire layout built
+    /// field by field.
+    #[test]
+    fn borrowed_ingest_encoding_matches_the_message(
+        seq in any::<u64>(),
+        batch in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..200),
+    ) {
+        let bytes = encode_ingest(seq, &batch);
+        let msg = ClientMsg::Ingest { seq, batch };
+        prop_assert_eq!(&bytes, &msg.encode());
+        // The layout is unchanged: opcode, varint seq, then the batch
+        // record behind a u32 length prefix.
+        let mut expect = StateWriter::new();
+        expect.put_u8(0x02);
+        expect.put_varint_u64(seq);
+        let ClientMsg::Ingest { batch, .. } = &msg else { unreachable!() };
+        expect.put_len_bytes(&encode_batch(batch));
+        prop_assert_eq!(&bytes, &expect.into_bytes());
+        prop_assert_eq!(ClientMsg::decode(&bytes).expect("decode"), msg);
+    }
 
     /// Arbitrary garbage on the wire: the reader always returns a typed
     /// outcome, never panics.

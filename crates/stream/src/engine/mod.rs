@@ -829,16 +829,33 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
     /// constructions, or externally supplied factories whose samplers
     /// opt out).
     pub fn save_states(&self) -> Result<Vec<(K, SamplerState<T>)>, StateError> {
-        self.sync();
         let mut out = Vec::with_capacity(self.num_keys());
+        self.for_each_state(|key, state| {
+            out.push((key.clone(), state));
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Streaming [`save_states`](Self::save_states): after the epoch
+    /// sync, hand `visit` each materialized key's state in the same
+    /// shard-major, first-touch slot order, one shard at a time under
+    /// its read lock — so a checkpoint writer can encode the fleet
+    /// without ever holding all of it in memory. Stops at the first
+    /// error, `visit`'s own or [`StateError::Unsupported`].
+    pub fn for_each_state<E: From<StateError>>(
+        &self,
+        mut visit: impl FnMut(&K, SamplerState<T>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.sync();
         for shard in &self.shards {
             let guard = self.read(shard);
             for (slot, key) in guard.registry.keys().iter().enumerate() {
                 let state = guard.store.save_slot(slot).ok_or(StateError::Unsupported)?;
-                out.push((key.clone(), state));
+                visit(key, state)?;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Restore a checkpoint taken by [`save_states`](Self::save_states)
