@@ -17,11 +17,10 @@
 //! baseline would be meaningless.
 
 use swsample_bench::throughput::{
-    durable_wal_overhead_100k, machine, multi_100k_speedup, multi_soa_100k_speedup,
-    multi_soa_vs_erased_100k, parallel_t4_efficiency_100k, parallel_t8_overhead, params,
+    durable_wal_overhead_100k, machine, parallel_t4_efficiency_100k, parallel_t8_overhead, params,
     run_durable, run_multi, run_parallel, run_server, run_with, server_e2e_100k_vs_direct, speedup,
-    to_json, DURABLE_WAL_100K_GATE, MULTI_SOA_100K_GATE, PARALLEL_T4_EFFICIENCY_GATE,
-    PARALLEL_T8_OVERHEAD_GATE, SERVER_E2E_100K_GATE,
+    to_json, DURABLE_WAL_100K_GATE, PARALLEL_T4_EFFICIENCY_GATE, PARALLEL_T8_OVERHEAD_GATE,
+    SERVER_E2E_100K_GATE,
 };
 use swsample_bench::{json, table_header, table_row};
 
@@ -132,7 +131,6 @@ fn main() {
     table_header(
         "multi-stream engine (zipf-keyed fleet, seq-WR template, batched keyed ingest)",
         &[
-            "backend",
             "keys",
             "k",
             "shards",
@@ -145,7 +143,6 @@ fn main() {
     );
     for r in &multi {
         table_row(&[
-            r.backend.into(),
             r.keys.to_string(),
             r.k.to_string(),
             r.shards.to_string(),
@@ -161,7 +158,6 @@ fn main() {
     table_header(
         "parallel ingestion (work-stealing shard-run scheduler, seq-WR template)",
         &[
-            "backend",
             "keys",
             "k",
             "shards",
@@ -175,7 +171,6 @@ fn main() {
     );
     for r in &parallel {
         table_row(&[
-            r.backend.into(),
             r.keys.to_string(),
             r.k.to_string(),
             r.shards.to_string(),
@@ -187,45 +182,9 @@ fn main() {
             format!("{:.2}", r.imbalance),
         ]);
     }
-    if let Some(s) = multi_100k_speedup(&parallel) {
-        println!(
-            "\nslab+parallel engine vs PR-3 committed baseline at 100k keys, k=16: {s:.2}x \
-             (best thread count)"
-        );
-        if s < 2.0 {
-            // Hard gate: the engine redesign's acceptance bar. Like the
-            // other gates, it only fires when the sweep includes the
-            // acceptance configuration (full mode).
-            eprintln!("bench_throughput: multi_100k_speedup {s:.2}x below the 2x acceptance bar");
-            std::process::exit(1);
-        }
-    }
-    if let Some(s) = multi_soa_100k_speedup(&multi) {
-        println!(
-            "soa fleet backend (sustained) vs v3 committed erased figure at 100k keys, k=16: \
-             {s:.2}x"
-        );
-        if s < MULTI_SOA_100K_GATE {
-            // Hard gate: the SoA backend's acceptance bar. The level is
-            // set by the accept-RNG compute floor of this workload — see
-            // V3_MULTI_100K_ELEMS_PER_SEC's docs for the accounting.
-            eprintln!(
-                "bench_throughput: multi_soa_100k_speedup {s:.2}x below the \
-                 {MULTI_SOA_100K_GATE}x acceptance bar"
-            );
-            std::process::exit(1);
-        }
-    }
-    if let Some(s) = multi_soa_vs_erased_100k(&multi) {
-        println!("soa vs erased backend, sustained, same run, 100k keys: {s:.2}x");
-        if s < 1.0 {
-            eprintln!("bench_throughput: soa backend slower than erased at 100k keys ({s:.2}x)");
-            std::process::exit(1);
-        }
-    }
     for (keys, label) in [(1_000u64, "1k"), (100_000u64, "100k")] {
         if let Some(s) = parallel_t8_overhead(&parallel, keys) {
-            println!("work-stealing 8-thread vs serial at {label} keys (worse backend): {s:.2}x");
+            println!("work-stealing 8-thread vs serial at {label} keys: {s:.2}x");
             if s < PARALLEL_T8_OVERHEAD_GATE {
                 // Hard gate, armed on any host: the scheduler's fixed
                 // per-batch cost (partition + epoch handshake) must not
@@ -240,7 +199,7 @@ fn main() {
         }
     }
     if let Some(s) = parallel_t4_efficiency_100k(&parallel) {
-        println!("work-stealing 4-thread vs serial at 100k keys (better backend): {s:.2}x");
+        println!("work-stealing 4-thread vs serial at 100k keys: {s:.2}x");
         if m.cores > 1 && s < PARALLEL_T4_EFFICIENCY_GATE {
             // Hard gate, armed only on parallel hosts: with real cores
             // available, 4 workers must actually scale.

@@ -49,8 +49,6 @@ pub struct Row {
 /// One measured multi-stream (keyed fleet) configuration.
 #[derive(Debug, Clone)]
 pub struct MultiRow {
-    /// Fleet backend the engine resolved (`"erased"` or `"soa"`).
-    pub backend: &'static str,
     /// Key-domain size (number of logical streams).
     pub keys: u64,
     /// Per-key samples maintained.
@@ -68,8 +66,7 @@ pub struct MultiRow {
     /// Warm-fleet `elements / seconds`: the same event stream replayed
     /// after the cold pass, so keys are materialized and the hot keys
     /// sample in steady state. This is the regime where per-element
-    /// fleet overhead (pointer chasing vs dense slabs) dominates, and
-    /// the one the SoA backend targets.
+    /// fleet overhead (registry probe, per-key state access) dominates.
     pub sustained_elems_per_sec: f64,
     /// Keys that actually materialized a sampler.
     pub keys_touched: usize,
@@ -83,8 +80,6 @@ pub struct MultiRow {
 /// One measured parallel-ingestion (worker pool) configuration.
 #[derive(Debug, Clone)]
 pub struct ParallelRow {
-    /// Fleet backend the engine resolved (`"erased"` or `"soa"`).
-    pub backend: &'static str,
     /// Key-domain size (number of logical streams).
     pub keys: u64,
     /// Per-key samples maintained.
@@ -210,38 +205,6 @@ pub struct Params {
     pub server_connections: Vec<usize>,
 }
 
-/// The PR-3 committed `multi_stream` baseline at 100k keys, k = 16 —
-/// the pre-slab, pre-parallel `HashMap<K, Box<dyn …>>` engine
-/// (`BENCH_throughput.json` as of commit 6b5c5b7). `multi_100k_speedup`
-/// is measured against this fixed reference so the gate tracks the
-/// engine redesign, not run-to-run drift of a moving baseline.
-pub const PR3_MULTI_100K_ELEMS_PER_SEC: f64 = 2_744_568.83;
-
-/// The v3 committed `multi_stream` figure at 100k keys, k = 16 — the
-/// erased-backend engine after the PR-5 slab registry
-/// (`BENCH_throughput.json` as of commit a593bb7). The SoA-backend
-/// headline `multi_soa_100k_speedup` is measured against this fixed
-/// reference.
-///
-/// Why the gate is what it is and not more: at 100k zipf keys over 2M
-/// events the mean key sees ~24 arrivals, deep inside the accept-dense
-/// prefix where each of the `k = 16` paper instances accepts arrival
-/// `j` with probability `1/j` — about `k·H(24)/24 ≈ 2.5` acceptances
-/// per element, each costing a pinned sequence of `record_skip` RNG
-/// draws that is *identical* in both backends (that equality is the
-/// bit-identity contract). That RNG work alone exceeds the whole
-/// per-element budget a 3× ratio would allow on the baseline host, so
-/// no layout change can reach it on this workload; the SoA win shows
-/// in the sustained (warm-fleet) figure, where acceptances thin to
-/// `k·H(n)/n` per element and per-element state access dominates.
-pub const V3_MULTI_100K_ELEMS_PER_SEC: f64 = 5_496_031.64;
-
-/// Hard acceptance bar for [`multi_soa_100k_speedup`]: the SoA
-/// backend's sustained 100k-key throughput must beat the committed v3
-/// cold figure by this factor. See [`V3_MULTI_100K_ELEMS_PER_SEC`] for
-/// why the bar is 1.5× and not the aspirational 3×.
-pub const MULTI_SOA_100K_GATE: f64 = 1.5;
-
 /// Hard acceptance bar for [`durable_wal_overhead_100k`]: ingesting
 /// through the write-ahead log at 100k keys must retain at least this
 /// fraction of the plain engine's throughput. Append-then-apply adds
@@ -274,8 +237,8 @@ pub const SERVER_E2E_100K_GATE: f64 = 0.5;
 pub const PARALLEL_T8_OVERHEAD_GATE: f64 = 0.9;
 
 /// Hard acceptance bar for [`parallel_t4_efficiency_100k`]: with 4
-/// workers on the 100k-key zipf workload, the better backend must beat
-/// the serial path by at least this factor. Armed only when
+/// workers on the 100k-key zipf workload, the fleet must beat the
+/// serial path by at least this factor. Armed only when
 /// `machine.cores > 1` (a single-core host cannot exhibit parallel
 /// speedup, only the overhead gate applies there).
 pub const PARALLEL_T4_EFFICIENCY_GATE: f64 = 1.5;
@@ -464,7 +427,6 @@ pub fn run_with(p: &Params) -> Vec<Row> {
 /// each key-domain size, ingested through `MultiStreamEngine`'s batched
 /// grouped path with a paper seq-WR template (k = `multi_k`, n = 1000).
 pub fn run_multi(p: &Params) -> Vec<MultiRow> {
-    use swsample_core::spec::FleetBackend;
     use swsample_core::SamplerSpec;
     use swsample_stream::{MultiStreamEngine, ValueGen, ZipfGen};
 
@@ -479,61 +441,45 @@ pub fn run_multi(p: &Params) -> Vec<MultiRow> {
             .collect();
         // Best-of reps, like the parallel section: identical
         // deterministic runs, so the minimum is the capability
-        // measurement and scheduler steal is excluded. Reps are
-        // interleaved across backends (rep-outermost) so a multi-second
-        // host-noise burst degrades both backends' rep pools equally
-        // instead of swallowing one backend's entire block — the
-        // soa-vs-erased acceptance ratio divides these two figures.
-        let backends = [(FleetBackend::Erased, "erased"), (FleetBackend::Soa, "soa")];
-        let mut best = [(f64::INFINITY, f64::INFINITY); 2];
-        let mut last: [Option<MultiStreamEngine<u64, u64>>; 2] = [None, None];
+        // measurement and scheduler steal is excluded.
+        let (mut cold, mut sustained) = (f64::INFINITY, f64::INFINITY);
+        let mut last = None;
         for _ in 0..p.parallel_reps.max(1) {
-            for (b, &(backend, _)) in backends.iter().enumerate() {
-                let template: SamplerSpec =
-                    format!("--window seq --n 1000 --k {} --seed 42", p.multi_k)
-                        .parse()
-                        .expect("template spec");
-                let mut engine: MultiStreamEngine<u64, u64> = MultiStreamEngine::with_backend(
-                    template,
-                    64,
-                    SamplerSpec::build::<u64>,
-                    1,
-                    backend,
-                )
-                .expect("engine");
-                // Cold pass: fleet construction + accept-dense first
-                // arrivals (the schema-v3 figure). Sustained pass: the
-                // identical stream replayed into the now-warm fleet.
-                let start = Instant::now();
-                for chunk in events.chunks(p.chunk) {
-                    engine.ingest(chunk);
-                }
-                best[b].0 = best[b].0.min(start.elapsed().as_secs_f64());
-                let start = Instant::now();
-                for chunk in events.chunks(p.chunk) {
-                    engine.ingest(chunk);
-                }
-                best[b].1 = best[b].1.min(start.elapsed().as_secs_f64());
-                last[b] = Some(engine);
+            let template: SamplerSpec =
+                format!("--window seq --n 1000 --k {} --seed 42", p.multi_k)
+                    .parse()
+                    .expect("template spec");
+            let mut engine: MultiStreamEngine<u64, u64> =
+                MultiStreamEngine::with_factory(template, 64, SamplerSpec::build::<u64>)
+                    .expect("engine");
+            // Cold pass: fleet construction + accept-dense first arrivals
+            // (the schema-v3 figure). Sustained pass: the identical
+            // stream replayed into the now-warm fleet.
+            let start = Instant::now();
+            for chunk in events.chunks(p.chunk) {
+                engine.ingest(chunk);
             }
+            cold = cold.min(start.elapsed().as_secs_f64());
+            let start = Instant::now();
+            for chunk in events.chunks(p.chunk) {
+                engine.ingest(chunk);
+            }
+            sustained = sustained.min(start.elapsed().as_secs_f64());
+            last = Some(engine);
         }
-        for (b, &(_, name)) in backends.iter().enumerate() {
-            let engine = last[b].take().expect("at least one rep");
-            let (cold, sustained) = best[b];
-            out.push(MultiRow {
-                backend: name,
-                keys,
-                k: p.multi_k,
-                shards: engine.num_shards(),
-                elements: p.multi_elements,
-                seconds: cold,
-                elems_per_sec: p.multi_elements as f64 / cold.max(1e-9),
-                sustained_elems_per_sec: p.multi_elements as f64 / sustained.max(1e-9),
-                keys_touched: engine.num_keys(),
-                memory_words: swsample_core::MemoryWords::memory_words(&engine),
-                max_key_words: engine.max_key_memory_words(),
-            });
-        }
+        let engine = last.expect("at least one rep");
+        out.push(MultiRow {
+            keys,
+            k: p.multi_k,
+            shards: engine.num_shards(),
+            elements: p.multi_elements,
+            seconds: cold,
+            elems_per_sec: p.multi_elements as f64 / cold.max(1e-9),
+            sustained_elems_per_sec: p.multi_elements as f64 / sustained.max(1e-9),
+            keys_touched: engine.num_keys(),
+            memory_words: swsample_core::MemoryWords::memory_words(&engine),
+            max_key_words: engine.max_key_memory_words(),
+        });
     }
     out
 }
@@ -545,7 +491,6 @@ pub fn run_multi(p: &Params) -> Vec<MultiRow> {
 /// is bit-identical across all rows (asserted in
 /// `tests/parallel_engine.rs`), so the rows measure pure scheduling.
 pub fn run_parallel(p: &Params) -> Vec<ParallelRow> {
-    use swsample_core::spec::FleetBackend;
     use swsample_core::SamplerSpec;
     use swsample_stream::{MultiStreamEngine, ValueGen, ZipfGen};
 
@@ -565,33 +510,26 @@ pub fn run_parallel(p: &Params) -> Vec<ParallelRow> {
         // scheduler counters travel with the fastest rep. Two
         // noise-robustness measures, because the t8/t1 overhead gate
         // divides two of these figures so per-row noise compounds:
-        // reps are interleaved across the whole backend x threads grid
-        // (rep-outermost) so a multi-second host-noise burst degrades
-        // every configuration's rep pool instead of swallowing one
-        // configuration's contiguous block, and small key domains —
-        // which finish in milliseconds and can lose every rep to a
-        // single descheduling blip — get 3x the reps.
-        let mut configs = Vec::new();
-        for &(backend, name) in &[(FleetBackend::Erased, "erased"), (FleetBackend::Soa, "soa")] {
-            for &threads in &p.multi_threads {
-                configs.push((backend, name, threads));
-            }
-        }
+        // reps are interleaved across the thread counts (rep-outermost)
+        // so a multi-second host-noise burst degrades every count's rep
+        // pool instead of swallowing one count's contiguous block, and
+        // small key domains — which finish in milliseconds and can lose
+        // every rep to a single descheduling blip — get 3x the reps.
+        let configs = &p.multi_threads;
         let reps = p.parallel_reps.max(1) * if keys < 10_000 { 3 } else { 1 };
         let mut best: Vec<(f64, Option<swsample_stream::ParallelStats>)> =
             vec![(f64::INFINITY, None); configs.len()];
         for _ in 0..reps {
-            for (ci, &(backend, _, threads)) in configs.iter().enumerate() {
+            for (ci, &threads) in configs.iter().enumerate() {
                 let template: SamplerSpec =
                     format!("--window seq --n 1000 --k {} --seed 42", p.multi_k)
                         .parse()
                         .expect("template spec");
-                let engine: MultiStreamEngine<u64, u64> = MultiStreamEngine::with_backend(
+                let engine: MultiStreamEngine<u64, u64> = MultiStreamEngine::with_threads(
                     template,
                     64,
                     SamplerSpec::build::<u64>,
                     threads,
-                    backend,
                 )
                 .expect("engine");
                 let start = Instant::now();
@@ -607,12 +545,11 @@ pub fn run_parallel(p: &Params) -> Vec<ParallelRow> {
                 }
             }
         }
-        for (ci, &(_, name, threads)) in configs.iter().enumerate() {
+        for (ci, &threads) in configs.iter().enumerate() {
             let (seconds, stats) = std::mem::replace(&mut best[ci], (0.0, None));
             let st = stats.expect("at least one rep");
             assert_eq!(st.violations, 0, "one-shard-one-worker violated");
             out.push(ParallelRow {
-                backend: name,
                 keys,
                 k: p.multi_k,
                 shards: 64,
@@ -662,23 +599,22 @@ pub fn run_durable(p: &Params) -> Vec<DurableRow> {
                     .parse()
                     .expect("template spec")
             };
+            // The call counter keeps concurrent calls in one process
+            // (parallel unit tests) out of each other's directories.
+            static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
             let dir = std::env::temp_dir().join(format!(
-                "swsample-bench-durable-{}-{mode}-{keys}",
-                std::process::id()
+                "swsample-bench-durable-{}-{}-{mode}-{keys}",
+                std::process::id(),
+                CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
             ));
             let mut seconds = f64::INFINITY;
             let mut recovery = 0.0;
             for rep in 0..p.parallel_reps.max(1) {
                 let last_rep = rep + 1 == p.parallel_reps.max(1);
                 if mode == "wal-off" {
-                    let engine: MultiStreamEngine<u64, u64> = MultiStreamEngine::with_backend(
-                        template(),
-                        64,
-                        SamplerSpec::build::<u64>,
-                        1,
-                        FleetBackend::Auto,
-                    )
-                    .expect("engine");
+                    let engine: MultiStreamEngine<u64, u64> =
+                        MultiStreamEngine::with_factory(template(), 64, SamplerSpec::build::<u64>)
+                            .expect("engine");
                     let start = Instant::now();
                     for chunk in events.chunks(p.chunk) {
                         engine.ingest_parallel(chunk);
@@ -752,7 +688,6 @@ pub fn run_durable(p: &Params) -> Vec<DurableRow> {
 /// The ratio of the two is the serving tax the
 /// [`SERVER_E2E_100K_GATE`] bar polices.
 pub fn run_server(p: &Params) -> Vec<ServerRow> {
-    use swsample_core::spec::FleetBackend;
     use swsample_core::SamplerSpec;
     use swsample_server::{loadgen, LoadgenConfig, Server, ServerConfig};
     use swsample_stream::{MultiStreamEngine, ValueGen, ZipfGen};
@@ -776,14 +711,9 @@ pub fn run_server(p: &Params) -> Vec<ServerRow> {
         let events: Vec<(u64, u64, u64)> = (0..p.multi_elements)
             .map(|i| (zipf.next_value(&mut rng), i / 64, i))
             .collect();
-        let engine: MultiStreamEngine<u64, u64> = MultiStreamEngine::with_backend(
-            template(),
-            64,
-            SamplerSpec::build::<u64>,
-            threads,
-            FleetBackend::Auto,
-        )
-        .expect("engine");
+        let engine: MultiStreamEngine<u64, u64> =
+            MultiStreamEngine::with_threads(template(), 64, SamplerSpec::build::<u64>, threads)
+                .expect("engine");
         let start = Instant::now();
         for chunk in events.chunks(p.parallel_chunk) {
             engine.ingest_parallel(chunk);
@@ -833,48 +763,6 @@ pub fn durable_wal_overhead_100k(durable: &[DurableRow]) -> Option<f64> {
     Some(get("wal-on")? / get("wal-off")?)
 }
 
-/// The gated engine-redesign headline: best parallel-section elems/sec
-/// at 100k keys over the fixed PR-3 baseline
-/// ([`PR3_MULTI_100K_ELEMS_PER_SEC`]). `None` when the sweep did not
-/// include a 100k-key row (the quick shape).
-pub fn multi_100k_speedup(parallel: &[ParallelRow]) -> Option<f64> {
-    parallel
-        .iter()
-        .filter(|r| r.keys == 100_000)
-        .map(|r| r.elems_per_sec)
-        .fold(None, |acc: Option<f64>, x| {
-            Some(acc.map_or(x, |a| a.max(x)))
-        })
-        .map(|best| best / PR3_MULTI_100K_ELEMS_PER_SEC)
-}
-
-/// The SoA-backend headline: sustained (warm-fleet) 100k-key throughput
-/// over the committed v3 cold figure ([`V3_MULTI_100K_ELEMS_PER_SEC`]).
-/// The sustained regime is the one the struct-of-arrays layout targets
-/// (per-element state access instead of box-pointer chasing); the cold
-/// regime is accept-RNG-bound and backend-independent — both rows are in
-/// the artifact, see the constant's docs for the full accounting. `None`
-/// when the sweep has no SoA 100k row (the quick shape).
-pub fn multi_soa_100k_speedup(multi: &[MultiRow]) -> Option<f64> {
-    multi
-        .iter()
-        .find(|r| r.keys == 100_000 && r.backend == "soa")
-        .map(|r| r.sustained_elems_per_sec / V3_MULTI_100K_ELEMS_PER_SEC)
-}
-
-/// SoA-vs-erased sustained throughput ratio at 100k keys, same run,
-/// same workload — the apples-to-apples layout comparison. `None` when
-/// either 100k row is missing.
-pub fn multi_soa_vs_erased_100k(multi: &[MultiRow]) -> Option<f64> {
-    let get = |b: &str| {
-        multi
-            .iter()
-            .find(|r| r.keys == 100_000 && r.backend == b)
-            .map(|r| r.sustained_elems_per_sec)
-    };
-    Some(get("soa")? / get("erased")?)
-}
-
 /// The serving-tax headline: best end-to-end server throughput at 100k
 /// keys over the same-run direct `ingest_parallel` figure. Best-of over
 /// connection counts — the gate asks whether *some* honest client shape
@@ -890,38 +778,34 @@ pub fn server_e2e_100k_vs_direct(server: &[ServerRow]) -> Option<f64> {
         })
 }
 
-/// `threads`-over-serial throughput ratio for one backend at one key
-/// domain, same run. `None` when either row is missing.
-fn thread_ratio(parallel: &[ParallelRow], keys: u64, backend: &str, threads: usize) -> Option<f64> {
+/// `threads`-over-serial throughput ratio at one key domain, same run.
+/// `None` when either row is missing.
+fn thread_ratio(parallel: &[ParallelRow], keys: u64, threads: usize) -> Option<f64> {
     let get = |t: usize| {
         parallel
             .iter()
-            .find(|r| r.keys == keys && r.backend == backend && r.threads == t)
+            .find(|r| r.keys == keys && r.threads == t)
             .map(|r| r.elems_per_sec)
     };
     Some(get(threads)? / get(1)?.max(1e-9))
 }
 
-/// The scheduler-overhead headline at one key domain: the *worse*
-/// backend's 8-thread-over-serial throughput ratio. Gated at
+/// The scheduler-overhead headline at one key domain: the
+/// 8-thread-over-serial throughput ratio. Gated at
 /// [`PARALLEL_T8_OVERHEAD_GATE`] unconditionally — on a single-core
 /// host the ratio measures pure scheduling tax, on a parallel host it
 /// should clear 1 outright. `None` when the sweep lacks either row
 /// (the quick shape stops at 2 threads).
 pub fn parallel_t8_overhead(parallel: &[ParallelRow], keys: u64) -> Option<f64> {
-    let e = thread_ratio(parallel, keys, "erased", 8)?;
-    let s = thread_ratio(parallel, keys, "soa", 8)?;
-    Some(e.min(s))
+    thread_ratio(parallel, keys, 8)
 }
 
-/// The work-stealing efficiency headline: the *better* backend's
-/// 4-thread-over-serial ratio at 100k keys. Gated at
+/// The work-stealing efficiency headline: the 4-thread-over-serial
+/// ratio at 100k keys. Gated at
 /// [`PARALLEL_T4_EFFICIENCY_GATE`] when the artifact's
 /// `machine.cores > 1`. `None` when the sweep lacks the rows.
 pub fn parallel_t4_efficiency_100k(parallel: &[ParallelRow]) -> Option<f64> {
-    let e = thread_ratio(parallel, 100_000, "erased", 4)?;
-    let s = thread_ratio(parallel, 100_000, "soa", 4)?;
-    Some(e.max(s))
+    thread_ratio(parallel, 100_000, 4)
 }
 
 /// Elems/sec ratio between two samplers at a given configuration.
@@ -939,7 +823,8 @@ pub fn speedup(rows: &[Row], fast: &str, slow: &str, k: usize, n: u64) -> Option
 /// the measuring host's core count and the work-stealing scheduler's
 /// units/steals/imbalance counters, plus the gated
 /// `parallel_t8_overhead_{1k,100k}` and `parallel_t4_efficiency_100k`
-/// headlines).
+/// headlines; the `multi_stream` and `parallel` rows carry no fleet
+/// backend since the fleet has a single per-key store).
 pub fn to_json(
     rows: &[Row],
     multi: &[MultiRow],
@@ -976,15 +861,9 @@ pub fn to_json(
     if let Some(s) = speedup(rows, "ts_wor", "ts_wor_indep", 64, 100_000) {
         out.push_str(&format!("  \"ts_wor_speedup_k64\": {},\n", json::number(s)));
     }
-    // Slab registry + parallel ingestion vs the pinned PR-3 engine
-    // (best thread count, 100k keys, k = 16) — the PR-5 gated headline.
-    if let Some(s) = multi_100k_speedup(parallel) {
-        out.push_str(&format!("  \"multi_100k_speedup\": {},\n", json::number(s)));
-    }
-    // Work-stealing scheduler headlines: the overhead ratios (worse
-    // backend, 8 threads over serial — armed on any host) and the
-    // efficiency ratio (better backend, 4 threads over serial — armed
-    // when machine.cores > 1).
+    // Work-stealing scheduler headlines: the overhead ratios (8 threads
+    // over serial — armed on any host) and the efficiency ratio (4
+    // threads over serial — armed when machine.cores > 1).
     if let Some(s) = parallel_t8_overhead(parallel, 1_000) {
         out.push_str(&format!(
             "  \"parallel_t8_overhead_1k\": {},\n",
@@ -1000,21 +879,6 @@ pub fn to_json(
     if let Some(s) = parallel_t4_efficiency_100k(parallel) {
         out.push_str(&format!(
             "  \"parallel_t4_efficiency_100k\": {},\n",
-            json::number(s)
-        ));
-    }
-    // SoA fleet backend vs the pinned v3 erased-backend figure
-    // (sustained 100k-key throughput) — the PR-6 gated headline — plus
-    // the same-run SoA/erased ratio for the pure layout comparison.
-    if let Some(s) = multi_soa_100k_speedup(multi) {
-        out.push_str(&format!(
-            "  \"multi_soa_100k_speedup\": {},\n",
-            json::number(s)
-        ));
-    }
-    if let Some(s) = multi_soa_vs_erased_100k(multi) {
-        out.push_str(&format!(
-            "  \"multi_soa_vs_erased_100k\": {},\n",
             json::number(s)
         ));
     }
@@ -1056,11 +920,10 @@ pub fn to_json(
     out.push_str("  \"multi_stream\": [\n");
     for (i, r) in multi.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"keys\": {}, \"k\": {}, \"shards\": {}, \
+            "    {{\"keys\": {}, \"k\": {}, \"shards\": {}, \
              \"elements\": {}, \"seconds\": {}, \"elems_per_sec\": {}, \
              \"sustained_elems_per_sec\": {}, \"keys_touched\": {}, \
              \"memory_words\": {}, \"max_key_words\": {}}}{}\n",
-            json::escape(r.backend),
             r.keys,
             r.k,
             r.shards,
@@ -1078,11 +941,10 @@ pub fn to_json(
     out.push_str("  \"parallel\": [\n");
     for (i, r) in parallel.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"keys\": {}, \"k\": {}, \"shards\": {}, \
+            "    {{\"keys\": {}, \"k\": {}, \"shards\": {}, \
              \"threads\": {}, \"batch\": {}, \"elements\": {}, \"seconds\": {}, \
              \"elems_per_sec\": {}, \"cores\": {}, \"units\": {}, \"steals\": {}, \
              \"imbalance\": {}}}{}\n",
-            json::escape(r.backend),
             r.keys,
             r.k,
             r.shards,
@@ -1171,12 +1033,11 @@ mod tests {
         }
         let multi = run_multi(&micro_params());
         let parallel = run_parallel(&micro_params());
-        assert_eq!(parallel.len(), 4, "one row per (backend, keys, threads)");
+        assert_eq!(parallel.len(), 2, "one row per (keys, threads)");
         for r in &parallel {
             assert!(
                 r.elems_per_sec > 0.0,
-                "{} threads={}: zero throughput",
-                r.backend,
+                "threads={}: zero throughput",
                 r.threads
             );
             assert!(r.cores >= 1);
@@ -1221,15 +1082,10 @@ mod tests {
         // 64-key micro sweep has no 100k row and stops at 2 threads, so
         // the gated fields stay out of the document rather than gating
         // on noise.
-        assert!(multi_100k_speedup(&parallel).is_none());
-        assert!(multi_soa_100k_speedup(&multi).is_none());
-        assert!(multi_soa_vs_erased_100k(&multi).is_none());
         assert!(durable_wal_overhead_100k(&durable).is_none());
         assert!(server_e2e_100k_vs_direct(&server).is_none());
         assert!(parallel_t8_overhead(&parallel, 64).is_none());
         assert!(parallel_t4_efficiency_100k(&parallel).is_none());
-        assert!(!doc.contains("multi_100k_speedup"));
-        assert!(!doc.contains("multi_soa_100k_speedup"));
         assert!(!doc.contains("durable_wal_overhead_100k"));
         assert!(!doc.contains("server_e2e_100k_vs_direct"));
         assert!(!doc.contains("parallel_t8_overhead"));
@@ -1260,9 +1116,7 @@ mod tests {
     fn multi_section_respects_per_key_caps() {
         let p = micro_params();
         let multi = run_multi(&p);
-        assert_eq!(multi.len(), 2, "one row per backend");
-        assert_eq!(multi[0].backend, "erased");
-        assert_eq!(multi[1].backend, "soa");
+        assert_eq!(multi.len(), 1, "one row per key domain");
         for r in &multi {
             assert!(r.elems_per_sec > 0.0);
             assert!(r.sustained_elems_per_sec > 0.0);
@@ -1271,17 +1125,11 @@ mod tests {
             let cap = 7 * p.multi_k + 3;
             assert!(
                 r.max_key_words <= cap,
-                "{}: hottest key {} words > cap {cap}",
-                r.backend,
+                "hottest key {} words > cap {cap}",
                 r.max_key_words
             );
             assert!(r.memory_words <= r.keys_touched * cap);
         }
-        // Both backends ingested the identical stream: key counts and
-        // per-key footprints must agree exactly (bit-identity shows up
-        // even in the accounting).
-        assert_eq!(multi[0].keys_touched, multi[1].keys_touched);
-        assert_eq!(multi[0].max_key_words, multi[1].max_key_words);
     }
 
     #[test]

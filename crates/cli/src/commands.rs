@@ -68,12 +68,10 @@ pub fn write_help(out: &mut dyn Write) -> std::io::Result<()> {
            multi run a keyed fleet: one window per key, zipf key skew\n\
                  --keys K --count N + the spec flags of `run`\n\
                  [--theta T] [--shards S] [--threads W] [--show H]\n\
-                 [--workload-seed S] [--backend auto|erased|soa]\n\
+                 [--workload-seed S]\n\
                  (--threads > 1 ingests via work-stealing over shard-run\n\
                  units; --threads 0 uses every core (resolved count on\n\
-                 stderr); output is bit-identical for every thread count\n\
-                 and backend; auto picks soa for homogeneous\n\
-                 paper/reservoir-l fleets)\n\
+                 stderr); output is bit-identical for every thread count)\n\
                  durability: [--wal DIR] [--snapshot-every B]\n\
                  [--segment-bytes N] [--resume]  (WAL + snapshots; resume\n\
                  recovers and continues, stdout byte-identical to an\n\
@@ -88,7 +86,6 @@ pub fn write_help(out: &mut dyn Write) -> std::io::Result<()> {
            serve run the fleet as a TCP server (framed binary protocol)\n\
                  [--addr HOST:PORT] + the spec flags of `run`\n\
                  [--shards S] [--threads W] (0 = every core)\n\
-                 [--backend auto|erased|soa]\n\
                  [--wal DIR] [--snapshot-every B] [--segment-bytes N]\n\
                  [--queue-max-events N] [--ring-capacity N] [--tick-ms T]\n\
                  [--drain-delay-ms D]\n\
@@ -441,12 +438,6 @@ fn cmd_multi(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
     let show = args.get_usize("show", 3)?;
     let wseed = args.get_u64("workload-seed", 1)?;
     let batch = batch_size(args)?;
-    let backend: FleetBackend = match args.get_str("backend") {
-        Some(v) => v
-            .parse()
-            .map_err(|e: swsample_core::SpecError| ArgError(e.to_string()))?,
-        None => FleetBackend::Auto,
-    };
     let io_err = |e: std::io::Error| ArgError(format!("io error: {e}"));
 
     // Durability flags (--wal switches the fleet onto the WAL-backed
@@ -485,12 +476,11 @@ fn cmd_multi(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
     // first `done` batches are not re-ingested.
     let (mut fleet, done) = match &wal_dir {
         None => {
-            let engine = MultiStreamEngine::with_backend(
+            let engine = MultiStreamEngine::with_threads(
                 spec,
                 shards,
                 swsample_baselines::spec::build::<u64>,
                 threads,
-                backend,
             )
             .map_err(|e| ArgError(e.to_string()))?;
             (MultiFleet::Plain(engine), 0u64)
@@ -509,25 +499,21 @@ fn cmd_multi(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
                 let overrides = ResumeOverrides {
                     shards: args.get_str("shards").is_some().then_some(shards),
                     threads: args.get_str("threads").is_some().then_some(threads),
-                    backend: match backend {
-                        FleetBackend::Auto => None,
-                        explicit => Some(explicit),
-                    },
                 };
                 let durable = DurableEngine::open_with(dir, opts, overrides)
                     .map_err(|e| ArgError(e.to_string()))?;
                 let done = durable.next_seq();
                 (MultiFleet::Durable(Box::new(durable)), done)
             } else {
-                let durable = DurableEngine::create(dir, spec, shards, threads, backend, opts)
-                    .map_err(|e| ArgError(e.to_string()))?;
+                let durable =
+                    DurableEngine::create(dir, spec, shards, threads, FleetBackend::Auto, opts)
+                        .map_err(|e| ArgError(e.to_string()))?;
                 (MultiFleet::Durable(Box::new(durable)), 0u64)
             }
         }
     };
     // Stderr, like the throughput line: diagnostics never mix with the
-    // sample stream (stdout is bit-identical across backends anyway).
-    eprintln!("# backend: {}", fleet.engine().backend());
+    // sample stream.
     if done > 0 {
         eprintln!("# resume: {done} batches recovered, re-ingesting from there");
     }
@@ -572,7 +558,7 @@ fn cmd_multi(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
     }
     fleet.close()?;
     report_throughput(count, start.elapsed());
-    // Scheduler observability (stderr, like `# backend:`): epochs/units
+    // Scheduler observability (stderr, like `# resume:`): epochs/units
     // drained, steal traffic, and busy-time imbalance across workers.
     // All zeros at threads=1 (the inline path publishes no epochs).
     if fleet.engine().num_threads() > 1 {
@@ -638,11 +624,6 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     }
     cfg.shards = args.get_usize("shards", cfg.shards)?;
     cfg.threads = resolve_threads(args.get_usize("threads", cfg.threads)?);
-    if let Some(v) = args.get_str("backend") {
-        cfg.backend = v
-            .parse()
-            .map_err(|e: swsample_core::SpecError| ArgError(e.to_string()))?;
-    }
     cfg.wal_dir = args.get_str("wal").map(std::path::PathBuf::from);
     let snapshot_every = args.get_u64("snapshot-every", 0)?;
     cfg.snapshot_every = (snapshot_every > 0).then_some(snapshot_every);
@@ -1051,46 +1032,6 @@ mod tests {
         let serial = run_cmd(ts_base, "").expect("serial ts fleet runs");
         let parallel = run_cmd(&format!("{ts_base} --threads 4"), "").expect("parallel ts fleet");
         assert_eq!(serial, parallel, "ts template diverges across threads");
-    }
-
-    /// The backend contract `--backend` rides on: the SoA fleet is
-    /// sample-for-sample bit-identical to the erased fleet, so the whole
-    /// stdout report must match byte for byte — for a sequence-window
-    /// and a timestamp-window template, at every worker count.
-    #[test]
-    fn multi_backend_output_is_bit_identical() {
-        for base in [
-            "multi --keys 200 --count 6000 --window seq --n 25 --k 3 --seed 5 \
-             --theta 1.2 --shards 8 --show 4",
-            "multi --keys 50 --count 4000 --window ts --w 10 --mode wor --k 2 \
-             --seed 6 --shards 4 --show 3",
-        ] {
-            for threads in [1usize, 2, 8] {
-                let erased = run_cmd(&format!("{base} --threads {threads} --backend erased"), "")
-                    .expect("erased fleet runs");
-                let soa = run_cmd(&format!("{base} --threads {threads} --backend soa"), "")
-                    .expect("soa fleet runs");
-                assert_eq!(
-                    erased, soa,
-                    "--backend soa output diverges from erased at --threads {threads}"
-                );
-            }
-        }
-        // And the default (auto) resolves to one of the two, so it
-        // matches them as well.
-        let base = "multi --keys 50 --count 2000 --window seq --n 25 --k 3 --seed 5";
-        let auto = run_cmd(base, "").expect("auto fleet runs");
-        let soa = run_cmd(&format!("{base} --backend soa"), "").expect("soa fleet runs");
-        assert_eq!(auto, soa, "auto backend diverges from explicit soa");
-        // An unknown backend token is a flag error, not a panic.
-        assert!(
-            run_cmd(
-                "multi --keys 5 --count 10 --window seq --n 5 --backend hybrid",
-                ""
-            )
-            .is_err(),
-            "unknown backend token rejected"
-        );
     }
 
     #[test]

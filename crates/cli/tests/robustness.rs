@@ -40,7 +40,6 @@ const TOKENS: &[&str] = &[
     "--theta",
     "--shards",
     "--threads",
-    "--backend",
     "--batch-size",
     "--report-every",
     "--show",
@@ -63,9 +62,6 @@ const TOKENS: &[&str] = &[
     "chain",
     "priority",
     "window-buffer",
-    "soa",
-    "erased",
-    "auto",
     "uniform",
     "zipf",
     "bursty",
@@ -114,18 +110,17 @@ proptest! {
     /// the offending token or its flag.
     #[test]
     fn garbled_multi_flag_errors_name_the_token(
-        victim in 0usize..14,
+        victim in 0usize..12,
         junk_picks in proptest::collection::vec(0usize..JUNK.len(), 1..8),
     ) {
         let junk = junk_string(&junk_picks);
         let mut argv: Vec<String> = [
             "multi", "--keys", "10", "--count", "200", "--window", "seq",
-            "--n", "50", "--k", "2", "--threads", "1", "--backend",
+            "--n", "50", "--k", "2", "--threads", "1",
         ]
         .iter()
         .map(|s| s.to_string())
         .collect();
-        argv.push("auto".to_string());
         // Garble one token (never the subcommand itself — that case is
         // covered by the pool fuzzer above).
         let at = 1 + (victim % (argv.len() - 1));
@@ -213,27 +208,11 @@ proptest! {
     }
 }
 
-/// Deterministic checks of the `--backend` / `--threads` flag surface:
+/// Deterministic checks of the `--threads` / durability flag surface:
 /// every invalid combination is an error whose message names the flag.
 #[test]
-fn backend_and_threads_combos_report_the_flag() {
+fn threads_and_durability_combos_report_the_flag() {
     let cases: &[(&[&str], &str)] = &[
-        (
-            &[
-                "multi",
-                "--keys",
-                "5",
-                "--count",
-                "50",
-                "--window",
-                "seq",
-                "--n",
-                "10",
-                "--backend",
-                "bogus",
-            ],
-            "--backend",
-        ),
         // (--threads 0 is no longer an error: it is the
         // available-parallelism sentinel, covered in commands.rs tests.)
         (
@@ -251,25 +230,6 @@ fn backend_and_threads_combos_report_the_flag() {
                 "two",
             ],
             "--threads",
-        ),
-        (
-            // soa over a baseline family has no fleet kernel.
-            &[
-                "multi",
-                "--keys",
-                "5",
-                "--count",
-                "50",
-                "--window",
-                "seq",
-                "--n",
-                "10",
-                "--algo",
-                "chain",
-                "--backend",
-                "soa",
-            ],
-            "soa",
         ),
         (
             &[

@@ -50,7 +50,6 @@ pub mod rngutil;
 mod sample;
 pub mod seq;
 pub mod skip;
-pub mod soa;
 pub mod spec;
 pub mod state;
 pub mod track;

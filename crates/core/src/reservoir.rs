@@ -312,16 +312,8 @@ impl<T> MemoryWords for ReservoirL<T> {
 
 /// Algorithm L's skip advance as a free kernel over borrowed state:
 /// `W *= U^{1/k}`, then `next_accept += Geometric(W) + 1`. [`ReservoirL`]
-/// calls it on its own fields; the struct-of-arrays fleets
-/// ([`crate::soa::SeqWorFleet`]) call it on per-key state slots so both
-/// paths consume the RNG stream identically — bit-for-bit, which the
-/// SoA-vs-erased equivalence tests rely on.
-pub(crate) fn advance_skip_state<R: Rng>(
-    rng: &mut R,
-    cap: usize,
-    w: &mut f64,
-    next_accept: &mut u64,
-) {
+/// calls it on its own fields.
+fn advance_skip_state<R: Rng>(rng: &mut R, cap: usize, w: &mut f64, next_accept: &mut u64) {
     *w *= random_unit(rng).powf(1.0 / cap as f64);
     let u = random_unit(rng);
     let skip = (u.ln() / (1.0 - *w).ln()).floor();

@@ -18,6 +18,5 @@
 mod wor;
 mod wr;
 
-pub(crate) use wor::choose_distinct;
 pub use wor::SeqSamplerWor;
 pub use wr::SeqSamplerWr;

@@ -161,15 +161,8 @@ impl<T: Clone, R: Rng> SeqSamplerWor<T, R> {
 }
 
 /// Choose `i` distinct entries uniformly from `pool` (partial
-/// Fisher–Yates). A free kernel so [`SeqSamplerWor`] and the
-/// struct-of-arrays fleet ([`crate::soa::SeqWorFleet`]) draw the exact
-/// same RNG words for the same query — the SoA-vs-erased equivalence
-/// tests pin that.
-pub(crate) fn choose_distinct<T: Clone, R: Rng>(
-    rng: &mut R,
-    pool: &[Sample<T>],
-    i: usize,
-) -> Vec<Sample<T>> {
+/// Fisher–Yates).
+fn choose_distinct<T: Clone, R: Rng>(rng: &mut R, pool: &[Sample<T>], i: usize) -> Vec<Sample<T>> {
     debug_assert!(i <= pool.len(), "choose_distinct: {i} > {}", pool.len());
     let mut scratch: Vec<&Sample<T>> = pool.iter().collect();
     let mut out = Vec::with_capacity(i);

@@ -149,82 +149,18 @@ impl std::error::Error for SpecError {}
 /// multi-stream engine) takes the factory as a value.
 pub type SamplerFactory<T> = fn(&SamplerSpec) -> Result<Box<dyn ErasedWindowSampler<T>>, SpecError>;
 
-/// How a keyed fleet stores its per-key sampler state.
+/// The fleet-storage selector of older releases, kept so callers that
+/// still pass it (`MultiStreamEngine::with_backend`,
+/// `DurableEngine::create`) compile unchanged.
 ///
-/// A fleet built from one template spec is *homogeneous*: every key runs
-/// the same algorithm with the same window and `k`, differing only in
-/// seed and stream. For those, the struct-of-arrays backend
-/// ([`crate::soa`]) stores per-key state field-major in contiguous slabs
-/// and dispatches once per batch per family — no per-key heap box, no
-/// per-element vtable call. The erased backend (one boxed
-/// [`ErasedWindowSampler`] per key) remains the fallback for algorithm
-/// families without a fleet kernel (the baseline samplers).
-///
-/// Both backends are sample-for-sample **bit-identical**: per-key seeds
-/// derive from the key the same way, and the SoA kernels consume RNG
-/// draws in exactly the boxed samplers' order.
+/// A keyed fleet has exactly one per-key store — one boxed
+/// [`ErasedWindowSampler`] per key — so the single variant selects
+/// nothing and is ignored wherever it is accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FleetBackend {
-    /// Pick automatically: [`FleetBackend::Soa`] when the template has a
-    /// fleet kernel ([`SamplerSpec::soa_eligible`]), else
-    /// [`FleetBackend::Erased`].
+    /// The only store: one boxed sampler per key.
     #[default]
     Auto,
-    /// One boxed [`ErasedWindowSampler`] per key (works for every
-    /// buildable template).
-    Erased,
-    /// Field-major struct-of-arrays slabs with batch dispatch; requires
-    /// [`SamplerSpec::soa_eligible`].
-    Soa,
-}
-
-impl FleetBackend {
-    /// The flag-surface token (`--backend <token>`).
-    pub fn token(&self) -> &'static str {
-        match self {
-            FleetBackend::Auto => "auto",
-            FleetBackend::Erased => "erased",
-            FleetBackend::Soa => "soa",
-        }
-    }
-
-    /// Resolve `Auto` against a template: `Soa` when the template has a
-    /// fleet kernel, `Erased` otherwise. Explicit choices pass through
-    /// unchanged (an explicit `Soa` over an ineligible template is the
-    /// engine constructor's error to report).
-    pub fn resolve(self, template: &SamplerSpec) -> FleetBackend {
-        match self {
-            FleetBackend::Auto => {
-                if template.soa_eligible() {
-                    FleetBackend::Soa
-                } else {
-                    FleetBackend::Erased
-                }
-            }
-            explicit => explicit,
-        }
-    }
-}
-
-impl std::fmt::Display for FleetBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.token())
-    }
-}
-
-impl std::str::FromStr for FleetBackend {
-    type Err = SpecError;
-
-    fn from_str(s: &str) -> Result<Self, SpecError> {
-        match s {
-            "auto" => Ok(FleetBackend::Auto),
-            "erased" => Ok(FleetBackend::Erased),
-            "soa" => Ok(FleetBackend::Soa),
-            other => Err(SpecError::Parse(format!(
-                "--backend: expected auto|erased|soa, got `{other}`"
-            ))),
-        }
-    }
 }
 
 impl SamplerSpec {
@@ -305,17 +241,6 @@ impl SamplerSpec {
                 _ => Ok(()),
             },
         }
-    }
-
-    /// Whether a homogeneous fleet of this template can run on the
-    /// struct-of-arrays backend ([`crate::soa`]): every family
-    /// `swsample-core` owns has a fleet kernel — the paper's four
-    /// samplers and whole-stream Algorithm L. The baseline families
-    /// (chain, priority, window-buffer) have none and fall back to
-    /// [`FleetBackend::Erased`].
-    pub fn soa_eligible(&self) -> bool {
-        self.validate().is_ok()
-            && matches!(self.algorithm, Algorithm::Paper | Algorithm::ReservoirL)
     }
 
     /// Construct the described sampler, type-erased.

@@ -14,8 +14,8 @@
 //! Config fields derivable from the [`crate::spec::SamplerSpec`] (window
 //! width `n`, capacity `k`, seeds) are deliberately *not* stored: restore
 //! always targets a sampler built from the same spec, which keeps the
-//! records compact and makes snapshots portable across the erased and
-//! struct-of-arrays fleet backends.
+//! records compact and makes snapshots portable across shard and thread
+//! counts.
 //!
 //! The payload layout is versioned. Version 2 (written today) stores
 //! every count, index, timestamp, schedule field and collection length
@@ -627,8 +627,8 @@ pub enum SamplerState<T> {
     SeqWr {
         /// Elements ingested.
         count: u64,
-        /// Lifetime accepted-arrival count (diagnostic; the SoA backend
-        /// does not track it and saves 0).
+        /// Lifetime accepted-arrival count (diagnostic; snapshots from
+        /// older releases may record 0).
         accepts: u64,
         /// RNG state.
         rng: RngState,

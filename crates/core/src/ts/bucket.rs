@@ -168,6 +168,9 @@ mod tests {
         }
     }
 
+    // The width check is a `debug_assert!`, so release builds have no
+    // panic to observe.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic]
     fn merge_rejects_unequal_widths() {

@@ -7,13 +7,12 @@
 //! the snapshot's `wal_seq` watermark (recorded only after an fsync),
 //! recovery never observes a state that is ahead of the log.
 //!
-//! Bit-identity holds across shard counts, thread counts, and fleet
-//! backends, because per-key samplers derive their RNG streams from the
-//! key and consume events in batch order — the exact property the
-//! engine's `save_states`/`restore_states` round-trip preserves. A
-//! resumed run may therefore also *rescale*: reopen with different
-//! shard/thread counts (or the other backend) and continue, and every
-//! sample stays what it would have been.
+//! Bit-identity holds across shard and thread counts, because per-key
+//! samplers derive their RNG streams from the key and consume events in
+//! batch order — the exact property the engine's
+//! `save_states`/`restore_states` round-trip preserves. A resumed run
+//! may therefore also *rescale*: reopen with different shard/thread
+//! counts and continue, and every sample stays what it would have been.
 
 use std::hash::Hash;
 use std::path::{Path, PathBuf};
@@ -72,8 +71,6 @@ pub struct ResumeOverrides {
     pub shards: Option<usize>,
     /// Rebuild with this many worker threads.
     pub threads: Option<usize>,
-    /// Rebuild on this fleet backend.
-    pub backend: Option<FleetBackend>,
 }
 
 /// A crash-recoverable, rescalable keyed sampling fleet. See the
@@ -105,13 +102,15 @@ where
     ///
     /// The sampler factory is [`swsample_baselines::spec::build`], so
     /// every spec-expressible family — paper, reservoir-l, chain,
-    /// priority, priority top-k, window buffer — is durable.
+    /// priority, priority top-k, window buffer — is durable. The
+    /// one-variant [`FleetBackend`] is accepted for source compatibility
+    /// and ignored.
     pub fn create(
         dir: impl Into<PathBuf>,
         template: SamplerSpec,
         shards: usize,
         threads: usize,
-        backend: FleetBackend,
+        _backend: FleetBackend,
         opts: DurableOptions,
     ) -> Result<Self, DurableError> {
         let dir = dir.into();
@@ -122,12 +121,11 @@ where
                 path.display()
             )));
         }
-        let engine = MultiStreamEngine::with_backend(
+        let engine = MultiStreamEngine::with_threads(
             template,
             shards,
             swsample_baselines::spec::build::<T>,
             threads,
-            backend,
         )
         .map_err(|e| DurableError::Config(e.to_string()))?;
         let wal = SegmentLog::create(&dir, opts.segment_bytes)?;
@@ -154,7 +152,7 @@ where
         Self::open_with(dir, opts, ResumeOverrides::default())
     }
 
-    /// [`open`](Self::open) with shard/thread/backend overrides — the
+    /// [`open`](Self::open) with shard/thread overrides — the
     /// rescale-on-resume path. Sample distributions are unaffected by
     /// any override.
     pub fn open_with(
@@ -173,21 +171,13 @@ where
             file: snap_path.clone(),
             detail: format!("unparseable template `{}`: {e}", meta.template),
         })?;
-        let backend: FleetBackend = match overrides.backend {
-            Some(b) => b,
-            None => meta.backend.parse().map_err(|e| DurableError::Corrupt {
-                file: snap_path.clone(),
-                detail: format!("unparseable backend `{}`: {e}", meta.backend),
-            })?,
-        };
         let shards = overrides.shards.unwrap_or(meta.shards as usize);
         let threads = overrides.threads.unwrap_or(meta.threads as usize);
-        let mut engine = MultiStreamEngine::with_backend(
+        let mut engine = MultiStreamEngine::with_threads(
             template,
             shards,
             swsample_baselines::spec::build::<T>,
             threads,
-            backend,
         )
         .map_err(|e| DurableError::Config(e.to_string()))?;
         engine.restore_states(states)?;
@@ -305,7 +295,6 @@ where
         self.wal.sync()?;
         let meta = SnapshotMeta {
             template: self.engine.template().to_string(),
-            backend: self.engine.backend().token().to_string(),
             shards: self.engine.num_shards() as u64,
             threads: self.engine.num_threads() as u64,
             wal_seq: self.wal.next_seq(),
@@ -604,7 +593,7 @@ mod tests {
             template(),
             8,
             4,
-            FleetBackend::Erased,
+            FleetBackend::Auto,
             DurableOptions::default(),
         )
         .expect("create");
@@ -614,7 +603,6 @@ mod tests {
             .expect("snapshot");
         assert!(states.is_empty());
         assert_eq!(meta.template, template().to_string());
-        assert_eq!(meta.backend, "erased");
         assert_eq!(meta.shards, 8);
         assert_eq!(meta.threads, 4);
         assert_eq!(meta.wal_seq, 0);

@@ -9,8 +9,7 @@
 //! ([`MultiStreamEngine::save_states`], `O(k)` words per key) and the
 //! suffix of ingest batches since that checkpoint (the WAL). Replaying
 //! the suffix into the restored fleet reproduces the uncrashed run **bit
-//! for bit**, on either fleet backend, at any shard count, at any thread
-//! count.
+//! for bit**, at any shard count, at any thread count.
 //!
 //! The layout on disk, all little-endian, every record CRC-framed
 //! (`[len u32][crc32 u32][payload]`, see [`frame`]):
@@ -25,7 +24,7 @@
 //!   a partial frame); torn or corrupt records anywhere else are hard
 //!   errors.
 //! * **Snapshots** ([`snapshot`]) — `snap-<wal_seq>.snap` files: a
-//!   header frame (template spec string, backend, shard/thread counts,
+//!   header frame (template spec string, fleet-store token, shard/thread counts,
 //!   the first WAL seq *not* covered, key count) followed by one frame
 //!   per key, `[key][state version][payload]`, whose CRC is the key's
 //!   only checksum and whose [`SamplerState`](swsample_core::SamplerState)

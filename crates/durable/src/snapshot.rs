@@ -52,14 +52,21 @@ pub type SnapshotContents<K, T> = (SnapshotMeta, Vec<(K, SamplerState<T>)>);
 /// The per-key callback [`write_snapshot`] hands its visitor.
 pub type EmitState<'a, K, T> = dyn FnMut(&K, &SamplerState<T>) -> Result<(), DurableError> + 'a;
 
+/// The fleet-store token every header carries after the template.
+/// Older releases could keep a fleet in one of two stores and wrote
+/// `erased` or `soa` here; both held bit-identical per-key state, so
+/// the reader accepts either ([`LEGACY_STORE_TOKENS`]) and ignores it.
+const STORE_TOKEN: &str = "erased";
+
+/// Every store token a valid header may carry.
+const LEGACY_STORE_TOKENS: [&str; 2] = ["erased", "soa"];
+
 /// The fleet configuration a snapshot records alongside its states —
 /// everything needed to rebuild the engine before restoring keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotMeta {
     /// The template spec, in its canonical `Display` form.
     pub template: String,
-    /// Fleet backend token (`soa` / `erased`).
-    pub backend: String,
     /// Shard count at snapshot time.
     pub shards: u64,
     /// Worker-thread count at snapshot time.
@@ -149,7 +156,7 @@ fn write_tmp<K: StateCodec, T: StateCodec>(
     let mut buf = StateWriter::for_state_version(STATE_VERSION);
     buf.put_u32(SNAPSHOT_VERSION);
     buf.put_len_bytes(meta.template.as_bytes());
-    buf.put_len_bytes(meta.backend.as_bytes());
+    buf.put_len_bytes(STORE_TOKEN.as_bytes());
     buf.put_u64(meta.shards);
     buf.put_u64(meta.threads);
     buf.put_u64(meta.wal_seq);
@@ -204,8 +211,13 @@ pub fn read_snapshot<K: StateCodec, T: StateCodec + Clone>(
         }
         let template = String::from_utf8(hr.get_len_bytes()?.to_vec())
             .map_err(|_| StateError::Corrupt("non-utf8 template".into()))?;
-        let backend = String::from_utf8(hr.get_len_bytes()?.to_vec())
-            .map_err(|_| StateError::Corrupt("non-utf8 backend".into()))?;
+        let store = hr.get_len_bytes()?;
+        if !LEGACY_STORE_TOKENS.iter().any(|t| t.as_bytes() == store) {
+            return Err(StateError::Corrupt(format!(
+                "unknown fleet store token {:?}",
+                String::from_utf8_lossy(store)
+            )));
+        }
         let shards = hr.get_u64()?;
         let threads = hr.get_u64()?;
         let wal_seq = hr.get_u64()?;
@@ -215,7 +227,6 @@ pub fn read_snapshot<K: StateCodec, T: StateCodec + Clone>(
             version,
             SnapshotMeta {
                 template,
-                backend,
                 shards,
                 threads,
                 wal_seq,
@@ -334,7 +345,6 @@ mod tests {
     fn demo_meta(n: u64, wal_seq: u64) -> SnapshotMeta {
         SnapshotMeta {
             template: "--window seq --n 8 --mode wr --algo buffer --k 2 --seed 7".into(),
-            backend: "erased".into(),
             shards: 4,
             threads: 2,
             wal_seq,

@@ -42,6 +42,13 @@ fn header_version(path: &Path) -> u32 {
     u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"))
 }
 
+/// The header frame's payload (after the 8-byte frame header).
+fn header_payload(path: &Path) -> Vec<u8> {
+    let bytes = fs::read(path).expect("read snapshot");
+    let len = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
+    bytes[8..8 + len].to_vec()
+}
+
 fn fleet_samples(engine: &MultiStreamEngine<u64, u64>) -> Vec<(u64, Option<Vec<Sample<u64>>>)> {
     let mut keys = engine.keys();
     keys.sort_unstable();
@@ -57,6 +64,14 @@ fn fleet_samples(engine: &MultiStreamEngine<u64, u64>) -> Vec<(u64, Option<Vec<S
 fn v1_fixture_opens_and_reencodes_identically() {
     let dir = fixture_copy("reopen");
     assert_eq!(header_version(&dir.join(snapshot_name(4))), 1);
+    // The fixture predates the single fleet store: its header records
+    // the retired `soa` store token, which the reader must accept.
+    assert!(
+        header_payload(&dir.join(snapshot_name(4)))
+            .windows(3)
+            .any(|w| w == b"soa"),
+        "fixture header records the legacy store token"
+    );
     let mut durable =
         DurableEngine::<u64, u64>::open(&dir, DurableOptions::default()).expect("open v1 fixture");
     assert_eq!(

@@ -68,17 +68,18 @@ fn real_state_record() -> &'static [u8] {
     })
 }
 
-/// A one-key current-format snapshot whose key frame is
+/// A one-key current-format snapshot whose header records the fleet
+/// store token `store` and whose key frame is
 /// `[key][state_version varint][payload]` — CRC-valid, so only the
-/// state decoder stands between `payload` and the fleet.
-fn crafted_snapshot(tag: &str, state_version: u8, payload: &[u8]) -> PathBuf {
+/// decoders stand between the file and the fleet.
+fn crafted_snapshot(tag: &str, store: &[u8], state_version: u8, payload: &[u8]) -> PathBuf {
     let dir = case_dir(tag);
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("snap-0000000000000001.snap");
     let mut header = StateWriter::new();
     header.put_u32(SNAPSHOT_VERSION);
     header.put_len_bytes(b"--window seq --n 24 --mode wr --algo paper --k 3 --seed 9");
-    header.put_len_bytes(b"erased");
+    header.put_len_bytes(store);
     for v in [4u64, 1, 1, 1] {
         header.put_u64(v); // shards, threads, wal_seq, keys
     }
@@ -108,7 +109,7 @@ fn hostile_v2_state_payloads_are_typed_corruption() {
     // (a seq-WR state with zero lanes).
     let mut sound = seq_wr_prefix();
     sound.push(0x01);
-    let path = crafted_snapshot("v2-sound", STATE_VERSION as u8, &sound);
+    let path = crafted_snapshot("v2-sound", b"erased", STATE_VERSION as u8, &sound);
     let (_, states) = read_snapshot::<u64, u64>(&path).expect("sound payload decodes");
     assert_eq!(states.len(), 1);
 
@@ -131,10 +132,35 @@ fn hostile_v2_state_payloads_are_typed_corruption() {
         ("unknown state version", STATE_VERSION as u8 + 1, &sound),
     ];
     for (what, version, payload) in cases {
-        let path = crafted_snapshot("v2-hostile", version, payload);
+        let path = crafted_snapshot("v2-hostile", b"erased", version, payload);
         match read_snapshot::<u64, u64>(&path) {
             Err(DurableError::Corrupt { .. }) => {}
             other => panic!("{what}: expected typed corruption, got {other:?}"),
+        }
+    }
+}
+
+/// The header's fleet-store token: both tokens older releases wrote
+/// (`erased`, `soa`) open to the same states; any other token is a
+/// typed `Corrupt`, never a panic.
+#[test]
+fn unknown_store_token_is_typed_corruption() {
+    let mut sound = seq_wr_prefix();
+    sound.push(0x01);
+    let mut opened = Vec::new();
+    for token in [&b"erased"[..], b"soa"] {
+        let path = crafted_snapshot("store-legacy", token, STATE_VERSION as u8, &sound);
+        let (_, states) = read_snapshot::<u64, u64>(&path).expect("legacy store token opens");
+        opened.push(states);
+    }
+    assert_eq!(opened[0], opened[1], "the store token changes no state");
+    for token in [&b"hybrid"[..], b"", b"SOA", b"\xff\xfe"] {
+        let path = crafted_snapshot("store-unknown", token, STATE_VERSION as u8, &sound);
+        match read_snapshot::<u64, u64>(&path) {
+            Err(DurableError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("store token"), "untyped detail: {detail}")
+            }
+            other => panic!("token {token:?}: expected typed corruption, got {other:?}"),
         }
     }
 }

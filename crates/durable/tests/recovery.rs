@@ -1,8 +1,8 @@
 //! Crash-recovery bit-identity. Crashes are simulated with the same
 //! file surgery a real crash leaves behind — a torn partial record at
 //! the end of the WAL, a corrupted snapshot — and recovery must rebuild
-//! a fleet whose continued run is byte-for-byte the uncrashed run, on
-//! both backends, at any shard or thread count.
+//! a fleet whose continued run is byte-for-byte the uncrashed run, at
+//! any shard or thread count.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -100,52 +100,50 @@ fn resume_and_finish(
     fleet_samples(durable.engine())
 }
 
-/// Crash matrix: (backend, threads at crash time) × (threads at resume
-/// time), with a torn partial record appended to the WAL tail.
+/// Crash matrix: (threads at crash time) × (threads at resume time),
+/// with a torn partial record appended to the WAL tail.
 #[test]
-fn torn_tail_crash_recovers_bit_identical_across_backends_and_threads() {
+fn torn_tail_crash_recovers_bit_identical_across_threads() {
     let spec: SamplerSpec = "--window seq --n 64 --mode wr --algo paper --k 4 --seed 900"
         .parse()
         .expect("spec");
     let expected = reference_samples(&spec);
-    for backend in [FleetBackend::Soa, FleetBackend::Erased] {
-        for crash_threads in [1usize, 2] {
-            for resume_threads in [1usize, 2] {
-                let tag = format!("torn-{}-{crash_threads}-{resume_threads}", backend.token());
-                let dir = tmp_dir(&tag);
-                let mut durable = DurableEngine::<u64, u64>::create(
-                    &dir,
-                    spec.clone(),
-                    4,
-                    crash_threads,
-                    backend,
-                    DurableOptions {
-                        snapshot_every: Some(7),
-                        ..DurableOptions::default()
-                    },
-                )
-                .expect("create");
-                for b in 0..20 {
-                    durable.ingest(&batch(b)).unwrap();
-                }
-                // "Crash": drop without a final snapshot, then tear the
-                // log tail the way an interrupted append would.
-                drop(durable);
-                let seg = last_wal_segment(&dir);
-                let mut bytes = fs::read(&seg).expect("read segment");
-                bytes.extend_from_slice(&[0x17, 0xFF, 0x00, 0xA5, 0x5A]);
-                fs::write(&seg, bytes).expect("tear tail");
-
-                let got = resume_and_finish(
-                    &dir,
-                    ResumeOverrides {
-                        threads: Some(resume_threads),
-                        ..ResumeOverrides::default()
-                    },
-                );
-                assert_eq!(got, expected, "case {tag} diverged");
-                let _ = fs::remove_dir_all(&dir);
+    for crash_threads in [1usize, 2] {
+        for resume_threads in [1usize, 2] {
+            let tag = format!("torn-{crash_threads}-{resume_threads}");
+            let dir = tmp_dir(&tag);
+            let mut durable = DurableEngine::<u64, u64>::create(
+                &dir,
+                spec.clone(),
+                4,
+                crash_threads,
+                FleetBackend::Auto,
+                DurableOptions {
+                    snapshot_every: Some(7),
+                    ..DurableOptions::default()
+                },
+            )
+            .expect("create");
+            for b in 0..20 {
+                durable.ingest(&batch(b)).unwrap();
             }
+            // "Crash": drop without a final snapshot, then tear the log
+            // tail the way an interrupted append would.
+            drop(durable);
+            let seg = last_wal_segment(&dir);
+            let mut bytes = fs::read(&seg).expect("read segment");
+            bytes.extend_from_slice(&[0x17, 0xFF, 0x00, 0xA5, 0x5A]);
+            fs::write(&seg, bytes).expect("tear tail");
+
+            let got = resume_and_finish(
+                &dir,
+                ResumeOverrides {
+                    threads: Some(resume_threads),
+                    ..ResumeOverrides::default()
+                },
+            );
+            assert_eq!(got, expected, "case {tag} diverged");
+            let _ = fs::remove_dir_all(&dir);
         }
     }
 }
@@ -308,8 +306,8 @@ fn corrupt_snapshot_failpoint_is_survivable() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Rescale-on-resume: reopening with different shard/thread counts and
-/// even the other fleet backend changes nothing about the samples.
+/// Rescale-on-resume: reopening with different shard/thread counts
+/// changes nothing about the samples.
 #[test]
 fn rescale_on_resume_changes_nothing() {
     let spec: SamplerSpec = "--window seq --n 64 --mode wr --algo paper --k 4 --seed 904"
@@ -320,17 +318,14 @@ fn rescale_on_resume_changes_nothing() {
         ResumeOverrides {
             shards: Some(16),
             threads: Some(2),
-            backend: None,
         },
         ResumeOverrides {
             shards: Some(1),
             threads: Some(1),
-            backend: Some(FleetBackend::Erased),
         },
         ResumeOverrides {
             shards: Some(8),
             threads: Some(4),
-            backend: Some(FleetBackend::Soa),
         },
     ];
     for (i, overrides) in cases.into_iter().enumerate() {
@@ -340,7 +335,7 @@ fn rescale_on_resume_changes_nothing() {
             spec.clone(),
             4,
             2,
-            FleetBackend::Soa,
+            FleetBackend::Auto,
             DurableOptions {
                 snapshot_every: Some(9),
                 ..DurableOptions::default()

@@ -26,8 +26,8 @@
 //! key's own batched event subsequence, and the load generator routes
 //! each key to one connection whose batches enter the server's FIFO
 //! ingest queue in order — so an offline engine replaying the same
-//! batches answers byte-identically, at any thread count, on either
-//! backend, with or without a WAL.
+//! batches answers byte-identically, at any thread count, with or
+//! without a WAL.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

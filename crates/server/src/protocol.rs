@@ -40,8 +40,8 @@ pub const MAX_MESSAGE_BYTES: u32 = 1 << 24;
 
 /// A keyed ingest event as the server fleet consumes it. The network
 /// surface is concretely `u64` keys and values — the fleet shape the
-/// columnar WAL encoding, the SoA backend, and the CLI all optimize
-/// for; heterogeneous fleets stay an in-process (library) concern.
+/// columnar WAL encoding and the CLI both optimize for; heterogeneous
+/// fleets stay an in-process (library) concern.
 pub type WireEvent = (u64, u64, u64);
 
 /// Typed protocol error codes (the `code` byte of an `ERROR` frame).

@@ -44,7 +44,7 @@
 //!   with a single typed `OVERLOAD` error frame and closes.
 //! * **Slow consumers** — a subscriber whose ring has dropped more
 //!   than `slow_consumer_budget` pushes is disconnected rather than
-//!   allowed to soak the scheduler forever.
+//!   allowed to hog the scheduler forever.
 //! * **Exactly-once under retry** — a client that reconnects after a
 //!   lost ack resends its batch under the same `HELLO` session id; the
 //!   ingest loop dedupes on `(session, seq)` at apply time, so the
@@ -56,7 +56,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufRead as _, BufReader, BufWriter, Write as _};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -90,8 +90,6 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Ingest worker threads.
     pub threads: usize,
-    /// Fleet backend.
-    pub backend: FleetBackend,
     /// When set, wrap the fleet in a [`DurableEngine`] rooted here
     /// (created fresh, or resumed if the directory already holds a
     /// snapshot).
@@ -135,7 +133,7 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// Defaults for everything but the template: ephemeral loopback
-    /// port, 16 shards, 1 thread, auto backend, no WAL, 256 Ki-event
+    /// port, 16 shards, 1 thread, no WAL, 256 Ki-event
     /// queue bound, 1024-frame rings, 100 ms ticks.
     pub fn new(template: SamplerSpec) -> ServerConfig {
         ServerConfig {
@@ -143,7 +141,6 @@ impl ServerConfig {
             template,
             shards: 16,
             threads: 1,
-            backend: FleetBackend::Auto,
             wal_dir: None,
             snapshot_every: None,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
@@ -567,7 +564,6 @@ impl Server {
     /// scheduler.
     pub fn start(cfg: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let fleet = build_fleet(&cfg).map_err(io::Error::other)?;
         let injector = FaultInjector::new(cfg.faults.clone());
@@ -664,6 +660,7 @@ impl Server {
         // 1. Stop accepting — after this join the registry can only
         //    shrink, so no reader escapes the next step.
         if let Some(handle) = self.acceptor.take() {
+            wake_acceptor(self.local_addr);
             let _ = handle.join();
         }
         // 2. Unblock and join every reader: no new work can enter the
@@ -726,12 +723,11 @@ impl Drop for Server {
 
 fn build_fleet(cfg: &ServerConfig) -> Result<Fleet, String> {
     match &cfg.wal_dir {
-        None => MultiStreamEngine::with_backend(
+        None => MultiStreamEngine::with_threads(
             cfg.template.clone(),
             cfg.shards,
             swsample_baselines::spec::build::<u64>,
             cfg.threads,
-            cfg.backend,
         )
         .map(Fleet::Plain)
         .map_err(|e| e.to_string()),
@@ -756,7 +752,6 @@ fn build_fleet(cfg: &ServerConfig) -> Result<Fleet, String> {
                     ResumeOverrides {
                         shards: Some(cfg.shards),
                         threads: Some(cfg.threads),
-                        backend: Some(cfg.backend),
                     },
                 )
             } else {
@@ -765,7 +760,7 @@ fn build_fleet(cfg: &ServerConfig) -> Result<Fleet, String> {
                     cfg.template.clone(),
                     cfg.shards,
                     cfg.threads,
-                    cfg.backend,
+                    FleetBackend::Auto,
                     opts,
                 )
             };
@@ -776,9 +771,16 @@ fn build_fleet(cfg: &ServerConfig) -> Result<Fleet, String> {
     }
 }
 
+/// Blocks in `accept`; [`wake_acceptor`] unparks it at shutdown. Any
+/// connection accepted once the shutdown flag is set — the wake-up
+/// connection included — is dropped unserved.
 fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let open = shared.conns.lock().expect("conn registry poisoned").len();
                 if open >= shared.cfg.max_conns {
@@ -787,15 +789,25 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
                     eprintln!("swsample-server: failed to start connection: {e}");
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
             Err(e) => {
                 eprintln!("swsample-server: accept error: {e}");
                 std::thread::sleep(Duration::from_millis(20));
             }
         }
     }
+}
+
+/// Unpark an acceptor blocked in `accept` on `addr` with one throwaway
+/// connection. A listener bound to an unspecified address (`0.0.0.0`,
+/// `::`) is reached through loopback.
+fn wake_acceptor(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 /// At the `--max-conns` cap: one typed `OVERLOAD` frame, then close.

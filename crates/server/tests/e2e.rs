@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use swsample_core::spec::{FleetBackend, SamplerSpec};
+use swsample_core::spec::SamplerSpec;
 use swsample_durable::{DurableEngine, DurableOptions};
 use swsample_server::loadgen::{self, LoadgenConfig};
 use swsample_server::protocol::SubscribeKind;
@@ -35,21 +35,20 @@ fn start(mut cfg: ServerConfig) -> Server {
 }
 
 /// The tentpole acceptance: the server's answers are byte-identical to
-/// an offline engine at thread counts {1, 2, 8}, on both backends,
-/// with and without a WAL. The loadgen's `verify` mode replays the
-/// exact per-connection batches offline and compares every touched key.
+/// an offline engine at thread counts {1, 2, 8}, with and without a
+/// WAL. The loadgen's `verify` mode replays the exact per-connection
+/// batches offline and compares every touched key.
 #[test]
 fn answers_are_deterministic_across_the_wire() {
-    for (threads, backend, wal) in [
-        (1usize, FleetBackend::Soa, false),
-        (2, FleetBackend::Erased, false),
-        (8, FleetBackend::Soa, true),
-        (2, FleetBackend::Soa, true),
-        (8, FleetBackend::Erased, false),
+    for (threads, wal) in [
+        (1usize, false),
+        (2, false),
+        (8, true),
+        (2, true),
+        (8, false),
     ] {
         let mut cfg = ServerConfig::new(template());
         cfg.threads = threads;
-        cfg.backend = backend;
         let wal_dir = wal.then(|| temp_dir("determinism"));
         cfg.wal_dir = wal_dir.clone();
         let server = start(cfg);
@@ -63,7 +62,7 @@ fn answers_are_deterministic_across_the_wire() {
         lg.verify = true;
         let mut out = Vec::new();
         let report = loadgen::run(&lg, &mut out)
-            .unwrap_or_else(|e| panic!("threads={threads} backend={backend:?} wal={wal}: {e}"));
+            .unwrap_or_else(|e| panic!("threads={threads} wal={wal}: {e}"));
         assert_eq!(report.events_sent, 5_000);
         assert!(
             report.verified_keys > 0,
@@ -73,7 +72,7 @@ fn answers_are_deterministic_across_the_wire() {
         let stats = server.shutdown();
         assert_eq!(
             stats.global.events_applied, 5_000,
-            "threads={threads} backend={backend:?} wal={wal}"
+            "threads={threads} wal={wal}"
         );
         if let Some(dir) = wal_dir {
             let _ = std::fs::remove_dir_all(dir);
@@ -296,4 +295,36 @@ fn shutdown_opcode_raises_the_flag() {
     assert!(server.shutdown_requested());
     let stats = server.shutdown();
     assert_eq!(stats.global.connections_total, 1);
+}
+
+/// The acceptor blocks in `accept`; `shutdown()` must still return
+/// promptly on a server bound to the unspecified address, both with no
+/// client ever connecting and after a client's `SHUTDOWN` frame.
+#[test]
+fn shutdown_returns_on_unspecified_address() {
+    for send_shutdown_frame in [false, true] {
+        let mut cfg = ServerConfig::new(template());
+        cfg.addr = "0.0.0.0:0".into();
+        let server = Server::start(cfg).expect("server start");
+        let port = server.local_addr().port();
+        if send_shutdown_frame {
+            let mut client =
+                Client::connect(&format!("127.0.0.1:{port}"), "terminator").expect("connect");
+            client.shutdown_server().expect("shutdown opcode");
+            assert!(server.wait_shutdown_requested(Duration::from_secs(10)));
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || tx.send(server.shutdown()).expect("report stats"));
+        let stats = rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| {
+                panic!("shutdown hung (SHUTDOWN frame sent: {send_shutdown_frame})")
+            });
+        waiter.join().expect("shutdown thread");
+        assert_eq!(
+            stats.global.connections_total,
+            u64::from(send_shutdown_frame),
+            "the wake-up connection is never served"
+        );
+    }
 }

@@ -1,12 +1,10 @@
-//! The boxed-sampler store: one `Box<dyn ErasedWindowSampler>` per key.
+//! The fleet's per-key store: one `Box<dyn ErasedWindowSampler>` per key.
 //!
-//! This is the fallback fleet backend ([`FleetBackend::Erased`]): fully
-//! general — any template any [`SamplerFactory`] can build, including the
-//! baseline algorithm families — at the cost of one heap box and one
-//! vtable dispatch per key per event. The homogeneous-template fast path
-//! lives in [`super::soa`].
-//!
-//! [`FleetBackend::Erased`]: swsample_core::spec::FleetBackend::Erased
+//! Fully general — any template any [`SamplerFactory`] can build,
+//! including the baseline algorithm families — at the cost of one heap
+//! box and one vtable dispatch per key per event. A key's box holds
+//! exactly the state its sampler's theorem bounds, so the fleet's word
+//! accounting is the sum of the per-key samplers' own.
 
 use swsample_core::spec::{SamplerFactory, SamplerSpec};
 use swsample_core::state::{SamplerState, StateError};
@@ -37,8 +35,7 @@ impl<T: Clone + 'static> ErasedStore<T> {
         self.samplers.push(sampler);
     }
 
-    /// Mutable access to one key's sampler (the per-element dispatch the
-    /// SoA backend exists to avoid).
+    /// Mutable access to one key's sampler.
     #[inline]
     pub(crate) fn sampler_mut(&mut self, slot: usize) -> &mut dyn ErasedWindowSampler<T> {
         self.samplers[slot].as_mut()

@@ -1,6 +1,5 @@
 //! [`MultiStreamEngine`] — a sharded, multi-core fleet of per-key window
-//! samplers over a slab key registry, with a struct-of-arrays fast path
-//! for homogeneous fleets.
+//! samplers over a slab key registry.
 //!
 //! The paper maintains *one* window sample; a serving system maintains
 //! one **per user**: millions of independent logical streams multiplexed
@@ -16,11 +15,10 @@
 //! The module splits along the engine's three concerns:
 //!
 //! * `registry` — key hashing, seed derivation, and the open-addressing
-//!   slab index (`key → u32` slot ids shared by both backends);
-//! * `erased` / `soa` — the two per-key **fleet backends**: one boxed
-//!   [`ErasedWindowSampler`] per key (fully general), or the
-//!   struct-of-arrays fleets of [`swsample_core::soa`] (homogeneous
-//!   templates, field-major state, batch dispatch — see below);
+//!   slab index (`key → u32` slot ids);
+//! * `erased` — the per-key store: one boxed [`ErasedWindowSampler`] per
+//!   key, built by the engine's [`SamplerFactory`] (so every algorithm
+//!   family the factory covers, baselines included, can run as a fleet);
 //! * `parallel` — the skew-aware work-stealing scheduler.
 //!
 //! # The slab key registry
@@ -34,24 +32,6 @@
 //! stay cache-resident. Batched ingestion resolves every event to its
 //! slot id up front, then dispatches grouped per slot (`slot << 32 |
 //! position` words, preserving per-key arrival order).
-//!
-//! # Fleet backends
-//!
-//! A fleet built from one template is *homogeneous*: the algorithm,
-//! window, and `k` are fleet-wide constants — only per-key state
-//! differs. The erased backend still pays per-key heap boxes (~3
-//! scattered cache lines each) and a per-element vtable call for that
-//! nonexistent heterogeneity; at 10⁵ keys the box chase, not the
-//! sampler math, dominates. The SoA backend
-//! ([`FleetBackend::Soa`]) stores per-key state field-major
-//! inside the shard slab — dense hot-head arrays, inline `k`-slot sample
-//! blocks, cold RNG lanes — and selects the template's family **once per
-//! batch**, running a monomorphized loop per shard. Backend choice is
-//! automatic ([`FleetBackend::Auto`]: SoA whenever the template
-//! [is eligible](SamplerSpec::soa_eligible)) and overridable; both
-//! backends are sample-for-sample **bit-identical** because per-key
-//! seeds derive identically and the SoA kernels replay the boxed
-//! samplers' RNG-draw order exactly.
 //!
 //! # Parallel ingestion and concurrent queries
 //!
@@ -77,13 +57,11 @@
 //! default) never spawns a pool. Scheduler behavior is observable via
 //! [`MultiStreamEngine::parallel_stats`].
 //!
-//! Shards sit behind `RwLock`s: ingestion takes a shard's write lock,
-//! while queries try a **shared read-lock fast path** first (RNG-free
-//! queries — seq-WR `sample_k`/`sample`, whole-stream reservoir reads —
-//! run concurrently with each other and with ingestion of other
-//! shards), falling back to the write lock only for RNG-consuming
-//! queries. Every query and checkpoint first waits on the epoch
-//! watermark (all published batches applied), so sequential
+//! Shards sit behind `RwLock`s: ingestion and sample queries take a
+//! shard's write lock (a sampler query may draw from the key's RNG, so
+//! it needs `&mut` access), while key census, accounting, and
+//! checkpoints share the read lock. Every query and checkpoint first
+//! waits on the epoch watermark (all published batches applied), so sequential
 //! ingest-then-read still observes exactly the ingested prefix.
 //! `ingest_parallel` takes `&self`, so queries may run during
 //! ingestion; batches submitted concurrently from several threads are
@@ -95,7 +73,7 @@
 //! Memory scales as the paper promises per key: a fleet of `m` active
 //! keys with a sequence-WR template costs at most `m · (7k + 3)` words —
 //! deterministic, because every per-key sampler inherits its theorem's
-//! hard ceiling, on either backend. [`MultiStreamEngine::memory_words`]
+//! hard ceiling. [`MultiStreamEngine::memory_words`]
 //! and [`MultiStreamEngine::max_key_memory_words`] expose both sides of
 //! that accounting, and
 //! [`MultiStreamEngine::registry_overhead_words`] reports the registry
@@ -122,7 +100,6 @@
 mod erased;
 mod parallel;
 mod registry;
-mod soa;
 
 use std::hash::Hash;
 use std::sync::atomic::AtomicBool;
@@ -135,7 +112,6 @@ use swsample_core::{ErasedWindowSampler, MemoryWords, Sample};
 use self::erased::ErasedStore;
 use self::parallel::{ingest_guarded, Epoch, WorkStealPool};
 use self::registry::{fx_hash_key, mix_seed, KeyRegistry, SLOT_MASK};
-use self::soa::SoaStore;
 
 pub use self::parallel::{ParallelStats, WorkerPanic, WorkerStats};
 pub use self::registry::{FxBuildHasher, FxHasher};
@@ -148,85 +124,12 @@ pub type KeyedEvent<K, T> = (K, u64, T);
 /// index into the batch handed to `Shard::ingest` alongside the route.
 pub(crate) type Route = Vec<(u32, u64)>;
 
-/// A shard's per-key sampler storage: one of the two fleet backends,
-/// slot-aligned with the shard's [`KeyRegistry`].
-enum Store<T: Clone> {
-    Erased(ErasedStore<T>),
-    Soa(SoaStore<T>),
-}
-
-impl<T: Clone + 'static> Store<T> {
-    fn push_key(&mut self, seed: u64) {
-        match self {
-            Store::Erased(s) => s.push_key(seed),
-            Store::Soa(s) => s.push_key(seed),
-        }
-    }
-
-    /// Read-lock query fast path; `None` = this query needs `&mut`.
-    fn shared_sample_k(&self, slot: usize) -> Option<Option<Vec<Sample<T>>>> {
-        match self {
-            Store::Erased(_) => None, // erased queries are &mut by trait
-            Store::Soa(s) => s.shared_sample_k(slot),
-        }
-    }
-
-    fn shared_sample(&self, slot: usize) -> Option<Option<Sample<T>>> {
-        match self {
-            Store::Erased(_) => None,
-            Store::Soa(s) => s.shared_sample(slot),
-        }
-    }
-
-    fn sample_k(&mut self, slot: usize) -> Option<Vec<Sample<T>>> {
-        match self {
-            Store::Erased(s) => s.sample_k(slot),
-            Store::Soa(s) => s.sample_k(slot),
-        }
-    }
-
-    fn sample(&mut self, slot: usize) -> Option<Sample<T>> {
-        match self {
-            Store::Erased(s) => s.sample(slot),
-            Store::Soa(s) => s.sample(slot),
-        }
-    }
-
-    fn memory_words(&self, slot: usize) -> usize {
-        match self {
-            Store::Erased(s) => s.memory_words(slot),
-            Store::Soa(s) => s.memory_words(slot),
-        }
-    }
-
-    fn overhead_words(&self) -> usize {
-        match self {
-            Store::Erased(s) => s.overhead_words(),
-            Store::Soa(_) => 0, // state lives in the accounted slabs
-        }
-    }
-
-    fn save_slot(&self, slot: usize) -> Option<SamplerState<T>> {
-        match self {
-            Store::Erased(s) => s.save_slot(slot),
-            Store::Soa(s) => s.save_slot(slot),
-        }
-    }
-
-    fn restore_slot(&mut self, slot: usize, state: SamplerState<T>) -> Result<(), StateError> {
-        match self {
-            Store::Erased(s) => s.restore_slot(slot, state),
-            Store::Soa(s) => s.restore_slot(slot, state),
-        }
-    }
-}
-
 /// One shard: the key registry plus the per-key sampler store, and
 /// everything needed to materialize new keys without consulting the
 /// engine (so a worker thread can run a shard in isolation).
 pub(crate) struct Shard<K, T: Clone> {
     registry: KeyRegistry<K>,
-    store: Store<T>,
+    store: ErasedStore<T>,
     /// Timestamp-window template: key runs must be split into
     /// same-timestamp sub-runs and enter through `advance_and_insert`.
     /// Sequence / whole-stream templates ignore the clock entirely, so
@@ -244,8 +147,7 @@ pub(crate) struct Shard<K, T: Clone> {
 /// whole-stream families take (`insert` is their reference path —
 /// `insert_batch` is defined as its exact repetition, so this is
 /// bit-identical to any grouping, and the skip fast path is two
-/// compares, cheaper than a slot sort). `sink` is monomorphized per
-/// call site, so each store family gets its own tight loop.
+/// compares, cheaper than a slot sort).
 #[inline]
 fn dispatch_seq<K, T: Clone>(
     order: &[u64],
@@ -255,28 +157,6 @@ fn dispatch_seq<K, T: Clone>(
     for &word in order {
         let (slot, pos) = ((word >> 32) as usize, (word & SLOT_MASK) as usize);
         sink(slot, batch[pos].2.clone());
-    }
-}
-
-/// Key-major run dispatch over a sorted `order`: one `sink(slot, run)`
-/// call per maximal same-slot segment (per-slot arrival order preserved
-/// — positions sort ascending within a slot). Sorting is legal because
-/// per-key samplers are independent: cross-key interleaving never
-/// affects any key's samples, only its own arrival order does. The SoA
-/// fleets turn each run into O(acceptances + 1) work via their
-/// `insert_run` kernels, so the per-element state walk disappears for
-/// the (overwhelming) skip case.
-#[inline]
-fn dispatch_runs(order: &[u64], mut sink: impl FnMut(usize, &[u64])) {
-    let mut i = 0;
-    while i < order.len() {
-        let slot = (order[i] >> 32) as usize;
-        let mut end = i + 1;
-        while end < order.len() && (order[end] >> 32) as usize == slot {
-            end += 1;
-        }
-        sink(slot, &order[i..end]);
-        i = end;
     }
 }
 
@@ -319,23 +199,15 @@ fn dispatch_ts<K, T: Clone>(
 }
 
 impl<K: Hash + Eq + Clone, T: Clone + 'static> Shard<K, T> {
-    fn new(
-        template: &SamplerSpec,
-        factory: SamplerFactory<T>,
-        backend: FleetBackend,
-    ) -> Result<Self, SpecError> {
-        let store = match backend {
-            FleetBackend::Soa => Store::Soa(SoaStore::new(template)?),
-            _ => Store::Erased(ErasedStore::new(template.clone(), factory)),
-        };
-        Ok(Self {
+    fn new(template: &SamplerSpec, factory: SamplerFactory<T>) -> Self {
+        Self {
             registry: KeyRegistry::new(),
-            store,
+            store: ErasedStore::new(template.clone(), factory),
             split_ts: matches!(template.window, WindowKind::Timestamp(_)),
             template_seed: template.seed,
             order: Vec::new(),
             run: Vec::new(),
-        })
+        }
     }
 
     /// Ingest this shard's portion of a keyed batch. `route` lists the
@@ -348,9 +220,7 @@ impl<K: Hash + Eq + Clone, T: Clone + 'static> Shard<K, T> {
         // independent (table + key loads), so their cache misses overlap,
         // and the dispatch loop then starts from warm slab entries with
         // its sampler-state misses overlapping each other instead of
-        // queueing behind each element's probe chain. The `match` on the
-        // store sits *outside* the element loop: one family selection per
-        // shard-batch, monomorphized loop bodies inside.
+        // queueing behind each element's probe chain.
         let mut order = std::mem::take(&mut self.order);
         order.clear();
         // Warm pass: touch every event's home bucket in a branchless
@@ -370,54 +240,20 @@ impl<K: Hash + Eq + Clone, T: Clone + 'static> Shard<K, T> {
             }
             order.push((slot as u64) << 32 | pos as u64);
         }
+        let store = &mut self.store;
         if !self.split_ts {
-            match &mut self.store {
-                // The erased path keeps per-element arrival order: the
-                // trait surface has no run kernel, and a slot sort would
-                // only add cost ahead of the same vtable calls.
-                Store::Erased(s) => {
-                    dispatch_seq(&order, batch, |slot, v| s.sampler_mut(slot).insert(v))
-                }
-                Store::Soa(store) => {
-                    order.sort_unstable();
-                    let run_value = |run: &[u64], off: u64| {
-                        batch[(run[off as usize] & SLOT_MASK) as usize].2.clone()
-                    };
-                    match store {
-                        SoaStore::SeqWr(f) => dispatch_runs(&order, |slot, run| {
-                            f.insert_run(slot, run.len() as u64, |off| run_value(run, off))
-                        }),
-                        SoaStore::SeqWor(f) => dispatch_runs(&order, |slot, run| {
-                            f.insert_run(slot, run.len() as u64, |off| run_value(run, off))
-                        }),
-                        SoaStore::StreamL(f) => dispatch_runs(&order, |slot, run| {
-                            f.insert_run(slot, run.len() as u64, |off| run_value(run, off))
-                        }),
-                        _ => unreachable!("timestamp templates set split_ts"),
-                    }
-                }
-            }
+            // Per-element arrival order: the trait surface has no run
+            // kernel, and a slot sort would only add cost ahead of the
+            // same vtable calls.
+            dispatch_seq(&order, batch, |slot, v| store.sampler_mut(slot).insert(v));
             self.order = order;
             return;
         }
         order.sort_unstable();
         let mut run = std::mem::take(&mut self.run);
-        match &mut self.store {
-            Store::Erased(s) => dispatch_ts(&order, batch, &mut run, |slot, now, r| {
-                s.sampler_mut(slot).advance_and_insert(now, r)
-            }),
-            Store::Soa(SoaStore::TsWr(f)) => {
-                dispatch_ts(&order, batch, &mut run, |slot, now, r| {
-                    f.advance_and_insert(slot, now, r)
-                })
-            }
-            Store::Soa(SoaStore::TsWor(f)) => {
-                dispatch_ts(&order, batch, &mut run, |slot, now, r| {
-                    f.advance_and_insert(slot, now, r)
-                })
-            }
-            Store::Soa(_) => unreachable!("sequence/stream templates never split timestamps"),
-        }
+        dispatch_ts(&order, batch, &mut run, |slot, now, r| {
+            store.sampler_mut(slot).advance_and_insert(now, r)
+        });
         run.clear();
         self.order = order;
         self.run = run;
@@ -431,12 +267,9 @@ impl<K: Hash + Eq + Clone, T: Clone + 'static> Shard<K, T> {
 
 /// A sharded registry of independent per-key window samplers, all
 /// described by one template [`SamplerSpec`]. See the [module
-/// docs](self) for the registry layout, the two fleet backends, and the
-/// parallel-ingestion model.
+/// docs](self) for the registry layout and the parallel-ingestion model.
 pub struct MultiStreamEngine<K, T: Clone> {
     template: SamplerSpec,
-    /// The resolved backend (never [`FleetBackend::Auto`]).
-    backend: FleetBackend,
     /// The per-key sampler factory, retained for shard rebuilds
     /// ([`set_shards`](Self::set_shards)).
     factory: SamplerFactory<T>,
@@ -457,7 +290,6 @@ impl<K, T: Clone> std::fmt::Debug for MultiStreamEngine<K, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MultiStreamEngine")
             .field("template", &self.template)
-            .field("backend", &self.backend)
             .field("shards", &self.shards.len())
             .field("threads", &self.threads)
             .finish()
@@ -501,44 +333,28 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
     /// Engine whose per-key samplers are built by
     /// [`SamplerSpec::build`] — i.e. the template must use a core-owned
     /// algorithm (paper or reservoir-l). Validates (and test-builds) the
-    /// template eagerly; backend is chosen automatically.
+    /// template eagerly.
     pub fn new(template: SamplerSpec) -> Result<Self, SpecError> {
         Self::with_factory(template, Self::DEFAULT_SHARDS, SamplerSpec::build::<T>)
     }
 
     /// Engine with an explicit shard count and sampler factory. Pass
     /// `swsample_baselines::spec::build` to allow baseline-algorithm
-    /// templates. `shards` is rounded up to a power of two; the backend
-    /// is chosen automatically ([`FleetBackend::Auto`]).
+    /// templates. `shards` is rounded up to a power of two.
     pub fn with_factory(
         template: SamplerSpec,
         shards: usize,
         factory: SamplerFactory<T>,
     ) -> Result<Self, SpecError> {
-        Self::build(template, shards, factory, FleetBackend::Auto)
-    }
-
-    fn build(
-        template: SamplerSpec,
-        shards: usize,
-        factory: SamplerFactory<T>,
-        backend: FleetBackend,
-    ) -> Result<Self, SpecError> {
         // Fail now, not on the millionth event: the factory must accept
-        // the template (validity + algorithm coverage in one probe), for
-        // either backend.
+        // the template (validity + algorithm coverage in one probe).
         factory(&template)?;
-        let backend = backend.resolve(&template);
         let shards = shards.max(1).next_power_of_two();
-        let mut slabs = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            slabs.push(Arc::new(RwLock::new(Shard::new(
-                &template, factory, backend,
-            )?)));
-        }
+        let slabs = (0..shards)
+            .map(|_| Arc::new(RwLock::new(Shard::new(&template, factory))))
+            .collect();
         Ok(Self {
             template,
-            backend,
             factory,
             shard_mask: shards as u64 - 1,
             shards: slabs,
@@ -553,11 +369,6 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
     /// are derived from its `seed`).
     pub fn template(&self) -> &SamplerSpec {
         &self.template
-    }
-
-    /// The resolved fleet backend (never [`FleetBackend::Auto`]).
-    pub fn backend(&self) -> FleetBackend {
-        self.backend
     }
 
     /// Number of shards (a power of two).
@@ -606,8 +417,7 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
     /// key's run enters its sampler through the batch fast paths even on
     /// heavily interleaved feeds. Samplers for unseen keys are created
     /// lazily from the template. The result is bit-identical to
-    /// [`ingest_parallel`](Self::ingest_parallel) at any thread count —
-    /// and identical across fleet backends.
+    /// [`ingest_parallel`](Self::ingest_parallel) at any thread count.
     ///
     /// # Panics
     /// Panics if a key's timestamps run backwards (the per-key sampler's
@@ -651,35 +461,21 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
     }
 
     /// The key's current `k`-sample, or `None` if the key has never
-    /// arrived or its window is empty.
-    ///
-    /// Queries whose family draws no query-time randomness (seq-WR,
-    /// whole-stream reservoir contents) on the SoA backend run under the
-    /// shard's shared read lock — concurrent readers never contend;
-    /// everything else falls back to the write lock.
+    /// arrived or its window is empty. Takes the shard's write lock:
+    /// sampler queries may draw from the key's RNG.
     pub fn sample_k(&self, key: &K) -> Option<Vec<Sample<T>>> {
         self.sync();
         let hash = fx_hash_key(key);
-        let shard = &self.shards[self.shard_of(hash)];
-        {
-            let guard = self.read(shard);
-            let slot = guard.registry.find(hash, key)?;
-            if let Some(res) = guard.store.shared_sample_k(slot) {
-                return res;
-            }
-        }
-        let mut guard = self.write(shard);
+        let mut guard = self.write(&self.shards[self.shard_of(hash)]);
         let slot = guard.registry.find(hash, key)?;
         guard.store.sample_k(slot)
     }
 
     /// [`sample_k`](Self::sample_k) for many keys in one pass, one
     /// result per input key in order. Keys are grouped by shard so each
-    /// shard's lock is taken once (read first for the RNG-free fast
-    /// path, write only for the keys that need it) — the scheduler tick
-    /// of a server evaluating many standing queries against a
-    /// snapshot-consistent shard view, without `keys.len()` lock
-    /// round-trips.
+    /// shard's lock is taken once — the scheduler tick of a server
+    /// evaluating many standing queries against a snapshot-consistent
+    /// shard view, without `keys.len()` lock round-trips.
     pub fn sample_k_many(&self, keys: &[K]) -> Vec<Option<Vec<Sample<T>>>> {
         self.sync();
         let mut out: Vec<Option<Vec<Sample<T>>>> = (0..keys.len()).map(|_| None).collect();
@@ -694,25 +490,8 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
             if routed.is_empty() {
                 continue;
             }
-            // Read pass: resolve slots and take every RNG-free sample.
-            let mut pending: Vec<(usize, u64)> = Vec::new();
-            {
-                let guard = self.read(shard);
-                for &(pos, hash) in routed {
-                    if let Some(slot) = guard.registry.find(hash, &keys[pos]) {
-                        match guard.store.shared_sample_k(slot) {
-                            Some(res) => out[pos] = res,
-                            None => pending.push((pos, hash)),
-                        }
-                    }
-                }
-            }
-            if pending.is_empty() {
-                continue;
-            }
-            // Write pass for the keys whose draw needs `&mut` state.
             let mut guard = self.write(shard);
-            for (pos, hash) in pending {
+            for &(pos, hash) in routed {
                 if let Some(slot) = guard.registry.find(hash, &keys[pos]) {
                     out[pos] = guard.store.sample_k(slot);
                 }
@@ -722,31 +501,18 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
     }
 
     /// One uniform sample from the key's window, or `None` as in
-    /// [`sample_k`](MultiStreamEngine::sample_k). Same read-lock fast
-    /// path where the draw is RNG-free.
+    /// [`sample_k`](MultiStreamEngine::sample_k).
     pub fn sample(&self, key: &K) -> Option<Sample<T>> {
         self.sync();
         let hash = fx_hash_key(key);
-        let shard = &self.shards[self.shard_of(hash)];
-        {
-            let guard = self.read(shard);
-            let slot = guard.registry.find(hash, key)?;
-            if let Some(res) = guard.store.shared_sample(slot) {
-                return res;
-            }
-        }
-        let mut guard = self.write(shard);
+        let mut guard = self.write(&self.shards[self.shard_of(hash)]);
         let slot = guard.registry.find(hash, key)?;
         guard.store.sample(slot)
     }
 
     /// Run `f` against a key's boxed sampler (queries take `&mut` access
     /// — see [`swsample_core::WindowSampler`] on why); `None` if the key
-    /// has no materialized sampler **or the engine runs the SoA backend**
-    /// (struct-of-arrays state has no per-key trait object to hand out —
-    /// use [`sample_k`](Self::sample_k)/[`sample`](Self::sample), or
-    /// construct with [`FleetBackend::Erased`] where sampler-level
-    /// introspection is needed).
+    /// has no materialized sampler.
     pub fn with_sampler<R>(
         &self,
         key: &K,
@@ -756,10 +522,7 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
         let hash = fx_hash_key(key);
         let mut shard = self.write(&self.shards[self.shard_of(hash)]);
         let slot = shard.registry.find(hash, key)?;
-        match &mut shard.store {
-            Store::Erased(s) => Some(f(s.sampler_mut(slot))),
-            Store::Soa(_) => None,
-        }
+        Some(f(shard.store.sampler_mut(slot)))
     }
 
     /// Has this key a materialized sampler?
@@ -800,14 +563,12 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
     }
 
     /// Registry scaffolding in words (8 bytes): the tagged index-table
-    /// words, the slab keys, and per-key store bookkeeping (the boxed
-    /// backend's fat pointers; zero on SoA, whose state lives in the
-    /// accounted slabs). Outside the paper's §1.4 stream-element model —
-    /// reported separately so fleet sizing can account for it; at the
-    /// ≤ ½ load factor this is `2..=4` bucket words per key (depending
-    /// on where the table sits between doublings) plus
-    /// `size_of::<K>()/8` key words, plus 2 box words on the erased
-    /// backend.
+    /// words, the slab keys, and per-key store bookkeeping (each boxed
+    /// sampler's fat pointer). Outside the paper's §1.4 stream-element
+    /// model — reported separately so fleet sizing can account for it;
+    /// at the ≤ ½ load factor this is `2..=4` bucket words per key
+    /// (depending on where the table sits between doublings) plus
+    /// `size_of::<K>()/8` key words plus 2 box words.
     pub fn registry_overhead_words(&self) -> usize {
         self.sync();
         self.shards
@@ -819,10 +580,8 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
     /// Checkpoint every materialized key: `(key, state)` pairs in
     /// shard-major, first-touch slot order, `O(k)` words per key.
     ///
-    /// Records are **backend-neutral** — the SoA fleets emit exactly the
-    /// state an equivalent boxed sampler would — so a checkpoint taken
-    /// on one backend restores onto the other, and onto any shard or
-    /// thread count, reproducing bit-identical samples.
+    /// Records are shard-layout-free, so a checkpoint restores onto any
+    /// shard or thread count, reproducing bit-identical samples.
     ///
     /// `Err(StateError::Unsupported)` if the template's family has no
     /// durable state (the non-fused `--independent` timestamp reference
@@ -893,31 +652,28 @@ where
     T: Clone + Send + Sync + 'static,
 {
     /// Engine with an explicit shard count, factory, and worker-thread
-    /// count for [`ingest_parallel`](Self::ingest_parallel); automatic
-    /// backend.
+    /// count for [`ingest_parallel`](Self::ingest_parallel).
     pub fn with_threads(
         template: SamplerSpec,
         shards: usize,
         factory: SamplerFactory<T>,
         threads: usize,
     ) -> Result<Self, SpecError> {
-        Self::with_backend(template, shards, factory, threads, FleetBackend::Auto)
+        let mut engine = Self::with_factory(template, shards, factory)?;
+        engine.set_threads(threads);
+        Ok(engine)
     }
 
-    /// Engine with everything explicit, including the fleet backend.
-    /// [`FleetBackend::Auto`] resolves to SoA when the template
-    /// [is eligible](SamplerSpec::soa_eligible); an explicit
-    /// [`FleetBackend::Soa`] over an ineligible template is an error.
+    /// [`with_threads`](Self::with_threads) under the older signature;
+    /// the one-variant [`FleetBackend`] selects nothing and is ignored.
     pub fn with_backend(
         template: SamplerSpec,
         shards: usize,
         factory: SamplerFactory<T>,
         threads: usize,
-        backend: FleetBackend,
+        _backend: FleetBackend,
     ) -> Result<Self, SpecError> {
-        let mut engine = Self::build(template, shards, factory, backend)?;
-        engine.set_threads(threads);
-        Ok(engine)
+        Self::with_threads(template, shards, factory, threads)
     }
 
     /// Set the worker-thread count for subsequent
@@ -975,13 +731,9 @@ where
             return Ok(());
         }
         let states = self.save_states()?; // syncs: no epoch outlives the old shards
-        let mut slabs = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            slabs.push(Arc::new(RwLock::new(
-                Shard::new(&self.template, self.factory, self.backend)
-                    .expect("template validated at construction"),
-            )));
-        }
+        let slabs = (0..shards)
+            .map(|_| Arc::new(RwLock::new(Shard::new(&self.template, self.factory))))
+            .collect();
         let old_shards = std::mem::replace(&mut self.shards, slabs);
         let old_mask = std::mem::replace(&mut self.shard_mask, shards as u64 - 1);
         self.exec_flags = Arc::new((0..shards).map(|_| AtomicBool::new(false)).collect());
@@ -1193,123 +945,22 @@ mod tests {
     }
 
     #[test]
-    fn backend_resolution_and_override() {
-        // Paper template: auto resolves to SoA; erased is still available.
-        let template = seq_wr_spec(10, 2, 1);
-        let auto: MultiStreamEngine<u64, u64> =
-            MultiStreamEngine::new(template.clone()).expect("engine");
-        assert_eq!(auto.backend(), FleetBackend::Soa);
-        let erased: MultiStreamEngine<u64, u64> = MultiStreamEngine::with_backend(
-            template.clone(),
-            4,
-            SamplerSpec::build::<u64>,
-            1,
-            FleetBackend::Erased,
-        )
-        .expect("engine");
-        assert_eq!(erased.backend(), FleetBackend::Erased);
-        let explicit: MultiStreamEngine<u64, u64> = MultiStreamEngine::with_backend(
-            template,
-            4,
-            SamplerSpec::build::<u64>,
-            1,
-            FleetBackend::Soa,
-        )
-        .expect("engine");
-        assert_eq!(explicit.backend(), FleetBackend::Soa);
-    }
-
-    #[test]
     fn sample_k_many_matches_per_key_queries() {
-        // Both backends: the batched read must agree element-for-element
-        // with sample_k, and misses must come back as None in position.
-        for backend in [FleetBackend::Soa, FleetBackend::Erased] {
-            let mut e: MultiStreamEngine<u64, u64> = MultiStreamEngine::with_backend(
-                seq_wr_spec(8, 3, 5),
-                4,
-                SamplerSpec::build::<u64>,
-                1,
-                backend,
-            )
-            .expect("engine");
-            let events: Vec<(u64, u64, u64)> = (0..500u64).map(|i| (i % 23, 0, i)).collect();
-            e.ingest(&events);
-            let mut keys: Vec<u64> = (0..30u64).collect();
-            keys.push(7); // duplicates answer independently
-            let many = e.sample_k_many(&keys);
-            assert_eq!(many.len(), keys.len());
-            for (key, got) in keys.iter().zip(&many) {
-                assert_eq!(*got, e.sample_k(key), "key {key} ({backend:?})");
-                assert_eq!(got.is_some(), *key < 23, "key {key} ({backend:?})");
-            }
+        // The batched read must agree element-for-element with sample_k,
+        // and misses must come back as None in position.
+        let mut e: MultiStreamEngine<u64, u64> =
+            MultiStreamEngine::with_factory(seq_wr_spec(8, 3, 5), 4, SamplerSpec::build::<u64>)
+                .expect("engine");
+        let events: Vec<(u64, u64, u64)> = (0..500u64).map(|i| (i % 23, 0, i)).collect();
+        e.ingest(&events);
+        let mut keys: Vec<u64> = (0..30u64).collect();
+        keys.push(7); // duplicates answer independently
+        let many = e.sample_k_many(&keys);
+        assert_eq!(many.len(), keys.len());
+        for (key, got) in keys.iter().zip(&many) {
+            assert_eq!(*got, e.sample_k(key), "key {key}");
+            assert_eq!(got.is_some(), *key < 23, "key {key}");
         }
-    }
-
-    #[test]
-    fn soa_and_erased_backends_agree() {
-        // The quick in-module check; the exhaustive per-family lockstep
-        // suite is tests/soa_fleet_equivalence.rs.
-        let template = seq_wr_spec(25, 3, 17);
-        let mut a: MultiStreamEngine<u64, u64> = MultiStreamEngine::with_backend(
-            template.clone(),
-            8,
-            SamplerSpec::build::<u64>,
-            1,
-            FleetBackend::Soa,
-        )
-        .expect("engine");
-        let mut b: MultiStreamEngine<u64, u64> = MultiStreamEngine::with_backend(
-            template,
-            8,
-            SamplerSpec::build::<u64>,
-            1,
-            FleetBackend::Erased,
-        )
-        .expect("engine");
-        let events: Vec<(u64, u64, u64)> = (0..3_000u64).map(|i| (i % 37, 0, i)).collect();
-        for chunk in events.chunks(256) {
-            a.ingest(chunk);
-            b.ingest(chunk);
-        }
-        assert_eq!(a.num_keys(), b.num_keys());
-        for key in a.keys() {
-            assert_eq!(a.sample_k(&key), b.sample_k(&key), "key {key}");
-            assert_eq!(
-                a.max_key_memory_words(),
-                b.max_key_memory_words(),
-                "accounting"
-            );
-        }
-    }
-
-    #[test]
-    fn explicit_soa_over_baseline_template_errors() {
-        // chain has no fleet kernel; auto falls back to erased, but an
-        // explicit soa request is refused.
-        let chain: SamplerSpec = "--window seq --n 5 --algo chain --k 2"
-            .parse()
-            .expect("parses");
-        let factory = |_: &SamplerSpec| -> Result<Box<dyn ErasedWindowSampler<u64>>, SpecError> {
-            // A stand-in factory so the probe passes without the
-            // baselines crate (unit tests stay dependency-free).
-            Ok(Box::new(swsample_core::seq::SeqSamplerWr::new(
-                5,
-                2,
-                SmallRng::seed_from_u64(1),
-            )))
-        };
-        let auto = MultiStreamEngine::<u64, u64>::with_backend(
-            chain.clone(),
-            2,
-            factory,
-            1,
-            FleetBackend::Auto,
-        )
-        .expect("auto falls back");
-        assert_eq!(auto.backend(), FleetBackend::Erased);
-        let err =
-            MultiStreamEngine::<u64, u64>::with_backend(chain, 2, factory, 1, FleetBackend::Soa);
-        assert!(matches!(err, Err(SpecError::Invalid(_))));
     }
 
     #[test]
@@ -1368,17 +1019,8 @@ mod tests {
 
     #[test]
     fn distinct_keys_get_distinct_seeds() {
-        // `with_sampler` introspection is an erased-backend feature, so
-        // pin the backend explicitly.
-        let template = seq_wr_spec(100, 4, 7);
-        let mut e: MultiStreamEngine<u64, u64> = MultiStreamEngine::with_backend(
-            template,
-            MultiStreamEngine::<u64, u64>::DEFAULT_SHARDS,
-            SamplerSpec::build::<u64>,
-            1,
-            FleetBackend::Erased,
-        )
-        .expect("engine");
+        let mut e: MultiStreamEngine<u64, u64> =
+            MultiStreamEngine::new(seq_wr_spec(100, 4, 7)).expect("engine");
         let batch: Vec<(u64, u64, u64)> = (0..64u64).map(|k| (k, 0, 1)).collect();
         e.ingest(&batch);
         let mut seeds: Vec<u64> = (0..64u64)
@@ -1390,16 +1032,7 @@ mod tests {
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 64, "per-key seed collision");
-    }
-
-    #[test]
-    fn with_sampler_is_erased_only() {
-        let mut e: MultiStreamEngine<u64, u64> =
-            MultiStreamEngine::new(seq_wr_spec(10, 2, 3)).expect("engine");
-        assert_eq!(e.backend(), FleetBackend::Soa);
-        e.ingest(&[(1, 0, 10)]);
-        assert!(e.with_sampler(&1, |s| s.k()).is_none(), "SoA: no box");
-        assert!(e.sample_k(&1).is_some(), "queries still answer");
+        assert!(e.with_sampler(&999, |s| s.k()).is_none(), "untouched key");
     }
 
     #[test]
@@ -1428,9 +1061,8 @@ mod tests {
             let got = e.sample_k(&k).expect("key present");
             assert!(got.iter().all(|s| *s.value() % 1000 == k));
         }
-        // ≥ 2 bucket words + 1 key word per key (SoA carries no per-key
-        // box words; the erased backend would add 2 more).
-        assert!(e.registry_overhead_words() >= 500 * 3);
+        // ≥ 2 bucket words + 1 key word + 2 box words per key.
+        assert!(e.registry_overhead_words() >= 500 * 5);
     }
 
     #[test]
@@ -1521,40 +1153,28 @@ mod tests {
     }
 
     #[test]
-    fn save_restore_round_trips_across_backends_and_scales() {
-        // Checkpoint at the halfway point, restore into (a) the same
-        // backend, (b) the other backend, (c) a different shard count —
-        // then finish the stream everywhere and require bit-identical
-        // samples against the uninterrupted run.
+    fn save_restore_round_trips_across_scales() {
+        // Checkpoint at the halfway point, restore into the same and into
+        // different shard counts — then finish the stream everywhere and
+        // require bit-identical samples against the uninterrupted run.
         let template = seq_wr_spec(40, 3, 23);
         let events: Vec<(u64, u64, u64)> = (0..6_000u64).map(|i| (i % 101, 0, i)).collect();
         let (first, second) = events.split_at(events.len() / 2);
 
-        let build = |backend, shards| -> MultiStreamEngine<u64, u64> {
-            MultiStreamEngine::with_backend(
-                template.clone(),
-                shards,
-                SamplerSpec::build::<u64>,
-                1,
-                backend,
-            )
-            .expect("engine")
+        let build = |shards| -> MultiStreamEngine<u64, u64> {
+            MultiStreamEngine::with_factory(template.clone(), shards, SamplerSpec::build::<u64>)
+                .expect("engine")
         };
-        let mut uninterrupted = build(FleetBackend::Soa, 8);
+        let mut uninterrupted = build(8);
         uninterrupted.ingest(&events);
 
-        let mut half = build(FleetBackend::Soa, 8);
+        let mut half = build(8);
         half.ingest(first);
         let checkpoint = half.save_states().expect("seq-wr checkpoints");
         assert_eq!(checkpoint.len(), half.num_keys());
 
-        for (backend, shards) in [
-            (FleetBackend::Soa, 8),
-            (FleetBackend::Erased, 8),
-            (FleetBackend::Soa, 2),
-            (FleetBackend::Erased, 32),
-        ] {
-            let mut resumed = build(backend, shards);
+        for shards in [8, 2, 32] {
+            let mut resumed = build(shards);
             resumed
                 .restore_states(checkpoint.clone())
                 .expect("restore onto same template");
@@ -1564,7 +1184,7 @@ mod tests {
                 assert_eq!(
                     resumed.sample_k(&key),
                     uninterrupted.sample_k(&key),
-                    "key {key} on {backend:?}/{shards} shards diverged after restore"
+                    "key {key} on {shards} shards diverged after restore"
                 );
             }
         }

@@ -58,8 +58,8 @@
 //! and a per-shard **executing flag** assert one-shard-one-worker; see
 //! [`ParallelStats::violations`]), units apply their events in arrival
 //! order, and epochs are serialized. Samples are therefore byte-equal
-//! at every thread count, on either backend — same argument as before,
-//! now enforced by counters instead of channel topology.
+//! at every thread count — same argument as before, now enforced by
+//! counters instead of channel topology.
 
 use std::any::Any;
 use std::hash::Hash;

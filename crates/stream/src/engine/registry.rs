@@ -3,10 +3,9 @@
 //! The registry is the engine's `key → slot` side, deliberately separated
 //! from sampler storage: an open-addressing index table of `tag | slot`
 //! words over a dense first-touch-ordered key slab. Slot ids are handed
-//! to the backing store ([`super::Store`]), which keeps per-key sampler
-//! state at the same index — so the registry is identical for both fleet
-//! backends and the probe loop never depends on how samplers are laid
-//! out.
+//! to the per-key store ([`super::erased::ErasedStore`]), which keeps
+//! each key's sampler at the same index — so the probe loop never
+//! depends on how samplers are laid out.
 
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -126,8 +125,7 @@ impl<K> KeyRegistry<K> {
 
     /// Index-table + key-slab bookkeeping in words (8 bytes): the tagged
     /// bucket words plus each slab key. Per-key *store* scaffolding (box
-    /// pointers on the erased backend; nothing on SoA) is accounted by
-    /// the store itself.
+    /// pointers) is accounted by the store itself.
     pub(crate) fn overhead_words(&self) -> usize {
         let key_words = std::mem::size_of::<K>().div_ceil(8);
         self.buckets.len() + self.keys.len() * key_words
