@@ -6,10 +6,10 @@
 //! stream/bucket grows (R's cost is Θ(N) draws, L's is
 //! Θ(k (1 + log(N/k)))).
 //!
-//! ASSERTION (enforced twice: `bench_throughput` exits non-zero rather
-//! than write a violating artifact, and `tests/skip_equivalence.rs::
-//! committed_throughput_baseline_holds_acceptance_bar` gates CI on the
-//! committed file): at len = 100_000 / k = 64 the skip-based ingestion
+//! ASSERTION (the `seq_wr_speedup_k64_n100000` gate of
+//! `swsample_bench::throughput::check`, applied by `bench_throughput`
+//! before it writes and by `tests/parallel_engine.rs` to the committed
+//! file): at len = 100_000 / k = 64 the skip-based ingestion
 //! must hold a ≥5× elems/sec lead over the per-element path — the bar
 //! `BENCH_throughput.json` records for `seq_wr_skip` vs `seq_wr_naive` at
 //! k = 64, n = 10⁵. Since this PR the samplers also clone at most

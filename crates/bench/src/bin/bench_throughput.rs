@@ -8,301 +8,130 @@
 //!
 //! The suite is seeded and the sampler/config matrix is fixed, so the only
 //! run-to-run variance is wall-clock noise; `rng_draws` columns are exact
-//! and fully reproducible. The binary validates the JSON it wrote (with
-//! the bench crate's own parser) and exits non-zero if it does not parse —
-//! the CI smoke step relies on that plus an external `json.tool` pass.
-//!
-//! Run it from the repo root with `cargo run --release -p swsample-bench
-//! --bin bench_throughput`; always use `--release`, a debug-profile
-//! baseline would be meaningless.
+//! and fully reproducible. The binary parses the document it rendered,
+//! prints its rows and every gate's report line (`throughput::check`), and
+//! refuses to write on any gate failure, so its exit status carries every
+//! gate. Always use `--release`: a debug-profile baseline is meaningless.
+//! An unknown argument or an `--out` without a path exits 2 before
+//! measuring anything.
 
+use swsample_bench::json::{self, Value};
 use swsample_bench::throughput::{
-    durable_wal_overhead_100k, machine, parallel_t4_efficiency_100k, parallel_t8_overhead, params,
-    run_durable, run_multi, run_parallel, run_server, run_with, server_e2e_100k_vs_direct, speedup,
-    to_json, DURABLE_WAL_100K_GATE, PARALLEL_T4_EFFICIENCY_GATE, PARALLEL_T8_OVERHEAD_GATE,
-    SERVER_E2E_100K_GATE,
+    check, machine, params, run_durable, run_multi, run_parallel, run_server, run_with, section,
+    to_json, SECTIONS,
 };
-use swsample_bench::{json, table_header, table_row};
+use swsample_bench::{table_header, table_row};
+
+const USAGE: &str = "usage: bench_throughput [--quick] [--out PATH]";
+
+/// `(quick, out path)`, or `None` for `--help`.
+fn parse_args(args: &[String]) -> Result<Option<(bool, String)>, String> {
+    let (mut quick, mut out) = (false, "BENCH_throughput.json".to_string());
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--help" | "-h" => return Ok(None),
+            "--quick" => quick = true,
+            "--out" => match it.next() {
+                Some(path) if !path.starts_with('-') => out = path.clone(),
+                _ => return Err("--out needs a path".into()),
+            },
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    Ok(Some((quick, out)))
+}
+
+fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("bench_throughput: {msg}");
+    std::process::exit(1);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_throughput.json".to_string());
-    let max_threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse::<usize>().expect("--threads: numeric"));
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: bench_throughput [--quick] [--out PATH] [--threads MAX]");
-        return;
-    }
+    let (quick, out_path) = match parse_args(&args) {
+        Ok(Some(run)) => run,
+        Ok(None) => return eprintln!("{USAGE}"),
+        Err(e) => {
+            eprintln!("bench_throughput: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
 
-    let mut p = params(quick);
-    if let Some(max) = max_threads {
-        p.multi_threads.retain(|&t| t <= max.max(1));
-    }
+    let p = params(quick);
     eprintln!(
         "running throughput suite ({}; {} configurations)...",
         if quick { "quick" } else { "full" },
         p.ks.len() * (p.ns.len() * 12 + 2)
     );
     let rows = run_with(&p);
-
-    table_header(
-        "ingestion throughput (batched API, seeded streams)",
-        &["sampler", "win", "k", "n", "elems/s", "draws/elem"],
-    );
-    for r in &rows {
-        table_row(&[
-            r.sampler.into(),
-            r.discipline.into(),
-            r.k.to_string(),
-            r.n.to_string(),
-            format!("{:.0}", r.elems_per_sec),
-            format!("{:.4}", r.rng_draws as f64 / r.elements as f64),
-        ]);
-    }
-    if let Some(s) = speedup(&rows, "seq_wr_skip", "seq_wr_naive", 64, 100_000) {
-        println!("\nseq-WR skip vs naive at k=64, n=1e5: {s:.1}x elems/sec");
-        if s < 5.0 {
-            // Hard gate: never write a baseline artifact that violates the
-            // acceptance bar (tests/skip_equivalence.rs re-checks the
-            // committed file, so a regression cannot slip through either).
-            eprintln!("bench_throughput: skip-path speedup {s:.1}x below the 5x acceptance bar");
-            std::process::exit(1);
-        }
-    }
-    for (fused, indep, label) in [
-        ("ts_wr", "ts_wr_indep", "ts-WR"),
-        ("ts_wor", "ts_wor_indep", "ts-WOR"),
-    ] {
-        if let Some(s) = speedup(&rows, fused, indep, 64, 100_000) {
-            println!("{label} fused bank vs independent engines at k=64, n=1e5: {s:.1}x elems/sec");
-            if s < 5.0 {
-                eprintln!(
-                    "bench_throughput: {label} bank speedup {s:.1}x below the 5x acceptance bar"
-                );
-                std::process::exit(1);
-            }
-        }
-    }
-    // The fused ts rows are draw-gated: ingestion must cost at most
-    // k/32 + 1 RNG words per element (packed merge-coin bits), in quick
-    // and full shapes alike. CI re-asserts this on the emitted JSON.
-    for r in rows
-        .iter()
-        .filter(|r| r.sampler == "ts_wr" || r.sampler == "ts_wor")
-    {
-        let dpe = r.rng_draws as f64 / r.elements as f64;
-        let bound = r.k as f64 / 32.0 + 1.0;
-        if dpe > bound {
-            eprintln!(
-                "bench_throughput: {} k={} draws/element {dpe:.4} above the k/32+1 bound {bound}",
-                r.sampler, r.k
-            );
-            std::process::exit(1);
-        }
-    }
-    // The priority_topk lazy-eviction rebuild: 1 draw/element sampling
-    // must never be slower than full k-draw priority sampling at k = 64
-    // (the PR-4 artifact had it *under* — 0.88M vs 1.1M elems/s).
-    for &n in &p.ns {
-        if let Some(s) = speedup(&rows, "priority_topk", "priority", 64, n) {
-            println!("GL top-k vs k-draw priority at k=64, n={n}: {s:.1}x elems/sec");
-            if s < 1.0 {
-                eprintln!(
-                    "bench_throughput: priority_topk {s:.2}x slower than priority at k=64, n={n}"
-                );
-                std::process::exit(1);
-            }
-        }
-    }
-
+    let (multi, parallel) = (run_multi(&p), run_parallel(&p));
+    let (durable, server) = (run_durable(&p), run_server(&p));
+    let body = to_json(&rows, &multi, &parallel, &durable, &server, quick);
+    let doc = json::parse(&body).unwrap_or_else(|e| die(format!("emitted invalid JSON ({e})")));
     let m = machine();
-    println!("\nmachine: {} logical cores, {}", m.cores, m.model);
+    println!("machine: {} logical cores, {}", m.cores, m.model);
+    print_tables(&doc);
+    let report = check(&doc).unwrap_or_else(|failures| {
+        die(format!(
+            "{}\nbench_throughput: refusing to write {out_path}",
+            failures.join("\nbench_throughput: ")
+        ))
+    });
+    println!();
+    report.iter().for_each(|line| println!("{line}"));
+    std::fs::write(&out_path, &body)
+        .unwrap_or_else(|e| die(format!("cannot write {out_path}: {e}")));
+    // Re-read and re-parse: the written artifact itself must parse.
+    let back = std::fs::read_to_string(&out_path)
+        .unwrap_or_else(|e| die(format!("cannot re-read {out_path}: {e}")));
+    json::parse(&back).unwrap_or_else(|e| die(format!("{out_path} does not re-parse ({e})")));
+    println!("\nwrote {out_path} ({} rows, all gates passed)", rows.len());
+}
 
-    let multi = run_multi(&p);
-    table_header(
-        "multi-stream engine (zipf-keyed fleet, seq-WR template, batched keyed ingest)",
-        &[
-            "keys",
-            "k",
-            "shards",
-            "cold elems/s",
-            "sustained elems/s",
-            "keys touched",
-            "fleet words",
-            "max key words",
-        ],
-    );
-    for r in &multi {
-        table_row(&[
-            r.keys.to_string(),
-            r.k.to_string(),
-            r.shards.to_string(),
-            format!("{:.0}", r.elems_per_sec),
-            format!("{:.0}", r.sustained_elems_per_sec),
-            r.keys_touched.to_string(),
-            r.memory_words.to_string(),
-            r.max_key_words.to_string(),
-        ]);
-    }
-
-    let parallel = run_parallel(&p);
-    table_header(
-        "parallel ingestion (work-stealing shard-run scheduler, seq-WR template)",
-        &[
-            "keys",
-            "k",
-            "shards",
-            "threads",
-            "batch",
-            "fleet elems/s",
-            "units",
-            "steals",
-            "imbalance",
-        ],
-    );
-    for r in &parallel {
-        table_row(&[
-            r.keys.to_string(),
-            r.k.to_string(),
-            r.shards.to_string(),
-            r.threads.to_string(),
-            r.batch.to_string(),
-            format!("{:.0}", r.elems_per_sec),
-            r.units.to_string(),
-            r.steals.to_string(),
-            format!("{:.2}", r.imbalance),
-        ]);
-    }
-    for (keys, label) in [(1_000u64, "1k"), (100_000u64, "100k")] {
-        if let Some(s) = parallel_t8_overhead(&parallel, keys) {
-            println!("work-stealing 8-thread vs serial at {label} keys: {s:.2}x");
-            if s < PARALLEL_T8_OVERHEAD_GATE {
-                // Hard gate, armed on any host: the scheduler's fixed
-                // per-batch cost (partition + epoch handshake) must not
-                // eat more than 10% of serial throughput even when all
-                // 8 workers share one core.
-                eprintln!(
-                    "bench_throughput: parallel_t8_overhead_{label} {s:.2}x below the \
-                     {PARALLEL_T8_OVERHEAD_GATE}x acceptance bar"
-                );
-                std::process::exit(1);
-            }
+/// Print each row section of the document as a table, one column per
+/// row member.
+fn print_tables(doc: &Value) {
+    for &name in SECTIONS {
+        let Some(Value::Object(first)) = section(doc, name).first() else {
+            continue;
+        };
+        let columns: Vec<&str> = first.iter().map(|(k, _)| k.as_str()).collect();
+        table_header(name, &columns);
+        for row in section(doc, name) {
+            let cell = |c: &&str| match row.get(c) {
+                Some(Value::String(s)) => s.clone(),
+                Some(Value::Number(x)) => json::number(*x),
+                _ => "-".into(),
+            };
+            table_row(&columns.iter().map(cell).collect::<Vec<_>>());
         }
     }
-    if let Some(s) = parallel_t4_efficiency_100k(&parallel) {
-        println!("work-stealing 4-thread vs serial at 100k keys: {s:.2}x");
-        if m.cores > 1 && s < PARALLEL_T4_EFFICIENCY_GATE {
-            // Hard gate, armed only on parallel hosts: with real cores
-            // available, 4 workers must actually scale.
-            eprintln!(
-                "bench_throughput: parallel_t4_efficiency_100k {s:.2}x below the \
-                 {PARALLEL_T4_EFFICIENCY_GATE}x acceptance bar (cores={})",
-                m.cores
-            );
-            std::process::exit(1);
-        }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<(bool, String)>, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
 
-    let durable = run_durable(&p);
-    table_header(
-        "durable pipeline (WAL + snapshots over the keyed fleet, seq-WR template)",
-        &["mode", "keys", "k", "snap every", "elems/s", "recovery s"],
-    );
-    for r in &durable {
-        table_row(&[
-            r.mode.into(),
-            r.keys.to_string(),
-            r.k.to_string(),
-            r.snapshot_every.to_string(),
-            format!("{:.0}", r.elems_per_sec),
-            format!("{:.3}", r.recovery_seconds),
-        ]);
-    }
-    if let Some(s) = durable_wal_overhead_100k(&durable) {
-        println!("\nWAL-on vs WAL-off ingest at 100k keys: {s:.2}x");
-        if s < DURABLE_WAL_100K_GATE {
-            // Hard gate: the durability tax must stay a bandwidth tax.
-            // Dropping under 0.7x means an fsync or allocation snuck
-            // into the per-batch path.
-            eprintln!(
-                "bench_throughput: durable_wal_overhead_100k {s:.2}x below the \
-                 {DURABLE_WAL_100K_GATE}x acceptance bar"
-            );
-            std::process::exit(1);
+    #[test]
+    fn arguments_parse_or_are_rejected_before_any_measurement() {
+        let run = |quick, out: &str| Ok(Some((quick, out.to_string())));
+        assert_eq!(parse(&[]), run(false, "BENCH_throughput.json"));
+        assert_eq!(parse(&["--quick", "--out", "q.json"]), run(true, "q.json"));
+        assert_eq!(parse(&["--out", "x.json", "--quick"]), run(true, "x.json"));
+        assert_eq!(parse(&["--quick", "-h"]), Ok(None));
+        for bad in [
+            &["--quikc"][..],
+            &["--out"],
+            &["--out", "--quick"],
+            &["--quick", "extra"],
+            &["--threads", "4"],
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
     }
-
-    let server = run_server(&p);
-    table_header(
-        "end-to-end serving (loopback TCP server + load generator, seq-WR template)",
-        &[
-            "conns",
-            "keys",
-            "elems/s",
-            "p50 us",
-            "p99 us",
-            "busy",
-            "direct elems/s",
-        ],
-    );
-    for r in &server {
-        table_row(&[
-            r.connections.to_string(),
-            r.keys.to_string(),
-            format!("{:.0}", r.elems_per_sec),
-            r.p50_us.to_string(),
-            r.p99_us.to_string(),
-            r.busy.to_string(),
-            format!("{:.0}", r.direct_elems_per_sec),
-        ]);
-    }
-    if let Some(s) = server_e2e_100k_vs_direct(&server) {
-        println!(
-            "\nend-to-end server vs same-run direct ingest at 100k keys: {s:.2}x (best conns)"
-        );
-        if s < SERVER_E2E_100K_GATE {
-            // Hard gate: the serving tax must stay a framing/bandwidth
-            // tax. Dropping under 0.5x means the pipeline serialized —
-            // a per-batch sync round trip, queue thrash, or a blocking
-            // writer snuck into the hot path.
-            eprintln!(
-                "bench_throughput: server_e2e_100k_vs_direct {s:.2}x below the \
-                 {SERVER_E2E_100K_GATE}x acceptance bar"
-            );
-            std::process::exit(1);
-        }
-    }
-
-    let doc = to_json(&rows, &multi, &parallel, &durable, &server, quick);
-    if let Err(e) = json::validate(&doc) {
-        eprintln!("bench_throughput: emitted invalid JSON ({e}) — refusing to write");
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(&out_path, &doc) {
-        eprintln!("bench_throughput: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    // Re-read and re-validate: the committed artifact itself must parse.
-    match std::fs::read_to_string(&out_path) {
-        Ok(back) => {
-            if let Err(e) = json::validate(&back) {
-                eprintln!("bench_throughput: {out_path} does not re-parse ({e})");
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("bench_throughput: cannot re-read {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    println!("\nwrote {out_path} ({} rows, validated)", rows.len());
 }

@@ -1,12 +1,13 @@
-//! Dependency-free JSON emission and validation for the machine-readable
-//! benchmark artifacts (`BENCH_throughput.json`).
+//! Dependency-free JSON emission and parsing for the machine-readable
+//! benchmark artifact (`BENCH_throughput.json`).
 //!
 //! The workspace's dependency policy keeps the runtime surface to `rand`,
 //! so instead of serde this module provides the two things the perf
 //! trajectory needs: escaping/formatting helpers for *writing* JSON, and a
-//! small recursive-descent checker so the `bench_throughput` binary (and
-//! the CI smoke step behind it) can assert that what it wrote actually
-//! parses before committing it to the repo history.
+//! small recursive-descent [`parse`] into a [`Value`] tree. The parsed
+//! tree is the one input of [`crate::throughput::check`], so the
+//! `bench_throughput` binary (before it writes) and the committed-artifact
+//! test (after) read the document through the same code.
 
 /// Escape a string for embedding inside a JSON string literal.
 pub fn escape(s: &str) -> String {
@@ -43,167 +44,238 @@ pub fn number(x: f64) -> String {
     }
 }
 
-/// Validate that `s` is one complete JSON value (object, array, string,
-/// number, boolean, or null). Returns a position-tagged error otherwise.
-pub fn validate(s: &str) -> Result<(), String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
-    Ok(())
+/// A parsed JSON value. Objects keep their members in document order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool(bool),
+    /// Any JSON number.
+    Number(f64),
+    /// A string, escapes decoded.
+    String(String),
+    /// An array.
+    Array(Vec<Value>),
+    /// An object as `(key, value)` members in document order.
+    Object(Vec<(String, Value)>),
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+impl Value {
+    /// The first member named `key`, if this is an object that has one.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
     }
-}
 
-fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, "true"),
-        Some(b'f') => literal(b, pos, "false"),
-        Some(b'n') => literal(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => num(b, pos),
-        Some(c) => Err(format!("unexpected byte `{}` at {}", *c as char, *pos)),
-        None => Err("unexpected end of input".into()),
+    /// The number, if this is one.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Number(x) => Some(*x),
+            _ => None,
+        }
     }
-}
 
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if b.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {}", c as char, *pos))
-    }
-}
-
-fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(b, pos, b'{')?;
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        string(b, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
+    /// The string, if this is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::String(s) => Some(s),
+            _ => None,
         }
     }
 }
 
-fn array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(b, pos, b'[')?;
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
+/// Parse `s` as one complete JSON value (object, array, string, number,
+/// boolean, or null). Returns a position-tagged error otherwise.
+pub fn parse(s: &str) -> Result<Value, String> {
+    let mut p = Parser { s, pos: 0 };
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != s.len() {
+        return Err(format!("trailing content at byte {}", p.pos));
     }
-    loop {
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {}", *pos)),
-        }
-    }
+    Ok(v)
 }
 
-fn string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(b, pos, b'"')?;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            match b.get(*pos) {
-                                Some(h) if h.is_ascii_hexdigit() => *pos += 1,
-                                _ => return Err(format!("bad \\u escape at byte {}", *pos)),
-                            }
-                        }
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
+struct Parser<'a> {
+    s: &'a str,
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.s.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        if self.peek() == Some(c) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected `{}` at byte {}", c as char, self.pos))
+        }
+    }
+
+    fn value(&mut self) -> Result<Value, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => self.string().map(Value::String),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(c) if c.is_ascii_digit() || c == b'-' => self.num(),
+            Some(c) => Err(format!("unexpected byte `{}` at {}", c as char, self.pos)),
+            None => Err("unexpected end of input".into()),
+        }
+    }
+
+    fn object(&mut self) -> Result<Value, String> {
+        let member = |p: &mut Self| {
+            p.skip_ws();
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            Ok((key, p.value()?))
+        };
+        self.list(b'{', b'}', member).map(Value::Object)
+    }
+
+    fn array(&mut self) -> Result<Value, String> {
+        self.list(b'[', b']', Self::value).map(Value::Array)
+    }
+
+    /// `open item (, item)* close`, whitespace allowed between tokens.
+    fn list<T>(
+        &mut self,
+        open: u8,
+        close: u8,
+        item: impl Fn(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.expect(open)?;
+        self.skip_ws();
+        let mut items = Vec::new();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(items);
+        }
+        loop {
+            items.push(item(self)?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(c) if c == close => {
+                    self.pos += 1;
+                    return Ok(items);
+                }
+                _ => {
+                    let close = close as char;
+                    return Err(format!("expected `,` or `{close}` at byte {}", self.pos));
                 }
             }
-            c if c < 0x20 => return Err(format!("raw control byte in string at {}", *pos)),
-            _ => *pos += 1,
         }
     }
-    Err("unterminated string".into())
-}
 
-fn num(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |b: &[u8], pos: &mut usize| {
-        let s = *pos;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        let mut run = self.pos;
+        while let Some(c) = self.peek() {
+            match c {
+                b'"' => {
+                    out.push_str(&self.s[run..self.pos]);
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                b'\\' => {
+                    out.push_str(&self.s[run..self.pos]);
+                    self.pos += 1;
+                    let decoded = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'u') => {
+                            let hex = self.s.get(self.pos + 1..self.pos + 5);
+                            let code = hex
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+                            self.pos += 4;
+                            // Lone surrogates have no `char`; the artifact
+                            // only ever escapes control characters.
+                            char::from_u32(code).unwrap_or(char::REPLACEMENT_CHARACTER)
+                        }
+                        _ => return Err(format!("bad escape at byte {}", self.pos)),
+                    };
+                    out.push(decoded);
+                    self.pos += 1;
+                    run = self.pos;
+                }
+                c if c < 0x20 => return Err(format!("raw control byte in string at {}", self.pos)),
+                _ => self.pos += 1,
+            }
         }
-        *pos > s
-    };
-    if !digits(b, pos) {
-        return Err(format!("bad number at byte {start}"));
+        Err("unterminated string".into())
     }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !digits(b, pos) {
-            return Err(format!("bad fraction at byte {}", *pos));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !digits(b, pos) {
-            return Err(format!("bad exponent at byte {}", *pos));
-        }
-    }
-    Ok(())
-}
 
-fn literal(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos > start
+    }
+
+    fn num(&mut self) -> Result<Value, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        if !self.digits() {
+            return Err(format!("bad number at byte {start}"));
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if !self.digits() {
+                return Err(format!("bad fraction at byte {}", self.pos));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !self.digits() {
+                return Err(format!("bad exponent at byte {}", self.pos));
+            }
+        }
+        self.s[start..self.pos]
+            .parse()
+            .map(Value::Number)
+            .map_err(|e| format!("bad number at byte {start}: {e}"))
+    }
+
+    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
+        if self.s[self.pos..].starts_with(lit) {
+            self.pos += lit.len();
+            Ok(v)
+        } else {
+            Err(format!("bad literal at byte {}", self.pos))
+        }
     }
 }
 
@@ -221,7 +293,7 @@ mod tests {
             r#"{"a": [1, 2.5, "x\"y", true, null], "b": {"c": -3e-2}}"#,
             "  { \"k\" : \"v\" }\n",
         ] {
-            assert!(validate(doc).is_ok(), "rejected valid doc: {doc}");
+            assert!(parse(doc).is_ok(), "rejected valid doc: {doc}");
         }
     }
 
@@ -239,15 +311,16 @@ mod tests {
             "{\"a\":1,}",
             "nul",
         ] {
-            assert!(validate(doc).is_err(), "accepted invalid doc: {doc}");
+            assert!(parse(doc).is_err(), "accepted invalid doc: {doc}");
         }
     }
 
     #[test]
-    fn escape_round_trips_through_validate() {
-        let nasty = "quote\" backslash\\ newline\n tab\t bell\u{7}";
+    fn escape_round_trips_through_parse() {
+        let nasty = "quote\" backslash\\ newline\n tab\t bell\u{7} ünïcode";
         let doc = format!("{{\"k\":\"{}\"}}", escape(nasty));
-        assert!(validate(&doc).is_ok(), "{doc}");
+        let v = parse(&doc).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        assert_eq!(v.get("k").and_then(Value::as_str), Some(nasty));
     }
 
     #[test]
@@ -257,7 +330,7 @@ mod tests {
         assert_eq!(number(f64::NAN), "0");
         assert_eq!(number(f64::INFINITY), "0");
         for x in [0.0, -2.25, 1234567.875, 1e-6] {
-            assert!(validate(&number(x)).is_ok());
+            assert_eq!(parse(&number(x)), Ok(Value::Number(x)));
         }
     }
 }

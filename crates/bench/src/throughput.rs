@@ -22,7 +22,7 @@ use swsample_core::ts::{TsSamplerWor, TsSamplerWr};
 use swsample_core::WindowSampler;
 use swsample_stream::WindowSpec;
 
-use crate::json;
+use crate::json::{self, Value};
 
 /// One measured configuration.
 #[derive(Debug, Clone)]
@@ -204,6 +204,9 @@ pub struct Params {
     /// Concurrent-connection counts for the end-to-end server section.
     pub server_connections: Vec<usize>,
 }
+
+/// Schema tag [`to_json`] writes and the `schema` gate requires.
+const SCHEMA: &str = "swsample-bench-throughput/v7";
 
 /// Hard acceptance bar for [`durable_wal_overhead_100k`]: ingesting
 /// through the write-ahead log at 100k keys must retain at least this
@@ -836,7 +839,7 @@ pub fn to_json(
     let m = machine();
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"swsample-bench-throughput/v7\",\n");
+    out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
     out.push_str(&format!("  \"quick\": {quick},\n"));
     // Host descriptor: throughput figures are only a trajectory on the
     // same machine; the block makes cross-host artifacts self-describing.
@@ -846,57 +849,24 @@ pub fn to_json(
         json::escape(&m.model)
     ));
     // The acceptance-tracked ratios, surfaced at top level so trajectory
-    // diffs catch regressions without re-deriving them from the rows.
-    if let Some(s) = speedup(rows, "seq_wr_skip", "seq_wr_naive", 64, 100_000) {
-        out.push_str(&format!(
-            "  \"seq_wr_speedup_k64_n100000\": {},\n",
-            json::number(s)
-        ));
-    }
-    // Fused TsEngineBank vs the retained per-engine construction, at the
-    // acceptance configuration (k = 64, n = 10^5).
-    if let Some(s) = speedup(rows, "ts_wr", "ts_wr_indep", 64, 100_000) {
-        out.push_str(&format!("  \"ts_wr_speedup_k64\": {},\n", json::number(s)));
-    }
-    if let Some(s) = speedup(rows, "ts_wor", "ts_wor_indep", 64, 100_000) {
-        out.push_str(&format!("  \"ts_wor_speedup_k64\": {},\n", json::number(s)));
-    }
-    // Work-stealing scheduler headlines: the overhead ratios (8 threads
-    // over serial — armed on any host) and the efficiency ratio (4
-    // threads over serial — armed when machine.cores > 1).
-    if let Some(s) = parallel_t8_overhead(parallel, 1_000) {
-        out.push_str(&format!(
-            "  \"parallel_t8_overhead_1k\": {},\n",
-            json::number(s)
-        ));
-    }
-    if let Some(s) = parallel_t8_overhead(parallel, 100_000) {
-        out.push_str(&format!(
-            "  \"parallel_t8_overhead_100k\": {},\n",
-            json::number(s)
-        ));
-    }
-    if let Some(s) = parallel_t4_efficiency_100k(parallel) {
-        out.push_str(&format!(
-            "  \"parallel_t4_efficiency_100k\": {},\n",
-            json::number(s)
-        ));
-    }
-    // Durability tax at 100k keys (WAL-on / WAL-off ingest ratio) — the
-    // PR-7 gated headline.
-    if let Some(s) = durable_wal_overhead_100k(durable) {
-        out.push_str(&format!(
-            "  \"durable_wal_overhead_100k\": {},\n",
-            json::number(s)
-        ));
-    }
-    // Serving tax at 100k keys (best e2e / same-run direct ingest) —
-    // the PR-8 gated headline.
-    if let Some(s) = server_e2e_100k_vs_direct(server) {
-        out.push_str(&format!(
-            "  \"server_e2e_100k_vs_direct\": {},\n",
-            json::number(s)
-        ));
+    // diffs catch regressions without re-deriving them from the rows;
+    // each is absent when the sweep lacks its rows (the quick shape).
+    #[rustfmt::skip]
+    let headlines = [
+        ("seq_wr_speedup_k64_n100000", speedup(rows, "seq_wr_skip", "seq_wr_naive", 64, 100_000)),
+        // Fused TsEngineBank vs the retained per-engine construction.
+        ("ts_wr_speedup_k64", speedup(rows, "ts_wr", "ts_wr_indep", 64, 100_000)),
+        ("ts_wor_speedup_k64", speedup(rows, "ts_wor", "ts_wor_indep", 64, 100_000)),
+        ("parallel_t8_overhead_1k", parallel_t8_overhead(parallel, 1_000)),
+        ("parallel_t8_overhead_100k", parallel_t8_overhead(parallel, 100_000)),
+        ("parallel_t4_efficiency_100k", parallel_t4_efficiency_100k(parallel)),
+        ("durable_wal_overhead_100k", durable_wal_overhead_100k(durable)),
+        ("server_e2e_100k_vs_direct", server_e2e_100k_vs_direct(server)),
+    ];
+    for (name, ratio) in headlines {
+        if let Some(s) = ratio {
+            out.push_str(&format!("  \"{name}\": {},\n", json::number(s)));
+        }
     }
     out.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -1002,6 +972,261 @@ pub fn to_json(
     out
 }
 
+/// What a gate reports on a document: `Ok(None)` when it does not
+/// apply, else the measured value (`Ok`) or the offending one (`Err`).
+type Verdict = Result<Option<String>, String>;
+
+/// A row check: `Ok(false)` when the row is not one the gate covers.
+type RowCheck = fn(doc: &Value, row: &Value) -> Result<bool, String>;
+
+/// How a gate judges the document; `bar` strings are printed as is.
+enum Rule {
+    /// The top-level headline named like the gate is ≥ the bar: required
+    /// in a full document, checked when present in a quick one.
+    AtLeast(f64),
+    /// As `AtLeast`, armed only when the document's `machine.cores > 1`:
+    /// a single-core host cannot exhibit parallel speedup.
+    AtLeastOnMultiCore(f64),
+    /// Each named section is non-empty and every row of it passes; at
+    /// least one row is covered.
+    Rows(&'static str, &'static [&'static str], RowCheck),
+    /// The distinct values of a section's key equal the [`params`] sweep
+    /// of the document's shape.
+    Sweep(&'static str, &'static str, fn(&Params) -> &[usize]),
+    /// Any other document invariant.
+    Doc(&'static str, fn(&Value, bool) -> Verdict),
+}
+use Rule::{AtLeast, AtLeastOnMultiCore, Doc, Rows, Sweep};
+
+/// One acceptance bar: its name (for the headline rules, also the
+/// top-level field it reads) and its rule.
+struct Gate(&'static str, Rule);
+
+/// The document's row sections, in order.
+pub const SECTIONS: &[&str] = &["results", "multi_stream", "parallel", "durable", "server"];
+
+/// Every acceptance bar on `BENCH_throughput.json`, each defined once.
+/// The two speedups over per-arrival references are at k = 64, n = 10^5.
+#[rustfmt::skip]
+const GATES: &[Gate] = &[
+    Gate("schema", Doc("equals the current schema tag", schema_tag)),
+    Gate("machine.cores", Doc(">= 1", cores_recorded)),
+    Gate("seq_wr_speedup_k64_n100000", AtLeast(5.0)),
+    Gate("ts_wr_speedup_k64", AtLeast(10.0)),
+    Gate("ts_wor_speedup_k64", AtLeast(10.0)),
+    Gate("parallel_t8_overhead_1k", AtLeast(PARALLEL_T8_OVERHEAD_GATE)),
+    Gate("parallel_t8_overhead_100k", AtLeast(PARALLEL_T8_OVERHEAD_GATE)),
+    Gate("parallel_t4_efficiency_100k", AtLeastOnMultiCore(PARALLEL_T4_EFFICIENCY_GATE)),
+    Gate("durable_wal_overhead_100k", AtLeast(DURABLE_WAL_100K_GATE)),
+    Gate("server_e2e_100k_vs_direct", AtLeast(SERVER_E2E_100K_GATE)),
+    Gate("fused_ts_draws", Rows("ts_wr/ts_wor draws_per_element <= k/32 + 1", &["results"], fused_ts_draws)),
+    Gate("priority_topk_vs_priority", Doc("priority_topk >= priority elems/s at k = 64", priority_topk)),
+    Gate("row_rates", Rows("every section non-empty, every *elems_per_sec > 0", SECTIONS, rates_positive)),
+    Gate("parallel_rows", Rows("cores == machine.cores, imbalance >= 1, units == steals == 0 at t = 1, \
+                                0 < units and steals <= units at t > 1", &["parallel"], parallel_counters)),
+    Gate("parallel_sweep", Sweep("parallel", "threads", |p| &p.multi_threads)),
+    Gate("durable_modes", Doc("[wal-off, wal-on, wal-snap] per key domain", durable_modes)),
+    Gate("durable_recovery", Rows("recovery_seconds > 0 unless wal-off", &["durable"], durable_recovery)),
+    Gate("server_latency", Rows("p99_us >= p50_us", &["server"], server_latency)),
+    Gate("server_sweep", Sweep("server", "connections", |p| &p.server_connections)),
+];
+
+impl Gate {
+    fn bar(&self) -> String {
+        match self.1 {
+            AtLeast(bar) => format!(">= {bar}"),
+            AtLeastOnMultiCore(bar) => format!(">= {bar} when machine.cores > 1"),
+            Sweep(_, key, _) => format!("{key} == the params sweep"),
+            Rows(bar, ..) | Doc(bar, _) => bar.into(),
+        }
+    }
+
+    fn eval(&self, doc: &Value, quick: bool) -> Verdict {
+        let headline = |bar: f64| match doc.get(self.0).map(Value::as_f64) {
+            None if quick => Ok(None),
+            Some(Some(x)) if x >= bar => Ok(Some(json::number(x))),
+            other => Err(other.flatten().map_or("missing".into(), json::number)),
+        };
+        match self.1 {
+            AtLeast(bar) => headline(bar),
+            AtLeastOnMultiCore(bar) if cores(doc).is_some_and(|c| c > 1.0) => headline(bar),
+            AtLeastOnMultiCore(_) => Ok(None),
+            Rows(_, sections, test) => {
+                let mut covered = 0;
+                for &name in sections {
+                    let rows = section(doc, name);
+                    ensure(!rows.is_empty(), format!("no {name} rows"))?;
+                    for (i, row) in rows.iter().enumerate() {
+                        covered +=
+                            test(doc, row).map_err(|e| format!("{name}[{i}]: {e}"))? as usize;
+                    }
+                }
+                ensure(covered > 0, "no covered rows".into())?;
+                Ok(Some(format!("{covered} rows")))
+            }
+            Sweep(name, key, want) => {
+                // A row without the key reads as NaN, which matches no sweep.
+                let rows = section(doc, name).iter();
+                let mut seen: Vec<f64> = rows.map(|r| num(r, key).unwrap_or(f64::NAN)).collect();
+                seen.sort_by(f64::total_cmp);
+                seen.dedup();
+                let want: Vec<f64> = want(&params(quick)).iter().map(|&x| x as f64).collect();
+                ensure(seen == want, format!("{key} {seen:?}, expected {want:?}"))?;
+                Ok(Some(format!("{key} {seen:?}")))
+            }
+            Doc(_, eval) => eval(doc, quick),
+        }
+    }
+}
+
+/// Apply every acceptance gate to a parsed `BENCH_throughput.json`. A
+/// pure function of the document: sweep shapes come from [`params`] of
+/// its `quick` flag (absent reads as a full run, the strictest), and the
+/// multi-core arming from its `machine.cores`, never from the host.
+///
+/// `Ok` holds one report line per applicable gate; `Err` one line per
+/// failed gate, each naming the gate, the offending value and the bar.
+pub fn check(doc: &Value) -> Result<Vec<String>, Vec<String>> {
+    let quick = doc.get("quick") == Some(&Value::Bool(true));
+    let (mut report, mut failures) = (Vec::new(), Vec::new());
+    for gate in GATES {
+        match gate.eval(doc, quick) {
+            Ok(None) => {}
+            Ok(Some(v)) => report.push(format!("gate {}: {v} (bar {})", gate.0, gate.bar())),
+            Err(v) => failures.push(format!("gate {} failed: {v} (bar {})", gate.0, gate.bar())),
+        }
+    }
+    failures.is_empty().then_some(report).ok_or(failures)
+}
+
+/// `Ok(true)` when `ok`, else `Err(offending)`.
+fn ensure(ok: bool, offending: String) -> Result<bool, String> {
+    if ok {
+        Ok(true)
+    } else {
+        Err(offending)
+    }
+}
+
+fn num(v: &Value, key: &str) -> Option<f64> {
+    v.get(key).and_then(Value::as_f64)
+}
+
+fn text<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
+    v.get(key).and_then(Value::as_str)
+}
+
+fn field(row: &Value, key: &str) -> Result<f64, String> {
+    num(row, key).ok_or_else(|| format!("{key} missing"))
+}
+
+fn cores(doc: &Value) -> Option<f64> {
+    doc.get("machine").and_then(|m| num(m, "cores"))
+}
+
+/// The rows of section `name` (none when it is absent).
+pub fn section<'a>(doc: &'a Value, name: &str) -> &'a [Value] {
+    match doc.get(name) {
+        Some(Value::Array(rows)) => rows,
+        _ => &[],
+    }
+}
+
+fn schema_tag(doc: &Value, _: bool) -> Verdict {
+    let tag = text(doc, "schema");
+    ensure(tag == Some(SCHEMA), format!("{tag:?}, expected {SCHEMA}"))?;
+    Ok(Some(SCHEMA.into()))
+}
+
+fn cores_recorded(doc: &Value, _: bool) -> Verdict {
+    let c = cores(doc);
+    ensure(c.is_some_and(|c| c >= 1.0), format!("{c:?}"))?;
+    Ok(c.map(|c| c.to_string()))
+}
+
+fn priority_topk(doc: &Value, quick: bool) -> Verdict {
+    let rate = |sampler: &str, n: u64| {
+        let id = (Some(sampler), Some(64.0), Some(n as f64));
+        let at = |r: &&Value| (text(r, "sampler"), num(r, "k"), num(r, "n")) == id;
+        let row = section(doc, "results").iter().find(at);
+        row.and_then(|r| num(r, "elems_per_sec"))
+    };
+    let mut ratios = Vec::new();
+    for n in params(quick).ns {
+        let (Some(topk), Some(full)) = (rate("priority_topk", n), rate("priority", n)) else {
+            ensure(quick, format!("k=64 n={n} rows missing"))?;
+            continue;
+        };
+        ensure(topk >= full, format!("n={n}: {topk} < {full} elems/s"))?;
+        ratios.push(format!("n={n}: {:.2}x", topk / full));
+    }
+    Ok((!ratios.is_empty()).then(|| ratios.join(", ")))
+}
+
+fn durable_modes(doc: &Value, _: bool) -> Verdict {
+    let rows = section(doc, "durable");
+    let mut domains: Vec<f64> = rows.iter().filter_map(|r| num(r, "keys")).collect();
+    domains.dedup();
+    ensure(!domains.is_empty(), "no durable rows".into())?;
+    for &keys in &domains {
+        let of_domain = rows.iter().filter(|r| num(r, "keys") == Some(keys));
+        let modes: Vec<&str> = of_domain.filter_map(|r| text(r, "mode")).collect();
+        ensure(
+            modes == ["wal-off", "wal-on", "wal-snap"],
+            format!("keys={keys}: {modes:?}"),
+        )?;
+    }
+    Ok(Some(format!("{} key domains", domains.len())))
+}
+
+fn fused_ts_draws(_: &Value, r: &Value) -> Result<bool, String> {
+    if !matches!(text(r, "sampler"), Some("ts_wr" | "ts_wor")) {
+        return Ok(false);
+    }
+    let (k, dpe) = (field(r, "k")?, field(r, "draws_per_element")?);
+    ensure(
+        dpe <= k / 32.0 + 1.0,
+        format!("k={k}: draws_per_element {dpe}"),
+    )
+}
+
+fn rates_positive(_: &Value, r: &Value) -> Result<bool, String> {
+    field(r, "elems_per_sec")?;
+    if let Value::Object(members) = r {
+        for (k, v) in members.iter().filter(|(k, _)| k.ends_with("elems_per_sec")) {
+            ensure(v.as_f64().is_some_and(|x| x > 0.0), format!("{k} {v:?}"))?;
+        }
+    }
+    Ok(true)
+}
+
+fn parallel_counters(doc: &Value, r: &Value) -> Result<bool, String> {
+    let [c, imbalance, t, units, steals] = ["cores", "imbalance", "threads", "units", "steals"]
+        .map(|key| num(r, key).unwrap_or(f64::NAN));
+    let counters = if t == 1.0 {
+        units == 0.0 && steals == 0.0
+    } else {
+        units > 0.0 && steals <= units
+    };
+    ensure(
+        Some(c) == cores(doc) && imbalance >= 1.0 && counters,
+        format!("cores {c}, imbalance {imbalance}, threads {t}, units {units}, steals {steals}"),
+    )
+}
+
+fn durable_recovery(_: &Value, r: &Value) -> Result<bool, String> {
+    if text(r, "mode") == Some("wal-off") {
+        return Ok(false);
+    }
+    let s = field(r, "recovery_seconds")?;
+    ensure(s > 0.0, format!("recovery_seconds {s}"))
+}
+
+fn server_latency(_: &Value, r: &Value) -> Result<bool, String> {
+    let (p50, p99) = (field(r, "p50_us")?, field(r, "p99_us")?);
+    ensure(p99 >= p50, format!("p99_us {p99} < p50_us {p50}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1025,91 +1250,47 @@ mod tests {
     }
 
     #[test]
-    fn suite_runs_and_emits_valid_json() {
-        let rows = run_with(&micro_params());
+    fn micro_suite_round_trips_and_passes_as_quick() {
+        let p = micro_params();
+        let rows = run_with(&p);
         assert_eq!(rows.len(), 14, "one row per sampler");
-        for r in &rows {
-            assert!(r.elems_per_sec > 0.0, "{}: zero throughput", r.sampler);
-        }
-        let multi = run_multi(&micro_params());
-        let parallel = run_parallel(&micro_params());
+        assert!(speedup(&rows, "seq_wr_skip", "seq_wr_naive", 2, 1024).is_some());
+        assert!(speedup(&rows, "seq_wr_skip", "seq_wr_naive", 99, 1024).is_none());
+        let (multi, parallel) = (run_multi(&p), run_parallel(&p));
         assert_eq!(parallel.len(), 2, "one row per (keys, threads)");
-        for r in &parallel {
-            assert!(
-                r.elems_per_sec > 0.0,
-                "threads={}: zero throughput",
-                r.threads
-            );
-            assert!(r.cores >= 1);
-            assert!(r.imbalance >= 1.0, "imbalance is max/mean, never < 1");
-            if r.threads == 1 {
-                // Inline serial path: the pool never runs.
-                assert_eq!((r.units, r.steals), (0, 0));
-            } else {
-                assert!(r.units > 0, "pooled rows must execute units");
-                assert!(r.steals <= r.units);
+        let (durable, server) = (run_durable(&p), run_server(&p));
+        // Only the WAL modes have anything to recover (the gates check
+        // they do); wal-snap snapshots at the configured cadence.
+        assert_eq!(durable[0].recovery_seconds, 0.0);
+        assert_eq!(durable[2].snapshot_every, p.durable_snapshot_every);
+        assert_eq!(server.len(), 2, "one row per connection count");
+        assert!(server.iter().all(|r| r.elements == p.multi_elements));
+        let body = to_json(&rows, &multi, &parallel, &durable, &server, true);
+        let doc = json::parse(&body).expect("emitted JSON must parse");
+        let lens: Vec<usize> = SECTIONS.iter().map(|&n| section(&doc, n).len()).collect();
+        let want = [
+            rows.len(),
+            multi.len(),
+            parallel.len(),
+            durable.len(),
+            server.len(),
+        ];
+        assert_eq!(lens, want, "every row round-trips");
+        // The micro sweep matches the quick thread/connection sets, so a
+        // quick document of it passes every gate that applies...
+        check(&doc).unwrap_or_else(|f| panic!("micro suite fails: {f:#?}"));
+        // ...and, having no k = 64, 100k-key or 8-thread rows, it carries
+        // no headline. Claiming to be a full run fails on every one.
+        let mut full = doc.clone();
+        edit(&mut full, "", "quick", "false");
+        let failures = check(&full).expect_err("a full document needs its headlines");
+        for gate in GATES {
+            let headline = matches!(gate.1, AtLeast(_) | AtLeastOnMultiCore(_));
+            assert!(!headline || doc.get(gate.0).is_none(), "{} emitted", gate.0);
+            if let AtLeast(_) = gate.1 {
+                assert!(names(&failures, gate.0), "{}: {failures:#?}", gate.0);
             }
         }
-        let durable = run_durable(&micro_params());
-        let server = run_server(&micro_params());
-        assert_eq!(server.len(), 2, "one row per connection count");
-        for r in &server {
-            assert!(
-                r.elems_per_sec > 0.0 && r.direct_elems_per_sec > 0.0,
-                "conns={}: zero throughput",
-                r.connections
-            );
-            assert_eq!(r.elements, micro_params().multi_elements);
-        }
-        let doc = to_json(&rows, &multi, &parallel, &durable, &server, true);
-        json::validate(&doc).expect("emitted JSON must parse");
-        assert!(
-            doc.contains("\"multi_stream\"")
-                && doc.contains("\"parallel\"")
-                && doc.contains("\"durable\"")
-                && doc.contains("\"server\": ["),
-            "schema sections present"
-        );
-        assert!(
-            doc.contains("\"schema\": \"swsample-bench-throughput/v7\"")
-                && doc.contains("\"machine\": {\"cores\": "),
-            "schema v7 header with machine block"
-        );
-        assert!(
-            doc.contains("\"units\": ") && doc.contains("\"imbalance\": "),
-            "parallel rows carry scheduler counters"
-        );
-        // 64-key micro sweep has no 100k row and stops at 2 threads, so
-        // the gated fields stay out of the document rather than gating
-        // on noise.
-        assert!(durable_wal_overhead_100k(&durable).is_none());
-        assert!(server_e2e_100k_vs_direct(&server).is_none());
-        assert!(parallel_t8_overhead(&parallel, 64).is_none());
-        assert!(parallel_t4_efficiency_100k(&parallel).is_none());
-        assert!(!doc.contains("durable_wal_overhead_100k"));
-        assert!(!doc.contains("server_e2e_100k_vs_direct"));
-        assert!(!doc.contains("parallel_t8_overhead"));
-        assert!(!doc.contains("parallel_t4_efficiency"));
-    }
-
-    #[test]
-    fn durable_section_measures_all_modes_and_recovery() {
-        let durable = run_durable(&micro_params());
-        let modes: Vec<&str> = durable.iter().map(|r| r.mode).collect();
-        assert_eq!(modes, ["wal-off", "wal-on", "wal-snap"]);
-        for r in &durable {
-            assert!(r.elems_per_sec > 0.0, "{}: zero throughput", r.mode);
-        }
-        // Only the durable modes have anything to recover, and recovery
-        // of a real directory takes measurable time.
-        assert_eq!(durable[0].recovery_seconds, 0.0);
-        assert!(durable[1].recovery_seconds > 0.0);
-        assert!(durable[2].recovery_seconds > 0.0);
-        // wal-snap actually snapshotted mid-run.
-        assert_eq!(
-            durable[2].snapshot_every,
-            micro_params().durable_snapshot_every
-        );
     }
 
     #[test]
@@ -1154,34 +1335,109 @@ mod tests {
         assert!(draws("vitter_l") < draws("vitter_r"));
     }
 
+    fn committed() -> Value {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
+        let body = std::fs::read_to_string(path).expect("committed artifact");
+        json::parse(&body).expect("committed artifact parses")
+    }
+
+    /// Set member `key` to the JSON text `to` (remove it when `to` is
+    /// empty) in every object `selector` names: the top level when empty,
+    /// else one of its members, narrowed for a section to the rows whose
+    /// members match the `key=json` pairs that follow.
+    fn edit(doc: &mut Value, selector: &str, key: &str, to: &str) {
+        let mut words = selector.split_whitespace();
+        let targets: Vec<&mut Value> = match (words.next(), doc) {
+            (None, doc) => vec![doc],
+            (Some(name), Value::Object(members)) => {
+                let id: Vec<(&str, Value)> = words
+                    .map(|w| w.split_once('=').expect("key=json"))
+                    .map(|(k, v)| (k, json::parse(v).expect("selector value")))
+                    .collect();
+                match members.iter_mut().find(|(k, _)| k == name) {
+                    Some((_, Value::Array(rows))) => rows
+                        .iter_mut()
+                        .filter(|r| id.iter().all(|(k, v)| r.get(k) == Some(v)))
+                        .collect(),
+                    other => other.map(|(_, v)| v).into_iter().collect(),
+                }
+            }
+            _ => panic!("not an object"),
+        };
+        assert!(!targets.is_empty(), "`{selector}` matches nothing");
+        for target in targets {
+            let Value::Object(members) = target else {
+                panic!("`{selector}` is not an object")
+            };
+            members.retain(|(k, _)| k != key);
+            if !to.is_empty() {
+                members.push((key.into(), json::parse(to).expect("edit value")));
+            }
+        }
+    }
+
+    fn names(failures: &[String], gate: &str) -> bool {
+        let prefix = format!("gate {gate} failed: ");
+        failures.iter().any(|f| f.starts_with(&prefix))
+    }
+
+    /// Edits of the committed document, each pushing just one gate's
+    /// value past its bar (the headline gates are covered generically):
+    /// `(gate, selector, key, new value)` as taken by [`edit`].
+    #[rustfmt::skip]
+    const BREACHES: &[(&str, &str, &str, &str)] = &[
+        ("schema", "", "schema", "\"swsample-bench-throughput/v6\""),
+        ("machine.cores", "machine", "cores", "0"),
+        ("fused_ts_draws", "results sampler=\"ts_wor\" k=64", "draws_per_element", "3.01"),
+        ("priority_topk_vs_priority", "results sampler=\"priority_topk\" k=64 n=100000", "elems_per_sec", "1"),
+        ("row_rates", "results", "elems_per_sec", "0"),
+        ("row_rates", "", "multi_stream", "[]"),
+        ("parallel_rows", "parallel threads=2", "cores", "0"),
+        ("parallel_rows", "parallel threads=4", "imbalance", "0.99"),
+        ("parallel_rows", "parallel threads=2", "steals", "1e12"),
+        ("parallel_sweep", "parallel threads=8", "threads", "3"),
+        ("durable_modes", "durable mode=\"wal-on\"", "mode", "\"wal-snap\""),
+        ("durable_recovery", "durable mode=\"wal-snap\" keys=100000", "recovery_seconds", "0"),
+        ("server_latency", "server connections=8", "p99_us", "-1"),
+        ("server_sweep", "server connections=64", "connections", "32"),
+    ];
+
     #[test]
-    fn ts_bank_rows_meet_the_draw_bound() {
-        // The fused ts samplers must ingest in ≤ k/32 + 1 words per
-        // element (2k merge-coin bits per amortized merge), far below the
-        // independent construction's per-word coins of old; the
-        // independent rows now pack coins per engine and land low too,
-        // but the fused rows are the gated ones.
-        let p = micro_params();
-        let rows = run_with(&p);
-        for r in rows
-            .iter()
-            .filter(|r| r.sampler == "ts_wr" || r.sampler == "ts_wor")
-        {
-            let dpe = r.rng_draws as f64 / r.elements as f64;
-            let bound = r.k as f64 / 32.0 + 1.0;
+    fn committed_artifact_passes_and_each_gate_rejects_its_breach() {
+        let base = committed();
+        let report = check(&base).unwrap_or_else(|f| panic!("committed artifact fails: {f:#?}"));
+        assert_eq!(report.len(), GATES.len(), "every gate applies");
+        let breach = |gate: &str, selector: &str, key: &str, to: &str| {
+            let mut doc = base.clone();
+            edit(&mut doc, selector, key, to);
+            let failures = check(&doc).expect_err(gate);
             assert!(
-                dpe <= bound,
-                "{} k={}: {dpe} draws/element > {bound}",
-                r.sampler,
-                r.k
+                names(&failures, gate),
+                "{gate}: {selector} {key}: {failures:#?}"
             );
+        };
+        for &(gate, selector, key, to) in BREACHES {
+            breach(gate, selector, key, to);
+        }
+        for gate in GATES {
+            if let AtLeast(bar) | AtLeastOnMultiCore(bar) = gate.1 {
+                breach(gate.0, "", gate.0, &json::number(bar - 0.01));
+                breach(gate.0, "", gate.0, "");
+            } else {
+                let covered = BREACHES.iter().any(|b| b.0 == gate.0);
+                assert!(covered, "{} has no breach case", gate.0);
+            }
         }
     }
 
     #[test]
-    fn speedup_lookup() {
-        let rows = run_with(&micro_params());
-        assert!(speedup(&rows, "seq_wr_skip", "seq_wr_naive", 2, 1024).is_some());
-        assert!(speedup(&rows, "seq_wr_skip", "seq_wr_naive", 99, 1024).is_none());
+    fn single_core_document_disarms_the_efficiency_gate() {
+        let mut doc = committed();
+        edit(&mut doc, "machine", "cores", "1");
+        edit(&mut doc, "parallel", "cores", "1");
+        edit(&mut doc, "", "parallel_t4_efficiency_100k", "1.0");
+        let report = check(&doc).unwrap_or_else(|f| panic!("{f:#?}"));
+        let t4 = |l: &String| l.contains("parallel_t4_efficiency_100k");
+        assert!(!report.iter().any(t4), "disarmed on one core");
     }
 }

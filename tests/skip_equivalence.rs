@@ -204,26 +204,33 @@ fn window_buffer_batch_equals_single_exactly() {
     }
 }
 
-/// The committed perf baseline must parse and hold the ≥5× acceptance bar
-/// (seq-WR skip vs naive elems/sec at k = 64, n = 10⁵). Deterministic:
-/// this reads the checked-in artifact rather than re-timing anything —
-/// `bench_throughput` refuses to write a sub-5× file, and this test
-/// refuses to let one that was hand-edited (or gone stale through a
+/// The committed `BENCH_throughput.json` passes `throughput::check`, and
+/// each of `gates` is among the gates it applied.
+fn committed_gates_applied(gates: &[&str]) {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_throughput.json");
+    let body = std::fs::read_to_string(path).expect("BENCH_throughput.json is committed");
+    let doc = swsample_bench::json::parse(&body).expect("committed artifact parses");
+    let report = swsample_bench::throughput::check(&doc)
+        .unwrap_or_else(|failures| panic!("committed artifact fails its gates: {failures:#?}"));
+    for gate in gates {
+        let prefix = format!("gate {gate}:");
+        assert!(
+            report.iter().any(|line| line.starts_with(&prefix)),
+            "gate {gate} not applied to the committed artifact: {report:#?}"
+        );
+    }
+}
+
+/// The committed perf baseline parses and holds the seq-WR skip vs naive
+/// acceptance bar (elems/sec at k = 64, n = 10⁵), the
+/// `seq_wr_speedup_k64_n100000` gate. Deterministic: this reads the
+/// checked-in artifact rather than re-timing anything —
+/// `bench_throughput` refuses to write a file that fails the gate, and
+/// this refuses to let one that was hand-edited (or gone stale through a
 /// schema change) slip past CI.
 #[test]
 fn committed_throughput_baseline_holds_acceptance_bar() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_throughput.json");
-    let body = std::fs::read_to_string(path).expect("BENCH_throughput.json is committed");
-    swsample_bench::json::validate(&body).expect("committed artifact parses");
-    let key = "\"seq_wr_speedup_k64_n100000\":";
-    let at = body.find(key).expect("speedup field present");
-    let rest = &body[at + key.len()..];
-    let end = rest.find([',', '\n', '}']).expect("number terminated");
-    let speedup: f64 = rest[..end].trim().parse().expect("numeric speedup");
-    assert!(
-        speedup >= 5.0,
-        "committed seq-WR skip speedup {speedup}x below the 5x acceptance bar"
-    );
+    committed_gates_applied(&["seq_wr_speedup_k64_n100000"]);
 }
 
 /// The headline draw bound: over many windows, the skip path consumes
