@@ -1,6 +1,7 @@
 //! Criterion bench for experiments E1/E2: per-element insert cost of the
 //! sequence-window samplers (Theorems 2.1 / 2.2) across window sizes and
-//! sample counts `k`, plus query cost.
+//! sample counts `k`, plus query cost, the seq-WR acceptance kernel
+//! (`record_skip`), and the first-touch cost of a fresh seq-WR fleet.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
@@ -8,7 +9,9 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Duration;
 use swsample_core::seq::{SeqSamplerWor, SeqSamplerWr};
+use swsample_core::skip::record_skip;
 use swsample_core::WindowSampler;
+use swsample_stream::{MultiStreamEngine, ValueGen, ZipfGen};
 
 fn bench_insert(c: &mut Criterion) {
     let mut group = c.benchmark_group("seq_insert");
@@ -65,6 +68,50 @@ fn bench_query(c: &mut Criterion) {
     group.finish();
 }
 
+/// One acceptance's gap draw at the fleet's window (`n = 1000`), from a
+/// fresh bucket (`m = 1`), early in it (`m = 8`) and past its middle
+/// (`m = 512`, where half the draws end the bucket).
+fn bench_record_skip(c: &mut Criterion) {
+    let mut group = c.benchmark_group("record_skip");
+    for &m in &[1u64, 8, 512] {
+        group.bench_with_input(BenchmarkId::new("cap1000", format!("m{m}")), &m, |b, &m| {
+            let mut rng = SmallRng::seed_from_u64(5);
+            b.iter(|| record_skip(&mut rng, black_box(m), 1000));
+        });
+    }
+    group.finish();
+}
+
+/// A fresh 100k-key zipf fleet of seq-WR `k = 16`, `n = 1000` samplers
+/// through `MultiStreamEngine::ingest`: most keys are touched a handful
+/// of times, so this is dominated by opening each key's first bucket —
+/// the allocation and the `k` acceptances every new key pays.
+fn bench_fleet_first_touch(c: &mut Criterion) {
+    let events = {
+        let mut rng = SmallRng::seed_from_u64(6);
+        let mut zipf = ZipfGen::new(100_000, 1.1);
+        (0..200_000u64)
+            .map(|i| (zipf.next_value(&mut rng), i / 64, i))
+            .collect::<Vec<(u64, u64, u64)>>()
+    };
+    let mut group = c.benchmark_group("fleet_first_touch");
+    group.throughput(Throughput::Elements(events.len() as u64));
+    group.sample_size(10);
+    group.bench_function("seq_wr_k16_100k_keys", |b| {
+        b.iter(|| {
+            let mut engine: MultiStreamEngine<u64, u64> = MultiStreamEngine::new(
+                "--window seq --n 1000 --mode wr --k 16 --seed 7"
+                    .parse()
+                    .expect("template parses"),
+            )
+            .expect("engine builds");
+            engine.ingest(&events);
+            engine.num_keys()
+        });
+    });
+    group.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -75,6 +122,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_insert, bench_query
+    targets = bench_insert, bench_query, bench_record_skip, bench_fleet_first_touch
 }
 criterion_main!(benches);

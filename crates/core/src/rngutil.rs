@@ -7,14 +7,18 @@
 //! 128-bit integer comparisons instead.
 //!
 //! [`BitSource`] is the fair-coin companion: hot paths that consume single
-//! random *bits* (the `Incr` merge coins of the covering decomposition, the
-//! octave search of [`crate::skip::record_skip`]) would otherwise burn a
-//! full 64-bit RNG word per coin. A `BitSource` buffers one `next_u64` and
+//! random *bits* (the `Incr` merge coins of the covering decomposition,
+//! chain sampling's octave coins through
+//! [`crate::skip::record_skip_with_bits`]) would otherwise burn a full
+//! 64-bit RNG word per coin. A `BitSource` buffers one `next_u64` and
 //! hands out its 64 bits one at a time — each bit is an exactly-fair,
 //! mutually independent coin, so the consuming distribution is unchanged
 //! while the draw count drops by up to 64×. This is what lets the fused
 //! [`crate::ts::TsEngineBank`] service all `k` lanes' merge coins from
-//! `O(k/64)` words per arrival.
+//! `O(k/64)` words per arrival. The seq-WR skip path's
+//! [`crate::skip::record_skip`] needs no buffer: its whole octave search
+//! reads one word's bits at once, and `record_skip_with_bits` with a
+//! fresh `BitSource` is its coin-by-coin reference.
 
 use rand::{Rng, RngCore};
 

@@ -8,25 +8,6 @@ use crate::track::{NullTracker, SampleTracker};
 use crate::traits::WindowSampler;
 use rand::Rng;
 
-/// One independent single-sample instance: the reservoir candidate of the
-/// partial bucket plus the retained sample of the last complete bucket.
-#[derive(Debug, Clone)]
-struct Instance<T, S> {
-    /// Sample of the most recent complete bucket (the paper's `X_U`).
-    prev: Option<(Sample<T>, S)>,
-    /// Reservoir candidate of the partial bucket (the paper's `X_V`).
-    cur: Option<(Sample<T>, S)>,
-}
-
-impl<T, S> Instance<T, S> {
-    fn new() -> Self {
-        Self {
-            prev: None,
-            cur: None,
-        }
-    }
-}
-
 /// `k` independent uniform samples, *with replacement*, over the last `n`
 /// arrivals — Theorem 2.1, `O(k)` memory words, deterministic.
 ///
@@ -43,11 +24,20 @@ impl<T, S> Instance<T, S> {
 /// [`crate::skip::record_skip`]). Arrivals below the cached minimum of
 /// those indices cost two comparisons and *zero* RNG draws; only the
 /// `H(n) = Θ(log n)` accepted arrivals per instance per bucket do real
-/// work, for amortized `O(k log(n)/n)` draws per element. The skip path is
+/// work, for amortized `O(k log(n)/n)` draws per element. An accepted
+/// arrival is one pass over the lanes: write, redraw in instance order,
+/// and recompute the cached minimum. The skip path is
 /// distribution-identical to the per-arrival path, which remains available
 /// via [`SeqSamplerWr::naive`] (benchmark baseline + equivalence tests)
 /// and is used automatically whenever the tracker must observe every
 /// arrival (`K::TRACKS`).
+///
+/// The lanes are two parallel arrays: `cur` (partial bucket, the paper's
+/// `X_V`) and `prev` (last complete bucket, `X_U`). `prev` stays
+/// unallocated until the first rotation, so a key that never sees `n`
+/// arrivals pays for one array of samples, not two; rotation swaps the
+/// arrays and clears the new `cur`. The §1.4 word accounting counts held
+/// samples and is the same either way.
 ///
 /// ```
 /// use swsample_core::seq::SeqSamplerWr;
@@ -64,12 +54,13 @@ impl<T, S> Instance<T, S> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SeqSamplerWr<T, R, K: SampleTracker<T> = NullTracker> {
-    // Declaration order groups the skip fast path's fields
-    // (`n`/`count`/`min_next`/`next_rotate`/`naive`) ahead of the cold
-    // ones so the common non-accept insert in a 10⁵-key fleet *tends* to
-    // stay within the box's first cache line. `repr(Rust)` does not
-    // guarantee layout follows declaration — this is a nudge the
-    // compiler is free to ignore, not a pinned layout.
+    // Declaration order puts the fields every arrival reads
+    // (`n`/`count`/`min_next`/`next_rotate`/`naive`) ahead of the lane
+    // arrays, which only acceptances and rotations touch, so the common
+    // non-accept insert in a 10⁵-key fleet *tends* to stay within the
+    // box's first cache line. `repr(Rust)` does not guarantee layout
+    // follows declaration — this is a nudge the compiler is free to
+    // ignore, not a pinned layout.
     n: u64,
     /// Total arrivals so far (`N` in the paper).
     count: u64,
@@ -87,7 +78,12 @@ pub struct SeqSamplerWr<T, R, K: SampleTracker<T> = NullTracker> {
     naive: bool,
     rng: R,
     tracker: K,
-    instances: Vec<Instance<T, K::Stat>>,
+    /// Per instance: reservoir candidate of the partial bucket (the
+    /// paper's `X_V`). Always `k` long.
+    cur: Vec<Option<(Sample<T>, K::Stat)>>,
+    /// Per instance: sample of the most recent complete bucket (the
+    /// paper's `X_U`). Empty until the first rotation, `k` long after.
+    prev: Vec<Option<(Sample<T>, K::Stat)>>,
     /// Absolute stream index at which each instance next accepts
     /// (`u64::MAX` = no further acceptance in the current bucket).
     next_accept: Vec<u64>,
@@ -127,7 +123,8 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
             count: 0,
             rng,
             tracker,
-            instances: (0..k).map(|_| Instance::new()).collect(),
+            cur: (0..k).map(|_| None).collect(),
+            prev: Vec::new(),
             // Index 0 opens the first bucket: every instance accepts it
             // with probability 1.
             next_accept: vec![0; k],
@@ -188,18 +185,18 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
         // Position inside the partial bucket; the arriving element is the
         // (pos+1)-th element of that bucket.
         let pos = idx % self.n;
-        for inst in &mut self.instances {
+        for (i, cur) in self.cur.iter_mut().enumerate() {
             // Reservoir step: adopt with probability 1/(pos+1).
             if self.rng.gen_range(0..=pos) == 0 {
                 self.accepts += 1;
                 let stat = self.tracker.fresh(&value, idx);
-                inst.cur = Some((Sample::new(value.clone(), idx, idx), stat));
-            } else if let Some((_, stat)) = inst.cur.as_mut() {
+                *cur = Some((Sample::new(value.clone(), idx, idx), stat));
+            } else if let Some((_, stat)) = cur.as_mut() {
                 self.tracker.observe(stat, &value);
             }
             // The complete bucket's retained sample keeps observing the
             // suffix (its suffix statistic spans into the partial bucket).
-            if let Some((_, stat)) = inst.prev.as_mut() {
+            if let Some(Some((_, stat))) = self.prev.get_mut(i) {
                 self.tracker.observe(stat, &value);
             }
         }
@@ -213,53 +210,48 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
     /// The partial bucket just completed; it becomes bucket U and the old
     /// U is now fully expired. Re-arms the skip state: the next bucket's
     /// first arrival is accepted by every instance with probability 1.
+    /// The first rotation is where `prev`'s array gets allocated.
     fn rotate_buckets(&mut self) {
-        for inst in &mut self.instances {
-            inst.prev = inst.cur.take();
-        }
+        std::mem::swap(&mut self.prev, &mut self.cur);
+        self.cur.clear();
+        self.cur.resize_with(self.prev.len(), || None);
         if !self.naive {
-            for na in &mut self.next_accept {
-                *na = self.count;
-            }
+            self.next_accept.fill(self.count);
             self.min_next = self.count;
         }
     }
 
     /// Skip-path acceptance: adopt `value` into every instance whose
-    /// next-acceptance index is `idx`, then redraw their gaps. The value
-    /// is moved into the final acceptor, so an arrival accepted by `j`
-    /// instances costs `j − 1` clones (zero in the common `j = 1` case).
+    /// next-acceptance index is `idx`, then redraw their gaps, in one pass
+    /// that also recomputes `min_next`. The value is moved into the last
+    /// acceptor, so an arrival accepted by `j` instances costs `j − 1`
+    /// clones (zero in the common `j = 1` case).
     fn accept_at(&mut self, idx: u64, value: T) {
-        let pos = idx % self.n;
-        let bucket_start = idx - pos;
-        let accepting = self.next_accept.iter().filter(|&&na| na == idx).count();
-        debug_assert!(accepting >= 1, "accept_at called with no acceptor");
-        self.accepts += accepting as u64;
+        let bucket_start = self.next_rotate - self.n;
+        let pos = idx - bucket_start;
+        let last = self.next_accept.iter().rposition(|&na| na == idx);
+        debug_assert!(last.is_some(), "accept_at called with no acceptor");
+        let Some(last) = last else { return };
         let mut value = Some(value);
-        let mut remaining = accepting;
-        for i in 0..self.instances.len() {
-            if self.next_accept[i] != idx {
-                continue;
+        let mut min_next = u64::MAX;
+        for i in 0..self.cur.len() {
+            if self.next_accept[i] == idx {
+                self.accepts += 1;
+                let v = if i == last {
+                    value.take().expect("value present for the last acceptor")
+                } else {
+                    value.as_ref().expect("value present").clone()
+                };
+                let stat = self.tracker.fresh(&v, idx);
+                self.cur[i] = Some((Sample::new(v, idx, idx), stat));
+                self.next_accept[i] = match record_skip(&mut self.rng, pos + 1, self.n) {
+                    Some(c) => bucket_start + c - 1,
+                    None => u64::MAX, // instance is done until the next bucket
+                };
             }
-            remaining -= 1;
-            let v = if remaining == 0 {
-                value.take().expect("value present for the final acceptor")
-            } else {
-                value.as_ref().expect("value present").clone()
-            };
-            let stat = self.tracker.fresh(&v, idx);
-            self.instances[i].cur = Some((Sample::new(v, idx, idx), stat));
-            self.next_accept[i] = match record_skip(&mut self.rng, pos + 1, self.n) {
-                Some(c) => bucket_start + c - 1,
-                None => u64::MAX, // instance is done until the next bucket
-            };
+            min_next = min_next.min(self.next_accept[i]);
         }
-        self.min_next = self
-            .next_accept
-            .iter()
-            .copied()
-            .min()
-            .expect("at least one instance");
+        self.min_next = min_next;
     }
 
     /// Draw the `k` samples together with their tracker statistics.
@@ -271,28 +263,81 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
         let within_first_bucket = self.count < self.n;
         let aligned = self.count.is_multiple_of(self.n);
         let picks = self
-            .instances
+            .cur
             .iter()
-            .map(|inst| {
+            .enumerate()
+            .map(|(i, cur)| {
+                let partial = || cur.as_ref().expect("partial bucket nonempty");
                 if within_first_bucket {
                     // Window = everything so far = the partial bucket.
-                    inst.cur.as_ref().expect("partial bucket nonempty")
-                } else if aligned {
-                    // Window coincides with the complete bucket U.
-                    inst.prev.as_ref().expect("complete bucket exists")
+                    return partial();
+                }
+                // Aligned, the window coincides with the complete bucket
+                // U; otherwise it straddles U and V: take X_U unless
+                // expired.
+                let prev = self.prev[i].as_ref().expect("complete bucket exists");
+                if aligned || prev.0.index() >= oldest_active {
+                    prev
                 } else {
-                    // Window straddles U and V: take X_U unless expired.
-                    let prev = inst.prev.as_ref().expect("complete bucket exists");
-                    if prev.0.index() >= oldest_active {
-                        prev
-                    } else {
-                        inst.cur.as_ref().expect("partial bucket nonempty")
-                    }
+                    partial()
                 }
             })
             .map(|(s, stat)| (s.clone(), stat.clone()))
             .collect();
         Some(picks)
+    }
+
+    /// Reject skip-path lanes no run of this sampler could reach: a lane
+    /// that can never accept again in its bucket, or a bucket missing its
+    /// sample, would later panic in [`sample_k_with_stats`] instead of
+    /// failing here with a typed error. At `count` (next rotation at
+    /// `next_rotate`) every lane must have
+    ///
+    /// - `next_accept` in `[count, next_rotate)`, or `u64::MAX` (done for
+    ///   this bucket) once the partial bucket holds an arrival — an empty
+    ///   partial bucket's first arrival is every lane's acceptance;
+    /// - `cur` exactly when the partial bucket is non-empty, and `prev`
+    ///   exactly when a complete bucket exists (`count ≥ n`);
+    /// - each sample's index inside its own bucket.
+    ///
+    /// [`sample_k_with_stats`]: Self::sample_k_with_stats
+    fn check_reachable(
+        &self,
+        count: u64,
+        next_rotate: u64,
+        lanes: &[SeqWrLaneState<T>],
+    ) -> Result<(), StateError> {
+        let start = next_rotate - self.n;
+        let partial = count > start;
+        let complete = count >= self.n;
+        let within = |slot: &Option<Sample<T>>, lo: u64, hi: u64| {
+            slot.as_ref().is_none_or(|s| (lo..hi).contains(&s.index()))
+        };
+        for (i, lane) in lanes.iter().enumerate() {
+            let na = lane.next_accept;
+            let reachable = if partial {
+                (count..next_rotate).contains(&na) || na == u64::MAX
+            } else {
+                na == count
+            };
+            let fault = if !reachable {
+                "next_accept outside the current bucket"
+            } else if lane.cur.is_some() != partial {
+                "current-bucket sample does not match the bucket's fill"
+            } else if lane.prev.is_some() != complete {
+                "complete-bucket sample does not match the count"
+            } else if !within(&lane.cur, start, count)
+                || !within(&lane.prev, start.saturating_sub(self.n), start)
+            {
+                "sample index outside its bucket"
+            } else {
+                continue;
+            };
+            return Err(StateError::Corrupt(format!(
+                "seq-wr: lane {i} at count {count}: {fault}"
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -301,14 +346,13 @@ impl<T, R, K: SampleTracker<T>> MemoryWords for SeqSamplerWr<T, R, K> {
         // Per instance: up to two retained samples plus its next-acceptance
         // index; plus (n, count, min_next) globals. Identical on the skip
         // and naive paths (the lockstep equivalence tests rely on that).
-        let per: usize = self
-            .instances
+        let per = self
+            .cur
             .iter()
-            .map(|i| {
-                i.prev.as_ref().map_or(0, |_| Sample::<T>::WORDS)
-                    + i.cur.as_ref().map_or(0, |_| Sample::<T>::WORDS)
-            })
-            .sum();
+            .chain(&self.prev)
+            .filter(|slot| slot.is_some())
+            .count()
+            * Sample::<T>::WORDS;
         per + self.next_accept.len() + 3
     }
 }
@@ -325,13 +369,15 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for SeqSa
             return None;
         }
         let rng = state::capture_rng(&self.rng)?;
+        let sample = |slot: &Option<(Sample<T>, K::Stat)>| slot.as_ref().map(|(s, _)| s.clone());
         let lanes = self
-            .instances
+            .cur
             .iter()
             .zip(&self.next_accept)
-            .map(|(inst, &next_accept)| SeqWrLaneState {
-                prev: inst.prev.as_ref().map(|(s, _)| s.clone()),
-                cur: inst.cur.as_ref().map(|(s, _)| s.clone()),
+            .enumerate()
+            .map(|(i, (cur, &next_accept))| SeqWrLaneState {
+                prev: self.prev.get(i).and_then(sample),
+                cur: sample(cur),
                 next_accept,
             })
             .collect();
@@ -361,45 +407,49 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for SeqSa
                 })
             }
         };
-        if lanes.len() != self.instances.len() {
+        if lanes.len() != self.cur.len() {
             return Err(StateError::Corrupt(format!(
                 "seq-wr: {} lanes for k = {}",
                 lanes.len(),
-                self.instances.len()
+                self.cur.len()
             )));
+        }
+        // The next rotation is the next multiple of `n` after `count`.
+        let next_rotate = (count / self.n + 1)
+            .checked_mul(self.n)
+            .ok_or_else(|| StateError::Corrupt(format!("seq-wr: count {count} out of range")))?;
+        if !self.naive {
+            self.check_reachable(count, next_rotate, &lanes)?;
         }
         if !state::restore_rng(&mut self.rng, &rng) {
             return Err(StateError::Unsupported);
         }
-        let mut instances = Vec::with_capacity(lanes.len());
-        let mut next_accept = Vec::with_capacity(lanes.len());
+        // Non-tracking trackers' statistics are position-independent, so
+        // `fresh` reproduces them exactly (for `NullTracker`: `()`).
+        let tracker = &mut self.tracker;
+        let mut with_stat = |s: Sample<T>| {
+            let stat = tracker.fresh(s.value(), s.index());
+            (s, stat)
+        };
+        let mut prev = Vec::with_capacity(lanes.len());
+        self.cur.clear();
+        self.next_accept.clear();
         for lane in lanes {
-            // Non-tracking trackers' statistics are position-independent,
-            // so `fresh` reproduces them exactly (for `NullTracker`: `()`).
-            let prev = lane.prev.map(|s| {
-                let stat = self.tracker.fresh(s.value(), s.index());
-                (s, stat)
-            });
-            let cur = lane.cur.map(|s| {
-                let stat = self.tracker.fresh(s.value(), s.index());
-                (s, stat)
-            });
-            instances.push(Instance { prev, cur });
-            next_accept.push(lane.next_accept);
+            prev.push(lane.prev.map(&mut with_stat));
+            self.cur.push(lane.cur.map(&mut with_stat));
+            self.next_accept.push(lane.next_accept);
         }
-        self.instances = instances;
-        self.next_accept = next_accept;
+        self.prev = if count >= self.n { prev } else { Vec::new() };
         self.count = count;
         self.accepts = accepts;
-        // Derived fields: the skip gate is the minimum pending acceptance,
-        // and the next rotation is the next multiple of `n` after `count`.
+        // Derived fields: the skip gate is the minimum pending acceptance.
         self.min_next = self
             .next_accept
             .iter()
             .copied()
             .min()
             .expect("at least one instance");
-        self.next_rotate = (self.count / self.n + 1) * self.n;
+        self.next_rotate = next_rotate;
         Ok(())
     }
 
@@ -424,8 +474,7 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for SeqSa
                 // Hop wholesale over arrivals no instance will accept —
                 // stop at the next acceptance, the bucket boundary, or the
                 // end of the batch, whichever comes first.
-                let pos = idx % self.n;
-                let hop = (self.n - pos)
+                let hop = (self.next_rotate - idx)
                     .min(self.min_next - idx)
                     .min((values.len() - i) as u64);
                 self.count += hop;
@@ -448,7 +497,7 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for SeqSa
     }
 
     fn k(&self) -> usize {
-        self.instances.len()
+        self.cur.len()
     }
 }
 
@@ -609,14 +658,153 @@ mod tests {
     fn lockstep_memory_naive_vs_skip() {
         // Identical MemoryWords trajectories: which samples are held at
         // each step is deterministic (bucket position only), and the skip
-        // state is accounted on both paths.
-        let mut skip = SeqSamplerWr::new(13, 5, SmallRng::seed_from_u64(1));
-        let mut naive = SeqSamplerWr::naive(13, 5, SmallRng::seed_from_u64(2));
-        for i in 0..300u64 {
-            skip.insert(i);
-            naive.insert(i);
-            assert_eq!(skip.memory_words(), naive.memory_words(), "at step {i}");
+        // state is accounted on both paths. Runs well past the first
+        // rotation, where the skip path allocates `prev`, and pins the
+        // count of held samples on either side of it. Around that
+        // rotation a save/restore round trip must resume identically.
+        for (n, k) in [(13u64, 5usize), (1000, 16)] {
+            let mut skip = SeqSamplerWr::new(n, k, SmallRng::seed_from_u64(1));
+            let mut naive = SeqSamplerWr::naive(n, k, SmallRng::seed_from_u64(2));
+            let lanes = |held: usize| held * Sample::<u64>::WORDS + k + 3;
+            for i in 0..(3 * n + 7) {
+                skip.insert(i);
+                naive.insert(i);
+                assert_eq!(skip.memory_words(), naive.memory_words(), "at step {i}");
+                let count = i + 1;
+                if count == n - 1 || count == n {
+                    assert_eq!(skip.memory_words(), lanes(k), "at count {count}");
+                } else if count == n + 1 {
+                    assert_eq!(skip.memory_words(), lanes(2 * k), "at count {count}");
+                }
+                if (n - 1..=n + 1).contains(&count) {
+                    let mut resumed = SeqSamplerWr::new(n, k, SmallRng::seed_from_u64(99));
+                    resumed
+                        .restore_state(skip.save_state().expect("skip path saves"))
+                        .expect("reachable state restores");
+                    let mut original = skip.clone();
+                    for j in count..count + n + 2 {
+                        original.insert(j);
+                        resumed.insert(j);
+                        assert_eq!(original.memory_words(), resumed.memory_words());
+                    }
+                    assert_eq!(
+                        original.sample_k(),
+                        resumed.sample_k(),
+                        "resumed at {count}"
+                    );
+                }
+            }
         }
+    }
+
+    /// Save a `(n = 10, k = 3)` skip sampler after `arrivals`, apply
+    /// `edit` to the record's count and lanes, and restore it into a fresh
+    /// sampler.
+    fn restore_edited(
+        arrivals: u64,
+        edit: impl FnOnce(&mut u64, &mut [SeqWrLaneState<u64>]),
+    ) -> Result<(), StateError> {
+        let mut s = SeqSamplerWr::new(10, 3, SmallRng::seed_from_u64(7));
+        for i in 0..arrivals {
+            s.insert(i);
+        }
+        let mut state = s.save_state().expect("skip path saves");
+        let SamplerState::SeqWr { count, lanes, .. } = &mut state else {
+            unreachable!("seq-wr saves a seq-wr state")
+        };
+        edit(count, lanes);
+        SeqSamplerWr::new(10, 3, SmallRng::seed_from_u64(8)).restore_state(state)
+    }
+
+    fn assert_corrupt(result: Result<(), StateError>, what: &str) {
+        assert!(
+            matches!(result, Err(StateError::Corrupt(_))),
+            "{what}: {result:?}"
+        );
+    }
+
+    #[test]
+    fn restore_accepts_every_reachable_state() {
+        for arrivals in 0..35 {
+            assert_eq!(restore_edited(arrivals, |_, _| {}), Ok(()), "at {arrivals}");
+        }
+        // The naive path never maintains `next_accept`; its states keep
+        // restoring into naive samplers.
+        let mut naive = SeqSamplerWr::naive(10, 3, SmallRng::seed_from_u64(7));
+        for i in 0..25u64 {
+            naive.insert(i);
+        }
+        let state = naive.save_state().expect("naive path saves");
+        let mut resumed = SeqSamplerWr::naive(10, 3, SmallRng::seed_from_u64(8));
+        resumed.restore_state(state).expect("naive state restores");
+        assert_eq!(resumed.sample_k(), naive.sample_k());
+    }
+
+    #[test]
+    fn restore_rejects_next_accept_outside_the_bucket() {
+        // 15 arrivals: partial bucket [10, 20) holds 5, count = 15.
+        let at = |na: u64| restore_edited(15, move |_, lanes| lanes[1].next_accept = na);
+        assert_corrupt(at(14), "next_accept below count");
+        assert_corrupt(at(20), "next_accept at the next rotation");
+        assert_eq!(at(15), Ok(()));
+        assert_eq!(at(19), Ok(()));
+        assert_eq!(at(u64::MAX), Ok(()));
+        // On a boundary the next arrival opens a bucket: every lane takes it.
+        let boundary = |na: u64| restore_edited(20, move |_, lanes| lanes[0].next_accept = na);
+        assert_corrupt(boundary(u64::MAX), "lane done before its bucket opened");
+        assert_corrupt(boundary(21), "lane skipping its bucket's first arrival");
+    }
+
+    #[test]
+    fn restore_rejects_cur_that_does_not_match_the_partial_bucket() {
+        assert_corrupt(
+            restore_edited(15, |_, lanes| lanes[2].cur = None),
+            "empty lane in a non-empty partial bucket",
+        );
+        assert_corrupt(
+            restore_edited(20, |_, lanes| lanes[2].cur = Some(Sample::new(19, 19, 19))),
+            "candidate in an empty partial bucket",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_prev_that_does_not_match_the_count() {
+        assert_corrupt(
+            restore_edited(15, |_, lanes| lanes[0].prev = None),
+            "missing complete-bucket sample",
+        );
+        assert_corrupt(
+            restore_edited(5, |_, lanes| lanes[0].prev = Some(Sample::new(1, 1, 1))),
+            "complete-bucket sample before the first rotation",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_samples_outside_their_bucket() {
+        assert_corrupt(
+            restore_edited(15, |_, lanes| lanes[0].cur = Some(Sample::new(9, 9, 9))),
+            "current sample from the complete bucket",
+        );
+        assert_corrupt(
+            restore_edited(15, |_, lanes| lanes[0].cur = Some(Sample::new(15, 15, 15))),
+            "current sample not yet arrived",
+        );
+        assert_corrupt(
+            restore_edited(25, |_, lanes| lanes[0].prev = Some(Sample::new(5, 5, 5))),
+            "complete-bucket sample from an expired bucket",
+        );
+        assert_corrupt(
+            restore_edited(25, |_, lanes| lanes[0].prev = Some(Sample::new(21, 21, 21))),
+            "complete-bucket sample from the partial bucket",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_count_past_the_last_rotation() {
+        assert_corrupt(
+            restore_edited(15, |count, _| *count = u64::MAX - 3),
+            "count whose next rotation overflows",
+        );
     }
 
     #[test]

@@ -19,11 +19,23 @@
 //! **exact**: it composes an octave search — `P(next > 2a | next > a) =
 //! (m/2a)/(m/a) = 1/2` exactly, so one fair coin per doubling — with an
 //! integer rejection step inside the located octave, all realized through
-//! the exactly-uniform `gen_range` and the 128-bit
-//! `bernoulli_ratio` (in the crate-private `rngutil` module) primitive. The naive per-arrival
-//! path and this skip path are therefore *distribution-identical*, not
-//! merely approximately so; the statistical tests in `seq::wr` hold both
-//! to the same chi-square thresholds.
+//! the exactly-uniform `gen_range` and the exact `bernoulli_ratio` (in the
+//! crate-private `rngutil` module) primitive. The naive per-arrival path
+//! and this skip path are therefore *distribution-identical*, not merely
+//! approximately so; the statistical tests in `seq::wr` hold both to the
+//! same chi-square thresholds.
+//!
+//! [`record_skip`] reads all of its octave coins from one RNG word: the
+//! coins are the word's bits, least significant first, and the search
+//! stops at the first set bit, so the octave is `a = m << t` with
+//! `t = trailing_zeros(word)`. It never needs more than 62 coins (the
+//! doubling reaches `cap ≤ 2^62` first), so one word always suffices.
+//! Its rejection step runs in `u64` while `2a < 2^32`.
+//! [`record_skip_with_bits`] is the plain form: the same search coin by
+//! coin from a caller-held [`BitSource`], and the rejection step always
+//! in `u128`. Given a fresh `BitSource` it consumes exactly the words
+//! `record_skip` does and returns the same result, which makes it the
+//! reference oracle the tests hold `record_skip` to.
 //!
 //! [`geometric_skip`] covers the constant-probability tail regime needed
 //! by chain sampling (adoption probability frozen at `1/(n+1)` once the
@@ -42,23 +54,52 @@ use rand::Rng;
 /// Counts are 1-based: the element at count `c` is the `c`-th offered to
 /// the reservoir, and count 1 is always accepted (use `m = 1` after it).
 ///
-/// Expected RNG draws: `O(1)` coins for the octave search plus an
+/// Expected RNG draws: one word for the octave search plus an
 /// accept-rate ≳ 1/2 rejection loop — independent of `cap`. The octave
-/// coins within one call are served from a transient [`BitSource`];
-/// callers that skip repeatedly (chain sampling's per-instance schedulers)
-/// should hold a persistent `BitSource` and use [`record_skip_with_bits`],
+/// coins are the bits of that one word, least significant first, so the
+/// located octave is `m << trailing_zeros(word)`; this is draw for draw
+/// [`record_skip_with_bits`] with a fresh [`BitSource`]. Callers that skip
+/// repeatedly from small `m` (chain sampling's per-instance schedulers)
+/// should hold a persistent `BitSource` and use `record_skip_with_bits`,
 /// which amortizes one RNG word over up to 64 coins *across* calls.
 ///
 /// # Panics
 /// Panics if `m == 0` or `cap > 2^62` (headroom for the octave doubling).
 pub fn record_skip<R: Rng>(rng: &mut R, m: u64, cap: u64) -> Option<u64> {
-    record_skip_with_bits(rng, &mut BitSource::new(), m, cap)
+    assert!(m >= 1, "record_skip: count must be 1-based");
+    assert!(cap <= 1 << 62, "record_skip: cap too large");
+    if m >= cap {
+        return None;
+    }
+    // Coin `j` is bit `j`; the search doubles past every clear bit. A
+    // shift that would push `m`'s top bit out is past `cap` too (and
+    // `t = 64`, an all-zero word, is always such a shift).
+    let t = rng.next_u64().trailing_zeros();
+    if t >= m.leading_zeros() {
+        return None;
+    }
+    let a = m << t;
+    if a >= cap {
+        return None;
+    }
+    if 2 * a >= 1 << 32 {
+        return octave_draw(rng, a, cap);
+    }
+    // `octave_draw` in `u64`: with `2a < 2^32` the ratio fits, and `u64`
+    // `gen_range` draws the same words the `u128` one makes for such spans.
+    loop {
+        let c = rng.gen_range(a + 1..=2 * a);
+        let (num, den) = (a * (a + 1), c * (c - 1));
+        if num == den || rng.gen_range(0..den) < num {
+            return if c > cap { None } else { Some(c) };
+        }
+    }
 }
 
-/// [`record_skip`] drawing its octave coins from a caller-held
-/// [`BitSource`], so the coin cost amortizes across calls (64 coins per
-/// RNG word). The result distribution is identical — the buffered bits
-/// are exactly-fair, independent coins.
+/// [`record_skip`] drawing its octave coins one at a time from a
+/// caller-held [`BitSource`], so the coin cost amortizes across calls (64
+/// coins per RNG word). The result distribution is identical — the
+/// buffered bits are exactly-fair, independent coins.
 ///
 /// # Panics
 /// Panics if `m == 0` or `cap > 2^62` (headroom for the octave doubling).
@@ -85,9 +126,16 @@ pub fn record_skip_with_bits<R: Rng>(
         }
         a *= 2;
     }
-    // Within (a, 2a] the gap law is p(c) ∝ 1/(c(c−1)). Propose uniformly
-    // and accept with probability a(a+1)/(c(c−1)) ≤ 1 (equality at c=a+1);
-    // overall acceptance rate is at least 1/2.
+    octave_draw(rng, a, cap)
+}
+
+/// The next acceptance given that it lies in the octave `(a, 2a]`, or
+/// `None` when the drawn count passes `cap`.
+///
+/// Within `(a, 2a]` the gap law is `p(c) ∝ 1/(c(c−1))`. Propose uniformly
+/// and accept with probability `a(a+1)/(c(c−1)) ≤ 1` (equality at
+/// `c = a + 1`); the overall acceptance rate is at least 1/2.
+fn octave_draw<R: Rng>(rng: &mut R, a: u64, cap: u64) -> Option<u64> {
     loop {
         let c = rng.gen_range(a + 1..=2 * a);
         let num = a as u128 * (a as u128 + 1);
@@ -129,7 +177,7 @@ pub fn geometric_skip<R: Rng>(rng: &mut R, den: u64) -> u64 {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use swsample_stats::{chi_square_test, chi_square_uniform_test};
 
     #[test]
@@ -272,6 +320,68 @@ mod tests {
             packed.words(),
             reference.words()
         );
+    }
+
+    /// The caps the equivalence property runs at: tiny windows, the
+    /// fleet's `n = 1000`, both sides of the `u64` rejection step's
+    /// `2^32` boundary, and the largest cap allowed.
+    const CAPS: [u64; 10] = [
+        1,
+        2,
+        3,
+        16,
+        1000,
+        (1 << 31) - 1,
+        1 << 31,
+        (1 << 31) + 1,
+        1 << 32,
+        1 << 62,
+    ];
+
+    /// A `SmallRng` whose first word is given, so a property can pick the
+    /// octave search's trailing-zero count directly — including the long
+    /// runs a random word almost never has.
+    #[derive(Clone)]
+    struct FirstWord {
+        first: Option<u64>,
+        rest: SmallRng,
+    }
+
+    impl RngCore for FirstWord {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.first.take().unwrap_or_else(|| self.rest.next_u64())
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// `record_skip` is draw for draw the reference, coin by coin from
+        /// a fresh `BitSource`: same result, and both RNGs left at the
+        /// same word. The first word has exactly `tz` trailing zeros
+        /// (`tz = 64`: the zero word); `m` spans `[1, cap + 2]`,
+        /// log-spread by `shift` so small counts come up at every cap.
+        #[test]
+        fn record_skip_is_draw_for_draw_the_reference(
+            first in (proptest::prelude::any::<u64>(), 0u32..65),
+            cap_at in 0usize..CAPS.len(),
+            raw in proptest::prelude::any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            let ((seed, tz), cap) = (first, CAPS[cap_at]);
+            let m = 1 + (raw >> shift) % (cap + 2);
+            let rng = FirstWord {
+                first: Some((seed | 1).checked_shl(tz).unwrap_or(0)),
+                rest: SmallRng::seed_from_u64(seed),
+            };
+            let (mut fast, mut reference) = (rng.clone(), rng);
+            let want = record_skip_with_bits(&mut reference, &mut BitSource::new(), m, cap);
+            proptest::prop_assert_eq!(record_skip(&mut fast, m, cap), want, "m = {}, cap = {}", m, cap);
+            proptest::prop_assert_eq!(fast.next_u64(), reference.next_u64());
+        }
     }
 
     #[test]

@@ -9,8 +9,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use swsample_core::state::{SamplerState, StateReader, StateWriter, STATE_VERSION};
-use swsample_core::{FleetBackend, SamplerSpec};
+use swsample_core::state::{
+    SamplerState, SeqWrLaneState, StateError, StateReader, StateWriter, STATE_VERSION,
+};
+use swsample_core::{FleetBackend, Sample, SamplerSpec};
 use swsample_durable::frame::write_frame;
 use swsample_durable::snapshot::{read_snapshot, SNAPSHOT_VERSION};
 use swsample_durable::wal::SegmentLog;
@@ -135,6 +137,57 @@ fn hostile_v2_state_payloads_are_typed_corruption() {
         let path = crafted_snapshot("v2-hostile", b"erased", version, payload);
         match read_snapshot::<u64, u64>(&path) {
             Err(DurableError::Corrupt { .. }) => {}
+            other => panic!("{what}: expected typed corruption, got {other:?}"),
+        }
+    }
+}
+
+/// An in-place edit of one seq-WR lane.
+type LaneEdit = fn(&mut SeqWrLaneState<u64>);
+
+/// Seq-WR lanes that are CRC-valid and decode cleanly but that no run
+/// of the sampler could reach — a lane that can never accept again, a
+/// bucket without its sample, a sample outside its bucket — make
+/// `DurableEngine::open` fail with a typed error instead of panicking
+/// later on the query path.
+#[test]
+fn unreachable_seq_wr_lanes_fail_open_with_a_typed_error() {
+    let spec: SamplerSpec = "--window seq --n 24 --mode wr --algo paper --k 3 --seed 9"
+        .parse()
+        .expect("spec");
+    let mut sampler = spec.build::<u64>().expect("build");
+    for i in 0..30 {
+        sampler.insert(i); // count 30: the partial bucket [24, 48) holds 6
+    }
+    let state = sampler.save_state().expect("save");
+    // Edit lane 1 of the saved state, write it as a one-key snapshot and
+    // open the directory.
+    let open_with = |tag: &str, edit: LaneEdit| {
+        let mut state = state.clone();
+        match &mut state {
+            SamplerState::SeqWr { lanes, .. } => edit(&mut lanes[1]),
+            other => panic!("expected a seq-wr state, got {}", other.family()),
+        }
+        let mut payload = StateWriter::for_state_version(STATE_VERSION);
+        state.encode_payload(&mut payload);
+        let path = crafted_snapshot(tag, b"erased", STATE_VERSION as u8, payload.as_bytes());
+        let dir = path.parent().expect("snapshot dir").to_path_buf();
+        let opened = DurableEngine::<u64, u64>::open(&dir, DurableOptions::default()).map(|_| ());
+        let _ = std::fs::remove_dir_all(&dir);
+        opened
+    };
+    open_with("seq-wr-sound", |_| {}).expect("a reachable state opens");
+    let cases: [(&str, LaneEdit); 4] = [
+        ("next_accept below count", |l| l.next_accept = 12),
+        ("empty lane in a non-empty bucket", |l| l.cur = None),
+        ("no complete-bucket sample", |l| l.prev = None),
+        ("sample outside its bucket", |l| {
+            l.cur = Some(Sample::new(3, 3, 3))
+        }),
+    ];
+    for (what, edit) in cases {
+        match open_with("seq-wr-unreachable", edit) {
+            Err(DurableError::State(StateError::Corrupt(_))) => {}
             other => panic!("{what}: expected typed corruption, got {other:?}"),
         }
     }

@@ -13,7 +13,7 @@ use swsample::core::seq::{SeqSamplerWor, SeqSamplerWr};
 use swsample::core::ts::{TsSamplerWor, TsSamplerWr};
 use swsample::core::{MemoryWords, WindowSampler};
 use swsample::stats::chi_square_uniform_test;
-use swsample::stream::WindowSpec;
+use swsample::stream::{MultiStreamEngine, ValueGen, WindowSpec, ZipfGen};
 
 /// Skip-path and naive-path WR samplers report identical MemoryWords at
 /// every step: which samples are retained is a deterministic function of
@@ -284,4 +284,86 @@ fn skip_path_rng_draws_are_logarithmic_per_window() {
         skip_draws * 20 < naive_draws,
         "skip {skip_draws} vs naive {naive_draws}: expected ≥20× fewer draws"
     );
+}
+
+/// FNV-1a over `words`, continuing from `h`.
+fn fnv1a(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Fold a `sample_k` answer (`None` included) into the digest.
+fn fold_samples(h: u64, samples: Option<Vec<swsample::core::Sample<u64>>>) -> u64 {
+    let samples = samples.unwrap_or_default();
+    let h = fnv1a(h, [samples.len() as u64]);
+    fnv1a(h, samples.iter().flat_map(|s| [s.index(), *s.value()]))
+}
+
+/// Golden digest of seq-WR output at the fleet's shape (`k = 16`,
+/// `n = 1000`). Every sample is a function of the RNG words the skip path
+/// consumes, so any change in how many words an acceptance draws, or in
+/// which order the lanes draw them, moves this digest even when the
+/// distribution is unchanged. Two halves:
+///
+/// - one sampler over 50k arrivals, hashed at 20 checkpoints that land
+///   inside the first bucket, on bucket boundaries and straddling them,
+///   fed alternately per element and by batch;
+/// - a 1k-key zipf fleet through `ingest_parallel` at 2 threads, hashed
+///   over every key's `sample_k` in key order.
+#[test]
+fn seq_wr_golden_sample_digest() {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    let mut s = SeqSamplerWr::new(1000, 16, SmallRng::seed_from_u64(2024));
+    let mut h = OFFSET;
+    let mut at = 0u64;
+    for j in 1..=20u64 {
+        let stop = 2500 * j - if j % 2 == 1 { 1800 } else { 0 };
+        let values: Vec<u64> = (at..stop)
+            .map(|i| i.wrapping_mul(0x9e37_79b9) ^ 5)
+            .collect();
+        if j % 2 == 0 {
+            for chunk in values.chunks(333) {
+                s.insert_batch(chunk);
+            }
+        } else {
+            for &v in &values {
+                s.insert(v);
+            }
+        }
+        at = stop;
+        h = fold_samples(fnv1a(h, [at]), s.sample_k());
+    }
+    assert_eq!(at, 50_000);
+    assert_eq!(h, 0xbd36_e31e_a8d5_72e8, "single-sampler digest moved");
+
+    let engine: MultiStreamEngine<u64, u64> = MultiStreamEngine::with_threads(
+        "--window seq --n 1000 --mode wr --k 16 --seed 15"
+            .parse()
+            .expect("template parses"),
+        16,
+        swsample::baselines::spec::build::<u64>,
+        2,
+    )
+    .expect("engine builds");
+    let mut rng = SmallRng::seed_from_u64(16);
+    let mut zipf = ZipfGen::new(1_000, 1.1);
+    let events: Vec<(u64, u64, u64)> = (0..200_000u64)
+        .map(|i| (zipf.next_value(&mut rng), i / 64, i))
+        .collect();
+    for chunk in events.chunks(4096) {
+        engine.ingest_parallel(chunk);
+    }
+    let mut keys = engine.keys();
+    keys.sort_unstable();
+    let mut h = fnv1a(OFFSET, [keys.len() as u64]);
+    for key in &keys {
+        h = fold_samples(fnv1a(h, [*key]), engine.sample_k(key));
+    }
+    assert_eq!(h, 0xc7e7_1c9f_2933_1124, "fleet digest moved");
 }
