@@ -25,7 +25,7 @@ use std::io::{BufRead, Write};
 use swsample_core::fault::FaultSchedule;
 use swsample_core::spec::{Algorithm, FleetBackend, SamplerSpec, WindowKind};
 use swsample_core::{ErasedWindowSampler, MemoryWords};
-use swsample_durable::{DurableEngine, DurableOptions, FailPlan, ResumeOverrides};
+use swsample_durable::{DurableEngine, DurableOptions, ResumeOverrides};
 use swsample_query::TsAggregator;
 use swsample_server::{loadgen, LoadgenConfig, Server, ServerConfig};
 use swsample_stream::{
@@ -75,12 +75,9 @@ pub fn write_help(out: &mut dyn Write) -> std::io::Result<()> {
                  durability: [--wal DIR] [--snapshot-every B]\n\
                  [--segment-bytes N] [--resume]  (WAL + snapshots; resume\n\
                  recovers and continues, stdout byte-identical to an\n\
-                 uninterrupted run; SWSAMPLE_FAILPOINT=kill-after-appends=N\n\
-                 [,torn-tail=B][,corrupt-snapshot-byte=O][,disk-full-after=N]\n\
-                 injects crashes, exit code 42;\n\
-                 shutdown-after-appends=N exits 43 after a graceful\n\
-                 drain + final snapshot; the run always ends with a\n\
-                 final snapshot so --resume restarts instantly)\n\
+                 uninterrupted run; the run always ends with a final\n\
+                 snapshot so --resume restarts instantly)\n\
+                 faults: SWSAMPLE_FAULTS (needs --wal for durable sites)\n\
                  live rescale: [--rescale-after B]\n\
                  [--rescale-shards S] [--rescale-threads W]\n\
            serve run the fleet as a TCP server (framed binary protocol)\n\
@@ -96,9 +93,7 @@ pub fn write_help(out: &mut dyn Write) -> std::io::Result<()> {
                  [--idle-timeout-ms T] [--max-conns N]\n\
                  [--slow-consumer-budget D]  (0 disables a knob; past the\n\
                  conn cap new connections get a typed OVERLOAD reject)\n\
-                 chaos: [--faults SPEC] or SWSAMPLE_FAULTS, e.g.\n\
-                 seed=42,drop-rx=1/61,stall-tx=1/37:5ms,flip-tx=1/71,\n\
-                 wal-append=1/23 — seeded, deterministic, replayable\n\
+                 chaos: [--faults SPEC] or SWSAMPLE_FAULTS\n\
            loadgen drive a `serve` instance with the `multi` workload\n\
                  --addr HOST:PORT [--connections C] --keys K --count N\n\
                  [--theta T] [--workload-seed S] [--batch-size B]\n\
@@ -121,6 +116,16 @@ pub fn write_help(out: &mut dyn Write) -> std::io::Result<()> {
                  --kind uniform|zipf|bursty --count N [--domain D] [--theta T]\n\
                  [--max-burst B] [--seed S]\n\
            help  this text\n\n\
+         FAULTS (one env var, one grammar; `serve --faults SPEC` wins)\n\
+           SWSAMPLE_FAULTS=[seed=S,]SITE=TRIGGER[:P],...\n\
+           TRIGGER: 1/N (seeded, ~1 in N ops) | @N (the Nth op) |\n\
+                    @N.. (the Nth op and every one after)\n\
+           network: drop-rx drop-tx stall-rx stall-tx (:Pms) flip-tx\n\
+           durable (need --wal): wal-append wal-fsync (transient, retried)\n\
+                    kill (exit 42 after a WAL append; :P tears P bytes)\n\
+                    shutdown (final snapshot, exit 43) disk-full\n\
+                    corrupt-snapshot (:P = byte offset; the 1st is create's)\n\
+           e.g. kill=@40:11  or  seed=42,drop-rx=1/61,stall-tx=1/37:5ms\n\n\
          Sampling commands ingest stdin in batches of --batch-size lines\n\
          (default 512) and report end-of-run throughput on stderr."
     )
@@ -378,8 +383,7 @@ impl MultiFleet {
     /// covering everything ingested, so a later `--resume` (or any
     /// other reopen) restores without replaying the log (no-op for
     /// plain fleets). Stronger than a bare `sync` — the old end-of-run
-    /// behavior — and what the `shutdown-after-appends` failpoint
-    /// exercises mid-stream.
+    /// behavior — and what the `shutdown` fault exercises mid-stream.
     fn close(&mut self) -> Result<(), ArgError> {
         match self {
             // Plain fleets still owe a flush: the work-stealing pipeline
@@ -405,6 +409,19 @@ fn resolve_threads(threads: usize) -> usize {
     resolved
 }
 
+/// Refuse a fault schedule naming a durable site (`kill`, `shutdown`,
+/// `disk-full`, `corrupt-snapshot`, `wal-*`) when no `--wal` directory
+/// gives it a durable engine to act on: silently ignoring it would let
+/// a crash harness pass vacuously.
+fn require_wal_for_durable_faults(faults: &FaultSchedule, wal: bool) -> Result<(), ArgError> {
+    match faults.durable_site() {
+        Some(site) if !wal => Err(ArgError(format!(
+            "fault site `{site}` needs --wal (durable sites drive the durable engine)"
+        ))),
+        _ => Ok(()),
+    }
+}
+
 /// `multi` — a sharded fleet of per-key windows over a self-generated
 /// zipf-keyed workload: the serving shape (one independent window per
 /// user) at CLI scale.
@@ -413,7 +430,7 @@ fn resolve_threads(threads: usize) -> usize {
 /// segment log, `--snapshot-every B` adds periodic snapshots, and
 /// `--resume` recovers from the directory and continues the regenerated
 /// workload where the log ends — stdout is byte-identical to an
-/// uninterrupted run. `SWSAMPLE_FAILPOINT` injects crashes for testing.
+/// uninterrupted run. `SWSAMPLE_FAULTS` injects crashes for testing.
 fn cmd_multi(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
     let keys: u64 = args.require("keys")?;
     if keys == 0 {
@@ -449,16 +466,10 @@ fn cmd_multi(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
     if resume && wal_dir.is_none() {
         return Err(ArgError("--resume requires --wal DIR".into()));
     }
-    let fail = FailPlan::from_env().map_err(ArgError)?;
-    if !fail.is_empty() && wal_dir.is_none() {
-        return Err(ArgError(
-            "SWSAMPLE_FAILPOINT is set but --wal is not (failpoints drive the durable engine)"
-                .into(),
-        ));
-    }
-    // Seeded transient faults (`wal-append`/`wal-fsync`) compose with
-    // the hard failpoints above; network sites are inert here.
+    // Durable sites drive the WAL-backed engine; network sites are
+    // inert here.
     let faults = FaultSchedule::from_env().map_err(ArgError)?;
+    require_wal_for_durable_faults(&faults, wal_dir.is_some())?;
     let rescale_after = args.get_u64("rescale-after", 0)?;
     let rescale_shards = args.get_usize("rescale-shards", 0)?;
     let rescale_threads = args.get_usize("rescale-threads", 0)?;
@@ -489,9 +500,7 @@ fn cmd_multi(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
             let opts = DurableOptions {
                 segment_bytes: segment_bytes.max(1),
                 snapshot_every: (snapshot_every > 0).then_some(snapshot_every),
-                fail,
-                faults: faults.clone(),
-                ..DurableOptions::default()
+                faults,
             };
             if resume {
                 // Explicit flags override the recorded config — the
@@ -653,6 +662,7 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
         Some(spec) => spec.parse().map_err(ArgError)?,
         None => FaultSchedule::from_env().map_err(ArgError)?,
     };
+    require_wal_for_durable_faults(&cfg.faults, cfg.wal_dir.is_some())?;
     if !cfg.faults.is_empty() {
         eprintln!("# faults: {}", cfg.faults);
     }

@@ -1,20 +1,24 @@
-//! Graceful-shutdown durability, driven through the real binary: a
-//! `multi --wal` run stopped mid-stream by the `shutdown-after-appends`
-//! failpoint (exit 43, after drain + final snapshot) must `--resume` to
-//! stdout byte-identical with an uninterrupted run — and a `serve`
-//! process asked to shut down over the wire must exit 0 with its WAL
-//! in a reopenable state.
+//! Graceful-shutdown and crash durability, driven through the real
+//! binary: a `multi --wal` run stopped mid-stream by the `shutdown`
+//! fault (exit 43, after drain + final snapshot) must `--resume` to
+//! stdout byte-identical with an uninterrupted run; a `serve` process
+//! asked to shut down over the wire must exit 0 with its WAL in a
+//! reopenable state; and a `serve` process crashed by the `kill` fault
+//! must restart on its WAL answering exactly what it logged.
 
 use std::io::{BufRead, BufReader, Read};
-use std::process::{Command, Stdio};
+use std::path::{Path, PathBuf};
+use std::process::{Child, ChildStderr, Command, Output, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use swsample_server::Client;
+use swsample_core::SamplerSpec;
+use swsample_server::{Client, IngestOutcome};
+use swsample_stream::MultiStreamEngine;
 
 const BIN: &str = env!("CARGO_BIN_EXE_swsample");
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
+fn temp_dir(tag: &str) -> PathBuf {
     static CASE: AtomicUsize = AtomicUsize::new(0);
     let n = CASE.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!(
@@ -25,61 +29,44 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn multi_args(wal: &std::path::Path) -> Vec<String> {
-    let mut args: Vec<String> = "multi --keys 40 --count 3000 --window seq --n 16 --k 3 --seed 9"
-        .split_whitespace()
-        .map(String::from)
-        .collect();
-    args.push("--wal".into());
-    args.push(wal.to_string_lossy().into_owned());
-    args
+fn multi_cmd(wal: &Path) -> String {
+    format!(
+        "multi --keys 40 --count 3000 --window seq --n 16 --k 3 --seed 9 --wal {}",
+        wal.display()
+    )
+}
+
+/// Run `swsample <cmdline>` (split on whitespace) to completion under
+/// the fault schedule `faults` (`""` injects nothing).
+fn run(cmdline: &str, faults: &str) -> Output {
+    Command::new(BIN)
+        .args(cmdline.split_whitespace())
+        .env("SWSAMPLE_FAULTS", faults)
+        .output()
+        .expect("run swsample")
 }
 
 #[test]
 fn failpoint_shutdown_resumes_byte_identical() {
     // Uninterrupted reference run.
     let ref_dir = temp_dir("reference");
-    let reference = Command::new(BIN)
-        .args(multi_args(&ref_dir))
-        .env_remove("SWSAMPLE_FAILPOINT")
-        .output()
-        .expect("reference run");
+    let reference = run(&multi_cmd(&ref_dir), "");
     assert!(reference.status.success(), "reference run failed");
 
     // Interrupted run: graceful shutdown after 3 applied batches.
     let dir = temp_dir("interrupted");
-    let interrupted = Command::new(BIN)
-        .args(multi_args(&dir))
-        .env("SWSAMPLE_FAILPOINT", "shutdown-after-appends=3")
-        .output()
-        .expect("interrupted run");
+    let interrupted = run(&multi_cmd(&dir), "shutdown=@3");
     assert_eq!(
         interrupted.status.code(),
         Some(43),
-        "shutdown failpoint must exit 43, stderr: {}",
+        "shutdown fault must exit 43, stderr: {}",
         String::from_utf8_lossy(&interrupted.stderr)
     );
-    // Graceful: a snapshot covering everything applied exists.
-    let snaps = std::fs::read_dir(&dir)
-        .expect("wal dir")
-        .filter(|e| {
-            e.as_ref()
-                .expect("dir entry")
-                .path()
-                .extension()
-                .is_some_and(|x| x == "snap")
-        })
-        .count();
-    assert!(snaps > 0, "graceful shutdown must leave a snapshot");
+    // Graceful: a snapshot covering all three applied batches exists.
+    assert_eq!(newest_snapshot_seq(&dir), 3, "shutdown must snapshot");
 
-    // Resume without the failpoint: byte-identical stdout.
-    let mut args = multi_args(&dir);
-    args.push("--resume".into());
-    let resumed = Command::new(BIN)
-        .args(args)
-        .env_remove("SWSAMPLE_FAILPOINT")
-        .output()
-        .expect("resumed run");
+    // Resume without the fault: byte-identical stdout.
+    let resumed = run(&format!("{} --resume", multi_cmd(&dir)), "");
     assert!(
         resumed.status.success(),
         "resume failed: {}",
@@ -100,17 +87,13 @@ fn failpoint_shutdown_resumes_byte_identical() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-fn snap_count(dir: &std::path::Path) -> usize {
-    std::fs::read_dir(dir)
-        .expect("wal dir")
-        .filter(|e| {
-            e.as_ref()
-                .expect("dir entry")
-                .path()
-                .extension()
-                .is_some_and(|x| x == "snap")
-        })
-        .count()
+fn snapshots(dir: &Path) -> Vec<(u64, PathBuf)> {
+    swsample_durable::snapshot::list_snapshots(dir).expect("wal dir")
+}
+
+/// The WAL position the newest snapshot in `dir` covers.
+fn newest_snapshot_seq(dir: &Path) -> u64 {
+    snapshots(dir).last().expect("a snapshot").0
 }
 
 /// A crashed run's directory in snapshot format v1 (see
@@ -119,33 +102,19 @@ fn snap_count(dir: &std::path::Path) -> usize {
 /// run, and leaves at most two snapshots behind.
 #[test]
 fn v1_fixture_resumes_byte_identical() {
-    let args: Vec<&str> =
-        "multi --keys 20 --count 3000 --window seq --n 16 --k 3 --seed 9 --batch-size 256 --show 5"
-            .split_whitespace()
-            .collect();
-    let reference = Command::new(BIN)
-        .args(&args)
-        .env_remove("SWSAMPLE_FAILPOINT")
-        .output()
-        .expect("reference run");
+    let cmd =
+        "multi --keys 20 --count 3000 --window seq --n 16 --k 3 --seed 9 --batch-size 256 --show 5";
+    let reference = run(cmd, "");
     assert!(reference.status.success(), "reference run failed");
 
     let dir = temp_dir("v1");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../durable/tests/fixtures/v1-seq-wr");
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../durable/tests/fixtures/v1-seq-wr");
     for entry in std::fs::read_dir(fixture).expect("fixture dir") {
         let path = entry.expect("entry").path();
         std::fs::copy(&path, dir.join(path.file_name().expect("name"))).expect("copy");
     }
-    let resumed = Command::new(BIN)
-        .args(&args)
-        .arg("--wal")
-        .arg(&dir)
-        .arg("--resume")
-        .env_remove("SWSAMPLE_FAILPOINT")
-        .output()
-        .expect("resumed run");
+    let resumed = run(&format!("{cmd} --wal {} --resume", dir.display()), "");
     let stderr = String::from_utf8_lossy(&resumed.stderr);
     assert!(resumed.status.success(), "resume failed: {stderr}");
     assert!(stderr.contains("# resume: 7 batches"), "stderr: {stderr}");
@@ -154,8 +123,32 @@ fn v1_fixture_resumes_byte_identical() {
         String::from_utf8_lossy(&reference.stdout),
         "resumed v1 directory diverged from the uninterrupted run"
     );
-    assert!(snap_count(&dir) <= 2, "old snapshots were not pruned");
+    assert!(snapshots(&dir).len() <= 2, "old snapshots were not pruned");
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Spawn `serve --addr 127.0.0.1:0 <args>`; returns the child, its
+/// address and the rest of its stderr. Only the `# faults:` echo of a
+/// fault schedule may precede the `# listening on HOST:PORT` line.
+fn spawn_serve(args: &str) -> (Child, String, BufReader<ChildStderr>) {
+    let mut serve = Command::new(BIN)
+        .args(format!("serve --addr 127.0.0.1:0 {args}").split_whitespace())
+        .env_remove("SWSAMPLE_FAULTS")
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("serve spawn");
+    let mut serve_err = BufReader::new(serve.stderr.take().expect("serve stderr"));
+    let mut line = String::new();
+    while line.is_empty() || line.starts_with("# faults: ") {
+        line.clear();
+        serve_err.read_line(&mut line).expect("listening line");
+    }
+    let addr = line
+        .trim()
+        .strip_prefix("# listening on ")
+        .unwrap_or_else(|| panic!("unexpected stderr line: {line:?}"))
+        .to_string();
+    (serve, addr, serve_err)
 }
 
 /// The CI smoke, in-repo: `serve` on an ephemeral port, `loadgen`
@@ -166,43 +159,16 @@ fn serve_loadgen_round_trip_matches_multi() {
     let workload = "--keys 50 --count 5000";
     let spec = "--window seq --n 20 --k 2 --seed 3";
 
-    let multi = Command::new(BIN)
-        .args(
-            format!("multi {workload} {spec}")
-                .split_whitespace()
-                .collect::<Vec<_>>(),
-        )
-        .output()
-        .expect("multi run");
+    let multi = run(&format!("multi {workload} {spec}"), "");
     assert!(multi.status.success(), "multi failed");
 
     let wal = temp_dir("serve");
-    let mut serve = Command::new(BIN)
-        .args(
-            format!("serve --addr 127.0.0.1:0 {spec} --wal {}", wal.display())
-                .split_whitespace()
-                .collect::<Vec<_>>(),
-        )
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("serve spawn");
-    let mut serve_err = BufReader::new(serve.stderr.take().expect("serve stderr"));
-    let mut line = String::new();
-    serve_err.read_line(&mut line).expect("listening line");
-    let addr = line
-        .trim()
-        .strip_prefix("# listening on ")
-        .unwrap_or_else(|| panic!("unexpected first stderr line: {line:?}"))
-        .to_string();
+    let (mut serve, addr, _serve_err) = spawn_serve(&format!("{spec} --wal {}", wal.display()));
 
-    let loadgen = Command::new(BIN)
-        .args(
-            format!("loadgen --addr {addr} {workload} --verify --render-multi --shutdown-server")
-                .split_whitespace()
-                .collect::<Vec<_>>(),
-        )
-        .output()
-        .expect("loadgen run");
+    let loadgen = run(
+        &format!("loadgen --addr {addr} {workload} --verify --render-multi --shutdown-server"),
+        "",
+    );
     assert!(
         loadgen.status.success(),
         "loadgen failed: {}",
@@ -217,12 +183,8 @@ fn serve_loadgen_round_trip_matches_multi() {
     let status = serve.wait().expect("serve exit");
     assert!(status.success(), "serve must exit 0 after SHUTDOWN");
     assert!(
-        std::fs::read_dir(&wal).expect("wal dir").any(|e| e
-            .expect("entry")
-            .path()
-            .extension()
-            .is_some_and(|x| x == "snap")),
-        "serve shutdown must leave a snapshot"
+        newest_snapshot_seq(&wal) > 0,
+        "serve shutdown must leave a final snapshot"
     );
     let _ = std::fs::remove_dir_all(wal);
 }
@@ -234,19 +196,7 @@ fn serve_loadgen_round_trip_matches_multi() {
 /// server sat idle before the traffic came.
 #[test]
 fn shutdown_rate_excludes_idle_time() {
-    let mut serve = Command::new(BIN)
-        .args("serve --addr 127.0.0.1:0 --window seq --n 20 --k 2 --seed 3".split_whitespace())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("serve spawn");
-    let mut serve_err = BufReader::new(serve.stderr.take().expect("serve stderr"));
-    let mut line = String::new();
-    serve_err.read_line(&mut line).expect("listening line");
-    let addr = line
-        .trim()
-        .strip_prefix("# listening on ")
-        .unwrap_or_else(|| panic!("unexpected first stderr line: {line:?}"))
-        .to_string();
+    let (mut serve, addr, mut serve_err) = spawn_serve("--window seq --n 20 --k 2 --seed 3");
     let mut client = Client::connect(&addr, "rate-test").expect("connect");
     // Idle time that a lifetime-based rate would divide by.
     std::thread::sleep(Duration::from_millis(1000));
@@ -283,4 +233,68 @@ fn shutdown_rate_excludes_idle_time() {
         reported >= client_rate,
         "reported {reported:.0} elems/s is below the client-side {client_rate:.0}: idle time leaked in ({metrics})"
     );
+}
+
+/// A served durable fleet crashed by `kill=@3` exits 42 after logging
+/// its third batch and before acking it; a restart on the same
+/// directory must answer every touched key byte-identically to an
+/// offline fleet fed the three logged batches.
+#[test]
+fn served_kill_restarts_byte_identical() {
+    let spec = "--window seq --n 20 --mode wr --algo paper --k 2 --seed 3";
+    let batches: Vec<Vec<(u64, u64, u64)>> = (0..3u64)
+        .map(|b| {
+            (b * 200..(b + 1) * 200)
+                .map(|e| (e % 37, e / 4, e))
+                .collect()
+        })
+        .collect();
+    let dir = temp_dir("served-kill");
+
+    let (mut serve, addr, _serve_err) =
+        spawn_serve(&format!("{spec} --wal {} --faults kill=@3", dir.display()));
+    let mut client = Client::connect(&addr, "kill-test").expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    for (seq, batch) in (0..).zip(&batches[..2]) {
+        let outcome = client.ingest(seq, batch).expect("ingest");
+        assert!(
+            matches!(outcome, IngestOutcome::Applied(200)),
+            "{outcome:?}"
+        );
+    }
+    assert!(
+        client.ingest(2, &batches[2]).is_err(),
+        "the killed server must not ack its third batch"
+    );
+    let status = serve.wait().expect("serve exit");
+    assert_eq!(status.code(), Some(42), "kill fault must exit 42");
+
+    let (mut serve, addr, _serve_err) = spawn_serve(&format!("{spec} --wal {}", dir.display()));
+    let template: SamplerSpec = spec.parse().expect("spec");
+    let mut offline =
+        MultiStreamEngine::with_factory(template, 4, swsample_baselines::spec::build::<u64>)
+            .expect("offline engine");
+    for batch in &batches {
+        offline.ingest(batch);
+    }
+    let mut client = Client::connect(&addr, "restarted").expect("reconnect");
+    for key in 0..37u64 {
+        let expected: Option<Vec<(u64, u64, u64)>> = offline.sample_k(&key).map(|samples| {
+            samples
+                .iter()
+                .map(|s| (*s.value(), s.index(), s.timestamp()))
+                .collect()
+        });
+        assert!(expected.is_some(), "key {key} was touched");
+        assert_eq!(
+            client.query(key).expect("query"),
+            expected,
+            "key {key} diverged after the served crash"
+        );
+    }
+    client.shutdown_server().expect("shutdown");
+    assert!(serve.wait().expect("serve exit").success());
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -1,34 +1,46 @@
-//! Deterministic, seeded fault injection shared by the durable and
-//! serving layers.
+//! Deterministic fault injection shared by the durable and serving
+//! layers: one environment variable, one grammar, one injector.
 //!
 //! A [`FaultSchedule`] is a set of rules, one per [`FaultSite`], parsed
 //! from the `SWSAMPLE_FAULTS` environment variable (or a `--faults`
 //! flag). Each rule fires on a deterministic subset of the operations
-//! that pass through its site: whether the `n`th operation faults is a
-//! pure function of `(seed, site, n)` — a splitmix64-style mix reduced
-//! modulo the rule's rate denominator. The same seed therefore replays
-//! the *exact same* connection drops, stalls, byte flips, and transient
-//! disk errors on every run, which turns an exactly-once violation
-//! under chaos into a reproducible test failure rather than a flake.
+//! that pass through its site, chosen by its [`Trigger`]:
 //!
-//! The grammar is the same `name=value` comma list as the durable
-//! crate's `SWSAMPLE_FAILPOINT`:
+//! - `<site>=1/N` — seeded: fire on roughly one in `N` operations.
+//!   Whether the `n`th operation faults is a pure function of
+//!   `(seed, site, n)` — a splitmix64-style mix reduced modulo `N` — so
+//!   the same seed replays the *exact same* connection drops, stalls,
+//!   byte flips and transient disk errors on every run, which turns an
+//!   exactly-once violation under chaos into a reproducible test
+//!   failure rather than a flake.
+//! - `<site>=@N` — counted: fire once, on the `N`th operation (1-based).
+//! - `<site>=@N..` — counted: fire on every operation from the `N`th on.
+//!
+//! Any trigger may be followed by `:P`, for the sites that take a
+//! parameter: a stall duration `:Pms` on `stall-rx`/`stall-tx`
+//! (default 10ms), the torn-tail length on `kill`, the byte offset on
+//! `corrupt-snapshot`. `seed=S` sets the schedule seed (default 0).
 //!
 //! ```text
 //! SWSAMPLE_FAULTS=seed=7,drop-rx=1/61,stall-rx=1/37:5ms,flip-tx=1/71,wal-append=1/23
+//! SWSAMPLE_FAULTS=kill=@40:11
+//! SWSAMPLE_FAULTS=disk-full=@3..,corrupt-snapshot=@2:120
 //! ```
 //!
-//! - `seed=S` — the schedule seed (defaults to 0 when omitted).
-//! - `<site>=1/N` — fire on roughly one in `N` operations at `<site>`,
-//!   chosen deterministically by the seeded mix (not every Nth).
-//! - `<site>=1/N:Pms` — stall sites only: stall for `P` milliseconds
-//!   when the rule fires.
-//!
-//! Sites: `drop-rx` / `drop-tx` (sever the connection while receiving /
+//! Network sites, consulted by the server's reader/writer threads:
+//! `drop-rx` / `drop-tx` (sever the connection while receiving /
 //! sending, the tx side mid-frame), `stall-rx` / `stall-tx` (sleep past
 //! the peer's deadline), `flip-tx` (flip one byte of an outgoing frame
-//! so the peer's CRC catches it), `wal-append` / `wal-fsync` (transient
-//! disk errors the durable engine retries boundedly).
+//! so the peer's CRC catches it).
+//!
+//! Durable sites ([`FaultSite::is_durable`]), consulted by the durable
+//! engine: `wal-append` / `wal-fsync` (transient disk errors it retries
+//! boundedly) and the hard faults — `kill` (exit 42 after a WAL append,
+//! before apply; `:P` first tears `P` bytes onto the log tail, without
+//! it the log is synced), `shutdown` (graceful close after an applied
+//! batch, then exit 43), `disk-full` (the append fails with a synthetic
+//! out-of-space error) and `corrupt-snapshot` (XOR byte `P` of a freshly
+//! written snapshot with `0xFF`).
 //!
 //! Layers consult the schedule through a [`FaultInjector`], which owns
 //! the per-site operation counters (atomics, so concurrent reader and
@@ -72,11 +84,19 @@ pub enum FaultSite {
     WalAppend,
     /// Fail a WAL fsync with a transient (retryable) I/O error.
     WalFsync,
+    /// Exit the process after a WAL append, before the batch is applied.
+    Kill,
+    /// Close the durable engine after an applied batch, then exit.
+    Shutdown,
+    /// Fail a WAL append with a synthetic out-of-space error.
+    DiskFull,
+    /// Corrupt one byte of a freshly written snapshot.
+    CorruptSnapshot,
 }
 
 impl FaultSite {
     /// Every site, in canonical (grammar/display) order.
-    pub const ALL: [FaultSite; 7] = [
+    pub const ALL: [FaultSite; 11] = [
         FaultSite::DropRx,
         FaultSite::DropTx,
         FaultSite::StallRx,
@@ -84,6 +104,10 @@ impl FaultSite {
         FaultSite::FlipTx,
         FaultSite::WalAppend,
         FaultSite::WalFsync,
+        FaultSite::Kill,
+        FaultSite::Shutdown,
+        FaultSite::DiskFull,
+        FaultSite::CorruptSnapshot,
     ];
 
     /// The site's token in the schedule grammar.
@@ -96,6 +120,10 @@ impl FaultSite {
             FaultSite::FlipTx => "flip-tx",
             FaultSite::WalAppend => "wal-append",
             FaultSite::WalFsync => "wal-fsync",
+            FaultSite::Kill => "kill",
+            FaultSite::Shutdown => "shutdown",
+            FaultSite::DiskFull => "disk-full",
+            FaultSite::CorruptSnapshot => "corrupt-snapshot",
         }
     }
 
@@ -104,9 +132,22 @@ impl FaultSite {
         Self::ALL.into_iter().find(|s| s.token() == token)
     }
 
-    /// True for the sites whose rules accept a `:Pms` stall duration.
-    pub fn takes_duration(self) -> bool {
-        matches!(self, FaultSite::StallRx | FaultSite::StallTx)
+    /// The unit suffix of the site's `:P` parameter (`"ms"` for stall
+    /// durations, `""` for plain byte counts), or `None` if the site
+    /// takes no parameter.
+    pub fn param_unit(self) -> Option<&'static str> {
+        match self {
+            FaultSite::StallRx | FaultSite::StallTx => Some("ms"),
+            FaultSite::Kill | FaultSite::CorruptSnapshot => Some(""),
+            _ => None,
+        }
+    }
+
+    /// True for the sites only the durable engine consults — `wal-append`
+    /// and every site after it in [`ALL`](Self::ALL); a schedule naming
+    /// one is meaningless without a WAL directory.
+    pub fn is_durable(self) -> bool {
+        self >= FaultSite::WalAppend
     }
 
     fn index(self) -> usize {
@@ -126,20 +167,55 @@ impl fmt::Display for FaultSite {
     }
 }
 
-/// One rule of a [`FaultSchedule`]: fire at `site` on roughly one in
-/// `denom` operations.
+/// Which operations at a site a [`FaultRule`] fires on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Trigger {
+    /// `1/N`: the operations whose seeded mix is divisible by `N`
+    /// (roughly one in `N`, not every `N`th).
+    Rate(u64),
+    /// `@N`: only the `N`th operation (1-based).
+    At(u64),
+    /// `@N..`: the `N`th operation (1-based) and every one after it.
+    From(u64),
+}
+
+impl Trigger {
+    fn parse(s: &str) -> Option<Self> {
+        let count = |n: &str| n.trim().parse::<u64>().ok().filter(|&n| n >= 1);
+        if let Some(denom) = s.strip_prefix("1/") {
+            return count(denom).map(Trigger::Rate);
+        }
+        let at = s.strip_prefix('@')?;
+        match at.strip_suffix("..") {
+            Some(n) => count(n).map(Trigger::From),
+            None => count(at).map(Trigger::At),
+        }
+    }
+}
+
+impl fmt::Display for Trigger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Trigger::Rate(denom) => write!(f, "1/{denom}"),
+            Trigger::At(n) => write!(f, "@{n}"),
+            Trigger::From(n) => write!(f, "@{n}.."),
+        }
+    }
+}
+
+/// One rule of a [`FaultSchedule`]: fire at `site` on the operations
+/// `trigger` selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultRule {
     /// Where the rule applies.
     pub site: FaultSite,
-    /// Rate denominator: the rule fires when the seeded mix of the
-    /// operation index is divisible by `denom` (so ~1/denom of ops).
-    pub denom: u64,
-    /// Stall duration in milliseconds (stall sites only; 0 elsewhere).
-    pub stall_ms: u64,
+    /// Which operations fault.
+    pub trigger: Trigger,
+    /// The `:P` parameter, for sites with a [`FaultSite::param_unit`].
+    pub param: Option<u64>,
 }
 
-/// A fired fault: which site, which operation, and the rule's stall
+/// A fired fault: which site, which operation, and the rule's `:P`
 /// parameter, plus an auxiliary seeded word for choosing byte offsets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultHit {
@@ -147,18 +223,19 @@ pub struct FaultHit {
     pub site: FaultSite,
     /// 0-based index of the operation that faulted at this site.
     pub op: u64,
-    /// Stall duration in milliseconds (stall sites only; 0 elsewhere).
-    pub stall_ms: u64,
+    /// The rule's `:P` parameter (stall milliseconds, torn-tail bytes,
+    /// snapshot byte offset), if it has one.
+    pub param: Option<u64>,
     /// Deterministic auxiliary randomness, e.g. to pick which byte of a
     /// frame to flip or where to cut a dropped frame.
     pub aux: u64,
 }
 
-/// A seeded schedule of fault rules. The default schedule is empty and
+/// A schedule of fault rules. The default schedule is empty and
 /// injects nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSchedule {
-    /// Seed mixed into every fire/no-fire decision.
+    /// Seed mixed into every seeded-rate fire/no-fire decision.
     pub seed: u64,
     rules: Vec<FaultRule>,
 }
@@ -174,22 +251,25 @@ impl FaultSchedule {
         self.rules.iter().find(|r| r.site == site)
     }
 
-    /// Add or replace the rule for `rule.site`, keeping canonical order.
-    pub fn set_rule(&mut self, rule: FaultRule) {
-        self.rules.retain(|r| r.site != rule.site);
-        self.rules.push(rule);
-        self.rules.sort_by_key(|r| r.site);
+    /// The first rule's site that only the durable engine consults, if
+    /// any (see [`FaultSite::is_durable`]).
+    pub fn durable_site(&self) -> Option<FaultSite> {
+        self.rules.iter().map(|r| r.site).find(|s| s.is_durable())
     }
 
     /// Pure fire/no-fire decision for the `n`th (0-based) operation at
     /// `site`. Same `(seed, site, n)` — same answer, every run.
     pub fn fires(&self, site: FaultSite, n: u64) -> Option<FaultHit> {
         let rule = self.rule(site)?;
-        let word = mix64(self.seed, site.salt(), n);
-        word.is_multiple_of(rule.denom.max(1)).then(|| FaultHit {
+        let fires = match rule.trigger {
+            Trigger::Rate(denom) => mix64(self.seed, site.salt(), n).is_multiple_of(denom.max(1)),
+            Trigger::At(at) => n + 1 == at,
+            Trigger::From(from) => n + 1 >= from,
+        };
+        fires.then(|| FaultHit {
             site,
             op: n,
-            stall_ms: rule.stall_ms,
+            param: rule.param,
             aux: mix64(self.seed, site.salt() ^ 0xA0A0_A0A0_A0A0_A0A0, n),
         })
     }
@@ -224,9 +304,9 @@ impl fmt::Display for FaultSchedule {
         }
         write!(f, "seed={}", self.seed)?;
         for rule in &self.rules {
-            write!(f, ",{}=1/{}", rule.site, rule.denom)?;
-            if rule.site.takes_duration() {
-                write!(f, ":{}ms", rule.stall_ms)?;
+            write!(f, ",{}={}", rule.site, rule.trigger)?;
+            if let (Some(param), Some(unit)) = (rule.param, rule.site.param_unit()) {
+                write!(f, ":{param}{unit}")?;
             }
         }
         Ok(())
@@ -259,39 +339,37 @@ impl FromStr for FaultSchedule {
             if schedule.rule(site).is_some() {
                 return Err(format!("fault `{name}` given twice"));
             }
-            let (rate, stall) = match value.split_once(':') {
-                Some((rate, stall)) => (rate.trim(), Some(stall.trim())),
+            let (trigger, param) = match value.split_once(':') {
+                Some((trigger, param)) => (trigger.trim(), Some(param.trim())),
                 None => (value, None),
             };
-            let denom = rate
-                .strip_prefix("1/")
-                .and_then(|d| d.trim().parse::<u64>().ok())
-                .filter(|&d| d >= 1)
-                .ok_or_else(|| {
-                    format!("fault `{name}`: expected a rate `1/N` (N >= 1), got `{rate}`")
-                })?;
-            let stall_ms = match stall {
-                Some(stall) => {
-                    if !site.takes_duration() {
-                        return Err(format!(
-                            "fault `{name}`: `:{stall}` — stall durations only apply to stall-rx/stall-tx"
-                        ));
-                    }
-                    stall
-                        .strip_suffix("ms")
-                        .and_then(|ms| ms.trim().parse::<u64>().ok())
+            let trigger = Trigger::parse(trigger).ok_or_else(|| {
+                format!(
+                    "fault `{name}`: expected a trigger `1/N`, `@N` or `@N..` (N >= 1), got `{trigger}`"
+                )
+            })?;
+            let param = match (param, site.param_unit()) {
+                (Some(param), Some(unit)) => Some(
+                    param
+                        .strip_suffix(unit)
+                        .and_then(|p| p.trim().parse::<u64>().ok())
                         .ok_or_else(|| {
-                            format!("fault `{name}`: expected a stall duration `<millis>ms`, got `{stall}`")
-                        })?
+                            format!("fault `{name}`: expected `:<integer>{unit}`, got `:{param}`")
+                        })?,
+                ),
+                (Some(param), None) => {
+                    return Err(format!(
+                        "fault `{name}`: `:{param}` — only stall-rx, stall-tx, kill and corrupt-snapshot take a parameter"
+                    ))
                 }
                 // Stall sites default to 10ms when the duration is omitted.
-                None if site.takes_duration() => 10,
-                None => 0,
+                (None, Some("ms")) => Some(10),
+                (None, _) => None,
             };
             schedule.rules.push(FaultRule {
                 site,
-                denom,
-                stall_ms,
+                trigger,
+                param,
             });
         }
         schedule.rules.sort_by_key(|r| r.site);
@@ -363,11 +441,11 @@ mod tests {
             s.rule(FaultSite::DropRx),
             Some(&FaultRule {
                 site: FaultSite::DropRx,
-                denom: 61,
-                stall_ms: 0
+                trigger: Trigger::Rate(61),
+                param: None,
             })
         );
-        assert_eq!(s.rule(FaultSite::StallRx).unwrap().stall_ms, 5);
+        assert_eq!(s.rule(FaultSite::StallRx).unwrap().param, Some(5));
         // Canonical display: seed first, sites in ALL order.
         let shown = s.to_string();
         assert_eq!(shown, "seed=7,drop-rx=1/61,stall-rx=1/37:5ms");
@@ -375,11 +453,25 @@ mod tests {
     }
 
     #[test]
+    fn counted_triggers_round_trip_and_mark_durable_sites() {
+        let s: FaultSchedule = "corrupt-snapshot=@2:120, disk-full=@3.., kill=@40:11, shutdown=@7"
+            .parse()
+            .expect("parse");
+        let shown = s.to_string();
+        let canonical = "seed=0,kill=@40:11,shutdown=@7,disk-full=@3..,corrupt-snapshot=@2:120";
+        assert_eq!(shown, canonical);
+        assert_eq!(shown.parse::<FaultSchedule>().unwrap(), s);
+        assert_eq!(s.durable_site(), Some(FaultSite::Kill));
+        let network: FaultSchedule = "drop-rx=@1,stall-tx=1/3".parse().unwrap();
+        assert_eq!(network.durable_site(), None);
+    }
+
+    #[test]
     fn empty_and_default_stall() {
         assert!("".parse::<FaultSchedule>().unwrap().is_empty());
         assert_eq!(FaultSchedule::default().to_string(), "");
         let s: FaultSchedule = "stall-tx=1/3".parse().unwrap();
-        assert_eq!(s.rule(FaultSite::StallTx).unwrap().stall_ms, 10);
+        assert_eq!(s.rule(FaultSite::StallTx).unwrap().param, Some(10));
     }
 
     #[test]
@@ -395,6 +487,13 @@ mod tests {
             ("seed=1,seed=2", "seed"),
             ("drop-rx=1/2,drop-rx=1/3", "drop-rx"),
             ("drop-sideways=1/2", "drop-sideways"),
+            ("kill=@1,kill=@2", "kill"),
+            ("kill=@lots", "kill"),
+            ("kill=@40:lots", "kill"),
+            ("shutdown=@0", "shutdown"),
+            ("disk-full=@0..", "disk-full"),
+            ("disk-full=@3..:7", "disk-full"),
+            ("shutdown=@3:7", "shutdown"),
         ] {
             let err = input.parse::<FaultSchedule>().expect_err(input);
             assert!(err.contains(must_mention), "{input}: {err}");
@@ -434,6 +533,17 @@ mod tests {
             .filter(|&n| two.fires(FaultSite::DropTx, n).is_some())
             .collect();
         assert_ne!(fires, tx);
+    }
+
+    #[test]
+    fn counted_triggers_fire_on_exact_operations() {
+        // The injector numbers each site's operations on its own.
+        let injector = &FaultInjector::new("seed=9,kill=@3,disk-full=@3..".parse().unwrap());
+        let fired = |site| (0..6u64).filter(move |_| injector.check(site).is_some());
+        let kills: Vec<u64> = fired(FaultSite::Kill).collect();
+        assert_eq!(kills, vec![2], "@3 fires once, on the third operation");
+        let full: Vec<u64> = fired(FaultSite::DiskFull).collect();
+        assert_eq!(full, vec![2, 3, 4, 5], "@3.. fires from the third on");
     }
 
     #[test]

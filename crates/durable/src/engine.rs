@@ -23,13 +23,25 @@ use swsample_core::{FleetBackend, SamplerSpec};
 use swsample_stream::MultiStreamEngine;
 
 use crate::batch::{decode_batch, encode_batch};
-use crate::failpoint::{FailPlan, CRASH_EXIT_CODE, SHUTDOWN_EXIT_CODE};
 use crate::snapshot::{self, SnapshotMeta};
 use crate::wal::{SegmentLog, DEFAULT_SEGMENT_BYTES};
 use crate::DurableError;
 
 /// A keyed ingest event, matching the stream engine's batch element.
 pub type Event<K, T> = (K, u64, T);
+
+/// Exit code of the `kill` fault, so harnesses can tell an injected
+/// crash (expected) from a genuine panic or error (not).
+pub const CRASH_EXIT_CODE: i32 = 42;
+
+/// Exit code of the `shutdown` fault — distinct from
+/// [`CRASH_EXIT_CODE`] because the two exercise different recovery
+/// paths (snapshot-only restore vs WAL replay).
+pub const SHUTDOWN_EXIT_CODE: i32 = 43;
+
+/// How many consecutive transient faults on one operation the engine
+/// retries before surfacing an I/O error.
+const TRANSIENT_RETRY_LIMIT: u32 = 4;
 
 /// Tuning and fault-injection knobs for a [`DurableEngine`].
 #[derive(Debug, Clone)]
@@ -39,16 +51,12 @@ pub struct DurableOptions {
     /// Automatically snapshot after this many ingest batches
     /// (`None` = only on explicit [`DurableEngine::snapshot`] calls).
     pub snapshot_every: Option<u64>,
-    /// Fault-injection plan for *hard* faults — crash, torn tail,
-    /// snapshot corruption, permanent disk-full (default: no faults).
-    pub fail: FailPlan,
-    /// Seeded schedule of *transient* faults (`wal-append`,
-    /// `wal-fsync` sites): injected I/O errors the engine rides out
-    /// with a bounded retry (default: no faults).
+    /// Fault schedule for the durable sites (default: no faults):
+    /// transient `wal-append`/`wal-fsync` errors the engine rides out
+    /// with a bounded retry, and the hard `kill`, `shutdown`,
+    /// `disk-full` and `corrupt-snapshot` faults. Network sites are
+    /// inert here.
     pub faults: FaultSchedule,
-    /// How many consecutive transient faults on one operation the
-    /// engine retries before surfacing an I/O error.
-    pub transient_retry_limit: u32,
 }
 
 impl Default for DurableOptions {
@@ -56,9 +64,7 @@ impl Default for DurableOptions {
         Self {
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             snapshot_every: None,
-            fail: FailPlan::default(),
             faults: FaultSchedule::default(),
-            transient_retry_limit: 4,
         }
     }
 }
@@ -81,10 +87,9 @@ pub struct DurableEngine<K: Clone, T: Clone> {
     wal: SegmentLog,
     dir: PathBuf,
     opts: DurableOptions,
-    /// Successful WAL appends this process (drives failpoints).
-    appends: u64,
     batches_since_snapshot: u64,
-    /// Decides which append/fsync operations transiently fail.
+    /// Decides which appends, fsyncs and snapshots fault; its per-site
+    /// counters number them within this process.
     injector: FaultInjector,
     /// Transient injected faults absorbed by the retry policy.
     transient_retries: u64,
@@ -135,7 +140,6 @@ where
             wal,
             dir,
             opts,
-            appends: 0,
             batches_since_snapshot: 0,
             injector,
             transient_retries: 0,
@@ -198,7 +202,6 @@ where
             wal,
             dir,
             opts,
-            appends: 0,
             batches_since_snapshot: 0,
             injector,
             transient_retries: 0,
@@ -208,14 +211,14 @@ where
     /// Pass one faultable operation through the transient-fault
     /// schedule at `site`, retrying boundedly: each consecutive
     /// injected failure consumes another retry until
-    /// [`DurableOptions::transient_retry_limit`] is exhausted, at which
-    /// point the error is surfaced as a real I/O failure.
+    /// `TRANSIENT_RETRY_LIMIT` (4) is exhausted, at which point the
+    /// error is surfaced as a real I/O failure.
     fn ride_out_transients(&mut self, site: FaultSite, what: &str) -> Result<(), DurableError> {
         let mut attempts = 0u32;
         while self.injector.check(site).is_some() {
             self.transient_retries += 1;
             attempts += 1;
-            if attempts > self.opts.transient_retry_limit {
+            if attempts > TRANSIENT_RETRY_LIMIT {
                 return Err(DurableError::Io(std::io::Error::other(format!(
                     "transient {what} failure persisted through {attempts} attempts (fault injection)"
                 ))));
@@ -231,28 +234,29 @@ where
         if batch.is_empty() {
             return Ok(None);
         }
-        if let Some(limit) = self.opts.fail.disk_full_after_appends {
-            if self.appends >= limit {
+        let faulty = !self.injector.is_empty();
+        if faulty {
+            if self.injector.check(FaultSite::DiskFull).is_some() {
                 return Err(DurableError::Io(std::io::Error::other(
-                    "synthetic disk-full (failpoint)",
+                    "synthetic disk-full (fault injection)",
                 )));
             }
+            self.ride_out_transients(FaultSite::WalAppend, "WAL append")?;
         }
-        self.ride_out_transients(FaultSite::WalAppend, "WAL append")?;
         let payload = encode_batch(batch);
         let seq = self.wal.append(&payload)?;
-        self.appends += 1;
-        if self.opts.fail.kill_after_appends == Some(self.appends) {
-            if let Some(bytes) = self.opts.fail.torn_tail_bytes {
-                let _ = self.wal.inject_torn_tail(bytes);
-            } else {
-                let _ = self.wal.sync();
+        if faulty {
+            if let Some(hit) = self.injector.check(FaultSite::Kill) {
+                let _ = match hit.param {
+                    Some(bytes) => self.wal.inject_torn_tail(bytes),
+                    None => self.wal.sync(),
+                };
+                eprintln!(
+                    "swsample-durable: fault kill after {} appends (exit {CRASH_EXIT_CODE})",
+                    hit.op + 1
+                );
+                std::process::exit(CRASH_EXIT_CODE);
             }
-            eprintln!(
-                "swsample-durable: failpoint kill after {} appends (exit {CRASH_EXIT_CODE})",
-                self.appends
-            );
-            std::process::exit(CRASH_EXIT_CODE);
         }
         self.engine.ingest_parallel(batch);
         self.batches_since_snapshot += 1;
@@ -261,17 +265,19 @@ where
                 self.snapshot()?;
             }
         }
-        if self.opts.fail.shutdown_after_appends == Some(self.appends) {
-            // Graceful-shutdown failpoint: unlike the kill (which exits
-            // *before* apply, leaving un-applied durable records for
-            // replay), this takes the orderly exit path — final
-            // snapshot, then a distinct exit code.
-            self.close()?;
-            eprintln!(
-                "swsample-durable: failpoint shutdown after {} appends (exit {SHUTDOWN_EXIT_CODE})",
-                self.appends
-            );
-            std::process::exit(SHUTDOWN_EXIT_CODE);
+        if faulty {
+            if let Some(hit) = self.injector.check(FaultSite::Shutdown) {
+                // Unlike the kill (which exits *before* apply, leaving
+                // un-applied durable records for replay), this takes the
+                // orderly exit path — final snapshot, then a distinct
+                // exit code.
+                self.close()?;
+                eprintln!(
+                    "swsample-durable: fault shutdown after {} appends (exit {SHUTDOWN_EXIT_CODE})",
+                    hit.op + 1
+                );
+                std::process::exit(SHUTDOWN_EXIT_CODE);
+            }
         }
         Ok(Some(seq))
     }
@@ -303,14 +309,15 @@ where
         let path = snapshot::write_snapshot(&self.dir, &meta, |emit| {
             self.engine.for_each_state(|key, state| emit(key, &state))
         })?;
-        if let Some(offset) = self.opts.fail.corrupt_snapshot_byte.take() {
+        if let Some(hit) = self.injector.check(FaultSite::CorruptSnapshot) {
+            let offset = hit.param.unwrap_or(0);
             let mut bytes = std::fs::read(&path)?;
             if !bytes.is_empty() {
                 let at = (offset as usize).min(bytes.len() - 1);
                 bytes[at] ^= 0xFF;
                 std::fs::write(&path, bytes)?;
                 eprintln!(
-                    "swsample-durable: failpoint corrupted snapshot byte {offset} in {}",
+                    "swsample-durable: fault corrupted snapshot byte {offset} in {}",
                     path.display()
                 );
             }
@@ -475,7 +482,7 @@ mod tests {
             1,
             FleetBackend::Auto,
             DurableOptions {
-                fail: "disk-full-after=2".parse().expect("plan"),
+                faults: "disk-full=@3..".parse().expect("schedule"),
                 ..DurableOptions::default()
             },
         )
@@ -483,8 +490,10 @@ mod tests {
         let all = batches(4);
         assert!(durable.ingest(&all[0]).is_ok());
         assert!(durable.ingest(&all[1]).is_ok());
-        let err = durable.ingest(&all[2]).expect_err("disk full");
-        assert!(matches!(err, DurableError::Io(_)), "got {err:?}");
+        for batch in &all[2..] {
+            let err = durable.ingest(batch).expect_err("disk full");
+            assert!(matches!(err, DurableError::Io(_)), "got {err:?}");
+        }
         // The failed batch was never applied; the fleet still answers.
         assert_eq!(durable.engine().num_keys(), 13);
         assert!(durable.snapshot().is_ok(), "snapshot unaffected");
@@ -542,7 +551,6 @@ mod tests {
             DurableOptions {
                 // 1/1: every append attempt faults — no retry can save it.
                 faults: "wal-append=1/1".parse().expect("schedule"),
-                transient_retry_limit: 3,
                 ..DurableOptions::default()
             },
         )
@@ -551,6 +559,11 @@ mod tests {
         assert!(
             matches!(&err, DurableError::Io(e) if e.to_string().contains("transient")),
             "got {err:?}"
+        );
+        // The first attempt plus every retry the budget allows.
+        assert_eq!(
+            durable.transient_retries(),
+            u64::from(TRANSIENT_RETRY_LIMIT) + 1
         );
         // The failed batch never reached the WAL or the fleet.
         assert_eq!(durable.next_seq(), 0);

@@ -38,24 +38,28 @@
 //!   snapshot + replay of WAL records with `seq >=` the snapshot's
 //!   position.
 //!
-//! Fault injection for all of the above lives in [`failpoint`]:
-//! `SWSAMPLE_FAILPOINT=kill-after-appends=N[,torn-tail=B]` crashes the
-//! process (exit code [`failpoint::CRASH_EXIT_CODE`]) mid-ingest, and
-//! the CI crash-recovery smoke byte-diffs the resumed run's output
-//! against an uncrashed reference.
+//! Fault injection for all of the above takes one environment variable
+//! and one grammar, the seeded/counted schedule of
+//! [`swsample_core::fault`] handed in as [`DurableOptions::faults`]:
+//! `SWSAMPLE_FAULTS=kill=@N[:B]` crashes the process (exit code
+//! [`CRASH_EXIT_CODE`]) after the `N`th WAL append, first tearing `B`
+//! bytes onto the log tail, and the CI crash-recovery smoke byte-diffs
+//! the resumed run's output against an uncrashed reference.
+//! `shutdown`, `disk-full`, `corrupt-snapshot` and the transient
+//! `wal-append`/`wal-fsync` sites use the same grammar.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
 pub mod engine;
-pub mod failpoint;
 pub mod frame;
 pub mod snapshot;
 pub mod wal;
 
-pub use engine::{DurableEngine, DurableOptions, ResumeOverrides};
-pub use failpoint::{FailPlan, CRASH_EXIT_CODE, SHUTDOWN_EXIT_CODE};
+pub use engine::{
+    DurableEngine, DurableOptions, ResumeOverrides, CRASH_EXIT_CODE, SHUTDOWN_EXIT_CODE,
+};
 
 use std::path::PathBuf;
 

@@ -36,7 +36,7 @@ fn parse_segment_name(name: &str) -> Option<u64> {
 const WRITE_BUF_BYTES: usize = 256 << 10;
 
 /// All segment paths in `dir`, ascending by index.
-fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     let mut out = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;

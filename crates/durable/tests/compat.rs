@@ -4,10 +4,10 @@
 //!
 //! `fixtures/v1-seq-wr` holds a v1 snapshot at WAL position 4 plus seven
 //! logged batches, as a format-v1 build of the CLI left them after a
-//! crash:
+//! crash (spelled in the one fault grammar, `SWSAMPLE_FAULTS`):
 //!
 //! ```sh
-//! SWSAMPLE_FAILPOINT=kill-after-appends=7 swsample multi --keys 20 \
+//! SWSAMPLE_FAULTS=kill=@7 swsample multi --keys 20 \
 //!   --count 3000 --window seq --n 16 --k 3 --seed 9 --batch-size 256 \
 //!   --show 5 --wal DIR --snapshot-every 4
 //! ```

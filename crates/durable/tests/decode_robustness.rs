@@ -15,7 +15,7 @@ use swsample_core::state::{
 use swsample_core::{FleetBackend, Sample, SamplerSpec};
 use swsample_durable::frame::write_frame;
 use swsample_durable::snapshot::{read_snapshot, SNAPSHOT_VERSION};
-use swsample_durable::wal::SegmentLog;
+use swsample_durable::wal::{self, SegmentLog};
 use swsample_durable::{DurableEngine, DurableError, DurableOptions};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -294,11 +294,8 @@ proptest! {
         log.sync().expect("sync");
         drop(log);
         // Pick a victim byte across all segments, deterministically.
-        let mut segs: Vec<PathBuf> = std::fs::read_dir(&dir)
-            .expect("read dir")
-            .map(|e| e.expect("entry").path())
-            .collect();
-        segs.sort();
+        let segs = wal::list_segments(&dir).expect("list segments");
+        let segs: Vec<PathBuf> = segs.into_iter().map(|(_, path)| path).collect();
         let total: usize = segs.iter().map(|p| std::fs::metadata(p).expect("stat").len() as usize).sum();
         let mut victim = (pos % total as u64) as usize;
         for seg in &segs {

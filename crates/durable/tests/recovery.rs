@@ -8,7 +8,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use swsample_core::{FleetBackend, Sample, SamplerSpec};
-use swsample_durable::{DurableEngine, DurableOptions, ResumeOverrides};
+use swsample_durable::{snapshot, wal, DurableEngine, DurableOptions, ResumeOverrides};
 use swsample_stream::MultiStreamEngine;
 
 const KEYS: u64 = 37;
@@ -55,31 +55,13 @@ fn reference_samples(spec: &SamplerSpec) -> Vec<(u64, Option<Vec<Sample<u64>>>)>
 }
 
 fn last_wal_segment(dir: &Path) -> PathBuf {
-    let mut segs: Vec<PathBuf> = fs::read_dir(dir)
-        .expect("read dir")
-        .map(|e| e.expect("entry").path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("wal-") && n.ends_with(".seg"))
-        })
-        .collect();
-    segs.sort();
-    segs.pop().expect("at least one segment")
+    let segs = wal::list_segments(dir).expect("list segments");
+    segs.last().expect("at least one segment").1.clone()
 }
 
 fn newest_snapshot(dir: &Path) -> PathBuf {
-    let mut snaps: Vec<PathBuf> = fs::read_dir(dir)
-        .expect("read dir")
-        .map(|e| e.expect("entry").path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("snap-") && n.ends_with(".snap"))
-        })
-        .collect();
-    snaps.sort();
-    snaps.pop().expect("at least one snapshot")
+    let snaps = snapshot::list_snapshots(dir).expect("list snapshots");
+    snaps.last().expect("at least one snapshot").1.clone()
 }
 
 /// The resume loop every harness runs: recover, learn how many batches
@@ -251,17 +233,8 @@ fn only_two_snapshots_remain_and_the_older_still_recovers() {
     }
     durable.sync().unwrap();
     drop(durable);
-    let snaps = fs::read_dir(&dir)
-        .expect("read dir")
-        .filter(|e| {
-            e.as_ref()
-                .expect("entry")
-                .path()
-                .extension()
-                .is_some_and(|x| x == "snap")
-        })
-        .count();
-    assert_eq!(snaps, 2, "superseded snapshots must be pruned");
+    let snaps = snapshot::list_snapshots(&dir).expect("list snapshots");
+    assert_eq!(snaps.len(), 2, "superseded snapshots must be pruned");
     let snap = newest_snapshot(&dir);
     let mut bytes = fs::read(&snap).expect("read snapshot");
     let mid = bytes.len() / 2;
@@ -273,8 +246,10 @@ fn only_two_snapshots_remain_and_the_older_still_recovers() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The corrupt-snapshot failpoint produces the same situation from
-/// inside the engine (the CI smoke uses the env-var form).
+/// The `corrupt-snapshot` fault produces the same situation from
+/// inside the engine. `create`'s initial snapshot is the first one
+/// written, so `@3` hits the newest survivor of pruning (`snap-12`)
+/// and recovery must fall back to `snap-6`.
 #[test]
 fn corrupt_snapshot_failpoint_is_survivable() {
     let spec: SamplerSpec = "--window seq --n 64 --mode wr --algo chain --k 3 --seed 903"
@@ -290,7 +265,7 @@ fn corrupt_snapshot_failpoint_is_survivable() {
         FleetBackend::Auto,
         DurableOptions {
             snapshot_every: Some(6),
-            fail: "corrupt-snapshot-byte=120".parse().expect("plan"),
+            faults: "corrupt-snapshot=@3:120".parse().expect("schedule"),
             ..DurableOptions::default()
         },
     )
@@ -301,8 +276,20 @@ fn corrupt_snapshot_failpoint_is_survivable() {
     durable.sync().unwrap();
     drop(durable);
 
+    let snaps = snapshot::list_snapshots(&dir).expect("list snapshots");
+    let seqs: Vec<u64> = snaps.iter().map(|(seq, _)| *seq).collect();
+    assert_eq!(seqs, vec![6, 12], "pruning keeps the newest two");
+    assert!(
+        snapshot::read_snapshot::<u64, u64>(&snaps[1].1).is_err(),
+        "the fault must corrupt the newest snapshot"
+    );
+    let (path, meta, _) = snapshot::latest_valid::<u64, u64>(&dir)
+        .expect("scan")
+        .expect("a valid snapshot");
+    assert_eq!((path, meta.wal_seq), (snaps[0].1.clone(), 6));
+
     let got = resume_and_finish(&dir, ResumeOverrides::default());
-    assert_eq!(got, expected, "failpoint-corrupted snapshot diverged");
+    assert_eq!(got, expected, "fault-corrupted snapshot diverged");
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -4,11 +4,11 @@
 //!
 //! Threading model (all `std`, no async runtime):
 //!
-//! * **Acceptor** — a non-blocking `accept` poll loop; each accepted
-//!   socket gets a registry entry, a reader thread, and a writer
-//!   thread, each wrapped in `catch_unwind` so one connection's panic
-//!   never takes the server down (the `WorkStealPool` isolation
-//!   idiom).
+//! * **Acceptor** — blocks in `accept` (shutdown unparks it with a
+//!   throwaway connection); each accepted socket gets a registry entry,
+//!   a reader thread, and a writer thread, each wrapped in
+//!   `catch_unwind` so one connection's panic never takes the server
+//!   down (the `WorkStealPool` isolation idiom).
 //! * **Readers** decode frames and either answer directly (`QUERY`,
 //!   `STATS`, `SUBSCRIBE`) or push the batch onto the **bounded ingest
 //!   queue**. When `queued events + incoming > queue_max_events` the
@@ -49,10 +49,11 @@
 //!   lost ack resends its batch under the same `HELLO` session id; the
 //!   ingest loop dedupes on `(session, seq)` at apply time, so the
 //!   retry is acked without double-applying.
-//! * **Deterministic chaos** — a seeded [`FaultSchedule`]
+//! * **Deterministic chaos** — one [`FaultSchedule`]
 //!   (`SWSAMPLE_FAULTS`) injects connection drops, read/write stalls,
-//!   and wire byte-flips at the reader/writer layers, and transient
-//!   WAL errors inside the durable engine, replayably.
+//!   and wire byte-flips at the reader/writer layers, and transient WAL
+//!   errors and hard crashes (`kill=@N`) inside the durable engine,
+//!   replayably.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufRead as _, BufReader, BufWriter, Write as _};
@@ -69,7 +70,7 @@ use swsample_core::{FleetBackend, MemoryWords, SamplerSpec};
 use swsample_durable::engine::Event;
 use swsample_durable::frame::write_frame;
 use swsample_durable::wal::DEFAULT_SEGMENT_BYTES;
-use swsample_durable::{DurableEngine, DurableOptions, ResumeOverrides};
+use swsample_durable::{snapshot, DurableEngine, DurableOptions, ResumeOverrides};
 use swsample_stream::MultiStreamEngine;
 
 use crate::protocol::{
@@ -736,15 +737,9 @@ fn build_fleet(cfg: &ServerConfig) -> Result<Fleet, String> {
                 segment_bytes: cfg.segment_bytes,
                 snapshot_every: cfg.snapshot_every,
                 faults: cfg.faults.clone(),
-                ..DurableOptions::default()
             };
-            let has_snapshot = std::fs::read_dir(dir)
-                .map(|entries| {
-                    entries
-                        .flatten()
-                        .any(|e| e.path().extension().map(|x| x == "snap").unwrap_or(false))
-                })
-                .unwrap_or(false);
+            // A missing directory has no snapshots: `create` makes it.
+            let has_snapshot = snapshot::list_snapshots(dir).is_ok_and(|s| !s.is_empty());
             let engine = if has_snapshot {
                 DurableEngine::open_with(
                     dir,
@@ -974,7 +969,7 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, stream: TcpStream) {
         conn.touch();
         if !shared.injector.is_empty() {
             if let Some(hit) = shared.injector.check(FaultSite::StallRx) {
-                std::thread::sleep(Duration::from_millis(hit.stall_ms));
+                std::thread::sleep(Duration::from_millis(hit.param.unwrap_or(0)));
             }
             if shared.injector.check(FaultSite::DropRx).is_some() {
                 // Injected network fault: sever right after a complete
@@ -1148,7 +1143,7 @@ fn writer_loop(shared: &Shared, conn: &Conn, stream: TcpStream) {
                 }
                 if !shared.injector.is_empty() {
                     if let Some(hit) = shared.injector.check(FaultSite::StallTx) {
-                        std::thread::sleep(Duration::from_millis(hit.stall_ms));
+                        std::thread::sleep(Duration::from_millis(hit.param.unwrap_or(0)));
                     }
                     if let Some(hit) = shared.injector.check(FaultSite::DropTx) {
                         // Injected fault: send a strict prefix of the

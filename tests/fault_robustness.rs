@@ -1,29 +1,41 @@
-//! Property-based tests on the seeded fault-schedule grammar
-//! (`swsample::core::fault`), mirroring the durable crate's `FailPlan`
-//! robustness suite: arbitrary input never panics the parser, every
-//! rejection names the offending token, and valid schedules round-trip
-//! through their canonical rendering byte-stably.
+//! Property-based tests on the fault-schedule grammar
+//! (`swsample::core::fault`) — the one grammar behind the one fault
+//! environment variable, `SWSAMPLE_FAULTS`, for network and durable
+//! sites alike: arbitrary input never panics the parser, every
+//! rejection names the offending token, and valid schedules (seeded
+//! `1/N` and counted `@N[:P]` / `@N..` rules) round-trip through their
+//! canonical rendering byte-stably.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use swsample::core::fault::{FaultSchedule, FaultSite};
 
+/// Sites in the grammar; the strategies below draw one value per site.
+const SITES: usize = FaultSite::ALL.len();
+
 /// Assemble a syntactically valid schedule string from raw integers:
-/// `mask` selects which of the 7 sites get a rule, `denoms`/`stalls`
-/// supply the parameters. Stall durations only on stall sites, per the
-/// grammar.
-fn build_valid_spec(seed: u64, mask: u64, denoms: &[u64], stalls: &[u64]) -> String {
+/// `mask` selects which sites get a rule, `kinds` picks each rule's
+/// trigger (`1/N`, `@N` or `@N..`), `counts` supplies `N` and `params`
+/// the `:P` parameter — attached, on the sites that take one, when it
+/// is odd (stall sites also accept none and default).
+fn build_valid_spec(seed: u64, mask: u64, kinds: &[u8], counts: &[u64], params: &[u64]) -> String {
     let mut parts = vec![format!("seed={seed}")];
     for (i, site) in FaultSite::ALL.iter().enumerate() {
         if mask & (1 << i) == 0 {
             continue;
         }
-        let denom = denoms[i].max(1);
-        if site.takes_duration() {
-            parts.push(format!("{}=1/{denom}:{}ms", site.token(), stalls[i].max(1)));
-        } else {
-            parts.push(format!("{}=1/{denom}", site.token()));
+        let n = counts[i].max(1);
+        let mut rule = match kinds[i] % 3 {
+            0 => format!("{site}=1/{n}"),
+            1 => format!("{site}=@{n}"),
+            _ => format!("{site}=@{n}.."),
+        };
+        if let Some(unit) = site.param_unit() {
+            if params[i] % 2 == 1 {
+                rule.push_str(&format!(":{}{unit}", params[i]));
+            }
         }
+        parts.push(rule);
     }
     parts.join(",")
 }
@@ -70,11 +82,12 @@ proptest! {
     #[test]
     fn valid_schedules_round_trip_canonically(
         seed in any::<u64>(),
-        mask in 0u64..128,
-        denoms in vec(1u64..5000, 7..8),
-        stalls in vec(1u64..500, 7..8),
+        mask in 0u64..(1 << SITES),
+        kinds in vec(any::<u8>(), SITES..SITES + 1),
+        counts in vec(1u64..5000, SITES..SITES + 1),
+        params in vec(any::<u64>(), SITES..SITES + 1),
     ) {
-        let spec = build_valid_spec(seed, mask, &denoms, &stalls);
+        let spec = build_valid_spec(seed, mask, &kinds, &counts, &params);
         let parsed: FaultSchedule = spec.parse()
             .unwrap_or_else(|e| panic!("valid spec `{spec}` rejected: {e}"));
         let canonical = parsed.to_string();
@@ -91,12 +104,13 @@ proptest! {
     #[test]
     fn decisions_replay_deterministically(
         seed in any::<u64>(),
-        mask in 0u64..128,
-        denoms in vec(1u64..200, 7..8),
-        stalls in vec(1u64..500, 7..8),
+        mask in 0u64..(1 << SITES),
+        kinds in vec(any::<u8>(), SITES..SITES + 1),
+        counts in vec(1u64..200, SITES..SITES + 1),
+        params in vec(1u64..500, SITES..SITES + 1),
         ops in 1u64..200,
     ) {
-        let spec = build_valid_spec(seed, mask, &denoms, &stalls);
+        let spec = build_valid_spec(seed, mask, &kinds, &counts, &params);
         let a: FaultSchedule = spec.parse().unwrap();
         let b: FaultSchedule = spec.parse().unwrap();
         for site in FaultSite::ALL {
