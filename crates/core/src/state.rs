@@ -578,13 +578,13 @@ pub enum TsBankKind<T> {
     },
 }
 
-/// One bucket of the bank's covering, with its lane samples in whichever
-/// representation the bank had materialized.
+/// One bucket of the bank's covering: the stream indices `[a, b)` it
+/// covers and its lane samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TsBankBucketState<T> {
-    /// Bucket timestamp interval start (inclusive).
+    /// First covered stream index (inclusive).
     pub a: u64,
-    /// Bucket timestamp interval end (exclusive).
+    /// One past the last covered stream index (exclusive).
     pub b: u64,
     /// Timestamp of the bucket's first arrival.
     pub ts_first: u64,
@@ -592,27 +592,33 @@ pub struct TsBankBucketState<T> {
     pub samples: TsLaneSamplesState<T>,
 }
 
-/// Lazily-materialized lane samples of one bank bucket.
+/// Lane samples of one bank bucket. The record's shape is fixed by the
+/// bucket's width and the lane count `k`: `Shared` at width 1, `Pair` at
+/// width 2 for `2 ≤ k ≤ 64`, `PerLane` otherwise. How the bank stores the
+/// samples in memory does not change the record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TsLaneSamplesState<T> {
     /// All lanes share one sample (singleton bucket).
     Shared(Sample<T>),
-    /// Two-way split after one merge: per-lane selectors pick `lo`/`hi`.
+    /// A width-2 bucket's two elements: per-lane selectors pick `lo`/`hi`.
     Pair {
-        /// Sample adopted by lanes whose `rsel` bit is 0.
+        /// The element at index `a`: a lane's `r` (`q`) where its `rsel`
+        /// (`qsel`) bit is 0.
         lo: Sample<T>,
-        /// Sample adopted by lanes whose `rsel` bit is 1.
+        /// The element at index `a + 1`: a lane's `r` (`q`) where its
+        /// `rsel` (`qsel`) bit is 1.
         hi: Sample<T>,
         /// Per-lane `r` selector bits (lane `j` = bit `j`).
         rsel: u64,
         /// Per-lane `q` selector bits.
         qsel: u64,
     },
-    /// Fully materialized per-lane samples.
+    /// One `r` and one `q` sample per lane.
     PerLane {
         /// Per-lane `r` (uniform-in-bucket) samples.
         r: Vec<Sample<T>>,
-        /// Per-lane `q` (first-in-bucket) samples.
+        /// Per-lane `q` samples: a second, independent uniform sample of
+        /// the bucket, consumed by the implicit-event generator (Lemma 3.6).
         q: Vec<Sample<T>>,
     },
 }

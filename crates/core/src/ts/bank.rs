@@ -17,8 +17,8 @@
 //! identical** bucket boundaries at every moment and differ only in their
 //! per-bucket sample slots. [`TsEngineBank`] de-duplicates everything
 //! deterministic: one boundary list (`a`, `b`, `T(p_a)` stored once), with
-//! structure-of-arrays sample slots `r[lane]`, `q[lane]`, `r_stat[lane]`
-//! per bucket. Per arrival, boundary maintenance runs **once** instead of
+//! per-lane `R`/`Q` sample slots per bucket (stored as described below).
+//! Per arrival, boundary maintenance runs **once** instead of
 //! `k` times; each (amortized `O(1)`) merge spends `2k` fair coin *bits*
 //! served from a [`BitSource`] — one `next_u64` covers 64 lane-coins — so
 //! ingestion costs amortized `O(k/32)` RNG words per element instead of
@@ -37,10 +37,28 @@
 //! implementation and `tests/ts_bank_equivalence.rs` hold both to the
 //! same lockstep-boundary and chi-square standards.
 //!
-//! A freshly inserted arrival is stored **once** (all lanes' `r = q =`
-//! the element — a new singleton bucket is lane-degenerate); per-lane
-//! storage materializes lazily at the bucket's first merge, cloning the
-//! element only into the lanes whose coins adopt it.
+//! Lane storage. A bucket has `2k` sample slots — lane `j`'s `R` at slot
+//! `j`, its `Q` at slot `k + j` — yet few *distinct* elements among them:
+//! `2k` uniform picks from a width-`w` bucket repeat whenever `w` is small
+//! against `k`. So each bucket stores every element its slots hold once:
+//!
+//! * a never-merged singleton stores its element inline, once for all
+//!   lanes (`Shared`);
+//! * a merged bucket stores its `m` distinct candidates in stream order
+//!   plus a `⌈log₂ m⌉`-bit selector per slot, bit-sliced into `⌈log₂ m⌉`
+//!   planes of `2k` bits (`Indexed`). A width-2 bucket keeps both its
+//!   candidates for `2 ≤ k ≤ 64`, so its one plane is the merge coins
+//!   verbatim. When an index would not be smaller than `2k` plain samples
+//!   (`m` near `2k`, in wide buckets), the candidates are the slots
+//!   themselves, in slot order, with no selectors — so no bucket ever
+//!   costs more than `6k + 3` words.
+//!
+//! A merge splits the slots by candidate, plane by plane, keeps each
+//! slot's left or right candidate by its coin, drops the candidates no
+//! slot holds any more, and folds the survivors' slot sets back into
+//! planes: word-parallel, with no per-slot loop. The coins drawn and the
+//! element each lane ends up holding do not depend on the layout; only
+//! the storage does.
 
 use super::bucket::BucketStruct;
 use super::covering::Covering;
@@ -54,52 +72,142 @@ use crate::state::{
 use crate::track::{NullTracker, SampleTracker};
 use rand::Rng;
 
-/// Per-bucket sample slots for all `k` lanes.
-///
-/// Lazy materialization ladder: a singleton stores its element once
-/// (`Shared`); a width-2 bucket stores its *two* candidates plus the
-/// merge-coin masks themselves as per-lane selectors (`Pair` —
-/// `2·⌈k/64⌉` words instead of `2k` sample records); only from width 4 on
-/// do lanes hold materialized slots (`PerLane`). Merges pair equal
-/// widths, so the reachable shapes are width 1 = `Shared`, width 2 =
-/// `Pair`, width ≥ 4 = `PerLane`.
+/// Per-bucket sample slots for all `k` lanes (see the module docs).
 #[derive(Debug, Clone)]
 enum LaneSamples<T, S> {
-    /// Never merged: every lane's `R` and `Q` is this same element, stored
-    /// once (a singleton bucket's two samples are both the element itself).
+    /// Never merged: every slot holds this element, stored once.
     Shared { item: Sample<T>, stat: S },
-    /// One merge deep: two candidates; bit `lane` of `rsel` / `qsel`
-    /// picks `hi` for that lane's `R` / `Q` (the stored masks *are* the
-    /// merge coins, verbatim). Used for `2 ≤ k ≤ 64`; beyond one mask
-    /// word (or at `k = 1`, where it would cost more words than it
-    /// saves) merges materialize directly.
-    Pair {
-        lo: Sample<T>,
-        lo_stat: S,
-        hi: Sample<T>,
-        hi_stat: S,
-        rsel: u64,
-        qsel: u64,
-    },
-    /// Two or more merges deep: per-lane slots.
-    PerLane {
-        r: Vec<Sample<T>>,
-        r_stat: Vec<S>,
-        q: Vec<Sample<T>>,
-    },
+    /// Merged at least once.
+    Indexed(Lanes<T, S>),
 }
 
-/// Recycled per-lane slot buffers. Bucket merges consume the right
-/// operand's three lane vectors; instead of freeing them, the bank parks
-/// them here (cleared) and the next singleton-pair materialization reuses
-/// them — steady-state ingestion runs allocation-free. Allocator-level
-/// reuse, like `Vec` spare capacity: not part of the §1.4 word accounting.
-/// One recycled buffer triple: `(r, r_stat, q)` lane slots.
-type LaneBufs<T, S> = (Vec<Sample<T>>, Vec<S>, Vec<Sample<T>>);
+/// A merged bucket's `2k` slots over its stored candidates.
+#[derive(Debug, Clone)]
+struct Lanes<T, S> {
+    /// With `bits > 0`, or a single entry: the distinct elements the slots
+    /// hold, each once, in stream order. With `bits == 0` and `2k`
+    /// entries: slot `s` holds `cands[s]` (slot order).
+    cands: Vec<(Sample<T>, S)>,
+    /// Bit-sliced selectors: `bits` planes of `2k` bits, back to back
+    /// from bit 0; bit `s` of plane `j` is bit `j` of slot `s`'s candidate
+    /// index. Exactly `⌈2k·bits/64⌉` words.
+    sel: SelWords,
+    bits: u32,
+}
 
+/// Selector words: inline while they fit (always, for `k ≤ 16`), else on
+/// the heap — so a merged bucket usually owns one heap buffer, not two.
+#[derive(Debug, Clone)]
+enum SelWords {
+    Inline {
+        len: usize,
+        words: [u64; INLINE_SEL],
+    },
+    Heap(Vec<u64>),
+}
+
+const INLINE_SEL: usize = 3;
+
+impl SelWords {
+    const EMPTY: Self = SelWords::Inline {
+        len: 0,
+        words: [0; INLINE_SEL],
+    };
+
+    fn words(&self) -> &[u64] {
+        match self {
+            SelWords::Inline { len, words } => &words[..*len],
+            SelWords::Heap(words) => words,
+        }
+    }
+
+    /// Reset to `n` zero words and return them.
+    fn zeroed(&mut self, n: usize) -> &mut [u64] {
+        if n > INLINE_SEL && matches!(self, SelWords::Inline { .. }) {
+            *self = SelWords::Heap(Vec::new());
+        }
+        match self {
+            SelWords::Inline { len, words } => {
+                *len = n;
+                *words = [0; INLINE_SEL];
+                &mut words[..n]
+            }
+            SelWords::Heap(words) => {
+                words.clear();
+                words.resize(n, 0);
+                words
+            }
+        }
+    }
+}
+
+/// Whether width-2 buckets keep both candidates, so their `k` `R` and `k`
+/// `Q` selector bits are one coin mask each (the `Pair` checkpoint record).
+fn pair_shaped(lanes: usize) -> bool {
+    (2..=64).contains(&lanes)
+}
+
+/// Words holding `slots` packed fields of `bits` bits.
+fn sel_words(slots: usize, bits: u32) -> usize {
+    (slots * bits as usize).div_ceil(64)
+}
+
+/// Bits of word `w` in a `slots`-bit string.
+fn word_len(slots: usize, w: usize) -> u32 {
+    (slots - 64 * w).min(64) as u32
+}
+
+/// Bits of an index into `m` candidates.
+fn bits_for(m: usize) -> u32 {
+    usize::BITS - m.saturating_sub(1).leading_zeros()
+}
+
+/// Selector width for `m` stored candidates, or `None` when that index
+/// would not be smaller than `2k` plain samples (use slot order).
+fn index_bits<T>(m: usize, lanes: usize) -> Option<u32> {
+    let bits = bits_for(m);
+    let words = m * Sample::<T>::WORDS + sel_words(2 * lanes, bits);
+    (words < 2 * lanes * Sample::<T>::WORDS).then_some(bits)
+}
+
+/// The low `n ≤ 64` bits set.
+fn low_mask(n: u32) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
+/// The `n ≤ 64` bits at bit offset `pos` of `words`.
+#[inline]
+fn get_bits(words: &[u64], pos: usize, n: u32) -> u64 {
+    let (w, off) = (pos / 64, (pos % 64) as u32);
+    let mut v = words[w] >> off;
+    if off + n > 64 {
+        v |= words[w + 1] << (64 - off);
+    }
+    v & low_mask(n)
+}
+
+/// OR the `n ≤ 64`-bit value `v` into bit offset `pos` of `words`.
+#[inline]
+fn put_bits(words: &mut [u64], pos: usize, n: u32, v: u64) {
+    let (w, off) = (pos / 64, (pos % 64) as u32);
+    words[w] |= v << off;
+    if off + n > 64 {
+        words[w + 1] |= v >> (64 - off);
+    }
+}
+
+/// Recycled buffers. A merge consumes its right operand's vectors, and an
+/// expiring head its own; instead of freeing them the bank parks them here
+/// (cleared) for the next merge — steady-state ingestion runs
+/// allocation-free. Allocator-level reuse, like `Vec` spare capacity: not
+/// part of the §1.4 word accounting.
 #[derive(Debug, Clone)]
 struct SparePool<T, S> {
-    bufs: Vec<LaneBufs<T, S>>,
+    bufs: Vec<Lanes<T, S>>,
 }
 
 impl<T, S> Default for SparePool<T, S> {
@@ -108,233 +216,294 @@ impl<T, S> Default for SparePool<T, S> {
     }
 }
 
-/// Cascaded merges can park several buffers before the next
-/// materialization drains one; a handful is plenty.
+thread_local! {
+    /// Merge scratch, shared by every bank on the thread (so it stays in
+    /// cache across a fleet's keys): the slots that take the right
+    /// operand, the output selector planes, then each candidate's slot set.
+    static SCRATCH: std::cell::Cell<Vec<u64>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// Cascaded merges can park several buffers before the next merge drains
+/// one; a handful is plenty.
 const SPARE_POOL_CAP: usize = 8;
 
 impl<T, S> SparePool<T, S> {
-    fn take(&mut self, lanes: usize) -> LaneBufs<T, S> {
-        self.bufs.pop().unwrap_or_else(|| {
-            (
-                Vec::with_capacity(lanes),
-                Vec::with_capacity(lanes),
-                Vec::with_capacity(lanes),
-            )
+    /// Empty candidate and selector buffers.
+    fn take(&mut self) -> Lanes<T, S> {
+        self.bufs.pop().unwrap_or(Lanes {
+            cands: Vec::new(),
+            sel: SelWords::EMPTY,
+            bits: 0,
         })
     }
 
-    fn put(&mut self, mut bufs: LaneBufs<T, S>) {
+    fn put(&mut self, mut bufs: Lanes<T, S>) {
         if self.bufs.len() < SPARE_POOL_CAP {
-            bufs.0.clear();
-            bufs.1.clear();
-            bufs.2.clear();
+            bufs.cands.clear();
+            bufs.sel.zeroed(0);
+            bufs.bits = 0;
             self.bufs.push(bufs);
         }
     }
 }
 
-impl<T: Clone, S: Clone> LaneSamples<T, S> {
-    /// Materialize any shape into dense per-lane slot vectors (pushed into
-    /// `r`/`r_stat`/`q`, which must be empty).
-    fn materialize_into(
-        self,
-        lanes: usize,
-        r: &mut Vec<Sample<T>>,
-        r_stat: &mut Vec<S>,
-        q: &mut Vec<Sample<T>>,
-    ) {
-        match self {
-            LaneSamples::Shared { item, stat } => {
-                for _ in 0..lanes {
-                    r.push(item.clone());
-                    r_stat.push(stat.clone());
-                    q.push(item.clone());
-                }
-            }
-            LaneSamples::Pair {
-                lo,
-                lo_stat,
-                hi,
-                hi_stat,
-                rsel,
-                qsel,
-            } => {
-                for lane in 0..lanes {
-                    if (rsel >> lane) & 1 == 1 {
-                        r.push(hi.clone());
-                        r_stat.push(hi_stat.clone());
-                    } else {
-                        r.push(lo.clone());
-                        r_stat.push(lo_stat.clone());
+impl<T: Clone, S: Clone> Lanes<T, S> {
+    /// Store `self.cands` given their bit-sliced selector planes (`planes`:
+    /// `⌈2k/64⌉` words per plane, at least as many planes as the stored
+    /// index needs): as they are, or in slot order when an index would not
+    /// be smaller.
+    fn store(mut self, planes: &[u64], lanes: usize, pool: &mut SparePool<T, S>) -> Self {
+        let slots = 2 * lanes;
+        let words = slots.div_ceil(64);
+        match index_bits::<T>(self.cands.len(), lanes) {
+            Some(bits) => {
+                let sel = self.sel.zeroed(sel_words(slots, bits));
+                for (j, plane) in planes.chunks_exact(words).take(bits as usize).enumerate() {
+                    for (w, &x) in plane.iter().enumerate() {
+                        put_bits(sel, j * slots + 64 * w, word_len(slots, w), x);
                     }
-                    q.push(if (qsel >> lane) & 1 == 1 {
-                        hi.clone()
-                    } else {
-                        lo.clone()
-                    });
                 }
+                self.bits = bits;
+                self
             }
-            LaneSamples::PerLane {
-                r: pr,
-                r_stat: prs,
-                q: pq,
-            } => {
-                r.extend(pr);
-                r_stat.extend(prs);
-                q.extend(pq);
+            None => {
+                let mut out = pool.take();
+                out.cands.extend((0..slots).map(|s| {
+                    let c = planes
+                        .chunks_exact(words)
+                        .enumerate()
+                        .fold(0, |c, (j, plane)| {
+                            c | ((plane[s / 64] >> (s % 64)) & 1) << j
+                        });
+                    self.cands[c as usize].clone()
+                }));
+                pool.put(self);
+                out
+            }
+        }
+    }
+
+    /// Stored-candidate index of slot `s` (of `slots`).
+    #[inline]
+    fn pick(&self, s: usize, slots: usize) -> usize {
+        match (self.bits, self.cands.len()) {
+            (0, 1) => 0,
+            (0, _) => s,
+            (bits, _) => {
+                let sel = self.sel.words();
+                (0..bits as usize).fold(0, |c, j| {
+                    let pos = j * slots + s;
+                    c | (((sel[pos / 64] >> (pos % 64)) & 1) as usize) << j
+                })
+            }
+        }
+    }
+
+    /// Rows [`slot_sets`](Self::slot_sets) writes: one per index the
+    /// selectors can express.
+    fn rows(&self) -> usize {
+        if self.bits == 0 {
+            self.cands.len()
+        } else {
+            1 << self.bits
+        }
+    }
+
+    /// Each candidate's slot set within `side` (or its complement when
+    /// `invert`): word `w` of candidate `c`'s set goes to
+    /// `sets[w·stride + c]`. Entries past the candidates may be written
+    /// too, never read past `rows()`.
+    fn slot_sets(&self, slots: usize, side: &[u64], invert: bool, sets: &mut [u64], stride: usize) {
+        for (w, &side) in side.iter().enumerate() {
+            let within = if invert { !side } else { side } & low_mask(word_len(slots, w));
+            let column = &mut sets[w * stride..];
+            if self.bits == 0 && self.cands.len() > 1 {
+                // Slot order: candidate `s` is slot `s`.
+                for (c, set) in column[..self.cands.len()].iter_mut().enumerate() {
+                    *set = if c / 64 == w {
+                        within & 1 << (c % 64)
+                    } else {
+                        0
+                    };
+                }
+                continue;
+            }
+            // Split by one plane at a time: after planes `0..j`, entry
+            // `x < 2^j` holds the slots whose index ends in `x`.
+            column[0] = within;
+            for j in 0..self.bits as usize {
+                let plane = get_bits(self.sel.words(), j * slots + 64 * w, word_len(slots, w));
+                let (low, high) = column.split_at_mut(1 << j);
+                for (lo, hi) in low.iter_mut().zip(high) {
+                    *hi = *lo & plane;
+                    *lo &= !plane;
+                }
             }
         }
     }
 
     /// The `Incr` union step for all lanes at once: per lane, `R` (and,
     /// independently, `Q`) is taken from the right operand on a fair coin
-    /// bit. Coins are drawn as 64-lane masks — the hot shapes consume them
-    /// either verbatim (a `Pair`'s selectors *are* the coins) or by
-    /// branchless selects / set-bit iteration, so the loop carries no
-    /// 50/50-mispredicting branches. Clones happen only where a lane
-    /// adopts an element it does not own; lane-owned slots move (swap).
-    ///
-    /// In a canonical covering merges pair equal widths, so the live
-    /// shapes are `Shared`+`Shared` (width 1+1 → `Pair`), `Pair`+`Pair`
-    /// (2+2 → materialized `PerLane`), and `PerLane`+`PerLane` (≥ 4).
-    /// Anything else falls back to materialize-then-merge.
+    /// bit. Coins are drawn as masks, per 64-lane chunk the `R` mask then
+    /// the `Q` mask, and consumed whole: each candidate's slot set is
+    /// computed word-parallel from the bit-sliced selectors and intersected
+    /// with its side's coins, a candidate left with no slot is dropped, and
+    /// the survivors' sets fold into the new selector planes. No per-slot
+    /// loop, and no clones except into slot order.
+    fn merge<R: Rng>(
+        mut self,
+        mut right: Self,
+        lanes: usize,
+        rng: &mut R,
+        coins: &mut BitSource,
+        pool: &mut SparePool<T, S>,
+    ) -> Self {
+        let slots = 2 * lanes;
+        let words = slots.div_ceil(64);
+        let (ml, mr) = (self.cands.len(), right.cands.len());
+        let m = ml + mr;
+        let planes = bits_for(m) as usize;
+        // Scratch: coins | output planes | slot sets, word `w` of every
+        // candidate's set in row `w`. The left tree's entries past `ml` are
+        // empty, so the right operand's start at `ml`.
+        let stride = self.rows().max(ml + right.rows());
+        // Every entry read below is written first, so the scratch is
+        // never cleared.
+        let mut scratch = SCRATCH.take();
+        let need = words * (1 + planes + stride);
+        if scratch.len() < need {
+            scratch.resize(need, 0);
+        }
+        let (take_right, rest) = scratch.split_at_mut(words);
+        let (out, sets) = rest.split_at_mut(words * planes);
+        take_right.fill(0);
+        let mut lane0 = 0usize;
+        while lane0 < lanes {
+            let n = (lanes - lane0).min(64);
+            put_bits(take_right, lane0, n as u32, coins.mask(rng, n as u32));
+            put_bits(
+                take_right,
+                lanes + lane0,
+                n as u32,
+                coins.mask(rng, n as u32),
+            );
+            lane0 += n;
+        }
+        self.slot_sets(slots, take_right, true, sets, stride);
+        right.slot_sets(slots, take_right, false, &mut sets[ml..], stride);
+        // Drop the candidates no slot picks any more, branch-free: each
+        // candidate and its set are moved down to the next output position,
+        // which only advances past a survivor.
+        self.cands.append(&mut right.cands);
+        let mut kept = 0usize;
+        if words == 1 {
+            // Survivors before the first dropped candidate stay put.
+            let first_dropped = sets[..m].iter().position(|&set| set == 0).unwrap_or(m);
+            kept = first_dropped;
+            for c in first_dropped..m {
+                let set = sets[c];
+                sets[kept] = set;
+                self.cands.swap(kept, c);
+                kept += usize::from(set != 0);
+            }
+        } else {
+            for c in 0..m {
+                let mut live = 0;
+                for w in 0..words {
+                    let set = sets[w * stride + c];
+                    sets[w * stride + kept] = set;
+                    live |= set;
+                }
+                self.cands.swap(kept, c);
+                kept += usize::from(live != 0);
+            }
+        }
+        // A survivor's rank is its new index: plane `j` is the union of
+        // the sets of the survivors whose rank has bit `j`. Fold the
+        // survivors pairwise: after `j` folds, entry `r` is the union of
+        // the rank block `[r·2^j, (r+1)·2^j)`, and plane `j` is the union
+        // of the odd blocks.
+        for w in 0..words {
+            let column = &mut sets[w * stride..][..kept];
+            let mut len = kept;
+            for plane in out.iter_mut().skip(w).step_by(words) {
+                let mut odd = 0;
+                for r in 0..len / 2 {
+                    odd |= column[2 * r + 1];
+                    column[r] = column[2 * r] | column[2 * r + 1];
+                }
+                if len % 2 == 1 {
+                    column[len / 2] = column[len - 1];
+                }
+                *plane = odd;
+                len = len.div_ceil(2);
+            }
+        }
+        self.cands.truncate(kept);
+        pool.put(right);
+        let merged = self.store(out, lanes, pool);
+        SCRATCH.set(scratch);
+        merged
+    }
+}
+
+impl<T: Clone, S: Clone> LaneSamples<T, S> {
+    /// Merge with the right neighbour's slots (see [`Lanes::merge`]). Two
+    /// singletons at `2 ≤ k ≤ 64` keep both candidates and store the coin
+    /// masks verbatim as their selectors; at `k = 1` they keep the one
+    /// element both coins pick, or both in slot order. No decode, no clones.
     fn merge<R: Rng>(
         self,
         right: Self,
         lanes: usize,
         rng: &mut R,
-        bits: &mut BitSource,
+        coins: &mut BitSource,
         pool: &mut SparePool<T, S>,
     ) -> Self {
-        use LaneSamples::*;
         match (self, right) {
-            // Width-1 + width-1: store both candidates and keep the coin
-            // masks as the per-lane selectors — two words, no clones, no
-            // allocation. (At k = 1 a Pair costs more words than
-            // materialized slots and buys nothing; past 64 lanes it would
-            // need spill storage; both fall through to materialization.)
-            (Shared { item: li, stat: ls }, Shared { item: ri, stat: rs })
-                if (2..=64).contains(&lanes) =>
-            {
-                let rsel = bits.mask(rng, lanes as u32);
-                let qsel = bits.mask(rng, lanes as u32);
-                Pair {
-                    lo: li,
-                    lo_stat: ls,
-                    hi: ri,
-                    hi_stat: rs,
-                    rsel,
-                    qsel,
-                }
-            }
-            // k = 1 singletons: one coin each, materialized directly.
-            (Shared { item: li, stat: ls }, Shared { item: ri, stat: rs }) if lanes == 1 => {
-                let (mut r, mut r_stat, mut q) = pool.take(1);
-                if bits.bit(rng) {
-                    r.push(ri.clone());
-                    r_stat.push(rs);
-                } else {
-                    r.push(li.clone());
-                    r_stat.push(ls);
-                }
-                q.push(if bits.bit(rng) { ri } else { li });
-                PerLane { r, r_stat, q }
-            }
-            // Width-2 + width-2: lanes materialize. Per slot the final
-            // candidate index is computed branchlessly — the coin mask
-            // picks which pair, a word-level combine picks that pair's
-            // stored selector bit — then a 4-way indexed clone.
             (
-                Pair {
-                    lo: llo,
-                    lo_stat: llos,
-                    hi: lhi,
-                    hi_stat: lhis,
-                    rsel: lrsel,
-                    qsel: lqsel,
-                },
-                Pair {
-                    lo: rlo,
-                    lo_stat: rlos,
-                    hi: rhi,
-                    hi_stat: rhis,
-                    rsel: rrsel,
-                    qsel: rqsel,
-                },
-            ) => {
-                let (mut r, mut r_stat, mut q) = pool.take(lanes);
-                debug_assert!(lanes <= 64, "Pair only exists for <= 64 lanes");
-                let rmask = bits.mask(rng, lanes as u32);
-                let qmask = bits.mask(rng, lanes as u32);
-                // Bit-parallel: the selector of the chosen pair, per lane.
-                let rsel = (rrsel & rmask) | (lrsel & !rmask);
-                let qsel = (rqsel & qmask) | (lqsel & !qmask);
-                let cand = [&llo, &lhi, &rlo, &rhi];
-                let cand_stat = [&llos, &lhis, &rlos, &rhis];
-                for j in 0..lanes {
-                    let ridx = ((((rmask >> j) & 1) << 1) | ((rsel >> j) & 1)) as usize;
-                    r.push(cand[ridx].clone());
-                    r_stat.push(cand_stat[ridx].clone());
-                    let qidx = ((((qmask >> j) & 1) << 1) | ((qsel >> j) & 1)) as usize;
-                    q.push(cand[qidx].clone());
-                }
-                PerLane { r, r_stat, q }
+                LaneSamples::Shared { item: li, stat: ls },
+                LaneSamples::Shared { item: ri, stat: rs },
+            ) if pair_shaped(lanes) => {
+                let mut pair = pool.take();
+                pair.cands.push((li, ls));
+                pair.cands.push((ri, rs));
+                let sel = pair.sel.zeroed(sel_words(2 * lanes, 1));
+                let n = lanes as u32;
+                put_bits(sel, 0, n, coins.mask(rng, n));
+                put_bits(sel, lanes, n, coins.mask(rng, n));
+                pair.bits = 1;
+                LaneSamples::Indexed(pair)
             }
-            // Width ≥ 4: only adopting lanes do any work — iterate the set
-            // bits of the coin masks, swapping in the right operand's
-            // slots; its buffers go back to the pool.
             (
-                PerLane {
-                    mut r,
-                    mut r_stat,
-                    mut q,
-                },
-                PerLane {
-                    r: mut rr,
-                    r_stat: mut rrs,
-                    q: mut rq,
-                },
-            ) => {
-                let mut lane0 = 0usize;
-                while lane0 < lanes {
-                    let n = (lanes - lane0).min(64);
-                    let mut rmask = bits.mask(rng, n as u32);
-                    let mut qmask = bits.mask(rng, n as u32);
-                    while rmask != 0 {
-                        let lane = lane0 + rmask.trailing_zeros() as usize;
-                        rmask &= rmask - 1;
-                        std::mem::swap(&mut r[lane], &mut rr[lane]);
-                        std::mem::swap(&mut r_stat[lane], &mut rrs[lane]);
-                    }
-                    while qmask != 0 {
-                        let lane = lane0 + qmask.trailing_zeros() as usize;
-                        qmask &= qmask - 1;
-                        std::mem::swap(&mut q[lane], &mut rq[lane]);
-                    }
-                    lane0 += n;
+                LaneSamples::Shared { item: li, stat: ls },
+                LaneSamples::Shared { item: ri, stat: rs },
+            ) if lanes == 1 => {
+                let mut out = pool.take();
+                let (left, right) = ((li, ls), (ri, rs));
+                match (coins.mask(rng, 1), coins.mask(rng, 1)) {
+                    (0, 0) => out.cands.push(left),
+                    (1, 1) => out.cands.push(right),
+                    (0, _) => out.cands.extend([left, right]),
+                    _ => out.cands.extend([right, left]),
                 }
-                pool.put((rr, rrs, rq));
-                PerLane { r, r_stat, q }
+                LaneSamples::Indexed(out)
             }
-            // Mixed shapes (unreachable under the covering invariants,
-            // plus the k = 1 singleton pair): materialize both sides,
-            // then mask-merge.
             (left, right) => {
-                let (mut r, mut r_stat, mut q) = pool.take(lanes);
-                left.materialize_into(lanes, &mut r, &mut r_stat, &mut q);
-                let (mut rr, mut rrs, mut rq) = pool.take(lanes);
-                right.materialize_into(lanes, &mut rr, &mut rrs, &mut rq);
-                PerLane { r, r_stat, q }.merge(
-                    PerLane {
-                        r: rr,
-                        r_stat: rrs,
-                        q: rq,
-                    },
-                    lanes,
-                    rng,
-                    bits,
-                    pool,
-                )
+                let left = left.into_lanes(pool);
+                let right = right.into_lanes(pool);
+                LaneSamples::Indexed(left.merge(right, lanes, rng, coins, pool))
+            }
+        }
+    }
+
+    fn into_lanes(self, pool: &mut SparePool<T, S>) -> Lanes<T, S> {
+        match self {
+            LaneSamples::Indexed(lanes) => lanes,
+            LaneSamples::Shared { item, stat } => {
+                let mut single = pool.take();
+                single.cands.push((item, stat));
+                single
             }
         }
     }
@@ -369,51 +538,26 @@ impl<T: Clone, S: Clone> BankBucket<T, S> {
         self.b - self.a
     }
 
-    fn r(&self, lane: usize) -> &Sample<T> {
+    /// Slot `s`'s element and its tracker statistic.
+    #[inline]
+    fn slot(&self, s: usize, lanes: usize) -> (&Sample<T>, &S) {
         match &self.samples {
-            LaneSamples::Shared { item, .. } => item,
-            LaneSamples::Pair { lo, hi, rsel, .. } => {
-                if (rsel >> lane) & 1 == 1 {
-                    hi
-                } else {
-                    lo
-                }
+            LaneSamples::Shared { item, stat } => (item, stat),
+            LaneSamples::Indexed(l) => {
+                let (item, stat) = &l.cands[l.pick(s, 2 * lanes)];
+                (item, stat)
             }
-            LaneSamples::PerLane { r, .. } => &r[lane],
         }
     }
 
-    fn r_stat(&self, lane: usize) -> &S {
-        match &self.samples {
-            LaneSamples::Shared { stat, .. } => stat,
-            LaneSamples::Pair {
-                lo_stat,
-                hi_stat,
-                rsel,
-                ..
-            } => {
-                if (rsel >> lane) & 1 == 1 {
-                    hi_stat
-                } else {
-                    lo_stat
-                }
-            }
-            LaneSamples::PerLane { r_stat, .. } => &r_stat[lane],
-        }
+    /// Lane `lane`'s `R` sample and its statistic.
+    fn r(&self, lane: usize, lanes: usize) -> (&Sample<T>, &S) {
+        self.slot(lane, lanes)
     }
 
-    fn q(&self, lane: usize) -> &Sample<T> {
-        match &self.samples {
-            LaneSamples::Shared { item, .. } => item,
-            LaneSamples::Pair { lo, hi, qsel, .. } => {
-                if (qsel >> lane) & 1 == 1 {
-                    hi
-                } else {
-                    lo
-                }
-            }
-            LaneSamples::PerLane { q, .. } => &q[lane],
-        }
+    /// Lane `lane`'s `Q` sample.
+    fn q(&self, lane: usize, lanes: usize) -> &Sample<T> {
+        self.slot(lanes + lane, lanes).0
     }
 
     fn merge_right<R: Rng>(
@@ -421,7 +565,7 @@ impl<T: Clone, S: Clone> BankBucket<T, S> {
         right: BankBucket<T, S>,
         lanes: usize,
         rng: &mut R,
-        bits: &mut BitSource,
+        coins: &mut BitSource,
         pool: &mut SparePool<T, S>,
     ) {
         debug_assert_eq!(self.b, right.a, "merge of non-adjacent buckets");
@@ -432,62 +576,85 @@ impl<T: Clone, S: Clone> BankBucket<T, S> {
         );
         let left = std::mem::replace(
             &mut self.samples,
-            LaneSamples::PerLane {
-                r: Vec::new(),
-                r_stat: Vec::new(),
-                q: Vec::new(),
-            },
+            LaneSamples::Indexed(Lanes {
+                cands: Vec::new(),
+                sel: SelWords::EMPTY,
+                bits: 0,
+            }),
         );
-        self.samples = left.merge(right.samples, lanes, rng, bits, pool);
+        self.samples = left.merge(right.samples, lanes, rng, coins, pool);
         self.b = right.b;
     }
 
-    /// Park this bucket's lane buffers (if differentiated) for reuse.
+    /// Park this bucket's buffers (if merged) for reuse.
     fn recycle(self, pool: &mut SparePool<T, S>) {
-        if let LaneSamples::PerLane { r, r_stat, q } = self.samples {
-            pool.put((r, r_stat, q));
+        if let LaneSamples::Indexed(l) = self.samples {
+            pool.put(l);
         }
     }
 
     /// One lane's view as a plain `BucketStruct` (cloned).
-    fn lane_bucket(&self, lane: usize) -> BucketStruct<T, S> {
+    fn lane_bucket(&self, lane: usize, lanes: usize) -> BucketStruct<T, S> {
+        let (r, r_stat) = self.r(lane, lanes);
         BucketStruct {
             a: self.a,
             b: self.b,
             ts_first: self.ts_first,
-            r: self.r(lane).clone(),
-            r_stat: self.r_stat(lane).clone(),
-            q: self.q(lane).clone(),
+            r: r.clone(),
+            r_stat: r_stat.clone(),
+            q: self.q(lane, lanes).clone(),
         }
     }
 
     fn observe_stats(&mut self, mut observe: impl FnMut(&mut S)) {
         match &mut self.samples {
             LaneSamples::Shared { stat, .. } => observe(stat),
-            LaneSamples::Pair {
-                lo_stat, hi_stat, ..
-            } => {
-                observe(lo_stat);
-                observe(hi_stat);
-            }
-            LaneSamples::PerLane { r_stat, .. } => {
-                for st in r_stat {
-                    observe(st);
+            LaneSamples::Indexed(l) => {
+                for (_, stat) in &mut l.cands {
+                    observe(stat);
                 }
             }
+        }
+    }
+
+    /// The checkpoint record, in the shape every release has written:
+    /// `Shared` at width 1, `Pair` at width 2 for `2 ≤ k ≤ 64`, per-lane
+    /// slots otherwise.
+    fn to_state(&self, lanes: usize) -> TsBankBucketState<T> {
+        let samples = match &self.samples {
+            LaneSamples::Shared { item, .. } => TsLaneSamplesState::Shared(item.clone()),
+            LaneSamples::Indexed(l) if self.width() == 2 && pair_shaped(lanes) => {
+                debug_assert!(l.bits == 1 && l.cands.len() == 2, "width-2 pair layout");
+                TsLaneSamplesState::Pair {
+                    lo: l.cands[0].0.clone(),
+                    hi: l.cands[1].0.clone(),
+                    rsel: get_bits(l.sel.words(), 0, lanes as u32),
+                    qsel: get_bits(l.sel.words(), lanes, lanes as u32),
+                }
+            }
+            LaneSamples::Indexed(_) => TsLaneSamplesState::PerLane {
+                r: (0..lanes).map(|s| self.slot(s, lanes).0.clone()).collect(),
+                q: (lanes..2 * lanes)
+                    .map(|s| self.slot(s, lanes).0.clone())
+                    .collect(),
+            },
+        };
+        TsBankBucketState {
+            a: self.a,
+            b: self.b,
+            ts_first: self.ts_first,
+            samples,
         }
     }
 }
 
 impl<T, S> MemoryWords for BankBucket<T, S> {
     fn memory_words(&self) -> usize {
-        // Boundaries (a, b, ts_first) stored once; samples as held: a
-        // never-merged bucket stores its element once for all lanes, a
-        // differentiated one stores k R-samples and k Q-samples.
+        // Boundaries (a, b, ts_first) stored once; then the stored
+        // candidates and selector words, exactly as held.
         3 + match &self.samples {
             LaneSamples::Shared { .. } => Sample::<T>::WORDS,
-            LaneSamples::Pair { .. } => 2 * Sample::<T>::WORDS + 2,
-            LaneSamples::PerLane { r, q, .. } => (r.len() + q.len()) * Sample::<T>::WORDS,
+            LaneSamples::Indexed(l) => l.cands.len() * Sample::<T>::WORDS + l.sel.words().len(),
         }
     }
 }
@@ -607,12 +774,18 @@ impl<T: Clone, S: Clone> BankCovering<T, S> {
 
     /// Uniform sample of the covered range for one lane: bucket chosen
     /// proportional to width, that bucket's lane-`R` output.
-    fn sample_uniform_lane<R: Rng>(&self, lane: usize, rng: &mut R) -> (Sample<T>, S) {
+    fn sample_uniform_lane<R: Rng>(
+        &self,
+        lane: usize,
+        lanes: usize,
+        rng: &mut R,
+    ) -> (Sample<T>, S) {
         let total = self.covered_len();
         let mut x = rng.gen_range(0..total);
         for b in &self.buckets {
             if x < b.width() {
-                return (b.r(lane).clone(), b.r_stat(lane).clone());
+                let (r, stat) = b.r(lane, lanes);
+                return (r.clone(), stat.clone());
             }
             x -= b.width();
         }
@@ -695,8 +868,8 @@ impl<T: Clone> TsEngineBank<T, NullTracker> {
 impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
     /// Like [`TsEngineBank::new`] with a per-sample suffix tracker
     /// (Theorem 5.1 support). One tracker serves all lanes; a fresh
-    /// arrival's statistic is computed once and shared until lanes
-    /// differentiate at the bucket's first merge.
+    /// arrival's statistic is computed once and stored with the element,
+    /// which each bucket stores once for all the lanes holding it.
     pub fn with_tracker(t0: u64, lanes: usize, tracker: K) -> Self {
         assert!(t0 >= 1, "TsEngineBank: window width must be at least 1");
         assert!(lanes >= 1, "TsEngineBank: need at least one lane");
@@ -748,30 +921,35 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
             self.now
         );
         self.now = now;
+        // Every transition needs the oldest live (covering or tail)
+        // element to have expired; until then nothing moves.
+        let oldest_live = match &self.state {
+            BankState::Empty => return,
+            BankState::Full(cov) => cov.oldest_ts(),
+            BankState::Straddle { tail, .. } => tail.oldest_ts(),
+        };
+        if self.is_active(oldest_live) {
+            return;
+        }
         let t0 = self.t0;
         let active = |ts: u64| now - ts < t0;
         let state = std::mem::replace(&mut self.state, BankState::Empty);
         self.state = match state {
-            BankState::Empty => BankState::Empty,
+            BankState::Empty => unreachable!("returned above"),
             BankState::Full(mut cov) => {
                 if !active(cov.newest_ts()) {
                     BankState::Empty
-                } else if !active(cov.oldest_ts()) {
+                } else {
                     let head = cov.split_straddle(active);
                     BankState::Straddle { head, tail: cov }
-                } else {
-                    BankState::Full(cov)
                 }
             }
             BankState::Straddle { head, mut tail } => {
+                head.recycle(&mut self.spare);
                 if !active(tail.newest_ts()) {
-                    head.recycle(&mut self.spare);
                     BankState::Empty
-                } else if !active(tail.oldest_ts()) {
-                    head.recycle(&mut self.spare);
-                    let head = tail.split_straddle(active);
-                    BankState::Straddle { head, tail }
                 } else {
+                    let head = tail.split_straddle(active);
                     BankState::Straddle { head, tail }
                 }
             }
@@ -839,7 +1017,7 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
         assert!(lane < self.lanes, "lane {lane} out of range");
         match &self.state {
             BankState::Empty => None,
-            BankState::Full(cov) => Some(cov.sample_uniform_lane(lane, rng)),
+            BankState::Full(cov) => Some(cov.sample_uniform_lane(lane, self.lanes, rng)),
             BankState::Straddle { head, tail } => {
                 Some(self.sample_straddle_lane(head, tail, lane, rng))
             }
@@ -861,9 +1039,9 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
             alpha <= beta,
             "case-2 invariant α ≤ β violated ({alpha} > {beta})"
         );
-        let r2 = tail.sample_uniform_lane(lane, rng);
+        let r2 = tail.sample_uniform_lane(lane, self.lanes, rng);
 
-        let q1 = head.q(lane);
+        let q1 = head.q(lane, self.lanes);
         let i = head.b - q1.index();
         debug_assert!(i >= 1 && i <= alpha);
         let y_expired = if i < alpha {
@@ -880,8 +1058,9 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
 
         let x = y_expired && bernoulli_ratio(rng, alpha as u128, beta as u128);
 
-        if x && self.is_active(head.r(lane).timestamp()) {
-            (head.r(lane).clone(), head.r_stat(lane).clone())
+        let (r1, r1_stat) = head.r(lane, self.lanes);
+        if x && self.is_active(r1.timestamp()) {
+            (r1.clone(), r1_stat.clone())
         } else {
             r2
         }
@@ -918,12 +1097,18 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
         let state = match &self.state {
             BankState::Empty => State::Empty,
             BankState::Full(cov) => State::Full(Covering::from_buckets(
-                cov.buckets.iter().map(|b| b.lane_bucket(lane)).collect(),
+                cov.buckets
+                    .iter()
+                    .map(|b| b.lane_bucket(lane, self.lanes))
+                    .collect(),
             )),
             BankState::Straddle { head, tail } => State::Straddle {
-                head: head.lane_bucket(lane),
+                head: head.lane_bucket(lane, self.lanes),
                 tail: Covering::from_buckets(
-                    tail.buckets.iter().map(|b| b.lane_bucket(lane)).collect(),
+                    tail.buckets
+                        .iter()
+                        .map(|b| b.lane_bucket(lane, self.lanes))
+                        .collect(),
                 ),
             },
         };
@@ -931,9 +1116,10 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
     }
 
     /// Checkpoint the bank's stream-dependent state (bucket skeleton,
-    /// lane samples in whichever lazy shape they hold, coin buffer) as
-    /// plain data. `None` when the tracker observes arrivals — its suffix
-    /// statistics cannot be reconstructed from retained samples.
+    /// lane samples in the record shape their bucket's width gives, coin
+    /// buffer) as plain data. `None` when the tracker observes arrivals —
+    /// its suffix statistics cannot be reconstructed from retained
+    /// samples.
     ///
     /// The internal `SparePool` is allocator-level recycling, not sampler state;
     /// it is neither saved nor restored, which is behavior-neutral.
@@ -941,35 +1127,15 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
         if K::TRACKS {
             return None;
         }
-        fn conv_bucket<T: Clone, S>(b: &BankBucket<T, S>) -> TsBankBucketState<T> {
-            let samples = match &b.samples {
-                LaneSamples::Shared { item, .. } => TsLaneSamplesState::Shared(item.clone()),
-                LaneSamples::Pair {
-                    lo, hi, rsel, qsel, ..
-                } => TsLaneSamplesState::Pair {
-                    lo: lo.clone(),
-                    hi: hi.clone(),
-                    rsel: *rsel,
-                    qsel: *qsel,
-                },
-                LaneSamples::PerLane { r, q, .. } => TsLaneSamplesState::PerLane {
-                    r: r.clone(),
-                    q: q.clone(),
-                },
-            };
-            TsBankBucketState {
-                a: b.a,
-                b: b.b,
-                ts_first: b.ts_first,
-                samples,
-            }
-        }
+        let lanes = self.lanes;
         let kind = match &self.state {
             BankState::Empty => TsBankKind::Empty,
-            BankState::Full(cov) => TsBankKind::Full(cov.buckets.iter().map(conv_bucket).collect()),
+            BankState::Full(cov) => {
+                TsBankKind::Full(cov.buckets.iter().map(|b| b.to_state(lanes)).collect())
+            }
             BankState::Straddle { head, tail } => TsBankKind::Straddle {
-                head: conv_bucket(head),
-                tail: tail.buckets.iter().map(conv_bucket).collect(),
+                head: head.to_state(lanes),
+                tail: tail.buckets.iter().map(|b| b.to_state(lanes)).collect(),
             },
         };
         let (buf, left) = self.bits.state();
@@ -981,129 +1147,210 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
     }
 
     /// Rebuild one bucket from its checkpoint, reconstructing tracker
-    /// statistics via `fresh` (exact for non-tracking trackers).
+    /// statistics via `fresh` (exact for non-tracking trackers). Rejects
+    /// any record this bank could not have written: a shape other than the
+    /// one its width and `k` give, a lane sample outside the bucket, a
+    /// selector bit at or above `k`, a bucket that starts after `now`.
     fn load_bucket(
         &mut self,
         b: TsBankBucketState<T>,
+        now: u64,
     ) -> Result<BankBucket<T, K::Stat>, StateError> {
+        let corrupt = |what: String| Err(StateError::Corrupt(what));
+        let (a, end, ts_first, lanes) = (b.a, b.b, b.ts_first, self.lanes);
+        if end <= a {
+            return corrupt(format!("bank bucket [{a}, {end}) is empty"));
+        }
+        if ts_first > now {
+            return corrupt(format!(
+                "bank bucket starts at {ts_first}, after now = {now}"
+            ));
+        }
+        let width = end - a;
+        let in_bucket = |s: &Sample<T>| {
+            (a..end).contains(&s.index()) && (ts_first..=now).contains(&s.timestamp())
+        };
+        let outside = || corrupt(format!("lane sample outside its bucket [{a}, {end})"));
+        let tracker = &mut self.tracker;
+        let mut with_stat = |s: Sample<T>| {
+            let stat = tracker.fresh(s.value(), s.index());
+            (s, stat)
+        };
         let samples = match b.samples {
             TsLaneSamplesState::Shared(item) => {
-                let stat = self.tracker.fresh(item.value(), item.index());
+                if width != 1 {
+                    return corrupt(format!("shared lane samples on a width-{width} bucket"));
+                }
+                if !in_bucket(&item) {
+                    return outside();
+                }
+                let (item, stat) = with_stat(item);
                 LaneSamples::Shared { item, stat }
             }
             TsLaneSamplesState::Pair { lo, hi, rsel, qsel } => {
-                let lo_stat = self.tracker.fresh(lo.value(), lo.index());
-                let hi_stat = self.tracker.fresh(hi.value(), hi.index());
-                LaneSamples::Pair {
-                    lo,
-                    lo_stat,
-                    hi,
-                    hi_stat,
-                    rsel,
-                    qsel,
+                if width != 2 || !pair_shaped(lanes) {
+                    return corrupt(format!(
+                        "pair lane samples on a width-{width} bucket at k = {lanes}"
+                    ));
                 }
+                if lo.index() != a || hi.index() != a + 1 || !in_bucket(&lo) || !in_bucket(&hi) {
+                    return outside();
+                }
+                let n = lanes as u32;
+                if (rsel | qsel) & !low_mask(n) != 0 {
+                    return corrupt(format!("pair selector bit at or above k = {lanes}"));
+                }
+                let mut sel = SelWords::EMPTY;
+                let words = sel.zeroed(sel_words(2 * lanes, 1));
+                put_bits(words, 0, n, rsel);
+                put_bits(words, lanes, n, qsel);
+                LaneSamples::Indexed(Lanes {
+                    cands: vec![with_stat(lo), with_stat(hi)],
+                    sel,
+                    bits: 1,
+                })
             }
             TsLaneSamplesState::PerLane { r, q } => {
-                if r.len() != self.lanes || q.len() != self.lanes {
-                    return Err(StateError::Corrupt(format!(
-                        "bank bucket holds {}/{} lane slots for {} lanes",
+                if r.len() != lanes || q.len() != lanes {
+                    return corrupt(format!(
+                        "bank bucket holds {}/{} lane slots for {lanes} lanes",
                         r.len(),
-                        q.len(),
-                        self.lanes
-                    )));
+                        q.len()
+                    ));
                 }
-                let r_stat = r
-                    .iter()
-                    .map(|s| self.tracker.fresh(s.value(), s.index()))
-                    .collect();
-                LaneSamples::PerLane { r, r_stat, q }
+                if width == 1 || (width == 2 && pair_shaped(lanes)) {
+                    return corrupt(format!(
+                        "per-lane samples on a width-{width} bucket at k = {lanes}"
+                    ));
+                }
+                let slots: Vec<Sample<T>> = r.into_iter().chain(q).collect();
+                if !slots.iter().all(in_bucket) {
+                    return outside();
+                }
+                // Each distinct element once, in stream order.
+                let mut order: Vec<usize> = (0..slots.len()).collect();
+                order.sort_by_key(|&s| slots[s].index());
+                let mut cands: Vec<(Sample<T>, K::Stat)> = Vec::new();
+                let mut picks = vec![0u64; slots.len()];
+                for s in order {
+                    match cands.last() {
+                        Some((c, _)) if c.index() == slots[s].index() => {
+                            if c.timestamp() != slots[s].timestamp() {
+                                return corrupt(format!(
+                                    "lane samples of index {} disagree on its timestamp",
+                                    c.index()
+                                ));
+                            }
+                        }
+                        _ => cands.push(with_stat(slots[s].clone())),
+                    }
+                    picks[s] = (cands.len() - 1) as u64;
+                }
+                let (words, bits) = (slots.len().div_ceil(64), bits_for(cands.len()) as usize);
+                let mut planes = vec![0u64; bits * words];
+                for (s, &c) in picks.iter().enumerate() {
+                    for j in 0..bits {
+                        planes[j * words + s / 64] |= ((c >> j) & 1) << (s % 64);
+                    }
+                }
+                let stored = Lanes {
+                    cands,
+                    sel: SelWords::EMPTY,
+                    bits: 0,
+                };
+                LaneSamples::Indexed(stored.store(&planes, lanes, &mut self.spare))
             }
         };
         Ok(BankBucket {
-            a: b.a,
-            b: b.b,
-            ts_first: b.ts_first,
+            a,
+            b: end,
+            ts_first,
             samples,
         })
     }
 
+    fn load_covering(
+        &mut self,
+        buckets: Vec<TsBankBucketState<T>>,
+        now: u64,
+    ) -> Result<BankCovering<T, K::Stat>, StateError> {
+        if buckets.is_empty() {
+            return Err(StateError::Corrupt("empty bank covering".into()));
+        }
+        let buckets = buckets
+            .into_iter()
+            .map(|b| self.load_bucket(b, now))
+            .collect::<Result<_, _>>()?;
+        Ok(BankCovering { buckets })
+    }
+
     /// Overwrite the bank's stream-dependent state from a
     /// [`TsBankState`] checkpoint taken on a bank with the same window
-    /// width and lane count. Continues the run bit-identically.
+    /// width and lane count. Continues the run bit-identically. A record
+    /// no run of this bank could reach is [`StateError::Corrupt`].
     pub fn restore_state(&mut self, state: TsBankState<T>) -> Result<(), StateError> {
         if K::TRACKS {
             return Err(StateError::Unsupported);
         }
+        let now = state.now;
         let bank_state = match state.kind {
             TsBankKind::Empty => BankState::Empty,
-            TsBankKind::Full(buckets) => {
-                if buckets.is_empty() {
-                    return Err(StateError::Corrupt("empty bank covering".into()));
-                }
-                let mut out = Vec::with_capacity(buckets.len());
-                for b in buckets {
-                    out.push(self.load_bucket(b)?);
-                }
-                let cov = BankCovering { buckets: out };
-                if !cov.is_canonical() {
-                    return Err(StateError::Corrupt("bank covering not canonical".into()));
-                }
-                BankState::Full(cov)
-            }
-            TsBankKind::Straddle { head, tail } => {
-                if tail.is_empty() {
-                    return Err(StateError::Corrupt("empty straddle tail".into()));
-                }
-                let head = self.load_bucket(head)?;
-                let mut out = Vec::with_capacity(tail.len());
-                for b in tail {
-                    out.push(self.load_bucket(b)?);
-                }
-                let cov = BankCovering { buckets: out };
-                if !cov.is_canonical() {
-                    return Err(StateError::Corrupt("straddle tail not canonical".into()));
-                }
-                if head.b != cov.start() {
-                    return Err(StateError::Corrupt(
-                        "straddle head does not abut tail".into(),
-                    ));
-                }
-                BankState::Straddle { head, tail: cov }
-            }
+            TsBankKind::Full(buckets) => BankState::Full(self.load_covering(buckets, now)?),
+            TsBankKind::Straddle { head, tail } => BankState::Straddle {
+                head: self.load_bucket(head, now)?,
+                tail: self.load_covering(tail, now)?,
+            },
         };
-        self.now = state.now;
+        if let Some(what) = invariant_violation(&bank_state, self.t0, now) {
+            return Err(StateError::Corrupt(what.into()));
+        }
+        self.now = now;
         self.bits = BitSource::from_state(state.bits.buf, state.bits.left);
         self.state = bank_state;
-        self.spare = SparePool::default();
         Ok(())
     }
 
-    #[cfg(debug_assertions)]
     fn debug_check_invariants(&self) {
-        match &self.state {
-            BankState::Empty => {}
-            BankState::Full(cov) => {
-                debug_assert!(cov.is_canonical());
-                debug_assert!(
-                    self.is_active(cov.oldest_ts()),
-                    "case-1 covering must be all-active"
-                );
-            }
-            BankState::Straddle { head, tail } => {
-                debug_assert!(tail.is_canonical());
-                debug_assert_eq!(head.b, tail.start(), "head must abut the tail");
-                debug_assert!(
-                    !self.is_active(head.ts_first),
-                    "head's first element must be expired"
-                );
-                debug_assert!(self.is_active(tail.oldest_ts()), "tail must be all-active");
-                debug_assert!(head.width() <= tail.covered_len(), "α ≤ β invariant");
-            }
-        }
+        debug_assert_eq!(invariant_violation(&self.state, self.t0, self.now), None);
     }
+}
 
-    #[cfg(not(debug_assertions))]
-    fn debug_check_invariants(&self) {}
+/// The first Lemma 3.5 invariant `state` breaks at clock `now`, if any:
+/// canonical covering, bucket timestamps non-decreasing and not in the
+/// future, every covering element active, and in case 2 an expired head
+/// abutting its tail with `α ≤ β`.
+fn invariant_violation<T: Clone, S: Clone>(
+    state: &BankState<T, S>,
+    t0: u64,
+    now: u64,
+) -> Option<&'static str> {
+    let (head, tail) = match state {
+        BankState::Empty => return None,
+        BankState::Full(cov) => (None, cov),
+        BankState::Straddle { head, tail } => (Some(head), tail),
+    };
+    if !tail.is_canonical() {
+        return Some("bank covering not canonical");
+    }
+    let mut prev = 0;
+    for b in head.into_iter().chain(&tail.buckets) {
+        if b.ts_first < prev || b.ts_first > now {
+            return Some("bank bucket timestamps out of order");
+        }
+        prev = b.ts_first;
+    }
+    let active = |ts: u64| now - ts < t0;
+    if !active(tail.oldest_ts()) {
+        return Some("bank covering holds an expired bucket");
+    }
+    match head {
+        Some(head) if head.b != tail.start() => Some("straddle head does not abut tail"),
+        Some(head) if active(head.ts_first) => Some("straddle head has not expired"),
+        Some(head) if head.width() > tail.covered_len() => {
+            Some("straddle head wider than its tail")
+        }
+        _ => None,
+    }
 }
 
 impl<T, K: SampleTracker<T>> MemoryWords for TsEngineBank<T, K> {
@@ -1286,6 +1533,61 @@ mod tests {
                 "tick {tick}: bank {} > {independent}",
                 bank.memory_words()
             );
+        }
+    }
+
+    #[test]
+    fn memory_words_is_an_exact_recount_within_the_per_lane_layout() {
+        // Recount each live bucket from its checkpoint record — distinct
+        // elements once plus a ⌈log₂ m⌉-bit selector per slot, or 2k slot
+        // samples when that is no smaller — and hold it to the layout that
+        // stored 2k samples per bucket of width ≥ 4 (6k + 3 words), two
+        // candidates and two mask words at width 2 (11) and the element
+        // once at width 1 (6).
+        for lanes in [1usize, 2, 3, 5, 16, 33, 64, 65, 70] {
+            let mut rng = SmallRng::seed_from_u64(lanes as u64);
+            let mut sched = SmallRng::seed_from_u64(8);
+            let mut bank: TsEngineBank<u64> = TsEngineBank::new(40, lanes);
+            let mut idx = 0u64;
+            for tick in 0..300u64 {
+                bank.advance_time(tick);
+                for _ in 0..sched.gen_range(0..10u64) {
+                    bank.insert(&mut rng, idx, idx, tick);
+                    idx += 1;
+                }
+                let buckets: Vec<&BankBucket<u64, ()>> = match &bank.state {
+                    BankState::Empty => Vec::new(),
+                    BankState::Full(cov) => cov.buckets.iter().collect(),
+                    BankState::Straddle { head, tail } => {
+                        std::iter::once(head).chain(&tail.buckets).collect()
+                    }
+                };
+                let mut total = 2;
+                for b in buckets {
+                    let (recount, per_lane) = match b.to_state(lanes).samples {
+                        TsLaneSamplesState::Shared(_) => (6, 6),
+                        TsLaneSamplesState::Pair { .. } => (9 + (2 * lanes).div_ceil(64), 11),
+                        TsLaneSamplesState::PerLane { r, q } => {
+                            let m = r
+                                .iter()
+                                .chain(&q)
+                                .map(|s| s.index())
+                                .collect::<std::collections::BTreeSet<_>>()
+                                .len();
+                            let mut bits = 0;
+                            while (1usize << bits) < m {
+                                bits += 1;
+                            }
+                            let indexed = 3 * m + (2 * lanes * bits).div_ceil(64);
+                            (3 + indexed.min(6 * lanes), 3 + 6 * lanes)
+                        }
+                    };
+                    assert_eq!(b.memory_words(), recount, "k={lanes} tick {tick}");
+                    assert!(recount <= per_lane, "k={lanes} tick {tick}");
+                    total += recount;
+                }
+                assert_eq!(bank.memory_words(), total, "k={lanes} tick {tick}");
+            }
         }
     }
 

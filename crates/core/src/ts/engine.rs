@@ -119,37 +119,41 @@ impl<T: Clone, K: SampleTracker<T>> TsEngine<T, K> {
             self.now
         );
         self.now = now;
+        // 2(a)/3(a): while the oldest element of the covering (case 1) or
+        // tail (case 2) is active, nothing moves — the case-2 invariant
+        // only strengthens as the tail grows.
+        let oldest_live = match &self.state {
+            State::Empty => return,
+            State::Full(cov) => cov.oldest_ts(),
+            State::Straddle { tail, .. } => tail.oldest_ts(),
+        };
+        if self.is_active(oldest_live) {
+            return;
+        }
         let t0 = self.t0;
         let active = |ts: u64| now - ts < t0;
         let state = std::mem::replace(&mut self.state, State::Empty);
         self.state = match state {
-            State::Empty => State::Empty,
+            State::Empty => unreachable!("returned above"),
             State::Full(mut cov) => {
                 if !active(cov.newest_ts()) {
                     // 2(b): every stored element expired.
                     State::Empty
-                } else if !active(cov.oldest_ts()) {
+                } else {
                     // 2(c): the expiry boundary crossed into the covering;
                     // split off the straddling bucket.
                     let head = cov.split_straddle(active);
                     State::Straddle { head, tail: cov }
-                } else {
-                    // 2(a): nothing to do.
-                    State::Full(cov)
                 }
             }
-            State::Straddle { head, mut tail } => {
+            State::Straddle { mut tail, .. } => {
                 if !active(tail.newest_ts()) {
                     // 3(b): everything stored expired.
                     State::Empty
-                } else if !active(tail.oldest_ts()) {
+                } else {
                     // 3(c): boundary moved past z; re-split inside the tail
                     // and discard the old head.
                     let head = tail.split_straddle(active);
-                    State::Straddle { head, tail }
-                } else {
-                    // 3(a): keep (y, z); the invariant only strengthens as
-                    // the tail grows.
                     State::Straddle { head, tail }
                 }
             }

@@ -10,7 +10,8 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use swsample_core::state::{
-    SamplerState, SeqWrLaneState, StateError, StateReader, StateWriter, STATE_VERSION,
+    SamplerState, SeqWrLaneState, StateError, StateReader, StateWriter, TsBankBucketState,
+    TsBankKind, TsBankState, TsLaneSamplesState, STATE_VERSION,
 };
 use swsample_core::{FleetBackend, Sample, SamplerSpec};
 use swsample_durable::frame::write_frame;
@@ -75,12 +76,24 @@ fn real_state_record() -> &'static [u8] {
 /// `[key][state_version varint][payload]` — CRC-valid, so only the
 /// decoders stand between the file and the fleet.
 fn crafted_snapshot(tag: &str, store: &[u8], state_version: u8, payload: &[u8]) -> PathBuf {
+    let spec = "--window seq --n 24 --mode wr --algo paper --k 3 --seed 9";
+    crafted_snapshot_of(tag, spec, store, state_version, payload)
+}
+
+/// [`crafted_snapshot`] for a fleet built from `spec`.
+fn crafted_snapshot_of(
+    tag: &str,
+    spec: &str,
+    store: &[u8],
+    state_version: u8,
+    payload: &[u8],
+) -> PathBuf {
     let dir = case_dir(tag);
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("snap-0000000000000001.snap");
     let mut header = StateWriter::new();
     header.put_u32(SNAPSHOT_VERSION);
-    header.put_len_bytes(b"--window seq --n 24 --mode wr --algo paper --k 3 --seed 9");
+    header.put_len_bytes(spec.as_bytes());
     header.put_len_bytes(store);
     for v in [4u64, 1, 1, 1] {
         header.put_u64(v); // shards, threads, wal_seq, keys
@@ -189,6 +202,143 @@ fn unreachable_seq_wr_lanes_fail_open_with_a_typed_error() {
         match open_with("seq-wr-unreachable", edit) {
             Err(DurableError::State(StateError::Corrupt(_))) => {}
             other => panic!("{what}: expected typed corruption, got {other:?}"),
+        }
+    }
+}
+
+/// An in-place edit of a ts bank checkpoint.
+type BankEdit = fn(&mut TsBankState<u64>);
+
+/// Open a one-key snapshot holding `spec`'s sampler after 60 ticks of
+/// 1–3 arrivals each, its bank checkpoint edited by `edit`.
+fn open_ts_with(spec: &str, edit: BankEdit) -> Result<(), DurableError> {
+    let parsed: SamplerSpec = spec.parse().expect("spec");
+    let mut sampler = parsed.build::<u64>().expect("build");
+    let mut value = 0u64;
+    for tick in 0..60u64 {
+        sampler.advance_time(tick);
+        for _ in 0..=tick % 3 {
+            sampler.insert(value);
+            value += 1;
+        }
+    }
+    let mut state = sampler.save_state().expect("save");
+    match &mut state {
+        SamplerState::TsWr { bank, .. } | SamplerState::TsWor { bank, .. } => edit(bank),
+        other => panic!("expected a ts state, got {}", other.family()),
+    }
+    let mut payload = StateWriter::for_state_version(STATE_VERSION);
+    state.encode_payload(&mut payload);
+    let path = crafted_snapshot_of(
+        "ts-bank",
+        spec,
+        b"erased",
+        STATE_VERSION as u8,
+        payload.as_bytes(),
+    );
+    let dir = path.parent().expect("snapshot dir").to_path_buf();
+    let opened = DurableEngine::<u64, u64>::open(&dir, DurableOptions::default()).map(|_| ());
+    let _ = std::fs::remove_dir_all(&dir);
+    opened
+}
+
+/// The buckets of a bank checkpoint, straddling head first.
+fn bank_buckets(bank: &mut TsBankState<u64>) -> Vec<&mut TsBankBucketState<u64>> {
+    match &mut bank.kind {
+        TsBankKind::Empty => Vec::new(),
+        TsBankKind::Full(buckets) => buckets.iter_mut().collect(),
+        TsBankKind::Straddle { head, tail } => std::iter::once(head).chain(tail).collect(),
+    }
+}
+
+/// The first bucket whose lane samples `pick` selects.
+fn first_bucket(
+    bank: &mut TsBankState<u64>,
+    pick: fn(&TsLaneSamplesState<u64>) -> bool,
+) -> &mut TsBankBucketState<u64> {
+    bank_buckets(bank)
+        .into_iter()
+        .find(|b| pick(&b.samples))
+        .expect("the run reaches a bucket of that shape")
+}
+
+fn is_pair(s: &TsLaneSamplesState<u64>) -> bool {
+    matches!(s, TsLaneSamplesState::Pair { .. })
+}
+
+fn is_per_lane(s: &TsLaneSamplesState<u64>) -> bool {
+    matches!(s, TsLaneSamplesState::PerLane { .. })
+}
+
+/// Ts bank checkpoints that are CRC-valid and decode cleanly but that no
+/// run of the bank could reach — a lane sample outside its bucket, a
+/// selector bit for a lane that does not exist, a two-candidate record
+/// where the bank keeps per-lane samples, a shared sample on a merged
+/// bucket, a bucket from the future — make `DurableEngine::open` fail
+/// with a typed error instead of `sample_k` serving the impossible
+/// sample.
+#[test]
+fn unreachable_ts_bank_lanes_fail_open_with_a_typed_error() {
+    for mode in ["wr", "wor"] {
+        let spec = format!("--window ts --w 100 --mode {mode} --algo paper --k 4 --seed 9");
+        open_ts_with(&spec, |_| {}).expect("a reachable state opens");
+        let cases: [(&str, BankEdit); 4] = [
+            ("lane samples outside their bucket", |bank| {
+                if let TsLaneSamplesState::PerLane { r, q } =
+                    &mut first_bucket(bank, is_per_lane).samples
+                {
+                    for s in r.iter_mut().chain(q) {
+                        *s = Sample::new(7, 1_000_000_000, 0);
+                    }
+                }
+            }),
+            ("pair selector bit at or above k", |bank| {
+                if let TsLaneSamplesState::Pair { rsel, .. } =
+                    &mut first_bucket(bank, is_pair).samples
+                {
+                    *rsel |= 1 << 4;
+                }
+            }),
+            ("shared sample on a merged bucket", |bank| {
+                let bucket = first_bucket(bank, is_per_lane);
+                bucket.samples =
+                    TsLaneSamplesState::Shared(Sample::new(7, bucket.a, bucket.ts_first));
+            }),
+            ("bucket starting after now", |bank| {
+                let now = bank.now;
+                bank_buckets(bank).pop().expect("non-empty bank").ts_first = now + 1;
+            }),
+        ];
+        for (what, edit) in cases {
+            match open_ts_with(&spec, edit) {
+                Err(DurableError::State(StateError::Corrupt(_))) => {}
+                other => panic!("{mode} {what}: expected typed corruption, got {other:?}"),
+            }
+        }
+        // A two-candidate record where k = 1 or k > 64 keeps per-lane
+        // samples at width 2.
+        for k in [1, 65] {
+            let spec = format!("--window ts --w 100 --mode {mode} --algo paper --k {k} --seed 9");
+            open_ts_with(&spec, |_| {}).expect("a reachable state opens");
+            let as_pair: BankEdit = |bank| {
+                let bucket = bank_buckets(bank)
+                    .into_iter()
+                    .find(|b| b.b - b.a == 2)
+                    .expect("a width-2 bucket");
+                let (a, ts) = (bucket.a, bucket.ts_first);
+                bucket.samples = TsLaneSamplesState::Pair {
+                    lo: Sample::new(7, a, ts),
+                    hi: Sample::new(7, a + 1, ts),
+                    rsel: 0,
+                    qsel: 0,
+                };
+            };
+            match open_ts_with(&spec, as_pair) {
+                Err(DurableError::State(StateError::Corrupt(_))) => {}
+                other => {
+                    panic!("{mode} k={k} pair record: expected typed corruption, got {other:?}")
+                }
+            }
         }
     }
 }
