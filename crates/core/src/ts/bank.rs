@@ -44,21 +44,23 @@
 //!
 //! * a never-merged singleton stores its element inline, once for all
 //!   lanes (`Shared`);
-//! * a merged bucket stores its `m` distinct candidates in stream order
-//!   plus a `⌈log₂ m⌉`-bit selector per slot, bit-sliced into `⌈log₂ m⌉`
-//!   planes of `2k` bits (`Indexed`). A width-2 bucket keeps both its
-//!   candidates for `2 ≤ k ≤ 64`, so its one plane is the merge coins
-//!   verbatim. When an index would not be smaller than `2k` plain samples
-//!   (`m` near `2k`, in wide buckets), the candidates are the slots
-//!   themselves, in slot order, with no selectors — so no bucket ever
-//!   costs more than `6k + 3` words.
+//! * a width-2 bucket at `2 ≤ k ≤ 64` stores both its candidates inline,
+//!   with the merge coins verbatim as a 1-bit selector per slot (`Pair`,
+//!   two selector words);
+//! * any other merged bucket stores its `m` distinct candidates in stream
+//!   order plus a selector per slot — a bit when `m = 2`, a byte when
+//!   `m ≤ 256` (`Indexed`). When that index would not be smaller than
+//!   `2k` plain samples (`m` near `2k`, in wide buckets), the bucket
+//!   stores its `2k` slots in slot order instead, with no selectors.
 //!
-//! A merge splits the slots by candidate, plane by plane, keeps each
-//! slot's left or right candidate by its coin, drops the candidates no
-//! slot holds any more, and folds the survivors' slot sets back into
-//! planes: word-parallel, with no per-slot loop. The coins drawn and the
-//! element each lane ends up holding do not depend on the layout; only
-//! the storage does.
+//! So no bucket ever costs more than `6k + 3` words. A merge reads each
+//! slot's left or right candidate by its coin, eight slots (a byte each)
+//! to the word, marks which candidates some slot still holds, and drops
+//! and renumbers the rest. The coins drawn and the element each lane ends
+//! up holding do not depend on the layout; only the storage does. The
+//! layout is a function of the bucket's width, `k` and its slots'
+//! contents, so a bucket rebuilt from its checkpoint record stores
+//! exactly what the live one did.
 
 use super::bucket::BucketStruct;
 use super::covering::Covering;
@@ -77,97 +79,57 @@ use rand::Rng;
 enum LaneSamples<T, S> {
     /// Never merged: every slot holds this element, stored once.
     Shared { item: Sample<T>, stat: S },
-    /// Merged at least once.
+    /// Width 2 at `2 ≤ k ≤ 64`: both candidates, and bit `s` of `sel`
+    /// is slot `s`'s selector (the merge coins).
+    Pair {
+        cands: [(Sample<T>, S); 2],
+        sel: [u64; 2],
+    },
+    /// Any other merged bucket.
     Indexed(Lanes<T, S>),
+}
+
+/// Slot `s`'s candidate in a `Pair`.
+fn pair_pick(sel: &[u64; 2], s: usize) -> usize {
+    ((sel[s / 64] >> (s % 64)) & 1) as usize
 }
 
 /// A merged bucket's `2k` slots over its stored candidates.
 #[derive(Debug, Clone)]
 struct Lanes<T, S> {
     /// With `bits > 0`, or a single entry: the distinct elements the slots
-    /// hold, each once, in stream order. With `bits == 0` and `2k`
-    /// entries: slot `s` holds `cands[s]` (slot order).
+    /// hold, each once, in stream order. With `bits == 0` and more than
+    /// one entry: slot `s` holds `cands[s]` (slot order).
     cands: Vec<(Sample<T>, S)>,
-    /// Bit-sliced selectors: `bits` planes of `2k` bits, back to back
-    /// from bit 0; bit `s` of plane `j` is bit `j` of slot `s`'s candidate
-    /// index. Exactly `⌈2k·bits/64⌉` words.
-    sel: SelWords,
+    /// Slot `s`'s candidate index in bits `[s·bits, (s+1)·bits)`, `bits`
+    /// being 1 for two candidates and 8 for more: exactly `⌈2k·bits/64⌉`
+    /// words.
+    sel: Vec<u64>,
     bits: u32,
 }
 
-/// Selector words: inline while they fit (always, for `k ≤ 16`), else on
-/// the heap — so a merged bucket usually owns one heap buffer, not two.
-#[derive(Debug, Clone)]
-enum SelWords {
-    Inline {
-        len: usize,
-        words: [u64; INLINE_SEL],
-    },
-    Heap(Vec<u64>),
-}
-
-const INLINE_SEL: usize = 3;
-
-impl SelWords {
-    const EMPTY: Self = SelWords::Inline {
-        len: 0,
-        words: [0; INLINE_SEL],
-    };
-
-    fn words(&self) -> &[u64] {
-        match self {
-            SelWords::Inline { len, words } => &words[..*len],
-            SelWords::Heap(words) => words,
-        }
-    }
-
-    /// Reset to `n` zero words and return them.
-    fn zeroed(&mut self, n: usize) -> &mut [u64] {
-        if n > INLINE_SEL && matches!(self, SelWords::Inline { .. }) {
-            *self = SelWords::Heap(Vec::new());
-        }
-        match self {
-            SelWords::Inline { len, words } => {
-                *len = n;
-                *words = [0; INLINE_SEL];
-                &mut words[..n]
-            }
-            SelWords::Heap(words) => {
-                words.clear();
-                words.resize(n, 0);
-                words
-            }
-        }
-    }
-}
-
-/// Whether width-2 buckets keep both candidates, so their `k` `R` and `k`
-/// `Q` selector bits are one coin mask each (the `Pair` checkpoint record).
+/// Whether width-2 buckets are `Pair`s (and checkpoint as `Pair` records:
+/// `k` `R` and `k` `Q` selector bits, one coin mask each).
 fn pair_shaped(lanes: usize) -> bool {
     (2..=64).contains(&lanes)
 }
 
-/// Words holding `slots` packed fields of `bits` bits.
+/// Most candidates an index addresses: a selector is at most a byte.
+const MAX_INDEXED: usize = 256;
+
+/// Selector bits per slot for `m ≤ MAX_INDEXED` candidates: none for one,
+/// a bit for two, a byte for more.
+fn sel_bits(m: usize) -> u32 {
+    match m {
+        0 | 1 => 0,
+        2 => 1,
+        _ => 8,
+    }
+}
+
+/// Words holding `slots` fields of `bits` bits.
 fn sel_words(slots: usize, bits: u32) -> usize {
     (slots * bits as usize).div_ceil(64)
-}
-
-/// Bits of word `w` in a `slots`-bit string.
-fn word_len(slots: usize, w: usize) -> u32 {
-    (slots - 64 * w).min(64) as u32
-}
-
-/// Bits of an index into `m` candidates.
-fn bits_for(m: usize) -> u32 {
-    usize::BITS - m.saturating_sub(1).leading_zeros()
-}
-
-/// Selector width for `m` stored candidates, or `None` when that index
-/// would not be smaller than `2k` plain samples (use slot order).
-fn index_bits<T>(m: usize, lanes: usize) -> Option<u32> {
-    let bits = bits_for(m);
-    let words = m * Sample::<T>::WORDS + sel_words(2 * lanes, bits);
-    (words < 2 * lanes * Sample::<T>::WORDS).then_some(bits)
 }
 
 /// The low `n ≤ 64` bits set.
@@ -179,28 +141,93 @@ fn low_mask(n: u32) -> u64 {
     }
 }
 
-/// The `n ≤ 64` bits at bit offset `pos` of `words`.
-#[inline]
-fn get_bits(words: &[u64], pos: usize, n: u32) -> u64 {
-    let (w, off) = (pos / 64, (pos % 64) as u32);
-    let mut v = words[w] >> off;
-    if off + n > 64 {
-        v |= words[w + 1] << (64 - off);
+/// `EXPAND[x]`: byte `j` holds bit `j` of `x`.
+const EXPAND: [u64; 256] = {
+    let mut table = [0; 256];
+    let mut x = 0;
+    while x < 256 {
+        let mut j = 0;
+        while j < 8 {
+            table[x] |= ((x as u64 >> j) & 1) << (8 * j);
+            j += 1;
+        }
+        x += 1;
     }
-    v & low_mask(n)
+    table
+};
+
+/// The inverse of [`EXPAND`] on bytes of 0 or 1: bit `j` of the result
+/// is byte `j` of `x`.
+fn gather(x: u64) -> u64 {
+    x.wrapping_mul(0x0102_0408_1020_4080) >> 56
 }
 
-/// OR the `n ≤ 64`-bit value `v` into bit offset `pos` of `words`.
-#[inline]
-fn put_bits(words: &mut [u64], pos: usize, n: u32, v: u64) {
-    let (w, off) = (pos / 64, (pos % 64) as u32);
-    words[w] |= v << off;
-    if off + n > 64 {
-        words[w + 1] |= v >> (64 - off);
+/// A 1 in every byte.
+const BYTE_ONES: u64 = 0x0101_0101_0101_0101;
+
+/// An indexed bucket's selectors, read eight slots at a time.
+#[derive(Clone, Copy)]
+struct Sel<'a> {
+    words: &'a [u64],
+    bits: u32,
+}
+
+impl Sel<'_> {
+    /// The fields of slots `8w..8w + 8`, one per byte.
+    #[inline]
+    fn bytes(self, w: usize) -> u64 {
+        match self.bits {
+            0 => 0,
+            1 => EXPAND[((self.words[w / 8] >> (8 * (w % 8))) & 0xFF) as usize],
+            _ => self.words[w],
+        }
     }
 }
 
-/// Recycled buffers. A merge consumes its right operand's vectors, and an
+impl<T, S> Lanes<T, S> {
+    const EMPTY: Self = Lanes {
+        cands: Vec::new(),
+        sel: Vec::new(),
+        bits: 0,
+    };
+
+    fn slot_order(&self) -> bool {
+        self.bits == 0 && self.cands.len() > 1
+    }
+
+    fn selectors(&self) -> Sel<'_> {
+        Sel {
+            words: &self.sel,
+            bits: self.bits,
+        }
+    }
+
+    /// Slot `s`'s candidate index.
+    #[inline]
+    fn pick(&self, s: usize) -> usize {
+        if self.bits == 0 {
+            return if self.cands.len() == 1 { 0 } else { s };
+        }
+        let pos = s * self.bits as usize;
+        ((self.sel[pos / 64] >> (pos % 64)) & low_mask(self.bits)) as usize
+    }
+
+    /// Reset the selectors to `slots` zero fields of `bits` bits.
+    fn clear_sel(&mut self, slots: usize, bits: u32) {
+        self.sel.clear();
+        self.sel.resize(sel_words(slots, bits), 0);
+        self.bits = bits;
+    }
+
+    /// Point slot `s`, whose field is zero, at candidate `c` (`bits > 0`).
+    #[inline]
+    fn set_pick(&mut self, s: usize, c: usize) {
+        let pos = s * self.bits as usize;
+        self.sel[pos / 64] |= (c as u64) << (pos % 64);
+    }
+}
+
+/// Recycled buffers. A merge consumes its operands' vectors, and an
 /// expiring head its own; instead of freeing them the bank parks them here
 /// (cleared) for the next merge — steady-state ingestion runs
 /// allocation-free. Allocator-level reuse, like `Vec` spare capacity: not
@@ -216,31 +243,41 @@ impl<T, S> Default for SparePool<T, S> {
     }
 }
 
-thread_local! {
-    /// Merge scratch, shared by every bank on the thread (so it stays in
-    /// cache across a fleet's keys): the slots that take the right
-    /// operand, the output selector planes, then each candidate's slot set.
-    static SCRATCH: std::cell::Cell<Vec<u64>> = const { std::cell::Cell::new(Vec::new()) };
-}
-
 /// Cascaded merges can park several buffers before the next merge drains
 /// one; a handful is plenty.
 const SPARE_POOL_CAP: usize = 8;
 
+/// Merge scratch: the coin words, the merged selectors, and the slots by
+/// stream index when re-indexing.
+#[derive(Default)]
+struct Scratch {
+    coins: Vec<u64>,
+    sel: Vec<u64>,
+    order: Vec<(u64, usize)>,
+}
+
+thread_local! {
+    /// Shared by every bank on the thread, so it stays in cache across a
+    /// fleet's keys.
+    static SCRATCH: std::cell::Cell<Scratch> = const {
+        std::cell::Cell::new(Scratch {
+            coins: Vec::new(),
+            sel: Vec::new(),
+            order: Vec::new(),
+        })
+    };
+}
+
 impl<T, S> SparePool<T, S> {
     /// Empty candidate and selector buffers.
     fn take(&mut self) -> Lanes<T, S> {
-        self.bufs.pop().unwrap_or(Lanes {
-            cands: Vec::new(),
-            sel: SelWords::EMPTY,
-            bits: 0,
-        })
+        self.bufs.pop().unwrap_or(Lanes::EMPTY)
     }
 
     fn put(&mut self, mut bufs: Lanes<T, S>) {
         if self.bufs.len() < SPARE_POOL_CAP {
             bufs.cands.clear();
-            bufs.sel.zeroed(0);
+            bufs.sel.clear();
             bufs.bits = 0;
             self.bufs.push(bufs);
         }
@@ -248,210 +285,274 @@ impl<T, S> SparePool<T, S> {
 }
 
 impl<T: Clone, S: Clone> Lanes<T, S> {
-    /// Store `self.cands` given their bit-sliced selector planes (`planes`:
-    /// `⌈2k/64⌉` words per plane, at least as many planes as the stored
-    /// index needs): as they are, or in slot order when an index would not
-    /// be smaller.
-    fn store(mut self, planes: &[u64], lanes: usize, pool: &mut SparePool<T, S>) -> Self {
-        let slots = 2 * lanes;
-        let words = slots.div_ceil(64);
-        match index_bits::<T>(self.cands.len(), lanes) {
-            Some(bits) => {
-                let sel = self.sel.zeroed(sel_words(slots, bits));
-                for (j, plane) in planes.chunks_exact(words).take(bits as usize).enumerate() {
-                    for (w, &x) in plane.iter().enumerate() {
-                        put_bits(sel, j * slots + 64 * w, word_len(slots, w), x);
-                    }
-                }
-                self.bits = bits;
-                self
-            }
-            None => {
-                let mut out = pool.take();
-                out.cands.extend((0..slots).map(|s| {
-                    let c = planes
-                        .chunks_exact(words)
-                        .enumerate()
-                        .fold(0, |c, (j, plane)| {
-                            c | ((plane[s / 64] >> (s % 64)) & 1) << j
-                        });
-                    self.cands[c as usize].clone()
-                }));
-                pool.put(self);
-                out
-            }
-        }
-    }
-
-    /// Stored-candidate index of slot `s` (of `slots`).
-    #[inline]
-    fn pick(&self, s: usize, slots: usize) -> usize {
-        match (self.bits, self.cands.len()) {
-            (0, 1) => 0,
-            (0, _) => s,
-            (bits, _) => {
-                let sel = self.sel.words();
-                (0..bits as usize).fold(0, |c, j| {
-                    let pos = j * slots + s;
-                    c | (((sel[pos / 64] >> (pos % 64)) & 1) as usize) << j
-                })
-            }
-        }
-    }
-
-    /// Rows [`slot_sets`](Self::slot_sets) writes: one per index the
-    /// selectors can express.
-    fn rows(&self) -> usize {
-        if self.bits == 0 {
-            self.cands.len()
-        } else {
-            1 << self.bits
-        }
-    }
-
-    /// Each candidate's slot set within `side` (or its complement when
-    /// `invert`): word `w` of candidate `c`'s set goes to
-    /// `sets[w·stride + c]`. Entries past the candidates may be written
-    /// too, never read past `rows()`.
-    fn slot_sets(&self, slots: usize, side: &[u64], invert: bool, sets: &mut [u64], stride: usize) {
-        for (w, &side) in side.iter().enumerate() {
-            let within = if invert { !side } else { side } & low_mask(word_len(slots, w));
-            let column = &mut sets[w * stride..];
-            if self.bits == 0 && self.cands.len() > 1 {
-                // Slot order: candidate `s` is slot `s`.
-                for (c, set) in column[..self.cands.len()].iter_mut().enumerate() {
-                    *set = if c / 64 == w {
-                        within & 1 << (c % 64)
-                    } else {
-                        0
-                    };
-                }
-                continue;
-            }
-            // Split by one plane at a time: after planes `0..j`, entry
-            // `x < 2^j` holds the slots whose index ends in `x`.
-            column[0] = within;
-            for j in 0..self.bits as usize {
-                let plane = get_bits(self.sel.words(), j * slots + 64 * w, word_len(slots, w));
-                let (low, high) = column.split_at_mut(1 << j);
-                for (lo, hi) in low.iter_mut().zip(high) {
-                    *hi = *lo & plane;
-                    *lo &= !plane;
-                }
-            }
-        }
-    }
-
-    /// The `Incr` union step for all lanes at once: per lane, `R` (and,
-    /// independently, `Q`) is taken from the right operand on a fair coin
-    /// bit. Coins are drawn as masks, per 64-lane chunk the `R` mask then
-    /// the `Q` mask, and consumed whole: each candidate's slot set is
-    /// computed word-parallel from the bit-sliced selectors and intersected
-    /// with its side's coins, a candidate left with no slot is dropped, and
-    /// the survivors' sets fold into the new selector planes. No per-slot
-    /// loop, and no clones except into slot order.
-    fn merge<R: Rng>(
-        mut self,
-        mut right: Self,
+    /// The layout to store these slots in: each distinct element once,
+    /// in stream order, with a selector per slot — unless that index
+    /// would not be smaller than the `2k` slots stored plainly, or would
+    /// need more than [`MAX_INDEXED`] candidates: then slot order.
+    fn store(
+        self,
         lanes: usize,
-        rng: &mut R,
-        coins: &mut BitSource,
+        order: &mut Vec<(u64, usize)>,
         pool: &mut SparePool<T, S>,
     ) -> Self {
         let slots = 2 * lanes;
-        let words = slots.div_ceil(64);
-        let (ml, mr) = (self.cands.len(), right.cands.len());
-        let m = ml + mr;
-        let planes = bits_for(m) as usize;
-        // Scratch: coins | output planes | slot sets, word `w` of every
-        // candidate's set in row `w`. The left tree's entries past `ml` are
-        // empty, so the right operand's start at `ml`.
-        let stride = self.rows().max(ml + right.rows());
-        // Every entry read below is written first, so the scratch is
-        // never cleared.
-        let mut scratch = SCRATCH.take();
-        let need = words * (1 + planes + stride);
-        if scratch.len() < need {
-            scratch.resize(need, 0);
-        }
-        let (take_right, rest) = scratch.split_at_mut(words);
-        let (out, sets) = rest.split_at_mut(words * planes);
-        take_right.fill(0);
-        let mut lane0 = 0usize;
-        while lane0 < lanes {
-            let n = (lanes - lane0).min(64);
-            put_bits(take_right, lane0, n as u32, coins.mask(rng, n as u32));
-            put_bits(
-                take_right,
-                lanes + lane0,
-                n as u32,
-                coins.mask(rng, n as u32),
-            );
-            lane0 += n;
-        }
-        self.slot_sets(slots, take_right, true, sets, stride);
-        right.slot_sets(slots, take_right, false, &mut sets[ml..], stride);
-        // Drop the candidates no slot picks any more, branch-free: each
-        // candidate and its set are moved down to the next output position,
-        // which only advances past a survivor.
-        self.cands.append(&mut right.cands);
-        let mut kept = 0usize;
-        if words == 1 {
-            // Survivors before the first dropped candidate stay put.
-            let first_dropped = sets[..m].iter().position(|&set| set == 0).unwrap_or(m);
-            kept = first_dropped;
-            for c in first_dropped..m {
-                let set = sets[c];
-                sets[kept] = set;
-                self.cands.swap(kept, c);
-                kept += usize::from(set != 0);
+        let smaller = |m: usize| {
+            m <= MAX_INDEXED
+                && m * Sample::<T>::WORDS + sel_words(slots, sel_bits(m))
+                    < slots * Sample::<T>::WORDS
+        };
+        if !self.slot_order() {
+            if smaller(self.cands.len()) {
+                return self;
             }
-        } else {
-            for c in 0..m {
-                let mut live = 0;
-                for w in 0..words {
-                    let set = sets[w * stride + c];
-                    sets[w * stride + kept] = set;
-                    live |= set;
+            let mut out = pool.take();
+            out.cands
+                .extend((0..slots).map(|s| self.cands[self.pick(s)].clone()));
+            pool.put(self);
+            return out;
+        }
+        // The slots by stream index: runs of one element.
+        order.clear();
+        order.extend((0..slots).map(|s| (self.cands[s].0.index(), s)));
+        order.sort_unstable();
+        let m = 1 + order.windows(2).filter(|p| p[0].0 != p[1].0).count();
+        if !smaller(m) {
+            return self;
+        }
+        let mut out = pool.take();
+        out.clear_sel(slots, sel_bits(m));
+        for (i, &(index, s)) in order.iter().enumerate() {
+            if i == 0 || order[i - 1].0 != index {
+                out.cands.push(self.cands[s].clone());
+            }
+            if out.bits > 0 {
+                out.set_pick(s, out.cands.len() - 1);
+            }
+        }
+        pool.put(self);
+        out
+    }
+
+    /// [`LaneSamples::merge`] past the first level: slot `s` takes the
+    /// right operand's element where bit `s` of `take_right` is set, and
+    /// the result stores the candidates some slot still holds, in stream
+    /// order. `sel` is scratch for the merged selectors.
+    ///
+    /// Up to [`MAX_INDEXED`] candidates between the operands, and neither
+    /// in slot order, the selectors merge eight slots (a byte each) to the
+    /// word, branch-free: the coins are a 50/50 guess for a branch. Wide
+    /// buckets build the merged slots in slot order, for
+    /// [`store`](Self::store) to index if that is smaller.
+    fn merge(
+        mut self,
+        right: LaneSamples<T, S>,
+        lanes: usize,
+        take_right: &[u64],
+        sel: &mut Vec<u64>,
+        pool: &mut SparePool<T, S>,
+    ) -> Self {
+        let slots = 2 * lanes;
+        let ml = self.cands.len();
+        let m = ml + right.len();
+        if self.slot_order() || right.slot_order() || m > MAX_INDEXED {
+            let mut out = pool.take();
+            out.cands.extend((0..slots).map(|s| {
+                if (take_right[s / 64] >> (s % 64)) & 1 == 1 {
+                    let (item, stat) = right.slot(s);
+                    (item.clone(), stat.clone())
+                } else {
+                    self.cands[self.pick(s)].clone()
                 }
-                self.cands.swap(kept, c);
-                kept += usize::from(live != 0);
-            }
+            }));
+            pool.put(self);
+            right.recycle(pool);
+            return out;
         }
-        // A survivor's rank is its new index: plane `j` is the union of
-        // the sets of the survivors whose rank has bit `j`. Fold the
-        // survivors pairwise: after `j` folds, entry `r` is the union of
-        // the rank block `[r·2^j, (r+1)·2^j)`, and plane `j` is the union
-        // of the odd blocks.
+        let (lsel, rsel) = (self.selectors(), right.selectors());
+        let offset = ml as u64 * BYTE_ONES;
+        // Per word, its 8 slots' candidates in `left ++ right`, a byte
+        // each; bytes past the last slot read 0.
+        let picks = |w: usize| {
+            let coins = (take_right[w / 8] >> (8 * (w % 8))) & 0xFF;
+            let take = EXPAND[coins as usize] * 0xFF;
+            let (l, r) = (lsel.bytes(w), rsel.bytes(w) + offset);
+            l ^ ((l ^ r) & take)
+        };
+        let words = slots.div_ceil(8);
+        // Whether a slot holds each candidate.
+        let mut held = [0u8; MAX_INDEXED];
         for w in 0..words {
-            let column = &mut sets[w * stride..][..kept];
-            let mut len = kept;
-            for plane in out.iter_mut().skip(w).step_by(words) {
-                let mut odd = 0;
-                for r in 0..len / 2 {
-                    odd |= column[2 * r + 1];
-                    column[r] = column[2 * r] | column[2 * r + 1];
+            let live = (slots - 8 * w).min(8);
+            for (j, c) in picks(w).to_le_bytes().into_iter().enumerate() {
+                if j < live {
+                    held[usize::from(c)] = 1;
                 }
-                if len % 2 == 1 {
-                    column[len / 2] = column[len - 1];
-                }
-                *plane = odd;
-                len = len.div_ceil(2);
             }
         }
-        self.cands.truncate(kept);
-        pool.put(right);
-        let merged = self.store(out, lanes, pool);
-        SCRATCH.set(scratch);
-        merged
+        let held = &held[..m];
+        let kept = held.iter().map(|&h| usize::from(h)).sum();
+        // The held candidates' new indices, if any is dropped
+        // (`kept < m ≤ 256`, so they fit a byte).
+        let rank = (kept < m).then(|| {
+            let mut rank = [0u8; MAX_INDEXED];
+            let mut next = 0;
+            for (r, &h) in rank.iter_mut().zip(held) {
+                *r = next;
+                next += h;
+            }
+            rank
+        });
+        let bits = sel_bits(kept);
+        sel.clear();
+        sel.resize(sel_words(slots, bits), 0);
+        if bits > 0 {
+            for w in 0..words {
+                let mut p = picks(w);
+                if let Some(rank) = &rank {
+                    p = u64::from_le_bytes(p.to_le_bytes().map(|c| rank[usize::from(c)]));
+                }
+                if bits == 8 {
+                    sel[w] = p;
+                } else {
+                    sel[w / 8] |= gather(p) << (8 * (w % 8));
+                }
+            }
+        }
+        let held = (kept < m).then_some(held);
+        if let Some(held) = held {
+            retain_held(&mut self.cands, &held[..ml]);
+        }
+        right.move_held(held.map(|h| &h[ml..]), &mut self.cands, pool);
+        self.sel.clear();
+        self.sel.extend_from_slice(sel);
+        self.bits = bits;
+        self
+    }
+}
+
+/// Keep the entries whose `held` flag is 1, in order. Branch-free: a
+/// dropped entry moves up past the kept ones.
+fn retain_held<C>(cands: &mut Vec<C>, held: &[u8]) {
+    let first = held.iter().position(|&h| h == 0).unwrap_or(held.len());
+    let mut kept = first;
+    for (c, &h) in held.iter().enumerate().skip(first) {
+        cands.swap(kept, c);
+        kept += usize::from(h);
+    }
+    cands.truncate(kept);
+}
+
+impl<T, S> LaneSamples<T, S> {
+    /// Slot `s`'s element and its tracker statistic.
+    #[inline]
+    fn slot(&self, s: usize) -> (&Sample<T>, &S) {
+        match self {
+            LaneSamples::Shared { item, stat } => (item, stat),
+            LaneSamples::Pair { cands, sel } => {
+                let (item, stat) = &cands[pair_pick(sel, s)];
+                (item, stat)
+            }
+            LaneSamples::Indexed(l) => {
+                let (item, stat) = &l.cands[l.pick(s)];
+                (item, stat)
+            }
+        }
+    }
+
+    /// Park the buffers (if merged) for reuse.
+    fn recycle(self, pool: &mut SparePool<T, S>) {
+        if let LaneSamples::Indexed(l) = self {
+            pool.put(l);
+        }
+    }
+
+    /// Stored candidates.
+    fn len(&self) -> usize {
+        match self {
+            LaneSamples::Shared { .. } => 1,
+            LaneSamples::Pair { .. } => 2,
+            LaneSamples::Indexed(l) => l.cands.len(),
+        }
+    }
+
+    fn slot_order(&self) -> bool {
+        matches!(self, LaneSamples::Indexed(l) if l.slot_order())
+    }
+
+    /// The selectors of an index.
+    fn selectors(&self) -> Sel<'_> {
+        match self {
+            LaneSamples::Shared { .. } => Sel {
+                words: &[],
+                bits: 0,
+            },
+            LaneSamples::Pair { sel, .. } => Sel {
+                words: sel,
+                bits: 1,
+            },
+            LaneSamples::Indexed(l) => l.selectors(),
+        }
+    }
+
+    /// Move the candidates whose `held` entry is 1 (all of them without
+    /// `held`) to the end of `out`, in stream order, and recycle the
+    /// buffers.
+    fn move_held(
+        self,
+        held: Option<&[u8]>,
+        out: &mut Vec<(Sample<T>, S)>,
+        pool: &mut SparePool<T, S>,
+    ) {
+        let is_held = |c: usize| held.is_none_or(|held| held[c] != 0);
+        match self {
+            LaneSamples::Shared { item, stat } => {
+                if is_held(0) {
+                    out.push((item, stat));
+                }
+            }
+            LaneSamples::Pair { cands, .. } => {
+                for (c, cand) in cands.into_iter().enumerate() {
+                    if is_held(c) {
+                        out.push(cand);
+                    }
+                }
+            }
+            LaneSamples::Indexed(mut l) => {
+                if let Some(held) = held {
+                    retain_held(&mut l.cands, held);
+                }
+                out.append(&mut l.cands);
+                pool.put(l);
+            }
+        }
+    }
+
+    fn into_lanes(self, lanes: usize, pool: &mut SparePool<T, S>) -> Lanes<T, S> {
+        match self {
+            LaneSamples::Indexed(l) => l,
+            LaneSamples::Shared { item, stat } => {
+                let mut single = pool.take();
+                single.cands.push((item, stat));
+                single
+            }
+            LaneSamples::Pair { cands, sel } => {
+                let mut pair = pool.take();
+                pair.cands.extend(cands);
+                pair.sel.extend_from_slice(&sel[..sel_words(2 * lanes, 1)]);
+                pair.bits = 1;
+                pair
+            }
+        }
     }
 }
 
 impl<T: Clone, S: Clone> LaneSamples<T, S> {
-    /// Merge with the right neighbour's slots (see [`Lanes::merge`]). Two
-    /// singletons at `2 ≤ k ≤ 64` keep both candidates and store the coin
-    /// masks verbatim as their selectors; at `k = 1` they keep the one
-    /// element both coins pick, or both in slot order. No decode, no clones.
+    /// The `Incr` union step for all lanes at once: per lane, `R` (and,
+    /// independently, `Q`) is taken from the right operand on a fair coin
+    /// bit. Coins are drawn as masks, per 64-lane chunk the `R` mask then
+    /// the `Q` mask. Two singletons at `2 ≤ k ≤ 64` (half of all merges)
+    /// keep both candidates, and the coins are their 1-bit selectors
+    /// verbatim; every other merge is [`Lanes::merge`].
     fn merge<R: Rng>(
         self,
         right: Self,
@@ -460,52 +561,41 @@ impl<T: Clone, S: Clone> LaneSamples<T, S> {
         coins: &mut BitSource,
         pool: &mut SparePool<T, S>,
     ) -> Self {
-        match (self, right) {
+        let (left, right) = match (self, right) {
             (
                 LaneSamples::Shared { item: li, stat: ls },
                 LaneSamples::Shared { item: ri, stat: rs },
             ) if pair_shaped(lanes) => {
-                let mut pair = pool.take();
-                pair.cands.push((li, ls));
-                pair.cands.push((ri, rs));
-                let sel = pair.sel.zeroed(sel_words(2 * lanes, 1));
                 let n = lanes as u32;
-                put_bits(sel, 0, n, coins.mask(rng, n));
-                put_bits(sel, lanes, n, coins.mask(rng, n));
-                pair.bits = 1;
-                LaneSamples::Indexed(pair)
+                let (r, q) = (coins.mask(rng, n), coins.mask(rng, n));
+                let sel = u128::from(r) | u128::from(q) << lanes;
+                return LaneSamples::Pair {
+                    cands: [(li, ls), (ri, rs)],
+                    sel: [sel as u64, (sel >> 64) as u64],
+                };
             }
-            (
-                LaneSamples::Shared { item: li, stat: ls },
-                LaneSamples::Shared { item: ri, stat: rs },
-            ) if lanes == 1 => {
-                let mut out = pool.take();
-                let (left, right) = ((li, ls), (ri, rs));
-                match (coins.mask(rng, 1), coins.mask(rng, 1)) {
-                    (0, 0) => out.cands.push(left),
-                    (1, 1) => out.cands.push(right),
-                    (0, _) => out.cands.extend([left, right]),
-                    _ => out.cands.extend([right, left]),
+            (left, right) => (left.into_lanes(lanes, pool), right),
+        };
+        let mut scratch = SCRATCH.take();
+        let take_right = &mut scratch.coins;
+        take_right.clear();
+        take_right.resize((2 * lanes).div_ceil(64), 0);
+        let mut lane0 = 0;
+        while lane0 < lanes {
+            let n = (lanes - lane0).min(64);
+            for first in [lane0, lanes + lane0] {
+                let mask = coins.mask(rng, n as u32);
+                take_right[first / 64] |= mask << (first % 64);
+                if first % 64 + n > 64 {
+                    take_right[first / 64 + 1] |= mask >> (64 - first % 64);
                 }
-                LaneSamples::Indexed(out)
             }
-            (left, right) => {
-                let left = left.into_lanes(pool);
-                let right = right.into_lanes(pool);
-                LaneSamples::Indexed(left.merge(right, lanes, rng, coins, pool))
-            }
+            lane0 += n;
         }
-    }
-
-    fn into_lanes(self, pool: &mut SparePool<T, S>) -> Lanes<T, S> {
-        match self {
-            LaneSamples::Indexed(lanes) => lanes,
-            LaneSamples::Shared { item, stat } => {
-                let mut single = pool.take();
-                single.cands.push((item, stat));
-                single
-            }
-        }
+        let merged = left.merge(right, lanes, &scratch.coins, &mut scratch.sel, pool);
+        let merged = merged.store(lanes, &mut scratch.order, pool);
+        SCRATCH.set(scratch);
+        LaneSamples::Indexed(merged)
     }
 }
 
@@ -539,25 +629,18 @@ impl<T: Clone, S: Clone> BankBucket<T, S> {
     }
 
     /// Slot `s`'s element and its tracker statistic.
-    #[inline]
-    fn slot(&self, s: usize, lanes: usize) -> (&Sample<T>, &S) {
-        match &self.samples {
-            LaneSamples::Shared { item, stat } => (item, stat),
-            LaneSamples::Indexed(l) => {
-                let (item, stat) = &l.cands[l.pick(s, 2 * lanes)];
-                (item, stat)
-            }
-        }
+    fn slot(&self, s: usize) -> (&Sample<T>, &S) {
+        self.samples.slot(s)
     }
 
     /// Lane `lane`'s `R` sample and its statistic.
-    fn r(&self, lane: usize, lanes: usize) -> (&Sample<T>, &S) {
-        self.slot(lane, lanes)
+    fn r(&self, lane: usize) -> (&Sample<T>, &S) {
+        self.slot(lane)
     }
 
     /// Lane `lane`'s `Q` sample.
     fn q(&self, lane: usize, lanes: usize) -> &Sample<T> {
-        self.slot(lanes + lane, lanes).0
+        self.slot(lanes + lane).0
     }
 
     fn merge_right<R: Rng>(
@@ -574,28 +657,19 @@ impl<T: Clone, S: Clone> BankBucket<T, S> {
             right.width(),
             "merge of unequal-width buckets"
         );
-        let left = std::mem::replace(
-            &mut self.samples,
-            LaneSamples::Indexed(Lanes {
-                cands: Vec::new(),
-                sel: SelWords::EMPTY,
-                bits: 0,
-            }),
-        );
+        let left = std::mem::replace(&mut self.samples, LaneSamples::Indexed(Lanes::EMPTY));
         self.samples = left.merge(right.samples, lanes, rng, coins, pool);
         self.b = right.b;
     }
 
     /// Park this bucket's buffers (if merged) for reuse.
     fn recycle(self, pool: &mut SparePool<T, S>) {
-        if let LaneSamples::Indexed(l) = self.samples {
-            pool.put(l);
-        }
+        self.samples.recycle(pool);
     }
 
     /// One lane's view as a plain `BucketStruct` (cloned).
     fn lane_bucket(&self, lane: usize, lanes: usize) -> BucketStruct<T, S> {
-        let (r, r_stat) = self.r(lane, lanes);
+        let (r, r_stat) = self.r(lane);
         BucketStruct {
             a: self.a,
             b: self.b,
@@ -609,6 +683,11 @@ impl<T: Clone, S: Clone> BankBucket<T, S> {
     fn observe_stats(&mut self, mut observe: impl FnMut(&mut S)) {
         match &mut self.samples {
             LaneSamples::Shared { stat, .. } => observe(stat),
+            LaneSamples::Pair { cands, .. } => {
+                for (_, stat) in cands {
+                    observe(stat);
+                }
+            }
             LaneSamples::Indexed(l) => {
                 for (_, stat) in &mut l.cands {
                     observe(stat);
@@ -623,20 +702,22 @@ impl<T: Clone, S: Clone> BankBucket<T, S> {
     fn to_state(&self, lanes: usize) -> TsBankBucketState<T> {
         let samples = match &self.samples {
             LaneSamples::Shared { item, .. } => TsLaneSamplesState::Shared(item.clone()),
-            LaneSamples::Indexed(l) if self.width() == 2 && pair_shaped(lanes) => {
-                debug_assert!(l.bits == 1 && l.cands.len() == 2, "width-2 pair layout");
+            LaneSamples::Pair { cands, sel } => {
+                let mask = |first: usize| {
+                    (0..lanes).fold(0u64, |mask, j| {
+                        mask | (pair_pick(sel, first + j) as u64) << j
+                    })
+                };
                 TsLaneSamplesState::Pair {
-                    lo: l.cands[0].0.clone(),
-                    hi: l.cands[1].0.clone(),
-                    rsel: get_bits(l.sel.words(), 0, lanes as u32),
-                    qsel: get_bits(l.sel.words(), lanes, lanes as u32),
+                    lo: cands[0].0.clone(),
+                    hi: cands[1].0.clone(),
+                    rsel: mask(0),
+                    qsel: mask(lanes),
                 }
             }
             LaneSamples::Indexed(_) => TsLaneSamplesState::PerLane {
-                r: (0..lanes).map(|s| self.slot(s, lanes).0.clone()).collect(),
-                q: (lanes..2 * lanes)
-                    .map(|s| self.slot(s, lanes).0.clone())
-                    .collect(),
+                r: (0..lanes).map(|s| self.slot(s).0.clone()).collect(),
+                q: (lanes..2 * lanes).map(|s| self.slot(s).0.clone()).collect(),
             },
         };
         TsBankBucketState {
@@ -654,7 +735,8 @@ impl<T, S> MemoryWords for BankBucket<T, S> {
         // candidates and selector words, exactly as held.
         3 + match &self.samples {
             LaneSamples::Shared { .. } => Sample::<T>::WORDS,
-            LaneSamples::Indexed(l) => l.cands.len() * Sample::<T>::WORDS + l.sel.words().len(),
+            LaneSamples::Pair { sel, .. } => 2 * Sample::<T>::WORDS + sel.len(),
+            LaneSamples::Indexed(l) => l.cands.len() * Sample::<T>::WORDS + l.sel.len(),
         }
     }
 }
@@ -774,17 +856,12 @@ impl<T: Clone, S: Clone> BankCovering<T, S> {
 
     /// Uniform sample of the covered range for one lane: bucket chosen
     /// proportional to width, that bucket's lane-`R` output.
-    fn sample_uniform_lane<R: Rng>(
-        &self,
-        lane: usize,
-        lanes: usize,
-        rng: &mut R,
-    ) -> (Sample<T>, S) {
+    fn sample_uniform_lane<R: Rng>(&self, lane: usize, rng: &mut R) -> (Sample<T>, S) {
         let total = self.covered_len();
         let mut x = rng.gen_range(0..total);
         for b in &self.buckets {
             if x < b.width() {
-                let (r, stat) = b.r(lane, lanes);
+                let (r, stat) = b.r(lane);
                 return (r.clone(), stat.clone());
             }
             x -= b.width();
@@ -1017,7 +1094,7 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
         assert!(lane < self.lanes, "lane {lane} out of range");
         match &self.state {
             BankState::Empty => None,
-            BankState::Full(cov) => Some(cov.sample_uniform_lane(lane, self.lanes, rng)),
+            BankState::Full(cov) => Some(cov.sample_uniform_lane(lane, rng)),
             BankState::Straddle { head, tail } => {
                 Some(self.sample_straddle_lane(head, tail, lane, rng))
             }
@@ -1039,7 +1116,7 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
             alpha <= beta,
             "case-2 invariant α ≤ β violated ({alpha} > {beta})"
         );
-        let r2 = tail.sample_uniform_lane(lane, self.lanes, rng);
+        let r2 = tail.sample_uniform_lane(lane, rng);
 
         let q1 = head.q(lane, self.lanes);
         let i = head.b - q1.index();
@@ -1058,7 +1135,7 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
 
         let x = y_expired && bernoulli_ratio(rng, alpha as u128, beta as u128);
 
-        let (r1, r1_stat) = head.r(lane, self.lanes);
+        let (r1, r1_stat) = head.r(lane);
         if x && self.is_active(r1.timestamp()) {
             (r1.clone(), r1_stat.clone())
         } else {
@@ -1196,19 +1273,14 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
                 if lo.index() != a || hi.index() != a + 1 || !in_bucket(&lo) || !in_bucket(&hi) {
                     return outside();
                 }
-                let n = lanes as u32;
-                if (rsel | qsel) & !low_mask(n) != 0 {
+                if (rsel | qsel) & !low_mask(lanes as u32) != 0 {
                     return corrupt(format!("pair selector bit at or above k = {lanes}"));
                 }
-                let mut sel = SelWords::EMPTY;
-                let words = sel.zeroed(sel_words(2 * lanes, 1));
-                put_bits(words, 0, n, rsel);
-                put_bits(words, lanes, n, qsel);
-                LaneSamples::Indexed(Lanes {
-                    cands: vec![with_stat(lo), with_stat(hi)],
-                    sel,
-                    bits: 1,
-                })
+                let sel = u128::from(rsel) | u128::from(qsel) << lanes;
+                LaneSamples::Pair {
+                    cands: [with_stat(lo), with_stat(hi)],
+                    sel: [sel as u64, (sel >> 64) as u64],
+                }
             }
             TsLaneSamplesState::PerLane { r, q } => {
                 if r.len() != lanes || q.len() != lanes {
@@ -1227,38 +1299,24 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
                 if !slots.iter().all(in_bucket) {
                     return outside();
                 }
-                // Each distinct element once, in stream order.
-                let mut order: Vec<usize> = (0..slots.len()).collect();
-                order.sort_by_key(|&s| slots[s].index());
-                let mut cands: Vec<(Sample<T>, K::Stat)> = Vec::new();
-                let mut picks = vec![0u64; slots.len()];
-                for s in order {
-                    match cands.last() {
-                        Some((c, _)) if c.index() == slots[s].index() => {
-                            if c.timestamp() != slots[s].timestamp() {
-                                return corrupt(format!(
-                                    "lane samples of index {} disagree on its timestamp",
-                                    c.index()
-                                ));
-                            }
-                        }
-                        _ => cands.push(with_stat(slots[s].clone())),
-                    }
-                    picks[s] = (cands.len() - 1) as u64;
+                let mut seen: Vec<(u64, u64)> =
+                    slots.iter().map(|s| (s.index(), s.timestamp())).collect();
+                seen.sort_unstable();
+                seen.dedup();
+                if let Some(p) = seen.windows(2).find(|p| p[0].0 == p[1].0) {
+                    return corrupt(format!(
+                        "lane samples of index {} disagree on its timestamp",
+                        p[0].0
+                    ));
                 }
-                let (words, bits) = (slots.len().div_ceil(64), bits_for(cands.len()) as usize);
-                let mut planes = vec![0u64; bits * words];
-                for (s, &c) in picks.iter().enumerate() {
-                    for j in 0..bits {
-                        planes[j * words + s / 64] |= ((c >> j) & 1) << (s % 64);
-                    }
-                }
-                let stored = Lanes {
-                    cands,
-                    sel: SelWords::EMPTY,
-                    bits: 0,
+                let plain = Lanes {
+                    cands: slots.into_iter().map(with_stat).collect(),
+                    ..Lanes::EMPTY
                 };
-                LaneSamples::Indexed(stored.store(&planes, lanes, &mut self.spare))
+                let mut scratch = SCRATCH.take();
+                let stored = plain.store(lanes, &mut scratch.order, &mut self.spare);
+                SCRATCH.set(scratch);
+                LaneSamples::Indexed(stored)
             }
         };
         Ok(BankBucket {
@@ -1536,58 +1594,126 @@ mod tests {
         }
     }
 
+    /// Each live bucket's stored layout: candidate indices, selector
+    /// words and field width.
+    fn layouts(bank: &TsEngineBank<u64>) -> Vec<(Vec<u64>, Vec<u64>, u32)> {
+        let buckets: Vec<&BankBucket<u64, ()>> = match &bank.state {
+            BankState::Empty => Vec::new(),
+            BankState::Full(cov) => cov.buckets.iter().collect(),
+            BankState::Straddle { head, tail } => {
+                std::iter::once(head).chain(&tail.buckets).collect()
+            }
+        };
+        buckets
+            .into_iter()
+            .map(|b| match &b.samples {
+                LaneSamples::Shared { item, .. } => (vec![item.index()], Vec::new(), 0),
+                LaneSamples::Pair { cands, sel } => (
+                    cands.iter().map(|(s, _)| s.index()).collect(),
+                    sel.to_vec(),
+                    1,
+                ),
+                LaneSamples::Indexed(l) => (
+                    l.cands.iter().map(|(s, _)| s.index()).collect(),
+                    l.sel.clone(),
+                    l.bits,
+                ),
+            })
+            .collect()
+    }
+
     #[test]
     fn memory_words_is_an_exact_recount_within_the_per_lane_layout() {
         // Recount each live bucket from its checkpoint record — distinct
-        // elements once plus a ⌈log₂ m⌉-bit selector per slot, or 2k slot
-        // samples when that is no smaller — and hold it to the layout that
-        // stored 2k samples per bucket of width ≥ 4 (6k + 3 words), two
-        // candidates and two mask words at width 2 (11) and the element
-        // once at width 1 (6).
-        for lanes in [1usize, 2, 3, 5, 16, 33, 64, 65, 70] {
+        // elements once plus a selector per slot (a bit for two, a byte for
+        // up to 256), or 2k slot samples when that is no smaller — and hold
+        // it to the layout
+        // that stored 2k samples per bucket of width ≥ 4 (6k + 3 words),
+        // two candidates and two mask words at width 2 (11) and the
+        // element once at width 1 (6). A bank restored from its checkpoint
+        // must store exactly the same layout. The last case keeps one hot
+        // stream in a 1000-tick window, so buckets grow hundreds wide and
+        // their 32 slots hold 31 or 32 distinct elements: slot order, with
+        // a repeated element whenever 31.
+        let cases = [1usize, 2, 3, 5, 16, 33, 64, 65, 70]
+            .map(|lanes| (lanes, 40u64, 10u64, 300u64))
+            .into_iter()
+            .chain([(16, 1000, 8, 1500)]);
+        for (lanes, t0, burst, ticks) in cases {
             let mut rng = SmallRng::seed_from_u64(lanes as u64);
             let mut sched = SmallRng::seed_from_u64(8);
-            let mut bank: TsEngineBank<u64> = TsEngineBank::new(40, lanes);
+            let mut bank: TsEngineBank<u64> = TsEngineBank::new(t0, lanes);
             let mut idx = 0u64;
-            for tick in 0..300u64 {
+            let mut slot_order_repeats = 0;
+            for tick in 0..ticks {
                 bank.advance_time(tick);
-                for _ in 0..sched.gen_range(0..10u64) {
+                for _ in 0..sched.gen_range(0..burst) {
                     bank.insert(&mut rng, idx, idx, tick);
                     idx += 1;
                 }
-                let buckets: Vec<&BankBucket<u64, ()>> = match &bank.state {
-                    BankState::Empty => Vec::new(),
-                    BankState::Full(cov) => cov.buckets.iter().collect(),
-                    BankState::Straddle { head, tail } => {
-                        std::iter::once(head).chain(&tail.buckets).collect()
+                let saved = bank.save_state().expect("untracked banks save");
+                let mut total = 2;
+                let records: Vec<&TsBankBucketState<u64>> = match &saved.kind {
+                    TsBankKind::Empty => Vec::new(),
+                    TsBankKind::Full(buckets) => buckets.iter().collect(),
+                    TsBankKind::Straddle { head, tail } => {
+                        std::iter::once(head).chain(tail).collect()
                     }
                 };
-                let mut total = 2;
-                for b in buckets {
-                    let (recount, per_lane) = match b.to_state(lanes).samples {
+                for b in records {
+                    let (recount, per_lane) = match &b.samples {
                         TsLaneSamplesState::Shared(_) => (6, 6),
-                        TsLaneSamplesState::Pair { .. } => (9 + (2 * lanes).div_ceil(64), 11),
+                        TsLaneSamplesState::Pair { .. } => (11, 11),
                         TsLaneSamplesState::PerLane { r, q } => {
                             let m = r
                                 .iter()
-                                .chain(&q)
+                                .chain(q)
                                 .map(|s| s.index())
                                 .collect::<std::collections::BTreeSet<_>>()
                                 .len();
-                            let mut bits = 0;
-                            while (1usize << bits) < m {
-                                bits += 1;
+                            let bits = match m {
+                                1 => 0,
+                                2 => 1,
+                                _ => 8,
+                            };
+                            let indexed = if m <= 256 {
+                                3 * m + (2 * lanes * bits).div_ceil(64)
+                            } else {
+                                6 * lanes
+                            };
+                            if indexed >= 6 * lanes && m < 2 * lanes {
+                                slot_order_repeats += 1;
                             }
-                            let indexed = 3 * m + (2 * lanes * bits).div_ceil(64);
                             (3 + indexed.min(6 * lanes), 3 + 6 * lanes)
                         }
                     };
-                    assert_eq!(b.memory_words(), recount, "k={lanes} tick {tick}");
                     assert!(recount <= per_lane, "k={lanes} tick {tick}");
                     total += recount;
                 }
                 assert_eq!(bank.memory_words(), total, "k={lanes} tick {tick}");
+                let mut restored: TsEngineBank<u64> = TsEngineBank::new(t0, lanes);
+                restored
+                    .restore_state(saved)
+                    .expect("own checkpoint restores");
+                assert_eq!(layouts(&restored), layouts(&bank), "k={lanes} tick {tick}");
             }
+            if t0 == 1000 {
+                assert!(
+                    slot_order_repeats > 0,
+                    "no slot-order bucket repeats an element"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gather_inverts_expand() {
+        for x in 0..256u64 {
+            let bytes = EXPAND[x as usize];
+            for j in 0..8 {
+                assert_eq!((bytes >> (8 * j)) & 0xFF, (x >> j) & 1, "x = {x}");
+            }
+            assert_eq!(gather(bytes), x);
         }
     }
 

@@ -192,3 +192,20 @@ fn save_restore_continue_at_every_bucket_width() {
 fn bucket_widths(boundaries: &[(u64, u64, u64)]) -> Vec<u64> {
     boundaries.iter().map(|&(a, b, _)| b - a).collect()
 }
+
+/// Save → restore → continue at `k = 16` in a 1000-tick window, so the
+/// buckets grow hundreds wide: their 32 slots then often hold 31
+/// distinct elements, stored in slot order with one element twice, and
+/// merges of such buckets must store that element once, as a restore
+/// does.
+#[test]
+fn save_restore_continue_with_wide_buckets() {
+    for seed in 1..=3u64 {
+        let wr = |seed| TsSamplerWr::new(1000, 16, SmallRng::seed_from_u64(seed));
+        let seen = round_trip(wr(seed), || wr(999), |s| bucket_widths(&s.boundaries()));
+        assert!(seen.contains(&512), "wr seed {seed}: widths {seen:?}");
+        let wor = |seed| TsSamplerWor::new(1000, 16, SmallRng::seed_from_u64(seed));
+        let seen = round_trip(wor(seed), || wor(999), |s| bucket_widths(&s.boundaries()));
+        assert!(seen.contains(&512), "wor seed {seed}: widths {seen:?}");
+    }
+}
