@@ -173,6 +173,16 @@ struct Sel<'a> {
 }
 
 impl Sel<'_> {
+    /// Selector bits of slots `64w..64w + 64` (`bits ≤ 1`).
+    #[inline]
+    fn bit_word(self, w: usize) -> u64 {
+        if self.bits == 0 {
+            0
+        } else {
+            self.words[w]
+        }
+    }
+
     /// The fields of slots `8w..8w + 8`, one per byte.
     #[inline]
     fn bytes(self, w: usize) -> u64 {
@@ -381,11 +391,28 @@ impl<T: Clone, S: Clone> Lanes<T, S> {
         let words = slots.div_ceil(8);
         // Whether a slot holds each candidate.
         let mut held = [0u8; MAX_INDEXED];
-        for w in 0..words {
-            let live = (slots - 8 * w).min(8);
-            for (j, c) in picks(w).to_le_bytes().into_iter().enumerate() {
-                if j < live {
-                    held[usize::from(c)] = 1;
+        if lsel.bits <= 1 && rsel.bits <= 1 {
+            // At most two candidates a side: a word of slots at a time,
+            // candidate 1 where the selector bit is set, 0 where clear.
+            for (w, &take) in take_right.iter().enumerate() {
+                let live = low_mask((slots - 64 * w).min(64) as u32);
+                let (l, r) = (lsel.bit_word(w), rsel.bit_word(w));
+                for (c, slots) in [
+                    (0, !l & !take),
+                    (1, l & !take),
+                    (ml, !r & take),
+                    (ml + 1, r & take),
+                ] {
+                    held[c] |= u8::from(slots & live != 0);
+                }
+            }
+        } else {
+            for w in 0..words {
+                let live = (slots - 8 * w).min(8);
+                for (j, c) in picks(w).to_le_bytes().into_iter().enumerate() {
+                    if j < live {
+                        held[usize::from(c)] = 1;
+                    }
                 }
             }
         }
