@@ -20,7 +20,8 @@
 //!   whole window, `O(n)` memory; ground truth in tests.
 //! * [`vitter`] — plain reservoir sampling over the entire stream (no
 //!   window); the reference point for Question 1.2 ("is sampling from
-//!   sliding windows harder than from streams?").
+//!   sliding windows harder than from streams?"). Its Algorithm L
+//!   sampler is core's `StreamReservoir`, re-exported.
 //!
 //! Every baseline implements the same [`swsample_core::WindowSampler`] and
 //! [`swsample_core::MemoryWords`] traits as the paper's samplers, so the

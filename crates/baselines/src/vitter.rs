@@ -10,33 +10,17 @@
 //! implementations against each other.
 
 use rand::Rng;
-use swsample_core::reservoir::{ReservoirK, ReservoirL};
+use swsample_core::reservoir::ReservoirK;
 use swsample_core::{MemoryWords, Sample, WindowSampler};
 
-/// Whole-stream `k`-sample without replacement (the sliding window is the
-/// entire stream), ingesting through Algorithm L's geometric skips:
-/// `O(k(1 + log(N/k)))` RNG draws total instead of `N`.
-#[derive(Debug, Clone)]
-pub struct StreamReservoir<T, R> {
-    inner: ReservoirL<T>,
-    rng: R,
-    next_index: u64,
-}
+/// Whole-stream Algorithm L lives in core, next to the reservoirs it
+/// wraps, so `SamplerSpec::build` can construct `--algo reservoir-l`;
+/// re-exported here beside its Algorithm R counterpart.
+pub use swsample_core::reservoir::StreamReservoir;
 
-impl<T: Clone, R: Rng> StreamReservoir<T, R> {
-    /// Reservoir of capacity `k ≥ 1`.
-    pub fn new(k: usize, rng: R) -> Self {
-        Self {
-            inner: ReservoirL::new(k),
-            rng,
-            next_index: 0,
-        }
-    }
-}
-
-/// Algorithm R counterpart: identical distribution, one RNG draw per
-/// element. Kept as the ablation baseline (`reservoir_ablation` bench /
-/// `bench_throughput`'s naive rows).
+/// Algorithm R counterpart of [`StreamReservoir`]: identical
+/// distribution, one RNG draw per element. Kept as the ablation baseline
+/// (`reservoir_ablation` bench / `bench_throughput`'s naive rows).
 #[derive(Debug, Clone)]
 pub struct NaiveStreamReservoir<T, R> {
     inner: ReservoirK<T>,
@@ -55,55 +39,9 @@ impl<T: Clone, R: Rng> NaiveStreamReservoir<T, R> {
     }
 }
 
-impl<T, R> MemoryWords for StreamReservoir<T, R> {
-    fn memory_words(&self) -> usize {
-        self.inner.memory_words() + 1
-    }
-}
-
 impl<T, R> MemoryWords for NaiveStreamReservoir<T, R> {
     fn memory_words(&self) -> usize {
         self.inner.memory_words() + 1
-    }
-}
-
-impl<T: Clone, R: Rng> WindowSampler<T> for StreamReservoir<T, R> {
-    fn insert(&mut self, value: T) {
-        let idx = self.next_index;
-        self.next_index += 1;
-        self.inner.insert(&mut self.rng, value, idx, idx);
-    }
-
-    fn insert_batch(&mut self, values: &[T])
-    where
-        T: Clone,
-    {
-        // Algorithm L's precomputed acceptance index lets the reservoir
-        // hop over non-accepted arrivals wholesale.
-        self.inner
-            .insert_batch(&mut self.rng, values, self.next_index);
-        self.next_index += values.len() as u64;
-    }
-
-    fn sample(&mut self) -> Option<Sample<T>> {
-        let entries = self.inner.entries();
-        if entries.is_empty() {
-            return None;
-        }
-        let j = self.rng.gen_range(0..entries.len());
-        Some(entries[j].clone())
-    }
-
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
-        if self.inner.entries().is_empty() {
-            None
-        } else {
-            Some(self.inner.entries().to_vec())
-        }
-    }
-
-    fn k(&self) -> usize {
-        self.inner.capacity()
     }
 }
 

@@ -5,9 +5,11 @@
 //! assembles a [`SamplerSpec`] (the `run` and `multi` subcommands expose
 //! its flag surface directly; `seq`/`ts` are legacy shorthands that fill
 //! one in) and builds it through the full factory
-//! `swsample_baselines::spec::build`, then ingests through the
-//! object-safe [`ErasedWindowSampler`] interface — one code path for
-//! every algorithm and window discipline in the workspace.
+//! `swsample_baselines::spec::build`, then ingests through the boxed
+//! sampler's [`WindowSampler`](swsample_core::WindowSampler) methods
+//! (`Box<dyn` [`ErasedWindowSampler`]`>`, the trait's `Send + Sync`
+//! marker) — one code path for every algorithm and window discipline in
+//! the workspace.
 //!
 //! Input formats:
 //! * `seq` / `run` (seq or stream windows) — one value per line.

@@ -1,15 +1,13 @@
-//! The object-safe erased sampler surface: [`ErasedWindowSampler`].
+//! The object-safe fleet surface: [`ErasedWindowSampler`].
 //!
-//! [`WindowSampler`] is the precise, generic
-//! interface; it is not object-safe-friendly for *fleets* — code that
-//! owns many windows of different concrete types (different algorithms,
-//! different window disciplines) would need one type parameter per
-//! sampler. `ErasedWindowSampler` is the companion dyn-compatible trait:
-//! batch-first ingestion, `k`-sample queries, word-exact memory
-//! accounting, and [`spec`](ErasedWindowSampler::spec) introspection,
-//! blanket-implemented for every `WindowSampler<T>` (which already
-//! carries `MemoryWords` as a supertrait). Anything that implements the
-//! precise trait is an erased sampler for free:
+//! [`WindowSampler`] is the only sampler interface, and it is
+//! dyn-compatible. `ErasedWindowSampler` adds no methods: it is the
+//! `Send + Sync` marker that fleets (code owning many windows of
+//! different concrete types) box their samplers behind, blanket-
+//! implemented for every thread-safe `WindowSampler<T>`. The supertrait
+//! methods — batch-first ingestion, `k`-sample queries, word-exact
+//! memory accounting, checkpoints — resolve on the `dyn` type without
+//! importing [`WindowSampler`]:
 //!
 //! ```
 //! use rand::{rngs::SmallRng, SeedableRng};
@@ -29,140 +27,24 @@
 //! let total_words: usize = fleet.iter().map(|s| s.memory_words()).sum();
 //! assert!(total_words > 0);
 //! ```
-//!
-//! Samplers constructed through [`SamplerSpec::build`](crate::spec::SamplerSpec::build)
-//! additionally answer [`spec`](ErasedWindowSampler::spec) with the record
-//! that built them; hand-boxed concrete samplers answer `None`.
 
 use crate::memory::MemoryWords;
-use crate::sample::Sample;
-use crate::spec::SamplerSpec;
-use crate::state::{SamplerState, StateError};
 use crate::traits::WindowSampler;
 
-/// Object-safe view of any sliding-window sampler.
+/// A [`WindowSampler`] that may cross and be shared between threads —
+/// what `Box<dyn ErasedWindowSampler<T>>` fleets hold.
 ///
-/// The contract is [`WindowSampler`]'s, restated
-/// without generic methods so `Box<dyn ErasedWindowSampler<T>>` works:
-/// optionally advance the clock, insert (batches preferred on hot
-/// paths — they are what the skip-ahead fast paths key on), query at any
-/// point.
-///
-/// `Send + Sync` are supertraits: erased samplers are what fleets hold,
-/// and fleets shard across worker threads (`MultiStreamEngine`'s parallel
-/// ingestion), so every erased sampler must be free to cross a thread
-/// boundary — and, since shards sit behind `RwLock` so read-only queries
-/// can proceed concurrently, to be *referenced* from several threads at
-/// once (`&self` access only ever happens under a read guard; all
-/// mutation takes the write guard). The blanket impl therefore covers
-/// every `WindowSampler<T>` that is itself `Send + Sync` — which is all
-/// of them in this workspace: the samplers own plain data plus a
-/// `SmallRng`. A hypothetical non-thread-safe sampler (e.g. one holding
-/// `Rc` state) keeps the precise generic interface and simply cannot be
-/// erased.
-pub trait ErasedWindowSampler<T: Clone>: Send + Sync {
-    /// Move the clock forward to `now`, expiring elements. No-op for
-    /// sequence-based and whole-stream samplers.
-    ///
-    /// # Panics
-    /// Panics if `now` is smaller than a previously supplied time.
-    fn advance_time(&mut self, now: u64);
+/// `Send + Sync` are supertraits because fleets shard across worker
+/// threads (`MultiStreamEngine`'s parallel ingestion) and shards sit
+/// behind `RwLock`s, so a sampler may be *referenced* from several
+/// threads at once (`&self` access only ever happens under a read guard;
+/// all mutation takes the write guard). Every sampler in this workspace
+/// owns plain data plus a `SmallRng`, so all of them qualify; a
+/// hypothetical non-thread-safe sampler (e.g. one holding `Rc` state)
+/// keeps the generic interface and simply cannot be erased.
+pub trait ErasedWindowSampler<T: Clone>: WindowSampler<T> + Send + Sync {}
 
-    /// Insert one arriving element.
-    fn insert(&mut self, value: T);
-
-    /// Insert a run of arrivals at once (all stamped with the current
-    /// clock for timestamp windows). Semantically one [`insert`] per
-    /// element, in order, but dispatches into the implementations'
-    /// skip-ahead / engine-major fast paths.
-    ///
-    /// [`insert`]: ErasedWindowSampler::insert
-    fn insert_batch(&mut self, values: &[T]);
-
-    /// Advance the clock to `now`, then insert `values`, all stamped
-    /// `now` — one dispatch per tick's worth of arrivals.
-    ///
-    /// # Panics
-    /// Panics if `now` is smaller than a previously supplied time.
-    fn advance_and_insert(&mut self, now: u64, values: &[T]);
-
-    /// Draw one uniform sample from the active window, or `None` if the
-    /// window is empty.
-    fn sample(&mut self) -> Option<Sample<T>>;
-
-    /// Draw the full `k`-sample; see
-    /// [`WindowSampler::sample_k`] for the
-    /// with/without-replacement contract.
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>>;
-
-    /// The configured number of samples `k`.
-    fn k(&self) -> usize;
-
-    /// Exact current footprint in the paper's §1.4 word model.
-    fn memory_words(&self) -> usize;
-
-    /// The [`SamplerSpec`] this sampler was built from, when it was built
-    /// through one (`SamplerSpec::build` or a
-    /// [`SamplerFactory`](crate::spec::SamplerFactory)); `None` for
-    /// hand-constructed samplers.
-    fn spec(&self) -> Option<&SamplerSpec>;
-
-    /// Checkpoint the sampler's stream-dependent state; see
-    /// [`WindowSampler::save_state`]. `None` when this configuration
-    /// cannot be checkpointed.
-    fn save_state(&self) -> Option<SamplerState<T>>;
-
-    /// Overwrite this sampler's state from a checkpoint; see
-    /// [`WindowSampler::restore_state`]. The sampler must be freshly
-    /// built from the spec that produced the checkpoint.
-    fn restore_state(&mut self, state: SamplerState<T>) -> Result<(), StateError>;
-}
-
-impl<T: Clone, S: WindowSampler<T> + Send + Sync> ErasedWindowSampler<T> for S {
-    fn advance_time(&mut self, now: u64) {
-        WindowSampler::advance_time(self, now);
-    }
-
-    fn insert(&mut self, value: T) {
-        WindowSampler::insert(self, value);
-    }
-
-    fn insert_batch(&mut self, values: &[T]) {
-        WindowSampler::insert_batch(self, values);
-    }
-
-    fn advance_and_insert(&mut self, now: u64, values: &[T]) {
-        WindowSampler::advance_and_insert(self, now, values);
-    }
-
-    fn sample(&mut self) -> Option<Sample<T>> {
-        WindowSampler::sample(self)
-    }
-
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
-        WindowSampler::sample_k(self)
-    }
-
-    fn k(&self) -> usize {
-        WindowSampler::k(self)
-    }
-
-    fn memory_words(&self) -> usize {
-        MemoryWords::memory_words(self)
-    }
-
-    fn spec(&self) -> Option<&SamplerSpec> {
-        WindowSampler::spec(self)
-    }
-
-    fn save_state(&self) -> Option<SamplerState<T>> {
-        WindowSampler::save_state(self)
-    }
-
-    fn restore_state(&mut self, state: SamplerState<T>) -> Result<(), StateError> {
-        WindowSampler::restore_state(self, state)
-    }
-}
+impl<T: Clone, S: WindowSampler<T> + Send + Sync> ErasedWindowSampler<T> for S {}
 
 /// Boxed erased samplers report their inner footprint, so fleets
 /// (`Vec<Box<dyn ErasedWindowSampler<T>>>`, the multi-stream engine's
@@ -176,8 +58,9 @@ impl<T: Clone> MemoryWords for Box<dyn ErasedWindowSampler<T>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reservoir::StreamReservoir;
     use crate::seq::{SeqSamplerWor, SeqSamplerWr};
-    use crate::ts::TsSamplerWr;
+    use crate::ts::{TsSamplerWor, TsSamplerWr};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -196,25 +79,37 @@ mod tests {
             s.insert_batch(&[11, 12]);
             assert_eq!(s.sample_k().expect("nonempty").len(), 2);
             assert!(s.memory_words() > 0);
-            assert!(s.spec().is_none(), "hand-boxed samplers carry no spec");
         }
         let v: Vec<Box<dyn ErasedWindowSampler<u64>>> = fleet;
         assert!(MemoryWords::memory_words(&v) > 0, "Vec<Box<dyn ...>> sums");
     }
 
+    /// Equal seeds and streams give byte-identical samples, words and
+    /// checkpoints through the concrete type and through the box, for
+    /// every family `SamplerSpec::build` owns.
+    fn assert_erased_matches<S>(make: impl Fn() -> S)
+    where
+        S: WindowSampler<u64> + Send + Sync + 'static,
+    {
+        let mut concrete = make();
+        let mut erased: Box<dyn ErasedWindowSampler<u64>> = Box::new(make());
+        let values: Vec<u64> = (0..200).collect();
+        for (tick, chunk) in values.chunks(7).enumerate() {
+            concrete.advance_and_insert(tick as u64, chunk);
+            erased.advance_and_insert(tick as u64, chunk);
+        }
+        assert_eq!(concrete.sample_k(), erased.sample_k());
+        assert_eq!(concrete.memory_words(), erased.memory_words());
+        assert_eq!(concrete.save_state(), erased.save_state());
+    }
+
     #[test]
     fn erased_matches_concrete_behaviour_exactly() {
-        // The erased path is the same object: equal seeds and streams give
-        // byte-identical samples through either interface.
-        let mut concrete = SeqSamplerWr::new(16, 3, SmallRng::seed_from_u64(9));
-        let mut erased: Box<dyn ErasedWindowSampler<u64>> =
-            Box::new(SeqSamplerWr::new(16, 3, SmallRng::seed_from_u64(9)));
-        let values: Vec<u64> = (0..200).collect();
-        for chunk in values.chunks(7) {
-            WindowSampler::insert_batch(&mut concrete, chunk);
-            erased.insert_batch(chunk);
-        }
-        assert_eq!(WindowSampler::sample_k(&mut concrete), erased.sample_k());
-        assert_eq!(MemoryWords::memory_words(&concrete), erased.memory_words());
+        let rng = || SmallRng::seed_from_u64(9);
+        assert_erased_matches(|| SeqSamplerWr::new(16, 3, rng()));
+        assert_erased_matches(|| SeqSamplerWor::new(16, 3, rng()));
+        assert_erased_matches(|| TsSamplerWr::new(5, 3, rng()));
+        assert_erased_matches(|| TsSamplerWor::new(5, 3, rng()));
+        assert_erased_matches(|| StreamReservoir::new(3, rng()));
     }
 }

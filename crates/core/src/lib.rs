@@ -25,10 +25,11 @@
 //! For embedding, the concrete types need not be named at all: a
 //! [`spec::SamplerSpec`] is a plain-data description of any sampler in
 //! the workspace, and [`SamplerSpec::build`](spec::SamplerSpec::build)
-//! returns it as a boxed [`ErasedWindowSampler`] — the object-safe,
-//! batch-first companion of [`WindowSampler`] that heterogeneous fleets
-//! (the multi-stream engine in `swsample-stream`, the CLI) are written
-//! against.
+//! returns it as a boxed [`ErasedWindowSampler`] — the `Send + Sync`
+//! marker over [`WindowSampler`] that heterogeneous fleets (the
+//! multi-stream engine in `swsample-stream`, the CLI) box their samplers
+//! behind. It declares no methods: [`WindowSampler`] is the only sampler
+//! interface.
 //!
 //! The building blocks are public as well: reservoir sampling over
 //! insertion-only streams ([`reservoir`], Vitter's Algorithm R and Li's

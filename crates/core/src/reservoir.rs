@@ -13,10 +13,14 @@
 //!   benchmarked against Algorithm R in the `reservoir_ablation` bench
 //!   (experiment E13).
 //!
-//! plus the single-sample specialization [`ReservoirOne`].
+//! plus the single-sample specialization [`ReservoirOne`], and
+//! [`StreamReservoir`], Algorithm L over the entire stream as a
+//! [`WindowSampler`].
 
 use crate::memory::MemoryWords;
 use crate::sample::Sample;
+use crate::state::{capture_rng, restore_rng, ReservoirLState, SamplerState, StateError};
+use crate::traits::WindowSampler;
 use rand::Rng;
 
 /// Single uniform sample over an insertion-only stream (Algorithm R, k=1).
@@ -307,6 +311,144 @@ impl<T> ReservoirL<T> {
 impl<T> MemoryWords for ReservoirL<T> {
     fn memory_words(&self) -> usize {
         self.entries.len() * Sample::<T>::WORDS + 4 // entries + (seen, cap, next, w)
+    }
+}
+
+/// Whole-stream `k`-sample without replacement (the sliding window is the
+/// entire stream) — the paper's Question 1.2 reference point — ingesting
+/// through Algorithm L's geometric skips: `O(k(1 + log(N/k)))` RNG draws
+/// total instead of `N`. [`SamplerSpec::build`](crate::spec::SamplerSpec::build)
+/// constructs it for `--algo reservoir-l`, and it checkpoints as
+/// [`SamplerState::StreamL`].
+#[derive(Debug, Clone)]
+pub struct StreamReservoir<T, R> {
+    inner: ReservoirL<T>,
+    rng: R,
+    next_index: u64,
+}
+
+impl<T: Clone, R: Rng> StreamReservoir<T, R> {
+    /// Reservoir of capacity `k ≥ 1`.
+    pub fn new(k: usize, rng: R) -> Self {
+        Self {
+            inner: ReservoirL::new(k),
+            rng,
+            next_index: 0,
+        }
+    }
+}
+
+impl<T, R> MemoryWords for StreamReservoir<T, R> {
+    fn memory_words(&self) -> usize {
+        self.inner.memory_words() + 1
+    }
+}
+
+impl<T: Clone, R: Rng + 'static> WindowSampler<T> for StreamReservoir<T, R> {
+    fn insert(&mut self, value: T) {
+        let idx = self.next_index;
+        self.next_index += 1;
+        self.inner.insert(&mut self.rng, value, idx, idx);
+    }
+
+    fn insert_batch(&mut self, values: &[T])
+    where
+        T: Clone,
+    {
+        // Algorithm L's precomputed acceptance index lets the reservoir
+        // hop over non-accepted arrivals wholesale.
+        self.inner
+            .insert_batch(&mut self.rng, values, self.next_index);
+        self.next_index += values.len() as u64;
+    }
+
+    fn sample(&mut self) -> Option<Sample<T>> {
+        let entries = self.inner.entries();
+        if entries.is_empty() {
+            return None;
+        }
+        let j = self.rng.gen_range(0..entries.len());
+        Some(entries[j].clone())
+    }
+
+    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
+        if self.inner.entries().is_empty() {
+            None
+        } else {
+            Some(self.inner.entries().to_vec())
+        }
+    }
+
+    fn k(&self) -> usize {
+        self.inner.capacity()
+    }
+
+    fn save_state(&self) -> Option<SamplerState<T>> {
+        let (next_accept, w_bits) = self.inner.skip_state();
+        Some(SamplerState::StreamL {
+            next_index: self.next_index,
+            rng: capture_rng(&self.rng)?,
+            res: ReservoirLState {
+                entries: self.inner.entries().to_vec(),
+                seen: self.inner.seen(),
+                next_accept,
+                w_bits,
+            },
+        })
+    }
+
+    /// Accepts only states a run can reach: `min(seen, k)` entries, one
+    /// stream index per arrival, and — once full — a pending acceptance
+    /// after `seen` with `W ∈ (0, 1]`; before that, the untouched skip
+    /// schedule. Anything else could freeze the reservoir for good.
+    fn restore_state(&mut self, state: SamplerState<T>) -> Result<(), StateError> {
+        let (next_index, rng, res) = match state {
+            SamplerState::StreamL {
+                next_index,
+                rng,
+                res,
+            } => (next_index, rng, res),
+            other => {
+                return Err(StateError::Mismatch {
+                    expected: "stream-l",
+                    found: other.family(),
+                })
+            }
+        };
+        let cap = self.inner.capacity();
+        let corrupt = |m: String| Err(StateError::Corrupt(format!("stream-l {m}")));
+        if res.entries.len() as u64 != res.seen.min(cap as u64) {
+            return corrupt(format!(
+                "reservoir has {} entries after {} arrivals at k = {cap}",
+                res.entries.len(),
+                res.seen
+            ));
+        }
+        if next_index != res.seen {
+            return corrupt(format!(
+                "next index {next_index} differs from {} arrivals",
+                res.seen
+            ));
+        }
+        let w = f64::from_bits(res.w_bits);
+        let reachable = if res.entries.len() == cap {
+            res.next_accept > res.seen && w > 0.0 && w <= 1.0
+        } else {
+            res.next_accept == 0 && w == 1.0
+        };
+        if !reachable {
+            return corrupt(format!(
+                "skip state (next accept {}, W = {w}) is unreachable after {} arrivals",
+                res.next_accept, res.seen
+            ));
+        }
+        if !restore_rng(&mut self.rng, &rng) {
+            return Err(StateError::Unsupported);
+        }
+        self.inner =
+            ReservoirL::from_parts(cap, res.entries, res.seen, res.next_accept, res.w_bits);
+        self.next_index = next_index;
+        Ok(())
     }
 }
 

@@ -27,7 +27,8 @@
 //! ```
 //!
 //! Crate boundaries: `swsample-core` can construct the paper's samplers
-//! (Theorems 2.1/2.2/3.9/4.4) and the whole-stream Algorithm L reservoir.
+//! (Theorems 2.1/2.2/3.9/4.4) and the whole-stream Algorithm L reservoir
+//! ([`StreamReservoir`]).
 //! The baseline algorithms ([`Algorithm::Chain`], [`Algorithm::Priority`],
 //! [`Algorithm::WindowBuffer`]) live in `swsample-baselines`, which
 //! depends on this crate — so building *those* specs goes through the full
@@ -36,12 +37,9 @@
 //! arbitrary specs without naming a crate take a [`SamplerFactory`].
 
 use crate::erased::ErasedWindowSampler;
-use crate::memory::MemoryWords;
-use crate::reservoir::ReservoirL;
-use crate::sample::Sample;
-use crate::traits::WindowSampler;
+use crate::reservoir::StreamReservoir;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Which sliding-window discipline the sampler maintains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -264,22 +262,19 @@ impl SamplerSpec {
         let rng = SmallRng::seed_from_u64(self.seed);
         let k = self.k;
         match (self.algorithm, self.window, self.replacement) {
-            (Algorithm::Paper, WindowKind::Sequence(n), Replacement::With) => Ok(Box::new(
-                WithSpec::new(self.clone(), crate::seq::SeqSamplerWr::new(n, k, rng)),
-            )),
-            (Algorithm::Paper, WindowKind::Sequence(n), Replacement::Without) => Ok(Box::new(
-                WithSpec::new(self.clone(), crate::seq::SeqSamplerWor::new(n, k, rng)),
-            )),
-            (Algorithm::Paper, WindowKind::Timestamp(w), Replacement::With) => Ok(Box::new(
-                WithSpec::new(self.clone(), crate::ts::TsSamplerWr::new(w, k, rng)),
-            )),
-            (Algorithm::Paper, WindowKind::Timestamp(w), Replacement::Without) => Ok(Box::new(
-                WithSpec::new(self.clone(), crate::ts::TsSamplerWor::new(w, k, rng)),
-            )),
-            (Algorithm::ReservoirL, ..) => Ok(Box::new(WithSpec::new(
-                self.clone(),
-                WholeStreamL::new(k, rng),
-            ))),
+            (Algorithm::Paper, WindowKind::Sequence(n), Replacement::With) => {
+                Ok(Box::new(crate::seq::SeqSamplerWr::new(n, k, rng)))
+            }
+            (Algorithm::Paper, WindowKind::Sequence(n), Replacement::Without) => {
+                Ok(Box::new(crate::seq::SeqSamplerWor::new(n, k, rng)))
+            }
+            (Algorithm::Paper, WindowKind::Timestamp(w), Replacement::With) => {
+                Ok(Box::new(crate::ts::TsSamplerWr::new(w, k, rng)))
+            }
+            (Algorithm::Paper, WindowKind::Timestamp(w), Replacement::Without) => {
+                Ok(Box::new(crate::ts::TsSamplerWor::new(w, k, rng)))
+            }
+            (Algorithm::ReservoirL, ..) => Ok(Box::new(StreamReservoir::new(k, rng))),
             (algo, ..) => Err(SpecError::Unsupported(format!(
                 "algorithm `{}` lives in swsample-baselines; build it with \
                  swsample_baselines::spec::build",
@@ -428,219 +423,10 @@ fn parse_num<T: std::str::FromStr>(name: &str, raw: &str) -> Result<T, SpecError
         .map_err(|_| SpecError::Parse(format!("--{name}: cannot parse `{raw}` as a number")))
 }
 
-/// A concrete sampler paired with the spec that built it, so the erased
-/// view can answer [`WindowSampler::spec`] introspection.
-///
-/// The spec is configuration, not stream-dependent state: like the RNG
-/// state, it is excluded from the §1.4 word accounting, so `WithSpec`
-/// reports exactly its inner sampler's footprint.
-#[derive(Debug, Clone)]
-pub struct WithSpec<S> {
-    // Inner first: the spec is cold configuration read only by
-    // introspection, while every insert dispatches into `inner` — keyed
-    // fleets hold 10⁵ boxed `WithSpec`s, so the sampler's hot fields
-    // belong at the front of the box rather than behind ~50 bytes of
-    // spec. Declaration order is only a nudge under `repr(Rust)` (the
-    // compiler may reorder), but it costs nothing to point the right way.
-    inner: S,
-    spec: SamplerSpec,
-}
-
-impl<S> WithSpec<S> {
-    /// Pair `inner` with the spec describing it.
-    pub fn new(spec: SamplerSpec, inner: S) -> Self {
-        Self { spec, inner }
-    }
-
-    /// The wrapped sampler.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Unwrap.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: MemoryWords> MemoryWords for WithSpec<S> {
-    fn memory_words(&self) -> usize {
-        self.inner.memory_words()
-    }
-}
-
-impl<T, S: WindowSampler<T>> WindowSampler<T> for WithSpec<S> {
-    fn advance_time(&mut self, now: u64) {
-        self.inner.advance_time(now);
-    }
-
-    fn insert(&mut self, value: T) {
-        self.inner.insert(value);
-    }
-
-    fn insert_batch(&mut self, values: &[T])
-    where
-        T: Clone,
-    {
-        self.inner.insert_batch(values);
-    }
-
-    fn advance_and_insert(&mut self, now: u64, values: &[T])
-    where
-        T: Clone,
-    {
-        self.inner.advance_and_insert(now, values);
-    }
-
-    fn sample(&mut self) -> Option<Sample<T>> {
-        self.inner.sample()
-    }
-
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
-        self.inner.sample_k()
-    }
-
-    fn k(&self) -> usize {
-        self.inner.k()
-    }
-
-    fn spec(&self) -> Option<&SamplerSpec> {
-        Some(&self.spec)
-    }
-
-    fn save_state(&self) -> Option<crate::state::SamplerState<T>> {
-        self.inner.save_state()
-    }
-
-    fn restore_state(
-        &mut self,
-        state: crate::state::SamplerState<T>,
-    ) -> Result<(), crate::state::StateError> {
-        self.inner.restore_state(state)
-    }
-}
-
-/// Whole-stream Algorithm L as a [`WindowSampler`] (the window is the
-/// entire stream). The `swsample-baselines` crate exposes the same shape
-/// as `StreamReservoir`; this private twin exists so `swsample-core` can
-/// build [`Algorithm::ReservoirL`] specs without a dependency cycle.
-#[derive(Debug, Clone)]
-struct WholeStreamL<T, R> {
-    inner: ReservoirL<T>,
-    rng: R,
-    next_index: u64,
-}
-
-impl<T, R: Rng> WholeStreamL<T, R> {
-    fn new(k: usize, rng: R) -> Self {
-        Self {
-            inner: ReservoirL::new(k),
-            rng,
-            next_index: 0,
-        }
-    }
-}
-
-impl<T, R> MemoryWords for WholeStreamL<T, R> {
-    fn memory_words(&self) -> usize {
-        self.inner.memory_words() + 1
-    }
-}
-
-impl<T: Clone, R: Rng + 'static> WindowSampler<T> for WholeStreamL<T, R> {
-    fn insert(&mut self, value: T) {
-        let idx = self.next_index;
-        self.next_index += 1;
-        self.inner.insert(&mut self.rng, value, idx, idx);
-    }
-
-    fn insert_batch(&mut self, values: &[T])
-    where
-        T: Clone,
-    {
-        self.inner
-            .insert_batch(&mut self.rng, values, self.next_index);
-        self.next_index += values.len() as u64;
-    }
-
-    fn sample(&mut self) -> Option<Sample<T>> {
-        let entries = self.inner.entries();
-        if entries.is_empty() {
-            return None;
-        }
-        let j = self.rng.gen_range(0..entries.len());
-        Some(entries[j].clone())
-    }
-
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
-        if self.inner.entries().is_empty() {
-            None
-        } else {
-            Some(self.inner.entries().to_vec())
-        }
-    }
-
-    fn k(&self) -> usize {
-        self.inner.capacity()
-    }
-
-    fn save_state(&self) -> Option<crate::state::SamplerState<T>> {
-        let (next_accept, w_bits) = self.inner.skip_state();
-        Some(crate::state::SamplerState::StreamL {
-            next_index: self.next_index,
-            rng: crate::state::capture_rng(&self.rng)?,
-            res: crate::state::ReservoirLState {
-                entries: self.inner.entries().to_vec(),
-                seen: self.inner.seen(),
-                next_accept,
-                w_bits,
-            },
-        })
-    }
-
-    fn restore_state(
-        &mut self,
-        state: crate::state::SamplerState<T>,
-    ) -> Result<(), crate::state::StateError> {
-        use crate::state::{SamplerState, StateError};
-        let (next_index, rng, res) = match state {
-            SamplerState::StreamL {
-                next_index,
-                rng,
-                res,
-            } => (next_index, rng, res),
-            other => {
-                return Err(StateError::Mismatch {
-                    expected: "stream-l",
-                    found: other.family(),
-                })
-            }
-        };
-        if res.entries.len() > self.inner.capacity() {
-            return Err(StateError::Corrupt(format!(
-                "stream-l reservoir has {} entries for k = {}",
-                res.entries.len(),
-                self.inner.capacity()
-            )));
-        }
-        if !crate::state::restore_rng(&mut self.rng, &rng) {
-            return Err(StateError::Unsupported);
-        }
-        self.inner = ReservoirL::from_parts(
-            self.inner.capacity(),
-            res.entries,
-            res.seen,
-            res.next_accept,
-            res.w_bits,
-        );
-        self.next_index = next_index;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MemoryWords, WindowSampler};
 
     fn spec(s: &str) -> SamplerSpec {
         s.parse().expect("spec parses")
@@ -721,7 +507,6 @@ mod tests {
             let sp = spec(s);
             let mut sampler = sp.build::<u64>().expect("core spec builds");
             assert_eq!(sampler.k(), 3);
-            assert_eq!(sampler.spec(), Some(&sp), "spec introspection");
             sampler.advance_and_insert(1, &[1, 2, 3, 4]);
             assert!(sampler.sample_k().is_some());
             assert!(sampler.memory_words() > 0);

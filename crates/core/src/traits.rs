@@ -2,7 +2,6 @@
 
 use crate::memory::MemoryWords;
 use crate::sample::Sample;
-use crate::spec::SamplerSpec;
 use crate::state::{SamplerState, StateError};
 
 /// A uniform random sampler over a sliding window.
@@ -17,6 +16,11 @@ use crate::state::{SamplerState, StateError};
 /// mirrors the paper. Between two arrivals, repeated queries return
 /// individually-uniform (but mutually correlated) samples — an inherent
 /// property of sampling with state, not an artifact.
+///
+/// This is the only sampler interface, and it is dyn-compatible: fleets
+/// hold `Box<dyn ErasedWindowSampler<T>>`, where
+/// [`ErasedWindowSampler`](crate::ErasedWindowSampler) is the `Send +
+/// Sync` marker over this trait and declares no methods of its own.
 pub trait WindowSampler<T>: MemoryWords {
     /// Move the clock forward to `now`, expiring elements. No-op for
     /// sequence-based windows.
@@ -77,15 +81,6 @@ pub trait WindowSampler<T>: MemoryWords {
 
     /// The configured number of samples `k`.
     fn k(&self) -> usize;
-
-    /// The [`SamplerSpec`] this sampler was built from, if it was built
-    /// declaratively (via [`SamplerSpec::build`] or a
-    /// [`SamplerFactory`](crate::spec::SamplerFactory)). Hand-constructed
-    /// samplers report `None`; the [`spec::WithSpec`](crate::spec::WithSpec)
-    /// wrapper overrides this with its record.
-    fn spec(&self) -> Option<&SamplerSpec> {
-        None
-    }
 
     /// Checkpoint the sampler's stream-dependent state (retained samples,
     /// counters, skip schedules, RNG words) as a plain-data

@@ -10,8 +10,8 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use swsample_core::state::{
-    SamplerState, SeqWrLaneState, StateError, StateReader, StateWriter, TsBankBucketState,
-    TsBankKind, TsBankState, TsLaneSamplesState, STATE_VERSION,
+    ReservoirLState, SamplerState, SeqWrLaneState, StateError, StateReader, StateWriter,
+    TsBankBucketState, TsBankKind, TsBankState, TsLaneSamplesState, STATE_VERSION,
 };
 use swsample_core::{FleetBackend, Sample, SamplerSpec};
 use swsample_durable::frame::write_frame;
@@ -339,6 +339,81 @@ fn unreachable_ts_bank_lanes_fail_open_with_a_typed_error() {
                     panic!("{mode} k={k} pair record: expected typed corruption, got {other:?}")
                 }
             }
+        }
+    }
+}
+
+/// An in-place edit of a whole-stream Algorithm L checkpoint.
+type ReservoirEdit = fn(&mut ReservoirLState<u64>, &mut u64);
+
+/// Whole-stream Algorithm L checkpoints that are CRC-valid and decode
+/// cleanly but whose skip schedule no run could reach — above all a
+/// pending acceptance at or before `seen`, which would freeze the
+/// reservoir on its current entries forever — make `DurableEngine::open`
+/// fail with a typed error.
+#[test]
+fn unreachable_stream_l_skip_state_fails_open_with_a_typed_error() {
+    let spec = "--window stream --mode wor --algo reservoir-l --k 4 --seed 9";
+    let parsed: SamplerSpec = spec.parse().expect("spec");
+    let open_with = |arrivals: u64, edit: ReservoirEdit| {
+        let mut sampler = parsed.build::<u64>().expect("build");
+        for i in 0..arrivals {
+            sampler.insert(i);
+        }
+        let mut state = sampler.save_state().expect("save");
+        match &mut state {
+            SamplerState::StreamL {
+                next_index, res, ..
+            } => edit(res, next_index),
+            other => panic!("expected a stream-l state, got {}", other.family()),
+        }
+        let mut payload = StateWriter::for_state_version(STATE_VERSION);
+        state.encode_payload(&mut payload);
+        let path = crafted_snapshot_of(
+            "stream-l",
+            spec,
+            b"erased",
+            STATE_VERSION as u8,
+            payload.as_bytes(),
+        );
+        let dir = path.parent().expect("snapshot dir").to_path_buf();
+        let opened = DurableEngine::<u64, u64>::open(&dir, DurableOptions::default()).map(|_| ());
+        let _ = std::fs::remove_dir_all(&dir);
+        opened
+    };
+    for arrivals in [2, 1_000] {
+        open_with(arrivals, |_, _| {}).expect("a reachable state opens");
+    }
+    let full: [(&str, ReservoirEdit); 7] = [
+        ("next accept reset to 0", |res, _| res.next_accept = 0),
+        ("next accept at seen", |res, _| res.next_accept = res.seen),
+        ("W = 0", |res, _| res.w_bits = 0f64.to_bits()),
+        ("W above 1", |res, _| res.w_bits = 1.5f64.to_bits()),
+        ("W not a number", |res, _| res.w_bits = f64::NAN.to_bits()),
+        ("an entry missing", |res, _| {
+            res.entries.pop();
+        }),
+        ("next index behind seen", |_, next_index| *next_index -= 1),
+    ];
+    let partial: [(&str, ReservoirEdit); 3] = [
+        ("more entries than arrivals", |res, _| {
+            res.entries.push(Sample::new(7, 1, 1))
+        }),
+        ("skip schedule before the reservoir fills", |res, _| {
+            res.next_accept = 5
+        }),
+        ("W moved before the reservoir fills", |res, _| {
+            res.w_bits = 0.5f64.to_bits()
+        }),
+    ];
+    let cases = full
+        .iter()
+        .map(|c| (1_000, c))
+        .chain(partial.iter().map(|c| (2, c)));
+    for (arrivals, (what, edit)) in cases {
+        match open_with(arrivals, *edit) {
+            Err(DurableError::State(StateError::Corrupt(_))) => {}
+            other => panic!("{what}: expected typed corruption, got {other:?}"),
         }
     }
 }

@@ -5,9 +5,9 @@
 //! sample; sums additionally need the window size — exact for sequence
 //! windows, `(1±ε)`-approximate via DGIM for timestamp windows.
 //!
-//! The aggregators are written against the object-safe
-//! [`ErasedWindowSampler`] surface, so they work over **any** sampler in
-//! the workspace: the paper's (the default, and the only ones with
+//! The aggregators hold a `Box<dyn` [`ErasedWindowSampler`]`>` — any
+//! `Send + Sync` [`WindowSampler`](swsample_core::WindowSampler) behind
+//! one box — so they work over **any** sampler in the workspace: the paper's (the default, and the only ones with
 //! deterministic memory) or a baseline built through
 //! `swsample_baselines::spec::build`. Construct with the classic
 //! `new(n, k, rng)` shape, from a [`SamplerSpec`], or adopt a boxed

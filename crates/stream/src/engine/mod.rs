@@ -12,14 +12,17 @@
 //! engine-major timestamp ingestion) still fire even when arrivals
 //! interleave keys.
 //!
-//! The module splits along the engine's three concerns:
+//! The module splits along the engine's two concerns beside the shard
+//! itself:
 //!
-//! * `registry` — key hashing, seed derivation, and the open-addressing
-//!   slab index (`key → u32` slot ids);
-//! * `erased` — the per-key store: one boxed [`ErasedWindowSampler`] per
-//!   key, built by the engine's [`SamplerFactory`] (so every algorithm
-//!   family the factory covers, baselines included, can run as a fleet);
+//! * `registry` — key hashing, the shard-fold rule, seed derivation, and
+//!   the open-addressing slab index (`key → u32` slot ids);
 //! * `parallel` — the skew-aware work-stealing scheduler.
+//!
+//! Each shard holds its registry and one boxed [`ErasedWindowSampler`]
+//! per key at the same slot, built by the engine's [`SamplerFactory`]
+//! (so every algorithm family the factory covers, baselines included,
+//! can run as a fleet).
 //!
 //! # The slab key registry
 //!
@@ -77,7 +80,7 @@
 //! and [`MultiStreamEngine::max_key_memory_words`] expose both sides of
 //! that accounting, and
 //! [`MultiStreamEngine::registry_overhead_words`] reports the registry
-//! scaffolding (index table + key slab + per-key store bookkeeping) that
+//! scaffolding (index table + key slab + each sampler's box pointer) that
 //! the paper's §1.4 model excludes.
 //!
 //! ```
@@ -97,7 +100,6 @@
 //! Firefox workhorse) implemented locally — fast, deterministic across
 //! runs, and dependency-free.
 
-mod erased;
 mod parallel;
 mod registry;
 
@@ -109,9 +111,8 @@ use swsample_core::spec::{FleetBackend, SamplerFactory, SamplerSpec, SpecError, 
 use swsample_core::state::{SamplerState, StateError};
 use swsample_core::{ErasedWindowSampler, MemoryWords, Sample};
 
-use self::erased::ErasedStore;
 use self::parallel::{ingest_guarded, Epoch, WorkStealPool};
-use self::registry::{fx_hash_key, mix_seed, KeyRegistry, SLOT_MASK};
+use self::registry::{fx_hash_key, mix_seed, shard_of, KeyRegistry, SLOT_MASK};
 
 pub use self::parallel::{ParallelStats, WorkerPanic, WorkerStats};
 pub use self::registry::{FxBuildHasher, FxHasher};
@@ -124,19 +125,24 @@ pub type KeyedEvent<K, T> = (K, u64, T);
 /// index into the batch handed to `Shard::ingest` alongside the route.
 pub(crate) type Route = Vec<(u32, u64)>;
 
-/// One shard: the key registry plus the per-key sampler store, and
+/// One shard: the key registry plus the per-key samplers, and
 /// everything needed to materialize new keys without consulting the
 /// engine (so a worker thread can run a shard in isolation).
 pub(crate) struct Shard<K, T: Clone> {
     registry: KeyRegistry<K>,
-    store: ErasedStore<T>,
+    /// One boxed sampler per key, slot-aligned with `registry`. A box
+    /// holds exactly the state its sampler's theorem bounds, so the
+    /// fleet's word accounting is the sum of the samplers' own.
+    samplers: Vec<Box<dyn ErasedWindowSampler<T>>>,
+    /// New keys' samplers are `factory(template)` with the seed
+    /// splitmix-derived from the template seed and the key hash.
+    template: SamplerSpec,
+    factory: SamplerFactory<T>,
     /// Timestamp-window template: key runs must be split into
     /// same-timestamp sub-runs and enter through `advance_and_insert`.
     /// Sequence / whole-stream templates ignore the clock entirely, so
     /// their runs dispatch per element regardless of timestamps.
     split_ts: bool,
-    /// The template's seed; per-key seeds are splitmix-derived from it.
-    template_seed: u64,
     /// Grouping scratch: `slot << 32 | position`, per batch.
     order: Vec<u64>,
     /// Run scratch: the values of one per-key (sub-)run.
@@ -198,16 +204,54 @@ fn dispatch_ts<K, T: Clone>(
     }
 }
 
+/// The serial ingest paths' routing: fill `routes` with each shard's
+/// `(position, key hash)` entries in arrival order, then hand every
+/// non-empty shard to `run` in shard order.
+fn run_serial<K: Hash, T: Clone>(
+    shards: &[Arc<RwLock<Shard<K, T>>>],
+    mask: u64,
+    batch: &[KeyedEvent<K, T>],
+    routes: &mut [Route],
+    mut run: impl FnMut(usize, &Arc<RwLock<Shard<K, T>>>, &[(u32, u64)]),
+) {
+    for route in routes.iter_mut() {
+        route.clear();
+    }
+    for (pos, (key, _, _)) in batch.iter().enumerate() {
+        let hash = fx_hash_key(key);
+        routes[shard_of(hash, mask)].push((pos as u32, hash));
+    }
+    for (s, (shard, route)) in shards.iter().zip(routes.iter()).enumerate() {
+        if !route.is_empty() {
+            run(s, shard, route);
+        }
+    }
+}
+
 impl<K: Hash + Eq + Clone, T: Clone + 'static> Shard<K, T> {
     fn new(template: &SamplerSpec, factory: SamplerFactory<T>) -> Self {
         Self {
             registry: KeyRegistry::new(),
-            store: ErasedStore::new(template.clone(), factory),
+            samplers: Vec::new(),
+            template: template.clone(),
+            factory,
             split_ts: matches!(template.window, WindowKind::Timestamp(_)),
-            template_seed: template.seed,
             order: Vec::new(),
             run: Vec::new(),
         }
+    }
+
+    /// `key`'s slot, materializing its sampler on first touch.
+    #[inline]
+    fn slot_of(&mut self, hash: u64, key: &K) -> usize {
+        let (slot, is_new) = self.registry.get_or_insert(hash, key);
+        if is_new {
+            let mut spec = self.template.clone();
+            spec.seed = mix_seed(self.template.seed, hash);
+            let sampler = (self.factory)(&spec).expect("template was validated at construction");
+            self.samplers.push(sampler);
+        }
+        slot
     }
 
     /// Ingest this shard's portion of a keyed batch. `route` lists the
@@ -234,34 +278,32 @@ impl<K: Hash + Eq + Clone, T: Clone + 'static> Shard<K, T> {
         }
         std::hint::black_box(warm);
         for &(pos, hash) in route {
-            let (slot, is_new) = self.registry.get_or_insert(hash, &batch[pos as usize].0);
-            if is_new {
-                self.store.push_key(mix_seed(self.template_seed, hash));
-            }
+            let slot = self.slot_of(hash, &batch[pos as usize].0);
             order.push((slot as u64) << 32 | pos as u64);
         }
-        let store = &mut self.store;
+        let samplers = &mut self.samplers;
         if !self.split_ts {
             // Per-element arrival order: the trait surface has no run
             // kernel, and a slot sort would only add cost ahead of the
             // same vtable calls.
-            dispatch_seq(&order, batch, |slot, v| store.sampler_mut(slot).insert(v));
+            dispatch_seq(&order, batch, |slot, v| samplers[slot].insert(v));
             self.order = order;
             return;
         }
         order.sort_unstable();
         let mut run = std::mem::take(&mut self.run);
         dispatch_ts(&order, batch, &mut run, |slot, now, r| {
-            store.sampler_mut(slot).advance_and_insert(now, r)
+            samplers[slot].advance_and_insert(now, r)
         });
         run.clear();
         self.order = order;
         self.run = run;
     }
 
-    /// Registry + store scaffolding in words (8 bytes).
+    /// Registry scaffolding in words (8 bytes) plus, per the §1.4
+    /// exclusions, each boxed sampler's fat pointer (2 words).
     fn overhead_words(&self) -> usize {
-        self.registry.overhead_words() + self.store.overhead_words()
+        self.registry.overhead_words() + self.samplers.len() * 2
     }
 }
 
@@ -392,8 +434,7 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
 
     #[inline]
     fn shard_of(&self, hash: u64) -> usize {
-        // Fx mixes well in the high bits; fold them down before masking.
-        ((hash >> 32) ^ hash) as usize & self.shard_mask as usize
+        shard_of(hash, self.shard_mask)
     }
 
     #[inline]
@@ -441,23 +482,18 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
         // the parallel path alone pays. Shards still run one at a time to
         // completion, keeping the working set (one index table + one slab
         // + its hot samplers) small.
-        let mask = self.shard_mask;
-        for route in &mut self.routes {
-            route.clear();
-        }
-        for (pos, (key, _, _)) in batch.iter().enumerate() {
-            let hash = fx_hash_key(key);
-            let s = (((hash >> 32) ^ hash) & mask) as usize;
-            self.routes[s].push((pos as u32, hash));
-        }
-        for (shard, route) in self.shards.iter().zip(&self.routes) {
-            if !route.is_empty() {
+        run_serial(
+            &self.shards,
+            self.shard_mask,
+            batch,
+            &mut self.routes,
+            |_, shard, route| {
                 shard
                     .write()
                     .expect("shard lock poisoned")
-                    .ingest(batch, route);
-            }
-        }
+                    .ingest(batch, route)
+            },
+        );
     }
 
     /// The key's current `k`-sample, or `None` if the key has never
@@ -468,7 +504,7 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
         let hash = fx_hash_key(key);
         let mut guard = self.write(&self.shards[self.shard_of(hash)]);
         let slot = guard.registry.find(hash, key)?;
-        guard.store.sample_k(slot)
+        guard.samplers[slot].sample_k()
     }
 
     /// [`sample_k`](Self::sample_k) for many keys in one pass, one
@@ -493,7 +529,7 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
             let mut guard = self.write(shard);
             for &(pos, hash) in routed {
                 if let Some(slot) = guard.registry.find(hash, &keys[pos]) {
-                    out[pos] = guard.store.sample_k(slot);
+                    out[pos] = guard.samplers[slot].sample_k();
                 }
             }
         }
@@ -507,22 +543,7 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
         let hash = fx_hash_key(key);
         let mut guard = self.write(&self.shards[self.shard_of(hash)]);
         let slot = guard.registry.find(hash, key)?;
-        guard.store.sample(slot)
-    }
-
-    /// Run `f` against a key's boxed sampler (queries take `&mut` access
-    /// — see [`swsample_core::WindowSampler`] on why); `None` if the key
-    /// has no materialized sampler.
-    pub fn with_sampler<R>(
-        &self,
-        key: &K,
-        f: impl FnOnce(&mut dyn ErasedWindowSampler<T>) -> R,
-    ) -> Option<R> {
-        self.sync();
-        let hash = fx_hash_key(key);
-        let mut shard = self.write(&self.shards[self.shard_of(hash)]);
-        let slot = shard.registry.find(hash, key)?;
-        Some(f(shard.store.sampler_mut(slot)))
+        guard.samplers[slot].sample()
     }
 
     /// Has this key a materialized sampler?
@@ -553,8 +574,10 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
             .iter()
             .map(|s| {
                 let shard = self.read(s);
-                (0..shard.registry.len())
-                    .map(|slot| shard.store.memory_words(slot))
+                shard
+                    .samplers
+                    .iter()
+                    .map(|s| s.memory_words())
                     .max()
                     .unwrap_or(0)
             })
@@ -563,7 +586,7 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
     }
 
     /// Registry scaffolding in words (8 bytes): the tagged index-table
-    /// words, the slab keys, and per-key store bookkeeping (each boxed
+    /// words, the slab keys, and per-key bookkeeping (each boxed
     /// sampler's fat pointer). Outside the paper's §1.4 stream-element
     /// model — reported separately so fleet sizing can account for it;
     /// at the ≤ ½ load factor this is `2..=4` bucket words per key
@@ -609,8 +632,8 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
         self.sync();
         for shard in &self.shards {
             let guard = self.read(shard);
-            for (slot, key) in guard.registry.keys().iter().enumerate() {
-                let state = guard.store.save_slot(slot).ok_or(StateError::Unsupported)?;
+            for (key, sampler) in guard.registry.keys().iter().zip(&guard.samplers) {
+                let state = sampler.save_state().ok_or(StateError::Unsupported)?;
                 visit(key, state)?;
             }
         }
@@ -635,12 +658,8 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
             let hash = fx_hash_key(&key);
             let shard = &self.shards[self.shard_of(hash)];
             let mut guard = shard.write().expect("shard lock poisoned");
-            let (slot, is_new) = guard.registry.get_or_insert(hash, &key);
-            if is_new {
-                let seed = mix_seed(guard.template_seed, hash);
-                guard.store.push_key(seed);
-            }
-            guard.store.restore_slot(slot, state)?;
+            let slot = guard.slot_of(hash, &key);
+            guard.samplers[slot].restore_state(state)?;
         }
         Ok(())
     }
@@ -824,7 +843,6 @@ where
             "batch exceeds u32 positions"
         );
         let nshards = self.shards.len();
-        let mask = self.shard_mask;
         if self.threads <= 1 || nshards == 1 {
             // Inline serial path. Routes are local (not the engine's
             // scratch) because `&self` must not alias concurrent callers.
@@ -832,19 +850,18 @@ where
             // just shrunk to 1 thread mid-pipeline.
             self.sync();
             let mut routes: Vec<Route> = (0..nshards).map(|_| Vec::new()).collect();
-            for (pos, (key, _, _)) in batch.iter().enumerate() {
-                let hash = fx_hash_key(key);
-                let s = (((hash >> 32) ^ hash) & mask) as usize;
-                routes[s].push((pos as u32, hash));
-            }
             let mut first_panic = None;
-            for (s, (shard, route)) in self.shards.iter().zip(&routes).enumerate() {
-                if !route.is_empty() {
+            run_serial(
+                &self.shards,
+                self.shard_mask,
+                batch,
+                &mut routes,
+                |s, shard, route| {
                     if let Err(p) = ingest_guarded(shard, batch, route, 0, s) {
                         first_panic.get_or_insert(p);
                     }
-                }
-            }
+                },
+            );
             return first_panic.map_or(Ok(()), Err);
         }
         let pool = self.pool.as_ref().expect("set_threads spawned the pool");
@@ -856,7 +873,7 @@ where
             batch,
             nshards,
             self.threads,
-            mask,
+            self.shard_mask,
             &self.shards,
             Arc::clone(&self.exec_flags),
             fx_hash_key,
@@ -878,8 +895,10 @@ impl<K, T: Clone + 'static> MemoryWords for MultiStreamEngine<K, T> {
             .iter()
             .map(|s| {
                 let shard = s.read().expect("shard lock poisoned");
-                (0..shard.registry.len())
-                    .map(|slot| shard.store.memory_words(slot))
+                shard
+                    .samplers
+                    .iter()
+                    .map(|s| s.memory_words())
                     .sum::<usize>()
             })
             .sum()
@@ -907,8 +926,7 @@ mod tests {
         // Spread check: 4096 consecutive keys across 16 shards.
         let mut counts = [0usize; 16];
         for key in 0..4096u64 {
-            let h = fx_hash_key(&key);
-            counts[(((h >> 32) ^ h) & 15) as usize] += 1;
+            counts[shard_of(fx_hash_key(&key), 15)] += 1;
         }
         for (shard, &c) in counts.iter().enumerate() {
             assert!(
@@ -1023,16 +1041,22 @@ mod tests {
             MultiStreamEngine::new(seq_wr_spec(100, 4, 7)).expect("engine");
         let batch: Vec<(u64, u64, u64)> = (0..64u64).map(|k| (k, 0, 1)).collect();
         e.ingest(&batch);
-        let mut seeds: Vec<u64> = (0..64u64)
-            .map(|k| {
-                e.with_sampler(&k, |s| s.spec().expect("built via spec").seed)
-                    .expect("present")
+        // Every key saw the same one-element stream, so only its seed can
+        // tell the keys' RNG words apart.
+        let mut rngs: Vec<[u64; 4]> = e
+            .save_states()
+            .expect("seq-wr checkpoints")
+            .into_iter()
+            .map(|(_, state)| match state {
+                SamplerState::SeqWr { rng, .. } => rng.0,
+                other => panic!("expected a seq-wr state, got {}", other.family()),
             })
             .collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), 64, "per-key seed collision");
-        assert!(e.with_sampler(&999, |s| s.k()).is_none(), "untouched key");
+        assert_eq!(rngs.len(), 64);
+        rngs.sort_unstable();
+        rngs.dedup();
+        assert_eq!(rngs.len(), 64, "per-key seed collision");
+        assert!(!e.contains_key(&999), "untouched key");
     }
 
     #[test]
@@ -1104,13 +1128,10 @@ mod tests {
         let engine: MultiStreamEngine<u64, u64> =
             MultiStreamEngine::with_threads(spec, 4, SamplerSpec::build::<u64>, 2).expect("engine");
         // Two keys in different shards.
-        let shard_of = |key: u64| {
-            let h = fx_hash_key(&key);
-            (((h >> 32) ^ h) & engine.shard_mask) as usize
-        };
+        let key_shard = |key: u64| shard_of(fx_hash_key(&key), engine.shard_mask);
         let a = 0u64;
         let b = (1..100u64)
-            .find(|&k| shard_of(k) != shard_of(a))
+            .find(|&k| key_shard(k) != key_shard(a))
             .expect("some key lands elsewhere");
         engine
             .try_ingest_parallel(&[(a, 10, 1), (b, 10, 2)])
@@ -1122,7 +1143,7 @@ mod tests {
             .try_ingest_parallel(&[(a, 5, 3), (b, 11, 4)])
             .expect("own-batch panics surface at the next sync point");
         let err = engine.flush().expect_err("key a's clock ran backwards");
-        assert_eq!(err.shard, shard_of(a), "panic names the wrong shard");
+        assert_eq!(err.shard, key_shard(a), "panic names the wrong shard");
         assert!(
             err.message.contains("backwards"),
             "payload lost: {:?}",
@@ -1146,7 +1167,7 @@ mod tests {
         .expect_err("must re-raise at the next call");
         let msg = msg.downcast_ref::<String>().expect("string payload");
         assert!(
-            msg.contains(&format!("shard {}", shard_of(a))),
+            msg.contains(&format!("shard {}", key_shard(a))),
             "unstructured message: {msg}"
         );
         engine.flush().expect("nothing further pending");

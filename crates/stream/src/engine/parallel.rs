@@ -68,6 +68,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
 
+use super::registry::shard_of;
 use super::{KeyedEvent, Shard};
 
 /// Structured report of a shard-ingestion panic: which worker ran the
@@ -233,7 +234,7 @@ pub(crate) struct Epoch<K, T: Clone> {
 
 impl<K: Clone, T: Clone> Epoch<K, T> {
     /// Partition `batch` into shard-run units, LPT-ordered. `hash` maps
-    /// a key to its hash (shard = folded hash & mask). Returns `None`
+    /// a key to its hash (shard = [`shard_of`] the hash). Returns `None`
     /// for an empty batch.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn prepare(
@@ -257,8 +258,7 @@ impl<K: Clone, T: Clone> Epoch<K, T> {
         // streaming a batch-sized side array.
         let mut counts = vec![0usize; nshards];
         for (key, _, _) in batch {
-            let h = hash(key);
-            counts[(((h >> 32) ^ h) & shard_mask) as usize] += 1;
+            counts[shard_of(hash(key), shard_mask)] += 1;
         }
         let mut offsets = vec![0usize; nshards];
         let mut acc = 0usize;
@@ -270,7 +270,7 @@ impl<K: Clone, T: Clone> Epoch<K, T> {
         let mut fill = offsets.clone();
         for (pos, (key, _, _)) in batch.iter().enumerate() {
             let h = hash(key);
-            let s = (((h >> 32) ^ h) & shard_mask) as usize;
+            let s = shard_of(h, shard_mask);
             route[fill[s]] = (pos as u32, h);
             fill[s] += 1;
         }

@@ -1,11 +1,12 @@
-//! Key hashing, per-key seed derivation, and the slab key registry.
+//! Key hashing, the shard-fold rule, per-key seed derivation, and the
+//! slab key registry.
 //!
 //! The registry is the engine's `key → slot` side, deliberately separated
 //! from sampler storage: an open-addressing index table of `tag | slot`
-//! words over a dense first-touch-ordered key slab. Slot ids are handed
-//! to the per-key store ([`super::erased::ErasedStore`]), which keeps
-//! each key's sampler at the same index — so the probe loop never
-//! depends on how samplers are laid out.
+//! words over a dense first-touch-ordered key slab. Slot ids index the
+//! shard's sampler vector ([`super::Shard`]), which keeps each key's
+//! sampler at the same index — so the probe loop never depends on how
+//! samplers are laid out.
 
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -65,6 +66,14 @@ pub(crate) fn fx_hash_key<K: Hash>(key: &K) -> u64 {
     let mut h = FxHasher::default();
     key.hash(&mut h);
     h.finish()
+}
+
+/// The shard a key hash routes to under a power-of-two `mask`: Fx mixes
+/// well in the high bits, so they are folded down before masking. Every
+/// routing path — serial, parallel, queries — goes through this.
+#[inline]
+pub(crate) fn shard_of(hash: u64, mask: u64) -> usize {
+    (((hash >> 32) ^ hash) & mask) as usize
 }
 
 /// SplitMix64 finalizer: decorrelates the per-key seed from the raw key

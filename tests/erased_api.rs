@@ -1,7 +1,10 @@
-//! Acceptance tests for the spec-driven erased layer (PR 3):
+//! Acceptance tests for the spec-driven erased layer. A
+//! `Box<dyn ErasedWindowSampler>` is a concrete sampler behind the
+//! `Send + Sync` marker over `WindowSampler`, with no wrapper between:
 //!
 //! 1. The spec flag grammar round-trips (`Display` ∘ `FromStr` = id),
-//!    property-checked over the whole field space.
+//!    property-checked over the whole field space, and every valid spec
+//!    builds.
 //! 2. Sampling *through* `Box<dyn ErasedWindowSampler>` is the identical
 //!    process: chi-square uniformity holds at the same seed thresholds as
 //!    the concrete-type tests, and at equal seeds the counts match the
@@ -66,7 +69,7 @@ proptest! {
     }
 
     /// Every spec that validates also builds through the full factory,
-    /// and the built sampler introspects as exactly that spec.
+    /// and the built sampler reports the spec's `k`.
     #[test]
     fn valid_specs_build_and_introspect(
         win_tag in 0u8..3,
@@ -86,7 +89,6 @@ proptest! {
         if spec.validate().is_ok() {
             let mut s = swsample::baselines::spec::build::<u64>(&spec)
                 .expect("valid specs build");
-            prop_assert_eq!(s.spec(), Some(&spec));
             prop_assert_eq!(s.k(), k);
             s.advance_and_insert(1, &[1, 2, 3]);
             prop_assert!(s.sample_k().is_some());
@@ -239,9 +241,5 @@ fn heterogeneous_fleet_answers_uniformly() {
             .unwrap_or_else(|| panic!("{}: empty", specs[i]));
         assert!(!out.is_empty() && out.len() <= 2, "{}", specs[i]);
         assert!(s.memory_words() > 0);
-        assert_eq!(
-            s.spec().map(|sp| sp.to_string()),
-            Some(specs[i].to_string())
-        );
     }
 }
