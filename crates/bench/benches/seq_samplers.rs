@@ -11,7 +11,7 @@ use std::time::Duration;
 use swsample_core::seq::{SeqSamplerWor, SeqSamplerWr};
 use swsample_core::skip::record_skip;
 use swsample_core::WindowSampler;
-use swsample_stream::{MultiStreamEngine, ValueGen, ZipfGen};
+use swsample_stream::{zipf_fleet_events, MultiStreamEngine};
 
 fn bench_insert(c: &mut Criterion) {
     let mut group = c.benchmark_group("seq_insert");
@@ -87,13 +87,7 @@ fn bench_record_skip(c: &mut Criterion) {
 /// of times, so this is dominated by opening each key's first bucket —
 /// the allocation and the `k` acceptances every new key pays.
 fn bench_fleet_first_touch(c: &mut Criterion) {
-    let events = {
-        let mut rng = SmallRng::seed_from_u64(6);
-        let mut zipf = ZipfGen::new(100_000, 1.1);
-        (0..200_000u64)
-            .map(|i| (zipf.next_value(&mut rng), i / 64, i))
-            .collect::<Vec<(u64, u64, u64)>>()
-    };
+    let events: Vec<(u64, u64, u64)> = zipf_fleet_events(100_000, 1.1, 6).take(200_000).collect();
     let mut group = c.benchmark_group("fleet_first_touch");
     group.throughput(Throughput::Elements(events.len() as u64));
     group.sample_size(10);

@@ -19,8 +19,8 @@ use swsample_baselines::{
 use swsample_core::rng::CountingRng;
 use swsample_core::seq::{SeqSamplerWor, SeqSamplerWr};
 use swsample_core::ts::{TsSamplerWor, TsSamplerWr};
-use swsample_core::WindowSampler;
-use swsample_stream::WindowSpec;
+use swsample_core::{SamplerSpec, WindowSampler};
+use swsample_stream::{zipf_fleet_events, MultiStreamEngine, WindowSpec};
 
 use crate::json::{self, Value};
 
@@ -426,34 +426,38 @@ pub fn run_with(p: &Params) -> Vec<Row> {
     rows
 }
 
+/// The fleet sections' per-key template: paper seq-WR, k = `multi_k`,
+/// n = 1000.
+fn fleet_template(p: &Params) -> SamplerSpec {
+    format!("--window seq --n 1000 --k {} --seed 42", p.multi_k)
+        .parse()
+        .expect("template spec")
+}
+
+/// The fleet sections' events, pre-generated so the clock measures
+/// ingestion, not zipf inversion: `multi_elements` of the shared
+/// `zipf_fleet_events` workload (theta 1.1) over `keys`.
+fn fleet_events(p: &Params, keys: u64, seed: u64) -> Vec<(u64, u64, u64)> {
+    zipf_fleet_events(keys, 1.1, seed)
+        .take(p.multi_elements as usize)
+        .collect()
+}
+
 /// Run the multi-stream (keyed fleet) section: a zipf-keyed stream over
 /// each key-domain size, ingested through `MultiStreamEngine`'s batched
 /// grouped path with a paper seq-WR template (k = `multi_k`, n = 1000).
 pub fn run_multi(p: &Params) -> Vec<MultiRow> {
-    use swsample_core::SamplerSpec;
-    use swsample_stream::{MultiStreamEngine, ValueGen, ZipfGen};
-
     let mut out = Vec::new();
     for &keys in &p.multi_keys {
-        let mut rng = SmallRng::seed_from_u64(44);
-        let mut zipf = ZipfGen::new(keys, 1.1);
-        // Pre-generate the workload so the clock measures ingestion, not
-        // zipf inversion.
-        let events: Vec<(u64, u64, u64)> = (0..p.multi_elements)
-            .map(|i| (zipf.next_value(&mut rng), i / 64, i))
-            .collect();
+        let events = fleet_events(p, keys, 44);
         // Best-of reps, like the parallel section: identical
         // deterministic runs, so the minimum is the capability
         // measurement and scheduler steal is excluded.
         let (mut cold, mut sustained) = (f64::INFINITY, f64::INFINITY);
         let mut last = None;
         for _ in 0..p.parallel_reps.max(1) {
-            let template: SamplerSpec =
-                format!("--window seq --n 1000 --k {} --seed 42", p.multi_k)
-                    .parse()
-                    .expect("template spec");
             let mut engine: MultiStreamEngine<u64, u64> =
-                MultiStreamEngine::with_factory(template, 64, SamplerSpec::build::<u64>)
+                MultiStreamEngine::with_factory(fleet_template(p), 64, SamplerSpec::build::<u64>)
                     .expect("engine");
             // Cold pass: fleet construction + accept-dense first arrivals
             // (the schema-v3 figure). Sustained pass: the identical
@@ -494,19 +498,12 @@ pub fn run_multi(p: &Params) -> Vec<MultiRow> {
 /// is bit-identical across all rows (asserted in
 /// `tests/parallel_engine.rs`), so the rows measure pure scheduling.
 pub fn run_parallel(p: &Params) -> Vec<ParallelRow> {
-    use swsample_core::SamplerSpec;
-    use swsample_stream::{MultiStreamEngine, ValueGen, ZipfGen};
-
     let cores = machine().cores;
     let mut out = Vec::new();
     for &keys in &p.multi_keys {
         // Pre-generate once per key domain; every thread count replays
         // the identical workload.
-        let mut rng = SmallRng::seed_from_u64(44);
-        let mut zipf = ZipfGen::new(keys, 1.1);
-        let events: Vec<(u64, u64, u64)> = (0..p.multi_elements)
-            .map(|i| (zipf.next_value(&mut rng), i / 64, i))
-            .collect();
+        let events = fleet_events(p, keys, 44);
         // Best of `parallel_reps` identical runs per configuration
         // (fresh engine each time — the workload and results are
         // deterministic, only host scheduling noise varies). The
@@ -524,12 +521,8 @@ pub fn run_parallel(p: &Params) -> Vec<ParallelRow> {
             vec![(f64::INFINITY, None); configs.len()];
         for _ in 0..reps {
             for (ci, &threads) in configs.iter().enumerate() {
-                let template: SamplerSpec =
-                    format!("--window seq --n 1000 --k {} --seed 42", p.multi_k)
-                        .parse()
-                        .expect("template spec");
                 let engine: MultiStreamEngine<u64, u64> = MultiStreamEngine::with_threads(
-                    template,
+                    fleet_template(p),
                     64,
                     SamplerSpec::build::<u64>,
                     threads,
@@ -573,35 +566,25 @@ pub fn run_parallel(p: &Params) -> Vec<ParallelRow> {
 
 /// Run the durable-pipeline section: the zipf-keyed fleet workload of
 /// [`run_multi`] (seq-WR template, k = `multi_k`, n = 1000, 64 shards,
-/// serial threads) ingested three ways — plain engine (`wal-off`),
-/// through the write-ahead log (`wal-on`), and through the WAL with
-/// periodic O(k)-per-key snapshots (`wal-snap`) — then timed through
+/// serial threads) ingested through [`swsample_durable::Fleet`] three
+/// ways — in memory (`wal-off`), through the write-ahead log
+/// (`wal-on`), and through the WAL with periodic O(k)-per-key
+/// snapshots (`wal-snap`) — each timed up to its final WAL fsync, then
+/// the durable two timed through
 /// recovery (`DurableEngine::open`: latest snapshot + log-tail replay).
 /// Durable state lives under the system temp directory and is removed
 /// before the function returns.
 pub fn run_durable(p: &Params) -> Vec<DurableRow> {
-    use swsample_core::spec::FleetBackend;
-    use swsample_core::SamplerSpec;
-    use swsample_durable::{DurableEngine, DurableOptions};
-    use swsample_stream::{MultiStreamEngine, ValueGen, ZipfGen};
+    use swsample_durable::{DurableEngine, DurableOptions, Fleet, Storage};
 
     let mut out = Vec::new();
     for &keys in &p.multi_keys {
-        let mut rng = SmallRng::seed_from_u64(44);
-        let mut zipf = ZipfGen::new(keys, 1.1);
-        let events: Vec<(u64, u64, u64)> = (0..p.multi_elements)
-            .map(|i| (zipf.next_value(&mut rng), i / 64, i))
-            .collect();
+        let events = fleet_events(p, keys, 44);
         for (mode, snapshot_every) in [
             ("wal-off", 0u64),
             ("wal-on", 0),
             ("wal-snap", p.durable_snapshot_every),
         ] {
-            let template = || -> SamplerSpec {
-                format!("--window seq --n 1000 --k {} --seed 42", p.multi_k)
-                    .parse()
-                    .expect("template spec")
-            };
             // The call counter keeps concurrent calls in one process
             // (parallel unit tests) out of each other's directories.
             static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -614,40 +597,26 @@ pub fn run_durable(p: &Params) -> Vec<DurableRow> {
             let mut recovery = 0.0;
             for rep in 0..p.parallel_reps.max(1) {
                 let last_rep = rep + 1 == p.parallel_reps.max(1);
-                if mode == "wal-off" {
-                    let engine: MultiStreamEngine<u64, u64> =
-                        MultiStreamEngine::with_factory(template(), 64, SamplerSpec::build::<u64>)
-                            .expect("engine");
-                    let start = Instant::now();
-                    for chunk in events.chunks(p.chunk) {
-                        engine.ingest_parallel(chunk);
-                    }
-                    seconds = seconds.min(start.elapsed().as_secs_f64());
-                    continue;
-                }
-                // Fresh directory per rep: `create` refuses to reuse one.
-                let _ = std::fs::remove_dir_all(&dir);
                 let opts = DurableOptions {
                     snapshot_every: (snapshot_every > 0).then_some(snapshot_every),
                     ..DurableOptions::default()
                 };
-                let mut engine: DurableEngine<u64, u64> = DurableEngine::create(
-                    &dir,
-                    template(),
-                    64,
-                    1,
-                    FleetBackend::Auto,
-                    opts.clone(),
-                )
-                .expect("durable engine");
+                // Fresh directory per rep: `create` refuses to reuse one.
+                let _ = std::fs::remove_dir_all(&dir);
+                let storage = match mode {
+                    "wal-off" => Storage::Memory,
+                    _ => Storage::Wal(dir.clone(), opts.clone(), None),
+                };
+                let fleet: Fleet<u64, u64> =
+                    Fleet::open(fleet_template(p), 64, 1, storage).expect("fleet");
                 let start = Instant::now();
                 for chunk in events.chunks(p.chunk) {
-                    engine.ingest(chunk).expect("durable ingest");
+                    fleet.ingest(chunk).expect("fleet ingest");
                 }
-                engine.sync().expect("wal sync");
+                fleet.sync().expect("wal sync");
                 seconds = seconds.min(start.elapsed().as_secs_f64());
-                drop(engine);
-                if last_rep {
+                drop(fleet);
+                if last_rep && mode != "wal-off" {
                     // Recovery wall-clock: wal-on replays the whole log
                     // from the initial snapshot; wal-snap restores the
                     // newest snapshot and replays only the tail.
@@ -691,15 +660,8 @@ pub fn run_durable(p: &Params) -> Vec<DurableRow> {
 /// The ratio of the two is the serving tax the
 /// [`SERVER_E2E_100K_GATE`] bar polices.
 pub fn run_server(p: &Params) -> Vec<ServerRow> {
-    use swsample_core::SamplerSpec;
     use swsample_server::{loadgen, LoadgenConfig, Server, ServerConfig};
-    use swsample_stream::{MultiStreamEngine, ValueGen, ZipfGen};
 
-    let template = || -> SamplerSpec {
-        format!("--window seq --n 1000 --k {} --seed 42", p.multi_k)
-            .parse()
-            .expect("template spec")
-    };
     // Drain threads: enough to keep the queue from being the bottleneck
     // without oversubscribing loadgen's connection threads on small CI
     // hosts. The direct baseline uses the identical count so the ratio
@@ -709,14 +671,14 @@ pub fn run_server(p: &Params) -> Vec<ServerRow> {
     for &keys in &p.multi_keys {
         // The loadgen workload, regenerated here for the direct
         // baseline: identical events, no sockets.
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut zipf = ZipfGen::new(keys, 1.1);
-        let events: Vec<(u64, u64, u64)> = (0..p.multi_elements)
-            .map(|i| (zipf.next_value(&mut rng), i / 64, i))
-            .collect();
-        let engine: MultiStreamEngine<u64, u64> =
-            MultiStreamEngine::with_threads(template(), 64, SamplerSpec::build::<u64>, threads)
-                .expect("engine");
+        let events = fleet_events(p, keys, 1);
+        let engine: MultiStreamEngine<u64, u64> = MultiStreamEngine::with_threads(
+            fleet_template(p),
+            64,
+            SamplerSpec::build::<u64>,
+            threads,
+        )
+        .expect("engine");
         let start = Instant::now();
         for chunk in events.chunks(p.parallel_chunk) {
             engine.ingest_parallel(chunk);
@@ -726,7 +688,7 @@ pub fn run_server(p: &Params) -> Vec<ServerRow> {
         drop((engine, events));
 
         for &connections in &p.server_connections {
-            let mut cfg = ServerConfig::new(template());
+            let mut cfg = ServerConfig::new(fleet_template(p));
             cfg.shards = 64;
             cfg.threads = threads;
             let server = Server::start(cfg).expect("server start");

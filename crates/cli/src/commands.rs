@@ -17,22 +17,26 @@
 //!   non-decreasing timestamps.
 //! * `agg` — `<timestamp> <numeric value>` per line.
 //! * `gen` — no input; emits a synthetic workload for piping.
-//! * `multi` — no input; drives a self-generated zipf-keyed workload
-//!   through a [`MultiStreamEngine`] fleet.
+//! * `multi` — no input; drives the shared zipf-keyed workload
+//!   ([`zipf_fleet_events`]) through a [`Fleet`] — in memory, or on a
+//!   WAL directory with `--wal` — and prints the report `loadgen
+//!   --render-multi` reproduces from a served fleet.
+//! * `serve` — the same [`Fleet`] behind the TCP server.
 
 use crate::args::{ArgError, Args};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use swsample_core::fault::FaultSchedule;
-use swsample_core::spec::{Algorithm, FleetBackend, SamplerSpec, WindowKind};
+use swsample_core::spec::{SamplerSpec, WindowKind};
 use swsample_core::{ErasedWindowSampler, MemoryWords};
-use swsample_durable::{DurableEngine, DurableOptions, ResumeOverrides};
+use swsample_durable::{DurableError, DurableOptions, Fleet, ResumeOverrides, Storage};
 use swsample_query::TsAggregator;
-use swsample_server::{loadgen, LoadgenConfig, Server, ServerConfig};
-use swsample_stream::{
-    BurstyArrivals, MultiStreamEngine, SteadyArrivals, UniformGen, ValueGen, ZipfGen,
-};
+use swsample_server::protocol::wire_samples;
+use swsample_server::report::{hot_keys, memory_note, write_multi_report};
+use swsample_server::{loadgen, EngineStats, LoadgenConfig, Server, ServerConfig};
+use swsample_stream::{zipf_fleet_events, BurstyArrivals, SteadyArrivals, UniformGen, ZipfGen};
 
 /// Run one subcommand against the given input/output. Returns an error
 /// message suitable for the user.
@@ -78,7 +82,9 @@ pub fn write_help(out: &mut dyn Write) -> std::io::Result<()> {
                  [--segment-bytes N] [--resume]  (WAL + snapshots; resume\n\
                  recovers and continues, stdout byte-identical to an\n\
                  uninterrupted run; the run always ends with a final\n\
-                 snapshot so --resume restarts instantly)\n\
+                 snapshot so --resume restarts instantly; --resume under\n\
+                 a different template is refused, --shards/--threads\n\
+                 given on resume rescale)\n\
                  faults: SWSAMPLE_FAULTS (needs --wal for durable sites)\n\
                  live rescale: [--rescale-after B]\n\
                  [--rescale-shards S] [--rescale-threads W]\n\
@@ -86,6 +92,8 @@ pub fn write_help(out: &mut dyn Write) -> std::io::Result<()> {
                  [--addr HOST:PORT] + the spec flags of `run`\n\
                  [--shards S] [--threads W] (0 = every core)\n\
                  [--wal DIR] [--snapshot-every B] [--segment-bytes N]\n\
+                 (a DIR holding a snapshot is resumed at --shards/--threads;\n\
+                 a different template is refused)\n\
                  [--queue-max-events N] [--ring-capacity N] [--tick-ms T]\n\
                  [--drain-delay-ms D]\n\
                  (first stderr line is `# listening on HOST:PORT`; a\n\
@@ -188,17 +196,6 @@ fn build_sampler<T: Clone + Send + Sync + 'static>(
     swsample_baselines::spec::build(spec).map_err(|e| ArgError(e.to_string()))
 }
 
-/// How the memory line qualifies the reported figure.
-fn memory_note(spec: &SamplerSpec) -> &'static str {
-    match (spec.algorithm, spec.window) {
-        (Algorithm::Paper, WindowKind::Timestamp(_)) => "deterministic O(k log n)",
-        (Algorithm::Paper, _) | (Algorithm::ReservoirL, _) => "deterministic",
-        (Algorithm::WindowBuffer, _) => "exact O(n) buffer",
-        (Algorithm::Chain, _) | (Algorithm::Priority, _) => "randomized bound",
-    }
-}
-
-/// `run` — the full spec surface over stdin.
 fn cmd_run(args: &Args, input: &mut dyn BufRead, out: &mut dyn Write) -> Result<(), ArgError> {
     let spec = spec_from_flags(args)?;
     drive_stream(&spec, args, input, out)
@@ -338,65 +335,6 @@ fn split_timestamped(line: &str) -> Result<(u64, &str), ArgError> {
     Ok((ts, rest))
 }
 
-/// The fleet behind `multi`: plain in-memory, or wrapped in the
-/// durability layer (`--wal DIR`) where every ingest batch is logged
-/// before it is applied.
-enum MultiFleet {
-    Plain(MultiStreamEngine<u64, u64>),
-    Durable(Box<DurableEngine<u64, u64>>),
-}
-
-impl MultiFleet {
-    fn engine(&self) -> &MultiStreamEngine<u64, u64> {
-        match self {
-            MultiFleet::Plain(e) => e,
-            MultiFleet::Durable(d) => d.engine(),
-        }
-    }
-
-    fn ingest(&mut self, chunk: &[(u64, u64, u64)]) -> Result<(), ArgError> {
-        match self {
-            MultiFleet::Plain(e) => {
-                e.ingest_parallel(chunk);
-                Ok(())
-            }
-            MultiFleet::Durable(d) => d
-                .ingest(chunk)
-                .map(|_| ())
-                .map_err(|e| ArgError(e.to_string())),
-        }
-    }
-
-    fn set_shards(&mut self, shards: usize) -> Result<(), ArgError> {
-        match self {
-            MultiFleet::Plain(e) => e.set_shards(shards).map_err(|e| ArgError(e.to_string())),
-            MultiFleet::Durable(d) => d.set_shards(shards).map_err(|e| ArgError(e.to_string())),
-        }
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        match self {
-            MultiFleet::Plain(e) => e.set_threads(threads),
-            MultiFleet::Durable(d) => d.set_threads(threads),
-        }
-    }
-
-    /// Graceful shutdown: fsync the WAL and write a final snapshot
-    /// covering everything ingested, so a later `--resume` (or any
-    /// other reopen) restores without replaying the log (no-op for
-    /// plain fleets). Stronger than a bare `sync` — the old end-of-run
-    /// behavior — and what the `shutdown` fault exercises mid-stream.
-    fn close(&mut self) -> Result<(), ArgError> {
-        match self {
-            // Plain fleets still owe a flush: the work-stealing pipeline
-            // may have an epoch in flight, and a deferred sampler panic
-            // must not be silently dropped at end-of-stream.
-            MultiFleet::Plain(e) => e.flush().map_err(|e| ArgError(e.to_string())),
-            MultiFleet::Durable(d) => d.close().map(|_| ()).map_err(|e| ArgError(e.to_string())),
-        }
-    }
-}
-
 /// Resolve the `--threads` flag: `0` is the "use every core" sentinel,
 /// mapping to [`std::thread::available_parallelism`] (reported on
 /// stderr so runs are attributable); any other value passes through.
@@ -482,98 +420,76 @@ fn cmd_multi(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
     }
 
     let spec = spec_from_flags(args)?;
-    let timestamped = matches!(spec.window, WindowKind::Timestamp(_));
+    let storage = match wal_dir {
+        None => Storage::Memory,
+        Some(dir) => Storage::Wal(
+            dir,
+            DurableOptions {
+                segment_bytes: segment_bytes.max(1),
+                snapshot_every: (snapshot_every > 0).then_some(snapshot_every),
+                faults,
+            },
+            // Explicit flags override the recorded config — the
+            // rescale-on-resume path. Samples are unaffected.
+            resume.then(|| ResumeOverrides {
+                shards: args.get_str("shards").is_some().then_some(shards),
+                threads: args.get_str("threads").is_some().then_some(threads),
+            }),
+        ),
+    };
+    let fleet_err = |e: DurableError| ArgError(e.to_string());
+    let mut fleet = Fleet::open(spec.clone(), shards, threads, storage).map_err(fleet_err)?;
     // `done` = ingest batches already covered by a recovered WAL: the
     // workload is regenerated from scratch (it is deterministic in
     // --workload-seed), traffic is re-counted for every event, but the
     // first `done` batches are not re-ingested.
-    let (mut fleet, done) = match &wal_dir {
-        None => {
-            let engine = MultiStreamEngine::with_threads(
-                spec,
-                shards,
-                swsample_baselines::spec::build::<u64>,
-                threads,
-            )
-            .map_err(|e| ArgError(e.to_string()))?;
-            (MultiFleet::Plain(engine), 0u64)
-        }
-        Some(dir) => {
-            let opts = DurableOptions {
-                segment_bytes: segment_bytes.max(1),
-                snapshot_every: (snapshot_every > 0).then_some(snapshot_every),
-                faults,
-            };
-            if resume {
-                // Explicit flags override the recorded config — the
-                // rescale-on-resume path. Samples are unaffected.
-                let overrides = ResumeOverrides {
-                    shards: args.get_str("shards").is_some().then_some(shards),
-                    threads: args.get_str("threads").is_some().then_some(threads),
-                };
-                let durable = DurableEngine::open_with(dir, opts, overrides)
-                    .map_err(|e| ArgError(e.to_string()))?;
-                let done = durable.next_seq();
-                (MultiFleet::Durable(Box::new(durable)), done)
-            } else {
-                let durable =
-                    DurableEngine::create(dir, spec, shards, threads, FleetBackend::Auto, opts)
-                        .map_err(|e| ArgError(e.to_string()))?;
-                (MultiFleet::Durable(Box::new(durable)), 0u64)
-            }
-        }
-    };
+    let done = fleet.logged_batches();
     // Stderr, like the throughput line: diagnostics never mix with the
     // sample stream.
     if done > 0 {
         eprintln!("# resume: {done} batches recovered, re-ingesting from there");
     }
 
-    // Zipf-skewed keys, values = stream index, 64 arrivals per tick —
-    // deterministic given --workload-seed.
-    let mut rng = SmallRng::seed_from_u64(wseed);
-    let mut zipf = ZipfGen::new(keys, theta);
     // Traffic counts sized by keys *touched*, matching the engine's lazy
     // materialization, not by the key domain.
-    let mut traffic: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+    let mut traffic: HashMap<u64, u64> = HashMap::new();
     let mut chunk: Vec<(u64, u64, u64)> = Vec::with_capacity(batch);
     let mut chunk_index = 0u64;
     let start = std::time::Instant::now();
-    for i in 0..count {
-        let key = zipf.next_value(&mut rng);
-        *traffic.entry(key).or_insert(0) += 1;
-        chunk.push((key, i / 64, i));
+    for event in zipf_fleet_events(keys, theta, wseed).take(count as usize) {
+        *traffic.entry(event.0).or_insert(0) += 1;
+        chunk.push(event);
         if chunk.len() >= batch {
             if chunk_index >= done {
-                fleet.ingest(&chunk)?;
+                fleet.ingest(&chunk).map_err(fleet_err)?;
             }
             chunk_index += 1;
             chunk.clear();
             if rescale_after > 0 && chunk_index == rescale_after {
                 if rescale_shards > 0 {
-                    fleet.set_shards(rescale_shards)?;
+                    fleet.set_shards(rescale_shards).map_err(fleet_err)?;
                 }
                 if rescale_threads > 0 {
                     fleet.set_threads(rescale_threads);
                 }
-                eprintln!(
-                    "# rescale: {} shards, {} threads after batch {chunk_index}",
-                    fleet.engine().num_shards(),
-                    fleet.engine().num_threads()
-                );
+                let (s, t) = fleet.read(|e| (e.num_shards(), e.num_threads()));
+                eprintln!("# rescale: {s} shards, {t} threads after batch {chunk_index}");
             }
         }
     }
     if !chunk.is_empty() && chunk_index >= done {
-        fleet.ingest(&chunk)?;
+        fleet.ingest(&chunk).map_err(fleet_err)?;
     }
-    fleet.close()?;
+    // Graceful end of stream: a plain fleet collects the last batch's
+    // deferred verdict; a durable one also fsyncs and writes a final
+    // snapshot, so a later `--resume` restores without replaying.
+    fleet.close().map_err(fleet_err)?;
     report_throughput(count, start.elapsed());
     // Scheduler observability (stderr, like `# resume:`): epochs/units
     // drained, steal traffic, and busy-time imbalance across workers.
     // All zeros at threads=1 (the inline path publishes no epochs).
-    if fleet.engine().num_threads() > 1 {
-        let stats = fleet.engine().parallel_stats();
+    let (threads, stats) = fleet.read(|e| (e.num_threads(), e.parallel_stats()));
+    if threads > 1 {
         eprintln!(
             "# parallel: threads={} epochs={} units={} steals={} violations={} imbalance={:.2}",
             stats.threads,
@@ -585,38 +501,16 @@ fn cmd_multi(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
         );
     }
 
-    // The hottest keys' current samples (deterministic order: traffic
-    // descending, key ascending as the tiebreak).
-    let mut by_traffic: Vec<(u64, u64)> = traffic.iter().map(|(&k, &c)| (k, c)).collect();
-    by_traffic.sort_unstable_by_key(|&(key, cnt)| (std::cmp::Reverse(cnt), key));
-    let engine = fleet.engine();
-    for &(key, cnt) in by_traffic.iter().take(show) {
-        let rendered = match engine.sample_k(&key) {
-            Some(samples) => samples
-                .iter()
-                .map(|s| render_sample(s, timestamped))
-                .collect::<Vec<_>>()
-                .join(" "),
-            None => "(window empty)".into(),
-        };
-        writeln!(out, "key {key}\t{cnt} arrivals\t{rendered}").map_err(io_err)?;
-    }
-    writeln!(
-        out,
-        "# keys: {}/{keys} materialized across {} shards",
-        engine.num_keys(),
-        engine.num_shards()
-    )
-    .map_err(io_err)?;
-    writeln!(
-        out,
-        "# memory: fleet {} words, max per key {} words ({})",
-        engine.memory_words(),
-        engine.max_key_memory_words(),
-        memory_note(engine.template())
-    )
-    .map_err(io_err)?;
-    Ok(())
+    let rows: Vec<_> = hot_keys(traffic)
+        .into_iter()
+        .take(show)
+        .map(|(key, cnt)| {
+            let samples = fleet.read(|e| e.sample_k(&key));
+            (key, cnt, samples.as_deref().map(wire_samples))
+        })
+        .collect();
+    let engine = fleet.read(EngineStats::of);
+    write_multi_report(out, &spec, keys, &rows, &engine).map_err(io_err)
 }
 
 /// `serve` — the fleet behind a TCP listener speaking the framed binary
@@ -979,11 +873,9 @@ mod tests {
             "",
         )
         .expect("multi runs");
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut zipf = ZipfGen::new(keys, 1.1);
         let mut arrivals: Vec<Vec<u64>> = vec![Vec::new(); keys as usize];
-        for i in 0..count {
-            arrivals[zipf.next_value(&mut rng) as usize].push(i);
+        for (key, _, i) in zipf_fleet_events(keys, 1.1, 1).take(count as usize) {
+            arrivals[key as usize].push(i);
         }
         let key_lines: Vec<&str> = out.lines().filter(|l| l.starts_with("key ")).collect();
         assert_eq!(key_lines.len(), 5, "{out}");

@@ -127,6 +127,59 @@ fn v1_fixture_resumes_byte_identical() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// `--resume` under a template other than the one the directory
+/// recorded is refused, naming both, instead of printing the recorded
+/// template's samples under the new flags. Shard and thread overrides
+/// stay allowed.
+#[test]
+fn resume_refuses_a_different_template() {
+    let workload = "multi --keys 20 --count 3000 --batch-size 256 --show 3";
+    let dir = temp_dir("template");
+    let wal = format!("--wal {}", dir.display());
+    let first = run(
+        &format!("{workload} --window seq --n 16 --k 3 --seed 9 {wal}"),
+        "",
+    );
+    assert!(first.status.success(), "first run failed");
+
+    let resumed = run(
+        &format!("{workload} --window seq --n 40 --k 5 --seed 9 {wal} --resume"),
+        "",
+    );
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(!resumed.status.success(), "mismatched resume exited 0");
+    assert!(
+        resumed.stdout.is_empty(),
+        "mismatched resume printed samples"
+    );
+    assert!(
+        stderr.contains("--n 16") && stderr.contains("--n 40") && stderr.contains("--k 5"),
+        "the error must name both templates: {stderr}"
+    );
+
+    let rescaled = run(
+        &format!(
+            "{workload} --window seq --n 16 --k 3 --seed 9 {wal} --resume --shards 4 --threads 2"
+        ),
+        "",
+    );
+    assert!(
+        rescaled.status.success(),
+        "same-template rescale refused: {}",
+        String::from_utf8_lossy(&rescaled.stderr)
+    );
+    // Same samples; only the `# keys:` line's shard count moves.
+    let samples = |out: &Output| -> Vec<String> {
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| !l.starts_with("# keys:"))
+            .map(str::to_string)
+            .collect()
+    };
+    assert_eq!(samples(&rescaled), samples(&first));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// Spawn `serve --addr 127.0.0.1:0 <args>`; returns the child, its
 /// address and the rest of its stderr. Only the `# faults:` echo of a
 /// fault schedule may precede the `# listening on HOST:PORT` line.

@@ -38,6 +38,12 @@
 //!   snapshot + replay of WAL records with `seq >=` the snapshot's
 //!   position.
 //!
+//! Front ends do not build engines themselves: [`Fleet`] is the fleet
+//! the server and the CLI's `multi` hold, a plain [`MultiStreamEngine`]
+//! or a mutex-guarded [`DurableEngine`], and [`Fleet::open`] is the one
+//! place either is made — in memory, as a fresh directory, or resumed
+//! (refusing a template other than the recorded one).
+//!
 //! Fault injection for all of the above takes one environment variable
 //! and one grammar, the seeded/counted schedule of
 //! [`swsample_core::fault`] handed in as [`DurableOptions::faults`]:
@@ -53,6 +59,7 @@
 
 pub mod batch;
 pub mod engine;
+pub mod fleet;
 pub mod frame;
 pub mod snapshot;
 pub mod wal;
@@ -60,12 +67,14 @@ pub mod wal;
 pub use engine::{
     DurableEngine, DurableOptions, ResumeOverrides, CRASH_EXIT_CODE, SHUTDOWN_EXIT_CODE,
 };
+pub use fleet::{Fleet, Storage};
 
 use std::path::PathBuf;
 
 use swsample_core::state::StateError;
 #[cfg(doc)]
 use swsample_stream::MultiStreamEngine;
+use swsample_stream::WorkerPanic;
 
 /// Everything that can go wrong opening, appending to, or recovering a
 /// durable fleet.
@@ -86,6 +95,9 @@ pub enum DurableError {
     /// The on-disk configuration and the caller's disagree (e.g. a
     /// resume with a different template).
     Config(String),
+    /// A batch failed to apply to an in-memory [`Fleet`]: a per-key
+    /// sampler panicked (a key's clock running backwards, say).
+    Apply(WorkerPanic),
 }
 
 impl std::fmt::Display for DurableError {
@@ -97,6 +109,7 @@ impl std::fmt::Display for DurableError {
                 write!(f, "corrupt durable file {}: {detail}", file.display())
             }
             DurableError::Config(msg) => write!(f, "durable config error: {msg}"),
+            DurableError::Apply(e) => write!(f, "{e}"),
         }
     }
 }
@@ -106,6 +119,7 @@ impl std::error::Error for DurableError {
         match self {
             DurableError::Io(e) => Some(e),
             DurableError::State(e) => Some(e),
+            DurableError::Apply(e) => Some(e),
             _ => None,
         }
     }

@@ -21,6 +21,8 @@
 //! * [`client`] — a blocking protocol client.
 //! * [`loadgen`] — N-connection zipf load with latency percentiles and
 //!   the byte-identical offline-replay verification.
+//! * [`report`] — the `multi` report, shared by the CLI's offline fleet
+//!   and the load generator's rendering of a served one.
 //!
 //! Determinism across the wire: per-key sampler state folds over that
 //! key's own batched event subsequence, and the load generator routes
@@ -35,6 +37,7 @@
 pub mod client;
 pub mod loadgen;
 pub mod protocol;
+pub mod report;
 pub mod server;
 pub mod stats;
 

@@ -2,12 +2,12 @@
 //! batches, end-to-end throughput and reply-latency percentiles, and
 //! the across-the-wire determinism check.
 //!
-//! The workload is byte-for-byte the CLI `multi` workload (same
-//! [`ZipfGen`] + [`SmallRng`] draw order, same `(key, i/64, i)`
-//! shape), routed to connections by `key % connections` so each key's
-//! event subsequence rides one connection in order. Per-key sampler
-//! state depends only on that key's own batched subsequence, so the
-//! server's interleaving of connections is immaterial: an offline
+//! The workload is byte-for-byte the CLI `multi` workload
+//! ([`zipf_fleet_events`]), routed to connections by
+//! `key % connections` so each key's event subsequence rides one
+//! connection in order. Per-key sampler state depends only on that
+//! key's own batched subsequence, so the server's interleaving of
+//! connections is immaterial: an offline
 //! engine fed each connection's batches in connection-major order must
 //! answer **byte-identically** — [`run`] asserts exactly that when
 //! [`LoadgenConfig::verify`] is set. With one connection the server
@@ -15,17 +15,17 @@
 //! smoke diffs ([`LoadgenConfig::render_multi`] reproduces `multi`'s
 //! stdout from query replies alone).
 
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::time::{Duration, Instant};
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use swsample_core::fault::mix64;
-use swsample_core::spec::{Algorithm, SamplerSpec, WindowKind};
-use swsample_stream::{MultiStreamEngine, ValueGen, ZipfGen};
+use swsample_core::spec::SamplerSpec;
+use swsample_stream::{zipf_fleet_events, MultiStreamEngine};
 
 use crate::client::{Backoff, Client};
-use crate::protocol::{WireEvent, WireSample};
+use crate::protocol::{wire_samples, WireEvent};
+use crate::report::{hot_keys, write_multi_report};
 
 /// What to drive and how hard.
 #[derive(Debug, Clone)]
@@ -159,17 +159,15 @@ struct Workload {
 }
 
 fn generate(cfg: &LoadgenConfig) -> Workload {
-    let mut rng = SmallRng::seed_from_u64(cfg.workload_seed);
-    let mut zipf = ZipfGen::new(cfg.keys, cfg.theta);
-    let mut traffic: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+    let mut traffic: HashMap<u64, u64> = HashMap::new();
     let conns = cfg.connections.max(1);
     let mut per_conn: Vec<Vec<Vec<WireEvent>>> = vec![Vec::new(); conns];
     let mut open: Vec<Vec<WireEvent>> = vec![Vec::with_capacity(cfg.batch); conns];
-    for i in 0..cfg.count {
-        let key = zipf.next_value(&mut rng);
-        *traffic.entry(key).or_insert(0) += 1;
-        let c = (key % conns as u64) as usize;
-        open[c].push((key, i / 64, i));
+    let events = zipf_fleet_events(cfg.keys, cfg.theta, cfg.workload_seed);
+    for event in events.take(cfg.count as usize) {
+        *traffic.entry(event.0).or_insert(0) += 1;
+        let c = (event.0 % conns as u64) as usize;
+        open[c].push(event);
         if open[c].len() >= cfg.batch {
             per_conn[c].push(std::mem::replace(
                 &mut open[c],
@@ -182,38 +180,9 @@ fn generate(cfg: &LoadgenConfig) -> Workload {
             per_conn[c].push(chunk);
         }
     }
-    let mut traffic: Vec<(u64, u64)> = traffic.into_iter().collect();
-    // `multi`'s deterministic hot-key order: traffic descending, key
-    // ascending as the tiebreak.
-    traffic.sort_unstable_by_key(|&(key, cnt)| (std::cmp::Reverse(cnt), key));
-    Workload { per_conn, traffic }
-}
-
-/// `multi`'s memory-line qualifier, reproduced client-side from the
-/// template the server handed back in `HELLO_ACK`.
-fn memory_note(spec: &SamplerSpec) -> &'static str {
-    match (spec.algorithm, spec.window) {
-        (Algorithm::Paper, WindowKind::Timestamp(_)) => "deterministic O(k log n)",
-        (Algorithm::Paper, _) | (Algorithm::ReservoirL, _) => "deterministic",
-        (Algorithm::WindowBuffer, _) => "exact O(n) buffer",
-        (Algorithm::Chain, _) | (Algorithm::Priority, _) => "randomized bound",
-    }
-}
-
-fn render_samples(samples: &Option<Vec<WireSample>>, timestamped: bool) -> String {
-    match samples {
-        Some(samples) => samples
-            .iter()
-            .map(|(value, index, timestamp)| {
-                if timestamped {
-                    format!("{value}@t{timestamp}")
-                } else {
-                    format!("{value}@{index}")
-                }
-            })
-            .collect::<Vec<_>>()
-            .join(" "),
-        None => "(window empty)".into(),
+    Workload {
+        per_conn,
+        traffic: hot_keys(traffic),
     }
 }
 
@@ -420,7 +389,6 @@ pub fn run(cfg: &LoadgenConfig, out: &mut dyn Write) -> io::Result<LoadgenReport
         .with(|c| Ok(c.template().to_string()))?
         .parse()
         .map_err(|e| io::Error::other(format!("server template unparseable: {e}")))?;
-    let timestamped = matches!(template.window, WindowKind::Timestamp(_));
 
     if cfg.verify {
         // The offline reference: same batches, connection-major order.
@@ -434,12 +402,7 @@ pub fn run(cfg: &LoadgenConfig, out: &mut dyn Write) -> io::Result<LoadgenReport
             }
         }
         for &(key, _) in &workload.traffic {
-            let expect: Option<Vec<WireSample>> = offline.sample_k(&key).map(|samples| {
-                samples
-                    .iter()
-                    .map(|s| (*s.value(), s.index(), s.timestamp()))
-                    .collect()
-            });
+            let expect = offline.sample_k(&key).as_deref().map(wire_samples);
             let got = query_side.with(|c| c.query(key))?;
             if got != expect {
                 return Err(io::Error::other(format!(
@@ -452,22 +415,13 @@ pub fn run(cfg: &LoadgenConfig, out: &mut dyn Write) -> io::Result<LoadgenReport
 
     if cfg.render_multi {
         let stats = query_side.with(|c| c.stats())?;
-        for &(key, cnt) in workload.traffic.iter().take(cfg.show) {
-            let rendered = render_samples(&query_side.with(|c| c.query(key))?, timestamped);
-            writeln!(out, "key {key}\t{cnt} arrivals\t{rendered}")?;
-        }
-        writeln!(
-            out,
-            "# keys: {}/{} materialized across {} shards",
-            stats.engine.keys, cfg.keys, stats.engine.shards
-        )?;
-        writeln!(
-            out,
-            "# memory: fleet {} words, max per key {} words ({})",
-            stats.engine.memory_words,
-            stats.engine.max_key_words,
-            memory_note(&template)
-        )?;
+        let rows = workload
+            .traffic
+            .iter()
+            .take(cfg.show)
+            .map(|&(key, cnt)| Ok((key, cnt, query_side.with(|c| c.query(key))?)))
+            .collect::<io::Result<Vec<_>>>()?;
+        write_multi_report(out, &template, cfg.keys, &rows, &stats.engine)?;
     }
 
     if cfg.shutdown_server {

@@ -200,6 +200,14 @@ const OP_BYE_ACK: u8 = 0x89;
 /// timestamp)` — the fields of [`swsample_core::Sample`].
 pub type WireSample = (u64, u64, u64);
 
+/// A key's `k`-sample as it crosses the wire.
+pub fn wire_samples(samples: &[swsample_core::Sample<u64>]) -> Vec<WireSample> {
+    samples
+        .iter()
+        .map(|s| (*s.value(), s.index(), s.timestamp()))
+        .collect()
+}
+
 /// Messages a server sends. Opcodes `0x81..=0x89`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerMsg {

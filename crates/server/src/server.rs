@@ -15,10 +15,12 @@
 //!   batch is rejected with `BUSY` instead of buffered — backpressure
 //!   is explicit, the queue's high-watermark can never pass its bound,
 //!   and nothing is silently dropped (the client retries).
-//! * **The ingest loop** drains the queue into
-//!   [`MultiStreamEngine::ingest_parallel`] (or through
-//!   [`DurableEngine::ingest`] when a WAL directory is configured) and
-//!   acks each batch back to its connection. Because every
+//! * **The ingest loop** drains the queue into the [`Fleet`] — the one
+//!   fleet type `serve` and the CLI's `multi` share: in memory it
+//!   applies through [`MultiStreamEngine::try_ingest_parallel`] and an
+//!   apply failure comes back as a value; with a WAL directory it goes
+//!   through [`DurableEngine::ingest`], append then apply — and acks
+//!   each batch back to its connection. Because every
 //!   connection's batches enter the FIFO queue in connection order,
 //!   each key's event subsequence is applied in order — the engine's
 //!   determinism contract extends across the network boundary.
@@ -66,16 +68,19 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use swsample_core::fault::{FaultInjector, FaultSchedule, FaultSite};
-use swsample_core::{FleetBackend, MemoryWords, SamplerSpec};
+use swsample_core::SamplerSpec;
 use swsample_durable::engine::Event;
 use swsample_durable::frame::write_frame;
 use swsample_durable::wal::DEFAULT_SEGMENT_BYTES;
-use swsample_durable::{snapshot, DurableEngine, DurableOptions, ResumeOverrides};
+#[cfg(doc)]
+use swsample_durable::DurableEngine;
+use swsample_durable::{snapshot, DurableError, DurableOptions, Fleet, ResumeOverrides, Storage};
+#[cfg(doc)]
 use swsample_stream::MultiStreamEngine;
 
 use crate::protocol::{
-    read_client_msg, ClientMsg, ErrorCode, ProtocolError, ReadOutcome, ServerMsg, SubscribeKind,
-    PROTOCOL_VERSION,
+    read_client_msg, wire_samples, ClientMsg, ErrorCode, ProtocolError, ReadOutcome, ServerMsg,
+    SubscribeKind, PROTOCOL_VERSION,
 };
 use crate::stats::{ConnStats, EngineStats, GlobalStats, StatsSnapshot};
 
@@ -91,9 +96,11 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Ingest worker threads.
     pub threads: usize,
-    /// When set, wrap the fleet in a [`DurableEngine`] rooted here
-    /// (created fresh, or resumed if the directory already holds a
-    /// snapshot).
+    /// When set, the fleet is a [`DurableEngine`] rooted here: created
+    /// fresh, or resumed if the directory already holds a snapshot. A
+    /// resume takes `shards` and `threads` from this config, and
+    /// [`Server::start`] fails if the directory recorded a template
+    /// other than `template`.
     pub wal_dir: Option<PathBuf>,
     /// Auto-snapshot cadence for the durable fleet.
     pub snapshot_every: Option<u64>,
@@ -155,103 +162,6 @@ impl ServerConfig {
             max_conns: 4096,
             slow_consumer_budget: 65_536,
             faults: FaultSchedule::default(),
-        }
-    }
-}
-
-/// The fleet behind the server: plain in-memory, or WAL-backed (boxed —
-/// the durable engine carries WAL buffers that would bloat the enum).
-enum Fleet {
-    Plain(MultiStreamEngine<u64, u64>),
-    Durable(Box<Mutex<DurableEngine<u64, u64>>>),
-}
-
-impl Fleet {
-    fn apply(&self, batch: &[Event<u64, u64>]) -> Result<(), String> {
-        match self {
-            Fleet::Plain(engine) => engine.try_ingest_parallel(batch).map_err(|e| e.to_string()),
-            Fleet::Durable(engine) => {
-                let mut guard = engine.lock().expect("durable fleet lock poisoned");
-                guard.ingest(batch).map(|_| ()).map_err(|e| e.to_string())
-            }
-        }
-    }
-
-    fn sample_k(&self, key: u64) -> Option<Vec<swsample_core::Sample<u64>>> {
-        match self {
-            Fleet::Plain(engine) => engine.sample_k(&key),
-            Fleet::Durable(engine) => engine
-                .lock()
-                .expect("durable fleet lock poisoned")
-                .engine()
-                .sample_k(&key),
-        }
-    }
-
-    fn sample_k_many(&self, keys: &[u64]) -> Vec<Option<Vec<swsample_core::Sample<u64>>>> {
-        match self {
-            Fleet::Plain(engine) => engine.sample_k_many(keys),
-            Fleet::Durable(engine) => engine
-                .lock()
-                .expect("durable fleet lock poisoned")
-                .engine()
-                .sample_k_many(keys),
-        }
-    }
-
-    fn engine_stats(&self) -> EngineStats {
-        let grab = |e: &MultiStreamEngine<u64, u64>| {
-            let par = e.parallel_stats();
-            EngineStats {
-                keys: e.num_keys() as u64,
-                shards: e.num_shards() as u64,
-                threads: e.num_threads() as u64,
-                memory_words: e.memory_words() as u64,
-                max_key_words: e.max_key_memory_words() as u64,
-                parallel_units: par.units,
-                parallel_steals: par.steals,
-            }
-        };
-        match self {
-            Fleet::Plain(engine) => grab(engine),
-            Fleet::Durable(engine) => {
-                grab(engine.lock().expect("durable fleet lock poisoned").engine())
-            }
-        }
-    }
-
-    fn template(&self) -> SamplerSpec {
-        match self {
-            Fleet::Plain(engine) => engine.template().clone(),
-            Fleet::Durable(engine) => engine
-                .lock()
-                .expect("durable fleet lock poisoned")
-                .engine()
-                .template()
-                .clone(),
-        }
-    }
-
-    /// Transient WAL faults absorbed by the durable engine's bounded
-    /// retry (0 for the plain fleet).
-    fn wal_retries(&self) -> u64 {
-        match self {
-            Fleet::Plain(_) => 0,
-            Fleet::Durable(engine) => engine
-                .lock()
-                .expect("durable fleet lock poisoned")
-                .transient_retries(),
-        }
-    }
-
-    /// Graceful close: fsync + final snapshot for the durable fleet, a
-    /// no-op for the plain one.
-    fn close(&self) {
-        if let Fleet::Durable(engine) = self {
-            let mut guard = engine.lock().expect("durable fleet lock poisoned");
-            if let Err(e) = guard.close() {
-                eprintln!("swsample-server: final snapshot failed: {e}");
-            }
         }
     }
 }
@@ -435,7 +345,7 @@ struct Subscription {
 
 struct Shared {
     cfg: ServerConfig,
-    fleet: Fleet,
+    fleet: Fleet<u64, u64>,
     queue: IngestQueue,
     conns: Mutex<BTreeMap<u64, Arc<Conn>>>,
     subs: Mutex<Vec<Subscription>>,
@@ -520,7 +430,7 @@ impl Shared {
             .collect();
         StatsSnapshot {
             global,
-            engine: self.fleet.engine_stats(),
+            engine: self.fleet.read(EngineStats::of),
             conns,
         }
     }
@@ -566,7 +476,7 @@ impl Server {
     pub fn start(cfg: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
-        let fleet = build_fleet(&cfg).map_err(io::Error::other)?;
+        let fleet = open_fleet(&cfg).map_err(io::Error::other)?;
         let injector = FaultInjector::new(cfg.faults.clone());
         let shared = Arc::new(Shared {
             queue: IngestQueue::new(cfg.queue_max_events),
@@ -722,48 +632,29 @@ impl Drop for Server {
     }
 }
 
-fn build_fleet(cfg: &ServerConfig) -> Result<Fleet, String> {
-    match &cfg.wal_dir {
-        None => MultiStreamEngine::with_threads(
-            cfg.template.clone(),
-            cfg.shards,
-            swsample_baselines::spec::build::<u64>,
-            cfg.threads,
-        )
-        .map(Fleet::Plain)
-        .map_err(|e| e.to_string()),
-        Some(dir) => {
-            let opts = DurableOptions {
+/// The server's fleet: in memory, or on `cfg.wal_dir` — resumed when
+/// the directory already holds a snapshot (with the configured shard
+/// and thread counts), created fresh otherwise.
+fn open_fleet(cfg: &ServerConfig) -> Result<Fleet<u64, u64>, DurableError> {
+    let storage = match &cfg.wal_dir {
+        None => Storage::Memory,
+        Some(dir) => Storage::Wal(
+            dir.clone(),
+            DurableOptions {
                 segment_bytes: cfg.segment_bytes,
                 snapshot_every: cfg.snapshot_every,
                 faults: cfg.faults.clone(),
-            };
+            },
             // A missing directory has no snapshots: `create` makes it.
-            let has_snapshot = snapshot::list_snapshots(dir).is_ok_and(|s| !s.is_empty());
-            let engine = if has_snapshot {
-                DurableEngine::open_with(
-                    dir,
-                    opts,
-                    ResumeOverrides {
-                        shards: Some(cfg.shards),
-                        threads: Some(cfg.threads),
-                    },
-                )
-            } else {
-                DurableEngine::create(
-                    dir,
-                    cfg.template.clone(),
-                    cfg.shards,
-                    cfg.threads,
-                    FleetBackend::Auto,
-                    opts,
-                )
-            };
-            engine
-                .map(|e| Fleet::Durable(Box::new(Mutex::new(e))))
-                .map_err(|e| e.to_string())
-        }
-    }
+            snapshot::list_snapshots(dir)
+                .is_ok_and(|s| !s.is_empty())
+                .then_some(ResumeOverrides {
+                    shards: Some(cfg.shards),
+                    threads: Some(cfg.threads),
+                }),
+        ),
+    };
+    Fleet::open(cfg.template.clone(), cfg.shards, cfg.threads, storage)
 }
 
 /// Blocks in `accept`; [`wake_acceptor`] unparks it at shutdown. Any
@@ -991,7 +882,7 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, stream: TcpStream) {
                         &ServerMsg::HelloAck {
                             version: PROTOCOL_VERSION,
                             conn_id: conn.id,
-                            template: shared.fleet.template().to_string(),
+                            template: shared.fleet.read(|e| e.template().to_string()),
                         },
                     );
                     continue;
@@ -1062,12 +953,8 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, stream: TcpStream) {
                 }
             }
             ClientMsg::Query { key } => {
-                let samples = shared.fleet.sample_k(key).map(|samples| {
-                    samples
-                        .iter()
-                        .map(|s| (*s.value(), s.index(), s.timestamp()))
-                        .collect()
-                });
+                let samples = shared.fleet.read(|e| e.sample_k(&key));
+                let samples = samples.as_deref().map(wire_samples);
                 conn.send(false, &ServerMsg::Samples { key, samples });
             }
             ClientMsg::Subscribe {
@@ -1205,7 +1092,7 @@ fn ingest_loop(shared: Arc<Shared>) {
             }
         } else {
             let began = Instant::now();
-            match shared.fleet.apply(&batch.events) {
+            match shared.fleet.ingest(&batch.events) {
                 Ok(()) => {
                     shared.record_apply(began);
                     shared.global().events_applied += n;
@@ -1221,10 +1108,10 @@ fn ingest_loop(shared: Arc<Shared>) {
                         events: n,
                     }
                 }
-                Err(detail) => ServerMsg::Error {
+                Err(e) => ServerMsg::Error {
                     code: ErrorCode::Internal,
                     offset: 0,
-                    detail,
+                    detail: e.to_string(),
                 },
             }
         };
@@ -1233,7 +1120,9 @@ fn ingest_loop(shared: Arc<Shared>) {
         }
     }
     // Queue fully drained; make everything durable before exit.
-    shared.fleet.close();
+    if let Err(e) = shared.fleet.close() {
+        eprintln!("swsample-server: closing the fleet failed: {e}");
+    }
 }
 
 fn scheduler_loop(shared: Arc<Shared>) {
@@ -1275,7 +1164,7 @@ fn scheduler_loop(shared: Arc<Shared>) {
         keys.dedup();
         // One snapshot-consistent pass over the shard locks for every
         // due key.
-        let samples = shared.fleet.sample_k_many(&keys);
+        let samples = shared.fleet.read(|e| e.sample_k_many(&keys));
         let aggregate = |key: u64| -> Option<(u64, u64)> {
             let at = keys.binary_search(&key).ok()?;
             let sample = samples[at].as_ref()?;

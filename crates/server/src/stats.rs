@@ -7,6 +7,8 @@
 //! same pass.
 
 use swsample_core::state::{StateError, StateReader, StateWriter};
+use swsample_core::MemoryWords;
+use swsample_stream::MultiStreamEngine;
 
 /// Global server counters (one consistent view).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -93,6 +95,22 @@ pub struct EngineStats {
     /// Units claimed by a worker other than the shard's home worker —
     /// the work-stealing scheduler absorbing skew.
     pub parallel_steals: u64,
+}
+
+impl EngineStats {
+    /// `engine`'s shape, footprint and scheduler counters now.
+    pub fn of(engine: &MultiStreamEngine<u64, u64>) -> EngineStats {
+        let par = engine.parallel_stats();
+        EngineStats {
+            keys: engine.num_keys() as u64,
+            shards: engine.num_shards() as u64,
+            threads: engine.num_threads() as u64,
+            memory_words: engine.memory_words() as u64,
+            max_key_words: engine.max_key_memory_words() as u64,
+            parallel_units: par.units,
+            parallel_steals: par.steals,
+        }
+    }
 }
 
 /// A consistent snapshot of everything the server counts, answering

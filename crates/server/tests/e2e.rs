@@ -277,6 +277,38 @@ fn durable_shutdown_resumes_byte_identical() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A restart on a WAL directory recorded under another template fails
+/// to start, naming both templates, instead of serving the recorded
+/// template's samples as if they were the configured one's.
+#[test]
+fn restart_refuses_a_directory_recorded_with_another_template() {
+    let dir = temp_dir("template-mismatch");
+    let mut cfg = ServerConfig::new(template());
+    cfg.wal_dir = Some(dir.clone());
+    drop(start(cfg.clone()).shutdown());
+
+    let other: SamplerSpec = "--window seq --n 64 --mode wr --algo paper --k 9 --seed 7"
+        .parse()
+        .expect("template spec");
+    cfg.template = other.clone();
+    cfg.addr = "127.0.0.1:0".into();
+    let err = match Server::start(cfg.clone()) {
+        Ok(_) => panic!("a mismatched template must not start"),
+        Err(e) => e.to_string(),
+    };
+    assert!(
+        err.contains(&template().to_string()) && err.contains(&other.to_string()),
+        "the error must name both templates: {err}"
+    );
+
+    // The recorded template, at another shard/thread shape, still starts.
+    cfg.template = template();
+    cfg.shards = 4;
+    cfg.threads = 2;
+    drop(start(cfg).shutdown());
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// The SHUTDOWN opcode flips the server's shutdown flag so an embedding
 /// loop (the CLI `serve` command) can tear down.
 #[test]

@@ -204,30 +204,6 @@ fn dispatch_ts<K, T: Clone>(
     }
 }
 
-/// The serial ingest paths' routing: fill `routes` with each shard's
-/// `(position, key hash)` entries in arrival order, then hand every
-/// non-empty shard to `run` in shard order.
-fn run_serial<K: Hash, T: Clone>(
-    shards: &[Arc<RwLock<Shard<K, T>>>],
-    mask: u64,
-    batch: &[KeyedEvent<K, T>],
-    routes: &mut [Route],
-    mut run: impl FnMut(usize, &Arc<RwLock<Shard<K, T>>>, &[(u32, u64)]),
-) {
-    for route in routes.iter_mut() {
-        route.clear();
-    }
-    for (pos, (key, _, _)) in batch.iter().enumerate() {
-        let hash = fx_hash_key(key);
-        routes[shard_of(hash, mask)].push((pos as u32, hash));
-    }
-    for (s, (shard, route)) in shards.iter().zip(routes.iter()).enumerate() {
-        if !route.is_empty() {
-            run(s, shard, route);
-        }
-    }
-}
-
 impl<K: Hash + Eq + Clone, T: Clone + 'static> Shard<K, T> {
     fn new(template: &SamplerSpec, factory: SamplerFactory<T>) -> Self {
         Self {
@@ -461,8 +437,12 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
     /// [`ingest_parallel`](Self::ingest_parallel) at any thread count.
     ///
     /// # Panics
-    /// Panics if a key's timestamps run backwards (the per-key sampler's
-    /// clock contract), or if the batch exceeds `u32::MAX` events.
+    /// Panics if the batch exceeds `u32::MAX` events, and re-raises a
+    /// per-key sampler panic (e.g. a key's timestamps running backwards)
+    /// with the structured [`WorkerPanic`] message once the whole batch
+    /// has been routed: the batch's other shards still apply, and no
+    /// shard lock is poisoned, so the fleet stays queryable and
+    /// ingestible. The first panic in shard order is re-raised.
     pub fn ingest(&mut self, batch: &[KeyedEvent<K, T>]) {
         if batch.is_empty() {
             return;
@@ -471,29 +451,47 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
             batch.len() <= u32::MAX as usize,
             "batch exceeds u32 positions"
         );
+        let mut routes = std::mem::take(&mut self.routes);
+        let applied = self.ingest_inline(batch, &mut routes);
+        self.routes = routes;
+        if let Err(panic) = applied {
+            panic!("{panic}");
+        }
+    }
+
+    /// The one serial ingest path, behind [`ingest`](Self::ingest) and
+    /// the inline branch of [`try_ingest_parallel`](Self::try_ingest_parallel):
+    /// route each event as `(position, key hash)` into its shard's
+    /// route — no copies; a key is cloned only on first touch — then
+    /// run the shards one at a time under [`ingest_guarded`], which
+    /// catches a sampler panic without poisoning the shard lock.
+    /// Returns the first panic in shard order.
+    fn ingest_inline(
+        &self,
+        batch: &[KeyedEvent<K, T>],
+        routes: &mut [Route],
+    ) -> Result<(), WorkerPanic> {
         // A still-draining parallel epoch must fully apply before a
         // serial batch may touch the shards (per-shard batch order is
         // the determinism contract).
         self.sync();
-        // Route without copying: each shard's route holds (position into
-        // the caller's batch, key hash), so the serial path clones a key
-        // only on first-touch materialization and a value only at its
-        // sampler dispatch — owned per-shard copies are a shipping cost
-        // the parallel path alone pays. Shards still run one at a time to
-        // completion, keeping the working set (one index table + one slab
-        // + its hot samplers) small.
-        run_serial(
-            &self.shards,
-            self.shard_mask,
-            batch,
-            &mut self.routes,
-            |_, shard, route| {
-                shard
-                    .write()
-                    .expect("shard lock poisoned")
-                    .ingest(batch, route)
-            },
-        );
+        for route in routes.iter_mut() {
+            route.clear();
+        }
+        for (pos, (key, _, _)) in batch.iter().enumerate() {
+            let hash = fx_hash_key(key);
+            routes[self.shard_of(hash)].push((pos as u32, hash));
+        }
+        let mut first_panic = None;
+        for (s, (shard, route)) in self.shards.iter().zip(routes.iter()).enumerate() {
+            if route.is_empty() {
+                continue;
+            }
+            if let Err(p) = ingest_guarded(shard, batch, route, 0, s) {
+                first_panic.get_or_insert(p);
+            }
+        }
+        first_panic.map_or(Ok(()), Err)
     }
 
     /// The key's current `k`-sample, or `None` if the key has never
@@ -846,23 +844,8 @@ where
         if self.threads <= 1 || nshards == 1 {
             // Inline serial path. Routes are local (not the engine's
             // scratch) because `&self` must not alias concurrent callers.
-            // Sync first: a pending epoch could exist if the pool was
-            // just shrunk to 1 thread mid-pipeline.
-            self.sync();
             let mut routes: Vec<Route> = (0..nshards).map(|_| Vec::new()).collect();
-            let mut first_panic = None;
-            run_serial(
-                &self.shards,
-                self.shard_mask,
-                batch,
-                &mut routes,
-                |s, shard, route| {
-                    if let Err(p) = ingest_guarded(shard, batch, route, 0, s) {
-                        first_panic.get_or_insert(p);
-                    }
-                },
-            );
-            return first_panic.map_or(Ok(()), Err);
+            return self.ingest_inline(batch, &mut routes);
         }
         let pool = self.pool.as_ref().expect("set_threads spawned the pool");
         // Prepare (partition + counting sort + LPT order) runs *before*
@@ -908,7 +891,7 @@ impl<K, T: Clone + 'static> MemoryWords for MultiStreamEngine<K, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::values::{ValueGen, ZipfGen};
+    use crate::values::{zipf_fleet_events, ValueGen, ZipfGen};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -1174,6 +1157,39 @@ mod tests {
     }
 
     #[test]
+    fn serial_ingest_panic_leaves_every_shard_usable() {
+        // The same backwards clock through the serial `ingest`: it
+        // re-raises structured after the whole batch, the other shard's
+        // events still apply, and the panicked shard's lock is not
+        // poisoned.
+        let spec: SamplerSpec = "--window ts --w 10 --k 2 --seed 1".parse().expect("spec");
+        let mut e: MultiStreamEngine<u64, u64> =
+            MultiStreamEngine::with_factory(spec, 4, SamplerSpec::build::<u64>).expect("engine");
+        let mask = e.shard_mask;
+        let key_shard = |key: u64| shard_of(fx_hash_key(&key), mask);
+        let b = (0..100u64)
+            .find(|&k| key_shard(k) != key_shard(7))
+            .expect("some key lands elsewhere");
+        e.ingest(&[(7, 10, 1)]);
+        let msg = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            e.ingest(&[(7, 5, 2), (b, 10, 3)])
+        }))
+        .expect_err("key 7's clock ran backwards");
+        let msg = msg.downcast_ref::<String>().expect("string payload");
+        assert!(
+            msg.contains(&format!("shard {}", key_shard(7))) && msg.contains("backwards"),
+            "unstructured message: {msg}"
+        );
+        assert!(e.sample_k(&7).is_some(), "panicked shard unreadable");
+        assert!(
+            e.sample_k(&b).is_some(),
+            "the batch's other shard was skipped"
+        );
+        e.ingest(&[(7, 11, 4)]);
+        assert!(e.sample_k(&7).is_some());
+    }
+
+    #[test]
     fn save_restore_round_trips_across_scales() {
         // Checkpoint at the halfway point, restore into the same and into
         // different shard counts — then finish the stream everywhere and
@@ -1272,18 +1288,10 @@ mod tests {
             MultiStreamEngine::with_factory(seq_wr_spec(n, k, 42), 64, SamplerSpec::build::<u64>)
                 .expect("engine");
 
-        let mut rng = SmallRng::seed_from_u64(7);
-        let mut zipf = ZipfGen::new(keys, 1.05);
-        let mut batch: Vec<(u64, u64, u64)> = Vec::with_capacity(1024);
-        let total = 400_000u64;
-        for i in 0..total {
-            batch.push((zipf.next_value(&mut rng), i / 64, i));
-            if batch.len() == 1024 {
-                e.ingest(&batch);
-                batch.clear();
-            }
+        let events: Vec<(u64, u64, u64)> = zipf_fleet_events(keys, 1.05, 7).take(400_000).collect();
+        for batch in events.chunks(1024) {
+            e.ingest(batch);
         }
-        e.ingest(&batch);
 
         assert!(
             e.num_keys() > 40_000,

@@ -37,4 +37,4 @@ pub use engine::{
 };
 pub use event::{Timestamp, WindowSpec};
 pub use graph::{count_triangles, Edge, EdgeStreamGen};
-pub use values::{ConstantGen, RoundRobinGen, UniformGen, ValueGen, ZipfGen};
+pub use values::{zipf_fleet_events, ConstantGen, RoundRobinGen, UniformGen, ValueGen, ZipfGen};

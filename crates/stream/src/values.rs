@@ -4,7 +4,8 @@
 //! (frequency moments, entropy) are sensitive to the value distribution, so
 //! the experiments sweep uniform and Zipf workloads.
 
-use rand::Rng;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// A deterministic-given-seed source of stream values over `[0, domain)`.
 pub trait ValueGen {
@@ -96,6 +97,21 @@ impl ValueGen for ZipfGen {
     fn domain(&self) -> u64 {
         self.cdf.len() as u64
     }
+}
+
+/// The keyed fleet workload the `multi` command, the load generator,
+/// the fleet benches and tests share: event `i` is `(key, i / 64, i)` —
+/// a [`ZipfGen`] key over `0..keys` drawn from a [`SmallRng`] seeded
+/// with `seed`, a clock that ticks every 64 arrivals, and the global
+/// arrival index as the value. Endless; `take` as many as needed.
+pub fn zipf_fleet_events(
+    keys: u64,
+    theta: f64,
+    seed: u64,
+) -> impl Iterator<Item = (u64, u64, u64)> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut zipf = ZipfGen::new(keys, theta);
+    (0u64..).map(move |i| (zipf.next_value(&mut rng), i / 64, i))
 }
 
 /// Deterministic round-robin values `0, 1, …, domain−1, 0, 1, …`.

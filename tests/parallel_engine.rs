@@ -20,7 +20,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use swsample::core::spec::SamplerSpec;
 use swsample::core::{ErasedWindowSampler, MemoryWords};
-use swsample::stream::{MultiStreamEngine, ValueGen, ZipfGen};
+use swsample::stream::{zipf_fleet_events, MultiStreamEngine, ValueGen, ZipfGen};
 
 type Engine = MultiStreamEngine<u64, u64>;
 
@@ -131,11 +131,7 @@ fn hundred_thousand_keys_parallel_within_paper_caps() {
     let (keys, k) = (100_000u64, 16usize);
     let cap = 7 * k + 3;
     let mut engine = build_engine("--window seq --n 1000 --k 16 --seed 42", 64, 4);
-    let mut rng = SmallRng::seed_from_u64(7);
-    let mut zipf = ZipfGen::new(keys, 1.05);
-    let events: Vec<(u64, u64, u64)> = (0..400_000u64)
-        .map(|i| (zipf.next_value(&mut rng), i / 64, i))
-        .collect();
+    let events: Vec<(u64, u64, u64)> = zipf_fleet_events(keys, 1.05, 7).take(400_000).collect();
     drive(&mut engine, &events, 8_192);
 
     assert!(

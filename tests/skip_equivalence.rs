@@ -13,7 +13,7 @@ use swsample::core::seq::{SeqSamplerWor, SeqSamplerWr};
 use swsample::core::ts::{TsSamplerWor, TsSamplerWr};
 use swsample::core::{MemoryWords, WindowSampler};
 use swsample::stats::chi_square_uniform_test;
-use swsample::stream::{MultiStreamEngine, ValueGen, WindowSpec, ZipfGen};
+use swsample::stream::{zipf_fleet_events, MultiStreamEngine, WindowSpec};
 
 /// Skip-path and naive-path WR samplers report identical MemoryWords at
 /// every step: which samples are retained is a deterministic function of
@@ -351,11 +351,7 @@ fn seq_wr_golden_sample_digest() {
         2,
     )
     .expect("engine builds");
-    let mut rng = SmallRng::seed_from_u64(16);
-    let mut zipf = ZipfGen::new(1_000, 1.1);
-    let events: Vec<(u64, u64, u64)> = (0..200_000u64)
-        .map(|i| (zipf.next_value(&mut rng), i / 64, i))
-        .collect();
+    let events: Vec<(u64, u64, u64)> = zipf_fleet_events(1_000, 1.1, 16).take(200_000).collect();
     for chunk in events.chunks(4096) {
         engine.ingest_parallel(chunk);
     }
