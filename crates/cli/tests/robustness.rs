@@ -268,6 +268,33 @@ fn threads_and_durability_combos_report_the_flag() {
     }
 }
 
+/// A sequence window past the with-replacement samplers' limit exits
+/// 1 with the spec error on stderr, for the paper's sampler and for
+/// chain sampling, instead of panicking on the first key.
+#[test]
+fn windows_past_the_samplers_limit_exit_with_the_spec_error() {
+    for (n, algo) in [
+        ("4611686018427387905", "paper"),
+        ("4611686018427387904", "chain"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_swsample"))
+            .args(["multi", "--keys", "5", "--count", "50", "--window", "seq"])
+            .args(["--n", n, "--algo", algo, "--k", "2"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "--n {n} --algo {algo}: {stderr}"
+        );
+        assert!(
+            stderr.starts_with("swsample: ") && stderr.contains("2^62"),
+            "--n {n} --algo {algo}: {stderr}"
+        );
+    }
+}
+
 /// `Args::parse` on raw garbage never panics (no pool, pure bytes).
 #[test]
 fn args_parse_handles_edge_shapes() {

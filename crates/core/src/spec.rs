@@ -147,6 +147,10 @@ impl std::error::Error for SpecError {}
 /// multi-stream engine) takes the factory as a value.
 pub type SamplerFactory<T> = fn(&SamplerSpec) -> Result<Box<dyn ErasedWindowSampler<T>>, SpecError>;
 
+/// Largest sequence window the with-replacement samplers take: the
+/// paper's needs `n ≤ 2^62`, chain sampling `n < 2^62`.
+const SEQ_WR_MAX_N: u64 = 1 << 62;
+
 /// The fleet-storage selector of older releases, kept so callers that
 /// still pass it (`MultiStreamEngine::with_backend`,
 /// `DurableEngine::create`) compile unchanged.
@@ -192,7 +196,9 @@ impl SamplerSpec {
     /// without-replacement form); window buffering answers
     /// without-replacement queries over either window kind; Algorithm L
     /// runs over the whole stream without replacement; the paper's
-    /// samplers cover both windows in both modes.
+    /// samplers cover both windows in both modes. Sequence windows with
+    /// replacement are capped where their samplers' index arithmetic
+    /// stops: the paper's at `n ≤ 2^62`, chain sampling's at `n < 2^62`.
     pub fn validate(&self) -> Result<(), SpecError> {
         let err = |m: String| Err(SpecError::Invalid(m));
         if self.k == 0 {
@@ -205,10 +211,13 @@ impl SamplerSpec {
         }
         let (win, rep) = (self.window, self.replacement);
         match self.algorithm {
-            Algorithm::Paper => match win {
-                WindowKind::WholeStream => {
+            Algorithm::Paper => match (win, rep) {
+                (WindowKind::WholeStream, _) => {
                     err("the paper's samplers need a window (--window seq|ts)".into())
                 }
+                (WindowKind::Sequence(n), Replacement::With) if n > SEQ_WR_MAX_N => err(format!(
+                    "--n {n} is above the seq-WR sampler's limit of 2^62"
+                )),
                 _ => Ok(()),
             },
             Algorithm::ReservoirL => match (win, rep) {
@@ -219,6 +228,9 @@ impl SamplerSpec {
                 _ => err("reservoir-l runs over the whole stream (--window stream)".into()),
             },
             Algorithm::Chain => match (win, rep) {
+                (WindowKind::Sequence(n), Replacement::With) if n >= SEQ_WR_MAX_N => err(format!(
+                    "--n {n} is at or above the chain sampler's limit of 2^62"
+                )),
                 (WindowKind::Sequence(_), Replacement::With) => Ok(()),
                 (WindowKind::Sequence(_), Replacement::Without) => {
                     err("chain sampling is with-replacement (--mode wr)".into())
@@ -493,6 +505,36 @@ mod tests {
         ] {
             assert!(spec(bad).validate().is_err(), "`{bad}` should not validate");
         }
+    }
+
+    #[test]
+    fn validate_caps_seq_wr_windows_where_the_samplers_do() {
+        let limit = 1u64 << 62;
+        assert!(spec(&format!("--window seq --n {limit} --k 2"))
+            .validate()
+            .is_ok());
+        for bad in [
+            format!("--window seq --n {} --k 2", limit + 1),
+            format!("--window seq --n {} --k 2", u64::MAX),
+            format!("--window seq --n {limit} --algo chain --k 2"),
+        ] {
+            assert!(
+                matches!(spec(&bad).validate(), Err(SpecError::Invalid(m)) if m.contains("2^62")),
+                "`{bad}` should not validate"
+            );
+        }
+        assert!(spec(&format!(
+            "--window seq --n {} --algo chain --k 2",
+            limit - 1
+        ))
+        .validate()
+        .is_ok());
+        // Without replacement the paper's sampler has no such cap.
+        assert!(
+            spec(&format!("--window seq --n {} --mode wor --k 2", limit + 1))
+                .validate()
+                .is_ok()
+        );
     }
 
     #[test]

@@ -1128,6 +1128,10 @@ impl<T: StateCodec> SamplerState<T> {
 
     /// Decode a bare payload written by
     /// [`encode_payload`](SamplerState::encode_payload).
+    ///
+    /// A seq-WR record in which two lanes hold the same stream index with
+    /// different samples is [`StateError::Corrupt`]: no run writes one,
+    /// and the sampler stores lanes that share an index as one candidate.
     pub fn decode_payload(r: &mut StateReader<'_>) -> Result<Self, StateError> {
         match r.get_u8()? {
             TAG_SEQ_WR => {
@@ -1136,15 +1140,37 @@ impl<T: StateCodec> SamplerState<T> {
                 let rng = get_rng(r)?;
                 let n = r.get_count(2 + FIELD_MIN)?; // two option tags + next_accept
                 let mut lanes = Vec::with_capacity(n);
+                // Every held sample's stream index and encoding: lanes
+                // that hold one index must hold one sample.
+                let buf = r.buf;
+                let mut held = Vec::with_capacity(2 * n);
                 for _ in 0..n {
+                    let at = r.pos;
                     let prev = get_opt_sample(r)?;
+                    let mid = r.pos;
                     let cur = get_opt_sample(r)?;
+                    if let Some(s) = &prev {
+                        held.push((s.index(), &buf[at..mid]));
+                    }
+                    if let Some(s) = &cur {
+                        held.push((s.index(), &buf[mid..r.pos]));
+                    }
                     let next_accept = r.get_field()?;
                     lanes.push(SeqWrLaneState {
                         prev,
                         cur,
                         next_accept,
                     });
+                }
+                held.sort_unstable_by_key(|&(index, _)| index);
+                if let Some(p) = held
+                    .windows(2)
+                    .find(|p| p[0].0 == p[1].0 && p[0].1 != p[1].1)
+                {
+                    return Err(StateError::Corrupt(format!(
+                        "seq-wr: lanes hold stream index {} with different samples",
+                        p[0].0
+                    )));
                 }
                 Ok(SamplerState::SeqWr {
                     count,

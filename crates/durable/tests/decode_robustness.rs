@@ -206,6 +206,49 @@ fn unreachable_seq_wr_lanes_fail_open_with_a_typed_error() {
     }
 }
 
+/// A seq-WR record in which two lanes hold the same stream index with
+/// different values cannot come from any run (lanes that share an index
+/// share one stored candidate): opening it is a typed corruption error,
+/// not a silent pick of one of the two.
+#[test]
+fn seq_wr_lanes_disagreeing_on_one_index_fail_open_with_a_typed_error() {
+    let spec: SamplerSpec = "--window seq --n 24 --mode wr --algo paper --k 3 --seed 9"
+        .parse()
+        .expect("spec");
+    let mut sampler = spec.build::<u64>().expect("build");
+    for i in 0..30 {
+        sampler.insert(i);
+    }
+    let state = sampler.save_state().expect("save");
+    let SamplerState::SeqWr { lanes, .. } = &state else {
+        panic!("expected a seq-wr state")
+    };
+    let shared = lanes[0].cur.clone().expect("partial bucket holds a sample");
+    // Point lane 1 at lane 0's stream index, holding `value`.
+    let open_with = |tag: &str, value: u64| {
+        let mut state = state.clone();
+        if let SamplerState::SeqWr { lanes, .. } = &mut state {
+            lanes[1].cur = Some(Sample::new(value, shared.index(), shared.timestamp()));
+        }
+        let mut payload = StateWriter::for_state_version(STATE_VERSION);
+        state.encode_payload(&mut payload);
+        let path = crafted_snapshot(tag, b"erased", STATE_VERSION as u8, payload.as_bytes());
+        let read = read_snapshot::<u64, u64>(&path).map(|_| ());
+        let dir = path.parent().expect("snapshot dir").to_path_buf();
+        let opened = DurableEngine::<u64, u64>::open(&dir, DurableOptions::default()).map(|_| ());
+        let _ = std::fs::remove_dir_all(&dir);
+        (read, opened)
+    };
+    let (read, opened) = open_with("seq-wr-shared", *shared.value());
+    read.expect("lanes sharing one sample decode");
+    opened.expect("lanes sharing one sample open");
+    match open_with("seq-wr-disagreeing", shared.value() + 1) {
+        (Err(DurableError::Corrupt { detail, .. }), Err(DurableError::Corrupt { .. }))
+            if detail.contains("different samples") => {}
+        other => panic!("expected typed corruption, got {other:?}"),
+    }
+}
+
 /// An in-place edit of a ts bank checkpoint.
 type BankEdit = fn(&mut TsBankState<u64>);
 

@@ -309,6 +309,19 @@ fn restart_refuses_a_directory_recorded_with_another_template() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A sequence window past the seq-WR sampler's limit is refused at
+/// start with the spec error, not a panic on the first key.
+#[test]
+fn start_refuses_a_window_past_the_samplers_limit() {
+    let over: SamplerSpec = "--window seq --n 4611686018427387905 --k 2"
+        .parse()
+        .expect("template spec");
+    match Server::start(ServerConfig::new(over)) {
+        Ok(_) => panic!("a window past 2^62 must not start"),
+        Err(e) => assert!(e.to_string().contains("2^62"), "{e}"),
+    }
+}
+
 /// The SHUTDOWN opcode flips the server's shutdown flag so an embedding
 /// loop (the CLI `serve` command) can tear down.
 #[test]

@@ -76,7 +76,11 @@
 //! Memory scales as the paper promises per key: a fleet of `m` active
 //! keys with a sequence-WR template costs at most `m · (7k + 3)` words —
 //! deterministic, because every per-key sampler inherits its theorem's
-//! hard ceiling. [`MultiStreamEngine::memory_words`]
+//! hard ceiling. The typical count is lower and depends on the samples
+//! drawn: a seq-WR bucket stores each element its lanes hold once (plus
+//! a small per-lane selector), so a key whose lanes repeat few elements
+//! costs far less than the ceiling (about 33 words at `k = 16` on a
+//! 100k-key zipf fleet, against 115). [`MultiStreamEngine::memory_words`]
 //! and [`MultiStreamEngine::max_key_memory_words`] expose both sides of
 //! that accounting, and
 //! [`MultiStreamEngine::registry_overhead_words`] reports the registry
@@ -917,6 +921,28 @@ mod tests {
                 "shard {shard} got {c} of 4096 keys"
             );
         }
+    }
+
+    #[test]
+    fn windows_past_the_samplers_limit_fail_construction() {
+        // Past the samplers' limit, construction fails with a typed spec
+        // error rather than a sampler panic on the first key.
+        let over = seq_wr_spec((1 << 62) + 1, 2, 1);
+        assert!(matches!(
+            MultiStreamEngine::<u64, u64>::new(over),
+            Err(SpecError::Invalid(m)) if m.contains("2^62")
+        ));
+        let chain: SamplerSpec = "--window seq --n 4611686018427387904 --algo chain --k 2"
+            .parse()
+            .expect("spec");
+        assert!(matches!(
+            MultiStreamEngine::<u64, u64>::new(chain),
+            Err(SpecError::Invalid(m)) if m.contains("2^62")
+        ));
+        let mut at_limit: MultiStreamEngine<u64, u64> =
+            MultiStreamEngine::new(seq_wr_spec(1 << 62, 2, 1)).expect("2^62 itself is fine");
+        at_limit.ingest(&[(1, 0, 1)]);
+        assert_eq!(at_limit.sample_k(&1).map(|s| s.len()), Some(2));
     }
 
     #[test]

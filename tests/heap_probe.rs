@@ -1,0 +1,148 @@
+//! Live heap bytes per key for the paper's four sampler families on a
+//! zipf-keyed fleet, next to the paper's word model.
+//!
+//! A counting global allocator tracks requested live bytes (no allocator
+//! rounding). Each row builds a `MultiStreamEngine` (64 shards, 1 thread),
+//! feeds it zipf(1.1) events in batches of 256 — the fleet shape of
+//! `zipf_fleet_events`, `k = 16`, `n = w = 1000` — and divides the live
+//! byte delta by the touched keys. Shard tables, route buffers and
+//! thread-local scratch count; the event buffer is allocated up front and
+//! does not. The model column is `(memory_words +
+//! registry_overhead_words) × 8` per key.
+//!
+//! The binary holds one test, so nothing else allocates while it
+//! measures. Run with `cargo test --test heap_probe -- --nocapture` to
+//! see the table.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, Ordering};
+
+use swsample::core::MemoryWords;
+use swsample::stream::{zipf_fleet_events, MultiStreamEngine};
+
+struct Counting;
+
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+// SAFETY: every method forwards to `System` unchanged and only counts.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            LIVE.fetch_add(
+                new_size as isize - layout.size() as isize,
+                Ordering::Relaxed,
+            );
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// One probe row: live heap and model bytes per touched key.
+struct Row {
+    keys: usize,
+    heap: f64,
+    model: f64,
+}
+
+/// Build a fleet of `template` over `keys` zipf keys, feed it `events`
+/// arrivals, and measure it.
+fn probe(template: &str, keys: u64, events: usize) -> Row {
+    let stream: Vec<(u64, u64, u64)> = zipf_fleet_events(keys, 1.1, 11).take(events).collect();
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut engine: MultiStreamEngine<u64, u64> = MultiStreamEngine::with_threads(
+        template.parse().expect("template parses"),
+        64,
+        swsample::baselines::spec::build::<u64>,
+        1,
+    )
+    .expect("engine builds");
+    for batch in stream.chunks(256) {
+        engine.ingest(batch);
+    }
+    let heap = LIVE.load(Ordering::Relaxed) - before;
+    let touched = engine.num_keys();
+    let model = (engine.memory_words() + engine.registry_overhead_words()) * 8;
+    drop(engine);
+    Row {
+        keys: touched,
+        heap: heap as f64 / touched as f64,
+        model: model as f64 / touched as f64,
+    }
+}
+
+/// Seq-WR heap per key at 100k keys with the lanes stored plainly (two
+/// arrays of `k` optional samples), measured by this probe at its shape.
+/// The indexed lane layout must stay at least 35% below it.
+const SEQ_WR_100K_PLAIN: f64 = 842.0;
+
+#[test]
+fn heap_bytes_per_key_by_family() {
+    let families = [
+        ("seq-WR", "--window seq --n 1000 --mode wr --k 16 --seed 11"),
+        (
+            "seq-WOR",
+            "--window seq --n 1000 --mode wor --k 16 --seed 11",
+        ),
+        ("ts-WR", "--window ts --w 1000 --mode wr --k 16 --seed 11"),
+        ("ts-WOR", "--window ts --w 1000 --mode wor --k 16 --seed 11"),
+    ];
+    println!("| template | 1k keys: heap / model, B per key | 100k keys: heap / model |");
+    println!("|---|---|---|");
+    let mut seq_wr_100k = None;
+    for (name, template) in families {
+        let small = probe(template, 1_000, 100_000);
+        let large = probe(template, 100_000, 200_000);
+        println!(
+            "| {name} | {:.0} / {:.0} ({:.1}×) | {:.0} / {:.0} ({:.1}×, {} keys) |",
+            small.heap,
+            small.model,
+            small.heap / small.model,
+            large.heap,
+            large.model,
+            large.heap / large.model,
+            large.keys,
+        );
+        for row in [&small, &large] {
+            assert!(
+                row.heap >= row.model * 0.9,
+                "{name}: heap {:.0} B/key below the word model {:.0}",
+                row.heap,
+                row.model
+            );
+        }
+        if name == "seq-WR" {
+            seq_wr_100k = Some(large.heap);
+        }
+    }
+    let seq_wr = seq_wr_100k.expect("seq-WR row measured");
+    assert!(
+        seq_wr <= 0.65 * SEQ_WR_100K_PLAIN,
+        "seq-WR heap {seq_wr:.0} B/key at 100k keys, bar {:.0}",
+        0.65 * SEQ_WR_100K_PLAIN
+    );
+}

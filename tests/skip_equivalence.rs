@@ -2,8 +2,8 @@
 //! next-acceptance indices, Algorithm L buckets, batched insert) must be
 //! indistinguishable from the naive per-arrival reference paths — same
 //! sampling distribution at the same chi-square thresholds as the seed
-//! tests, identical `MemoryWords` trajectories, and `O(log n)` RNG draws
-//! per window instead of `Θ(n)`.
+//! tests, `MemoryWords` that are an exact account of what each path
+//! stores, and `O(log n)` RNG draws per window instead of `Θ(n)`.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -15,9 +15,12 @@ use swsample::core::{MemoryWords, WindowSampler};
 use swsample::stats::chi_square_uniform_test;
 use swsample::stream::{zipf_fleet_events, MultiStreamEngine, WindowSpec};
 
-/// Skip-path and naive-path WR samplers report identical MemoryWords at
-/// every step: which samples are retained is a deterministic function of
-/// the arrival count, and the skip state is accounted on both paths.
+/// Skip-path and naive-path WR samplers hold the same layout for the same
+/// lanes, but draw different samples, so their words differ step by
+/// step. At every step each stays under the `7k + 3` cap, and restoring
+/// the skip path's record into a naive sampler stores exactly the skip
+/// path's words. (That the words are an exact recount of the lanes is
+/// checked by the sampler's unit tests, which see its layout.)
 #[test]
 fn wr_memory_words_lockstep_with_naive() {
     for &(n, k) in &[(7u64, 1usize), (16, 4), (100, 9)] {
@@ -26,12 +29,51 @@ fn wr_memory_words_lockstep_with_naive() {
         for i in 0..(4 * n + 3) {
             skip.insert(i);
             naive.insert(i);
+            for s in [&skip, &naive] {
+                assert!(s.memory_words() <= 7 * k + 3, "n={n}, k={k}, step {i}");
+            }
+            let mut crossed = SeqSamplerWr::naive(n, k, SmallRng::seed_from_u64(5));
+            crossed
+                .restore_state(skip.save_state().expect("skip path saves"))
+                .expect("a skip record restores into a naive sampler");
             assert_eq!(
+                crossed.memory_words(),
                 skip.memory_words(),
-                naive.memory_words(),
                 "n={n}, k={k}, step {i}"
             );
         }
+    }
+}
+
+/// A fleet resumed from its checkpoint reports the live fleet's
+/// `memory_words`: every key's buckets are rebuilt in the live layout.
+/// Both keep agreeing as ingestion continues.
+#[test]
+fn seq_wr_resumed_fleet_reports_live_memory() {
+    let template: swsample::core::SamplerSpec = "--window seq --n 200 --mode wr --k 16 --seed 3"
+        .parse()
+        .expect("template parses");
+    let events: Vec<(u64, u64, u64)> = zipf_fleet_events(500, 1.1, 8).take(60_000).collect();
+    let (head, tail) = events.split_at(37_001);
+    let mut live: MultiStreamEngine<u64, u64> =
+        MultiStreamEngine::new(template.clone()).expect("engine builds");
+    live.ingest(head);
+    let mut resumed: MultiStreamEngine<u64, u64> =
+        MultiStreamEngine::new(template).expect("engine builds");
+    resumed
+        .restore_states(live.save_states().expect("seq-wr saves"))
+        .expect("checkpoint restores");
+    assert_eq!(resumed.memory_words(), live.memory_words());
+    assert!(live.memory_words() < live.num_keys() * (7 * 16 + 3));
+    for chunk in tail.chunks(1000) {
+        live.ingest(chunk);
+        resumed.ingest(chunk);
+        assert_eq!(resumed.memory_words(), live.memory_words());
+    }
+    let mut keys = live.keys();
+    keys.sort_unstable();
+    for key in &keys {
+        assert_eq!(resumed.sample_k(key), live.sample_k(key), "key {key}");
     }
 }
 
@@ -362,4 +404,50 @@ fn seq_wr_golden_sample_digest() {
         h = fold_samples(fnv1a(h, [*key]), engine.sample_k(key));
     }
     assert_eq!(h, 0xc7e7_1c9f_2933_1124, "fleet digest moved");
+}
+
+/// Golden digest of seq-WR checkpoint records (`save_state` encoded as a
+/// state record), which pins every lane's `prev`/`cur` samples and
+/// `next_accept` byte for byte, not only the samples a query returns.
+/// Each `k` runs over a hot stream of 2.5 buckets of `n = 10_000`: at
+/// `k = 70` the lanes hold nearly as many distinct elements as there are
+/// lanes late in each bucket, and few early on. Records are hashed every
+/// 397 arrivals, fed alternately per element and by batch; small naive
+/// samplers pin the per-arrival path's records too.
+#[test]
+fn seq_wr_golden_state_digest() {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    let record = |s: &SeqSamplerWr<u64, SmallRng>| {
+        s.save_state()
+            .expect("non-tracking sampler saves")
+            .encode_record()
+    };
+    let mut h = OFFSET;
+    for k in [1usize, 2, 5, 16, 70] {
+        let n = 10_000u64;
+        let mut s = SeqSamplerWr::new(n, k, SmallRng::seed_from_u64(77 + k as u64));
+        let values: Vec<u64> = (0..5 * n / 2)
+            .map(|i| i.wrapping_mul(0x9e37_79b9) ^ 3)
+            .collect();
+        for (j, chunk) in values.chunks(397).enumerate() {
+            if j % 2 == 0 {
+                s.insert_batch(chunk);
+            } else {
+                for &v in chunk {
+                    s.insert(v);
+                }
+            }
+            h = fnv1a(h, record(&s).into_iter().map(u64::from));
+        }
+    }
+    for k in [2usize, 16] {
+        let mut s = SeqSamplerWr::naive(300, k, SmallRng::seed_from_u64(5 + k as u64));
+        for i in 0..900u64 {
+            s.insert(i);
+            if i % 37 == 0 {
+                h = fnv1a(h, record(&s).into_iter().map(u64::from));
+            }
+        }
+    }
+    assert_eq!(h, 0x2103_03c3_0a62_1e9a, "state-record digest moved");
 }
