@@ -1,15 +1,30 @@
 //! Criterion group `e8_ts_bank`: per-element ingestion cost of the fused
-//! `TsEngineBank` samplers against the retained independent-engine
-//! construction, across `k` — the ablation behind the `ts_wr_speedup_k64`
-//! field of `BENCH_throughput.json`.
+//! `TsEngineBank` samplers against the independent-engine reference types
+//! (`IndependentTsWr`/`IndependentTsWor`), across `k` — the ablation
+//! behind the `ts_wr_speedup_k64` field of `BENCH_throughput.json`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Duration;
+use swsample_core::ts::independent::{IndependentTsWor, IndependentTsWr};
 use swsample_core::ts::{TsSamplerWor, TsSamplerWr};
 use swsample_core::WindowSampler;
+
+/// One arrival per iteration, 4 arrivals per tick.
+fn bench_inserts<S: WindowSampler<u64>>(b: &mut Bencher, s: &mut S) {
+    let mut tick = 0u64;
+    let mut i = 0u64;
+    b.iter(|| {
+        if i.is_multiple_of(4) {
+            tick += 1;
+            s.advance_time(tick);
+        }
+        s.insert(black_box(i));
+        i += 1;
+    });
+}
 
 fn bench_bank_vs_independent(c: &mut Criterion) {
     let mut group = c.benchmark_group("e8_ts_bank");
@@ -21,43 +36,24 @@ fn bench_bank_vs_independent(c: &mut Criterion) {
                 BenchmarkId::new(format!("wr_{label}"), format!("k{k}")),
                 &k,
                 |b, &k| {
-                    let mut s = if fused {
-                        TsSamplerWr::new(t0, k, SmallRng::seed_from_u64(1))
+                    let rng = SmallRng::seed_from_u64(1);
+                    if fused {
+                        bench_inserts(b, &mut TsSamplerWr::new(t0, k, rng))
                     } else {
-                        TsSamplerWr::independent(t0, k, SmallRng::seed_from_u64(1))
-                    };
-                    let mut tick = 0u64;
-                    let mut i = 0u64;
-                    b.iter(|| {
-                        // 4 arrivals per tick.
-                        if i.is_multiple_of(4) {
-                            tick += 1;
-                            s.advance_time(tick);
-                        }
-                        s.insert(black_box(i));
-                        i += 1;
-                    });
+                        bench_inserts(b, &mut IndependentTsWr::new(t0, k, rng))
+                    }
                 },
             );
             group.bench_with_input(
                 BenchmarkId::new(format!("wor_{label}"), format!("k{k}")),
                 &k,
                 |b, &k| {
-                    let mut s = if fused {
-                        TsSamplerWor::new(t0, k, SmallRng::seed_from_u64(2))
+                    let rng = SmallRng::seed_from_u64(2);
+                    if fused {
+                        bench_inserts(b, &mut TsSamplerWor::new(t0, k, rng))
                     } else {
-                        TsSamplerWor::independent(t0, k, SmallRng::seed_from_u64(2))
-                    };
-                    let mut tick = 0u64;
-                    let mut i = 0u64;
-                    b.iter(|| {
-                        if i.is_multiple_of(4) {
-                            tick += 1;
-                            s.advance_time(tick);
-                        }
-                        s.insert(black_box(i));
-                        i += 1;
-                    });
+                        bench_inserts(b, &mut IndependentTsWor::new(t0, k, rng))
+                    }
                 },
             );
         }

@@ -18,6 +18,7 @@ use swsample_baselines::{
 };
 use swsample_core::rng::CountingRng;
 use swsample_core::seq::{SeqSamplerWor, SeqSamplerWr};
+use swsample_core::ts::independent::{IndependentTsWor, IndependentTsWr};
 use swsample_core::ts::{TsSamplerWor, TsSamplerWr};
 use swsample_core::{SamplerSpec, WindowSampler};
 use swsample_stream::{zipf_fleet_events, MultiStreamEngine, WindowSpec};
@@ -416,9 +417,9 @@ pub fn run_with(p: &Params) -> Vec<Row> {
                 rng
             ));
             ts_case!("ts_wr", k, n, TsSamplerWr::new);
-            ts_case!("ts_wr_indep", k, n, TsSamplerWr::independent);
+            ts_case!("ts_wr_indep", k, n, IndependentTsWr::new);
             ts_case!("ts_wor", k, n, TsSamplerWor::new);
-            ts_case!("ts_wor_indep", k, n, TsSamplerWor::independent);
+            ts_case!("ts_wor_indep", k, n, IndependentTsWor::new);
             ts_case!("priority", k, n, PrioritySampler::new);
             ts_case!("priority_topk", k, n, PriorityTopK::new);
         }

@@ -397,10 +397,9 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for StreamReservoir<T, R> {
         })
     }
 
-    /// Accepts only states a run can reach: `min(seen, k)` entries, one
-    /// stream index per arrival, and — once full — a pending acceptance
-    /// after `seen` with `W ∈ (0, 1]`; before that, the untouched skip
-    /// schedule. Anything else could freeze the reservoir for good.
+    /// Accepts only states a run can reach: a reachable reservoir (see
+    /// [`ReservoirLState::check_reachable`]) and one stream index per
+    /// arrival.
     fn restore_state(&mut self, state: SamplerState<T>) -> Result<(), StateError> {
         let (next_index, rng, res) = match state {
             SamplerState::StreamL {
@@ -417,29 +416,11 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for StreamReservoir<T, R> {
         };
         let cap = self.inner.capacity();
         let corrupt = |m: String| Err(StateError::Corrupt(format!("stream-l {m}")));
-        if res.entries.len() as u64 != res.seen.min(cap as u64) {
-            return corrupt(format!(
-                "reservoir has {} entries after {} arrivals at k = {cap}",
-                res.entries.len(),
-                res.seen
-            ));
-        }
+        res.check_reachable(cap).or_else(corrupt)?;
         if next_index != res.seen {
             return corrupt(format!(
                 "next index {next_index} differs from {} arrivals",
                 res.seen
-            ));
-        }
-        let w = f64::from_bits(res.w_bits);
-        let reachable = if res.entries.len() == cap {
-            res.next_accept > res.seen && w > 0.0 && w <= 1.0
-        } else {
-            res.next_accept == 0 && w == 1.0
-        };
-        if !reachable {
-            return corrupt(format!(
-                "skip state (next accept {}, W = {w}) is unreachable after {} arrivals",
-                res.next_accept, res.seen
             ));
         }
         if !restore_rng(&mut self.rng, &rng) {
@@ -448,6 +429,35 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for StreamReservoir<T, R> {
         self.inner =
             ReservoirL::from_parts(cap, res.entries, res.seen, res.next_accept, res.w_bits);
         self.next_index = next_index;
+        Ok(())
+    }
+}
+
+impl<T> ReservoirLState<T> {
+    /// `Ok` when a capacity-`cap` [`ReservoirL`] can reach this state:
+    /// `min(seen, cap)` entries and — once full — a pending acceptance
+    /// after `seen` with `W ∈ (0, 1]`; before that, the untouched skip
+    /// schedule. Anything else could freeze the reservoir for good.
+    pub fn check_reachable(&self, cap: usize) -> Result<(), String> {
+        if self.entries.len() as u64 != self.seen.min(cap as u64) {
+            return Err(format!(
+                "reservoir has {} entries after {} arrivals at k = {cap}",
+                self.entries.len(),
+                self.seen
+            ));
+        }
+        let w = f64::from_bits(self.w_bits);
+        let reachable = if self.entries.len() == cap {
+            self.next_accept > self.seen && w > 0.0 && w <= 1.0
+        } else {
+            self.next_accept == 0 && w == 1.0
+        };
+        if !reachable {
+            return Err(format!(
+                "skip state (next accept {}, W = {w}) is unreachable after {} arrivals",
+                self.next_accept, self.seen
+            ));
+        }
         Ok(())
     }
 }

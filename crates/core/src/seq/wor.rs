@@ -225,13 +225,28 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for SeqSamplerWor<T, R> {
         if !matches!(self.cur, BucketReservoir::Skip(_)) {
             return Err(StateError::Unsupported);
         }
-        if prev.len() > self.k || cur.entries.len() > self.k {
-            return Err(StateError::Corrupt(format!(
-                "seq-wor: {} prev / {} cur entries for k = {}",
+        // The partial bucket's reservoir is a reachable Algorithm L state
+        // over its `count % n` arrivals; once a bucket has completed,
+        // `prev` is the last complete bucket's `min(k, n)`-sample.
+        let corrupt = |m: String| Err(StateError::Corrupt(format!("seq-wor {m}")));
+        cur.check_reachable(self.k).or_else(corrupt)?;
+        let (n, k) = (self.n, self.k as u64);
+        let bucket = count - count % n;
+        let prev_len = if count >= n { n.min(k) } else { 0 };
+        let within =
+            |s: &[Sample<T>], lo: u64, hi: u64| s.iter().all(|e| (lo..hi).contains(&e.index()));
+        if cur.seen != count % n
+            || prev.len() as u64 != prev_len
+            || !within(&prev, bucket.saturating_sub(n), bucket)
+            || !within(&cur.entries, bucket, count)
+        {
+            return corrupt(format!(
+                "buckets ({} prev / {} cur entries, {} seen) disagree with {count} \
+                 arrivals at n = {n}, k = {k}",
                 prev.len(),
                 cur.entries.len(),
-                self.k
-            )));
+                cur.seen
+            ));
         }
         if !state::restore_rng(&mut self.rng, &rng) {
             return Err(StateError::Unsupported);
@@ -484,5 +499,24 @@ mod tests {
         }
         let one = s.sample().expect("nonempty");
         assert!(one.index() >= 40 && one.index() < 50);
+    }
+
+    #[test]
+    fn every_reachable_state_restores() {
+        // Batches of every size straddle bucket ends, with k above and
+        // below n: each checkpoint passes the restore checks.
+        for (n, k) in [(7u64, 3usize), (3, 5), (1, 2)] {
+            let mut s = SeqSamplerWor::new(n, k, SmallRng::seed_from_u64(8));
+            let mut sched = SmallRng::seed_from_u64(9);
+            for step in 0..300u64 {
+                let len = sched.gen_range(0..2 * n + 2);
+                s.insert_batch(&(0..len).collect::<Vec<u64>>());
+                let mut fresh = SeqSamplerWor::new(n, k, SmallRng::seed_from_u64(0));
+                let state = s.save_state().expect("checkpoint");
+                fresh
+                    .restore_state(state)
+                    .unwrap_or_else(|e| panic!("n={n} k={k} step {step}: {e}"));
+            }
+        }
     }
 }

@@ -578,6 +578,16 @@ pub enum TsBankKind<T> {
     },
 }
 
+impl<T> TsBankState<T> {
+    /// The bucket holding the bank's newest arrival; `None` when empty.
+    pub fn newest(&self) -> Option<&TsBankBucketState<T>> {
+        match &self.kind {
+            TsBankKind::Empty => None,
+            TsBankKind::Full(tail) | TsBankKind::Straddle { tail, .. } => tail.last(),
+        }
+    }
+}
+
 /// One bucket of the bank's covering: the stream indices `[a, b)` it
 /// covers and its lane samples.
 #[derive(Debug, Clone, PartialEq)]
@@ -680,7 +690,8 @@ pub enum SamplerState<T> {
         next_index: u64,
         /// RNG state.
         rng: RngState,
-        /// The ≤ k most recent in-window arrivals, oldest first.
+        /// The last `min(k, next_index)` arrivals, oldest first, expired
+        /// ones included.
         recent: Vec<Sample<T>>,
         /// The delayed bank (uniform delay k−1).
         bank: TsBankState<T>,

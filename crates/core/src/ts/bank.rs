@@ -33,9 +33,10 @@
 //! solo [`super::TsEngine`]; jointly, distinct lanes consume disjoint,
 //! mutually independent bits (and disjoint query-time draws), so the `k`
 //! lane samples are independent — exactly the product distribution of `k`
-//! separate engines. The retained [`super::TsSamplerWr::independent`]
-//! implementation and `tests/ts_bank_equivalence.rs` hold both to the
-//! same lockstep-boundary and chi-square standards.
+//! separate engines. The reference type
+//! [`super::independent::IndependentTsWr`] and
+//! `tests/ts_bank_equivalence.rs` hold both to the same lockstep-boundary
+//! and chi-square standards.
 //!
 //! Lane storage. A bucket has `2k` sample slots — lane `j`'s `R` at slot
 //! `j`, its `Q` at slot `k + j` — yet few *distinct* elements among them:
@@ -948,8 +949,8 @@ enum BankState<T, S> {
 /// the same stream (see the [module docs](self) for the argument), at
 /// `1/k` of the boundary-maintenance work and amortized `O(k/32)` RNG
 /// words per arrival. [`super::TsSamplerWr`] and [`super::TsSamplerWor`]
-/// are built on it; the per-engine construction is retained as their
-/// `independent` constructors.
+/// are built on it; the per-engine construction is the reference module
+/// [`super::independent`].
 #[derive(Debug, Clone)]
 pub struct TsEngineBank<T, K: SampleTracker<T> = NullTracker> {
     t0: u64,

@@ -41,9 +41,10 @@ pub(crate) enum State<T, S> {
 }
 
 /// Single uniform sample over a timestamp window of width `t0`, in
-/// `Θ(log n)` words (Theorem 3.9). [`super::TsSamplerWr`] runs `k`
-/// independent engines; [`super::TsSamplerWor`] runs `k` *delayed* engines
-/// (Lemma 4.1).
+/// `Θ(log n)` words (Theorem 3.9). The reference types in
+/// [`super::independent`] run `k` independent engines (WR) or `k` *delayed*
+/// engines (WOR, Lemma 4.1); [`super::TsSamplerWor`] extracts fused lanes
+/// as engines at query time.
 /// The engine is generic over a [`SampleTracker`] (Theorem 5.1 support for
 /// timestamp windows): each bucket's `R` sample carries a suffix statistic
 /// that is updated on every arrival — `O(log n)` tracker updates per

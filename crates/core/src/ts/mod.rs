@@ -26,6 +26,8 @@
 //!   without replacement to `k` delayed with-replacement samplers
 //!   (Lemmas 4.1–4.3, Theorem 4.4), on one bank at uniform delay `k−1`
 //!   with query-time lane extension.
+//! * `independent` — the per-engine reference types, for equivalence
+//!   tests and benchmark baselines only.
 //!
 //! # Design note: why boundary sharing preserves Theorem 3.9 independence
 //!
@@ -54,15 +56,16 @@
 //!    and remain per-lane.
 //!
 //! The equivalence is audited, not just argued: the per-engine
-//! construction is retained ([`TsSamplerWr::independent`],
-//! [`TsSamplerWor::independent`]) and `tests/ts_bank_equivalence.rs`
-//! asserts lockstep skeleton equality at every tick plus per-lane and
-//! cross-lane chi-square agreement at the seed thresholds.
+//! construction is kept as the reference types in [`independent`] and
+//! `tests/ts_bank_equivalence.rs` asserts lockstep skeleton equality at
+//! every tick plus per-lane and cross-lane chi-square agreement at the
+//! seed thresholds.
 
 pub mod bank;
 pub(crate) mod bucket;
 pub(crate) mod covering;
 pub(crate) mod engine;
+pub mod independent;
 mod wor;
 mod wr;
 

@@ -35,22 +35,22 @@
 //! minus the last `i` — has exactly the law of PR 3's delayed engine `i`.
 //! Independence across lanes holds because lanes consume disjoint coin
 //! bits at ingestion and disjoint RNG draws at extension. The PR-3
-//! construction is retained as [`TsSamplerWor::independent`] and held to
-//! the same chi-square thresholds in `tests/ts_bank_equivalence.rs`.
+//! construction is the reference type [`IndependentTsWor`], held to the
+//! same chi-square thresholds in `tests/ts_bank_equivalence.rs`.
 //!
 //! Total memory: `Θ(k + k log n)` words, deterministic (shared boundaries
 //! make the bank *smaller* than the `k` separate delayed engines).
 //!
 //! The trade is ingestion-for-query: the fused path makes every arrival
 //! ~20× cheaper, while a full `sample_k` pays `O(k·(log n + k))` clone
-//! work to materialize and extend the lanes (the independent path paid
+//! work to materialize and extend the lanes ([`IndependentTsWor`] pays
 //! `O(k log n)` RNG draws with no clones). Streaming workloads are
-//! ingestion-dominated by orders of magnitude, which is why the fusion is
-//! the default; a query-heavy caller can construct with
-//! [`TsSamplerWor::independent`].
+//! ingestion-dominated by orders of magnitude, so the fused bank is the
+//! only construction a spec builds; the reference does not checkpoint.
+//!
+//! [`IndependentTsWor`]: super::independent::IndependentTsWor
 
 use super::bank::TsEngineBank;
-use super::engine::TsEngine;
 use crate::memory::MemoryWords;
 use crate::sample::Sample;
 use crate::state::{self, SamplerState, StateError};
@@ -59,17 +59,6 @@ use crate::traits::WindowSampler;
 use rand::Rng;
 use std::collections::VecDeque;
 
-/// The two interchangeable backends: the fused bank at uniform delay
-/// `k−1` (default) and PR 3's per-engine delayed construction (retained
-/// as the reference and benchmark baseline `ts_wor_indep`).
-#[derive(Debug, Clone)]
-enum WorBackend<T> {
-    Bank(TsEngineBank<T, NullTracker>),
-    /// `engines[i]` samples the active elements minus the last `i`
-    /// arrivals.
-    Independent(Vec<TsEngine<T>>),
-}
-
 /// A uniform `k`-sample *without replacement* over a timestamp window of
 /// width `t0` — Theorem 4.4, `O(k log n)` memory words, deterministic.
 ///
@@ -77,8 +66,8 @@ enum WorBackend<T> {
 /// Ingestion runs on one fused [`TsEngineBank`] with every lane at delay
 /// `k−1`, extended per lane at query time (see the `ts::wor` source
 /// module docs for the full construction and its equivalence argument);
-/// the per-engine PR-3 shape stays available as
-/// [`TsSamplerWor::independent`].
+/// the per-engine PR-3 shape is the reference type
+/// [`IndependentTsWor`](super::independent::IndependentTsWor).
 ///
 /// ```
 /// use swsample_core::ts::TsSamplerWor;
@@ -99,10 +88,10 @@ enum WorBackend<T> {
 #[derive(Debug, Clone)]
 pub struct TsSamplerWor<T, R> {
     k: usize,
-    backend: WorBackend<T>,
+    bank: TsEngineBank<T, NullTracker>,
     /// The last `k` arrivals (the paper's auxiliary array), newest at the
-    /// back. On the fused path its front element is the one the bank has
-    /// just ingested; the newer `k−1` feed the query-time lane extensions.
+    /// back. Its front element is the one the bank has just ingested; the
+    /// newer `k−1` feed the query-time lane extensions.
     recent: VecDeque<Sample<T>>,
     rng: R,
     now: u64,
@@ -111,27 +100,12 @@ pub struct TsSamplerWor<T, R> {
 
 impl<T: Clone, R: Rng> TsSamplerWor<T, R> {
     /// Sampler over windows of width `t0 ≥ 1` maintaining a `k ≥ 1`-sample
-    /// without replacement, on the fused-bank fast path.
+    /// without replacement.
     pub fn new(t0: u64, k: usize, rng: R) -> Self {
         assert!(k >= 1, "TsSamplerWor: k must be at least 1");
         Self {
             k,
-            backend: WorBackend::Bank(TsEngineBank::new(t0, k)),
-            recent: VecDeque::with_capacity(k),
-            rng,
-            now: 0,
-            next_index: 0,
-        }
-    }
-
-    /// Like [`TsSamplerWor::new`] but running `k` physically independent
-    /// delayed engines — the PR-3 construction. Distribution-identical;
-    /// kept as the reference implementation and benchmark baseline.
-    pub fn independent(t0: u64, k: usize, rng: R) -> Self {
-        assert!(k >= 1, "TsSamplerWor: k must be at least 1");
-        Self {
-            k,
-            backend: WorBackend::Independent((0..k).map(|_| TsEngine::new(t0)).collect()),
+            bank: TsEngineBank::new(t0, k),
             recent: VecDeque::with_capacity(k),
             rng,
             now: 0,
@@ -141,10 +115,7 @@ impl<T: Clone, R: Rng> TsSamplerWor<T, R> {
 
     /// Window width `t0`.
     pub fn window(&self) -> u64 {
-        match &self.backend {
-            WorBackend::Bank(bank) => bank.window(),
-            WorBackend::Independent(engines) => engines[0].window(),
-        }
+        self.bank.window()
     }
 
     /// Current clock.
@@ -157,31 +128,57 @@ impl<T: Clone, R: Rng> TsSamplerWor<T, R> {
         self.next_index
     }
 
-    /// `true` when ingestion runs on the fused `TsEngineBank`.
-    pub fn is_fused(&self) -> bool {
-        matches!(self.backend, WorBackend::Bank(_))
-    }
-
-    /// The bucket-boundary profile of the delay-(k−1) state: the bank's
-    /// shared skeleton on the fused path, engine `k−1`'s on the
-    /// independent path — the two are lockstep-equal (asserted in
+    /// The bucket-boundary profile of the delay-(k−1) bank —
+    /// lockstep-equal to the reference's engine `k−1` (asserted in
     /// `tests/ts_bank_equivalence.rs`).
     pub fn boundaries(&self) -> Vec<(u64, u64, u64)> {
-        match &self.backend {
-            WorBackend::Bank(bank) => bank.boundaries(),
-            WorBackend::Independent(engines) => engines[self.k - 1].boundaries(),
+        self.bank.boundaries()
+    }
+}
+
+/// The Lemma 4.2–4.3 recurrence (the cross-lane rejection): fold lane
+/// draws `R_{k−1}, …, R_0` into a `k`-sample without replacement, where
+/// `lane(i)` samples the active elements minus the last `i` arrivals and
+/// `recent` holds the last `k` arrivals, oldest first. When `R_{k−1}`'s
+/// domain is empty, the whole window fits in `recent`.
+pub(super) fn fold_lanes<T: Clone>(
+    k: usize,
+    recent: &VecDeque<Sample<T>>,
+    now: u64,
+    t0: u64,
+    mut lane: impl FnMut(usize) -> Option<Sample<T>>,
+) -> Option<Vec<Sample<T>>> {
+    let active_recent: Vec<Sample<T>> = recent
+        .iter()
+        .filter(|s| now - s.timestamp() < t0)
+        .cloned()
+        .collect();
+    let Some(seed) = lane(k - 1) else {
+        return (!active_recent.is_empty()).then_some(active_recent);
+    };
+    // n ≥ k: the last k arrivals are all active.
+    debug_assert_eq!(active_recent.len(), k);
+    let mut set: Vec<Sample<T>> = vec![seed];
+    for i in (0..k - 1).rev() {
+        // Lane i supplies S^{n−k+j}_1 for j = k − i.
+        let r = lane(i).expect("lane i's domain contains lane k-1's domain");
+        // "Element b+1" of Lemma 4.2: the newest element of lane i's
+        // domain = the arrival with exactly i newer arrivals.
+        if set.iter().any(|s| s.index() == r.index()) {
+            set.push(active_recent[active_recent.len() - 1 - i].clone());
+        } else {
+            set.push(r);
         }
     }
-
-    /// The still-active suffix of the last-`k` array.
-    fn active_recent(&self) -> Vec<Sample<T>> {
-        let t0 = self.window();
-        self.recent
-            .iter()
-            .filter(|s| self.now - s.timestamp() < t0)
-            .cloned()
-            .collect()
-    }
+    debug_assert!(
+        {
+            let mut idx: Vec<u64> = set.iter().map(|s| s.index()).collect();
+            idx.sort_unstable();
+            idx.windows(2).all(|w| w[0] != w[1])
+        },
+        "without-replacement sample contains a duplicate"
+    );
+    Some(set)
 }
 
 /// Materialize lane `lane` of the fused bank as a standalone engine,
@@ -214,11 +211,7 @@ fn extended_lane_sample<T: Clone, R: Rng>(
 
 impl<T, R> MemoryWords for TsSamplerWor<T, R> {
     fn memory_words(&self) -> usize {
-        let backend = match &self.backend {
-            WorBackend::Bank(bank) => bank.memory_words(),
-            WorBackend::Independent(engines) => engines.memory_words(),
-        };
-        backend + self.recent.len() * Sample::<T>::WORDS + 3
+        self.bank.memory_words() + self.recent.len() * Sample::<T>::WORDS + 3
     }
 }
 
@@ -226,193 +219,57 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for TsSamplerWor<T, R> {
     fn advance_time(&mut self, now: u64) {
         assert!(now >= self.now, "TsSamplerWor: clock moved backwards");
         self.now = now;
-        match &mut self.backend {
-            WorBackend::Bank(bank) => bank.advance_time(now),
-            WorBackend::Independent(engines) => {
-                for e in engines {
-                    e.advance_time(now);
-                }
-            }
-        }
+        self.bank.advance_time(now);
     }
 
     fn insert(&mut self, value: T) {
         let item = Sample::new(value, self.next_index, self.now);
         self.next_index += 1;
-        match &mut self.backend {
-            WorBackend::Bank(bank) => {
-                // The bank runs `k−1` arrivals behind: each arrival enters
-                // the auxiliary array now and the bank once it is the
-                // element with exactly `k−1` newer ones — i.e. whenever
-                // the array is full, its front is due.
-                self.recent.push_back(item);
-                if self.recent.len() > self.k {
-                    self.recent.pop_front();
-                }
-                if self.recent.len() == self.k {
-                    let due = &self.recent[0];
-                    // Lemma 4.1: the bank skips arrivals that expired
-                    // while waiting (only ever offered when it is empty).
-                    bank.insert(
-                        &mut self.rng,
-                        due.value().clone(),
-                        due.index(),
-                        due.timestamp(),
-                    );
-                }
-            }
-            WorBackend::Independent(engines) => {
-                // Engine 0 sees the arrival immediately.
-                engines[0].insert(
-                    &mut self.rng,
-                    item.value().clone(),
-                    item.index(),
-                    item.timestamp(),
-                );
-                // Push into the auxiliary array *before* feeding the
-                // delayed engines: afterwards, recent[len−1−i] is exactly
-                // the element with `i` arrivals after it — the one engine
-                // `i` is now allowed to see.
-                self.recent.push_back(item);
-                if self.recent.len() > self.k {
-                    self.recent.pop_front();
-                }
-                for (i, engine) in engines.iter_mut().enumerate().skip(1) {
-                    if self.recent.len() > i {
-                        let delayed = self.recent[self.recent.len() - 1 - i].clone();
-                        engine.insert(
-                            &mut self.rng,
-                            delayed.value().clone(),
-                            delayed.index(),
-                            delayed.timestamp(),
-                        );
-                    }
-                }
-            }
+        // The bank runs `k−1` arrivals behind: each arrival enters the
+        // auxiliary array now and the bank once it is the element with
+        // exactly `k−1` newer ones — i.e. whenever the array is full, its
+        // front is due.
+        self.recent.push_back(item);
+        if self.recent.len() > self.k {
+            self.recent.pop_front();
         }
-    }
-
-    fn insert_batch(&mut self, values: &[T])
-    where
-        T: Clone,
-    {
-        if values.is_empty() {
-            return;
-        }
-        if self.is_fused() {
-            // The bank is one shared structure ingesting each element
-            // once; the per-arrival path is already single-dispatch.
-            for v in values {
-                self.insert(v.clone());
-            }
-            return;
-        }
-        match &mut self.backend {
-            WorBackend::Bank(_) => unreachable!("handled above"),
-            WorBackend::Independent(engines) => {
-                let first = self.next_index;
-                self.next_index += values.len() as u64;
-                let now = self.now;
-                // Materialize the combined auxiliary view (old last-k
-                // array + the batch) once, then run engine-major: engine
-                // `i` sees arrival `j` as soon as `i` newer arrivals
-                // exist, i.e. element `combined[old_len + j − i]` —
-                // exactly what the per-arrival path feeds it, but with
-                // each engine's covering hot in cache.
-                let old_len = self.recent.len();
-                let mut combined: Vec<Sample<T>> = Vec::with_capacity(old_len + values.len());
-                combined.extend(self.recent.iter().cloned());
-                for (j, v) in values.iter().enumerate() {
-                    combined.push(Sample::new(v.clone(), first + j as u64, now));
-                }
-                for (i, engine) in engines.iter_mut().enumerate() {
-                    for j in 0..values.len() {
-                        let pos = old_len + j;
-                        if pos >= i {
-                            let s = &combined[pos - i];
-                            engine.insert(
-                                &mut self.rng,
-                                s.value().clone(),
-                                s.index(),
-                                s.timestamp(),
-                            );
-                        }
-                    }
-                }
-                // The auxiliary array keeps the last k arrivals.
-                let keep = combined.len().min(self.k);
-                self.recent = combined.split_off(combined.len() - keep).into();
-            }
+        if self.recent.len() == self.k {
+            let due = &self.recent[0];
+            // Lemma 4.1: the bank skips arrivals that expired while
+            // waiting (only ever offered when it is empty).
+            self.bank.insert(
+                &mut self.rng,
+                due.value().clone(),
+                due.index(),
+                due.timestamp(),
+            );
         }
     }
 
     fn sample(&mut self) -> Option<Sample<T>> {
-        match &mut self.backend {
-            // Lane 0 extended with everything pending = an undelayed §3
-            // sampler of the full window.
-            WorBackend::Bank(bank) => extended_lane_sample(
-                bank,
-                &self.recent,
-                &mut self.rng,
-                self.next_index,
-                self.k,
-                0,
-            ),
-            WorBackend::Independent(engines) => engines[0].sample(&mut self.rng),
-        }
+        // Lane 0 extended with everything pending = an undelayed §3
+        // sampler of the full window.
+        extended_lane_sample(
+            &self.bank,
+            &self.recent,
+            &mut self.rng,
+            self.next_index,
+            self.k,
+            0,
+        )
     }
 
     fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
-        let active_recent = self.active_recent();
-        let k = self.k;
-        // R_{k−1} samples the window minus the last k−1 arrivals; if that
-        // domain is empty the whole window fits in the auxiliary array.
-        let seed = match &mut self.backend {
-            WorBackend::Bank(bank) => bank.sample_lane(k - 1, &mut self.rng),
-            WorBackend::Independent(engines) => engines[k - 1].sample(&mut self.rng),
-        };
-        let seed = match seed {
-            Some(s) => s,
-            None => {
-                return if active_recent.is_empty() {
-                    None
-                } else {
-                    Some(active_recent)
-                };
-            }
-        };
-        // n ≥ k: the last k arrivals are all active.
-        debug_assert_eq!(active_recent.len(), self.k);
-        // Lemma 4.3: fold in R_{k−2}, …, R_0 (the cross-lane rejection).
-        let mut set: Vec<Sample<T>> = vec![seed];
-        for j in 2..=k {
-            let i = k - j; // lane supplying S^{n−k+j}_1
-            let r = match &mut self.backend {
-                WorBackend::Bank(bank) => {
-                    extended_lane_sample(bank, &self.recent, &mut self.rng, self.next_index, k, i)
-                }
-                WorBackend::Independent(engines) => engines[i].sample(&mut self.rng),
-            }
-            .expect("lane i's domain contains lane k-1's domain");
-            // "Element b+1" of Lemma 4.2: the newest element of lane i's
-            // domain = the arrival with exactly i newer arrivals.
-            let newcomer = active_recent[active_recent.len() - 1 - i].clone();
-            if set.iter().any(|s| s.index() == r.index()) {
-                set.push(newcomer);
+        let (k, t0, next_index) = (self.k, self.bank.window(), self.next_index);
+        let (bank, recent, rng) = (&self.bank, &self.recent, &mut self.rng);
+        // R_{k−1} is lane k−1 as stored; the others need their extension.
+        fold_lanes(k, recent, self.now, t0, |i| {
+            if i == k - 1 {
+                bank.sample_lane(i, rng)
             } else {
-                set.push(r);
+                extended_lane_sample(bank, recent, rng, next_index, k, i)
             }
-        }
-        debug_assert_eq!(set.len(), self.k);
-        debug_assert!(
-            {
-                let mut idx: Vec<u64> = set.iter().map(|s| s.index()).collect();
-                idx.sort_unstable();
-                idx.windows(2).all(|w| w[0] != w[1])
-            },
-            "without-replacement sample contains a duplicate"
-        );
-        Some(set)
+        })
     }
 
     fn k(&self) -> usize {
@@ -420,23 +277,22 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for TsSamplerWor<T, R> {
     }
 
     fn save_state(&self) -> Option<SamplerState<T>> {
-        // Only the fused bank checkpoints (the independent backend is the
-        // reference construction for equivalence tests).
-        let bank = match &self.backend {
-            WorBackend::Bank(bank) => bank.save_state()?,
-            WorBackend::Independent(_) => return None,
-        };
         Some(SamplerState::TsWor {
+            bank: self.bank.save_state()?,
             now: self.now,
             next_index: self.next_index,
             rng: state::capture_rng(&self.rng)?,
             recent: self.recent.iter().cloned().collect(),
-            bank,
         })
     }
 
+    /// Also rejects a record whose auxiliary array is not the last
+    /// `min(k, next_index)` arrivals in stream order, or disagrees with
+    /// the bank: the bank must share the clock, hold `recent[0]` as its
+    /// newest arrival (or have emptied), and be empty until the array
+    /// first fills.
     fn restore_state(&mut self, state: SamplerState<T>) -> Result<(), StateError> {
-        let (now, next_index, rng, recent, bank_state) = match state {
+        let (now, next_index, rng, recent, bank) = match state {
             SamplerState::TsWor {
                 now,
                 next_index,
@@ -451,21 +307,33 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for TsSamplerWor<T, R> {
                 })
             }
         };
-        if recent.len() > self.k {
+        let (len, k) = (recent.len() as u64, self.k as u64);
+        let sound = len == next_index.min(k)
+            && recent
+                .iter()
+                .enumerate()
+                .all(|(p, s)| s.index() == next_index - len + p as u64 && s.timestamp() <= now)
+            && recent
+                .windows(2)
+                .all(|w| w[0].timestamp() <= w[1].timestamp())
+            && now == bank.now
+            && match (bank.newest(), recent.first()) {
+                (None, _) => true,
+                (Some(b), Some(due)) => {
+                    len == k && b.b == due.index() + 1 && b.ts_first <= due.timestamp()
+                }
+                (Some(_), None) => false,
+            };
+        if !sound {
             return Err(StateError::Corrupt(format!(
-                "ts-wor recent array has {} entries for k = {}",
-                recent.len(),
-                self.k
+                "ts-wor recent array ({len} entries, next index {next_index}, clock {now}) \
+                 disagrees with k = {k} or its bank"
             )));
         }
-        let bank = match &mut self.backend {
-            WorBackend::Bank(bank) => bank,
-            WorBackend::Independent(_) => return Err(StateError::Unsupported),
-        };
         if !state::restore_rng(&mut self.rng, &rng) {
             return Err(StateError::Unsupported);
         }
-        bank.restore_state(bank_state)?;
+        self.bank.restore_state(bank)?;
         self.recent = recent.into();
         self.now = now;
         self.next_index = next_index;
@@ -476,6 +344,7 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for TsSamplerWor<T, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ts::independent::IndependentTsWor;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use swsample_stats::chi_square_uniform_test;
@@ -499,11 +368,9 @@ mod tests {
     #[test]
     fn empty_returns_none() {
         let mut s: TsSamplerWor<u64, _> = TsSamplerWor::new(5, 3, SmallRng::seed_from_u64(0));
-        assert!(s.is_fused());
         assert!(s.sample_k().is_none());
-        let mut ind: TsSamplerWor<u64, _> =
-            TsSamplerWor::independent(5, 3, SmallRng::seed_from_u64(0));
-        assert!(!ind.is_fused());
+        let mut ind: IndependentTsWor<u64, _> =
+            IndependentTsWor::new(5, 3, SmallRng::seed_from_u64(0));
         assert!(ind.sample_k().is_none());
     }
 
@@ -583,10 +450,10 @@ mod tests {
     #[test]
     fn bursty_stream_stays_distinct() {
         for fused in [true, false] {
-            let mut s = if fused {
-                TsSamplerWor::new(6, 4, SmallRng::seed_from_u64(11))
+            let mut s: Box<dyn WindowSampler<u64>> = if fused {
+                Box::new(TsSamplerWor::new(6, 4, SmallRng::seed_from_u64(11)))
             } else {
-                TsSamplerWor::independent(6, 4, SmallRng::seed_from_u64(11))
+                Box::new(IndependentTsWor::new(6, 4, SmallRng::seed_from_u64(11)))
             };
             let mut rng = SmallRng::seed_from_u64(12);
             let mut idx = 0u64;
@@ -656,7 +523,7 @@ mod tests {
         // degenerate path is exercised long after warm-up too.
         for k in [2usize, 4, 6] {
             let mut fused = TsSamplerWor::new(4, k, SmallRng::seed_from_u64(31));
-            let mut indep = TsSamplerWor::independent(4, k, SmallRng::seed_from_u64(32));
+            let mut indep = IndependentTsWor::new(4, k, SmallRng::seed_from_u64(32));
             let mut sched = SmallRng::seed_from_u64(33);
             let mut compared = 0u32;
             let mut now = 0u64;
@@ -702,6 +569,30 @@ mod tests {
                 compared > 50,
                 "schedule exercised the degenerate path only {compared} times"
             );
+        }
+    }
+
+    #[test]
+    fn every_reachable_state_restores() {
+        // Gaps that expire the whole window while the auxiliary array is
+        // full, and arrivals that wait in it past their expiry: each
+        // checkpoint passes the restore checks.
+        for k in [1usize, 2, 5] {
+            let mut s = TsSamplerWor::new(4, k, SmallRng::seed_from_u64(41));
+            let mut sched = SmallRng::seed_from_u64(42);
+            let mut now = 0u64;
+            for step in 0..400u64 {
+                now += sched.gen_range(0..7u64);
+                s.advance_time(now);
+                for _ in 0..sched.gen_range(0..3u64) {
+                    s.insert(step);
+                }
+                let mut fresh = TsSamplerWor::new(4, k, SmallRng::seed_from_u64(0));
+                let state = s.save_state().expect("checkpoint");
+                fresh
+                    .restore_state(state)
+                    .unwrap_or_else(|e| panic!("k={k} step {step}: {e}"));
+            }
         }
     }
 }

@@ -3,22 +3,12 @@
 //! [`TsEngineBank`] sharing one covering decomposition.
 
 use super::bank::TsEngineBank;
-use super::engine::TsEngine;
 use crate::memory::MemoryWords;
 use crate::sample::Sample;
 use crate::state::{self, SamplerState, StateError};
 use crate::track::{NullTracker, SampleTracker};
 use crate::traits::WindowSampler;
 use rand::Rng;
-
-/// The two interchangeable backends: the fused bank (default) and the
-/// PR-3 per-engine construction (retained for equivalence tests, draw
-/// audits, and as the benchmark baseline `ts_wr_indep`).
-#[derive(Debug, Clone)]
-enum WrBackend<T, K: SampleTracker<T>> {
-    Bank(TsEngineBank<T, K>),
-    Independent(Vec<TsEngine<T, K>>),
-}
 
 /// `k` independent uniform samples, *with replacement*, over a timestamp
 /// window of width `t0` — `O(k log n)` memory words, deterministic.
@@ -28,8 +18,8 @@ enum WrBackend<T, K: SampleTracker<T>> {
 /// [`super::bank`] module docs), so boundary maintenance runs once per
 /// arrival and merge coins are served as packed bits: amortized `O(k/32)`
 /// RNG words per element instead of the `2k` words of `k` separate
-/// engines. The per-engine construction stays available as
-/// [`TsSamplerWr::independent`] (mirroring `SeqSamplerWr::naive`) and is
+/// engines. The per-engine construction is the reference type
+/// [`IndependentTsWr`](super::independent::IndependentTsWr), and is
 /// distribution-identical — `tests/ts_bank_equivalence.rs` holds both to
 /// lockstep boundary equality and the same chi-square thresholds.
 ///
@@ -51,7 +41,7 @@ enum WrBackend<T, K: SampleTracker<T>> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TsSamplerWr<T, R, K: SampleTracker<T> = NullTracker> {
-    backend: WrBackend<T, K>,
+    bank: TsEngineBank<T, K>,
     rng: R,
     now: u64,
     next_index: u64,
@@ -59,53 +49,19 @@ pub struct TsSamplerWr<T, R, K: SampleTracker<T> = NullTracker> {
 
 impl<T: Clone, R: Rng> TsSamplerWr<T, R, NullTracker> {
     /// Sampler over windows of width `t0 ≥ 1` keeping `k ≥ 1` independent
-    /// samples, on the fused-bank fast path.
+    /// samples.
     pub fn new(t0: u64, k: usize, rng: R) -> Self {
-        assert!(k >= 1, "TsSamplerWr: k must be at least 1");
-        Self {
-            backend: WrBackend::Bank(TsEngineBank::new(t0, k)),
-            rng,
-            now: 0,
-            next_index: 0,
-        }
-    }
-
-    /// Like [`TsSamplerWr::new`] but running `k` physically independent
-    /// engines — the PR-3 construction. Distribution-identical to the
-    /// fused bank; kept as the reference implementation for the
-    /// equivalence tests and as the benchmark baseline (`ts_wr_indep` in
-    /// `BENCH_throughput.json`).
-    pub fn independent(t0: u64, k: usize, rng: R) -> Self {
-        Self::independent_with_tracker(t0, k, rng, NullTracker)
+        Self::with_tracker(t0, k, rng, NullTracker)
     }
 }
 
 impl<T: Clone, R: Rng, K: SampleTracker<T>> TsSamplerWr<T, R, K> {
     /// Like [`TsSamplerWr::new`] with a per-candidate suffix tracker
-    /// (Theorem 5.1 support), on the fused bank.
+    /// (Theorem 5.1 support).
     pub fn with_tracker(t0: u64, k: usize, rng: R, tracker: K) -> Self {
         assert!(k >= 1, "TsSamplerWr: k must be at least 1");
         Self {
-            backend: WrBackend::Bank(TsEngineBank::with_tracker(t0, k, tracker)),
-            rng,
-            now: 0,
-            next_index: 0,
-        }
-    }
-
-    /// [`TsSamplerWr::independent`] with a tracker — each engine gets a
-    /// clone of `tracker`, exactly the PR-3 shape.
-    pub fn independent_with_tracker(t0: u64, k: usize, rng: R, tracker: K) -> Self
-    where
-        K: Clone,
-    {
-        assert!(k >= 1, "TsSamplerWr: k must be at least 1");
-        Self {
-            backend: WrBackend::Independent(
-                (0..k)
-                    .map(|_| TsEngine::with_tracker(t0, tracker.clone()))
-                    .collect(),
-            ),
+            bank: TsEngineBank::with_tracker(t0, k, tracker),
             rng,
             now: 0,
             next_index: 0,
@@ -115,30 +71,14 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> TsSamplerWr<T, R, K> {
     /// Draw the `k` samples together with their tracker statistics;
     /// `None` when the window is empty.
     pub fn sample_k_with_stats(&mut self) -> Option<Vec<(Sample<T>, K::Stat)>> {
-        match &mut self.backend {
-            WrBackend::Bank(bank) => {
-                let mut out = Vec::with_capacity(bank.lanes());
-                for lane in 0..bank.lanes() {
-                    out.push(bank.sample_lane_with_stat(lane, &mut self.rng)?);
-                }
-                Some(out)
-            }
-            WrBackend::Independent(engines) => {
-                let mut out = Vec::with_capacity(engines.len());
-                for e in &mut *engines {
-                    out.push(e.sample_with_stat(&mut self.rng)?);
-                }
-                Some(out)
-            }
-        }
+        (0..self.bank.lanes())
+            .map(|lane| self.bank.sample_lane_with_stat(lane, &mut self.rng))
+            .collect()
     }
 
     /// Window width `t0`.
     pub fn window(&self) -> u64 {
-        match &self.backend {
-            WrBackend::Bank(bank) => bank.window(),
-            WrBackend::Independent(engines) => engines[0].window(),
-        }
+        self.bank.window()
     }
 
     /// Current clock.
@@ -151,37 +91,21 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> TsSamplerWr<T, R, K> {
         self.next_index
     }
 
-    /// `true` when ingestion runs on the fused `TsEngineBank`.
-    pub fn is_fused(&self) -> bool {
-        matches!(self.backend, WrBackend::Bank(_))
-    }
-
-    /// The bucket-boundary profile (shared across all lanes on the fused
-    /// path; engine 0's on the independent path — all engines hold the
-    /// same one). See [`TsEngine::boundaries`].
+    /// The bucket-boundary profile shared by all lanes. See
+    /// [`TsEngineBank::boundaries`].
     pub fn boundaries(&self) -> Vec<(u64, u64, u64)> {
-        match &self.backend {
-            WrBackend::Bank(bank) => bank.boundaries(),
-            WrBackend::Independent(engines) => engines[0].boundaries(),
-        }
+        self.bank.boundaries()
     }
 
     /// `true` in the Lemma 3.5 case-2 (straddling) state.
     pub fn is_straddling(&self) -> bool {
-        match &self.backend {
-            WrBackend::Bank(bank) => bank.is_straddling(),
-            WrBackend::Independent(engines) => engines[0].is_straddling(),
-        }
+        self.bank.is_straddling()
     }
 }
 
 impl<T, R, K: SampleTracker<T>> MemoryWords for TsSamplerWr<T, R, K> {
     fn memory_words(&self) -> usize {
-        let backend = match &self.backend {
-            WrBackend::Bank(bank) => bank.memory_words(),
-            WrBackend::Independent(engines) => engines.memory_words(),
-        };
-        backend + 2 // + (now, next_index)
+        self.bank.memory_words() + 2 // + (now, next_index)
     }
 }
 
@@ -189,27 +113,13 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for TsSam
     fn advance_time(&mut self, now: u64) {
         assert!(now >= self.now, "TsSamplerWr: clock moved backwards");
         self.now = now;
-        match &mut self.backend {
-            WrBackend::Bank(bank) => bank.advance_time(now),
-            WrBackend::Independent(engines) => {
-                for e in engines {
-                    e.advance_time(now);
-                }
-            }
-        }
+        self.bank.advance_time(now);
     }
 
     fn insert(&mut self, value: T) {
         let idx = self.next_index;
         self.next_index += 1;
-        match &mut self.backend {
-            WrBackend::Bank(bank) => bank.insert(&mut self.rng, value, idx, self.now),
-            WrBackend::Independent(engines) => {
-                for e in engines {
-                    e.insert(&mut self.rng, value.clone(), idx, self.now);
-                }
-            }
-        }
+        self.bank.insert(&mut self.rng, value, idx, self.now);
     }
 
     fn insert_batch(&mut self, values: &[T])
@@ -219,33 +129,14 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for TsSam
         let first = self.next_index;
         self.next_index += values.len() as u64;
         let now = self.now;
-        match &mut self.backend {
-            // The bank is already one shared structure: a single pass over
-            // the batch keeps it hot.
-            WrBackend::Bank(bank) => {
-                for (j, v) in values.iter().enumerate() {
-                    bank.insert(&mut self.rng, v.clone(), first + j as u64, now);
-                }
-            }
-            // Engine-major iteration: each engine ingests the whole run
-            // while its covering decomposition is hot in cache. Engines
-            // are independent, so the reordering of RNG consumption across
-            // engines leaves every engine's distribution unchanged.
-            WrBackend::Independent(engines) => {
-                for e in engines {
-                    for (j, v) in values.iter().enumerate() {
-                        e.insert(&mut self.rng, v.clone(), first + j as u64, now);
-                    }
-                }
-            }
+        for (j, v) in values.iter().enumerate() {
+            self.bank
+                .insert(&mut self.rng, v.clone(), first + j as u64, now);
         }
     }
 
     fn sample(&mut self) -> Option<Sample<T>> {
-        match &mut self.backend {
-            WrBackend::Bank(bank) => bank.sample_lane(0, &mut self.rng),
-            WrBackend::Independent(engines) => engines[0].sample(&mut self.rng),
-        }
+        self.bank.sample_lane(0, &mut self.rng)
     }
 
     fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
@@ -254,30 +145,22 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for TsSam
     }
 
     fn k(&self) -> usize {
-        match &self.backend {
-            WrBackend::Bank(bank) => bank.lanes(),
-            WrBackend::Independent(engines) => engines.len(),
-        }
+        self.bank.lanes()
     }
 
     fn save_state(&self) -> Option<SamplerState<T>> {
-        // Only the fused bank checkpoints: the independent backend is a
-        // reference construction kept for equivalence tests, not a
-        // durability target.
-        let bank = match &self.backend {
-            WrBackend::Bank(bank) => bank.save_state()?,
-            WrBackend::Independent(_) => return None,
-        };
         Some(SamplerState::TsWr {
+            bank: self.bank.save_state()?,
             now: self.now,
             next_index: self.next_index,
             rng: state::capture_rng(&self.rng)?,
-            bank,
         })
     }
 
+    /// Also rejects a clock other than the bank's, and a next index that
+    /// would restamp arrivals the bank already holds.
     fn restore_state(&mut self, state: SamplerState<T>) -> Result<(), StateError> {
-        let (now, next_index, rng, bank_state) = match state {
+        let (now, next_index, rng, bank) = match state {
             SamplerState::TsWr {
                 now,
                 next_index,
@@ -291,14 +174,18 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for TsSam
                 })
             }
         };
-        let bank = match &mut self.backend {
-            WrBackend::Bank(bank) => bank,
-            WrBackend::Independent(_) => return Err(StateError::Unsupported),
-        };
+        let end = bank.newest().map_or(0, |b| b.b);
+        if now != bank.now || next_index < end {
+            return Err(StateError::Corrupt(format!(
+                "ts-wr clock {now} / next index {next_index} disagree with its bank \
+                 (clock {}, end {end})",
+                bank.now
+            )));
+        }
         if !state::restore_rng(&mut self.rng, &rng) {
             return Err(StateError::Unsupported);
         }
-        bank.restore_state(bank_state)?;
+        self.bank.restore_state(bank)?;
         self.now = now;
         self.next_index = next_index;
         Ok(())
@@ -308,6 +195,7 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for TsSam
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ts::independent::IndependentTsWr;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use swsample_stats::chi_square_uniform_test;
@@ -315,22 +203,20 @@ mod tests {
     #[test]
     fn empty_returns_none() {
         let mut s: TsSamplerWr<u64, _> = TsSamplerWr::new(5, 3, SmallRng::seed_from_u64(0));
-        assert!(s.is_fused());
         assert!(s.sample().is_none());
         assert!(s.sample_k().is_none());
-        let mut ind: TsSamplerWr<u64, _> =
-            TsSamplerWr::independent(5, 3, SmallRng::seed_from_u64(0));
-        assert!(!ind.is_fused());
+        let mut ind: IndependentTsWr<u64, _> =
+            IndependentTsWr::new(5, 3, SmallRng::seed_from_u64(0));
         assert!(ind.sample_k().is_none());
     }
 
     #[test]
     fn k_samples_all_active() {
         for fused in [true, false] {
-            let mut s = if fused {
-                TsSamplerWr::new(8, 4, SmallRng::seed_from_u64(1))
+            let mut s: Box<dyn WindowSampler<u64>> = if fused {
+                Box::new(TsSamplerWr::new(8, 4, SmallRng::seed_from_u64(1)))
             } else {
-                TsSamplerWr::independent(8, 4, SmallRng::seed_from_u64(1))
+                Box::new(IndependentTsWr::new(8, 4, SmallRng::seed_from_u64(1)))
             };
             for tick in 0..100u64 {
                 s.advance_time(tick);
@@ -391,7 +277,7 @@ mod tests {
         // Shared boundaries shrink the footprint: 6k+3 words per
         // differentiated bucket against 9k across independent engines.
         let mut fused = TsSamplerWr::new(32, 8, SmallRng::seed_from_u64(21));
-        let mut indep = TsSamplerWr::independent(32, 8, SmallRng::seed_from_u64(21));
+        let mut indep = IndependentTsWr::new(32, 8, SmallRng::seed_from_u64(21));
         for tick in 0..300u64 {
             fused.advance_time(tick);
             indep.advance_time(tick);
@@ -437,47 +323,76 @@ mod tests {
         assert_eq!(count, total - smp.index());
     }
 
+    /// Samples with their `OccurrenceTracker` statistics.
+    type WithStats = Option<Vec<(Sample<u64>, (u64, u64))>>;
+
+    /// Drive `s` through mixed values; the stat `stats` reports for each
+    /// sample must count occurrences of the sampled value from its
+    /// position onward.
+    fn check_suffix_stats<S: WindowSampler<u64>>(
+        mut s: S,
+        stats: fn(&mut S) -> WithStats,
+        label: &str,
+    ) {
+        let mut values = Vec::new();
+        for tick in 0..60u64 {
+            s.advance_time(tick);
+            for j in 0..(tick % 3) + 1 {
+                let v = (tick + j) % 4;
+                s.insert(v);
+                values.push(v);
+            }
+            if let Some(all) = stats(&mut s) {
+                for (smp, (val, count)) in all {
+                    let truth = values[smp.index() as usize..]
+                        .iter()
+                        .filter(|&&x| x == val)
+                        .count() as u64;
+                    assert_eq!(count, truth, "stat mismatch at tick {tick} ({label})");
+                }
+            }
+        }
+    }
+
     #[test]
     fn tracker_stat_survives_merges_and_straddle() {
         use crate::track::OccurrenceTracker;
         // Mixed values; the stat must always count occurrences of the
         // sampled value from its position onward, whatever bucket merges or
-        // case-2 transitions happened in between — on both backends, and
-        // now with multiple fused lanes sharing singleton stats.
-        for fused in [true, false] {
-            for k in [1usize, 3] {
-                let mut s = if fused {
-                    TsSamplerWr::with_tracker(6, k, SmallRng::seed_from_u64(6), OccurrenceTracker)
-                } else {
-                    TsSamplerWr::independent_with_tracker(
-                        6,
-                        k,
-                        SmallRng::seed_from_u64(6),
-                        OccurrenceTracker,
-                    )
-                };
-                let mut values = Vec::new();
-                for tick in 0..60u64 {
-                    s.advance_time(tick);
-                    for j in 0..(tick % 3) + 1 {
-                        let v = (tick + j) % 4;
-                        s.insert(v);
-                        values.push(v);
-                    }
-                    if let Some(all) = s.sample_k_with_stats() {
-                        for (smp, (val, count)) in all {
-                            let truth = values[smp.index() as usize..]
-                                .iter()
-                                .filter(|&&x| x == val)
-                                .count() as u64;
-                            assert_eq!(
-                                count, truth,
-                                "stat mismatch at tick {tick} (fused={fused}, k={k})"
-                            );
-                        }
-                    }
-                }
+        // case-2 transitions happened in between — on both constructions,
+        // and now with multiple fused lanes sharing singleton stats.
+        for k in [1usize, 3] {
+            check_suffix_stats(
+                TsSamplerWr::with_tracker(6, k, SmallRng::seed_from_u64(6), OccurrenceTracker),
+                TsSamplerWr::sample_k_with_stats,
+                &format!("fused, k={k}"),
+            );
+            check_suffix_stats(
+                IndependentTsWr::with_tracker(6, k, SmallRng::seed_from_u64(6), OccurrenceTracker),
+                IndependentTsWr::sample_k_with_stats,
+                &format!("independent, k={k}"),
+            );
+        }
+    }
+
+    #[test]
+    fn every_reachable_state_restores() {
+        // Gaps that expire the whole window: each checkpoint passes the
+        // restore checks.
+        let mut s = TsSamplerWr::new(4, 3, SmallRng::seed_from_u64(41));
+        let mut sched = SmallRng::seed_from_u64(42);
+        let mut now = 0u64;
+        for step in 0..400u64 {
+            now += sched.gen_range(0..7u64);
+            s.advance_time(now);
+            for _ in 0..sched.gen_range(0..3u64) {
+                s.insert(step);
             }
+            let mut fresh = TsSamplerWr::new(4, 3, SmallRng::seed_from_u64(0));
+            let state = s.save_state().expect("checkpoint");
+            fresh
+                .restore_state(state)
+                .unwrap_or_else(|e| panic!("step {step}: {e}"));
         }
     }
 }

@@ -108,6 +108,24 @@ fn crafted_snapshot_of(
     path
 }
 
+/// Open a directory holding one crafted snapshot of a `spec` fleet whose
+/// one key holds `state`; the directory is removed afterwards.
+fn open_one_key(tag: &str, spec: &str, state: &SamplerState<u64>) -> Result<(), DurableError> {
+    let mut payload = StateWriter::for_state_version(STATE_VERSION);
+    state.encode_payload(&mut payload);
+    let path = crafted_snapshot_of(
+        tag,
+        spec,
+        b"erased",
+        STATE_VERSION as u8,
+        payload.as_bytes(),
+    );
+    let dir = path.parent().expect("snapshot dir").to_path_buf();
+    let opened = DurableEngine::<u64, u64>::open(&dir, DurableOptions::default()).map(|_| ());
+    let _ = std::fs::remove_dir_all(&dir);
+    opened
+}
+
 /// A seq-WR payload prefix: family tag, `count` and `accepts` fields
 /// (both 0), and the four RNG words.
 fn seq_wr_prefix() -> Vec<u8> {
@@ -165,9 +183,8 @@ type LaneEdit = fn(&mut SeqWrLaneState<u64>);
 /// later on the query path.
 #[test]
 fn unreachable_seq_wr_lanes_fail_open_with_a_typed_error() {
-    let spec: SamplerSpec = "--window seq --n 24 --mode wr --algo paper --k 3 --seed 9"
-        .parse()
-        .expect("spec");
+    let text = "--window seq --n 24 --mode wr --algo paper --k 3 --seed 9";
+    let spec: SamplerSpec = text.parse().expect("spec");
     let mut sampler = spec.build::<u64>().expect("build");
     for i in 0..30 {
         sampler.insert(i); // count 30: the partial bucket [24, 48) holds 6
@@ -181,13 +198,7 @@ fn unreachable_seq_wr_lanes_fail_open_with_a_typed_error() {
             SamplerState::SeqWr { lanes, .. } => edit(&mut lanes[1]),
             other => panic!("expected a seq-wr state, got {}", other.family()),
         }
-        let mut payload = StateWriter::for_state_version(STATE_VERSION);
-        state.encode_payload(&mut payload);
-        let path = crafted_snapshot(tag, b"erased", STATE_VERSION as u8, payload.as_bytes());
-        let dir = path.parent().expect("snapshot dir").to_path_buf();
-        let opened = DurableEngine::<u64, u64>::open(&dir, DurableOptions::default()).map(|_| ());
-        let _ = std::fs::remove_dir_all(&dir);
-        opened
+        open_one_key(tag, text, &state)
     };
     open_with("seq-wr-sound", |_| {}).expect("a reachable state opens");
     let cases: [(&str, LaneEdit); 4] = [
@@ -252,9 +263,23 @@ fn seq_wr_lanes_disagreeing_on_one_index_fail_open_with_a_typed_error() {
 /// An in-place edit of a ts bank checkpoint.
 type BankEdit = fn(&mut TsBankState<u64>);
 
+/// An in-place edit of a whole sampler checkpoint.
+type StateEdit = fn(&mut SamplerState<u64>);
+
 /// Open a one-key snapshot holding `spec`'s sampler after 60 ticks of
 /// 1–3 arrivals each, its bank checkpoint edited by `edit`.
 fn open_ts_with(spec: &str, edit: BankEdit) -> Result<(), DurableError> {
+    open_ts_state_with(spec, |state| match state {
+        SamplerState::TsWr { bank, .. } | SamplerState::TsWor { bank, .. } => edit(bank),
+        other => panic!("expected a ts state, got {}", other.family()),
+    })
+}
+
+/// [`open_ts_with`] for an edit of the whole checkpoint.
+fn open_ts_state_with(
+    spec: &str,
+    edit: impl FnOnce(&mut SamplerState<u64>),
+) -> Result<(), DurableError> {
     let parsed: SamplerSpec = spec.parse().expect("spec");
     let mut sampler = parsed.build::<u64>().expect("build");
     let mut value = 0u64;
@@ -266,23 +291,8 @@ fn open_ts_with(spec: &str, edit: BankEdit) -> Result<(), DurableError> {
         }
     }
     let mut state = sampler.save_state().expect("save");
-    match &mut state {
-        SamplerState::TsWr { bank, .. } | SamplerState::TsWor { bank, .. } => edit(bank),
-        other => panic!("expected a ts state, got {}", other.family()),
-    }
-    let mut payload = StateWriter::for_state_version(STATE_VERSION);
-    state.encode_payload(&mut payload);
-    let path = crafted_snapshot_of(
-        "ts-bank",
-        spec,
-        b"erased",
-        STATE_VERSION as u8,
-        payload.as_bytes(),
-    );
-    let dir = path.parent().expect("snapshot dir").to_path_buf();
-    let opened = DurableEngine::<u64, u64>::open(&dir, DurableOptions::default()).map(|_| ());
-    let _ = std::fs::remove_dir_all(&dir);
-    opened
+    edit(&mut state);
+    open_one_key("ts-bank", spec, &state)
 }
 
 /// The buckets of a bank checkpoint, straddling head first.
@@ -386,6 +396,143 @@ fn unreachable_ts_bank_lanes_fail_open_with_a_typed_error() {
     }
 }
 
+/// The `(now, next_index)` fields of a ts checkpoint.
+fn ts_clock(state: &mut SamplerState<u64>) -> (&mut u64, &mut u64) {
+    match state {
+        SamplerState::TsWr {
+            now, next_index, ..
+        }
+        | SamplerState::TsWor {
+            now, next_index, ..
+        } => (now, next_index),
+        other => panic!("expected a ts state, got {}", other.family()),
+    }
+}
+
+/// The auxiliary array of a ts-WOR checkpoint.
+fn ts_recent(state: &mut SamplerState<u64>) -> &mut Vec<Sample<u64>> {
+    match state {
+        SamplerState::TsWor { recent, .. } => recent,
+        other => panic!("expected a ts-wor state, got {}", other.family()),
+    }
+}
+
+/// Ts checkpoints whose sampler clock or next index disagrees with the
+/// bank make `DurableEngine::open` fail with a typed error. A next index
+/// below the bank's newest arrival would stamp new arrivals with indices
+/// the bank already holds.
+#[test]
+fn ts_clock_or_next_index_disagreeing_with_the_bank_fails_open() {
+    for mode in ["wr", "wor"] {
+        let spec = format!("--window ts --w 100 --mode {mode} --algo paper --k 4 --seed 9");
+        open_ts_state_with(&spec, |_| {}).expect("a reachable state opens");
+        let cases: [(&str, StateEdit); 2] = [
+            ("next index 0", |s| *ts_clock(s).1 = 0),
+            ("clock 0", |s| *ts_clock(s).0 = 0),
+        ];
+        for (what, edit) in cases {
+            match open_ts_state_with(&spec, edit) {
+                Err(DurableError::State(StateError::Corrupt(_))) => {}
+                other => panic!("{mode} {what}: expected typed corruption, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// Ts-WOR checkpoints whose auxiliary array is not the last `min(k,
+/// next_index)` arrivals in stream order, or disagrees with the bank, make
+/// `DurableEngine::open` fail with a typed error instead of panicking at
+/// the next query or arrival.
+#[test]
+fn ts_wor_recent_array_disagreeing_with_the_record_fails_open() {
+    let spec = "--window ts --w 100 --mode wor --algo paper --k 4 --seed 9";
+    open_ts_state_with(spec, |_| {}).expect("a reachable state opens");
+    let cases: [(&str, StateEdit); 7] = [
+        ("recent truncated to 2 entries", |s| {
+            ts_recent(s).truncate(2)
+        }),
+        ("recent emptied", |s| ts_recent(s).clear()),
+        ("recent timestamps set to 0", |s| {
+            for r in ts_recent(s) {
+                *r = Sample::new(*r.value(), r.index(), 0);
+            }
+        }),
+        ("recent in reverse stream order", |s| ts_recent(s).reverse()),
+        ("recent entry after the clock", |s| {
+            let now = *ts_clock(s).0;
+            let last = ts_recent(s).last_mut().expect("full array");
+            *last = Sample::new(*last.value(), last.index(), now + 1);
+        }),
+        ("bank missing recent[0]", |s| {
+            let recent = ts_recent(s);
+            recent.remove(0);
+            let last = recent.last().expect("full array").clone();
+            recent.push(Sample::new(7, last.index() + 1, last.timestamp()));
+            *ts_clock(s).1 += 1;
+        }),
+        ("bank holding arrivals newer than recent[0]", |s| {
+            let recent = ts_recent(s);
+            recent.pop();
+            let first = recent[0].clone();
+            recent.insert(0, Sample::new(7, first.index() - 1, first.timestamp()));
+            *ts_clock(s).1 -= 1;
+        }),
+    ];
+    for (what, edit) in cases {
+        match open_ts_state_with(spec, edit) {
+            Err(DurableError::State(StateError::Corrupt(_))) => {}
+            other => panic!("{what}: expected typed corruption, got {other:?}"),
+        }
+    }
+}
+
+/// An in-place edit of a seq-WOR checkpoint's previous and current bucket.
+type SeqWorEdit = fn(&mut Vec<Sample<u64>>, &mut ReservoirLState<u64>);
+
+/// Seq-WOR checkpoints whose bucket reservoirs no run could reach — a
+/// pending acceptance at or before `seen`, a reservoir without its
+/// entries, a bucket position other than `count % n`, a missing or
+/// misplaced complete-bucket sample — make `DurableEngine::open` fail
+/// with a typed error instead of answering non-uniformly.
+#[test]
+fn unreachable_seq_wor_buckets_fail_open_with_a_typed_error() {
+    let spec = "--window seq --n 24 --mode wor --algo paper --k 3 --seed 9";
+    let parsed: SamplerSpec = spec.parse().expect("spec");
+    let open_with = |edit: SeqWorEdit| {
+        let mut sampler = parsed.build::<u64>().expect("build");
+        for i in 0..30 {
+            sampler.insert(i); // count 30: the partial bucket [24, 48) holds 6
+        }
+        let mut state = sampler.save_state().expect("save");
+        match &mut state {
+            SamplerState::SeqWor { prev, cur, .. } => edit(prev, cur),
+            other => panic!("expected a seq-wor state, got {}", other.family()),
+        }
+        open_one_key("seq-wor", spec, &state)
+    };
+    open_with(|_, _| {}).expect("a reachable state opens");
+    let cases: [(&str, SeqWorEdit); 6] = [
+        ("next accept reset to 0", |_, cur| cur.next_accept = 0),
+        ("current entries emptied", |_, cur| cur.entries.clear()),
+        ("current bucket position off count % n", |_, cur| {
+            cur.seen -= 1
+        }),
+        ("current entry outside its bucket", |_, cur| {
+            cur.entries[0] = Sample::new(3, 3, 3)
+        }),
+        ("complete-bucket sample emptied", |prev, _| prev.clear()),
+        ("complete-bucket sample outside its bucket", |prev, _| {
+            prev[0] = Sample::new(25, 25, 25)
+        }),
+    ];
+    for (what, edit) in cases {
+        match open_with(edit) {
+            Err(DurableError::State(StateError::Corrupt(_))) => {}
+            other => panic!("{what}: expected typed corruption, got {other:?}"),
+        }
+    }
+}
+
 /// An in-place edit of a whole-stream Algorithm L checkpoint.
 type ReservoirEdit = fn(&mut ReservoirLState<u64>, &mut u64);
 
@@ -410,19 +557,7 @@ fn unreachable_stream_l_skip_state_fails_open_with_a_typed_error() {
             } => edit(res, next_index),
             other => panic!("expected a stream-l state, got {}", other.family()),
         }
-        let mut payload = StateWriter::for_state_version(STATE_VERSION);
-        state.encode_payload(&mut payload);
-        let path = crafted_snapshot_of(
-            "stream-l",
-            spec,
-            b"erased",
-            STATE_VERSION as u8,
-            payload.as_bytes(),
-        );
-        let dir = path.parent().expect("snapshot dir").to_path_buf();
-        let opened = DurableEngine::<u64, u64>::open(&dir, DurableOptions::default()).map(|_| ());
-        let _ = std::fs::remove_dir_all(&dir);
-        opened
+        open_one_key("stream-l", spec, &state)
     };
     for arrivals in [2, 1_000] {
         open_with(arrivals, |_, _| {}).expect("a reachable state opens");

@@ -609,9 +609,8 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
     /// shard or thread count, reproducing bit-identical samples.
     ///
     /// `Err(StateError::Unsupported)` if the template's family has no
-    /// durable state (the non-fused `--independent` timestamp reference
-    /// constructions, or externally supplied factories whose samplers
-    /// opt out).
+    /// durable state (externally supplied factories whose samplers opt
+    /// out, such as the per-engine timestamp reference types).
     pub fn save_states(&self) -> Result<Vec<(K, SamplerState<T>)>, StateError> {
         let mut out = Vec::with_capacity(self.num_keys());
         self.for_each_state(|key, state| {

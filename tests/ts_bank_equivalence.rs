@@ -1,6 +1,6 @@
 //! Equivalence audit for the fused k-lane timestamp bank (`TsEngineBank`):
-//! the fused `TsSamplerWr`/`TsSamplerWor` against the retained
-//! `independent` per-engine construction.
+//! the fused `TsSamplerWr`/`TsSamplerWor` against the per-engine
+//! reference types `IndependentTsWr`/`IndependentTsWor`.
 //!
 //! Three layers of evidence, mirroring `tests/skip_equivalence.rs`:
 //!
@@ -17,6 +17,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use swsample::core::rng::CountingRng;
+use swsample::core::ts::independent::{IndependentTsWor, IndependentTsWr};
 use swsample::core::ts::{TsSamplerWor, TsSamplerWr};
 use swsample::core::WindowSampler;
 use swsample::stats::chi_square_uniform_test;
@@ -27,7 +28,7 @@ use swsample::stats::chi_square_uniform_test;
 #[test]
 fn wr_boundaries_lockstep_at_every_tick() {
     let mut fused = TsSamplerWr::new(13, 6, SmallRng::seed_from_u64(1));
-    let mut indep = TsSamplerWr::independent(13, 6, SmallRng::seed_from_u64(777));
+    let mut indep = IndependentTsWr::new(13, 6, SmallRng::seed_from_u64(777));
     let mut sched = SmallRng::seed_from_u64(2);
     let mut checked_straddle = 0u32;
     for tick in 0..600u64 {
@@ -54,7 +55,7 @@ fn wr_boundaries_lockstep_at_every_tick() {
 fn wor_boundaries_lockstep_at_every_tick() {
     let k = 5usize;
     let mut fused = TsSamplerWor::new(17, k, SmallRng::seed_from_u64(3));
-    let mut indep = TsSamplerWor::independent(17, k, SmallRng::seed_from_u64(999));
+    let mut indep = IndependentTsWor::new(17, k, SmallRng::seed_from_u64(999));
     let mut sched = SmallRng::seed_from_u64(4);
     let mut idx = 0u64;
     for tick in 0..600u64 {
@@ -80,10 +81,11 @@ fn wr_per_lane_marginals_uniform_on_both_backends() {
     for fused in [true, false] {
         let mut counts = vec![vec![0u64; t0 as usize]; k];
         for t in 0..trials {
-            let mut s = if fused {
-                TsSamplerWr::new(t0, k, SmallRng::seed_from_u64(500_000 + t))
+            let rng = SmallRng::seed_from_u64(500_000 + t);
+            let mut s: Box<dyn WindowSampler<u64>> = if fused {
+                Box::new(TsSamplerWr::new(t0, k, rng))
             } else {
-                TsSamplerWr::independent(t0, k, SmallRng::seed_from_u64(500_000 + t))
+                Box::new(IndependentTsWr::new(t0, k, rng))
             };
             for tick in 0..ticks {
                 s.advance_time(tick);
@@ -116,10 +118,11 @@ fn wr_cross_lane_joint_uniform_on_both_backends() {
     for fused in [true, false] {
         let mut counts = vec![0u64; (t0 * t0) as usize];
         for t in 0..trials {
-            let mut s = if fused {
-                TsSamplerWr::new(t0, 2, SmallRng::seed_from_u64(800_000 + t))
+            let rng = SmallRng::seed_from_u64(800_000 + t);
+            let mut s: Box<dyn WindowSampler<u64>> = if fused {
+                Box::new(TsSamplerWr::new(t0, 2, rng))
             } else {
-                TsSamplerWr::independent(t0, 2, SmallRng::seed_from_u64(800_000 + t))
+                Box::new(IndependentTsWr::new(t0, 2, rng))
             };
             for tick in 0..ticks {
                 s.advance_time(tick);
@@ -149,10 +152,11 @@ fn wor_marginals_uniform_on_both_backends() {
     for fused in [true, false] {
         let mut counts = vec![0u64; t0 as usize];
         for t in 0..trials {
-            let mut s = if fused {
-                TsSamplerWor::new(t0, k, SmallRng::seed_from_u64(650_000 + t))
+            let rng = SmallRng::seed_from_u64(650_000 + t);
+            let mut s: Box<dyn WindowSampler<u64>> = if fused {
+                Box::new(TsSamplerWor::new(t0, k, rng))
             } else {
-                TsSamplerWor::independent(t0, k, SmallRng::seed_from_u64(650_000 + t))
+                Box::new(IndependentTsWor::new(t0, k, rng))
             };
             for tick in 0..ticks {
                 s.advance_time(tick);
