@@ -4,8 +4,9 @@
 //!
 //! Every case drives one sampler configuration over a fixed seeded stream
 //! through the batched ingestion API, measuring wall-clock elements/sec
-//! and — via [`swsample_core::rng::CountingRng`] — the *exact* number of
-//! RNG words consumed. The draw counts are what make the skip-ahead claims
+//! (the median of interleaved passes) and — via
+//! [`swsample_core::rng::CountingRng`] — the *exact* number of RNG words
+//! consumed. The draw counts are what make the skip-ahead claims
 //! auditable: `seq_wr_skip` at n = 10⁵ draws `O(k log n / n)` words per
 //! element where `seq_wr_naive` draws `k`, and the JSON records both.
 
@@ -37,9 +38,10 @@ pub struct Row {
     /// Window size (sequence length or active-set size for ts cases);
     /// 0 for whole-stream samplers, which have no window.
     pub n: u64,
-    /// Stream length driven through the sampler.
+    /// Stream length driven through the sampler in each pass.
     pub elements: u64,
-    /// Wall-clock ingestion time.
+    /// Wall-clock ingestion time of one pass: the median of
+    /// [`ROW_PASSES`] interleaved passes.
     pub seconds: f64,
     /// `elements / seconds`.
     pub elems_per_sec: f64,
@@ -348,52 +350,73 @@ fn drive_ts<S: WindowSampler<u64>>(s: &mut S, elements: u64, per_tick: u64) -> f
     start.elapsed().as_secs_f64()
 }
 
-/// Run the full suite for the given dimensions; deterministic streams,
-/// fresh seeded RNG per case.
-pub fn run_with(p: &Params) -> Vec<Row> {
-    let mut rows = Vec::new();
+/// Timed passes behind each [`run_with`] row; the row reports their
+/// median.
+pub const ROW_PASSES: usize = 5;
 
+/// One [`run_with`] configuration: its row without the timing, one timed
+/// pass over a fresh sampler (seconds, RNG words drawn), and the seconds
+/// of the passes so far.
+struct Case<'a> {
+    row: Row,
+    pass: Box<dyn Fn() -> (f64, u64) + 'a>,
+    times: Vec<f64>,
+}
+
+/// Run the full suite for the given dimensions; deterministic streams,
+/// fresh seeded RNG per pass. Each row is the median of [`ROW_PASSES`]
+/// passes, interleaved across the rows (pass-outermost), so a burst of
+/// host noise costs every row one pass instead of one row all of them.
+/// Every pass of a row draws the same RNG words.
+pub fn run_with(p: &Params) -> Vec<Row> {
+    let mut cases: Vec<Case<'_>> = Vec::new();
+
+    let row = |sampler, discipline, k, n, elements| Row {
+        sampler,
+        discipline,
+        k,
+        n,
+        elements,
+        seconds: 0.0,
+        elems_per_sec: 0.0,
+        rng_draws: 0,
+    };
     macro_rules! seq_case {
         ($name:literal, $k:expr, $n:expr, $make:expr) => {{
             let (k, n) = ($k, $n);
-            let rng = CountingRng::new(SmallRng::seed_from_u64(42));
-            let draws = rng.counter();
-            #[allow(clippy::redundant_closure_call)]
-            let mut s = ($make)(n, k, rng);
-            let seconds = drive_seq(&mut s, p.seq_elements, p.chunk);
-            drop(s);
-            rows.push(Row {
-                sampler: $name,
-                discipline: "seq",
-                k,
-                n,
-                elements: p.seq_elements,
-                seconds,
-                elems_per_sec: p.seq_elements as f64 / seconds.max(1e-9),
-                rng_draws: draws.words(),
+            cases.push(Case {
+                row: row($name, "seq", k, n, p.seq_elements),
+                times: Vec::with_capacity(ROW_PASSES),
+                pass: Box::new(move || {
+                    let rng = CountingRng::new(SmallRng::seed_from_u64(42));
+                    let draws = rng.counter();
+                    #[allow(clippy::redundant_closure_call)]
+                    let mut s = ($make)(n, k, rng);
+                    let seconds = drive_seq(&mut s, p.seq_elements, p.chunk);
+                    drop(s);
+                    (seconds, draws.words())
+                }),
             });
         }};
     }
     macro_rules! ts_case {
         ($name:literal, $k:expr, $n:expr, $make:expr) => {{
             let (k, n) = ($k, $n);
-            let rng = CountingRng::new(SmallRng::seed_from_u64(43));
-            let draws = rng.counter();
-            // 4 arrivals/tick and a window of n/4 ticks keep ≈ n active.
-            let t0 = (n / 4).max(1);
-            #[allow(clippy::redundant_closure_call)]
-            let mut s = ($make)(t0, k, rng);
-            let seconds = drive_ts(&mut s, p.ts_elements, 4);
-            drop(s);
-            rows.push(Row {
-                sampler: $name,
-                discipline: "ts",
-                k,
-                n,
-                elements: p.ts_elements,
-                seconds,
-                elems_per_sec: p.ts_elements as f64 / seconds.max(1e-9),
-                rng_draws: draws.words(),
+            cases.push(Case {
+                row: row($name, "ts", k, n, p.ts_elements),
+                times: Vec::with_capacity(ROW_PASSES),
+                pass: Box::new(move || {
+                    let rng = CountingRng::new(SmallRng::seed_from_u64(43));
+                    let draws = rng.counter();
+                    // 4 arrivals/tick and a window of n/4 ticks keep ≈ n
+                    // active.
+                    let t0 = (n / 4).max(1);
+                    #[allow(clippy::redundant_closure_call)]
+                    let mut s = ($make)(t0, k, rng);
+                    let seconds = drive_ts(&mut s, p.ts_elements, 4);
+                    drop(s);
+                    (seconds, draws.words())
+                }),
             });
         }};
     }
@@ -424,7 +447,32 @@ pub fn run_with(p: &Params) -> Vec<Row> {
             ts_case!("priority_topk", k, n, PriorityTopK::new);
         }
     }
-    rows
+    for _ in 0..ROW_PASSES {
+        for case in &mut cases {
+            let (seconds, draws) = (case.pass)();
+            if case.times.is_empty() {
+                case.row.rng_draws = draws;
+            }
+            assert_eq!(
+                case.row.rng_draws, draws,
+                "{}: passes drew different RNG words",
+                case.row.sampler
+            );
+            case.times.push(seconds);
+        }
+    }
+    cases
+        .into_iter()
+        .map(|mut case| {
+            case.times.sort_by(f64::total_cmp);
+            let seconds = case.times[ROW_PASSES / 2];
+            Row {
+                seconds,
+                elems_per_sec: case.row.elements as f64 / seconds.max(1e-9),
+                ..case.row
+            }
+        })
+        .collect()
 }
 
 /// The fleet sections' per-key template: paper seq-WR, k = `multi_k`,

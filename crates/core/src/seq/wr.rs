@@ -7,21 +7,29 @@
 //! bucket (`X_U`). While a bucket has seen few arrivals, its `k` samples
 //! repeat the same few elements: `k` uniform picks from `p` arrivals are
 //! all distinct only once `p` is large against `k²`. So each bucket stores
-//! every element its lanes hold once:
+//! every element its lanes hold once, as a candidate of two words — the
+//! element and its stream index, which in a sequence window is also its
+//! timestamp:
 //!
 //! * **indexed:** the bucket's `m` distinct candidates in stream order,
 //!   each with its tracker statistic, plus a one-byte selector per lane —
 //!   lane `i`'s candidate index — eight to the word (`⌈k / 8⌉` words);
 //! * **lane order:** when that index would not be smaller than `k` plain
-//!   samples (`3m + ⌈k / 8⌉ ≥ 3k`, in practice: every lane holds a
-//!   different element), or when `k = 1` or `k > 256` (past what a byte
-//!   selects), the bucket stores lane `i`'s sample at `i` and no
+//!   candidates (`2m + ⌈k / 8⌉ ≥ 2k`, in practice: nearly every lane holds
+//!   a different element), or when `k = 1` or `k > 256` (past what a byte
+//!   selects), the bucket stores lane `i`'s candidate at `i` and no
 //!   selectors.
 //!
-//! A bucket therefore never holds more than `3k` words, and a sampler
-//! never more than `2 · 3k + k + 3 = 7k + 3`: the §1.4 cap of the plain
-//! layout still holds. The typical count is smaller, and depends on how
-//! many distinct elements the lanes drew.
+//! On the skip path each lane also keeps the index of its next
+//! acceptance, which lies inside the partial bucket. It is stored as an
+//! offset below `n` from the bucket's start: two 32-bit offsets to the
+//! word when `n < 2^32`, one offset per word for wider windows.
+//!
+//! A bucket therefore never holds more than `2k` words, and a sampler
+//! never more than `2 · 2k + k + 3 = 5k + 3`: inside the §1.4 cap of
+//! `7k + 3` that plain lanes (a three-word sample per bucket and an
+//! absolute index per lane) reach. The typical count is smaller, and
+//! depends on how many distinct elements the lanes drew.
 //!
 //! The layout is a function of the lanes' samples and `k` alone. An
 //! acceptance appends the arrival once and points every acceptor's
@@ -59,8 +67,8 @@ use rand::Rng;
 /// `H(n) = Θ(log n)` accepted arrivals per instance per bucket do real
 /// work, for amortized `O(k log(n)/n)` draws per element. An accepted
 /// arrival finds its acceptors in one pass over the lanes, adopts the
-/// arrival into them, then redraws their gaps in instance order while
-/// recomputing the cached minimum. The skip path is
+/// arrival into them, redraws their gaps in instance order, and
+/// recomputes the cached minimum in a second pass. The skip path is
 /// distribution-identical to the per-arrival path, which remains
 /// available via [`SeqSamplerWr::naive`] (benchmark baseline +
 /// equivalence tests) and is used automatically whenever the tracker must
@@ -71,18 +79,23 @@ use rand::Rng;
 /// Two buckets, `cur` (partial bucket, the paper's `X_V`) and `prev`
 /// (last complete bucket, `X_U`). Each stores its distinct candidates
 /// once, in stream order, plus a one-byte selector per lane (indexed);
-/// or, when that is not smaller, its `k` lane samples plainly (lane
-/// order). So a bucket never exceeds `3k` words, and the layout is a
-/// function of the lanes' samples alone: a restored sampler stores
-/// exactly what the live one did. Both ingestion paths share this one
-/// layout. `prev` stays empty until the first rotation, so a key that
-/// never sees `n` arrivals pays for one bucket, and a cold `k = 16` key
-/// holds one candidate and two selector words. Every per-lane word — the next-acceptance indices
-/// and both buckets' selectors — lives in one heap block, which an
-/// acceptance already reads. [`memory_words`](MemoryWords::memory_words)
-/// counts exactly the stored candidates (3 words each), the selector
-/// words of indexed buckets and the next-acceptance indices, plus 3
-/// globals: at most `7k + 3`.
+/// or, when that is not smaller, its `k` lane candidates plainly (lane
+/// order). A candidate is two words, the element and its stream index:
+/// the timestamp equals the index and is rebuilt where a [`Sample`]
+/// leaves the sampler. So a bucket never exceeds `2k` words, and the
+/// layout is a function of the lanes' samples alone: a restored sampler
+/// stores exactly what the live one did. Both ingestion paths share this
+/// one layout. `prev` stays empty until the first rotation, so a key
+/// that never sees `n` arrivals pays for one bucket.
+///
+/// Every per-lane word — both buckets' selectors and the next-acceptance
+/// offsets from the partial bucket's start, two to the word while
+/// `n < 2^32` — lives in one heap block, which an acceptance already
+/// reads. A cold `k = 16` key holds one candidate, two selector words and
+/// eight offset words. [`memory_words`](MemoryWords::memory_words) counts
+/// exactly the stored candidates (2 words each), the selector words of
+/// indexed buckets and the offset words, plus 3 globals: at most
+/// `5k + 3`, inside the §1.4 cap of `7k + 3`.
 ///
 /// A tracker whose statistics are not a pure function of the candidate
 /// (`K::TRACKS`, e.g. one that draws randomness in
@@ -114,8 +127,8 @@ pub struct SeqSamplerWr<T, R, K: SampleTracker<T> = NullTracker> {
     n: u64,
     /// Total arrivals so far (`N` in the paper).
     count: u64,
-    /// Cached minimum of the next-acceptance indices — the skip path's
-    /// only per-arrival comparison.
+    /// Cached minimum of the absolute next-acceptance indices — the skip
+    /// path's only per-arrival comparison.
     min_next: u64,
     /// The count at which the next bucket rotation happens — the cached
     /// next multiple of `n`, so the per-arrival boundary check is a
@@ -126,9 +139,8 @@ pub struct SeqSamplerWr<T, R, K: SampleTracker<T> = NullTracker> {
     /// `true` forces the per-arrival reference path (required when the
     /// tracker observes every arrival).
     naive: bool,
-    /// Selector words per indexed bucket ([`Lanes::words`]; not
-    /// counted).
-    sel_words: u32,
+    /// The lane count `k` (a parameter, not counted).
+    k: u32,
     rng: R,
     tracker: K,
     /// The partial bucket's candidates (the paper's `X_V`).
@@ -137,42 +149,92 @@ pub struct SeqSamplerWr<T, R, K: SampleTracker<T> = NullTracker> {
     /// Empty until the first rotation.
     prev: Bucket<T, K::Stat>,
     /// `cur`'s selector words, then `prev`'s (a bucket's words hold
-    /// nothing unless it is indexed); then per instance, the absolute stream
-    /// index at which it next accepts (`u64::MAX` = no further acceptance
-    /// in the current bucket). One heap block, whose first line an
+    /// nothing unless it is indexed); then per instance, the offset from
+    /// the partial bucket's start at which it next accepts, or
+    /// [`Lanes::done`] (no further acceptance in the current bucket). The
+    /// naive path keeps no offsets. One heap block, whose first line an
     /// acceptance reads anyway, so `cur`'s selectors cost no extra miss.
     lane_words: Vec<u64>,
     /// Total acceptance events so far (diagnostic; not counted as memory).
     accepts: u64,
 }
 
-/// The lane count `k` and the selector words of an indexed bucket.
+/// One stored candidate: the element, its stream index (a sequence
+/// window's timestamp is the index) and its tracker statistic.
+#[derive(Debug, Clone, PartialEq)]
+struct Cand<T, S> {
+    value: T,
+    index: u64,
+    stat: S,
+}
+
+/// Words a candidate holds: the element and its index.
+const CAND_WORDS: usize = 2;
+
+impl<T: Clone, S> Cand<T, S> {
+    /// The candidate as a sample: its timestamp is its index.
+    fn sample(&self) -> Sample<T> {
+        Sample::new(self.value.clone(), self.index, self.index)
+    }
+}
+
+/// `0x01` in every byte.
+const LO: u64 = u64::from_le_bytes([1; 8]);
+/// `0x80` in every byte.
+const HI: u64 = LO << 7;
+
+/// Whether some byte of `x` is zero (exact: no false positives).
+#[inline]
+fn has_zero_byte(x: u64) -> bool {
+    x.wrapping_sub(LO) & !x & HI != 0
+}
+
+/// `0x01` in each byte of `x` greater than `d`, `0x00` in the others.
+#[inline]
+fn bytes_above(x: u64, d: u8) -> u64 {
+    // Low seven bits first: `(b | 0x80) - (d mod 128 + 1)` keeps the high
+    // bit exactly when `b mod 128 > d mod 128`, with no borrow out of the
+    // byte. Then the high bits decide: below 128, `d` is passed by a set
+    // high bit or by the low bits; from 128, it takes both.
+    let low = (x | HI).wrapping_sub(LO * u64::from((d & 0x7f) + 1)) & HI;
+    let above = if d < 0x80 { (x & HI) | low } else { x & low };
+    above >> 7
+}
+
+/// The per-lane geometry: `k`, the selector words of an indexed bucket,
+/// and how the next-acceptance offsets pack into words.
 #[derive(Debug, Clone, Copy)]
 struct Lanes {
     k: usize,
     /// Selector words per indexed bucket: one byte per lane, eight to
     /// the word. 0 where no bucket is ever indexed.
     words: usize,
+    /// log₂ of the offsets per word: 1 (two 32-bit offsets) when every
+    /// offset below `n` and [`done`](Self::done) fit 32 bits, i.e.
+    /// `n < 2^32`; else 0 (one 64-bit offset).
+    pack: u32,
 }
 
 impl Lanes {
-    /// Selector words per bucket for `k` lanes; 0 for `k = 1` (one
-    /// sample is never worth indexing), past `k = 256` (a byte selects at
-    /// most 256 candidates), and where lanes cannot share a candidate
-    /// (`share` false: statistics are not a pure function of it).
-    fn words(k: usize, share: bool) -> usize {
-        if share && (2..=256).contains(&k) {
+    /// The geometry of `k` lanes over windows of `n`; `share` is false
+    /// where lanes cannot share a candidate (statistics are not a pure
+    /// function of it).
+    fn new(k: usize, n: u64, share: bool) -> Self {
+        // One sample is never worth indexing, and a byte selects at most
+        // 256 candidates.
+        let words = if share && (2..=256).contains(&k) {
             k.div_ceil(8)
         } else {
             0
-        }
+        };
+        let pack = u32::from(n <= u64::from(u32::MAX));
+        Lanes { k, words, pack }
     }
 
     /// Whether `m` distinct candidates plus the selectors take fewer
-    /// words than `k` plain samples — the layout rule.
+    /// words than `k` plain candidates — the layout rule.
     fn indexed(self, m: usize) -> bool {
-        let w = Sample::<()>::WORDS;
-        self.words > 0 && m * w + self.words < self.k * w
+        self.words > 0 && m * CAND_WORDS + self.words < self.k * CAND_WORDS
     }
 
     /// Lane `i`'s candidate index in the selector words `sel`.
@@ -187,20 +249,85 @@ impl Lanes {
         let shift = 8 * (i % 8);
         sel[i / 8] = (sel[i / 8] & !(0xff << shift)) | ((c as u64) << shift);
     }
+
+    /// Whether some lane's selector in `sel` holds candidate `c`: a
+    /// zero-byte test per word, with the bytes past lane `k` masked.
+    #[inline]
+    fn holds(self, sel: &[u64], c: usize) -> bool {
+        let spread = LO * c as u64;
+        let (last, full) = sel.split_last().expect("an indexed bucket has selectors");
+        let pad = u64::MAX.checked_shl(8 * (self.k - 8 * full.len()) as u32);
+        full.iter().any(|&w| has_zero_byte(w ^ spread))
+            || has_zero_byte((last ^ spread) | pad.unwrap_or(0))
+    }
+
+    /// Renumber the selectors in `sel` after candidate `d` is removed:
+    /// every selector past it moves down by one. The bytes past lane `k`
+    /// are 0 and stay so.
+    #[inline]
+    fn unselect(sel: &mut [u64], d: usize) {
+        for w in sel {
+            *w -= bytes_above(*w, d as u8);
+        }
+    }
+
+    /// Bits per next-acceptance offset.
+    fn bits(self) -> u32 {
+        64 >> self.pack
+    }
+
+    /// The offset of a lane done with the current bucket: no offset below
+    /// `n` equals it.
+    fn done(self) -> u64 {
+        u64::MAX >> (64 - self.bits())
+    }
+
+    /// Words holding the `k` next-acceptance offsets.
+    fn offset_words(self) -> usize {
+        self.k.div_ceil(1 << self.pack)
+    }
+
+    /// Arm every lane of `off` for a fresh bucket: offset 0, the bucket's
+    /// first arrival. The slot past lane `k` that an odd `k` leaves in
+    /// the last packed word holds [`done`](Self::done), so passes over
+    /// whole words read it as a lane that never accepts.
+    fn rearm(self, off: &mut [u64]) {
+        off.fill(0);
+        if self.k < off.len() << self.pack {
+            self.set_offset(off, self.k, self.done());
+        }
+    }
+
+    /// Lane `i`'s next-acceptance offset in the offset words `off`: in
+    /// word `i >> pack`, slot `i & pack` (`pack` is 0 or 1, so it is also
+    /// the slot mask).
+    #[inline]
+    fn offset(self, off: &[u64], i: usize) -> u64 {
+        let shift = (i as u32 & self.pack) * self.bits();
+        (off[i >> self.pack] >> shift) & self.done()
+    }
+
+    /// Set lane `i`'s next-acceptance offset to `o ≤ done`.
+    #[inline]
+    fn set_offset(self, off: &mut [u64], i: usize, o: u64) {
+        let shift = (i as u32 & self.pack) * self.bits();
+        let word = &mut off[i >> self.pack];
+        *word = (*word & !(self.done() << shift)) | (o << shift);
+    }
 }
 
 /// Candidates a bucket first makes room for.
 const COLD_CANDIDATES: usize = 4;
 
-/// One bucket's sample for each of the `k` lanes, indexed or in lane
+/// One bucket's candidate for each of the `k` lanes, indexed or in lane
 /// order (see the [module docs](self)); an indexed bucket's selector
 /// words live in the sampler's `lane_words`.
 #[derive(Debug, Clone)]
 struct Bucket<T, S> {
     /// Empty: no arrival yet. Fewer than `k` entries: the distinct
     /// candidates the lanes hold, each once, in stream order (indexed).
-    /// Exactly `k`: lane `i`'s sample at `i` (lane order).
-    items: Vec<(Sample<T>, S)>,
+    /// Exactly `k`: lane `i`'s candidate at `i` (lane order).
+    items: Vec<Cand<T, S>>,
 }
 
 impl<T, S> Bucket<T, S> {
@@ -215,16 +342,16 @@ impl<T, S> Bucket<T, S> {
         !self.items.is_empty() && self.items.len() < lanes.k
     }
 
-    /// Stored words: 3 per candidate, plus the selector words of an
+    /// Stored words: 2 per candidate, plus the selector words of an
     /// indexed bucket.
     fn words(&self, lanes: Lanes) -> usize {
         let sel = if self.indexed(lanes) { lanes.words } else { 0 };
-        self.items.len() * Sample::<T>::WORDS + sel
+        self.items.len() * CAND_WORDS + sel
     }
 
-    /// Lane `i`'s sample and statistic; the bucket is not empty.
+    /// Lane `i`'s candidate; the bucket is not empty.
     #[inline]
-    fn lane(&self, lanes: Lanes, sel: &[u64], i: usize) -> &(Sample<T>, S) {
+    fn lane(&self, lanes: Lanes, sel: &[u64], i: usize) -> &Cand<T, S> {
         if self.items.len() == lanes.k {
             return &self.items[i];
         }
@@ -235,18 +362,19 @@ impl<T, S> Bucket<T, S> {
 impl<T: Clone, S: Clone> Bucket<T, S> {
     /// Adopt an arrival into the lanes in `takers`, and keep the layout
     /// rule; `sel` are the bucket's selector words. `item` builds the
-    /// arrival's entry: once, or once per taker in lane order where each
-    /// lane owns its entry.
+    /// arrival's candidate: once, or once per taker in lane order where
+    /// each lane owns its candidate.
     ///
     /// An indexed bucket touches only the takers' selectors: each points
     /// at the new candidate, and a taker's old candidate is dropped when
     /// no selector holds it any more, moving the later candidates down.
+    /// The work is per taker, not per lane.
     #[inline]
     fn adopt(
         &mut self,
         lanes: Lanes,
         sel: &mut [u64],
-        mut item: impl FnMut() -> (Sample<T>, S),
+        mut item: impl FnMut() -> Cand<T, S>,
         takers: &Bits,
     ) {
         let k = lanes.k;
@@ -276,8 +404,12 @@ impl<T: Clone, S: Clone> Bucket<T, S> {
             }
             return;
         }
-        // Indexed: the arrival becomes candidate `m`.
+        // Indexed: the arrival becomes candidate `m`, and the takers'
+        // old candidates (`m < k ≤ 256` of them at most) may be orphaned.
+        let mut old = [0u64; 4];
         for i in takers.iter() {
+            let c = Lanes::pick(sel, i);
+            old[c / 64] |= 1 << (c % 64);
             Lanes::set(sel, i, m);
         }
         if m == self.items.capacity() {
@@ -285,29 +417,19 @@ impl<T: Clone, S: Clone> Bucket<T, S> {
             self.items.reserve_exact(k - m);
         }
         self.items.push(item());
-        // Drop each candidate no lane selects any more (every lane that
-        // held it took the arrival), and renumber the selectors past it:
-        // candidate `c` becomes `to[c]`. An indexed bucket holds fewer
-        // than `k ≤ 256` candidates.
-        let mut held = [false; 256];
-        for i in 0..k {
-            held[Lanes::pick(sel, i)] = true;
-        }
-        if !held[..=m].iter().all(|&h| h) {
-            let (mut to, mut kept) = ([0u8; 256], 0);
-            for (to, &held) in to.iter_mut().zip(&held[..=m]) {
-                *to = kept;
-                kept += u8::from(held);
+        // Drop each old candidate no selector holds any more, the highest
+        // first, so the ones still to test keep their numbers.
+        for (w, &bits) in old.iter().enumerate().rev() {
+            let mut bits = bits;
+            while bits != 0 {
+                let b = 63 - bits.leading_zeros() as usize;
+                bits ^= 1 << b;
+                let d = 64 * w + b;
+                if !lanes.holds(sel, d) {
+                    Lanes::unselect(sel, d);
+                    self.items.remove(d);
+                }
             }
-            // The bytes past lane `k` are 0, and so is `to[0]`.
-            for word in sel.iter_mut() {
-                *word = u64::from_le_bytes(word.to_le_bytes().map(|c| to[usize::from(c)]));
-            }
-            let mut c = 0;
-            self.items.retain(|_| {
-                c += 1;
-                held[c - 1]
-            });
         }
         if !lanes.indexed(self.items.len()) {
             let samples = (0..k)
@@ -320,11 +442,11 @@ impl<T: Clone, S: Clone> Bucket<T, S> {
     /// Store lane `i`'s `samples[i]` (all `k` lanes) in the layout the
     /// rule picks: lanes holding the same stream index share one
     /// candidate. The live path and restore both build buckets here.
-    fn store(&mut self, lanes: Lanes, sel: &mut [u64], samples: Vec<(Sample<T>, S)>) {
+    fn store(&mut self, lanes: Lanes, sel: &mut [u64], samples: Vec<Cand<T, S>>) {
         let mut order: Vec<(u64, usize)> = samples
             .iter()
             .enumerate()
-            .map(|(i, (s, _))| (s.index(), i))
+            .map(|(i, c)| (c.index, i))
             .collect();
         order.sort_unstable();
         let m = 1 + order.windows(2).filter(|p| p[0].0 != p[1].0).count();
@@ -343,7 +465,6 @@ impl<T: Clone, S: Clone> Bucket<T, S> {
         }
     }
 }
-
 /// A set of lanes below some `n`: one inline word up to 64 (every
 /// `k ≤ 64`), a bit vector past that.
 enum Bits {
@@ -441,19 +562,23 @@ impl<T: Clone, R: Rng> SeqSamplerWr<T, R, NullTracker> {
 }
 
 impl<T, R, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
-    /// `k` and the selector words per bucket.
+    /// The lane geometry, a function of `k`, `n` and the tracker.
     fn lanes(&self) -> Lanes {
-        let words = self.sel_words as usize;
-        let k = self.lane_words.len() - 2 * words;
-        Lanes { k, words }
+        Lanes::new(self.k as usize, self.n, !K::TRACKS)
     }
 
-    /// The next-acceptance indices, `cur`'s selector words and `prev`'s.
+    /// The next-acceptance offset words, `cur`'s selector words and
+    /// `prev`'s.
     fn lane_words(&self) -> (&[u64], &[u64], &[u64]) {
-        let w = self.sel_words as usize;
-        let (sel, next_accept) = self.lane_words.split_at(2 * w);
+        let w = self.lanes().words;
+        let (sel, offsets) = self.lane_words.split_at(2 * w);
         let (cur, prev) = sel.split_at(w);
-        (next_accept, cur, prev)
+        (offsets, cur, prev)
+    }
+
+    /// The stream index at which the partial bucket started.
+    fn bucket_start(&self) -> u64 {
+        self.next_rotate - self.n
     }
 }
 
@@ -466,16 +591,18 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
         assert!(n >= 1, "SeqSamplerWr: window size must be at least 1");
         assert!(n <= 1 << 62, "SeqSamplerWr: window size too large");
         assert!(k >= 1, "SeqSamplerWr: k must be at least 1");
-        let sel_words = Lanes::words(k, !K::TRACKS);
-        // Index 0 opens the first bucket: every instance accepts it with
-        // probability 1.
-        let lane_words = vec![0; k + 2 * sel_words];
+        let k32 = u32::try_from(k).expect("SeqSamplerWr: k too large");
+        let lanes = Lanes::new(k, n, !K::TRACKS);
+        // Offset 0 opens the first bucket: every instance accepts index 0
+        // with probability 1.
+        let mut lane_words = vec![0; 2 * lanes.words + lanes.offset_words()];
+        lanes.rearm(&mut lane_words[2 * lanes.words..]);
         Self {
             n,
             count: 0,
             rng,
             tracker,
-            sel_words: sel_words as u32,
+            k: k32,
             cur: Bucket::EMPTY,
             prev: Bucket::EMPTY,
             lane_words,
@@ -540,8 +667,8 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
         // bucket's too, since its suffix statistic spans into the partial
         // bucket. A candidate the arrival replaces in every lane is
         // dropped below, so observing it first changes nothing.
-        for (_, stat) in self.cur.items.iter_mut().chain(&mut self.prev.items) {
-            self.tracker.observe(stat, value);
+        for c in self.cur.items.iter_mut().chain(&mut self.prev.items) {
+            self.tracker.observe(&mut c.stat, value);
         }
         let lanes = self.lanes();
         let mut takers = Bits::new(lanes.k);
@@ -567,13 +694,14 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
     #[inline]
     fn adopt(&mut self, lanes: Lanes, idx: u64, value: &T, takers: &Bits) {
         let tracker = &mut self.tracker;
-        let sel = &mut self.lane_words[..self.sel_words as usize];
+        let sel = &mut self.lane_words[..lanes.words];
         self.cur.adopt(
             lanes,
             sel,
-            || {
-                let stat = tracker.fresh(value, idx);
-                (Sample::new(value.clone(), idx, idx), stat)
+            || Cand {
+                stat: tracker.fresh(value, idx),
+                value: value.clone(),
+                index: idx,
             },
             takers,
         );
@@ -581,49 +709,77 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
 
     /// The partial bucket just completed; it becomes bucket U and the old
     /// U is now fully expired. Re-arms the skip state: the next bucket's
-    /// first arrival is accepted by every instance with probability 1.
+    /// first arrival (offset 0) is accepted by every instance with
+    /// probability 1.
     fn rotate_buckets(&mut self) {
         std::mem::swap(&mut self.prev, &mut self.cur);
         self.cur.items.clear();
-        let (sel, next_accept) = self.lane_words.split_at_mut(2 * self.sel_words as usize);
-        let (cur, prev) = sel.split_at_mut(self.sel_words as usize);
+        let lanes = self.lanes();
+        let (sel, offsets) = self.lane_words.split_at_mut(2 * lanes.words);
+        let (cur, prev) = sel.split_at_mut(lanes.words);
         cur.swap_with_slice(prev);
         if !self.naive {
-            next_accept.fill(self.count);
+            lanes.rearm(offsets);
             self.min_next = self.count;
         }
     }
 
     /// Skip-path acceptance: adopt `value` into every instance whose
-    /// next-acceptance index is `idx`, then redraw their gaps in instance
-    /// order, recomputing `min_next` in the same pass. Adopting first
-    /// lets the candidates' cache misses overlap the redraws, which
-    /// depend on nothing the adoption writes.
+    /// next acceptance is `idx`, redraw their gaps in instance order,
+    /// then recompute `min_next` in one pass over the offsets. Adopting
+    /// first lets the candidates' cache misses overlap the redraws,
+    /// which depend on nothing the adoption writes.
     fn accept_at(&mut self, idx: u64, value: &T) {
+        // `n` fixes the offset width at construction. Each width gets its
+        // own copy of the lane passes, in which the width is a constant
+        // and an offset one shift and mask.
+        match self.lanes().pack {
+            0 => self.accept_lanes::<0>(idx, value),
+            _ => self.accept_lanes::<1>(idx, value),
+        }
+    }
+
+    /// [`accept_at`](Self::accept_at) for offsets packed `1 << PACK` to
+    /// the word.
+    #[inline]
+    fn accept_lanes<const PACK: u32>(&mut self, idx: u64, value: &T) {
         let n = self.n;
-        let bucket_start = self.next_rotate - n;
-        let pos = idx - bucket_start;
-        let lanes = self.lanes();
+        let start = self.bucket_start();
+        let pos = idx - start;
+        let lanes = Lanes {
+            pack: PACK,
+            ..self.lanes()
+        };
         let first = 2 * lanes.words;
+        let (per, done) = (1 << PACK, lanes.done());
+        // The passes below read whole words: a slot past lane `k` holds
+        // `done`, which no position equals and no offset is below.
+        let slot = |w: u64, h: usize| (w >> (h as u32 * lanes.bits())) & done;
         let mut takers = Bits::new(lanes.k);
-        for (i, &na) in self.lane_words[first..].iter().enumerate() {
-            // Branch-free: which lanes accept is a coin flip.
-            takers.insert_if(i, na == idx);
+        for (j, &w) in self.lane_words[first..].iter().enumerate() {
+            for h in 0..per {
+                // Branch-free: which lanes accept is a coin flip.
+                takers.insert_if(j * per + h, slot(w, h) == pos);
+            }
         }
         debug_assert!(takers.len() > 0, "accept_at called with no acceptor");
         self.adopt(lanes, idx, value, &takers);
-        let mut min_next = u64::MAX;
-        for na in &mut self.lane_words[first..] {
-            if *na == idx {
-                self.accepts += 1;
-                *na = match record_skip(&mut self.rng, pos + 1, n) {
-                    Some(c) => bucket_start + c - 1,
-                    None => u64::MAX, // instance is done until the next bucket
-                };
-            }
-            min_next = min_next.min(*na);
+        let offsets = &mut self.lane_words[first..];
+        for i in takers.iter() {
+            self.accepts += 1;
+            let o = match record_skip(&mut self.rng, pos + 1, n) {
+                Some(c) => c - 1,
+                None => done, // instance is done until the next bucket
+            };
+            lanes.set_offset(offsets, i, o);
         }
-        self.min_next = min_next;
+        let mut min = done;
+        for &w in offsets.iter() {
+            for h in 0..per {
+                min = min.min(slot(w, h));
+            }
+        }
+        self.min_next = if min == done { u64::MAX } else { start + min };
     }
 
     /// Draw the `k` samples together with their tracker statistics.
@@ -646,13 +802,13 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
                 // U; otherwise it straddles U and V: take X_U unless
                 // expired.
                 let prev = self.prev.lane(lanes, prev_sel, i);
-                if aligned || prev.0.index() >= oldest_active {
+                if aligned || prev.index >= oldest_active {
                     prev
                 } else {
                     self.cur.lane(lanes, cur_sel, i)
                 }
             })
-            .map(|(s, stat)| (s.clone(), stat.clone()))
+            .map(|c| (c.sample(), c.stat.clone()))
             .collect();
         Some(picks)
     }
@@ -669,7 +825,8 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
     ///   lane's acceptance (the naive path keeps no `next_accept`);
     /// - `cur` exactly when the partial bucket is non-empty, and `prev`
     ///   exactly when a complete bucket exists (`count ≥ n`);
-    /// - each sample's index inside its own bucket.
+    /// - each sample's index inside its own bucket, and its timestamp
+    ///   equal to its index (candidates store no timestamp).
     ///
     /// [`sample_k_with_stats`]: Self::sample_k_with_stats
     fn check_reachable(
@@ -684,6 +841,8 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
         let within = |slot: &Option<Sample<T>>, lo: u64, hi: u64| {
             slot.as_ref().is_none_or(|s| (lo..hi).contains(&s.index()))
         };
+        let stamped =
+            |slot: &Option<Sample<T>>| slot.as_ref().is_none_or(|s| s.timestamp() == s.index());
         for (i, lane) in lanes.iter().enumerate() {
             let na = lane.next_accept;
             let reachable = self.naive
@@ -702,6 +861,8 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
                 || !within(&lane.prev, start.saturating_sub(self.n), start)
             {
                 "sample index outside its bucket"
+            } else if !stamped(&lane.cur) || !stamped(&lane.prev) {
+                "sample timestamp differs from its index"
             } else {
                 continue;
             };
@@ -716,10 +877,10 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
 impl<T, R, K: SampleTracker<T>> MemoryWords for SeqSamplerWr<T, R, K> {
     fn memory_words(&self) -> usize {
         // Both buckets' stored candidates and (when indexed) selectors,
-        // each instance's next-acceptance index, and the (n, count,
-        // min_next) globals.
+        // the next-acceptance offset words, and the (n, count, min_next)
+        // globals.
         let lanes = self.lanes();
-        self.cur.words(lanes) + self.prev.words(lanes) + lanes.k + 3
+        self.cur.words(lanes) + self.prev.words(lanes) + lanes.offset_words() + 3
     }
 }
 
@@ -728,6 +889,9 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for SeqSa
         self.push(value);
     }
 
+    /// Save the per-lane record. Each lane's next acceptance is recorded
+    /// as an absolute stream index (`u64::MAX` when done); the naive path
+    /// keeps none and records 0.
     fn save_state(&self) -> Option<SamplerState<T>> {
         // Tracking trackers carry suffix statistics that cannot be
         // reconstructed from the retained samples alone.
@@ -736,17 +900,20 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for SeqSa
         }
         let rng = state::capture_rng(&self.rng)?;
         let layout = self.lanes();
-        let (next_accept, cur_sel, prev_sel) = self.lane_words();
+        let (offsets, cur_sel, prev_sel) = self.lane_words();
+        let start = self.bucket_start();
         let sample = |bucket: &Bucket<T, K::Stat>, sel: &[u64], i: usize| {
-            (!bucket.is_empty()).then(|| bucket.lane(layout, sel, i).0.clone())
+            (!bucket.is_empty()).then(|| bucket.lane(layout, sel, i).sample())
         };
-        let lanes = next_accept
-            .iter()
-            .enumerate()
-            .map(|(i, &next_accept)| SeqWrLaneState {
+        let lanes = (0..layout.k)
+            .map(|i| SeqWrLaneState {
                 prev: sample(&self.prev, prev_sel, i),
                 cur: sample(&self.cur, cur_sel, i),
-                next_accept,
+                next_accept: match layout.offset(offsets, i) {
+                    _ if self.naive => 0,
+                    o if o == layout.done() => u64::MAX,
+                    o => start + o,
+                },
             })
             .collect();
         Some(SamplerState::SeqWr {
@@ -807,9 +974,10 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for SeqSa
                 if let Some(samples) = samples {
                     let samples = samples
                         .into_iter()
-                        .map(|s| {
-                            let stat = tracker.fresh(s.value(), s.index());
-                            (s, stat)
+                        .map(|s| Cand {
+                            stat: tracker.fresh(s.value(), s.index()),
+                            index: s.index(),
+                            value: s.into_value(),
                         })
                         .collect();
                     bucket.store(layout, sel, samples);
@@ -818,7 +986,7 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for SeqSa
         // `check_reachable` saw every lane's `cur` present or every one
         // absent, and the same for `prev`.
         let w = layout.words;
-        let (sel, next_accept) = self.lane_words.split_at_mut(2 * w);
+        let (sel, offsets) = self.lane_words.split_at_mut(2 * w);
         let (cur_sel, prev_sel) = sel.split_at_mut(w);
         bucket(
             &mut self.cur,
@@ -830,17 +998,25 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for SeqSa
             prev_sel,
             lanes.iter_mut().map(|l| l.prev.take()).collect(),
         );
-        for (na, lane) in next_accept.iter_mut().zip(&lanes) {
-            *na = lane.next_accept;
+        // On the skip path, `check_reachable` put every next acceptance in
+        // the partial bucket or at `u64::MAX`.
+        let start = next_rotate - self.n;
+        let done = layout.done();
+        let mut min = done;
+        layout.rearm(offsets);
+        for (i, lane) in lanes.iter().enumerate() {
+            let o = match lane.next_accept {
+                _ if self.naive => 0,
+                u64::MAX => done,
+                na => na - start,
+            };
+            layout.set_offset(offsets, i, o);
+            min = min.min(o);
         }
         self.count = count;
         self.accepts = accepts;
         // Derived fields: the skip gate is the minimum pending acceptance.
-        self.min_next = next_accept
-            .iter()
-            .copied()
-            .min()
-            .expect("at least one instance");
+        self.min_next = if min == done { u64::MAX } else { start + min };
         self.next_rotate = next_rotate;
         Ok(())
     }
@@ -889,7 +1065,7 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for SeqSa
     }
 
     fn k(&self) -> usize {
-        self.lanes().k
+        self.k as usize
     }
 }
 
@@ -1049,24 +1225,24 @@ mod tests {
     /// Words the stored layout holds, checking its invariants on the way:
     /// an indexed bucket holds fewer than `k` candidates, distinct, in
     /// stream order and each some lane's, plus its selector words; a
-    /// lane-order bucket holds `k` samples.
+    /// lane-order bucket holds `k` candidates. Then the offset words.
     fn stored_words<R>(s: &SeqSamplerWr<u64, R>) -> usize {
         let lanes = s.lanes();
-        let (next_accept, cur_sel, prev_sel) = s.lane_words();
-        let mut words = next_accept.len() + 3;
+        let (offsets, cur_sel, prev_sel) = s.lane_words();
+        if lanes.k < offsets.len() << lanes.pack {
+            assert_eq!(lanes.offset(offsets, lanes.k), lanes.done(), "padding slot");
+        }
+        let mut words = offsets.len() + 3;
         for (bucket, sel) in [(&s.cur, cur_sel), (&s.prev, prev_sel)] {
             let m = bucket.items.len();
-            words += m * Sample::<u64>::WORDS;
+            words += CAND_WORDS * m;
             if m == 0 || m == lanes.k {
                 continue;
             }
             assert!(lanes.indexed(m), "{m} candidates stored indexed");
             words += sel.len();
             assert!(
-                bucket
-                    .items
-                    .windows(2)
-                    .all(|p| p[0].0.index() < p[1].0.index()),
+                bucket.items.windows(2).all(|p| p[0].index < p[1].index),
                 "candidates not distinct in stream order"
             );
             let mut held = vec![false; m];
@@ -1078,11 +1254,12 @@ mod tests {
         words
     }
 
-    /// `memory_words` recounted from the per-lane record alone: per
-    /// non-empty bucket, `3m` words for its `m` distinct stream indices
-    /// plus `⌈k / 8⌉` selector words when that is smaller than `3k` and
-    /// `2 ≤ k ≤ 256`, else `3k`; plus `k + 3`.
-    fn recount(record: &SamplerState<u64>) -> usize {
+    /// `memory_words` recounted from the per-lane record of a sampler
+    /// over windows of `n`: per non-empty bucket, `2m` words for its `m`
+    /// distinct stream indices plus `⌈k / 8⌉` selector words when that is
+    /// smaller than `2k` and `2 ≤ k ≤ 256`, else `2k`; plus `⌈k / 2⌉`
+    /// offset words when `n < 2^32`, else `k`; plus 3.
+    fn recount(record: &SamplerState<u64>, n: u64) -> usize {
         let SamplerState::SeqWr { lanes, .. } = record else {
             unreachable!("seq-wr saves a seq-wr state")
         };
@@ -1098,8 +1275,8 @@ mod tests {
             let m = indices.len();
             match m {
                 0 => 0,
-                _ if (3 * m).saturating_add(sel) < 3 * k => 3 * m + sel,
-                _ => 3 * k,
+                _ if (2 * m).saturating_add(sel) < 2 * k => 2 * m + sel,
+                _ => 2 * k,
             }
         };
         let indices = |pick: fn(&SeqWrLaneState<u64>) -> &Option<Sample<u64>>| {
@@ -1108,7 +1285,8 @@ mod tests {
                 .filter_map(|l| pick(l).as_ref().map(Sample::index))
                 .collect()
         };
-        bucket(indices(|l| &l.cur)) + bucket(indices(|l| &l.prev)) + k + 3
+        let offsets = if n < 1 << 32 { k.div_ceil(2) } else { k };
+        bucket(indices(|l| &l.cur)) + bucket(indices(|l| &l.prev)) + offsets + 3
     }
 
     #[test]
@@ -1139,7 +1317,7 @@ mod tests {
                     assert_eq!(words, stored_words(&s), "n={n} k={k} at {i}");
                     if i % 7 == 0 || k < 16 {
                         let record = s.save_state().expect("saves");
-                        assert_eq!(words, recount(&record), "n={n} k={k} at {i}");
+                        assert_eq!(words, recount(&record, n), "n={n} k={k} at {i}");
                     }
                     let m = s.cur.items.len();
                     indexed |= m > 0 && m < k;
@@ -1175,7 +1353,7 @@ mod tests {
                     assert!(s.memory_words() <= cap, "at step {i}");
                 }
                 let record = skip.save_state().expect("skip path saves");
-                assert_eq!(skip.memory_words(), recount(&record), "at step {i}");
+                assert_eq!(skip.memory_words(), recount(&record, n), "at step {i}");
                 let mut crossed = SeqSamplerWr::naive(n, k, SmallRng::seed_from_u64(3));
                 crossed
                     .restore_state(record)
@@ -1347,6 +1525,106 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_a_timestamp_that_is_not_the_index() {
+        // Candidates store no timestamp, so no sampler can hold one that
+        // differs from the index.
+        assert_corrupt(
+            restore_edited(15, |_, lanes| {
+                let s = lanes[1].cur.take().expect("partial bucket filled");
+                lanes[1].cur = Some(Sample::new(*s.value(), s.index(), s.index() + 1));
+            }),
+            "current sample stamped after its index",
+        );
+        assert_corrupt(
+            restore_edited(15, |_, lanes| {
+                let s = lanes[0].prev.take().expect("complete bucket filled");
+                lanes[0].prev = Some(Sample::new(*s.value(), s.index(), 0));
+            }),
+            "complete-bucket sample stamped before its index",
+        );
+    }
+
+    #[test]
+    fn wide_windows_save_restore_and_resume() {
+        // Windows at and past 2^32 hold one 64-bit offset per lane, the
+        // largest packed window two 32-bit offsets per word; either way a
+        // lane's first redraw lands anywhere below `n`.
+        for n in [(1u64 << 32) - 1, 1 << 32, 1 << 40, 1 << 62] {
+            let k = 5;
+            let mut s = SeqSamplerWr::new(n, k, SmallRng::seed_from_u64(n % 97));
+            let values: Vec<u64> = (0..3000).collect();
+            for chunk in values.chunks(101) {
+                s.insert_batch(chunk);
+                let record = s.save_state().expect("saves");
+                assert_eq!(s.memory_words(), stored_words(&s), "n={n}");
+                assert_eq!(s.memory_words(), recount(&record, n), "n={n}");
+                assert!(s.memory_words() <= 7 * k + 3, "n={n}");
+                let SamplerState::SeqWr { lanes, .. } = &record else {
+                    unreachable!("seq-wr saves a seq-wr state")
+                };
+                assert!(lanes.iter().all(|l| l.next_accept >= s.len_seen()));
+                let mut resumed = SeqSamplerWr::new(n, k, SmallRng::seed_from_u64(1));
+                resumed.restore_state(record.clone()).expect("restores");
+                assert_eq!(resumed.save_state(), Some(record), "n={n}");
+                assert_eq!(resumed.memory_words(), s.memory_words(), "n={n}");
+                let mut original = s.clone();
+                for v in 0..500u64 {
+                    original.insert(v);
+                    resumed.insert(v);
+                }
+                assert_eq!(original.sample_k(), resumed.sample_k(), "n={n}");
+                assert_eq!(original.save_state(), resumed.save_state(), "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn offsets_pack_two_to_the_word_below_2_pow_32() {
+        for (n, words) in [(1u64, 3), ((1 << 32) - 1, 3), (1 << 32, 5), (1 << 62, 5)] {
+            let s: SeqSamplerWr<u64, _> = SeqSamplerWr::new(n, 5, SmallRng::seed_from_u64(0));
+            assert_eq!(s.lanes().offset_words(), words, "n={n}");
+            let lanes = s.lanes();
+            let mut off = vec![0; words];
+            for i in 0..5 {
+                lanes.set_offset(&mut off, i, lanes.done() - i as u64);
+            }
+            lanes.set_offset(&mut off, 2, n - 1);
+            let got: Vec<u64> = (0..5).map(|i| lanes.offset(&off, i)).collect();
+            let done = lanes.done();
+            assert_eq!(got, [done, done - 1, n - 1, done - 3, done - 4], "n={n}");
+            assert!(n - 1 < done, "n={n}: an offset equals the done sentinel");
+        }
+    }
+
+    #[test]
+    fn byte_compares_match_scalar() {
+        for d in 0..=255u8 {
+            for b in 0..=255u8 {
+                let x = u64::from_le_bytes([b, d, 0, 255, b, 1, 128, 127]);
+                let want = u64::from_le_bytes(x.to_le_bytes().map(|byte| u8::from(byte > d)));
+                assert_eq!(bytes_above(x, d), want, "b={b} d={d}");
+                let spread = LO * u64::from(d);
+                assert_eq!(
+                    has_zero_byte(x ^ spread),
+                    x.to_le_bytes().contains(&d),
+                    "b={b} d={d}"
+                );
+            }
+        }
+        // Bytes past lane `k` never hold a candidate, not even 0.
+        for k in [2usize, 9, 16, 17, 255, 256] {
+            let lanes = Lanes::new(k, 100, true);
+            let mut sel = vec![0; lanes.words];
+            for i in 0..k {
+                Lanes::set(&mut sel, i, 1 + i % 3);
+            }
+            assert!(!lanes.holds(&sel, 0), "k={k}");
+            assert!(lanes.holds(&sel, 1), "k={k}");
+            assert_eq!(lanes.holds(&sel, 3), k > 2, "k={k}");
+        }
+    }
+
+    #[test]
     fn restore_rejects_a_count_past_the_last_rotation() {
         assert_corrupt(
             restore_edited(15, |count, _| *count = u64::MAX - 3),
@@ -1389,7 +1667,8 @@ mod tests {
         for &n in &[4u64, 64, 4096] {
             let k = 5;
             let mut s = SeqSamplerWr::new(n, k, SmallRng::seed_from_u64(2));
-            // Two samples of 3 words + 1 skip index per instance + globals.
+            // The §1.4 cap: two 3-word samples and one index per
+            // instance, plus globals.
             let cap = k * 2 * 3 + k + 3;
             for i in 0..3000u64 {
                 s.insert(i);

@@ -523,8 +523,8 @@ pub struct SeqWrLaneState<T> {
     pub prev: Option<Sample<T>>,
     /// Candidate of the in-progress bucket.
     pub cur: Option<Sample<T>>,
-    /// 1-based stream count of the next acceptance (`u64::MAX` = no more
-    /// accepts this bucket).
+    /// Stream index of the next acceptance (`u64::MAX` = no more accepts
+    /// this bucket). The naive path keeps none and records 0.
     pub next_accept: u64,
 }
 

@@ -79,7 +79,7 @@
 //! hard ceiling. The typical count is lower and depends on the samples
 //! drawn: a seq-WR bucket stores each element its lanes hold once (plus
 //! a small per-lane selector), so a key whose lanes repeat few elements
-//! costs far less than the ceiling (about 33 words at `k = 16` on a
+//! costs far less than the ceiling (about 21 words at `k = 16` on a
 //! 100k-key zipf fleet, against 115). [`MultiStreamEngine::memory_words`]
 //! and [`MultiStreamEngine::max_key_memory_words`] expose both sides of
 //! that accounting, and

@@ -13,7 +13,9 @@ process; its last stdout line is the JSON result.
 For every end-to-end metric `BENCHMARK.json` declares, it prints the base
 and head medians with their interquartile ranges, the head/base ratio of
 the medians, and the pairs the head won (by the metric's `better`
-direction). A run that reports `correct: false` or fails is counted and
+direction). A metric whose base-side IQR / median exceeds its `bound` is
+marked `(!)`: its spread alone exceeds the change the bound allows, so
+the A/B cannot resolve it. A run that reports `correct: false` or fails is counted and
 shown; its metrics are left out. `--json FILE` also writes every run.
 
 Exit status: 0 when every run was correct, 1 otherwise, 2 on bad usage or a
@@ -140,6 +142,7 @@ def main():
         print(f"\n## {workload}")
         print("| metric | base median (IQR) | head median (IQR) | head/base | head wins |")
         print("|---|---|---|---|---|")
+        unresolved = []
         for m in metrics:
             name, higher = m["name"], m["better"] == "higher"
             both = [p for p in pairs
@@ -153,8 +156,15 @@ def main():
             wins = sum((p["head"][name] > p["base"][name]) if higher
                        else (p["head"][name] < p["base"][name]) for p in both)
             ratio = h[1] / b[1] if b[1] else float("nan")
+            spread = (b[2] - b[0]) / abs(b[1]) if b[1] else float("inf")
+            if spread > m["bound"]:
+                name += " (!)"
+                unresolved.append(f"{m['name']}: base IQR/median {spread:.3f} "
+                                  f"> bound {m['bound']:g}")
             print(f"| {name} | {fmt(b[1])} ({fmt(b[2] - b[0])}) | "
                   f"{fmt(h[1])} ({fmt(h[2] - h[0])}) | {ratio:.3f} | {wins}/{len(both)} |")
+        for line in unresolved:
+            print(f"(!) {line}: the spread exceeds the bound, so this A/B cannot resolve it")
         bad = sum(p[s] is None for p in pairs for s in ("base", "head"))
         if bad:
             print(f"\n{bad} run(s) failed or reported incorrect answers")

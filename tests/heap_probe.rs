@@ -95,10 +95,12 @@ fn probe(template: &str, keys: u64, events: usize) -> Row {
     }
 }
 
-/// Seq-WR heap per key at 100k keys with the lanes stored plainly (two
-/// arrays of `k` optional samples), measured by this probe at its shape.
-/// The indexed lane layout must stay at least 35% below it.
-const SEQ_WR_100K_PLAIN: f64 = 842.0;
+/// Bar on seq-WR heap per key at 100k keys. This probe measured, at its
+/// shape, 842 B/key with the lanes stored plainly (two arrays of `k`
+/// optional samples and `k` absolute next-acceptance indices), 489 with
+/// indexed buckets, and 383 with two-word candidates and 32-bit offsets.
+/// The bar leaves 4% above the last figure.
+const SEQ_WR_100K_BAR: f64 = 400.0;
 
 #[test]
 fn heap_bytes_per_key_by_family() {
@@ -141,8 +143,7 @@ fn heap_bytes_per_key_by_family() {
     }
     let seq_wr = seq_wr_100k.expect("seq-WR row measured");
     assert!(
-        seq_wr <= 0.65 * SEQ_WR_100K_PLAIN,
-        "seq-WR heap {seq_wr:.0} B/key at 100k keys, bar {:.0}",
-        0.65 * SEQ_WR_100K_PLAIN
+        seq_wr <= SEQ_WR_100K_BAR,
+        "seq-WR heap {seq_wr:.0} B/key at 100k keys, bar {SEQ_WR_100K_BAR:.0}"
     );
 }
