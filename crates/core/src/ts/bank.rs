@@ -41,27 +41,41 @@
 //! Lane storage. A bucket has `2k` sample slots — lane `j`'s `R` at slot
 //! `j`, its `Q` at slot `k + j` — yet few *distinct* elements among them:
 //! `2k` uniform picks from a width-`w` bucket repeat whenever `w` is small
-//! against `k`. So each bucket stores every element its slots hold once:
+//! against `k`. So each bucket stores every element its slots hold once,
+//! and of each element only what its bucket's boundaries do not give:
 //!
-//! * a never-merged singleton stores its element inline, once for all
-//!   lanes (`Shared`);
-//! * a width-2 bucket at `2 ≤ k ≤ 64` stores both its candidates inline,
-//!   with the merge coins verbatim as a 1-bit selector per slot (`Pair`,
-//!   two selector words);
+//! * a never-merged singleton stores its element's value alone, once for
+//!   all lanes (`Shared`): the index is `a` and the timestamp `T(p_a)`;
+//! * a width-2 bucket at `2 ≤ k ≤ 64` stores both values, the second
+//!   one's timestamp offset from `T(p_a)`, and the merge coins verbatim as
+//!   a 1-bit selector per slot (`Pair`, two selector words);
 //! * any other merged bucket stores its `m` distinct candidates in stream
 //!   order plus a selector per slot — a bit when `m = 2`, a byte when
-//!   `m ≤ 256` (`Indexed`). When that index would not be smaller than
-//!   `2k` plain samples (`m` near `2k`, in wide buckets), the bucket
-//!   stores its `2k` slots in slot order instead, with no selectors.
+//!   `m ≤ 256`. When that index would not be smaller than the `2k` slots'
+//!   candidates stored plainly (`m` near `2k`, in wide buckets), the
+//!   bucket stores its `2k` slots in slot order instead, with no
+//!   selectors.
 //!
-//! So no bucket ever costs more than `6k + 3` words. A merge reads each
-//! slot's left or right candidate by its coin, eight slots (a byte each)
-//! to the word, marks which candidates some slot still holds, and drops
-//! and renumbers the rest. The coins drawn and the element each lane ends
-//! up holding do not depend on the layout; only the storage does. The
-//! layout is a function of the bucket's width, `k` and its slots'
-//! contents, so a bucket rebuilt from its checkpoint record stores
-//! exactly what the live one did.
+//! A merged bucket's candidate is its value and its offsets `index − a`
+//! and `ts − T(p_a)`. The index offset is below the width. The timestamp
+//! offset is below `t0`: only the covering (or the straddle tail) merges,
+//! and all of its buckets start inside the window (Lemma 3.5), so every
+//! element a bucket holds arrived less than `t0` after the bucket's
+//! first. When `t0 ≤ 2^32` and the width is at most `2^32`, both offsets
+//! fit 32 bits and share one word (`Indexed`: two words a candidate);
+//! otherwise they take a word each (`Wide`: three words a candidate).
+//!
+//! With the three boundary words, a width-1 bucket costs 4 words, a
+//! `Pair` 8, and a merged bucket `3 + 2m` plus its selector words (`3 +
+//! 3m` when wide). No bucket ever costs more than `4k + 3` words (`6k +
+//! 3` when wide), its `2k` slots' candidates stored plainly. A merge reads
+//! each slot's left or right candidate by its coin, eight slots (a byte
+//! each) to the word, marks which candidates some slot still holds, and
+//! drops and renumbers the rest. The coins drawn and the element each
+//! lane ends up holding do not depend on the layout; only the storage
+//! does. The layout is a function of `t0`, the bucket's width, `k` and
+//! its slots' contents, so a bucket rebuilt from its checkpoint record
+//! stores exactly what the live one did.
 
 use super::bucket::BucketStruct;
 use super::covering::Covering;
@@ -78,16 +92,21 @@ use rand::Rng;
 /// Per-bucket sample slots for all `k` lanes (see the module docs).
 #[derive(Debug, Clone)]
 enum LaneSamples<T, S> {
-    /// Never merged: every slot holds this element, stored once.
-    Shared { item: Sample<T>, stat: S },
-    /// Width 2 at `2 ≤ k ≤ 64`: both candidates, and bit `s` of `sel`
-    /// is slot `s`'s selector (the merge coins).
+    /// Never merged: every slot holds the bucket's element (index `a`,
+    /// timestamp `ts_first`), stored once.
+    Shared { value: T, stat: S },
+    /// Width 2 at `2 ≤ k ≤ 64`: the elements at `a` (timestamp
+    /// `ts_first`) and `a + 1` (timestamp `ts_first + dt`); bit `s` of
+    /// `sel` is slot `s`'s selector (the merge coins).
     Pair {
-        cands: [(Sample<T>, S); 2],
+        cands: [(T, S); 2],
+        dt: u64,
         sel: [u64; 2],
     },
+    /// Any other merged bucket whose offsets [`packs`] into one word.
+    Indexed(Lanes<T, S, Packed>),
     /// Any other merged bucket.
-    Indexed(Lanes<T, S>),
+    Wide(Lanes<T, S, Unpacked>),
 }
 
 /// Slot `s`'s candidate in a `Pair`.
@@ -95,13 +114,147 @@ fn pair_pick(sel: &[u64; 2], s: usize) -> usize {
     ((sel[s / 64] >> (s % 64)) & 1) as usize
 }
 
+/// Whether a merged bucket of `width` over windows of `t0` stores each
+/// candidate's two offsets in one word: both are then below `2^32`.
+fn packs(t0: u64, width: u64) -> bool {
+    t0 <= 1 << 32 && width <= 1 << 32
+}
+
+/// A stored candidate: the element's value, its offsets from its bucket's
+/// first index and timestamp, and its tracker statistic.
+#[derive(Debug, Clone)]
+struct Cand<T, S, O> {
+    value: T,
+    off: O,
+    stat: S,
+}
+
+/// How a merged bucket stores a candidate's `(index − a, ts − ts_first)`.
+trait Offsets: Copy {
+    /// Words the offsets take.
+    const WORDS: usize;
+    fn new(di: u64, dt: u64) -> Self;
+    fn get(self) -> (u64, u64);
+    /// A merged bucket storing offsets this way.
+    fn wrap<T, S>(lanes: Lanes<T, S, Self>) -> LaneSamples<T, S>;
+    /// The lanes of `samples`, if they store offsets this way.
+    fn unwrap<T, S>(samples: LaneSamples<T, S>) -> Result<Lanes<T, S, Self>, LaneSamples<T, S>>;
+    /// The pool's spare buffers of this kind.
+    fn spares<T, S>(pool: &mut SparePool<T, S>) -> &mut Vec<Lanes<T, S, Self>>;
+}
+
+/// Both offsets in one word, the index offset in the low half.
+#[derive(Debug, Clone, Copy)]
+struct Packed(u64);
+
+/// A word each.
+#[derive(Debug, Clone, Copy)]
+struct Unpacked([u64; 2]);
+
+impl Offsets for Packed {
+    const WORDS: usize = 1;
+
+    #[inline]
+    fn new(di: u64, dt: u64) -> Self {
+        debug_assert!(di >> 32 == 0 && dt >> 32 == 0, "offsets wider than 32 bits");
+        Packed(di | dt << 32)
+    }
+
+    #[inline]
+    fn get(self) -> (u64, u64) {
+        (self.0 & u64::from(u32::MAX), self.0 >> 32)
+    }
+
+    fn wrap<T, S>(lanes: Lanes<T, S, Self>) -> LaneSamples<T, S> {
+        LaneSamples::Indexed(lanes)
+    }
+
+    fn unwrap<T, S>(samples: LaneSamples<T, S>) -> Result<Lanes<T, S, Self>, LaneSamples<T, S>> {
+        match samples {
+            LaneSamples::Indexed(l) => Ok(l),
+            other => Err(other),
+        }
+    }
+
+    fn spares<T, S>(pool: &mut SparePool<T, S>) -> &mut Vec<Lanes<T, S, Self>> {
+        &mut pool.packed
+    }
+}
+
+impl Offsets for Unpacked {
+    const WORDS: usize = 2;
+
+    fn new(di: u64, dt: u64) -> Self {
+        Unpacked([di, dt])
+    }
+
+    fn get(self) -> (u64, u64) {
+        (self.0[0], self.0[1])
+    }
+
+    fn wrap<T, S>(lanes: Lanes<T, S, Self>) -> LaneSamples<T, S> {
+        LaneSamples::Wide(lanes)
+    }
+
+    fn unwrap<T, S>(samples: LaneSamples<T, S>) -> Result<Lanes<T, S, Self>, LaneSamples<T, S>> {
+        match samples {
+            LaneSamples::Wide(l) => Ok(l),
+            other => Err(other),
+        }
+    }
+
+    fn spares<T, S>(pool: &mut SparePool<T, S>) -> &mut Vec<Lanes<T, S, Self>> {
+        &mut pool.unpacked
+    }
+}
+
+/// A slot's element as its bucket stores it: value, statistic, index and
+/// timestamp (offsets from the bucket's first until
+/// [`BankBucket::slot`] adds those).
+struct Pick<'a, T, S> {
+    value: &'a T,
+    stat: &'a S,
+    index: u64,
+    ts: u64,
+}
+
+impl<T: Clone, S> Pick<'_, T, S> {
+    fn sample(&self) -> Sample<T> {
+        Sample::new(self.value.clone(), self.index, self.ts)
+    }
+
+    /// The element as a candidate `shift` further into a merged bucket.
+    fn cand<O: Offsets>(&self, shift: (u64, u64)) -> Cand<T, S, O>
+    where
+        S: Clone,
+    {
+        Cand {
+            value: self.value.clone(),
+            off: O::new(self.index + shift.0, self.ts + shift.1),
+            stat: self.stat.clone(),
+        }
+    }
+}
+
+impl<T, S, O: Offsets> Cand<T, S, O> {
+    fn pick(&self) -> Pick<'_, T, S> {
+        let (index, ts) = self.off.get();
+        Pick {
+            value: &self.value,
+            stat: &self.stat,
+            index,
+            ts,
+        }
+    }
+}
+
 /// A merged bucket's `2k` slots over its stored candidates.
 #[derive(Debug, Clone)]
-struct Lanes<T, S> {
+struct Lanes<T, S, O> {
     /// With `bits > 0`, or a single entry: the distinct elements the slots
     /// hold, each once, in stream order. With `bits == 0` and more than
     /// one entry: slot `s` holds `cands[s]` (slot order).
-    cands: Vec<(Sample<T>, S)>,
+    cands: Vec<Cand<T, S, O>>,
     /// Slot `s`'s candidate index in bits `[s·bits, (s+1)·bits)`, `bits`
     /// being 1 for two candidates and 8 for more: exactly `⌈2k·bits/64⌉`
     /// words.
@@ -195,7 +348,7 @@ impl Sel<'_> {
     }
 }
 
-impl<T, S> Lanes<T, S> {
+impl<T, S, O: Offsets> Lanes<T, S, O> {
     const EMPTY: Self = Lanes {
         cands: Vec::new(),
         sel: Vec::new(),
@@ -236,6 +389,36 @@ impl<T, S> Lanes<T, S> {
         let pos = s * self.bits as usize;
         self.sel[pos / 64] |= (c as u64) << (pos % 64);
     }
+
+    /// Words stored: each candidate's value and offsets, and the
+    /// selectors.
+    fn words(&self) -> usize {
+        self.cands.len() * (1 + O::WORDS) + self.sel.len()
+    }
+
+    /// Move the candidates whose `held` entry is 1 (all of them without
+    /// `held`) to the end of `out`, `shift` further into its bucket, and
+    /// recycle the buffers.
+    fn move_held<P: Offsets>(
+        mut self,
+        held: Option<&[u8]>,
+        out: &mut Vec<Cand<T, S, P>>,
+        shift: (u64, u64),
+        pool: &mut SparePool<T, S>,
+    ) {
+        if let Some(held) = held {
+            retain_held(&mut self.cands, held);
+        }
+        out.extend(self.cands.drain(..).map(|c| {
+            let (di, dt) = c.off.get();
+            Cand {
+                value: c.value,
+                off: P::new(di + shift.0, dt + shift.1),
+                stat: c.stat,
+            }
+        }));
+        pool.put(self);
+    }
 }
 
 /// Recycled buffers. A merge consumes its operands' vectors, and an
@@ -245,12 +428,16 @@ impl<T, S> Lanes<T, S> {
 /// part of the §1.4 word accounting.
 #[derive(Debug, Clone)]
 struct SparePool<T, S> {
-    bufs: Vec<Lanes<T, S>>,
+    packed: Vec<Lanes<T, S, Packed>>,
+    unpacked: Vec<Lanes<T, S, Unpacked>>,
 }
 
 impl<T, S> Default for SparePool<T, S> {
     fn default() -> Self {
-        Self { bufs: Vec::new() }
+        Self {
+            packed: Vec::new(),
+            unpacked: Vec::new(),
+        }
     }
 }
 
@@ -281,21 +468,22 @@ thread_local! {
 
 impl<T, S> SparePool<T, S> {
     /// Empty candidate and selector buffers.
-    fn take(&mut self) -> Lanes<T, S> {
-        self.bufs.pop().unwrap_or(Lanes::EMPTY)
+    fn take<O: Offsets>(&mut self) -> Lanes<T, S, O> {
+        O::spares(self).pop().unwrap_or(Lanes::EMPTY)
     }
 
-    fn put(&mut self, mut bufs: Lanes<T, S>) {
-        if self.bufs.len() < SPARE_POOL_CAP {
+    fn put<O: Offsets>(&mut self, mut bufs: Lanes<T, S, O>) {
+        let spares = O::spares(self);
+        if spares.len() < SPARE_POOL_CAP {
             bufs.cands.clear();
             bufs.sel.clear();
             bufs.bits = 0;
-            self.bufs.push(bufs);
+            spares.push(bufs);
         }
     }
 }
 
-impl<T: Clone, S: Clone> Lanes<T, S> {
+impl<T: Clone, S: Clone, O: Offsets> Lanes<T, S, O> {
     /// The layout to store these slots in: each distinct element once,
     /// in stream order, with a selector per slot — unless that index
     /// would not be smaller than the `2k` slots stored plainly, or would
@@ -307,11 +495,10 @@ impl<T: Clone, S: Clone> Lanes<T, S> {
         pool: &mut SparePool<T, S>,
     ) -> Self {
         let slots = 2 * lanes;
-        let smaller = |m: usize| {
-            m <= MAX_INDEXED
-                && m * Sample::<T>::WORDS + sel_words(slots, sel_bits(m))
-                    < slots * Sample::<T>::WORDS
-        };
+        // A candidate's words: its value and its offsets.
+        let unit = 1 + O::WORDS;
+        let smaller =
+            |m: usize| m <= MAX_INDEXED && m * unit + sel_words(slots, sel_bits(m)) < slots * unit;
         if !self.slot_order() {
             if smaller(self.cands.len()) {
                 return self;
@@ -324,7 +511,7 @@ impl<T: Clone, S: Clone> Lanes<T, S> {
         }
         // The slots by stream index: runs of one element.
         order.clear();
-        order.extend((0..slots).map(|s| (self.cands[s].0.index(), s)));
+        order.extend((0..slots).map(|s| (self.cands[s].off.get().0, s)));
         order.sort_unstable();
         let m = 1 + order.windows(2).filter(|p| p[0].0 != p[1].0).count();
         if !smaller(m) {
@@ -347,7 +534,8 @@ impl<T: Clone, S: Clone> Lanes<T, S> {
     /// [`LaneSamples::merge`] past the first level: slot `s` takes the
     /// right operand's element where bit `s` of `take_right` is set, and
     /// the result stores the candidates some slot still holds, in stream
-    /// order. `sel` is scratch for the merged selectors.
+    /// order; the right operand's sit `shift` further into the merged
+    /// bucket. `sel` is scratch for the merged selectors.
     ///
     /// Up to [`MAX_INDEXED`] candidates between the operands, and neither
     /// in slot order, the selectors merge eight slots (a byte each) to the
@@ -358,6 +546,7 @@ impl<T: Clone, S: Clone> Lanes<T, S> {
         mut self,
         right: LaneSamples<T, S>,
         lanes: usize,
+        shift: (u64, u64),
         take_right: &[u64],
         sel: &mut Vec<u64>,
         pool: &mut SparePool<T, S>,
@@ -369,8 +558,7 @@ impl<T: Clone, S: Clone> Lanes<T, S> {
             let mut out = pool.take();
             out.cands.extend((0..slots).map(|s| {
                 if (take_right[s / 64] >> (s % 64)) & 1 == 1 {
-                    let (item, stat) = right.slot(s);
-                    (item.clone(), stat.clone())
+                    right.slot(s).cand(shift)
                 } else {
                     self.cands[self.pick(s)].clone()
                 }
@@ -450,7 +638,7 @@ impl<T: Clone, S: Clone> Lanes<T, S> {
         if let Some(held) = held {
             retain_held(&mut self.cands, &held[..ml]);
         }
-        right.move_held(held.map(|h| &h[ml..]), &mut self.cands, pool);
+        right.move_held(held.map(|h| &h[ml..]), &mut self.cands, shift, pool);
         self.sel.clear();
         self.sel.extend_from_slice(sel);
         self.bits = bits;
@@ -471,26 +659,38 @@ fn retain_held<C>(cands: &mut Vec<C>, held: &[u8]) {
 }
 
 impl<T, S> LaneSamples<T, S> {
-    /// Slot `s`'s element and its tracker statistic.
+    /// Slot `s`'s element and its tracker statistic, at its offsets from
+    /// the bucket's first index and timestamp.
     #[inline]
-    fn slot(&self, s: usize) -> (&Sample<T>, &S) {
+    fn slot(&self, s: usize) -> Pick<'_, T, S> {
         match self {
-            LaneSamples::Shared { item, stat } => (item, stat),
-            LaneSamples::Pair { cands, sel } => {
-                let (item, stat) = &cands[pair_pick(sel, s)];
-                (item, stat)
+            LaneSamples::Shared { value, stat } => Pick {
+                value,
+                stat,
+                index: 0,
+                ts: 0,
+            },
+            LaneSamples::Pair { cands, dt, sel } => {
+                let c = pair_pick(sel, s);
+                let (value, stat) = &cands[c];
+                Pick {
+                    value,
+                    stat,
+                    index: c as u64,
+                    ts: if c == 0 { 0 } else { *dt },
+                }
             }
-            LaneSamples::Indexed(l) => {
-                let (item, stat) = &l.cands[l.pick(s)];
-                (item, stat)
-            }
+            LaneSamples::Indexed(l) => l.cands[l.pick(s)].pick(),
+            LaneSamples::Wide(l) => l.cands[l.pick(s)].pick(),
         }
     }
 
     /// Park the buffers (if merged) for reuse.
     fn recycle(self, pool: &mut SparePool<T, S>) {
-        if let LaneSamples::Indexed(l) = self {
-            pool.put(l);
+        match self {
+            LaneSamples::Indexed(l) => pool.put(l),
+            LaneSamples::Wide(l) => pool.put(l),
+            LaneSamples::Shared { .. } | LaneSamples::Pair { .. } => {}
         }
     }
 
@@ -500,11 +700,16 @@ impl<T, S> LaneSamples<T, S> {
             LaneSamples::Shared { .. } => 1,
             LaneSamples::Pair { .. } => 2,
             LaneSamples::Indexed(l) => l.cands.len(),
+            LaneSamples::Wide(l) => l.cands.len(),
         }
     }
 
     fn slot_order(&self) -> bool {
-        matches!(self, LaneSamples::Indexed(l) if l.slot_order())
+        match self {
+            LaneSamples::Indexed(l) => l.slot_order(),
+            LaneSamples::Wide(l) => l.slot_order(),
+            LaneSamples::Shared { .. } | LaneSamples::Pair { .. } => false,
+        }
     }
 
     /// The selectors of an index.
@@ -519,58 +724,64 @@ impl<T, S> LaneSamples<T, S> {
                 bits: 1,
             },
             LaneSamples::Indexed(l) => l.selectors(),
+            LaneSamples::Wide(l) => l.selectors(),
         }
     }
 
     /// Move the candidates whose `held` entry is 1 (all of them without
-    /// `held`) to the end of `out`, in stream order, and recycle the
-    /// buffers.
-    fn move_held(
+    /// `held`) to the end of `out`, in stream order, `shift` further into
+    /// its bucket, and recycle the buffers.
+    fn move_held<O: Offsets>(
         self,
         held: Option<&[u8]>,
-        out: &mut Vec<(Sample<T>, S)>,
+        out: &mut Vec<Cand<T, S, O>>,
+        shift: (u64, u64),
         pool: &mut SparePool<T, S>,
     ) {
         let is_held = |c: usize| held.is_none_or(|held| held[c] != 0);
+        let mut push = |value, stat, di, dt| {
+            out.push(Cand {
+                value,
+                off: O::new(di + shift.0, dt + shift.1),
+                stat,
+            })
+        };
         match self {
-            LaneSamples::Shared { item, stat } => {
+            LaneSamples::Shared { value, stat } => {
                 if is_held(0) {
-                    out.push((item, stat));
+                    push(value, stat, 0, 0);
                 }
             }
-            LaneSamples::Pair { cands, .. } => {
-                for (c, cand) in cands.into_iter().enumerate() {
-                    if is_held(c) {
-                        out.push(cand);
-                    }
+            LaneSamples::Pair {
+                cands: [(lo, lo_stat), (hi, hi_stat)],
+                dt,
+                ..
+            } => {
+                if is_held(0) {
+                    push(lo, lo_stat, 0, 0);
+                }
+                if is_held(1) {
+                    push(hi, hi_stat, 1, dt);
                 }
             }
-            LaneSamples::Indexed(mut l) => {
-                if let Some(held) = held {
-                    retain_held(&mut l.cands, held);
-                }
-                out.append(&mut l.cands);
-                pool.put(l);
-            }
+            LaneSamples::Indexed(l) => l.move_held(held, out, shift, pool),
+            LaneSamples::Wide(l) => l.move_held(held, out, shift, pool),
         }
     }
 
-    fn into_lanes(self, lanes: usize, pool: &mut SparePool<T, S>) -> Lanes<T, S> {
-        match self {
-            LaneSamples::Indexed(l) => l,
-            LaneSamples::Shared { item, stat } => {
-                let mut single = pool.take();
-                single.cands.push((item, stat));
-                single
-            }
-            LaneSamples::Pair { cands, sel } => {
-                let mut pair = pool.take();
-                pair.cands.extend(cands);
-                pair.sel.extend_from_slice(&sel[..sel_words(2 * lanes, 1)]);
-                pair.bits = 1;
-                pair
-            }
-        }
+    /// These slots as a merged bucket storing offsets as `O`.
+    fn into_lanes<O: Offsets>(self, lanes: usize, pool: &mut SparePool<T, S>) -> Lanes<T, S, O> {
+        let samples = match O::unwrap(self) {
+            Ok(l) => return l,
+            Err(samples) => samples,
+        };
+        let mut out = pool.take();
+        let sel = samples.selectors();
+        out.sel
+            .extend_from_slice(&sel.words[..sel_words(2 * lanes, sel.bits)]);
+        out.bits = sel.bits;
+        samples.move_held(None, &mut out.cands, (0, 0), pool);
+        out
     }
 }
 
@@ -580,29 +791,41 @@ impl<T: Clone, S: Clone> LaneSamples<T, S> {
     /// bit. Coins are drawn as masks, per 64-lane chunk the `R` mask then
     /// the `Q` mask. Two singletons at `2 ≤ k ≤ 64` (half of all merges)
     /// keep both candidates, and the coins are their 1-bit selectors
-    /// verbatim; every other merge is [`Lanes::merge`].
+    /// verbatim; every other merge is [`Lanes::merge`], into a bucket
+    /// storing offsets one word to the candidate where `packed`. The right
+    /// operand starts `shift` into the merged bucket.
+    #[allow(clippy::too_many_arguments)]
     fn merge<R: Rng>(
         self,
         right: Self,
         lanes: usize,
+        shift: (u64, u64),
+        packed: bool,
         rng: &mut R,
         coins: &mut BitSource,
         pool: &mut SparePool<T, S>,
     ) -> Self {
         let (left, right) = match (self, right) {
             (
-                LaneSamples::Shared { item: li, stat: ls },
-                LaneSamples::Shared { item: ri, stat: rs },
+                LaneSamples::Shared {
+                    value: lv,
+                    stat: ls,
+                },
+                LaneSamples::Shared {
+                    value: rv,
+                    stat: rs,
+                },
             ) if pair_shaped(lanes) => {
                 let n = lanes as u32;
                 let (r, q) = (coins.mask(rng, n), coins.mask(rng, n));
                 let sel = u128::from(r) | u128::from(q) << lanes;
                 return LaneSamples::Pair {
-                    cands: [(li, ls), (ri, rs)],
+                    cands: [(lv, ls), (rv, rs)],
+                    dt: shift.1,
                     sel: [sel as u64, (sel >> 64) as u64],
                 };
             }
-            (left, right) => (left.into_lanes(lanes, pool), right),
+            operands => operands,
         };
         let mut scratch = SCRATCH.take();
         let take_right = &mut scratch.coins;
@@ -620,10 +843,53 @@ impl<T: Clone, S: Clone> LaneSamples<T, S> {
             }
             lane0 += n;
         }
-        let merged = left.merge(right, lanes, &scratch.coins, &mut scratch.sel, pool);
-        let merged = merged.store(lanes, &mut scratch.order, pool);
+        let merged = if packed {
+            left.merge_as::<Packed>(right, lanes, shift, &mut scratch, pool)
+        } else {
+            left.merge_as::<Unpacked>(right, lanes, shift, &mut scratch, pool)
+        };
         SCRATCH.set(scratch);
-        LaneSamples::Indexed(merged)
+        merged
+    }
+
+    /// [`Lanes::merge`] then [`Lanes::store`], into a bucket storing
+    /// offsets as `O`, on the coins in `scratch`.
+    fn merge_as<O: Offsets>(
+        self,
+        right: Self,
+        lanes: usize,
+        shift: (u64, u64),
+        scratch: &mut Scratch,
+        pool: &mut SparePool<T, S>,
+    ) -> Self {
+        let merged = self.into_lanes::<O>(lanes, pool).merge(
+            right,
+            lanes,
+            shift,
+            &scratch.coins,
+            &mut scratch.sel,
+            pool,
+        );
+        O::wrap(merged.store(lanes, &mut scratch.order, pool))
+    }
+
+    /// A merged bucket's slots from its checkpoint: slot `s` holds
+    /// `slots[s]`, a value and statistic at offsets `(di, dt)`.
+    fn from_slots<O: Offsets>(
+        slots: impl Iterator<Item = (T, S, u64, u64)>,
+        lanes: usize,
+        pool: &mut SparePool<T, S>,
+    ) -> Self {
+        let mut plain = pool.take();
+        plain.cands.extend(slots.map(|(value, stat, di, dt)| Cand {
+            value,
+            off: O::new(di, dt),
+            stat,
+        }));
+        let mut scratch = SCRATCH.take();
+        let stored = plain.store(lanes, &mut scratch.order, pool);
+        SCRATCH.set(scratch);
+        O::wrap(stored)
     }
 }
 
@@ -641,14 +907,12 @@ struct BankBucket<T, S> {
 }
 
 impl<T: Clone, S: Clone> BankBucket<T, S> {
-    fn singleton(item: Sample<T>, stat: S) -> Self {
-        let idx = item.index();
-        let ts = item.timestamp();
+    fn singleton(value: T, stat: S, index: u64, ts: u64) -> Self {
         Self {
-            a: idx,
-            b: idx + 1,
+            a: index,
+            b: index + 1,
             ts_first: ts,
-            samples: LaneSamples::Shared { item, stat },
+            samples: LaneSamples::Shared { value, stat },
         }
     }
 
@@ -657,23 +921,28 @@ impl<T: Clone, S: Clone> BankBucket<T, S> {
     }
 
     /// Slot `s`'s element and its tracker statistic.
-    fn slot(&self, s: usize) -> (&Sample<T>, &S) {
-        self.samples.slot(s)
+    fn slot(&self, s: usize) -> Pick<'_, T, S> {
+        let mut pick = self.samples.slot(s);
+        pick.index += self.a;
+        pick.ts += self.ts_first;
+        pick
     }
 
     /// Lane `lane`'s `R` sample and its statistic.
-    fn r(&self, lane: usize) -> (&Sample<T>, &S) {
+    fn r(&self, lane: usize) -> Pick<'_, T, S> {
         self.slot(lane)
     }
 
     /// Lane `lane`'s `Q` sample.
-    fn q(&self, lane: usize, lanes: usize) -> &Sample<T> {
-        self.slot(lanes + lane).0
+    fn q(&self, lane: usize, lanes: usize) -> Pick<'_, T, S> {
+        self.slot(lanes + lane)
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn merge_right<R: Rng>(
         &mut self,
         right: BankBucket<T, S>,
+        t0: u64,
         lanes: usize,
         rng: &mut R,
         coins: &mut BitSource,
@@ -685,8 +954,10 @@ impl<T: Clone, S: Clone> BankBucket<T, S> {
             right.width(),
             "merge of unequal-width buckets"
         );
+        let shift = (self.width(), right.ts_first - self.ts_first);
+        let packed = packs(t0, 2 * self.width());
         let left = std::mem::replace(&mut self.samples, LaneSamples::Indexed(Lanes::EMPTY));
-        self.samples = left.merge(right.samples, lanes, rng, coins, pool);
+        self.samples = left.merge(right.samples, lanes, shift, packed, rng, coins, pool);
         self.b = right.b;
     }
 
@@ -697,14 +968,14 @@ impl<T: Clone, S: Clone> BankBucket<T, S> {
 
     /// One lane's view as a plain `BucketStruct` (cloned).
     fn lane_bucket(&self, lane: usize, lanes: usize) -> BucketStruct<T, S> {
-        let (r, r_stat) = self.r(lane);
+        let r = self.r(lane);
         BucketStruct {
             a: self.a,
             b: self.b,
             ts_first: self.ts_first,
-            r: r.clone(),
-            r_stat: r_stat.clone(),
-            q: self.q(lane, lanes).clone(),
+            r: r.sample(),
+            r_stat: r.stat.clone(),
+            q: self.q(lane, lanes).sample(),
         }
     }
 
@@ -717,8 +988,13 @@ impl<T: Clone, S: Clone> BankBucket<T, S> {
                 }
             }
             LaneSamples::Indexed(l) => {
-                for (_, stat) in &mut l.cands {
-                    observe(stat);
+                for c in &mut l.cands {
+                    observe(&mut c.stat);
+                }
+            }
+            LaneSamples::Wide(l) => {
+                for c in &mut l.cands {
+                    observe(&mut c.stat);
                 }
             }
         }
@@ -729,23 +1005,29 @@ impl<T: Clone, S: Clone> BankBucket<T, S> {
     /// slots otherwise.
     fn to_state(&self, lanes: usize) -> TsBankBucketState<T> {
         let samples = match &self.samples {
-            LaneSamples::Shared { item, .. } => TsLaneSamplesState::Shared(item.clone()),
-            LaneSamples::Pair { cands, sel } => {
+            LaneSamples::Shared { value, .. } => {
+                TsLaneSamplesState::Shared(Sample::new(value.clone(), self.a, self.ts_first))
+            }
+            LaneSamples::Pair {
+                cands: [(lo, _), (hi, _)],
+                dt,
+                sel,
+            } => {
                 let mask = |first: usize| {
                     (0..lanes).fold(0u64, |mask, j| {
                         mask | (pair_pick(sel, first + j) as u64) << j
                     })
                 };
                 TsLaneSamplesState::Pair {
-                    lo: cands[0].0.clone(),
-                    hi: cands[1].0.clone(),
+                    lo: Sample::new(lo.clone(), self.a, self.ts_first),
+                    hi: Sample::new(hi.clone(), self.a + 1, self.ts_first + dt),
                     rsel: mask(0),
                     qsel: mask(lanes),
                 }
             }
-            LaneSamples::Indexed(_) => TsLaneSamplesState::PerLane {
-                r: (0..lanes).map(|s| self.slot(s).0.clone()).collect(),
-                q: (lanes..2 * lanes).map(|s| self.slot(s).0.clone()).collect(),
+            LaneSamples::Indexed(_) | LaneSamples::Wide(_) => TsLaneSamplesState::PerLane {
+                r: (0..lanes).map(|s| self.slot(s).sample()).collect(),
+                q: (lanes..2 * lanes).map(|s| self.slot(s).sample()).collect(),
             },
         };
         TsBankBucketState {
@@ -762,9 +1044,11 @@ impl<T, S> MemoryWords for BankBucket<T, S> {
         // Boundaries (a, b, ts_first) stored once; then the stored
         // candidates and selector words, exactly as held.
         3 + match &self.samples {
-            LaneSamples::Shared { .. } => Sample::<T>::WORDS,
-            LaneSamples::Pair { sel, .. } => 2 * Sample::<T>::WORDS + sel.len(),
-            LaneSamples::Indexed(l) => l.cands.len() * Sample::<T>::WORDS + l.sel.len(),
+            LaneSamples::Shared { .. } => 1,
+            // Two values and the second one's timestamp offset.
+            LaneSamples::Pair { sel, .. } => 3 + sel.len(),
+            LaneSamples::Indexed(l) => l.words(),
+            LaneSamples::Wide(l) => l.words(),
         }
     }
 }
@@ -806,20 +1090,20 @@ impl<T: Clone, S: Clone> BankCovering<T, S> {
     }
 
     /// `Incr` (Lemma 3.4) — the same front-to-back walk as
-    /// `Covering::incr`, with each merge resolving all `k` lanes at once.
-    #[allow(clippy::too_many_arguments)]
+    /// `Covering::incr`, with each merge resolving all `k` lanes at once;
+    /// `item` is the arrival's singleton bucket.
     fn incr<R: Rng>(
         &mut self,
-        item: Sample<T>,
-        stat: S,
+        item: BankBucket<T, S>,
+        t0: u64,
         lanes: usize,
         rng: &mut R,
         bits: &mut BitSource,
         pool: &mut SparePool<T, S>,
     ) {
-        debug_assert_eq!(item.index(), self.end(), "Incr: non-consecutive index");
+        debug_assert_eq!(item.a, self.end(), "Incr: non-consecutive index");
         debug_assert!(
-            item.timestamp() >= self.newest_ts(),
+            item.ts_first >= self.newest_ts(),
             "Incr: timestamps must be non-decreasing"
         );
         // Closed-form Lemma 3.4 walk. Bucket start offsets are canonical
@@ -855,12 +1139,12 @@ impl<T: Clone, S: Clone> BankCovering<T, S> {
             let mut m = first;
             while m > 1 {
                 let right = self.buckets.remove(i + 1);
-                self.buckets[i].merge_right(right, lanes, rng, bits, pool);
+                self.buckets[i].merge_right(right, t0, lanes, rng, bits, pool);
                 m = (m - 1) / 2;
                 i += 1;
             }
         }
-        self.buckets.push(BankBucket::singleton(item, stat));
+        self.buckets.push(item);
         debug_assert!(self.is_canonical(), "Incr broke canonical form");
     }
 
@@ -889,8 +1173,8 @@ impl<T: Clone, S: Clone> BankCovering<T, S> {
         let mut x = rng.gen_range(0..total);
         for b in &self.buckets {
             if x < b.width() {
-                let (r, stat) = b.r(lane);
-                return (r.clone(), stat.clone());
+                let r = b.r(lane);
+                return (r.sample(), r.stat.clone());
             }
             x -= b.width();
         }
@@ -1090,16 +1374,14 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
             }
         }
         let stat = self.tracker.fresh(&value, index);
-        let item = Sample::new(value, index, ts);
-        let lanes = self.lanes;
+        let item = BankBucket::singleton(value, stat, index, ts);
+        let (t0, lanes) = (self.t0, self.lanes);
         let bits = &mut self.bits;
         let pool = &mut self.spare;
         match &mut self.state {
-            BankState::Empty => {
-                self.state = BankState::Full(BankCovering::new(BankBucket::singleton(item, stat)))
-            }
-            BankState::Full(cov) => cov.incr(item, stat, lanes, rng, bits, pool),
-            BankState::Straddle { tail, .. } => tail.incr(item, stat, lanes, rng, bits, pool),
+            BankState::Empty => self.state = BankState::Full(BankCovering::new(item)),
+            BankState::Full(cov) => cov.incr(item, t0, lanes, rng, bits, pool),
+            BankState::Straddle { tail, .. } => tail.incr(item, t0, lanes, rng, bits, pool),
         }
         self.debug_check_invariants();
     }
@@ -1147,13 +1429,13 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
         let r2 = tail.sample_uniform_lane(lane, rng);
 
         let q1 = head.q(lane, self.lanes);
-        let i = head.b - q1.index();
+        let i = head.b - q1.index;
         debug_assert!(i >= 1 && i <= alpha);
         let y_expired = if i < alpha {
             let num = alpha as u128 * beta as u128;
             let den = (beta + i) as u128 * (beta + i - 1) as u128;
             if bernoulli_ratio(rng, num, den) {
-                !self.is_active(q1.timestamp())
+                !self.is_active(q1.ts)
             } else {
                 !self.is_active(head.ts_first)
             }
@@ -1163,9 +1445,9 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
 
         let x = y_expired && bernoulli_ratio(rng, alpha as u128, beta as u128);
 
-        let (r1, r1_stat) = head.r(lane);
-        if x && self.is_active(r1.timestamp()) {
-            (r1.clone(), r1_stat.clone())
+        let r1 = head.r(lane);
+        if x && self.is_active(r1.ts) {
+            (r1.sample(), r1.stat.clone())
         } else {
             r2
         }
@@ -1252,30 +1534,41 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
     }
 
     /// Rebuild one bucket from its checkpoint, reconstructing tracker
-    /// statistics via `fresh` (exact for non-tracking trackers). Rejects
-    /// any record this bank could not have written: a shape other than the
-    /// one its width and `k` give, a lane sample outside the bucket, a
-    /// selector bit at or above `k`, a bucket that starts after `now`.
+    /// statistics via `fresh` (exact for non-tracking trackers). `limit`
+    /// is the next bucket's first timestamp, or `now` for the newest.
+    /// Rejects any record this bank could not have written: a shape other
+    /// than the one its width and `k` give, a selector bit at or above
+    /// `k`, a bucket that starts after `limit`, or a lane sample no run
+    /// puts in it — outside its index range, before `ts_first` or after
+    /// `limit`, `t0` or more after `ts_first`, or the element at `a` at a
+    /// timestamp other than `ts_first`.
     fn load_bucket(
         &mut self,
         b: TsBankBucketState<T>,
-        now: u64,
+        limit: u64,
     ) -> Result<BankBucket<T, K::Stat>, StateError> {
         let corrupt = |what: String| Err(StateError::Corrupt(what));
-        let (a, end, ts_first, lanes) = (b.a, b.b, b.ts_first, self.lanes);
+        let (a, end, ts_first, lanes, t0) = (b.a, b.b, b.ts_first, self.lanes, self.t0);
         if end <= a {
             return corrupt(format!("bank bucket [{a}, {end}) is empty"));
         }
-        if ts_first > now {
-            return corrupt(format!(
-                "bank bucket starts at {ts_first}, after now = {now}"
-            ));
+        if ts_first > limit {
+            return corrupt(format!("bank bucket starts at {ts_first}, after {limit}"));
         }
         let width = end - a;
         let in_bucket = |s: &Sample<T>| {
-            (a..end).contains(&s.index()) && (ts_first..=now).contains(&s.timestamp())
+            let (index, ts) = (s.index(), s.timestamp());
+            (a..end).contains(&index)
+                && (ts_first..=limit).contains(&ts)
+                && ts - ts_first < t0
+                && (index != a || ts == ts_first)
         };
-        let outside = || corrupt(format!("lane sample outside its bucket [{a}, {end})"));
+        let outside = || {
+            corrupt(format!(
+                "bank bucket [{a}, {end}) from timestamp {ts_first} holds a lane sample \
+                 no run puts there"
+            ))
+        };
         let tracker = &mut self.tracker;
         let mut with_stat = |s: Sample<T>| {
             let stat = tracker.fresh(s.value(), s.index());
@@ -1290,7 +1583,10 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
                     return outside();
                 }
                 let (item, stat) = with_stat(item);
-                LaneSamples::Shared { item, stat }
+                LaneSamples::Shared {
+                    value: item.into_value(),
+                    stat,
+                }
             }
             TsLaneSamplesState::Pair { lo, hi, rsel, qsel } => {
                 if width != 2 || !pair_shaped(lanes) {
@@ -1305,8 +1601,11 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
                     return corrupt(format!("pair selector bit at or above k = {lanes}"));
                 }
                 let sel = u128::from(rsel) | u128::from(qsel) << lanes;
+                let dt = hi.timestamp() - ts_first;
+                let ((lo, lo_stat), (hi, hi_stat)) = (with_stat(lo), with_stat(hi));
                 LaneSamples::Pair {
-                    cands: [with_stat(lo), with_stat(hi)],
+                    cands: [(lo.into_value(), lo_stat), (hi.into_value(), hi_stat)],
+                    dt,
                     sel: [sel as u64, (sel >> 64) as u64],
                 }
             }
@@ -1337,14 +1636,17 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
                         p[0].0
                     ));
                 }
-                let plain = Lanes {
-                    cands: slots.into_iter().map(with_stat).collect(),
-                    ..Lanes::EMPTY
-                };
-                let mut scratch = SCRATCH.take();
-                let stored = plain.store(lanes, &mut scratch.order, &mut self.spare);
-                SCRATCH.set(scratch);
-                LaneSamples::Indexed(stored)
+                let slots = slots.into_iter().map(|s| {
+                    let (di, dt) = (s.index() - a, s.timestamp() - ts_first);
+                    let (s, stat) = with_stat(s);
+                    (s.into_value(), stat, di, dt)
+                });
+                let pool = &mut self.spare;
+                if packs(t0, width) {
+                    LaneSamples::from_slots::<Packed>(slots, lanes, pool)
+                } else {
+                    LaneSamples::from_slots::<Unpacked>(slots, lanes, pool)
+                }
             }
         };
         Ok(BankBucket {
@@ -1355,6 +1657,8 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
         })
     }
 
+    /// Rebuild a covering from its checkpoint; its newest bucket's
+    /// samples are bounded by `now`.
     fn load_covering(
         &mut self,
         buckets: Vec<TsBankBucketState<T>>,
@@ -1363,9 +1667,11 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
         if buckets.is_empty() {
             return Err(StateError::Corrupt("empty bank covering".into()));
         }
+        let limits: Vec<u64> = buckets.iter().skip(1).map(|b| b.ts_first).collect();
         let buckets = buckets
             .into_iter()
-            .map(|b| self.load_bucket(b, now))
+            .zip(limits.into_iter().chain([now]))
+            .map(|(b, limit)| self.load_bucket(b, limit))
             .collect::<Result<_, _>>()?;
         Ok(BankCovering { buckets })
     }
@@ -1382,10 +1688,13 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
         let bank_state = match state.kind {
             TsBankKind::Empty => BankState::Empty,
             TsBankKind::Full(buckets) => BankState::Full(self.load_covering(buckets, now)?),
-            TsBankKind::Straddle { head, tail } => BankState::Straddle {
-                head: self.load_bucket(head, now)?,
-                tail: self.load_covering(tail, now)?,
-            },
+            TsBankKind::Straddle { head, tail } => {
+                let limit = tail.first().map_or(now, |b| b.ts_first);
+                BankState::Straddle {
+                    head: self.load_bucket(head, limit)?,
+                    tail: self.load_covering(tail, now)?,
+                }
+            }
         };
         if let Some(what) = invariant_violation(&bank_state, self.t0, now) {
             return Err(StateError::Corrupt(what.into()));
@@ -1598,8 +1907,8 @@ mod tests {
 
     #[test]
     fn memory_never_exceeds_independent_engines() {
-        // Shared boundaries: (6k+3) words per differentiated bucket vs 9k
-        // for k engines; Shared singletons are cheaper still.
+        // Shared boundaries: at most 4k + 3 words per merged bucket vs 9k
+        // for k engines; singletons are cheaper still.
         let mut rng = SmallRng::seed_from_u64(6);
         let lanes = 5usize;
         let mut bank: TsEngineBank<u64> = TsEngineBank::new(64, lanes);
@@ -1622,9 +1931,21 @@ mod tests {
         }
     }
 
-    /// Each live bucket's stored layout: candidate indices, selector
-    /// words and field width.
-    fn layouts(bank: &TsEngineBank<u64>) -> Vec<(Vec<u64>, Vec<u64>, u32)> {
+    /// A bucket's stored layout: its shape, its candidates' indices and
+    /// timestamps, its selector words and field width.
+    type Layout = (&'static str, Vec<(u64, u64)>, Vec<u64>, u32);
+
+    /// Each live bucket's stored layout.
+    fn layouts(bank: &TsEngineBank<u64>) -> Vec<Layout> {
+        fn cands<O: Offsets>(b: &BankBucket<u64, ()>, l: &Lanes<u64, (), O>) -> Vec<(u64, u64)> {
+            l.cands
+                .iter()
+                .map(|c| {
+                    let (di, dt) = c.off.get();
+                    (b.a + di, b.ts_first + dt)
+                })
+                .collect()
+        }
         let buckets: Vec<&BankBucket<u64, ()>> = match &bank.state {
             BankState::Empty => Vec::new(),
             BankState::Full(cov) => cov.buckets.iter().collect(),
@@ -1635,34 +1956,81 @@ mod tests {
         buckets
             .into_iter()
             .map(|b| match &b.samples {
-                LaneSamples::Shared { item, .. } => (vec![item.index()], Vec::new(), 0),
-                LaneSamples::Pair { cands, sel } => (
-                    cands.iter().map(|(s, _)| s.index()).collect(),
+                LaneSamples::Shared { .. } => ("shared", vec![(b.a, b.ts_first)], Vec::new(), 0),
+                LaneSamples::Pair { dt, sel, .. } => (
+                    "pair",
+                    vec![(b.a, b.ts_first), (b.a + 1, b.ts_first + dt)],
                     sel.to_vec(),
                     1,
                 ),
-                LaneSamples::Indexed(l) => (
-                    l.cands.iter().map(|(s, _)| s.index()).collect(),
-                    l.sel.clone(),
-                    l.bits,
-                ),
+                LaneSamples::Indexed(l) => ("indexed", cands(b, l), l.sel.clone(), l.bits),
+                LaneSamples::Wide(l) => ("wide", cands(b, l), l.sel.clone(), l.bits),
             })
             .collect()
     }
 
+    /// The bucket records of a bank checkpoint, straddling head first.
+    fn records(saved: &TsBankState<u64>) -> Vec<&TsBankBucketState<u64>> {
+        match &saved.kind {
+            TsBankKind::Empty => Vec::new(),
+            TsBankKind::Full(buckets) => buckets.iter().collect(),
+            TsBankKind::Straddle { head, tail } => std::iter::once(head).chain(tail).collect(),
+        }
+    }
+
+    /// Words a bucket stores, recounted from its checkpoint record over
+    /// windows of `t0`: 3 boundary words, then the value alone at width 1;
+    /// two values, a timestamp offset and two selector words for a pair;
+    /// otherwise each distinct element once (its value and offsets: two
+    /// words when they pack, else three) plus a selector per slot (a bit
+    /// for two elements, a byte for up to 256), or all `2k` slots' when
+    /// that is no larger. Also returns the cap: `2k` slots stored plainly.
+    fn recount_bucket(b: &TsBankBucketState<u64>, t0: u64, lanes: usize) -> (usize, usize) {
+        let unit = if packs(t0, b.b - b.a) { 2 } else { 3 };
+        let plain = 2 * lanes * unit;
+        let words = match &b.samples {
+            TsLaneSamplesState::Shared(_) => 1,
+            TsLaneSamplesState::Pair { .. } => 5,
+            TsLaneSamplesState::PerLane { r, q } => {
+                let m = r
+                    .iter()
+                    .chain(q)
+                    .map(|s| s.index())
+                    .collect::<std::collections::BTreeSet<_>>()
+                    .len();
+                let bits = match m {
+                    1 => 0,
+                    2 => 1,
+                    _ => 8,
+                };
+                let indexed = unit * m + (2 * lanes * bits).div_ceil(64);
+                if m <= 256 && indexed < plain {
+                    indexed
+                } else {
+                    plain
+                }
+            }
+        };
+        (3 + words, 3 + plain)
+    }
+
+    /// [`recount_bucket`] over a checkpoint, plus the clock and width.
+    fn recount(saved: &TsBankState<u64>, t0: u64, lanes: usize) -> usize {
+        2 + records(saved)
+            .into_iter()
+            .map(|b| recount_bucket(b, t0, lanes).0)
+            .sum::<usize>()
+    }
+
     #[test]
     fn memory_words_is_an_exact_recount_within_the_per_lane_layout() {
-        // Recount each live bucket from its checkpoint record — distinct
-        // elements once plus a selector per slot (a bit for two, a byte for
-        // up to 256), or 2k slot samples when that is no smaller — and hold
-        // it to the layout
-        // that stored 2k samples per bucket of width ≥ 4 (6k + 3 words),
-        // two candidates and two mask words at width 2 (11) and the
-        // element once at width 1 (6). A bank restored from its checkpoint
-        // must store exactly the same layout. The last case keeps one hot
-        // stream in a 1000-tick window, so buckets grow hundreds wide and
-        // their 32 slots hold 31 or 32 distinct elements: slot order, with
-        // a repeated element whenever 31.
+        // Recount each live bucket from its checkpoint record and hold it
+        // to the layout that stores the 2k slots' candidates plainly (4k
+        // + 3 words). A bank restored from its checkpoint must store
+        // exactly the same layout. The last case keeps one hot stream in a
+        // 1000-tick window, so buckets grow hundreds wide and their 32
+        // slots hold 31 or 32 distinct elements: slot order, with a
+        // repeated element whenever 31.
         let cases = [1usize, 2, 3, 5, 16, 33, 64, 65, 70]
             .map(|lanes| (lanes, 40u64, 10u64, 300u64))
             .into_iter()
@@ -1680,45 +2048,26 @@ mod tests {
                     idx += 1;
                 }
                 let saved = bank.save_state().expect("untracked banks save");
-                let mut total = 2;
-                let records: Vec<&TsBankBucketState<u64>> = match &saved.kind {
-                    TsBankKind::Empty => Vec::new(),
-                    TsBankKind::Full(buckets) => buckets.iter().collect(),
-                    TsBankKind::Straddle { head, tail } => {
-                        std::iter::once(head).chain(tail).collect()
-                    }
-                };
-                for b in records {
-                    let (recount, per_lane) = match &b.samples {
-                        TsLaneSamplesState::Shared(_) => (6, 6),
-                        TsLaneSamplesState::Pair { .. } => (11, 11),
-                        TsLaneSamplesState::PerLane { r, q } => {
-                            let m = r
-                                .iter()
-                                .chain(q)
-                                .map(|s| s.index())
-                                .collect::<std::collections::BTreeSet<_>>()
-                                .len();
-                            let bits = match m {
-                                1 => 0,
-                                2 => 1,
-                                _ => 8,
-                            };
-                            let indexed = if m <= 256 {
-                                3 * m + (2 * lanes * bits).div_ceil(64)
-                            } else {
-                                6 * lanes
-                            };
-                            if indexed >= 6 * lanes && m < 2 * lanes {
-                                slot_order_repeats += 1;
-                            }
-                            (3 + indexed.min(6 * lanes), 3 + 6 * lanes)
+                for b in records(&saved) {
+                    let (words, per_lane) = recount_bucket(b, t0, lanes);
+                    assert!(words <= per_lane, "k={lanes} tick {tick}");
+                    if let TsLaneSamplesState::PerLane { r, q } = &b.samples {
+                        let m = r
+                            .iter()
+                            .chain(q)
+                            .map(|s| s.index())
+                            .collect::<std::collections::BTreeSet<_>>()
+                            .len();
+                        if words == per_lane && m < 2 * lanes {
+                            slot_order_repeats += 1;
                         }
-                    };
-                    assert!(recount <= per_lane, "k={lanes} tick {tick}");
-                    total += recount;
+                    }
                 }
-                assert_eq!(bank.memory_words(), total, "k={lanes} tick {tick}");
+                assert_eq!(
+                    bank.memory_words(),
+                    recount(&saved, t0, lanes),
+                    "k={lanes} tick {tick}"
+                );
                 let mut restored: TsEngineBank<u64> = TsEngineBank::new(t0, lanes);
                 restored
                     .restore_state(saved)
@@ -1731,6 +2080,211 @@ mod tests {
                     "no slot-order bucket repeats an element"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn sampler_memory_words_are_exact_recounts() {
+        // ts-WR holds its bank plus (now, next_index); ts-WOR its bank,
+        // each recent arrival's value and timestamp, and (k, now,
+        // next_index). Gaps empty the window while the auxiliary array is
+        // full.
+        use crate::state::SamplerState;
+        use crate::traits::WindowSampler;
+        use crate::ts::{TsSamplerWor, TsSamplerWr};
+        let t0 = 12;
+        for k in [1usize, 3, 16, 70] {
+            let mut wr = TsSamplerWr::new(t0, k, SmallRng::seed_from_u64(1));
+            let mut wor = TsSamplerWor::new(t0, k, SmallRng::seed_from_u64(2));
+            let mut sched = SmallRng::seed_from_u64(3);
+            let mut now = 0u64;
+            for step in 0..400u64 {
+                now += if sched.gen_range(0..30) == 0 { 20 } else { 1 };
+                wr.advance_time(now);
+                wor.advance_time(now);
+                for _ in 0..sched.gen_range(0..6) {
+                    wr.insert(step);
+                    wor.insert(step);
+                }
+                let Some(SamplerState::TsWr { bank, .. }) = wr.save_state() else {
+                    panic!("ts-wr checkpoint");
+                };
+                assert_eq!(wr.memory_words(), recount(&bank, t0, k) + 2, "wr k={k}");
+                let Some(SamplerState::TsWor { bank, recent, .. }) = wor.save_state() else {
+                    panic!("ts-wor checkpoint");
+                };
+                assert_eq!(
+                    wor.memory_words(),
+                    recount(&bank, t0, k) + 2 * recent.len() + 3,
+                    "wor k={k} step {step}"
+                );
+            }
+        }
+    }
+
+    /// The value of the element at stream index `index` in the
+    /// wide-window test, so that a saved sample's value checks its index.
+    fn value_of(index: u64) -> u64 {
+        index.rotate_left(17) ^ 0x9e37_79b9_7f4a_7c15
+    }
+
+    /// Save `bank`, restore the record onto a fresh bank and check the
+    /// copy: it re-saves the same record, stores the same layout, and its
+    /// words equal the recount. Every saved sample must be the element
+    /// `value_of` and `ts_of` give its index.
+    fn round_trip(bank: &TsEngineBank<u64>, ts_of: &dyn Fn(u64) -> u64) -> TsEngineBank<u64> {
+        let (t0, lanes) = (bank.window(), bank.lanes());
+        let saved = bank.save_state().expect("untracked banks save");
+        for b in records(&saved) {
+            let samples: Vec<&Sample<u64>> = match &b.samples {
+                TsLaneSamplesState::Shared(s) => vec![s],
+                TsLaneSamplesState::Pair { lo, hi, .. } => vec![lo, hi],
+                TsLaneSamplesState::PerLane { r, q } => r.iter().chain(q).collect(),
+            };
+            for s in samples {
+                assert_eq!(*s.value(), value_of(s.index()), "t0 {t0}: value");
+                assert_eq!(s.timestamp(), ts_of(s.index()), "t0 {t0}: timestamp");
+            }
+        }
+        let mut copy: TsEngineBank<u64> = TsEngineBank::new(t0, lanes);
+        copy.restore_state(saved.clone())
+            .unwrap_or_else(|e| panic!("t0 {t0}: restore failed: {e}"));
+        assert_eq!(copy.save_state().as_ref(), Some(&saved), "t0 {t0}: re-save");
+        assert_eq!(layouts(&copy), layouts(bank), "t0 {t0}: layout");
+        assert_eq!(bank.memory_words(), recount(&saved, t0, lanes), "t0 {t0}");
+        copy
+    }
+
+    /// Insert the elements from index `next` on, at timestamps `ts_of`
+    /// gives, a burst of 0–3 per step; after each step checkpoint the
+    /// bank, and check that the restored copy answers and checkpoints
+    /// exactly as the original after the next. Returns the bank.
+    fn resume_identically(
+        mut bank: TsEngineBank<u64>,
+        next: u64,
+        ts_of: &dyn Fn(u64) -> u64,
+    ) -> TsEngineBank<u64> {
+        let mut rng = SmallRng::seed_from_u64(bank.window());
+        let mut sched = SmallRng::seed_from_u64(3);
+        let mut idx = next;
+        for step in 0..120 {
+            let mut copy = round_trip(&bank, ts_of);
+            let mut copy_rng = rng.clone();
+            for _ in 0..sched.gen_range(0..4) {
+                let ts = ts_of(idx);
+                bank.advance_time(ts);
+                bank.insert(&mut rng, value_of(idx), idx, ts);
+                copy.advance_time(ts);
+                copy.insert(&mut copy_rng, value_of(idx), idx, ts);
+                idx += 1;
+            }
+            for lane in 0..bank.lanes() {
+                assert_eq!(
+                    copy.sample_lane(lane, &mut copy_rng),
+                    bank.sample_lane(lane, &mut rng),
+                    "t0 {} step {step}",
+                    bank.window()
+                );
+            }
+            assert_eq!(copy.save_state(), bank.save_state(), "step {step}");
+        }
+        bank
+    }
+
+    /// A checkpoint of a full covering of `len` elements from stream index
+    /// `start` at clock `now`, in canonical bucket widths, each slot of
+    /// `lanes` picking an element of its bucket at random.
+    fn canonical_record(
+        start: u64,
+        len: u64,
+        now: u64,
+        lanes: usize,
+        ts_of: &dyn Fn(u64) -> u64,
+    ) -> TsBankState<u64> {
+        let mut rng = SmallRng::seed_from_u64(len);
+        let sample = |i: u64| Sample::new(value_of(i), i, ts_of(i));
+        let (end, mut a) = (start + len, start);
+        let mut buckets = Vec::new();
+        while a < end {
+            let width = if end - a == 1 {
+                1
+            } else {
+                1 << (floor_log2(end - a) - 1)
+            };
+            let mut pick = || sample(rng.gen_range(a..a + width));
+            let samples = if width == 1 {
+                TsLaneSamplesState::Shared(sample(a))
+            } else if width == 2 && pair_shaped(lanes) {
+                TsLaneSamplesState::Pair {
+                    lo: sample(a),
+                    hi: sample(a + 1),
+                    rsel: 0b10110 & low_mask(lanes as u32),
+                    qsel: 0b01101 & low_mask(lanes as u32),
+                }
+            } else {
+                TsLaneSamplesState::PerLane {
+                    r: (0..lanes).map(|_| pick()).collect(),
+                    q: (0..lanes).map(|_| pick()).collect(),
+                }
+            };
+            buckets.push(TsBankBucketState {
+                a,
+                b: a + width,
+                ts_first: ts_of(a),
+                samples,
+            });
+            a += width;
+        }
+        TsBankState {
+            now,
+            bits: BitsState { buf: 0, left: 0 },
+            kind: TsBankKind::Full(buckets),
+        }
+    }
+
+    #[test]
+    fn wide_windows_save_restore_and_resume() {
+        // Around the edge where a candidate's two offsets stop sharing a
+        // word: windows of 2^32 − 1 and 2^32 ticks pack them until a
+        // bucket grows past 2^32 elements; 2^40 never does. Each window
+        // runs twice: live from an empty bank, with timestamp offsets up
+        // to t0 − 1, and from a restored covering of 2^34 − 1 elements at
+        // indices from 2^40, whose next arrival merges its two 2^32-wide
+        // buckets.
+        for t0 in [(1u64 << 32) - 1, 1 << 32, 1 << 40] {
+            let lanes = 5;
+            let live = move |i: u64| (i / 4) * (t0 / 5);
+            resume_identically(TsEngineBank::new(t0, lanes), 0, &live);
+            let start = 1u64 << 40;
+            let len = (1u64 << 34) - 1;
+            let dense = move |i: u64| (7 << 40) + ((i - start) >> 8);
+            let record = canonical_record(start, len, dense(start + len - 1), lanes, &dense);
+            let widths: Vec<u64> = records(&record).iter().map(|b| b.b - b.a).collect();
+            assert_eq!(widths[..2], [1 << 32, 1 << 32]);
+            let mut bank: TsEngineBank<u64> = TsEngineBank::new(t0, lanes);
+            bank.restore_state(record)
+                .unwrap_or_else(|e| panic!("t0 {t0}: canonical record: {e}"));
+            let kinds: std::collections::BTreeSet<&str> =
+                layouts(&bank).into_iter().map(|l| l.0).collect();
+            let want: &[&str] = if t0 <= 1 << 32 {
+                &["indexed", "pair", "shared"]
+            } else {
+                &["pair", "shared", "wide"]
+            };
+            assert_eq!(kinds.into_iter().collect::<Vec<_>>(), want, "t0 {t0}");
+            let bank = resume_identically(bank, start + len, &dense);
+            let (first, _, _, _) = &layouts(&bank)[0];
+            assert_eq!(*first, "wide", "t0 {t0}: the 2^33-wide bucket");
+        }
+    }
+
+    #[test]
+    fn offsets_pack_below_2_pow_32() {
+        assert!(packs(1 << 32, 1 << 32));
+        assert!(!packs((1 << 32) + 1, 4));
+        assert!(!packs(1000, (1 << 32) + 1));
+        for (di, dt) in [(0, 0), (u64::from(u32::MAX), 0), (7, u64::from(u32::MAX))] {
+            assert_eq!(Packed::new(di, dt).get(), (di, dt));
         }
     }
 

@@ -227,7 +227,7 @@ impl<T: Clone, R: Rng> WindowSampler<T> for IndependentTsWor<T, R> {
     fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
         let t0 = self.engines[0].window();
         let (engines, rng) = (&mut self.engines, &mut self.rng);
-        fold_lanes(self.k, &self.recent, self.now, t0, |i| {
+        fold_lanes(self.k, self.recent.iter().cloned(), self.now, t0, |i| {
             engines[i].sample(rng)
         })
     }

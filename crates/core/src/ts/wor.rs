@@ -39,7 +39,9 @@
 //! same chi-square thresholds in `tests/ts_bank_equivalence.rs`.
 //!
 //! Total memory: `Θ(k + k log n)` words, deterministic (shared boundaries
-//! make the bank *smaller* than the `k` separate delayed engines).
+//! make the bank *smaller* than the `k` separate delayed engines). The
+//! auxiliary array keeps each arrival's value and timestamp, two words:
+//! its indices are consecutive, the newest `next_index − 1`.
 //!
 //! The trade is ingestion-for-query: the fused path makes every arrival
 //! ~20× cheaper, while a full `sample_k` pays `O(k·(log n + k))` clone
@@ -89,10 +91,11 @@ use std::collections::VecDeque;
 pub struct TsSamplerWor<T, R> {
     k: usize,
     bank: TsEngineBank<T, NullTracker>,
-    /// The last `k` arrivals (the paper's auxiliary array), newest at the
-    /// back. Its front element is the one the bank has just ingested; the
-    /// newer `k−1` feed the query-time lane extensions.
-    recent: VecDeque<Sample<T>>,
+    /// The last `k` arrivals (the paper's auxiliary array) as `(value,
+    /// timestamp)`, newest at the back; their indices are consecutive, up
+    /// to `next_index − 1`. Its front element is the one the bank has
+    /// just ingested; the newer `k−1` feed the query-time lane extensions.
+    recent: VecDeque<(T, u64)>,
     rng: R,
     now: u64,
     next_index: u64,
@@ -136,23 +139,31 @@ impl<T: Clone, R: Rng> TsSamplerWor<T, R> {
     }
 }
 
+/// The auxiliary array `recent` as samples, oldest first: its newest
+/// entry has stream index `next_index − 1`.
+fn recent_samples<T: Clone>(
+    recent: &VecDeque<(T, u64)>,
+    next_index: u64,
+) -> impl Iterator<Item = Sample<T>> + '_ {
+    let base = next_index - recent.len() as u64;
+    (base..)
+        .zip(recent)
+        .map(|(index, (value, ts))| Sample::new(value.clone(), index, *ts))
+}
+
 /// The Lemma 4.2–4.3 recurrence (the cross-lane rejection): fold lane
 /// draws `R_{k−1}, …, R_0` into a `k`-sample without replacement, where
 /// `lane(i)` samples the active elements minus the last `i` arrivals and
-/// `recent` holds the last `k` arrivals, oldest first. When `R_{k−1}`'s
+/// `recent` yields the last `k` arrivals, oldest first. When `R_{k−1}`'s
 /// domain is empty, the whole window fits in `recent`.
 pub(super) fn fold_lanes<T: Clone>(
     k: usize,
-    recent: &VecDeque<Sample<T>>,
+    recent: impl Iterator<Item = Sample<T>>,
     now: u64,
     t0: u64,
     mut lane: impl FnMut(usize) -> Option<Sample<T>>,
 ) -> Option<Vec<Sample<T>>> {
-    let active_recent: Vec<Sample<T>> = recent
-        .iter()
-        .filter(|s| now - s.timestamp() < t0)
-        .cloned()
-        .collect();
+    let active_recent: Vec<Sample<T>> = recent.filter(|s| now - s.timestamp() < t0).collect();
     let Some(seed) = lane(k - 1) else {
         return (!active_recent.is_empty()).then_some(active_recent);
     };
@@ -187,7 +198,7 @@ pub(super) fn fold_lanes<T: Clone>(
 /// delayed engine `lane` (see the module docs).
 fn extended_lane_sample<T: Clone, R: Rng>(
     bank: &TsEngineBank<T, NullTracker>,
-    recent: &VecDeque<Sample<T>>,
+    recent: &VecDeque<(T, u64)>,
     rng: &mut R,
     next_index: u64,
     k: usize,
@@ -201,17 +212,20 @@ fn extended_lane_sample<T: Clone, R: Rng>(
     let released = next_index.saturating_sub(k as u64 - 1);
     let start = (released - base) as usize;
     let stop = recent.len().saturating_sub(lane);
-    for s in recent.iter().take(stop).skip(start) {
+    for s in recent_samples(recent, next_index).take(stop).skip(start) {
         // Lemma 4.1: the engine itself skips arrivals that expired while
         // waiting in the array (only possible when it is empty).
-        e.insert(rng, s.value().clone(), s.index(), s.timestamp());
+        let (index, ts) = (s.index(), s.timestamp());
+        e.insert(rng, s.into_value(), index, ts);
     }
     e.sample(rng)
 }
 
 impl<T, R> MemoryWords for TsSamplerWor<T, R> {
     fn memory_words(&self) -> usize {
-        self.bank.memory_words() + self.recent.len() * Sample::<T>::WORDS + 3
+        // Each recent arrival's value and timestamp; then (k, now,
+        // next_index).
+        self.bank.memory_words() + 2 * self.recent.len() + 3
     }
 }
 
@@ -223,26 +237,21 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for TsSamplerWor<T, R> {
     }
 
     fn insert(&mut self, value: T) {
-        let item = Sample::new(value, self.next_index, self.now);
         self.next_index += 1;
         // The bank runs `k−1` arrivals behind: each arrival enters the
         // auxiliary array now and the bank once it is the element with
         // exactly `k−1` newer ones — i.e. whenever the array is full, its
         // front is due.
-        self.recent.push_back(item);
+        self.recent.push_back((value, self.now));
         if self.recent.len() > self.k {
             self.recent.pop_front();
         }
         if self.recent.len() == self.k {
-            let due = &self.recent[0];
+            let (value, ts) = &self.recent[0];
             // Lemma 4.1: the bank skips arrivals that expired while
             // waiting (only ever offered when it is empty).
-            self.bank.insert(
-                &mut self.rng,
-                due.value().clone(),
-                due.index(),
-                due.timestamp(),
-            );
+            let index = self.next_index - self.k as u64;
+            self.bank.insert(&mut self.rng, value.clone(), index, *ts);
         }
     }
 
@@ -263,7 +272,7 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for TsSamplerWor<T, R> {
         let (k, t0, next_index) = (self.k, self.bank.window(), self.next_index);
         let (bank, recent, rng) = (&self.bank, &self.recent, &mut self.rng);
         // R_{k−1} is lane k−1 as stored; the others need their extension.
-        fold_lanes(k, recent, self.now, t0, |i| {
+        fold_lanes(k, recent_samples(recent, next_index), self.now, t0, |i| {
             if i == k - 1 {
                 bank.sample_lane(i, rng)
             } else {
@@ -282,7 +291,7 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for TsSamplerWor<T, R> {
             now: self.now,
             next_index: self.next_index,
             rng: state::capture_rng(&self.rng)?,
-            recent: self.recent.iter().cloned().collect(),
+            recent: recent_samples(&self.recent, self.next_index).collect(),
         })
     }
 
@@ -334,7 +343,13 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for TsSamplerWor<T, R> {
             return Err(StateError::Unsupported);
         }
         self.bank.restore_state(bank)?;
-        self.recent = recent.into();
+        self.recent = recent
+            .into_iter()
+            .map(|s| {
+                let ts = s.timestamp();
+                (s.into_value(), ts)
+            })
+            .collect();
         self.now = now;
         self.next_index = next_index;
         Ok(())

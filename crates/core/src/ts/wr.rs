@@ -18,7 +18,9 @@ use rand::Rng;
 /// [`super::bank`] module docs), so boundary maintenance runs once per
 /// arrival and merge coins are served as packed bits: amortized `O(k/32)`
 /// RNG words per element instead of the `2k` words of `k` separate
-/// engines. The per-engine construction is the reference type
+/// engines. Each bucket stores the distinct elements its lanes hold once,
+/// as a value and an offset word (a value alone for a singleton). The
+/// per-engine construction is the reference type
 /// [`IndependentTsWr`](super::independent::IndependentTsWr), and is
 /// distribution-identical — `tests/ts_bank_equivalence.rs` holds both to
 /// lockstep boundary equality and the same chi-square thresholds.
@@ -274,8 +276,8 @@ mod tests {
 
     #[test]
     fn fused_memory_is_below_independent() {
-        // Shared boundaries shrink the footprint: 6k+3 words per
-        // differentiated bucket against 9k across independent engines.
+        // Shared boundaries shrink the footprint: at most 4k + 3 words
+        // per merged bucket against 9k across independent engines.
         let mut fused = TsSamplerWr::new(32, 8, SmallRng::seed_from_u64(21));
         let mut indep = IndependentTsWr::new(32, 8, SmallRng::seed_from_u64(21));
         for tick in 0..300u64 {

@@ -396,6 +396,131 @@ fn unreachable_ts_bank_lanes_fail_open_with_a_typed_error() {
     }
 }
 
+fn is_shared(s: &TsLaneSamplesState<u64>) -> bool {
+    matches!(s, TsLaneSamplesState::Shared(_))
+}
+
+/// Every sample a bank bucket record holds.
+fn bucket_samples(b: &mut TsBankBucketState<u64>) -> Vec<&mut Sample<u64>> {
+    match &mut b.samples {
+        TsLaneSamplesState::Shared(s) => vec![s],
+        TsLaneSamplesState::Pair { lo, hi, .. } => vec![lo, hi],
+        TsLaneSamplesState::PerLane { r, q } => r.iter_mut().chain(q).collect(),
+    }
+}
+
+/// Point every lane slot of a per-lane bucket record at `s`.
+fn set_slots(b: &mut TsBankBucketState<u64>, s: Sample<u64>) {
+    assert!(is_per_lane(&b.samples), "expected per-lane samples");
+    for slot in bucket_samples(b) {
+        *slot = s.clone();
+    }
+}
+
+/// The bank checkpoint of a ts sampler checkpoint.
+fn ts_bank(state: &mut SamplerState<u64>) -> &mut TsBankState<u64> {
+    match state {
+        SamplerState::TsWr { bank, .. } | SamplerState::TsWor { bank, .. } => bank,
+        other => panic!("expected a ts state, got {}", other.family()),
+    }
+}
+
+/// Ts bank checkpoints whose lane samples lie inside their bucket's index
+/// range and the clock, but where no run puts them — the bucket's first
+/// element at a timestamp other than the bucket's, an element after the
+/// next bucket's first timestamp, an element `t0` or more after its
+/// bucket's first — make `DurableEngine::open` fail with a typed error.
+/// The bank keeps a sample as offsets from its bucket's first index and
+/// timestamp, so it could not hold them.
+#[test]
+fn ts_lane_samples_no_run_places_fail_open_with_a_typed_error() {
+    for mode in ["wr", "wor"] {
+        let spec = format!("--window ts --w 100 --mode {mode} --algo paper --k 4 --seed 9");
+        let cases: [(&str, BankEdit); 3] = [
+            ("pair lo after its bucket's first timestamp", |bank| {
+                if let TsLaneSamplesState::Pair { lo, .. } =
+                    &mut first_bucket(bank, is_pair).samples
+                {
+                    *lo = Sample::new(*lo.value(), lo.index(), lo.timestamp() + 1);
+                }
+            }),
+            (
+                "per-lane first element after its bucket's first timestamp",
+                |bank| {
+                    let b = first_bucket(bank, is_per_lane);
+                    let s = Sample::new(7, b.a, b.ts_first + 1);
+                    set_slots(b, s);
+                },
+            ),
+            (
+                "per-lane sample after the next bucket's first timestamp",
+                |bank| {
+                    let mut buckets = bank_buckets(bank);
+                    let i = buckets
+                        .iter()
+                        .position(|b| is_per_lane(&b.samples))
+                        .expect("a per-lane bucket");
+                    let next = buckets[i + 1].ts_first;
+                    let b = &mut buckets[i];
+                    let s = Sample::new(7, b.a + 1, next + 1);
+                    set_slots(b, s);
+                },
+            ),
+        ];
+        for (what, edit) in cases {
+            match open_ts_with(&spec, edit) {
+                Err(DurableError::State(StateError::Corrupt(_))) => {}
+                other => panic!("{mode} {what}: expected typed corruption, got {other:?}"),
+            }
+        }
+        // The newest bucket is a singleton: a tick later, its element
+        // could sit at any timestamp up to the clock.
+        let late_singleton: StateEdit = |state| {
+            *ts_clock(state).0 += 1;
+            let bank = ts_bank(state);
+            bank.now += 1;
+            let newest = bank_buckets(bank).pop().expect("non-empty bank");
+            assert!(is_shared(&newest.samples), "expected a singleton");
+            newest.samples =
+                TsLaneSamplesState::Shared(Sample::new(7, newest.a, newest.ts_first + 1));
+        };
+        match open_ts_state_with(&spec, late_singleton) {
+            Err(DurableError::State(StateError::Corrupt(_))) => {}
+            other => panic!("{mode} late singleton: expected typed corruption, got {other:?}"),
+        }
+        // A 20-tick window straddles after 60 ticks. Moving everything
+        // after the straddling head 100 ticks later leaves a reachable
+        // state with room before the tail for a head sample 20 ticks after
+        // the head's first.
+        let spec = format!("--window ts --w 20 --mode {mode} --algo paper --k 4 --seed 9");
+        let late_head: StateEdit = |state| {
+            *ts_clock(state).0 += 100;
+            if let SamplerState::TsWor { recent, .. } = state {
+                for r in recent {
+                    *r = Sample::new(*r.value(), r.index(), r.timestamp() + 100);
+                }
+            }
+            let bank = ts_bank(state);
+            bank.now += 100;
+            let TsBankKind::Straddle { head, tail } = &mut bank.kind else {
+                panic!("expected a straddling bank");
+            };
+            for b in tail {
+                b.ts_first += 100;
+                for s in bucket_samples(b) {
+                    *s = Sample::new(*s.value(), s.index(), s.timestamp() + 100);
+                }
+            }
+            let s = Sample::new(7, head.a + 1, head.ts_first + 20);
+            set_slots(head, s);
+        };
+        match open_ts_state_with(&spec, late_head) {
+            Err(DurableError::State(StateError::Corrupt(_))) => {}
+            other => panic!("{mode} late head sample: expected typed corruption, got {other:?}"),
+        }
+    }
+}
+
 /// The `(now, next_index)` fields of a ts checkpoint.
 fn ts_clock(state: &mut SamplerState<u64>) -> (&mut u64, &mut u64) {
     match state {

@@ -102,6 +102,13 @@ fn probe(template: &str, keys: u64, events: usize) -> Row {
 /// The bar leaves 4% above the last figure.
 const SEQ_WR_100K_BAR: f64 = 400.0;
 
+/// Bar on ts-WOR heap per key at 1k keys. This probe measured 2,335
+/// B/key with three-word bank candidates and auxiliary entries, and
+/// 1,851 with two-word candidates, value-only singletons and `(value,
+/// timestamp)` auxiliary entries. The bar leaves 5% above the last
+/// figure.
+const TS_WOR_1K_BAR: f64 = 1950.0;
+
 #[test]
 fn heap_bytes_per_key_by_family() {
     let families = [
@@ -116,6 +123,7 @@ fn heap_bytes_per_key_by_family() {
     println!("| template | 1k keys: heap / model, B per key | 100k keys: heap / model |");
     println!("|---|---|---|");
     let mut seq_wr_100k = None;
+    let mut ts_wor_1k = None;
     for (name, template) in families {
         let small = probe(template, 1_000, 100_000);
         let large = probe(template, 100_000, 200_000);
@@ -137,13 +145,20 @@ fn heap_bytes_per_key_by_family() {
                 row.model
             );
         }
-        if name == "seq-WR" {
-            seq_wr_100k = Some(large.heap);
+        match name {
+            "seq-WR" => seq_wr_100k = Some(large.heap),
+            "ts-WOR" => ts_wor_1k = Some(small.heap),
+            _ => {}
         }
     }
     let seq_wr = seq_wr_100k.expect("seq-WR row measured");
     assert!(
         seq_wr <= SEQ_WR_100K_BAR,
         "seq-WR heap {seq_wr:.0} B/key at 100k keys, bar {SEQ_WR_100K_BAR:.0}"
+    );
+    let ts_wor = ts_wor_1k.expect("ts-WOR row measured");
+    assert!(
+        ts_wor <= TS_WOR_1K_BAR,
+        "ts-WOR heap {ts_wor:.0} B/key at 1k keys, bar {TS_WOR_1K_BAR:.0}"
     );
 }
