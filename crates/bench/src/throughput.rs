@@ -12,6 +12,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::HashSet;
 use std::time::Instant;
 use swsample_baselines::{
     ChainSampler, NaiveStreamReservoir, PrioritySampler, PriorityTopK, StreamReservoir,
@@ -22,7 +23,8 @@ use swsample_core::seq::{SeqSamplerWor, SeqSamplerWr};
 use swsample_core::ts::independent::{IndependentTsWor, IndependentTsWr};
 use swsample_core::ts::{TsSamplerWor, TsSamplerWr};
 use swsample_core::{SamplerSpec, WindowSampler};
-use swsample_stream::{zipf_fleet_events, MultiStreamEngine, WindowSpec};
+use swsample_stream::engine::KeyedEvent;
+use swsample_stream::{zipf_fleet_events, MultiStreamEngine, ParallelStats, WindowSpec};
 
 use crate::json::{self, Value};
 
@@ -60,7 +62,7 @@ pub struct MultiRow {
     pub shards: usize,
     /// Keyed events driven through `MultiStreamEngine::ingest`.
     pub elements: u64,
-    /// Wall-clock ingestion time of the first (cold) pass.
+    /// Wall-clock ingestion time of a fresh fleet's first (cold) pass.
     pub seconds: f64,
     /// Cold-pass `elements / seconds`: fleet construction, registry
     /// growth, and the accept-dense first arrivals all included — the
@@ -105,12 +107,12 @@ pub struct ParallelRow {
     /// Logical cores on the measuring host, copied per row so thread
     /// rows are never judged against parallelism the machine lacks.
     pub cores: usize,
-    /// Shard-run units executed across all epochs of the fastest rep.
+    /// Shard-run units executed across all epochs of the median pass.
     pub units: u64,
     /// Units claimed by a non-home worker (the steal count) in the
-    /// fastest rep. 0 at `threads = 1` (inline path, no pool).
+    /// median pass. 0 at `threads = 1` (inline path, no pool).
     pub steals: u64,
-    /// Max/mean busy-time ratio across workers in the fastest rep;
+    /// Max/mean busy-time ratio across workers in the median pass;
     /// 1.0 = perfectly balanced (or serial).
     pub imbalance: f64,
 }
@@ -134,7 +136,7 @@ pub struct DurableRow {
     pub snapshot_every: u64,
     /// Keyed events driven through the engine.
     pub elements: u64,
-    /// Wall-clock ingestion time (best of reps).
+    /// Wall-clock ingestion time.
     pub seconds: f64,
     /// `elements / seconds`.
     pub elems_per_sec: f64,
@@ -157,7 +159,7 @@ pub struct ServerRow {
     pub keys: u64,
     /// Keyed events driven across the wire.
     pub elements: u64,
-    /// Wall-clock seconds from first byte to last ack.
+    /// Wall-clock seconds from first byte to last ack (fresh server).
     pub seconds: f64,
     /// End-to-end `elements / seconds`.
     pub elems_per_sec: f64,
@@ -173,6 +175,8 @@ pub struct ServerRow {
 }
 
 /// Suite dimensions; [`params`] builds the standard full/quick shapes.
+/// Every timing in a row (ingest, sustained, recovery, the direct
+/// baseline) is the median of its own [`ROW_PASSES`] passes.
 #[derive(Debug, Clone)]
 pub struct Params {
     /// Values of `k` to sweep.
@@ -196,11 +200,6 @@ pub struct Params {
     pub multi_threads: Vec<usize>,
     /// Chunk length fed to `ingest_parallel` in the parallel section.
     pub parallel_chunk: usize,
-    /// Repetitions per parallel configuration; the row keeps the best
-    /// (fastest) run. Throughput on a shared host is best-of noise:
-    /// scheduler steal only ever *adds* time, so the minimum is the
-    /// faithful capability measurement for a gated artifact.
-    pub parallel_reps: usize,
     /// Snapshot cadence (in ingest batches) for the durable section's
     /// `wal-snap` mode.
     pub durable_snapshot_every: u64,
@@ -293,7 +292,6 @@ pub fn params(quick: bool) -> Params {
             multi_k: 16,
             multi_threads: vec![1, 2],
             parallel_chunk: 2_048,
-            parallel_reps: 1,
             durable_snapshot_every: 16,
             server_connections: vec![1, 2],
         }
@@ -309,11 +307,17 @@ pub fn params(quick: bool) -> Params {
             multi_k: 16,
             multi_threads: vec![1, 2, 4, 8],
             parallel_chunk: 32_768,
-            parallel_reps: 5,
             durable_snapshot_every: 512,
             server_connections: vec![1, 8, 64],
         }
     }
+}
+
+/// Wall-clock seconds `f` takes.
+fn timed(f: impl FnOnce()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64()
 }
 
 /// Drive a sequence-window sampler over `elements` consecutive values in
@@ -350,74 +354,92 @@ fn drive_ts<S: WindowSampler<u64>>(s: &mut S, elements: u64, per_tick: u64) -> f
     start.elapsed().as_secs_f64()
 }
 
-/// Timed passes behind each [`run_with`] row; the row reports their
-/// median.
+/// Timed passes behind every row of every section; each row reports its
+/// median pass.
 pub const ROW_PASSES: usize = 5;
 
-/// One [`run_with`] configuration: its row without the timing, one timed
-/// pass over a fresh sampler (seconds, RNG words drawn), and the seconds
-/// of the passes so far.
-struct Case<'a> {
-    row: Row,
-    pass: Box<dyn Fn() -> (f64, u64) + 'a>,
-    times: Vec<f64>,
+#[cfg(test)]
+thread_local! {
+    /// Passes [`interleaved`] has run on this thread, for the suite tests.
+    static PASSES_RUN: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Run the full suite for the given dimensions; deterministic streams,
-/// fresh seeded RNG per pass. Each row is the median of [`ROW_PASSES`]
-/// passes, interleaved across the rows (pass-outermost), so a burst of
-/// host noise costs every row one pass instead of one row all of them.
-/// Every pass of a row draws the same RNG words.
-pub fn run_with(p: &Params) -> Vec<Row> {
-    let mut cases: Vec<Case<'_>> = Vec::new();
+/// The suite's one repetition policy: run [`ROW_PASSES`] passes of every
+/// configuration of a section, interleaved with the pass as the outer
+/// loop, so a burst of host noise costs every configuration one pass
+/// instead of one configuration all of them. Returns what each pass
+/// measured, per configuration, in pass order.
+fn interleaved<C, M>(configs: &[C], mut pass: impl FnMut(&C) -> M) -> Vec<Vec<M>> {
+    let mut measured: Vec<Vec<M>> = configs.iter().map(|_| Vec::new()).collect();
+    for _ in 0..ROW_PASSES {
+        for (config, passes) in configs.iter().zip(&mut measured) {
+            #[cfg(test)]
+            PASSES_RUN.set(PASSES_RUN.get() + 1);
+            passes.push(pass(config));
+        }
+    }
+    measured
+}
 
-    let row = |sampler, discipline, k, n, elements| Row {
+/// The median of `passes` by the time `seconds` reads from each; the
+/// pass's other measurements travel with it.
+fn median<M>(passes: &[M], seconds: impl Fn(&M) -> f64) -> &M {
+    let mut sorted: Vec<&M> = passes.iter().collect();
+    sorted.sort_by(|a, b| seconds(a).total_cmp(&seconds(b)));
+    sorted[sorted.len() / 2]
+}
+
+/// `elements / seconds`, safe at a zero time.
+fn rate(elements: u64, seconds: f64) -> f64 {
+    elements as f64 / seconds.max(1e-9)
+}
+
+/// Run the sampler section for the given dimensions; deterministic
+/// streams, fresh seeded RNG per pass. A pass drives a fresh sampler and
+/// returns its row; each row is its median of [`ROW_PASSES`] interleaved
+/// passes, and every pass of a row draws the same RNG words.
+pub fn run_with(p: &Params) -> Vec<Row> {
+    let mut cases: Vec<Box<dyn Fn() -> Row + '_>> = Vec::new();
+
+    let row = |sampler, discipline, k, n, elements, seconds, rng_draws| Row {
         sampler,
         discipline,
         k,
         n,
         elements,
-        seconds: 0.0,
-        elems_per_sec: 0.0,
-        rng_draws: 0,
+        seconds,
+        elems_per_sec: rate(elements, seconds),
+        rng_draws,
     };
     macro_rules! seq_case {
         ($name:literal, $k:expr, $n:expr, $make:expr) => {{
             let (k, n) = ($k, $n);
-            cases.push(Case {
-                row: row($name, "seq", k, n, p.seq_elements),
-                times: Vec::with_capacity(ROW_PASSES),
-                pass: Box::new(move || {
-                    let rng = CountingRng::new(SmallRng::seed_from_u64(42));
-                    let draws = rng.counter();
-                    #[allow(clippy::redundant_closure_call)]
-                    let mut s = ($make)(n, k, rng);
-                    let seconds = drive_seq(&mut s, p.seq_elements, p.chunk);
-                    drop(s);
-                    (seconds, draws.words())
-                }),
-            });
+            cases.push(Box::new(move || {
+                let rng = CountingRng::new(SmallRng::seed_from_u64(42));
+                let draws = rng.counter();
+                #[allow(clippy::redundant_closure_call)]
+                let mut s = ($make)(n, k, rng);
+                let seconds = drive_seq(&mut s, p.seq_elements, p.chunk);
+                drop(s);
+                row($name, "seq", k, n, p.seq_elements, seconds, draws.words())
+            }));
         }};
     }
     macro_rules! ts_case {
         ($name:literal, $k:expr, $n:expr, $make:expr) => {{
             let (k, n) = ($k, $n);
-            cases.push(Case {
-                row: row($name, "ts", k, n, p.ts_elements),
-                times: Vec::with_capacity(ROW_PASSES),
-                pass: Box::new(move || {
-                    let rng = CountingRng::new(SmallRng::seed_from_u64(43));
-                    let draws = rng.counter();
-                    // 4 arrivals/tick and a window of n/4 ticks keep ≈ n
-                    // active.
-                    let t0 = (n / 4).max(1);
-                    #[allow(clippy::redundant_closure_call)]
-                    let mut s = ($make)(t0, k, rng);
-                    let seconds = drive_ts(&mut s, p.ts_elements, 4);
-                    drop(s);
-                    (seconds, draws.words())
-                }),
-            });
+            cases.push(Box::new(move || {
+                let rng = CountingRng::new(SmallRng::seed_from_u64(43));
+                let draws = rng.counter();
+                // 4 arrivals/tick and a window of n/4 ticks keep ≈ n
+                // active.
+                let t0 = (n / 4).max(1);
+                #[allow(clippy::redundant_closure_call)]
+                let mut s = ($make)(t0, k, rng);
+                let seconds = drive_ts(&mut s, p.ts_elements, 4);
+                drop(s);
+                row($name, "ts", k, n, p.ts_elements, seconds, draws.words())
+            }));
         }};
     }
 
@@ -447,32 +469,14 @@ pub fn run_with(p: &Params) -> Vec<Row> {
             ts_case!("priority_topk", k, n, PriorityTopK::new);
         }
     }
-    for _ in 0..ROW_PASSES {
-        for case in &mut cases {
-            let (seconds, draws) = (case.pass)();
-            if case.times.is_empty() {
-                case.row.rng_draws = draws;
-            }
-            assert_eq!(
-                case.row.rng_draws, draws,
-                "{}: passes drew different RNG words",
-                case.row.sampler
-            );
-            case.times.push(seconds);
-        }
-    }
-    cases
-        .into_iter()
-        .map(|mut case| {
-            case.times.sort_by(f64::total_cmp);
-            let seconds = case.times[ROW_PASSES / 2];
-            Row {
-                seconds,
-                elems_per_sec: case.row.elements as f64 / seconds.max(1e-9),
-                ..case.row
-            }
-        })
-        .collect()
+    let measured = interleaved(&cases, |pass| pass());
+    let median_row = |passes: &Vec<Row>| {
+        let (first, draws) = (passes[0].sampler, passes[0].rng_draws);
+        let same = passes.iter().all(|r| r.rng_draws == draws);
+        assert!(same, "{first}: passes drew different RNG words");
+        median(passes, |r| r.seconds).clone()
+    };
+    measured.iter().map(median_row).collect()
 }
 
 /// The fleet sections' per-key template: paper seq-WR, k = `multi_k`,
@@ -483,61 +487,73 @@ fn fleet_template(p: &Params) -> SamplerSpec {
         .expect("template spec")
 }
 
-/// The fleet sections' events, pre-generated so the clock measures
-/// ingestion, not zipf inversion: `multi_elements` of the shared
-/// `zipf_fleet_events` workload (theta 1.1) over `keys`.
-fn fleet_events(p: &Params, keys: u64, seed: u64) -> Vec<(u64, u64, u64)> {
-    zipf_fleet_events(keys, 1.1, seed)
-        .take(p.multi_elements as usize)
+/// The fleet sections' key domains, each with its events, pre-generated
+/// so the clock measures ingestion, not zipf inversion: `multi_elements`
+/// of the shared `zipf_fleet_events` workload (theta 1.1) over `keys`.
+fn fleet_domains(p: &Params, seed: u64) -> Vec<(u64, Vec<KeyedEvent<u64, u64>>)> {
+    let events = |keys| zipf_fleet_events(keys, 1.1, seed).take(p.multi_elements as usize);
+    p.multi_keys
+        .iter()
+        .map(|&k| (k, events(k).collect()))
         .collect()
+}
+
+/// One timed `ingest_parallel` pass of `events` over a fresh fleet with
+/// `threads` workers (64 shards, batches of `parallel_chunk`): seconds,
+/// including the drain of the last double-buffered epoch, and the
+/// scheduler's counters.
+fn drive_parallel(
+    p: &Params,
+    events: &[KeyedEvent<u64, u64>],
+    threads: usize,
+) -> (f64, ParallelStats) {
+    let engine: MultiStreamEngine<u64, u64> =
+        MultiStreamEngine::with_threads(fleet_template(p), 64, SamplerSpec::build::<u64>, threads)
+            .expect("engine");
+    let seconds = timed(|| {
+        for chunk in events.chunks(p.parallel_chunk) {
+            engine.ingest_parallel(chunk);
+        }
+        engine.flush().expect("bench workload never panics");
+    });
+    (seconds, engine.parallel_stats())
 }
 
 /// Run the multi-stream (keyed fleet) section: a zipf-keyed stream over
 /// each key-domain size, ingested through `MultiStreamEngine`'s batched
 /// grouped path with a paper seq-WR template (k = `multi_k`, n = 1000).
+/// Each pass builds a fresh fleet; the cold and sustained figures are
+/// the medians of their own passes.
 pub fn run_multi(p: &Params) -> Vec<MultiRow> {
-    let mut out = Vec::new();
-    for &keys in &p.multi_keys {
-        let events = fleet_events(p, keys, 44);
-        // Best-of reps, like the parallel section: identical
-        // deterministic runs, so the minimum is the capability
-        // measurement and scheduler steal is excluded.
-        let (mut cold, mut sustained) = (f64::INFINITY, f64::INFINITY);
-        let mut last = None;
-        for _ in 0..p.parallel_reps.max(1) {
-            let mut engine: MultiStreamEngine<u64, u64> =
-                MultiStreamEngine::with_factory(fleet_template(p), 64, SamplerSpec::build::<u64>)
-                    .expect("engine");
-            // Cold pass: fleet construction + accept-dense first arrivals
-            // (the schema-v3 figure). Sustained pass: the identical
-            // stream replayed into the now-warm fleet.
-            let start = Instant::now();
-            for chunk in events.chunks(p.chunk) {
-                engine.ingest(chunk);
-            }
-            cold = cold.min(start.elapsed().as_secs_f64());
-            let start = Instant::now();
-            for chunk in events.chunks(p.chunk) {
-                engine.ingest(chunk);
-            }
-            sustained = sustained.min(start.elapsed().as_secs_f64());
-            last = Some(engine);
-        }
-        let engine = last.expect("at least one rep");
-        out.push(MultiRow {
-            keys,
+    let domains = fleet_domains(p, 44);
+    let measured = interleaved(&domains, |(keys, events)| {
+        let mut engine: MultiStreamEngine<u64, u64> =
+            MultiStreamEngine::with_factory(fleet_template(p), 64, SamplerSpec::build::<u64>)
+                .expect("engine");
+        // Cold pass: fleet construction + accept-dense first arrivals
+        // (the schema-v3 figure). Sustained pass: the identical stream
+        // replayed into the now-warm fleet.
+        let mut ingest = || events.chunks(p.chunk).for_each(|c| engine.ingest(c));
+        let (cold, sustained) = (timed(&mut ingest), timed(&mut ingest));
+        let row = MultiRow {
+            keys: *keys,
             k: p.multi_k,
             shards: engine.num_shards(),
             elements: p.multi_elements,
             seconds: cold,
-            elems_per_sec: p.multi_elements as f64 / cold.max(1e-9),
-            sustained_elems_per_sec: p.multi_elements as f64 / sustained.max(1e-9),
+            elems_per_sec: rate(p.multi_elements, cold),
+            sustained_elems_per_sec: 0.0,
             keys_touched: engine.num_keys(),
             memory_words: swsample_core::MemoryWords::memory_words(&engine),
             max_key_words: engine.max_key_memory_words(),
-        });
-    }
-    out
+        };
+        (row, sustained)
+    });
+    let median_row = |passes: &Vec<(MultiRow, f64)>| MultiRow {
+        sustained_elems_per_sec: rate(p.multi_elements, median(passes, |pass| pass.1).1),
+        ..median(passes, |pass| pass.0.seconds).0.clone()
+    };
+    measured.iter().map(median_row).collect()
 }
 
 /// Run the parallel-scaling section: the same zipf-keyed workload as
@@ -546,71 +562,35 @@ pub fn run_multi(p: &Params) -> Vec<MultiRow> {
 /// 64 shards). Thread count 1 is the inline serial path; per-key output
 /// is bit-identical across all rows (asserted in
 /// `tests/parallel_engine.rs`), so the rows measure pure scheduling.
+/// Each pass builds a fresh engine; a row's scheduler counters come from
+/// its median pass, and no pass may violate one-shard-one-worker.
 pub fn run_parallel(p: &Params) -> Vec<ParallelRow> {
     let cores = machine().cores;
-    let mut out = Vec::new();
-    for &keys in &p.multi_keys {
-        // Pre-generate once per key domain; every thread count replays
-        // the identical workload.
-        let events = fleet_events(p, keys, 44);
-        // Best of `parallel_reps` identical runs per configuration
-        // (fresh engine each time — the workload and results are
-        // deterministic, only host scheduling noise varies). The
-        // scheduler counters travel with the fastest rep. Two
-        // noise-robustness measures, because the t8/t1 overhead gate
-        // divides two of these figures so per-row noise compounds:
-        // reps are interleaved across the thread counts (rep-outermost)
-        // so a multi-second host-noise burst degrades every count's rep
-        // pool instead of swallowing one count's contiguous block, and
-        // small key domains — which finish in milliseconds and can lose
-        // every rep to a single descheduling blip — get 3x the reps.
-        let configs = &p.multi_threads;
-        let reps = p.parallel_reps.max(1) * if keys < 10_000 { 3 } else { 1 };
-        let mut best: Vec<(f64, Option<swsample_stream::ParallelStats>)> =
-            vec![(f64::INFINITY, None); configs.len()];
-        for _ in 0..reps {
-            for (ci, &threads) in configs.iter().enumerate() {
-                let engine: MultiStreamEngine<u64, u64> = MultiStreamEngine::with_threads(
-                    fleet_template(p),
-                    64,
-                    SamplerSpec::build::<u64>,
-                    threads,
-                )
-                .expect("engine");
-                let start = Instant::now();
-                for chunk in events.chunks(p.parallel_chunk) {
-                    engine.ingest_parallel(chunk);
-                }
-                // The clock must cover the drain of the last
-                // double-buffered epoch, not just its publication.
-                engine.flush().expect("bench workload never panics");
-                let elapsed = start.elapsed().as_secs_f64();
-                if elapsed < best[ci].0 {
-                    best[ci] = (elapsed, Some(engine.parallel_stats()));
-                }
-            }
+    let domains = fleet_domains(p, 44);
+    let configs: Vec<_> = domains
+        .iter()
+        .flat_map(|d| p.multi_threads.iter().map(move |&threads| (d, threads)))
+        .collect();
+    let measured = interleaved(&configs, |&((keys, events), threads)| {
+        let (seconds, st) = drive_parallel(p, events, threads);
+        assert_eq!(st.violations, 0, "one-shard-one-worker violated");
+        ParallelRow {
+            keys: *keys,
+            k: p.multi_k,
+            shards: 64,
+            threads: threads.min(64),
+            batch: p.parallel_chunk,
+            elements: p.multi_elements,
+            seconds,
+            elems_per_sec: rate(p.multi_elements, seconds),
+            cores,
+            units: st.units,
+            steals: st.steals,
+            imbalance: st.imbalance(),
         }
-        for (ci, &threads) in configs.iter().enumerate() {
-            let (seconds, stats) = std::mem::replace(&mut best[ci], (0.0, None));
-            let st = stats.expect("at least one rep");
-            assert_eq!(st.violations, 0, "one-shard-one-worker violated");
-            out.push(ParallelRow {
-                keys,
-                k: p.multi_k,
-                shards: 64,
-                threads: threads.min(64),
-                batch: p.parallel_chunk,
-                elements: p.multi_elements,
-                seconds,
-                elems_per_sec: p.multi_elements as f64 / seconds.max(1e-9),
-                cores,
-                units: st.units,
-                steals: st.steals,
-                imbalance: st.imbalance(),
-            });
-        }
-    }
-    out
+    });
+    let median_row = |passes: &Vec<ParallelRow>| median(passes, |r| r.seconds).clone();
+    measured.iter().map(median_row).collect()
 }
 
 /// Run the durable-pipeline section: the zipf-keyed fleet workload of
@@ -619,86 +599,98 @@ pub fn run_parallel(p: &Params) -> Vec<ParallelRow> {
 /// ways — in memory (`wal-off`), through the write-ahead log
 /// (`wal-on`), and through the WAL with periodic O(k)-per-key
 /// snapshots (`wal-snap`) — each timed up to its final WAL fsync, then
-/// the durable two timed through
-/// recovery (`DurableEngine::open`: latest snapshot + log-tail replay).
-/// Durable state lives under the system temp directory and is removed
-/// before the function returns.
+/// the durable two timed through recovery (`DurableEngine::open`:
+/// latest snapshot + log-tail replay) on every pass. Every pass checks
+/// that the ingested fleet, and the recovered one, hold every distinct
+/// key of the events. Ingest and recovery are the medians of their own
+/// passes. Durable state lives
+/// under the system temp directory and is removed before the function
+/// returns.
 pub fn run_durable(p: &Params) -> Vec<DurableRow> {
     use swsample_durable::{DurableEngine, DurableOptions, Fleet, Storage};
 
-    let mut out = Vec::new();
-    for &keys in &p.multi_keys {
-        let events = fleet_events(p, keys, 44);
-        for (mode, snapshot_every) in [
-            ("wal-off", 0u64),
-            ("wal-on", 0),
-            ("wal-snap", p.durable_snapshot_every),
-        ] {
+    let modes = [
+        ("wal-off", 0u64),
+        ("wal-on", 0),
+        ("wal-snap", p.durable_snapshot_every),
+    ];
+    // Each domain's distinct-key count, which the live fleet and every
+    // recovered one must hold; counted once, outside the timed passes.
+    let domains: Vec<_> = fleet_domains(p, 44)
+        .into_iter()
+        .map(|(keys, events)| {
+            let distinct = events.iter().map(|e| e.0).collect::<HashSet<_>>().len();
+            (keys, events, distinct)
+        })
+        .collect();
+    let configs: Vec<_> = domains
+        .iter()
+        .flat_map(|d| modes.map(|mode| (d, mode)))
+        .collect();
+    let measured = interleaved(
+        &configs,
+        |&((keys, events, distinct), (mode, snapshot_every))| {
             // The call counter keeps concurrent calls in one process
-            // (parallel unit tests) out of each other's directories.
+            // (parallel unit tests) out of each other's directories, and
+            // gives each pass a fresh one: `create` refuses to reuse one.
             static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
             let dir = std::env::temp_dir().join(format!(
                 "swsample-bench-durable-{}-{}-{mode}-{keys}",
                 std::process::id(),
                 CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
             ));
-            let mut seconds = f64::INFINITY;
-            let mut recovery = 0.0;
-            for rep in 0..p.parallel_reps.max(1) {
-                let last_rep = rep + 1 == p.parallel_reps.max(1);
-                let opts = DurableOptions {
-                    snapshot_every: (snapshot_every > 0).then_some(snapshot_every),
-                    ..DurableOptions::default()
-                };
-                // Fresh directory per rep: `create` refuses to reuse one.
-                let _ = std::fs::remove_dir_all(&dir);
-                let storage = match mode {
-                    "wal-off" => Storage::Memory,
-                    _ => Storage::Wal(dir.clone(), opts.clone(), None),
-                };
-                let fleet: Fleet<u64, u64> =
-                    Fleet::open(fleet_template(p), 64, 1, storage).expect("fleet");
-                let start = Instant::now();
+            let opts = DurableOptions {
+                snapshot_every: (snapshot_every > 0).then_some(snapshot_every),
+                ..DurableOptions::default()
+            };
+            let storage = match mode {
+                "wal-off" => Storage::Memory,
+                _ => Storage::Wal(dir.clone(), opts.clone(), None),
+            };
+            let fleet: Fleet<u64, u64> =
+                Fleet::open(fleet_template(p), 64, 1, storage).expect("fleet");
+            let seconds = timed(|| {
                 for chunk in events.chunks(p.chunk) {
                     fleet.ingest(chunk).expect("fleet ingest");
                 }
                 fleet.sync().expect("wal sync");
-                seconds = seconds.min(start.elapsed().as_secs_f64());
-                drop(fleet);
-                if last_rep && mode != "wal-off" {
-                    // Recovery wall-clock: wal-on replays the whole log
-                    // from the initial snapshot; wal-snap restores the
-                    // newest snapshot and replays only the tail.
-                    let start = Instant::now();
-                    let recovered: DurableEngine<u64, u64> =
-                        DurableEngine::open(&dir, opts).expect("recovery");
-                    recovery = start.elapsed().as_secs_f64();
-                    assert_eq!(
-                        recovered.engine().num_keys() as u64,
-                        events
-                            .iter()
-                            .map(|e| e.0)
-                            .collect::<std::collections::HashSet<_>>()
-                            .len() as u64,
-                        "{mode}: recovered fleet lost keys"
-                    );
-                }
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-            out.push(DurableRow {
+            });
+            let live = fleet.read(|engine| engine.num_keys());
+            assert_eq!(live, *distinct, "{mode}: ingested fleet lost keys");
+            drop(fleet);
+            // Recovery wall-clock: wal-on replays the whole log from the
+            // initial snapshot; wal-snap restores the newest snapshot and
+            // replays only the tail.
+            let recovery_seconds = if mode == "wal-off" {
+                0.0
+            } else {
+                let start = Instant::now();
+                let recovered: DurableEngine<u64, u64> =
+                    DurableEngine::open(&dir, opts).expect("recovery");
+                let seconds = start.elapsed().as_secs_f64();
+                let after = recovered.engine().num_keys();
+                assert_eq!(after, *distinct, "{mode}: recovered fleet lost keys");
+                seconds
+            };
+            let _ = std::fs::remove_dir_all(&dir);
+            DurableRow {
                 mode,
-                keys,
+                keys: *keys,
                 k: p.multi_k,
                 shards: 64,
                 snapshot_every,
                 elements: p.multi_elements,
                 seconds,
-                elems_per_sec: p.multi_elements as f64 / seconds.max(1e-9),
-                recovery_seconds: recovery,
-            });
-        }
-    }
-    out
+                elems_per_sec: rate(p.multi_elements, seconds),
+                recovery_seconds,
+            }
+        },
+    );
+    let median_row = |passes: &Vec<DurableRow>| DurableRow {
+        recovery_seconds: median(passes, |r| r.recovery_seconds).recovery_seconds,
+        ..median(passes, |r| r.seconds).clone()
+    };
+    measured.iter().map(median_row).collect()
 }
 
 /// Run the end-to-end server section: a real loopback TCP
@@ -706,7 +698,8 @@ pub fn run_durable(p: &Params) -> Vec<DurableRow> {
 /// n = 1000, 64 shards) driven by the in-process load generator at each
 /// connection count, next to a same-run direct `ingest_parallel`
 /// baseline over the identical loadgen workload (seed 1, theta 1.1).
-/// The ratio of the two is the serving tax the
+/// The baseline's passes interleave with the server's, and each row
+/// reads the median of both. The ratio of the two is the serving tax the
 /// [`SERVER_E2E_100K_GATE`] bar polices.
 pub fn run_server(p: &Params) -> Vec<ServerRow> {
     use swsample_server::{loadgen, LoadgenConfig, Server, ServerConfig};
@@ -716,49 +709,55 @@ pub fn run_server(p: &Params) -> Vec<ServerRow> {
     // hosts. The direct baseline uses the identical count so the ratio
     // isolates the wire, not the thread budget.
     let threads = machine().cores.clamp(1, 8);
+    // The loadgen workload, regenerated here for the direct baseline:
+    // identical events, no sockets.
+    let domains = fleet_domains(p, 1);
+    // Per key domain, the direct baseline (`None`) before the servers.
+    let configs: Vec<_> = domains
+        .iter()
+        .flat_map(|d| {
+            let served = p.server_connections.iter().map(|&c| Some(c));
+            std::iter::once(None).chain(served).map(move |c| (d, c))
+        })
+        .collect();
+    // The direct baseline's pass reports only its seconds.
+    let measured = interleaved(&configs, |&((keys, events), connections)| {
+        let Some(connections) = connections else {
+            return (drive_parallel(p, events, threads).0, None);
+        };
+        let mut cfg = ServerConfig::new(fleet_template(p));
+        cfg.shards = 64;
+        cfg.threads = threads;
+        let server = Server::start(cfg).expect("server start");
+        let mut lg = LoadgenConfig::new(server.local_addr().to_string());
+        lg.connections = connections;
+        lg.keys = *keys;
+        lg.count = p.multi_elements;
+        lg.batch = p.parallel_chunk;
+        let report = loadgen::run(&lg, &mut std::io::sink()).expect("loadgen run");
+        server.shutdown();
+        let row = ServerRow {
+            connections,
+            keys: *keys,
+            elements: report.events_sent,
+            seconds: report.seconds,
+            elems_per_sec: report.elems_per_sec,
+            p50_us: report.p50_us,
+            p99_us: report.p99_us,
+            busy: report.busy_retries,
+            direct_elems_per_sec: 0.0,
+        };
+        (report.seconds, Some(row))
+    });
     let mut out = Vec::new();
-    for &keys in &p.multi_keys {
-        // The loadgen workload, regenerated here for the direct
-        // baseline: identical events, no sockets.
-        let events = fleet_events(p, keys, 1);
-        let engine: MultiStreamEngine<u64, u64> = MultiStreamEngine::with_threads(
-            fleet_template(p),
-            64,
-            SamplerSpec::build::<u64>,
-            threads,
-        )
-        .expect("engine");
-        let start = Instant::now();
-        for chunk in events.chunks(p.parallel_chunk) {
-            engine.ingest_parallel(chunk);
-        }
-        engine.flush().expect("bench workload never panics");
-        let direct = p.multi_elements as f64 / start.elapsed().as_secs_f64().max(1e-9);
-        drop((engine, events));
-
-        for &connections in &p.server_connections {
-            let mut cfg = ServerConfig::new(fleet_template(p));
-            cfg.shards = 64;
-            cfg.threads = threads;
-            let server = Server::start(cfg).expect("server start");
-            let mut lg = LoadgenConfig::new(server.local_addr().to_string());
-            lg.connections = connections;
-            lg.keys = keys;
-            lg.count = p.multi_elements;
-            lg.batch = p.parallel_chunk;
-            let report = loadgen::run(&lg, &mut std::io::sink()).expect("loadgen run");
-            server.shutdown();
-            out.push(ServerRow {
-                connections,
-                keys,
-                elements: report.events_sent,
-                seconds: report.seconds,
-                elems_per_sec: report.elems_per_sec,
-                p50_us: report.p50_us,
-                p99_us: report.p99_us,
-                busy: report.busy_retries,
+    let mut direct = 0.0;
+    for passes in &measured {
+        match median(passes, |pass| pass.0) {
+            (seconds, None) => direct = rate(p.multi_elements, *seconds),
+            (_, Some(row)) => out.push(ServerRow {
                 direct_elems_per_sec: direct,
-            });
+                ..row.clone()
+            }),
         }
     }
     out
@@ -1254,7 +1253,6 @@ mod tests {
             multi_k: 4,
             multi_threads: vec![1, 2],
             parallel_chunk: 256,
-            parallel_reps: 2,
             durable_snapshot_every: 4,
             server_connections: vec![1, 2],
         }
@@ -1263,13 +1261,32 @@ mod tests {
     #[test]
     fn micro_suite_round_trips_and_passes_as_quick() {
         let p = micro_params();
-        let rows = run_with(&p);
+        let (rows, rows_passes) = counted(|| run_with(&p));
         assert_eq!(rows.len(), 14, "one row per sampler");
         assert!(speedup(&rows, "seq_wr_skip", "seq_wr_naive", 2, 1024).is_some());
         assert!(speedup(&rows, "seq_wr_skip", "seq_wr_naive", 99, 1024).is_none());
-        let (multi, parallel) = (run_multi(&p), run_parallel(&p));
+        let (multi, multi_passes) = counted(|| run_multi(&p));
+        let (parallel, parallel_passes) = counted(|| run_parallel(&p));
         assert_eq!(parallel.len(), 2, "one row per (keys, threads)");
-        let (durable, server) = (run_durable(&p), run_server(&p));
+        let (durable, durable_passes) = counted(|| run_durable(&p));
+        let (server, server_passes) = counted(|| run_server(&p));
+        // Every configuration of every section ran `ROW_PASSES` passes;
+        // the server section's include one direct baseline per domain.
+        let passes = [
+            rows_passes,
+            multi_passes,
+            parallel_passes,
+            durable_passes,
+            server_passes,
+        ];
+        let configs = [
+            rows.len(),
+            multi.len(),
+            parallel.len(),
+            durable.len(),
+            server.len() + p.multi_keys.len(),
+        ];
+        assert_eq!(passes, configs.map(|c| c * ROW_PASSES));
         // Only the WAL modes have anything to recover (the gates check
         // they do); wal-snap snapshots at the configured cadence.
         assert_eq!(durable[0].recovery_seconds, 0.0);
@@ -1302,6 +1319,44 @@ mod tests {
                 assert!(names(&failures, gate.0), "{}: {failures:#?}", gate.0);
             }
         }
+    }
+
+    /// `section`'s result and the passes [`interleaved`] ran for it.
+    fn counted<R>(section: impl FnOnce() -> R) -> (R, usize) {
+        PASSES_RUN.set(0);
+        let out = section();
+        (out, PASSES_RUN.get())
+    }
+
+    #[test]
+    fn passes_interleave_and_each_row_reads_its_median_pass() {
+        // Scripted seconds per configuration and pass; each pass also
+        // reports its pass number, standing in for a pass's counters.
+        let script: [[f64; ROW_PASSES]; 3] = [
+            [5.0, 1.0, 3.0, 4.0, 2.0],
+            [0.3, 0.1, 0.2, 0.5, 0.4],
+            [7.0; ROW_PASSES],
+        ];
+        let (mut order, mut next) = (Vec::new(), [0; 3]);
+        let measured = interleaved(&[0usize, 1, 2], |&c| {
+            order.push(c);
+            next[c] += 1;
+            (script[c][next[c] - 1], next[c] - 1)
+        });
+        let pass_outermost: Vec<usize> = (0..ROW_PASSES).flat_map(|_| 0..3).collect();
+        assert_eq!(order, pass_outermost);
+        let pass_order: Vec<usize> = (0..ROW_PASSES).collect();
+        for (c, passes) in measured.iter().enumerate() {
+            let numbers: Vec<usize> = passes.iter().map(|pass| pass.1).collect();
+            assert_eq!(
+                numbers, pass_order,
+                "configuration {c} keeps its passes in order"
+            );
+        }
+        // The median pass by seconds, with its counters.
+        assert_eq!(*median(&measured[0], |pass| pass.0), (3.0, 2));
+        assert_eq!(*median(&measured[1], |pass| pass.0), (0.3, 0));
+        assert_eq!(median(&measured[2], |pass| pass.0).0, 7.0);
     }
 
     #[test]

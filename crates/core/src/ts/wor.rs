@@ -95,6 +95,7 @@ pub struct TsSamplerWor<T, R> {
     /// timestamp)`, newest at the back; their indices are consecutive, up
     /// to `next_index − 1`. Its front element is the one the bank has
     /// just ingested; the newer `k−1` feed the query-time lane extensions.
+    /// Its capacity doubles with its arrivals, capped at exactly `k`.
     recent: VecDeque<(T, u64)>,
     rng: R,
     now: u64,
@@ -109,7 +110,7 @@ impl<T: Clone, R: Rng> TsSamplerWor<T, R> {
         Self {
             k,
             bank: TsEngineBank::new(t0, k),
-            recent: VecDeque::with_capacity(k),
+            recent: VecDeque::new(),
             rng,
             now: 0,
             next_index: 0,
@@ -241,11 +242,16 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for TsSamplerWor<T, R> {
         // The bank runs `k−1` arrivals behind: each arrival enters the
         // auxiliary array now and the bank once it is the element with
         // exactly `k−1` newer ones — i.e. whenever the array is full, its
-        // front is due.
-        self.recent.push_back((value, self.now));
-        if self.recent.len() > self.k {
+        // front is due. A full array drops its oldest entry (already in
+        // the bank) before the arrival enters, so it never outgrows `k`;
+        // a full array below `k` doubles, capped at `k`.
+        let len = self.recent.len();
+        if len == self.k {
             self.recent.pop_front();
+        } else if len == self.recent.capacity() {
+            self.recent.reserve_exact(len.max(1).min(self.k - len));
         }
+        self.recent.push_back((value, self.now));
         if self.recent.len() == self.k {
             let (value, ts) = &self.recent[0];
             // Lemma 4.1: the bank skips arrivals that expired while

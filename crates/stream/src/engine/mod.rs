@@ -109,7 +109,7 @@ mod registry;
 
 use std::hash::Hash;
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
 use swsample_core::spec::{FleetBackend, SamplerFactory, SamplerSpec, SpecError, WindowKind};
 use swsample_core::state::{SamplerState, StateError};
@@ -304,8 +304,9 @@ pub struct MultiStreamEngine<K, T: Clone> {
     /// one-shard-one-worker invariant (shared into each epoch).
     exec_flags: Arc<Vec<AtomicBool>>,
     /// Serial-path scratch: per-shard routes into the caller's batch,
-    /// reused across batches.
-    routes: Vec<Route>,
+    /// reused across batches by both serial entry points and sized to
+    /// the shard count on use.
+    routes: Mutex<Vec<Route>>,
 }
 
 impl<K, T: Clone> std::fmt::Debug for MultiStreamEngine<K, T> {
@@ -383,7 +384,7 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
             threads: 1,
             pool: None,
             exec_flags: Arc::new((0..shards).map(|_| AtomicBool::new(false)).collect()),
-            routes: (0..shards).map(|_| Vec::new()).collect(),
+            routes: Mutex::new(Vec::new()),
         })
     }
 
@@ -455,10 +456,7 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
             batch.len() <= u32::MAX as usize,
             "batch exceeds u32 positions"
         );
-        let mut routes = std::mem::take(&mut self.routes);
-        let applied = self.ingest_inline(batch, &mut routes);
-        self.routes = routes;
-        if let Err(panic) = applied {
+        if let Err(panic) = self.ingest_inline(batch) {
             panic!("{panic}");
         }
     }
@@ -466,19 +464,24 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
     /// The one serial ingest path, behind [`ingest`](Self::ingest) and
     /// the inline branch of [`try_ingest_parallel`](Self::try_ingest_parallel):
     /// route each event as `(position, key hash)` into its shard's
-    /// route — no copies; a key is cloned only on first touch — then
-    /// run the shards one at a time under [`ingest_guarded`], which
-    /// catches a sampler panic without poisoning the shard lock.
-    /// Returns the first panic in shard order.
-    fn ingest_inline(
-        &self,
-        batch: &[KeyedEvent<K, T>],
-        routes: &mut [Route],
-    ) -> Result<(), WorkerPanic> {
+    /// route (the engine's `routes` scratch, or fresh buffers while a
+    /// concurrent caller holds it) — no copies; a key is cloned only on
+    /// first touch — then run the shards one at a time under
+    /// [`ingest_guarded`], which catches a sampler panic without
+    /// poisoning the shard lock. Returns the first panic in shard order.
+    fn ingest_inline(&self, batch: &[KeyedEvent<K, T>]) -> Result<(), WorkerPanic> {
         // A still-draining parallel epoch must fully apply before a
         // serial batch may touch the shards (per-shard batch order is
         // the determinism contract).
         self.sync();
+        let mut held = match self.routes.try_lock() {
+            Ok(routes) => Some(routes),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        };
+        let mut fresh = Vec::new();
+        let routes = held.as_deref_mut().unwrap_or(&mut fresh);
+        routes.resize_with(self.shards.len(), Vec::new);
         for route in routes.iter_mut() {
             route.clear();
         }
@@ -757,7 +760,6 @@ where
         let old_shards = std::mem::replace(&mut self.shards, slabs);
         let old_mask = std::mem::replace(&mut self.shard_mask, shards as u64 - 1);
         self.exec_flags = Arc::new((0..shards).map(|_| AtomicBool::new(false)).collect());
-        self.routes = (0..shards).map(|_| Vec::new()).collect();
         if let Err(e) = self.restore_states(states) {
             // Restoring our own just-saved records onto same-template
             // shards cannot family-mismatch; keep the engine usable
@@ -769,7 +771,6 @@ where
                     .map(|_| AtomicBool::new(false))
                     .collect(),
             );
-            self.routes = (0..self.shards.len()).map(|_| Vec::new()).collect();
             return Err(e);
         }
         // Threads are capped at the shard count; re-apply the clamp
@@ -845,10 +846,7 @@ where
         );
         let nshards = self.shards.len();
         if self.threads <= 1 || nshards == 1 {
-            // Inline serial path. Routes are local (not the engine's
-            // scratch) because `&self` must not alias concurrent callers.
-            let mut routes: Vec<Route> = (0..nshards).map(|_| Vec::new()).collect();
-            return self.ingest_inline(batch, &mut routes);
+            return self.ingest_inline(batch);
         }
         let pool = self.pool.as_ref().expect("set_threads spawned the pool");
         // Prepare (partition + counting sort + LPT order) runs *before*
@@ -1124,6 +1122,46 @@ mod tests {
                 parallel.sample_k(&key),
                 "key {key}: parallel diverges from serial"
             );
+        }
+    }
+
+    #[test]
+    fn serial_route_scratch_follows_reshards_and_both_entry_points() {
+        // Both serial entry points reuse one per-engine route scratch,
+        // sized to the shard count on use. An engine resharded between
+        // batches (64 → 4 → 16: routes left stale, then missing) and fed
+        // alternately through `ingest` and `try_ingest_parallel` must end
+        // equal to one fed through `ingest` at a fixed 64 shards.
+        let template = seq_wr_spec(50, 4, 11);
+        let build = || -> MultiStreamEngine<u64, u64> {
+            MultiStreamEngine::with_factory(template.clone(), 64, SamplerSpec::build::<u64>)
+                .expect("engine")
+        };
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut zipf = ZipfGen::new(300, 1.1);
+        let events: Vec<(u64, u64, u64)> = (0..12_000u64)
+            .map(|i| (zipf.next_value(&mut rng), i / 32, i))
+            .collect();
+        let (mut resharded, mut fixed) = (build(), build());
+        for (i, chunk) in events.chunks(301).enumerate() {
+            match i {
+                13 => resharded.set_shards(4).expect("reshard"),
+                26 => resharded.set_shards(16).expect("reshard"),
+                _ => {}
+            }
+            if i % 2 == 0 {
+                resharded.ingest(chunk);
+            } else {
+                resharded
+                    .try_ingest_parallel(chunk)
+                    .expect("no sampler panics");
+            }
+            fixed.ingest(chunk);
+        }
+        assert_eq!(resharded.num_shards(), 16);
+        assert_eq!(resharded.num_keys(), fixed.num_keys());
+        for key in fixed.keys() {
+            assert_eq!(resharded.sample_k(&key), fixed.sample_k(&key), "key {key}");
         }
     }
 
