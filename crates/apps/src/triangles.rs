@@ -217,6 +217,46 @@ mod tests {
     }
 
     #[test]
+    fn watches_match_a_brute_force_scan_of_the_suffix() {
+        use swsample_core::WindowSampler;
+        // Few nodes, so completing edges recur. After every step each
+        // watch has seen exactly the completing edges that arrived after
+        // its sampled edge: fed per edge, then in ragged chunks that cross
+        // rotations.
+        let mut gen = EdgeStreamGen::new(6, 0.5);
+        let mut rng = SmallRng::seed_from_u64(21);
+        let stream: Vec<Edge> = (0..400).map(|_| gen.next_edge(&mut rng)).collect();
+        let n = 37u64;
+        for k in [4usize, 16] {
+            for batched in [false, true] {
+                let tracker = TriangleTracker::new(6, k as u64);
+                let mut s = SeqSamplerWr::with_tracker(n, k, SmallRng::seed_from_u64(5), tracker);
+                let mut chunks = SmallRng::seed_from_u64(k as u64);
+                let mut at = 0usize;
+                while at < stream.len() {
+                    let len = if batched { chunks.gen_range(1..90) } else { 1 };
+                    let chunk = &stream[at..(at + len).min(stream.len())];
+                    if batched {
+                        s.insert_batch(chunk);
+                    } else {
+                        s.push(chunk[0]);
+                    }
+                    at += chunk.len();
+                    for (smp, w) in s.sample_k_with_stats().expect("nonempty") {
+                        let (a, b) = (smp.value().u, smp.value().v);
+                        assert_eq!((w.a, w.b), (a, b));
+                        assert!(w.v != a && w.v != b);
+                        let after = &stream[smp.index() as usize + 1..at];
+                        let seen = |x: u32| after.contains(&Edge::new(x, w.v));
+                        assert_eq!(w.seen_av, seen(a), "k={k} batched={batched} at {at}");
+                        assert_eq!(w.seen_bv, seen(b), "k={k} batched={batched} at {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn tracker_never_picks_endpoint() {
         let mut tr = TriangleTracker::new(3, 9);
         for _ in 0..100 {

@@ -22,6 +22,7 @@ use std::time::Duration;
 use swsample_baselines::{
     ChainSampler, OverSampler, PrioritySampler, PriorityTopK, StreamReservoir, WindowBuffer,
 };
+use swsample_core::seq::reference::{NaiveSeqWor, NaiveSeqWr};
 use swsample_core::seq::{SeqSamplerWor, SeqSamplerWr};
 use swsample_core::ts::{TsSamplerWor, TsSamplerWr};
 use swsample_core::WindowSampler;
@@ -137,7 +138,7 @@ fn bench_skip_ablation(c: &mut Criterion) {
     );
     seq_case!(
         "SeqSamplerWr_naive",
-        SeqSamplerWr::naive(N, K, SmallRng::seed_from_u64(21))
+        NaiveSeqWr::new(N, K, SmallRng::seed_from_u64(21))
     );
     seq_case!(
         "SeqSamplerWor_skip",
@@ -145,7 +146,7 @@ fn bench_skip_ablation(c: &mut Criterion) {
     );
     seq_case!(
         "SeqSamplerWor_naive",
-        SeqSamplerWor::naive(N, K, SmallRng::seed_from_u64(23))
+        NaiveSeqWor::new(N, K, SmallRng::seed_from_u64(23))
     );
     group.finish();
 }

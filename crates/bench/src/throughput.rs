@@ -19,6 +19,7 @@ use swsample_baselines::{
     WindowBuffer,
 };
 use swsample_core::rng::CountingRng;
+use swsample_core::seq::reference::{NaiveSeqWor, NaiveSeqWr};
 use swsample_core::seq::{SeqSamplerWor, SeqSamplerWr};
 use swsample_core::ts::independent::{IndependentTsWor, IndependentTsWr};
 use swsample_core::ts::{TsSamplerWor, TsSamplerWr};
@@ -452,9 +453,9 @@ pub fn run_with(p: &Params) -> Vec<Row> {
         ));
         for &n in &p.ns {
             seq_case!("seq_wr_skip", k, n, SeqSamplerWr::new);
-            seq_case!("seq_wr_naive", k, n, SeqSamplerWr::naive);
+            seq_case!("seq_wr_naive", k, n, NaiveSeqWr::new);
             seq_case!("seq_wor_skip", k, n, SeqSamplerWor::new);
-            seq_case!("seq_wor_naive", k, n, SeqSamplerWor::naive);
+            seq_case!("seq_wor_naive", k, n, NaiveSeqWor::new);
             seq_case!("chain", k, n, ChainSampler::new);
             seq_case!("window_buffer", k, n, |n, k, rng| WindowBuffer::new(
                 WindowSpec::Sequence(n),

@@ -13,8 +13,10 @@
 //!   non-expired part of `U`'s k-sample and top it up with a random
 //!   same-size subset of `V`'s k-sample.
 //!
-//! Both use `O(k)` words, deterministically.
+//! Both use `O(k)` words, deterministically. [`reference`](mod@reference) keeps the
+//! per-arrival constructions they are tested and benchmarked against.
 
+pub mod reference;
 mod wor;
 mod wr;
 

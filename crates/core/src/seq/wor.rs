@@ -2,65 +2,11 @@
 //! (Theorem 2.2).
 
 use crate::memory::MemoryWords;
-use crate::reservoir::{ReservoirK, ReservoirL};
+use crate::reservoir::ReservoirL;
 use crate::sample::Sample;
 use crate::state::{self, ReservoirLState, SamplerState, StateError};
 use crate::traits::WindowSampler;
 use rand::Rng;
-
-/// The per-bucket reservoir: Algorithm L (skip-ahead, the default) or
-/// Algorithm R (one draw per arrival, the reference path kept for
-/// equivalence tests and as the benchmark baseline). Identical sampling
-/// distribution either way.
-#[derive(Debug, Clone)]
-enum BucketReservoir<T> {
-    Skip(ReservoirL<T>),
-    Naive(ReservoirK<T>),
-}
-
-impl<T: Clone> BucketReservoir<T> {
-    fn insert<R: Rng>(&mut self, rng: &mut R, value: T, index: u64, timestamp: u64) {
-        match self {
-            Self::Skip(r) => r.insert(rng, value, index, timestamp),
-            Self::Naive(r) => r.insert(rng, value, index, timestamp),
-        }
-    }
-
-    fn insert_batch<R: Rng>(&mut self, rng: &mut R, values: &[T], first_index: u64) {
-        match self {
-            Self::Skip(r) => r.insert_batch(rng, values, first_index),
-            Self::Naive(r) => {
-                for (j, v) in values.iter().enumerate() {
-                    let idx = first_index + j as u64;
-                    r.insert(rng, v.clone(), idx, idx);
-                }
-            }
-        }
-    }
-
-    fn entries(&self) -> &[Sample<T>] {
-        match self {
-            Self::Skip(r) => r.entries(),
-            Self::Naive(r) => r.entries(),
-        }
-    }
-
-    fn take(&mut self) -> Vec<Sample<T>> {
-        match self {
-            Self::Skip(r) => r.take(),
-            Self::Naive(r) => r.take(),
-        }
-    }
-}
-
-impl<T> MemoryWords for BucketReservoir<T> {
-    fn memory_words(&self) -> usize {
-        match self {
-            Self::Skip(r) => r.memory_words(),
-            Self::Naive(r) => r.memory_words(),
-        }
-    }
-}
 
 /// A uniform `k`-sample *without replacement* over the last `n` arrivals —
 /// Theorem 2.2, `O(k)` memory words, deterministic.
@@ -79,7 +25,8 @@ impl<T> MemoryWords for BucketReservoir<T> {
 /// draws per bucket instead of `n`, with arrivals between precomputed
 /// acceptances skipped wholesale by
 /// [`insert_batch`](WindowSampler::insert_batch). The per-arrival
-/// Algorithm R path remains available via [`SeqSamplerWor::naive`].
+/// Algorithm R construction is kept as the reference for tests and
+/// benchmarks, [`NaiveSeqWor`](super::reference::NaiveSeqWor).
 ///
 /// ```
 /// use swsample_core::seq::SeqSamplerWor;
@@ -105,24 +52,13 @@ pub struct SeqSamplerWor<T, R> {
     /// k-sample of the most recent complete bucket (`X_U`).
     prev: Vec<Sample<T>>,
     /// Reservoir over the partial bucket (`X_V`).
-    cur: BucketReservoir<T>,
+    cur: ReservoirL<T>,
 }
 
 impl<T: Clone, R: Rng> SeqSamplerWor<T, R> {
     /// Sampler for windows of the last `n ≥ 1` arrivals, maintaining a
     /// `k ≥ 1`-sample without replacement (skip-ahead ingestion).
     pub fn new(n: u64, k: usize, rng: R) -> Self {
-        Self::build(n, k, rng, false)
-    }
-
-    /// Like [`SeqSamplerWor::new`] but with the per-arrival Algorithm R
-    /// bucket reservoirs — the reference path for equivalence tests and
-    /// benchmark baselines.
-    pub fn naive(n: u64, k: usize, rng: R) -> Self {
-        Self::build(n, k, rng, true)
-    }
-
-    fn build(n: u64, k: usize, rng: R, naive: bool) -> Self {
         assert!(n >= 1, "SeqSamplerWor: window size must be at least 1");
         assert!(k >= 1, "SeqSamplerWor: k must be at least 1");
         Self {
@@ -131,11 +67,7 @@ impl<T: Clone, R: Rng> SeqSamplerWor<T, R> {
             count: 0,
             rng,
             prev: Vec::new(),
-            cur: if naive {
-                BucketReservoir::Naive(ReservoirK::new(k))
-            } else {
-                BucketReservoir::Skip(ReservoirL::new(k))
-            },
+            cur: ReservoirL::new(k),
         }
     }
 
@@ -158,6 +90,47 @@ impl<T: Clone, R: Rng> SeqSamplerWor<T, R> {
             self.prev = self.cur.take();
         }
     }
+}
+
+/// The window's `k`-sample after `count ≥ 1` arrivals over windows of
+/// `n` (§2.2), from `prev`, the last complete bucket's sample (`X_U`),
+/// and `cur`, the partial bucket's reservoir entries (`X_V`).
+pub(super) fn window_sample<T: Clone, R: Rng>(
+    rng: &mut R,
+    n: u64,
+    count: u64,
+    prev: &[Sample<T>],
+    cur: &[Sample<T>],
+) -> Vec<Sample<T>> {
+    if count < n {
+        // Warm-up: window = partial bucket; its reservoir *is* the
+        // k-sample (or all elements when fewer than k).
+        return cur.to_vec();
+    }
+    if count.is_multiple_of(n) {
+        // Window coincides with the complete bucket.
+        return prev.to_vec();
+    }
+    let oldest_active = count - n;
+    // Split X_U into expired and retained parts.
+    let mut out: Vec<Sample<T>> = prev
+        .iter()
+        .filter(|s| s.index() >= oldest_active)
+        .cloned()
+        .collect();
+    let expired_count = prev.len() - out.len();
+    // Top up with a uniform expired_count-subset of X_V. The paper
+    // guarantees expired_count <= min(k, |V_a|) = |X_V| entries.
+    if expired_count > 0 {
+        out.extend(choose_distinct(rng, cur, expired_count));
+    }
+    out
+}
+
+/// One entry of a window `k`-sample, uniformly.
+pub(super) fn pick_one<T, R: Rng>(rng: &mut R, mut sample: Vec<Sample<T>>) -> Sample<T> {
+    let j = rng.gen_range(0..sample.len());
+    sample.swap_remove(j)
 }
 
 /// Choose `i` distinct entries uniformly from `pool` (partial
@@ -187,12 +160,7 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for SeqSamplerWor<T, R> {
 
     fn save_state(&self) -> Option<SamplerState<T>> {
         let rng = state::capture_rng(&self.rng)?;
-        // Only the Algorithm L path (the spec-built default) is
-        // checkpointable; the Algorithm R reference path is test-only.
-        let res = match &self.cur {
-            BucketReservoir::Skip(r) => r,
-            BucketReservoir::Naive(_) => return None,
-        };
+        let res = &self.cur;
         let (next_accept, w_bits) = res.skip_state();
         Some(SamplerState::SeqWor {
             count: self.count,
@@ -222,9 +190,6 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for SeqSamplerWor<T, R> {
                 })
             }
         };
-        if !matches!(self.cur, BucketReservoir::Skip(_)) {
-            return Err(StateError::Unsupported);
-        }
         // The partial bucket's reservoir is a reachable Algorithm L state
         // over its `count % n` arrivals; once a bucket has completed,
         // `prev` is the last complete bucket's `min(k, n)`-sample.
@@ -253,13 +218,8 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for SeqSamplerWor<T, R> {
         }
         self.count = count;
         self.prev = prev;
-        self.cur = BucketReservoir::Skip(ReservoirL::from_parts(
-            self.k,
-            cur.entries,
-            cur.seen,
-            cur.next_accept,
-            cur.w_bits,
-        ));
+        self.cur =
+            ReservoirL::from_parts(self.k, cur.entries, cur.seen, cur.next_accept, cur.w_bits);
         Ok(())
     }
 
@@ -284,43 +244,19 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for SeqSamplerWor<T, R> {
     }
 
     fn sample(&mut self) -> Option<Sample<T>> {
-        self.sample_k().map(|mut v| {
-            let j = self.rng.gen_range(0..v.len());
-            v.swap_remove(j)
-        })
+        self.sample_k().map(|v| pick_one(&mut self.rng, v))
     }
 
     fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.count < self.n {
-            // Warm-up: window = partial bucket; its reservoir *is* the
-            // k-sample (or all elements when fewer than k).
-            return Some(self.cur.entries().to_vec());
-        }
-        if self.count.is_multiple_of(self.n) {
-            // Window coincides with the complete bucket.
-            return Some(self.prev.clone());
-        }
-        let oldest_active = self.count - self.n;
-        // Split X_U into expired and retained parts.
-        let retained: Vec<Sample<T>> = self
-            .prev
-            .iter()
-            .filter(|s| s.index() >= oldest_active)
-            .cloned()
-            .collect();
-        let expired_count = self.prev.len() - retained.len();
-        if expired_count == 0 {
-            return Some(retained);
-        }
-        // Top up with a uniform expired_count-subset of X_V. The paper
-        // guarantees expired_count <= min(k, |V_a|) = |X_V| entries.
-        let top_up = choose_distinct(&mut self.rng, self.cur.entries(), expired_count);
-        let mut out = retained;
-        out.extend(top_up);
-        Some(out)
+        (self.count > 0).then(|| {
+            window_sample(
+                &mut self.rng,
+                self.n,
+                self.count,
+                &self.prev,
+                self.cur.entries(),
+            )
+        })
     }
 
     fn k(&self) -> usize {
@@ -404,25 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_path_marginals_match() {
-        // Algorithm R reference path, held to the same threshold.
-        let (n, k, stop) = (12u64, 3usize, 19u64);
-        let trials = 20_000u64;
-        let mut counts = vec![0u64; n as usize];
-        for t in 0..trials {
-            let mut s = SeqSamplerWor::naive(n, k, SmallRng::seed_from_u64(300_000 + t));
-            for i in 0..stop {
-                s.insert(i);
-            }
-            for s in s.sample_k().expect("nonempty") {
-                counts[(s.index() - (stop - n)) as usize] += 1;
-            }
-        }
-        let out = chi_square_uniform_test(&counts);
-        assert!(out.p_value > 1e-4, "naive marginals: p = {}", out.p_value);
-    }
-
-    #[test]
     fn batched_insert_marginals_match() {
         // Chunked ingestion through the Algorithm L hop path.
         let (n, k, stop) = (12u64, 3usize, 30u64);
@@ -475,19 +392,6 @@ mod tests {
                     s.memory_words()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn skip_memory_exceeds_naive_by_constant() {
-        // Algorithm L carries two extra scalar state words (next_accept,
-        // W) per partial-bucket reservoir; everything else is lockstep.
-        let mut skip = SeqSamplerWor::new(17, 4, SmallRng::seed_from_u64(5));
-        let mut naive = SeqSamplerWor::naive(17, 4, SmallRng::seed_from_u64(6));
-        for i in 0..500u64 {
-            skip.insert(i);
-            naive.insert(i);
-            assert_eq!(skip.memory_words(), naive.memory_words() + 2, "at step {i}");
         }
     }
 

@@ -20,10 +20,10 @@
 //!   selects), the bucket stores lane `i`'s candidate at `i` and no
 //!   selectors.
 //!
-//! On the skip path each lane also keeps the index of its next
-//! acceptance, which lies inside the partial bucket. It is stored as an
-//! offset below `n` from the bucket's start: two 32-bit offsets to the
-//! word when `n < 2^32`, one offset per word for wider windows.
+//! Each lane also keeps the index of its next acceptance, which lies
+//! inside the partial bucket. It is stored as an offset below `n` from
+//! the bucket's start: two 32-bit offsets to the word when `n < 2^32`,
+//! one offset per word for wider windows.
 //!
 //! A bucket therefore never holds more than `2k` words, and a sampler
 //! never more than `2 · 2k + k + 3 = 5k + 3`: inside the §1.4 cap of
@@ -68,11 +68,16 @@ use rand::Rng;
 /// work, for amortized `O(k log(n)/n)` draws per element. An accepted
 /// arrival finds its acceptors in one pass over the lanes, adopts the
 /// arrival into them, redraws their gaps in instance order, and
-/// recomputes the cached minimum in a second pass. The skip path is
-/// distribution-identical to the per-arrival path, which remains
-/// available via [`SeqSamplerWr::naive`] (benchmark baseline +
-/// equivalence tests) and is used automatically whenever the tracker must
-/// observe every arrival (`K::TRACKS`).
+/// recomputes the cached minimum in a second pass. This skip path is
+/// distribution-identical to one draw per lane per arrival, the
+/// construction [`NaiveSeqWr`](super::reference::NaiveSeqWr) keeps as the
+/// reference for tests and benchmarks.
+///
+/// A tracker that observes arrivals (`K::TRACKS`) rides the same path:
+/// every arrival, accepted or hopped, is first folded into each retained
+/// candidate's statistic, so an arrival costs one
+/// [`observe`](SampleTracker::observe) per stored candidate (at most
+/// `2k`) and still no RNG draw unless a lane accepts it.
 ///
 /// # Storage
 ///
@@ -98,7 +103,7 @@ use rand::Rng;
 /// `5k + 3`, inside the §1.4 cap of `7k + 3`.
 ///
 /// A tracker whose statistics are not a pure function of the candidate
-/// (`K::TRACKS`, e.g. one that draws randomness in
+/// (`K::TRACKS`: they fold in later arrivals, and may draw randomness in
 /// [`fresh`](SampleTracker::fresh)) keeps one statistic per lane, so its
 /// buckets always use lane order.
 ///
@@ -118,7 +123,7 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct SeqSamplerWr<T, R, K: SampleTracker<T> = NullTracker> {
     // Declaration order puts the fields every arrival reads
-    // (`n`/`count`/`min_next`/`next_rotate`/`naive`) ahead of the lane
+    // (`n`/`count`/`min_next`/`next_rotate`) ahead of the lane
     // storage, which only acceptances and rotations touch, so the common
     // non-accept insert in a 10⁵-key fleet *tends* to stay within the
     // box's first cache line. `repr(Rust)` does not guarantee layout
@@ -136,9 +141,6 @@ pub struct SeqSamplerWr<T, R, K: SampleTracker<T> = NullTracker> {
     /// `count` (which is counted), so excluded from the §1.4 word
     /// accounting like the RNG state.
     next_rotate: u64,
-    /// `true` forces the per-arrival reference path (required when the
-    /// tracker observes every arrival).
-    naive: bool,
     /// The lane count `k` (a parameter, not counted).
     k: u32,
     rng: R,
@@ -151,9 +153,9 @@ pub struct SeqSamplerWr<T, R, K: SampleTracker<T> = NullTracker> {
     /// `cur`'s selector words, then `prev`'s (a bucket's words hold
     /// nothing unless it is indexed); then per instance, the offset from
     /// the partial bucket's start at which it next accepts, or
-    /// [`Lanes::done`] (no further acceptance in the current bucket). The
-    /// naive path keeps no offsets. One heap block, whose first line an
-    /// acceptance reads anyway, so `cur`'s selectors cost no extra miss.
+    /// [`Lanes::done`] (no further acceptance in the current bucket). One
+    /// heap block, whose first line an acceptance reads anyway, so `cur`'s
+    /// selectors cost no extra miss.
     lane_words: Vec<u64>,
     /// Total acceptance events so far (diagnostic; not counted as memory).
     accepts: u64,
@@ -488,14 +490,6 @@ impl Bits {
         }
     }
 
-    #[inline]
-    fn insert(&mut self, i: usize) {
-        match self {
-            Bits::Word(w) => *w |= 1 << i,
-            Bits::Words(ws) => ws[i / 64] |= 1 << (i % 64),
-        }
-    }
-
     /// Insert `i` when `cond` holds, without branching on it.
     #[inline]
     fn insert_if(&mut self, i: usize, cond: bool) {
@@ -549,16 +543,6 @@ impl<T: Clone, R: Rng> SeqSamplerWr<T, R, NullTracker> {
     pub fn new(n: u64, k: usize, rng: R) -> Self {
         Self::with_tracker(n, k, rng, NullTracker)
     }
-
-    /// Like [`SeqSamplerWr::new`] but forcing the naive per-arrival RNG
-    /// path. Distribution-identical to the skip path; kept as the
-    /// reference implementation for equivalence tests and as the
-    /// benchmark baseline (`bench_throughput` measures both).
-    pub fn naive(n: u64, k: usize, rng: R) -> Self {
-        let mut s = Self::with_tracker(n, k, rng, NullTracker);
-        s.naive = true;
-        s
-    }
 }
 
 impl<T, R, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
@@ -584,9 +568,6 @@ impl<T, R, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
 
 impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
     /// Like [`SeqSamplerWr::new`], with a custom per-candidate tracker.
-    /// Trackers with `TRACKS = true` need to observe every arrival, so
-    /// they ingest through the per-arrival path; non-observing trackers
-    /// (like [`NullTracker`]) get the skip path.
     pub fn with_tracker(n: u64, k: usize, rng: R, tracker: K) -> Self {
         assert!(n >= 1, "SeqSamplerWr: window size must be at least 1");
         assert!(n <= 1 << 62, "SeqSamplerWr: window size too large");
@@ -608,7 +589,6 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
             lane_words,
             min_next: 0,
             next_rotate: n,
-            naive: K::TRACKS,
             accepts: 0,
         }
     }
@@ -634,58 +614,34 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
         self.accepts
     }
 
-    /// `true` when ingestion uses the skip-ahead path.
-    pub fn is_skip_path(&self) -> bool {
-        !self.naive
-    }
-
     /// Insert the next arrival.
     pub fn push(&mut self, value: T) {
-        if self.naive {
-            self.push_naive(&value);
-        } else {
-            let idx = self.count;
-            if idx >= self.min_next {
-                self.accept_at(idx, &value);
-            }
-            self.count += 1;
-            if self.count == self.next_rotate {
-                self.rotate_buckets();
-                self.next_rotate += self.n;
-            }
-        }
-    }
-
-    /// The reference per-arrival path: one RNG draw per instance per
-    /// arrival, plus tracker observation hooks.
-    fn push_naive(&mut self, value: &T) {
+        self.observe(std::slice::from_ref(&value));
         let idx = self.count;
-        // Position inside the partial bucket; the arriving element is the
-        // (pos+1)-th element of that bucket.
-        let pos = idx % self.n;
-        // Every retained candidate observes the arrival — the complete
-        // bucket's too, since its suffix statistic spans into the partial
-        // bucket. A candidate the arrival replaces in every lane is
-        // dropped below, so observing it first changes nothing.
-        for c in self.cur.items.iter_mut().chain(&mut self.prev.items) {
-            self.tracker.observe(&mut c.stat, value);
-        }
-        let lanes = self.lanes();
-        let mut takers = Bits::new(lanes.k);
-        for i in 0..lanes.k {
-            // Reservoir step: adopt with probability 1/(pos+1).
-            if self.rng.gen_range(0..=pos) == 0 {
-                takers.insert(i);
-                self.accepts += 1;
-            }
-        }
-        if takers.len() > 0 {
-            self.adopt(lanes, idx, value, &takers);
+        if idx >= self.min_next {
+            self.accept_at(idx, &value);
         }
         self.count += 1;
         if self.count == self.next_rotate {
             self.rotate_buckets();
             self.next_rotate += self.n;
+        }
+    }
+
+    /// Fold each of `values`, in order, into every retained candidate's
+    /// statistic — the complete bucket's too, since its suffix statistic
+    /// spans into the partial bucket. Runs before an arrival can be
+    /// accepted: a candidate it replaces is dropped, so observing it
+    /// first changes nothing. A no-op unless `K::TRACKS`.
+    #[inline]
+    fn observe(&mut self, values: &[T]) {
+        if !K::TRACKS {
+            return;
+        }
+        for v in values {
+            for c in self.cur.items.iter_mut().chain(&mut self.prev.items) {
+                self.tracker.observe(&mut c.stat, v);
+            }
         }
     }
 
@@ -718,10 +674,8 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
         let (sel, offsets) = self.lane_words.split_at_mut(2 * lanes.words);
         let (cur, prev) = sel.split_at_mut(lanes.words);
         cur.swap_with_slice(prev);
-        if !self.naive {
-            lanes.rearm(offsets);
-            self.min_next = self.count;
-        }
+        lanes.rearm(offsets);
+        self.min_next = self.count;
     }
 
     /// Skip-path acceptance: adopt `value` into every instance whose
@@ -819,10 +773,9 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
     /// here with a typed error. At `count` (next rotation at
     /// `next_rotate`) every lane must have
     ///
-    /// - on the skip path, `next_accept` in `[count, next_rotate)`, or
-    ///   `u64::MAX` (done for this bucket) once the partial bucket holds
-    ///   an arrival — an empty partial bucket's first arrival is every
-    ///   lane's acceptance (the naive path keeps no `next_accept`);
+    /// - `next_accept` in `[count, next_rotate)`, or `u64::MAX` (done for
+    ///   this bucket) once the partial bucket holds an arrival — an empty
+    ///   partial bucket's first arrival is every lane's acceptance;
     /// - `cur` exactly when the partial bucket is non-empty, and `prev`
     ///   exactly when a complete bucket exists (`count ≥ n`);
     /// - each sample's index inside its own bucket, and its timestamp
@@ -845,12 +798,11 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
             |slot: &Option<Sample<T>>| slot.as_ref().is_none_or(|s| s.timestamp() == s.index());
         for (i, lane) in lanes.iter().enumerate() {
             let na = lane.next_accept;
-            let reachable = self.naive
-                || if partial {
-                    (count..next_rotate).contains(&na) || na == u64::MAX
-                } else {
-                    na == count
-                };
+            let reachable = if partial {
+                (count..next_rotate).contains(&na) || na == u64::MAX
+            } else {
+                na == count
+            };
             let fault = if !reachable {
                 "next_accept outside the current bucket"
             } else if lane.cur.is_some() != partial {
@@ -890,8 +842,7 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for SeqSa
     }
 
     /// Save the per-lane record. Each lane's next acceptance is recorded
-    /// as an absolute stream index (`u64::MAX` when done); the naive path
-    /// keeps none and records 0.
+    /// as an absolute stream index (`u64::MAX` when done).
     fn save_state(&self) -> Option<SamplerState<T>> {
         // Tracking trackers carry suffix statistics that cannot be
         // reconstructed from the retained samples alone.
@@ -910,7 +861,6 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for SeqSa
                 prev: sample(&self.prev, prev_sel, i),
                 cur: sample(&self.cur, cur_sel, i),
                 next_accept: match layout.offset(offsets, i) {
-                    _ if self.naive => 0,
                     o if o == layout.done() => u64::MAX,
                     o => start + o,
                 },
@@ -998,15 +948,14 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for SeqSa
             prev_sel,
             lanes.iter_mut().map(|l| l.prev.take()).collect(),
         );
-        // On the skip path, `check_reachable` put every next acceptance in
-        // the partial bucket or at `u64::MAX`.
+        // `check_reachable` put every next acceptance in the partial bucket
+        // or at `u64::MAX`.
         let start = next_rotate - self.n;
         let done = layout.done();
         let mut min = done;
         layout.rearm(offsets);
         for (i, lane) in lanes.iter().enumerate() {
             let o = match lane.next_accept {
-                _ if self.naive => 0,
                 u64::MAX => done,
                 na => na - start,
             };
@@ -1025,26 +974,23 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for SeqSa
     where
         T: Clone,
     {
-        if self.naive {
-            for v in values {
-                self.push_naive(v);
-            }
-            return;
-        }
         let mut i = 0usize;
         while i < values.len() {
             let idx = self.count;
             if idx >= self.min_next {
+                self.observe(&values[i..=i]);
                 self.accept_at(idx, &values[i]);
                 self.count += 1;
                 i += 1;
             } else {
                 // Hop wholesale over arrivals no instance will accept —
                 // stop at the next acceptance, the bucket boundary, or the
-                // end of the batch, whichever comes first.
+                // end of the batch, whichever comes first. A tracker still
+                // observes each of them.
                 let hop = (self.next_rotate - idx)
                     .min(self.min_next - idx)
                     .min((values.len() - i) as u64);
+                self.observe(&values[i..i + hop as usize]);
                 self.count += hop;
                 i += hop as usize;
             }
@@ -1072,6 +1018,7 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for SeqSa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::reference::NaiveSeqWr;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use swsample_stats::chi_square_uniform_test;
@@ -1100,37 +1047,44 @@ mod tests {
         }
     }
 
-    /// Drive both ingestion paths at several awkward stream positions and
-    /// hold them to the same chi-square threshold.
-    #[test]
-    fn uniform_at_awkward_offsets() {
+    /// Drive a sampler carrying `tracker` to several awkward stream
+    /// positions and hold it to the chi-square threshold.
+    fn uniform_at_awkward_offsets_with<K: SampleTracker<u64> + Clone>(tracker: K) {
         // Check uniformity at several stream positions, including exactly on
         // a bucket boundary and just after one.
         let n = 16u64;
-        for naive in [false, true] {
-            for &stop in &[16u64, 17, 24, 32, 33, 47] {
-                let trials = 20_000;
-                let mut counts = vec![0u64; n as usize];
-                for t in 0..trials {
-                    let mut s = if naive {
-                        SeqSamplerWr::naive(n, 1, SmallRng::seed_from_u64(1000 + t))
-                    } else {
-                        SeqSamplerWr::new(n, 1, SmallRng::seed_from_u64(1000 + t))
-                    };
-                    for i in 0..stop {
-                        s.insert(i);
-                    }
-                    let smp = s.sample().expect("nonempty");
-                    counts[(smp.index() - (stop - n)) as usize] += 1;
+        for &stop in &[16u64, 17, 24, 32, 33, 47] {
+            let trials = 20_000;
+            let mut counts = vec![0u64; n as usize];
+            for t in 0..trials {
+                let rng = SmallRng::seed_from_u64(1000 + t);
+                let mut s = SeqSamplerWr::with_tracker(n, 1, rng, tracker.clone());
+                for i in 0..stop {
+                    s.insert(i % 5);
                 }
-                let out = chi_square_uniform_test(&counts);
-                assert!(
-                    out.p_value > 1e-4,
-                    "not uniform at stop={stop} (naive={naive}): p = {}",
-                    out.p_value
-                );
+                let smp = s.sample().expect("nonempty");
+                counts[(smp.index() - (stop - n)) as usize] += 1;
             }
+            let out = chi_square_uniform_test(&counts);
+            assert!(
+                out.p_value > 1e-4,
+                "not uniform at stop={stop} ({}): p = {}",
+                std::any::type_name::<K>(),
+                out.p_value
+            );
         }
+    }
+
+    #[test]
+    fn uniform_at_awkward_offsets() {
+        uniform_at_awkward_offsets_with(NullTracker);
+    }
+
+    /// A tracker observes every arrival on the skip path; the positions it
+    /// samples stay uniform.
+    #[test]
+    fn tracked_uniform_at_awkward_offsets() {
+        uniform_at_awkward_offsets_with(crate::track::OccurrenceTracker);
     }
 
     #[test]
@@ -1226,7 +1180,7 @@ mod tests {
     /// an indexed bucket holds fewer than `k` candidates, distinct, in
     /// stream order and each some lane's, plus its selector words; a
     /// lane-order bucket holds `k` candidates. Then the offset words.
-    fn stored_words<R>(s: &SeqSamplerWr<u64, R>) -> usize {
+    fn stored_words<R, K: SampleTracker<u64>>(s: &SeqSamplerWr<u64, R, K>) -> usize {
         let lanes = s.lanes();
         let (offsets, cur_sel, prev_sel) = s.lane_words();
         if lanes.k < offsets.len() << lanes.pack {
@@ -1294,7 +1248,29 @@ mod tests {
         // `n` large against `k²` at the larger `k`s, so late in each
         // bucket the lanes reach lane order and leave it at rotation.
         // Past `k = 256` a byte cannot select, so buckets stay in lane
-        // order.
+        // order. A tracking sampler always stores lane order and saves no
+        // record.
+        fn check<K: SampleTracker<u64>>(n: u64, k: usize, mut s: SeqSamplerWr<u64, SmallRng, K>) {
+            let (mut indexed, mut lane_order) = (false, false);
+            for i in 0..(2 * n + n / 2) {
+                s.insert(i);
+                let words = s.memory_words();
+                assert_eq!(words, stored_words(&s), "n={n} k={k} at {i}");
+                if !K::TRACKS && (i % 7 == 0 || k < 16) {
+                    let record = s.save_state().expect("saves");
+                    assert_eq!(words, recount(&record, n), "n={n} k={k} at {i}");
+                }
+                let m = s.cur.items.len();
+                indexed |= m > 0 && m < k;
+                lane_order |= m == k;
+            }
+            assert!(lane_order, "n={n} k={k}: lanes never reached lane order");
+            assert_eq!(
+                indexed,
+                !K::TRACKS && (2..=256).contains(&k),
+                "n={n} k={k}: indexed buckets"
+            );
+        }
         for (n, k) in [
             (9u64, 1usize),
             (7, 2),
@@ -1303,62 +1279,32 @@ mod tests {
             (5000, 70),
             (40, 300),
         ] {
-            for naive in [false, true] {
-                let rng = SmallRng::seed_from_u64(k as u64);
-                let mut s = if naive {
-                    SeqSamplerWr::naive(n, k, rng)
-                } else {
-                    SeqSamplerWr::new(n, k, rng)
-                };
-                let (mut indexed, mut lane_order) = (false, false);
-                for i in 0..(2 * n + n / 2) {
-                    s.insert(i);
-                    let words = s.memory_words();
-                    assert_eq!(words, stored_words(&s), "n={n} k={k} at {i}");
-                    if i % 7 == 0 || k < 16 {
-                        let record = s.save_state().expect("saves");
-                        assert_eq!(words, recount(&record, n), "n={n} k={k} at {i}");
-                    }
-                    let m = s.cur.items.len();
-                    indexed |= m > 0 && m < k;
-                    lane_order |= m == k;
-                }
-                assert!(lane_order, "n={n} k={k}: lanes never reached lane order");
-                assert_eq!(
-                    indexed,
-                    (2..=256).contains(&k),
-                    "n={n} k={k}: indexed buckets"
-                );
-            }
+            let rng = || SmallRng::seed_from_u64(k as u64);
+            check(n, k, SeqSamplerWr::new(n, k, rng()));
+            let tracker = crate::track::OccurrenceTracker;
+            check(n, k, SeqSamplerWr::with_tracker(n, k, rng(), tracker));
         }
     }
 
     #[test]
     fn lockstep_memory_naive_vs_skip() {
-        // The skip and naive paths draw different samples, so their words
-        // differ; each must be an exact recount of its own lanes and stay
-        // under the Theorem 2.1 cap, and restoring the skip path's record
-        // into a naive sampler must store exactly as many words. Runs
+        // The skip path and the per-arrival reference draw different
+        // samples, so their words differ; both stay under the Theorem 2.1
+        // cap, and the skip path's are an exact recount of its lanes. Runs
         // well past the first rotation, where `prev` fills. Around that
         // rotation a save/restore round trip must resume identically.
         for (n, k) in [(13u64, 5usize), (1000, 16)] {
             let mut skip = SeqSamplerWr::new(n, k, SmallRng::seed_from_u64(1));
-            let mut naive = SeqSamplerWr::naive(n, k, SmallRng::seed_from_u64(2));
+            let mut naive = NaiveSeqWr::new(n, k, SmallRng::seed_from_u64(2));
             let cap = 7 * k + 3;
             for i in 0..(3 * n + 7) {
                 skip.insert(i);
                 naive.insert(i);
-                for s in [&skip, &naive] {
-                    assert_eq!(s.memory_words(), stored_words(s), "at step {i}");
-                    assert!(s.memory_words() <= cap, "at step {i}");
-                }
+                assert_eq!(skip.memory_words(), stored_words(&skip), "at step {i}");
+                assert!(skip.memory_words() <= cap, "at step {i}");
+                assert!(naive.memory_words() <= cap, "at step {i}");
                 let record = skip.save_state().expect("skip path saves");
                 assert_eq!(skip.memory_words(), recount(&record, n), "at step {i}");
-                let mut crossed = SeqSamplerWr::naive(n, k, SmallRng::seed_from_u64(3));
-                crossed
-                    .restore_state(record)
-                    .expect("a skip record restores into a naive sampler");
-                assert_eq!(crossed.memory_words(), skip.memory_words(), "at step {i}");
                 let count = i + 1;
                 if (n - 1..=n + 1).contains(&count) {
                     let mut resumed = SeqSamplerWr::new(n, k, SmallRng::seed_from_u64(99));
@@ -1453,16 +1399,6 @@ mod tests {
         for arrivals in 0..35 {
             assert_eq!(restore_edited(arrivals, |_, _| {}), Ok(()), "at {arrivals}");
         }
-        // The naive path never maintains `next_accept`; its states keep
-        // restoring into naive samplers.
-        let mut naive = SeqSamplerWr::naive(10, 3, SmallRng::seed_from_u64(7));
-        for i in 0..25u64 {
-            naive.insert(i);
-        }
-        let state = naive.save_state().expect("naive path saves");
-        let mut resumed = SeqSamplerWr::naive(10, 3, SmallRng::seed_from_u64(8));
-        resumed.restore_state(state).expect("naive state restores");
-        assert_eq!(resumed.sample_k(), naive.sample_k());
     }
 
     #[test]
@@ -1684,28 +1620,61 @@ mod tests {
     #[test]
     fn tracker_counts_suffix_occurrences() {
         use crate::track::OccurrenceTracker;
-        // Constant stream: the suffix count of the candidate must equal
-        // (count - candidate index). Observing trackers force the naive
-        // ingestion path.
-        let mut s = SeqSamplerWr::with_tracker(8, 1, SmallRng::seed_from_u64(3), OccurrenceTracker);
-        assert!(!s.is_skip_path());
-        for _ in 0..20 {
-            s.insert(7u64);
+        // Mixed values from a small domain, so suffix counts grow and
+        // differ between candidates. After every step each sample's count
+        // equals an exact recount of its value from its index on, and the
+        // samples are those an untracked sampler of the same seed draws:
+        // the tracker adds no RNG draw. Fed per element, then in ragged
+        // chunks that cross rotations.
+        let n = 13u64;
+        let mut values_rng = SmallRng::seed_from_u64(17);
+        let stream: Vec<u64> = (0..12 * n).map(|_| values_rng.gen_range(0..4)).collect();
+        for k in [1usize, 4, 16] {
+            for batched in [false, true] {
+                let seed = 3 + k as u64;
+                let mut tracked = SeqSamplerWr::with_tracker(
+                    n,
+                    k,
+                    SmallRng::seed_from_u64(seed),
+                    OccurrenceTracker,
+                );
+                let mut plain = SeqSamplerWr::new(n, k, SmallRng::seed_from_u64(seed));
+                let mut chunks = SmallRng::seed_from_u64(seed);
+                let mut at = 0usize;
+                while at < stream.len() {
+                    let len = if batched {
+                        chunks.gen_range(1..3 * n as usize)
+                    } else {
+                        1
+                    };
+                    let chunk = &stream[at..(at + len).min(stream.len())];
+                    if batched {
+                        tracked.insert_batch(chunk);
+                        plain.insert_batch(chunk);
+                    } else {
+                        tracked.insert(chunk[0]);
+                        plain.insert(chunk[0]);
+                    }
+                    at += chunk.len();
+                    let picks = tracked.sample_k_with_stats().expect("nonempty");
+                    assert_eq!(picks.len(), k);
+                    for (smp, (val, cnt)) in &picks {
+                        let suffix = &stream[smp.index() as usize..at];
+                        assert_eq!(val, smp.value(), "k={k} at {at}");
+                        let want = suffix.iter().filter(|&v| v == val).count() as u64;
+                        assert_eq!(*cnt, want, "k={k} batched={batched} at {at}");
+                    }
+                    let samples: Vec<_> = picks.into_iter().map(|(s, _)| s).collect();
+                    assert_eq!(Some(samples), plain.sample_k(), "k={k} at {at}");
+                }
+            }
         }
-        let (smp, (val, cnt)) = s
-            .sample_k_with_stats()
-            .expect("nonempty")
-            .pop()
-            .expect("k=1");
-        assert_eq!(val, 7);
-        assert_eq!(cnt, 20 - smp.index());
     }
 
     #[test]
     fn len_accessors() {
         let mut s: SeqSamplerWr<u64, _> = SeqSamplerWr::new(10, 1, SmallRng::seed_from_u64(4));
         assert_eq!(s.active_len(), 0);
-        assert!(s.is_skip_path());
         for i in 0..25u64 {
             s.insert(i);
         }

@@ -20,9 +20,11 @@
 //! (m/2a)/(m/a) = 1/2` exactly, so one fair coin per doubling — with an
 //! integer rejection step inside the located octave, all realized through
 //! the exactly-uniform `gen_range` and the exact `bernoulli_ratio` (in the
-//! crate-private `rngutil` module) primitive. The naive per-arrival path
-//! and this skip path are therefore *distribution-identical*, not merely
-//! approximately so; the statistical tests in `seq::wr` hold both to the
+//! crate-private `rngutil` module) primitive. One Bernoulli draw per
+//! arrival and this skip path are therefore *distribution-identical*, not
+//! merely approximately so; the statistical tests hold
+//! [`SeqSamplerWr`](crate::seq::SeqSamplerWr) and its per-arrival
+//! reference [`NaiveSeqWr`](crate::seq::reference::NaiveSeqWr) to the
 //! same chi-square thresholds.
 //!
 //! [`record_skip`] reads all of its octave coins from one RNG word: the

@@ -524,7 +524,9 @@ pub struct SeqWrLaneState<T> {
     /// Candidate of the in-progress bucket.
     pub cur: Option<Sample<T>>,
     /// Stream index of the next acceptance (`u64::MAX` = no more accepts
-    /// this bucket). The naive path keeps none and records 0.
+    /// this bucket). The per-arrival reference
+    /// [`NaiveSeqWr`](crate::seq::reference::NaiveSeqWr) keeps none and
+    /// records 0.
     pub next_accept: u64,
 }
 

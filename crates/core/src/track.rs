@@ -8,10 +8,12 @@
 //! fold in every subsequent arrival otherwise.
 //!
 //! [`SampleTracker`] is that hook. The sequence-window sampler
-//! [`crate::seq::SeqSamplerWr`] is generic over it; the default
-//! [`NullTracker`] compiles to nothing. This is exactly the "replace the
-//! underlying sampling method" transformation of Theorem 5.1, expressed as
-//! an API.
+//! [`crate::seq::SeqSamplerWr`] is generic over it, and ingests tracked
+//! streams on the same skip-ahead path as untracked ones: only the
+//! arrivals a lane accepts draw randomness, while every arrival is folded
+//! into the retained candidates' statistics. The default [`NullTracker`]
+//! compiles to nothing. This is exactly the "replace the underlying
+//! sampling method" transformation of Theorem 5.1, expressed as an API.
 
 /// Per-candidate suffix statistic maintained alongside a reservoir sample.
 pub trait SampleTracker<T> {
@@ -19,10 +21,12 @@ pub trait SampleTracker<T> {
     type Stat: Clone + std::fmt::Debug;
 
     /// `false` promises that [`observe`](SampleTracker::observe) is a
-    /// no-op, so the sampler may *skip* non-accepted arrivals entirely
-    /// (the `O(log n)`-draws fast path of [`crate::skip`]). A tracker
-    /// that folds every arrival into its statistic must keep the default
-    /// `true`, which forces the per-arrival path.
+    /// no-op, so the sampler may pass over non-accepted arrivals without
+    /// touching them. A tracker that folds every arrival into its
+    /// statistic must keep the default `true`: the sampler then calls
+    /// `observe` on every retained candidate for every arrival, and keeps
+    /// one statistic per lane. Either way, which arrivals are accepted is
+    /// drawn by the same `O(log n)`-draws skip-ahead of [`crate::skip`].
     const TRACKS: bool = true;
 
     /// Called when a reservoir adopts `value` (at stream position `index`)

@@ -4,7 +4,7 @@
 //! corrupt state past one. Corruption is always an `Err` (or, for the
 //! WAL's final segment, a clean prefix).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -21,13 +21,46 @@ use swsample_durable::{DurableEngine, DurableError, DurableOptions};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
-fn case_dir(tag: &str) -> PathBuf {
+/// A case's directory under the system temp directory, removed when the
+/// guard drops: when the case ends, passing or failing.
+struct CaseDir(PathBuf);
+
+impl Drop for CaseDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for CaseDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for CaseDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl From<&CaseDir> for PathBuf {
+    fn from(dir: &CaseDir) -> PathBuf {
+        dir.0.clone()
+    }
+}
+
+fn case_dir(tag: &str) -> CaseDir {
     let n = CASE.fetch_add(1, Ordering::Relaxed);
     let dir =
         std::env::temp_dir().join(format!("swsample-robust-{tag}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    CaseDir(dir)
 }
+
+/// The file name of a case directory's one snapshot.
+const SNAPSHOT: &str = "snap-0000000000000001.snap";
 
 /// Bytes of a genuine snapshot over a populated fleet, produced once.
 fn real_snapshot_bytes() -> &'static [u8] {
@@ -49,10 +82,8 @@ fn real_snapshot_bytes() -> &'static [u8] {
         let batch: Vec<(u64, u64, u64)> = (0..200u64).map(|e| (e % 17, e / 5, e * 3)).collect();
         durable.ingest(&batch).expect("ingest");
         let path = durable.snapshot().expect("snapshot");
-        let bytes = std::fs::read(path).expect("read snapshot");
         drop(durable);
-        let _ = std::fs::remove_dir_all(&dir);
-        bytes
+        std::fs::read(path).expect("read snapshot")
     })
 }
 
@@ -71,11 +102,11 @@ fn real_state_record() -> &'static [u8] {
     })
 }
 
-/// A one-key current-format snapshot whose header records the fleet
-/// store token `store` and whose key frame is
+/// A directory holding one current-format snapshot, [`SNAPSHOT`], whose
+/// header records the fleet store token `store` and whose key frame is
 /// `[key][state_version varint][payload]` — CRC-valid, so only the
 /// decoders stand between the file and the fleet.
-fn crafted_snapshot(tag: &str, store: &[u8], state_version: u8, payload: &[u8]) -> PathBuf {
+fn crafted_snapshot(tag: &str, store: &[u8], state_version: u8, payload: &[u8]) -> CaseDir {
     let spec = "--window seq --n 24 --mode wr --algo paper --k 3 --seed 9";
     crafted_snapshot_of(tag, spec, store, state_version, payload)
 }
@@ -87,10 +118,10 @@ fn crafted_snapshot_of(
     store: &[u8],
     state_version: u8,
     payload: &[u8],
-) -> PathBuf {
+) -> CaseDir {
     let dir = case_dir(tag);
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let path = dir.join("snap-0000000000000001.snap");
+    let path = dir.join(SNAPSHOT);
     let mut header = StateWriter::new();
     header.put_u32(SNAPSHOT_VERSION);
     header.put_len_bytes(spec.as_bytes());
@@ -105,7 +136,7 @@ fn crafted_snapshot_of(
     write_frame(&mut file, &header.into_bytes()).expect("vec write");
     write_frame(&mut file, &body).expect("vec write");
     std::fs::write(&path, file).expect("write");
-    path
+    dir
 }
 
 /// Open a directory holding one crafted snapshot of a `spec` fleet whose
@@ -113,17 +144,14 @@ fn crafted_snapshot_of(
 fn open_one_key(tag: &str, spec: &str, state: &SamplerState<u64>) -> Result<(), DurableError> {
     let mut payload = StateWriter::for_state_version(STATE_VERSION);
     state.encode_payload(&mut payload);
-    let path = crafted_snapshot_of(
+    let dir = crafted_snapshot_of(
         tag,
         spec,
         b"erased",
         STATE_VERSION as u8,
         payload.as_bytes(),
     );
-    let dir = path.parent().expect("snapshot dir").to_path_buf();
-    let opened = DurableEngine::<u64, u64>::open(&dir, DurableOptions::default()).map(|_| ());
-    let _ = std::fs::remove_dir_all(&dir);
-    opened
+    DurableEngine::<u64, u64>::open(&dir, DurableOptions::default()).map(|_| ())
 }
 
 /// A seq-WR payload prefix: family tag, `count` and `accepts` fields
@@ -142,8 +170,9 @@ fn hostile_v2_state_payloads_are_typed_corruption() {
     // (a seq-WR state with zero lanes).
     let mut sound = seq_wr_prefix();
     sound.push(0x01);
-    let path = crafted_snapshot("v2-sound", b"erased", STATE_VERSION as u8, &sound);
-    let (_, states) = read_snapshot::<u64, u64>(&path).expect("sound payload decodes");
+    let dir = crafted_snapshot("v2-sound", b"erased", STATE_VERSION as u8, &sound);
+    let (_, states) =
+        read_snapshot::<u64, u64>(&dir.join(SNAPSHOT)).expect("sound payload decodes");
     assert_eq!(states.len(), 1);
 
     // An 11-byte varint where the `count` field belongs.
@@ -165,8 +194,8 @@ fn hostile_v2_state_payloads_are_typed_corruption() {
         ("unknown state version", STATE_VERSION as u8 + 1, &sound),
     ];
     for (what, version, payload) in cases {
-        let path = crafted_snapshot("v2-hostile", b"erased", version, payload);
-        match read_snapshot::<u64, u64>(&path) {
+        let dir = crafted_snapshot("v2-hostile", b"erased", version, payload);
+        match read_snapshot::<u64, u64>(&dir.join(SNAPSHOT)) {
             Err(DurableError::Corrupt { .. }) => {}
             other => panic!("{what}: expected typed corruption, got {other:?}"),
         }
@@ -243,11 +272,9 @@ fn seq_wr_lanes_disagreeing_on_one_index_fail_open_with_a_typed_error() {
         }
         let mut payload = StateWriter::for_state_version(STATE_VERSION);
         state.encode_payload(&mut payload);
-        let path = crafted_snapshot(tag, b"erased", STATE_VERSION as u8, payload.as_bytes());
-        let read = read_snapshot::<u64, u64>(&path).map(|_| ());
-        let dir = path.parent().expect("snapshot dir").to_path_buf();
+        let dir = crafted_snapshot(tag, b"erased", STATE_VERSION as u8, payload.as_bytes());
+        let read = read_snapshot::<u64, u64>(&dir.join(SNAPSHOT)).map(|_| ());
         let opened = DurableEngine::<u64, u64>::open(&dir, DurableOptions::default()).map(|_| ());
-        let _ = std::fs::remove_dir_all(&dir);
         (read, opened)
     };
     let (read, opened) = open_with("seq-wr-shared", *shared.value());
@@ -730,14 +757,15 @@ fn unknown_store_token_is_typed_corruption() {
     sound.push(0x01);
     let mut opened = Vec::new();
     for token in [&b"erased"[..], b"soa"] {
-        let path = crafted_snapshot("store-legacy", token, STATE_VERSION as u8, &sound);
-        let (_, states) = read_snapshot::<u64, u64>(&path).expect("legacy store token opens");
+        let dir = crafted_snapshot("store-legacy", token, STATE_VERSION as u8, &sound);
+        let (_, states) =
+            read_snapshot::<u64, u64>(&dir.join(SNAPSHOT)).expect("legacy store token opens");
         opened.push(states);
     }
     assert_eq!(opened[0], opened[1], "the store token changes no state");
     for token in [&b"hybrid"[..], b"", b"SOA", b"\xff\xfe"] {
-        let path = crafted_snapshot("store-unknown", token, STATE_VERSION as u8, &sound);
-        match read_snapshot::<u64, u64>(&path) {
+        let dir = crafted_snapshot("store-unknown", token, STATE_VERSION as u8, &sound);
+        match read_snapshot::<u64, u64>(&dir.join(SNAPSHOT)) {
             Err(DurableError::Corrupt { detail, .. }) => {
                 assert!(detail.contains("store token"), "untyped detail: {detail}")
             }
@@ -782,11 +810,10 @@ proptest! {
         bytes[i] ^= 1 << bit;
         let dir = case_dir("snapflip");
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("snap-0000000000000001.snap");
+        let path = dir.join(SNAPSHOT);
         std::fs::write(&path, &bytes).expect("write");
         prop_assert!(read_snapshot::<u64, u64>(&path).is_err(),
             "flip at byte {i} bit {bit} was accepted");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Any truncation of a real snapshot file is rejected.
@@ -796,11 +823,10 @@ proptest! {
         let cut = (cut % bytes.len() as u64) as usize;
         let dir = case_dir("snapcut");
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("snap-0000000000000001.snap");
+        let path = dir.join(SNAPSHOT);
         std::fs::write(&path, &bytes[..cut]).expect("write");
         prop_assert!(read_snapshot::<u64, u64>(&path).is_err(),
             "truncation to {cut} bytes was accepted");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A WAL whose bytes were flipped anywhere never panics on open:
@@ -845,7 +871,6 @@ proptest! {
                 }
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A directory of pure garbage "segments" never panics the opener.
@@ -855,6 +880,5 @@ proptest! {
         std::fs::create_dir_all(&dir).expect("mkdir");
         std::fs::write(dir.join("wal-00000000.seg"), &bytes).expect("write");
         let _ = SegmentLog::open(&dir, 1024);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,38 +9,28 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use swsample::baselines::WindowBuffer;
 use swsample::core::rng::CountingRng;
+use swsample::core::seq::reference::{NaiveSeqWor, NaiveSeqWr};
 use swsample::core::seq::{SeqSamplerWor, SeqSamplerWr};
 use swsample::core::ts::{TsSamplerWor, TsSamplerWr};
 use swsample::core::{MemoryWords, WindowSampler};
 use swsample::stats::chi_square_uniform_test;
 use swsample::stream::{zipf_fleet_events, MultiStreamEngine, WindowSpec};
 
-/// Skip-path and naive-path WR samplers hold the same layout for the same
-/// lanes, but draw different samples, so their words differ step by
-/// step. At every step each stays under the `7k + 3` cap, and restoring
-/// the skip path's record into a naive sampler stores exactly the skip
-/// path's words. (That the words are an exact recount of the lanes is
-/// checked by the sampler's unit tests, which see its layout.)
+/// The skip-path WR sampler and its per-arrival reference draw different
+/// samples, so their words differ step by step. At every step each stays
+/// under the `7k + 3` cap. (That the skip path's words are an exact
+/// recount of its lanes is checked by the sampler's unit tests, which see
+/// its layout.)
 #[test]
 fn wr_memory_words_lockstep_with_naive() {
     for &(n, k) in &[(7u64, 1usize), (16, 4), (100, 9)] {
         let mut skip = SeqSamplerWr::new(n, k, SmallRng::seed_from_u64(1));
-        let mut naive = SeqSamplerWr::naive(n, k, SmallRng::seed_from_u64(999));
+        let mut naive = NaiveSeqWr::new(n, k, SmallRng::seed_from_u64(999));
         for i in 0..(4 * n + 3) {
             skip.insert(i);
             naive.insert(i);
-            for s in [&skip, &naive] {
-                assert!(s.memory_words() <= 7 * k + 3, "n={n}, k={k}, step {i}");
-            }
-            let mut crossed = SeqSamplerWr::naive(n, k, SmallRng::seed_from_u64(5));
-            crossed
-                .restore_state(skip.save_state().expect("skip path saves"))
-                .expect("a skip record restores into a naive sampler");
-            assert_eq!(
-                crossed.memory_words(),
-                skip.memory_words(),
-                "n={n}, k={k}, step {i}"
-            );
+            assert!(skip.memory_words() <= 7 * k + 3, "n={n}, k={k}, step {i}");
+            assert!(naive.memory_words() <= 7 * k + 3, "n={n}, k={k}, step {i}");
         }
     }
 }
@@ -83,7 +73,7 @@ fn seq_wr_resumed_fleet_reports_live_memory() {
 fn wor_memory_words_lockstep_with_naive() {
     for &(n, k) in &[(9u64, 2usize), (32, 5)] {
         let mut skip = SeqSamplerWor::new(n, k, SmallRng::seed_from_u64(2));
-        let mut naive = SeqSamplerWor::naive(n, k, SmallRng::seed_from_u64(998));
+        let mut naive = NaiveSeqWor::new(n, k, SmallRng::seed_from_u64(998));
         for i in 0..(4 * n + 3) {
             skip.insert(i);
             naive.insert(i);
@@ -295,7 +285,7 @@ fn skip_path_rng_draws_are_logarithmic_per_window() {
 
     let naive_rng = CountingRng::new(SmallRng::seed_from_u64(11));
     let naive_counter = naive_rng.counter();
-    let mut s = SeqSamplerWr::naive(n, k, naive_rng);
+    let mut s = NaiveSeqWr::new(n, k, naive_rng);
     for chunk in values.chunks(1024) {
         s.insert_batch(chunk);
     }
@@ -412,8 +402,8 @@ fn seq_wr_golden_sample_digest() {
 /// Each `k` runs over a hot stream of 2.5 buckets of `n = 10_000`: at
 /// `k = 70` the lanes hold nearly as many distinct elements as there are
 /// lanes late in each bucket, and few early on. Records are hashed every
-/// 397 arrivals, fed alternately per element and by batch; small naive
-/// samplers pin the per-arrival path's records too.
+/// 397 arrivals, fed alternately per element and by batch; small
+/// per-arrival references pin their records too.
 #[test]
 fn seq_wr_golden_state_digest() {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -441,11 +431,12 @@ fn seq_wr_golden_state_digest() {
         }
     }
     for k in [2usize, 16] {
-        let mut s = SeqSamplerWr::naive(300, k, SmallRng::seed_from_u64(5 + k as u64));
+        let mut s = NaiveSeqWr::new(300, k, SmallRng::seed_from_u64(5 + k as u64));
         for i in 0..900u64 {
             s.insert(i);
             if i % 37 == 0 {
-                h = fnv1a(h, record(&s).into_iter().map(u64::from));
+                let record = s.save_state().expect("reference saves").encode_record();
+                h = fnv1a(h, record.into_iter().map(u64::from));
             }
         }
     }
