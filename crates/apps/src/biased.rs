@@ -81,7 +81,7 @@ impl<T: Clone, R: Rng + Clone + 'static> StepBiasedSampler<T, R> {
 
     /// Draw one biased sample: choose a step by weight, then sample its
     /// window uniformly.
-    pub fn sample<G: Rng>(&mut self, rng: &mut G) -> Option<Sample<T>> {
+    pub fn sample<G: Rng>(&self, rng: &mut G) -> Option<Sample<T>> {
         let mut pick = rng.gen_range(0.0..self.total_weight);
         for (i, step) in self.steps.iter().enumerate() {
             if pick < step.weight {
@@ -90,7 +90,7 @@ impl<T: Clone, R: Rng + Clone + 'static> StepBiasedSampler<T, R> {
             pick -= step.weight;
         }
         // Float round-off: fall back to the last step.
-        self.samplers.last_mut().expect("nonempty").sample()
+        self.samplers.last().expect("nonempty").sample()
     }
 
     /// The specified sampling probability for an element of age `a`

@@ -58,7 +58,7 @@ impl<R: Rng> EntropyEstimator<R> {
     }
 
     /// Current entropy estimate (bits); `None` before any arrival.
-    pub fn estimate(&mut self) -> Option<f64> {
+    pub fn estimate(&self) -> Option<f64> {
         let n = self.sampler.active_len() as f64;
         if n == 0.0 {
             return None;
@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn empty_returns_none() {
-        let mut est = EntropyEstimator::new(8, 1, 1, SmallRng::seed_from_u64(3));
+        let est = EntropyEstimator::new(8, 1, 1, SmallRng::seed_from_u64(3));
         assert!(est.estimate().is_none());
     }
 }

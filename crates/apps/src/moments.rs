@@ -60,7 +60,7 @@ impl<R: Rng> MomentEstimator<R> {
 
     /// Current estimate of `F_k` over the active window; `None` before any
     /// arrival.
-    pub fn estimate(&mut self) -> Option<f64> {
+    pub fn estimate(&self) -> Option<f64> {
         let n = self.sampler.active_len();
         if n == 0 {
             return None;
@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn empty_returns_none() {
-        let mut est = MomentEstimator::new(8, 2, 2, 2, SmallRng::seed_from_u64(4));
+        let est = MomentEstimator::new(8, 2, 2, 2, SmallRng::seed_from_u64(4));
         assert!(est.estimate().is_none());
     }
 

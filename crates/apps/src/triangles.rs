@@ -127,7 +127,7 @@ impl<R: Rng> TriangleEstimator<R> {
 
     /// Current estimate of the window triangle count; `None` before any
     /// edge arrives.
-    pub fn estimate(&mut self) -> Option<f64> {
+    pub fn estimate(&self) -> Option<f64> {
         let m = self.sampler.active_len();
         if m == 0 {
             return None;
@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn empty_returns_none() {
-        let mut est = TriangleEstimator::new(10, 5, 4, SmallRng::seed_from_u64(0), 1);
+        let est = TriangleEstimator::new(10, 5, 4, SmallRng::seed_from_u64(0), 1);
         assert!(est.estimate().is_none());
     }
 

@@ -32,7 +32,7 @@ pub struct TsMomentEstimator<R> {
     counter: WindowCounter,
 }
 
-impl<R: Rng + 'static> TsMomentEstimator<R> {
+impl<R: Rng + Clone + 'static> TsMomentEstimator<R> {
     /// Estimator for `F_moment` over the last `t0` ticks with `s1·s2`
     /// samples and a `(1±epsilon)` window-size counter.
     pub fn new(t0: u64, moment: u32, s1: usize, s2: usize, epsilon: f64, rng: R) -> Self {
@@ -59,7 +59,7 @@ impl<R: Rng + 'static> TsMomentEstimator<R> {
     }
 
     /// Current estimate of `F_k`; `None` when the window is empty.
-    pub fn estimate(&mut self) -> Option<f64> {
+    pub fn estimate(&self) -> Option<f64> {
         let n = self.counter.estimate();
         if n == 0 {
             return None;
@@ -100,7 +100,7 @@ pub struct TsEntropyEstimator<R> {
     counter: WindowCounter,
 }
 
-impl<R: Rng + 'static> TsEntropyEstimator<R> {
+impl<R: Rng + Clone + 'static> TsEntropyEstimator<R> {
     /// Estimator over the last `t0` ticks with `s1·s2` samples and a
     /// `(1±epsilon)` window-size counter.
     pub fn new(t0: u64, s1: usize, s2: usize, epsilon: f64, rng: R) -> Self {
@@ -126,7 +126,7 @@ impl<R: Rng + 'static> TsEntropyEstimator<R> {
     }
 
     /// Current entropy estimate (bits); `None` when the window is empty.
-    pub fn estimate(&mut self) -> Option<f64> {
+    pub fn estimate(&self) -> Option<f64> {
         let n = self.counter.estimate() as f64;
         if n < 1.0 {
             return None;

@@ -260,11 +260,11 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for ChainSampler<T, R> {
         }
     }
 
-    fn sample(&mut self) -> Option<Sample<T>> {
+    fn sample(&self) -> Option<Sample<T>> {
         self.chains[0].sample().cloned()
     }
 
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
+    fn sample_k(&self) -> Option<Vec<Sample<T>>> {
         self.chains.iter().map(|c| c.sample().cloned()).collect()
     }
 
@@ -333,7 +333,7 @@ mod tests {
 
     #[test]
     fn empty_returns_none() {
-        let mut s: ChainSampler<u64, _> = ChainSampler::new(10, 2, SmallRng::seed_from_u64(0));
+        let s: ChainSampler<u64, _> = ChainSampler::new(10, 2, SmallRng::seed_from_u64(0));
         assert!(s.sample().is_none());
     }
 

@@ -45,7 +45,7 @@ impl<T: Clone, R: Rng + 'static> OverSampler<T, R> {
     /// Query attempt: `Ok` with `k` distinct samples, or `Err(d)` reporting
     /// how many distinct elements were actually available (`d < k` — the
     /// failure event the paper's disadvantage (b) is about).
-    pub fn try_sample_k(&mut self) -> Result<Vec<Sample<T>>, usize> {
+    pub fn try_sample_k(&self) -> Result<Vec<Sample<T>>, usize> {
         let all = match self.inner.sample_k() {
             Some(v) => v,
             None => return Err(0),
@@ -82,13 +82,13 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for OverSampler<T, R> {
         self.inner.insert_batch(values);
     }
 
-    fn sample(&mut self) -> Option<Sample<T>> {
+    fn sample(&self) -> Option<Sample<T>> {
         self.inner.sample()
     }
 
     /// `Some` only when `k` distinct elements were available — callers that
     /// need the failure signal use [`OverSampler::try_sample_k`].
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
+    fn sample_k(&self) -> Option<Vec<Sample<T>>> {
         self.try_sample_k().ok()
     }
 

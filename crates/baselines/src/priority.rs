@@ -170,11 +170,11 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for PrioritySampler<T, R> {
         self.next_index += values.len() as u64;
     }
 
-    fn sample(&mut self) -> Option<Sample<T>> {
+    fn sample(&self) -> Option<Sample<T>> {
         self.instances[0].sample().cloned()
     }
 
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
+    fn sample_k(&self) -> Option<Vec<Sample<T>>> {
         self.instances.iter().map(|i| i.sample().cloned()).collect()
     }
 
@@ -238,7 +238,7 @@ mod tests {
 
     #[test]
     fn empty_returns_none() {
-        let mut s: PrioritySampler<u64, _> = PrioritySampler::new(5, 1, SmallRng::seed_from_u64(0));
+        let s: PrioritySampler<u64, _> = PrioritySampler::new(5, 1, SmallRng::seed_from_u64(0));
         assert!(s.sample().is_none());
     }
 

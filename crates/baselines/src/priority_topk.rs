@@ -151,14 +151,14 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for PriorityTopK<T, R> {
         }
     }
 
-    fn sample(&mut self) -> Option<Sample<T>> {
+    fn sample(&self) -> Option<Sample<T>> {
         self.entries
             .iter()
             .max_by_key(|e| e.priority)
             .map(|e| e.sample.clone())
     }
 
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
+    fn sample_k(&self) -> Option<Vec<Sample<T>>> {
         if self.entries.is_empty() {
             return None;
         }
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn empty_returns_none() {
-        let mut s: PriorityTopK<u64, _> = PriorityTopK::new(5, 2, SmallRng::seed_from_u64(0));
+        let s: PriorityTopK<u64, _> = PriorityTopK::new(5, 2, SmallRng::seed_from_u64(0));
         assert!(s.sample_k().is_none());
     }
 

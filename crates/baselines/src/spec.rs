@@ -109,7 +109,7 @@ mod tests {
         }
         assert_eq!(
             erased.sample_k(),
-            swsample_core::WindowSampler::sample_k(&mut concrete)
+            swsample_core::WindowSampler::sample_k(&concrete)
         );
     }
 }

@@ -11,6 +11,7 @@
 
 use rand::Rng;
 use swsample_core::reservoir::ReservoirK;
+use swsample_core::rngutil::query_rng;
 use swsample_core::{MemoryWords, Sample, WindowSampler};
 
 /// Whole-stream Algorithm L lives in core, next to the reservoirs it
@@ -45,23 +46,23 @@ impl<T, R> MemoryWords for NaiveStreamReservoir<T, R> {
     }
 }
 
-impl<T: Clone, R: Rng> WindowSampler<T> for NaiveStreamReservoir<T, R> {
+impl<T: Clone, R: Rng + Clone> WindowSampler<T> for NaiveStreamReservoir<T, R> {
     fn insert(&mut self, value: T) {
         let idx = self.next_index;
         self.next_index += 1;
         self.inner.insert(&mut self.rng, value, idx, idx);
     }
 
-    fn sample(&mut self) -> Option<Sample<T>> {
+    fn sample(&self) -> Option<Sample<T>> {
         let entries = self.inner.entries();
         if entries.is_empty() {
             return None;
         }
-        let j = self.rng.gen_range(0..entries.len());
+        let j = query_rng(&self.rng, self.next_index, 0).gen_range(0..entries.len());
         Some(entries[j].clone())
     }
 
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
+    fn sample_k(&self) -> Option<Vec<Sample<T>>> {
         if self.inner.entries().is_empty() {
             None
         } else {
@@ -111,9 +112,9 @@ mod tests {
 
     #[test]
     fn empty_returns_none() {
-        let mut s: StreamReservoir<u64, _> = StreamReservoir::new(2, SmallRng::seed_from_u64(2));
+        let s: StreamReservoir<u64, _> = StreamReservoir::new(2, SmallRng::seed_from_u64(2));
         assert!(s.sample().is_none());
-        let mut r: NaiveStreamReservoir<u64, _> =
+        let r: NaiveStreamReservoir<u64, _> =
             NaiveStreamReservoir::new(2, SmallRng::seed_from_u64(2));
         assert!(r.sample().is_none());
     }

@@ -7,6 +7,7 @@
 
 use rand::Rng;
 use std::collections::VecDeque;
+use swsample_core::rngutil::query_rng;
 use swsample_core::state::{self, SamplerState, StateError};
 use swsample_core::{MemoryWords, Sample, WindowSampler};
 use swsample_stream::WindowSpec;
@@ -77,7 +78,7 @@ impl<T, R> MemoryWords for WindowBuffer<T, R> {
     }
 }
 
-impl<T: Clone, R: Rng + 'static> WindowSampler<T> for WindowBuffer<T, R> {
+impl<T: Clone, R: Rng + Clone + 'static> WindowSampler<T> for WindowBuffer<T, R> {
     fn advance_time(&mut self, now: u64) {
         assert!(now >= self.now, "WindowBuffer: clock moved backwards");
         self.now = now;
@@ -101,15 +102,15 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for WindowBuffer<T, R> {
         self.expire();
     }
 
-    fn sample(&mut self) -> Option<Sample<T>> {
+    fn sample(&self) -> Option<Sample<T>> {
         if self.buf.is_empty() {
             return None;
         }
-        let j = self.rng.gen_range(0..self.buf.len());
+        let j = query_rng(&self.rng, self.next_index, self.now).gen_range(0..self.buf.len());
         Some(self.buf[j].clone())
     }
 
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
+    fn sample_k(&self) -> Option<Vec<Sample<T>>> {
         if self.buf.is_empty() {
             return None;
         }
@@ -117,8 +118,9 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for WindowBuffer<T, R> {
         let take = self.k.min(self.buf.len());
         let mut order: Vec<usize> = (0..self.buf.len()).collect();
         let mut out = Vec::with_capacity(take);
+        let mut rng = query_rng(&self.rng, self.next_index, self.now);
         for step in 0..take {
-            let j = self.rng.gen_range(step..order.len());
+            let j = rng.gen_range(step..order.len());
             order.swap(step, j);
             out.push(self.buf[order[step]].clone());
         }
@@ -221,7 +223,7 @@ mod tests {
 
     #[test]
     fn empty_returns_none() {
-        let mut s: WindowBuffer<u64, _> =
+        let s: WindowBuffer<u64, _> =
             WindowBuffer::new(WindowSpec::Timestamp(5), 1, SmallRng::seed_from_u64(5));
         assert!(s.sample().is_none());
         assert!(s.sample_k().is_none());

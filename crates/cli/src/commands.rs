@@ -271,7 +271,7 @@ fn drive_stream(
             sampler.advance_and_insert(buf_ts, &buf);
             buf.clear();
             if at_report {
-                report_samples(out, count, sampler.as_mut(), timestamped).map_err(io_err)?;
+                report_samples(out, count, sampler.as_ref(), timestamped).map_err(io_err)?;
             }
         }
     }
@@ -282,7 +282,7 @@ fn drive_stream(
         sampler.advance_and_insert(buf_ts, &buf);
     }
     report_throughput(count, start.elapsed());
-    report_samples(out, count, sampler.as_mut(), timestamped).map_err(io_err)?;
+    report_samples(out, count, sampler.as_ref(), timestamped).map_err(io_err)?;
     writeln!(
         out,
         "# memory: {} words ({})",
@@ -305,7 +305,7 @@ fn render_sample<T: std::fmt::Display>(s: &swsample_core::Sample<T>, timestamped
 fn report_samples(
     out: &mut dyn Write,
     count: u64,
-    sampler: &mut dyn ErasedWindowSampler<String>,
+    sampler: &dyn ErasedWindowSampler<String>,
     timestamped: bool,
 ) -> std::io::Result<()> {
     match sampler.sample_k() {
@@ -648,18 +648,18 @@ fn cmd_agg(args: &Args, input: &mut dyn BufRead, out: &mut dyn Write) -> Result<
         agg.insert(value);
         count += 1;
         if every > 0 && count.is_multiple_of(every) {
-            report_agg(out, count, &mut agg).map_err(io_err)?;
+            report_agg(out, count, &agg).map_err(io_err)?;
         }
     }
     if count == 0 {
         return Err(ArgError("no input".into()));
     }
-    report_agg(out, count, &mut agg).map_err(io_err)?;
+    report_agg(out, count, &agg).map_err(io_err)?;
     writeln!(out, "# memory: {} words", agg.memory_words()).map_err(io_err)?;
     Ok(())
 }
 
-fn report_agg(out: &mut dyn Write, count: u64, agg: &mut TsAggregator) -> std::io::Result<()> {
+fn report_agg(out: &mut dyn Write, count: u64, agg: &TsAggregator) -> std::io::Result<()> {
     match (agg.estimate(), agg.quantile(0.5), agg.quantile(0.99)) {
         (Some(est), Some(p50), Some(p99)) => writeln!(
             out,

@@ -18,6 +18,7 @@
 //! [`WindowSampler`].
 
 use crate::memory::MemoryWords;
+use crate::rngutil::query_rng;
 use crate::sample::Sample;
 use crate::state::{capture_rng, restore_rng, ReservoirLState, SamplerState, StateError};
 use crate::traits::WindowSampler;
@@ -344,7 +345,7 @@ impl<T, R> MemoryWords for StreamReservoir<T, R> {
     }
 }
 
-impl<T: Clone, R: Rng + 'static> WindowSampler<T> for StreamReservoir<T, R> {
+impl<T: Clone, R: Rng + Clone + 'static> WindowSampler<T> for StreamReservoir<T, R> {
     fn insert(&mut self, value: T) {
         let idx = self.next_index;
         self.next_index += 1;
@@ -362,16 +363,16 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for StreamReservoir<T, R> {
         self.next_index += values.len() as u64;
     }
 
-    fn sample(&mut self) -> Option<Sample<T>> {
+    fn sample(&self) -> Option<Sample<T>> {
         let entries = self.inner.entries();
         if entries.is_empty() {
             return None;
         }
-        let j = self.rng.gen_range(0..entries.len());
+        let j = query_rng(&self.rng, self.next_index, 0).gen_range(0..entries.len());
         Some(entries[j].clone())
     }
 
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
+    fn sample_k(&self) -> Option<Vec<Sample<T>>> {
         if self.inner.entries().is_empty() {
             None
         } else {

@@ -20,7 +20,24 @@
 //! reads one word's bits at once, and `record_skip_with_bits` with a
 //! fresh `BitSource` is its coin-by-coin reference.
 
-use rand::{Rng, RngCore};
+use crate::fault::mix64;
+use rand::rngs::SmallRng;
+use rand::{Rng, RngCore, SeedableRng};
+
+/// Salt of the query-only seed domain (`"QUERY"` in ASCII).
+const QUERY_SALT: u64 = 0x0051_5545_5259;
+
+/// The random stream one query draws from: a generator seeded from the
+/// next word of a *clone* of the sampler's `rng`, its arrival count and
+/// its clock (0 for sequence windows), splitmix-mixed in a domain of its
+/// own. The sampler's generator does not advance, so a query changes no
+/// later sample and no checkpoint record, and repeating a query with no
+/// arrival and no clock move draws the same stream. Nothing is stored:
+/// the seed is recomputed at each query.
+pub fn query_rng<R: RngCore + Clone>(rng: &R, arrivals: u64, now: u64) -> SmallRng {
+    let word = rng.clone().next_u64();
+    SmallRng::seed_from_u64(mix64(mix64(word, QUERY_SALT, arrivals), QUERY_SALT, now))
+}
 
 /// Buffered exactly-fair coin flips: one `next_u64` yields 64 independent
 /// bits.

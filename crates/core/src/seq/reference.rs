@@ -13,6 +13,7 @@
 use super::wor::{pick_one, window_sample};
 use crate::memory::MemoryWords;
 use crate::reservoir::ReservoirK;
+use crate::rngutil::query_rng;
 use crate::sample::Sample;
 use crate::state::{self, SamplerState, SeqWrLaneState};
 use crate::traits::WindowSampler;
@@ -112,11 +113,11 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for NaiveSeqWr<T, R> {
         })
     }
 
-    fn sample(&mut self) -> Option<Sample<T>> {
+    fn sample(&self) -> Option<Sample<T>> {
         self.sample_k().map(|mut v| v.swap_remove(0))
     }
 
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
+    fn sample_k(&self) -> Option<Vec<Sample<T>>> {
         if self.count == 0 {
             return None;
         }
@@ -183,7 +184,7 @@ impl<T, R> MemoryWords for NaiveSeqWor<T, R> {
     }
 }
 
-impl<T: Clone, R: Rng> WindowSampler<T> for NaiveSeqWor<T, R> {
+impl<T: Clone, R: Rng + Clone> WindowSampler<T> for NaiveSeqWor<T, R> {
     fn insert(&mut self, value: T) {
         let idx = self.count;
         self.cur.insert(&mut self.rng, value, idx, idx);
@@ -193,20 +194,18 @@ impl<T: Clone, R: Rng> WindowSampler<T> for NaiveSeqWor<T, R> {
         }
     }
 
-    fn sample(&mut self) -> Option<Sample<T>> {
-        self.sample_k().map(|v| pick_one(&mut self.rng, v))
+    fn sample(&self) -> Option<Sample<T>> {
+        let mut rng = query_rng(&self.rng, self.count, 0);
+        (self.count > 0).then(|| {
+            let all = window_sample(&mut rng, self.n, self.count, &self.prev, self.cur.entries());
+            pick_one(&mut rng, all)
+        })
     }
 
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
-        (self.count > 0).then(|| {
-            window_sample(
-                &mut self.rng,
-                self.n,
-                self.count,
-                &self.prev,
-                self.cur.entries(),
-            )
-        })
+    fn sample_k(&self) -> Option<Vec<Sample<T>>> {
+        let mut rng = query_rng(&self.rng, self.count, 0);
+        (self.count > 0)
+            .then(|| window_sample(&mut rng, self.n, self.count, &self.prev, self.cur.entries()))
     }
 
     fn k(&self) -> usize {

@@ -3,6 +3,7 @@
 
 use crate::memory::MemoryWords;
 use crate::reservoir::ReservoirL;
+use crate::rngutil::query_rng;
 use crate::sample::Sample;
 use crate::state::{self, ReservoirLState, SamplerState, StateError};
 use crate::traits::WindowSampler;
@@ -94,7 +95,8 @@ impl<T: Clone, R: Rng> SeqSamplerWor<T, R> {
 
 /// The window's `k`-sample after `count ≥ 1` arrivals over windows of
 /// `n` (§2.2), from `prev`, the last complete bucket's sample (`X_U`),
-/// and `cur`, the partial bucket's reservoir entries (`X_V`).
+/// and `cur`, the partial bucket's reservoir entries (`X_V`). The top-up
+/// draws from `rng`, the query's own stream.
 pub(super) fn window_sample<T: Clone, R: Rng>(
     rng: &mut R,
     n: u64,
@@ -153,7 +155,7 @@ impl<T, R> MemoryWords for SeqSamplerWor<T, R> {
     }
 }
 
-impl<T: Clone, R: Rng + 'static> WindowSampler<T> for SeqSamplerWor<T, R> {
+impl<T: Clone, R: Rng + Clone + 'static> WindowSampler<T> for SeqSamplerWor<T, R> {
     fn insert(&mut self, value: T) {
         self.push(value);
     }
@@ -243,20 +245,18 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for SeqSamplerWor<T, R> {
         }
     }
 
-    fn sample(&mut self) -> Option<Sample<T>> {
-        self.sample_k().map(|v| pick_one(&mut self.rng, v))
+    fn sample(&self) -> Option<Sample<T>> {
+        let mut rng = query_rng(&self.rng, self.count, 0);
+        (self.count > 0).then(|| {
+            let all = window_sample(&mut rng, self.n, self.count, &self.prev, self.cur.entries());
+            pick_one(&mut rng, all)
+        })
     }
 
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
-        (self.count > 0).then(|| {
-            window_sample(
-                &mut self.rng,
-                self.n,
-                self.count,
-                &self.prev,
-                self.cur.entries(),
-            )
-        })
+    fn sample_k(&self) -> Option<Vec<Sample<T>>> {
+        let mut rng = query_rng(&self.rng, self.count, 0);
+        (self.count > 0)
+            .then(|| window_sample(&mut rng, self.n, self.count, &self.prev, self.cur.entries()))
     }
 
     fn k(&self) -> usize {
@@ -281,7 +281,7 @@ mod tests {
 
     #[test]
     fn empty_returns_none() {
-        let mut s: SeqSamplerWor<u64, _> = SeqSamplerWor::new(5, 2, SmallRng::seed_from_u64(0));
+        let s: SeqSamplerWor<u64, _> = SeqSamplerWor::new(5, 2, SmallRng::seed_from_u64(0));
         assert!(s.sample_k().is_none());
         assert!(s.sample().is_none());
     }

@@ -737,7 +737,7 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> SeqSamplerWr<T, R, K> {
     }
 
     /// Draw the `k` samples together with their tracker statistics.
-    pub fn sample_k_with_stats(&mut self) -> Option<Vec<(Sample<T>, K::Stat)>> {
+    pub fn sample_k_with_stats(&self) -> Option<Vec<(Sample<T>, K::Stat)>> {
         if self.count == 0 {
             return None;
         }
@@ -1001,11 +1001,11 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for SeqSa
         }
     }
 
-    fn sample(&mut self) -> Option<Sample<T>> {
+    fn sample(&self) -> Option<Sample<T>> {
         self.sample_k_with_stats().map(|mut v| v.swap_remove(0).0)
     }
 
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
+    fn sample_k(&self) -> Option<Vec<Sample<T>>> {
         self.sample_k_with_stats()
             .map(|v| v.into_iter().map(|(s, _)| s).collect())
     }
@@ -1025,7 +1025,7 @@ mod tests {
 
     #[test]
     fn empty_sampler_returns_none() {
-        let mut s: SeqSamplerWr<u64, _> = SeqSamplerWr::new(10, 2, SmallRng::seed_from_u64(0));
+        let s: SeqSamplerWr<u64, _> = SeqSamplerWr::new(10, 2, SmallRng::seed_from_u64(0));
         assert!(s.sample().is_none());
         assert!(s.sample_k().is_none());
     }

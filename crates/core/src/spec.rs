@@ -586,7 +586,7 @@ mod tests {
             erased.insert_batch(chunk);
             WindowSampler::insert_batch(&mut concrete, chunk);
         }
-        assert_eq!(erased.sample_k(), WindowSampler::sample_k(&mut concrete));
+        assert_eq!(erased.sample_k(), WindowSampler::sample_k(&concrete));
         assert_eq!(erased.memory_words(), MemoryWords::memory_words(&concrete));
     }
 

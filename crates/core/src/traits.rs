@@ -11,11 +11,15 @@ use crate::state::{SamplerState, StateError};
 /// [`insert`](WindowSampler::insert) each arriving element, and at any point
 /// draw the current sample(s).
 ///
-/// Queries take `&mut self` because timestamp-window queries synthesize the
-/// implicit events of §3.3 at query time, which consumes randomness; this
-/// mirrors the paper. Between two arrivals, repeated queries return
-/// individually-uniform (but mutually correlated) samples — an inherent
-/// property of sampling with state, not an artifact.
+/// Queries are pure: [`sample`](WindowSampler::sample) and
+/// [`sample_k`](WindowSampler::sample_k) take `&self`, and an answer is a
+/// function of the sampler's state and clock. The families that draw at
+/// query time (the implicit events of §3, the §4 lane extension, the
+/// seq-WOR top-up) take those draws from
+/// [`query_rng`](crate::rngutil::query_rng), which never advances the
+/// sampler's own generator. So a query changes no later sample and no
+/// checkpoint record, and repeating a query with no arrival and no clock
+/// move returns the same answer.
 ///
 /// This is the only sampler interface, and it is dyn-compatible: fleets
 /// hold `Box<dyn ErasedWindowSampler<T>>`, where
@@ -70,14 +74,14 @@ pub trait WindowSampler<T>: MemoryWords {
 
     /// Draw one uniform sample from the active window, or `None` if the
     /// window is empty.
-    fn sample(&mut self) -> Option<Sample<T>>;
+    fn sample(&self) -> Option<Sample<T>>;
 
     /// Draw the full `k`-sample. For with-replacement samplers the entries
     /// are independent; for without-replacement samplers they are distinct
     /// elements. Returns `None` when the window is empty. Without
     /// replacement, returns all active elements when fewer than `k` are
     /// active.
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>>;
+    fn sample_k(&self) -> Option<Vec<Sample<T>>>;
 
     /// The configured number of samples `k`.
     fn k(&self) -> usize;

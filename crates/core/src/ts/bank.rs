@@ -77,9 +77,6 @@
 //! its slots' contents, so a bucket rebuilt from its checkpoint record
 //! stores exactly what the live one did.
 
-use super::bucket::BucketStruct;
-use super::covering::Covering;
-use super::engine::{State, TsEngine};
 use crate::memory::MemoryWords;
 use crate::rngutil::{bernoulli_ratio, floor_log2, BitSource};
 use crate::sample::Sample;
@@ -966,19 +963,6 @@ impl<T: Clone, S: Clone> BankBucket<T, S> {
         self.samples.recycle(pool);
     }
 
-    /// One lane's view as a plain `BucketStruct` (cloned).
-    fn lane_bucket(&self, lane: usize, lanes: usize) -> BucketStruct<T, S> {
-        let r = self.r(lane);
-        BucketStruct {
-            a: self.a,
-            b: self.b,
-            ts_first: self.ts_first,
-            r: r.sample(),
-            r_stat: r.stat.clone(),
-            q: self.q(lane, lanes).sample(),
-        }
-    }
-
     fn observe_stats(&mut self, mut observe: impl FnMut(&mut S)) {
         match &mut self.samples {
             LaneSamples::Shared { stat, .. } => observe(stat),
@@ -1229,7 +1213,7 @@ enum BankState<T, S> {
 /// `k` fused single-sample engines over one timestamp window: one shared
 /// covering decomposition, `k` independent sample lanes.
 ///
-/// Equivalent in distribution to `k` independent [`TsEngine`]s driven by
+/// Equivalent in distribution to `k` independent [`super::TsEngine`]s driven by
 /// the same stream (see the [module docs](self) for the argument), at
 /// `1/k` of the boundary-maintenance work and amortized `O(k/32)` RNG
 /// words per arrival. [`super::TsSamplerWr`] and [`super::TsSamplerWor`]
@@ -1349,7 +1333,7 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
     /// Insert an element arriving at timestamp `ts` with stream index
     /// `index` — one boundary walk for all `k` lanes.
     ///
-    /// Same contract as [`TsEngine::insert`]: indices consecutive while
+    /// Same contract as [`super::TsEngine::insert`]: indices consecutive while
     /// non-empty, already-expired arrivals only ever offered when the bank
     /// has emptied (the §4 delayed-ingestion path, Lemma 4.1).
     pub fn insert<R: Rng>(&mut self, rng: &mut R, value: T, index: u64, ts: u64) {
@@ -1455,7 +1439,7 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
 
     /// The shared bucket-boundary profile — `(a, b, T(p_a))` per bucket,
     /// oldest first, straddling head included. By construction identical
-    /// for every lane; lockstep-equal to [`TsEngine::boundaries`] of an
+    /// for every lane; lockstep-equal to [`super::TsEngine::boundaries`] of an
     /// independent engine fed the same stream (asserted in
     /// `tests/ts_bank_equivalence.rs`).
     pub fn boundaries(&self) -> Vec<(u64, u64, u64)> {
@@ -1473,33 +1457,22 @@ impl<T: Clone, K: SampleTracker<T>> TsEngineBank<T, K> {
         matches!(self.state, BankState::Straddle { .. })
     }
 
-    /// Extract one lane as a standalone [`TsEngine`] (cloned boundaries +
-    /// that lane's slots). Used by the §4 without-replacement sampler to
-    /// extend a lane with its delay-deficit arrivals at query time.
-    pub(crate) fn lane_engine(&self, lane: usize) -> TsEngine<T, K>
+    /// A copy of the boundaries and lane slots with an empty coin buffer
+    /// and spare pool, for the §4 query-time lane extension: its merges
+    /// never reuse a coin this bank's later merges will read.
+    pub(crate) fn scratch(&self) -> Self
     where
         K: Clone,
     {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        let state = match &self.state {
-            BankState::Empty => State::Empty,
-            BankState::Full(cov) => State::Full(Covering::from_buckets(
-                cov.buckets
-                    .iter()
-                    .map(|b| b.lane_bucket(lane, self.lanes))
-                    .collect(),
-            )),
-            BankState::Straddle { head, tail } => State::Straddle {
-                head: head.lane_bucket(lane, self.lanes),
-                tail: Covering::from_buckets(
-                    tail.buckets
-                        .iter()
-                        .map(|b| b.lane_bucket(lane, self.lanes))
-                        .collect(),
-                ),
-            },
-        };
-        TsEngine::from_parts(self.t0, self.now, self.tracker.clone(), state)
+        Self {
+            t0: self.t0,
+            now: self.now,
+            lanes: self.lanes,
+            tracker: self.tracker.clone(),
+            bits: BitSource::new(),
+            spare: SparePool::default(),
+            state: self.state.clone(),
+        }
     }
 
     /// Checkpoint the bank's stream-dependent state (bucket skeleton,
@@ -1763,6 +1736,7 @@ impl<T, K: SampleTracker<T>> MemoryWords for TsEngineBank<T, K> {
 mod tests {
     use super::*;
     use crate::rng::CountingRng;
+    use crate::ts::TsEngine;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use swsample_stats::chi_square_uniform_test;
@@ -1888,21 +1862,6 @@ mod tests {
             per_elem <= lanes as f64 / 32.0 + 1.0,
             "draws/element {per_elem} above k/32 + 1"
         );
-    }
-
-    #[test]
-    fn lane_engine_extraction_round_trips() {
-        // An extracted lane must be a valid engine whose boundaries match
-        // the bank and whose sample is active.
-        let mut rng = SmallRng::seed_from_u64(5);
-        let schedule: Vec<(u64, u64)> = (0..60).map(|i| (i, 2)).collect();
-        let bank = drive(9, 4, &schedule, &mut rng);
-        for lane in 0..4 {
-            let mut e = bank.lane_engine(lane);
-            assert_eq!(e.boundaries(), bank.boundaries());
-            let s = e.sample(&mut rng).expect("nonempty");
-            assert!(bank.now() - s.timestamp() < 9);
-        }
     }
 
     #[test]

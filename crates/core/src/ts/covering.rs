@@ -71,15 +71,6 @@ impl<T: Clone, S: Clone> Covering<T, S> {
         &self.buckets
     }
 
-    /// Rebuild a covering from raw buckets (the fused bank extracting one
-    /// lane as a standalone engine). The caller must supply a canonical
-    /// list.
-    pub fn from_buckets(buckets: Vec<BucketStruct<T, S>>) -> Self {
-        let c = Self { buckets };
-        debug_assert!(c.is_canonical(), "from_buckets: non-canonical list");
-        c
-    }
-
     /// Timestamp of the newest covered element (= `ts_first` of the final
     /// width-1 bucket).
     pub fn newest_ts(&self) -> u64 {

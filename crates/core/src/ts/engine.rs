@@ -17,6 +17,11 @@
 //! exactly `α/(β+γ)` out of the straddling bucket's second sample `Q` —
 //! whose *expiry status* is observable even though `γ` is not — and combine
 //! `R₁` with the suffix sample into a uniform sample of all active elements.
+//!
+//! Reference only: the samplers a spec builds run the fused
+//! [`super::TsEngineBank`]. This engine, with its `covering` and `bucket`
+//! modules, serves the per-engine reference types in
+//! [`super::independent`] and the tests that hold the bank to them.
 
 use super::bucket::BucketStruct;
 use super::covering::Covering;
@@ -28,7 +33,7 @@ use rand::Rng;
 
 /// Lemma 3.5 state.
 #[derive(Debug, Clone)]
-pub(crate) enum State<T, S> {
+enum State<T, S> {
     /// No stored elements (empty window, or everything stored has expired).
     Empty,
     /// Case 1: the covering spans exactly the active elements.
@@ -43,8 +48,7 @@ pub(crate) enum State<T, S> {
 /// Single uniform sample over a timestamp window of width `t0`, in
 /// `Θ(log n)` words (Theorem 3.9). The reference types in
 /// [`super::independent`] run `k` independent engines (WR) or `k` *delayed*
-/// engines (WOR, Lemma 4.1); [`super::TsSamplerWor`] extracts fused lanes
-/// as engines at query time.
+/// engines (WOR, Lemma 4.1).
 /// The engine is generic over a [`SampleTracker`] (Theorem 5.1 support for
 /// timestamp windows): each bucket's `R` sample carries a suffix statistic
 /// that is updated on every arrival — `O(log n)` tracker updates per
@@ -78,20 +82,6 @@ impl<T: Clone, K: SampleTracker<T>> TsEngine<T, K> {
             bits: BitSource::new(),
             state: State::Empty,
         }
-    }
-
-    /// Reassemble an engine from raw parts — the fused bank extracting one
-    /// of its lanes as a standalone engine (the §4 query-time extension).
-    pub(crate) fn from_parts(t0: u64, now: u64, tracker: K, state: State<T, K::Stat>) -> Self {
-        let e = Self {
-            t0,
-            now,
-            tracker,
-            bits: BitSource::new(),
-            state,
-        };
-        e.debug_check_invariants();
-        e
     }
 
     /// Window width `t0`.
@@ -207,13 +197,13 @@ impl<T: Clone, K: SampleTracker<T>> TsEngine<T, K> {
 
     /// Draw a uniform sample of the active elements (Lemma 3.8 /
     /// Theorem 3.9); `None` when the window is empty.
-    pub fn sample<R: Rng>(&mut self, rng: &mut R) -> Option<Sample<T>> {
+    pub fn sample<R: Rng>(&self, rng: &mut R) -> Option<Sample<T>> {
         self.sample_with_stat(rng).map(|(s, _)| s)
     }
 
     /// Like [`TsEngine::sample`], returning the tracker statistic carried
     /// by the sampled element.
-    pub fn sample_with_stat<R: Rng>(&mut self, rng: &mut R) -> Option<(Sample<T>, K::Stat)> {
+    pub fn sample_with_stat<R: Rng>(&self, rng: &mut R) -> Option<(Sample<T>, K::Stat)> {
         match &self.state {
             State::Empty => None,
             State::Full(cov) => Some(cov.sample_uniform_with_stat(rng)),
@@ -365,7 +355,7 @@ mod tests {
     #[test]
     fn empty_engine_returns_none() {
         let mut rng = SmallRng::seed_from_u64(0);
-        let mut e: TsEngine<u64> = TsEngine::new(5);
+        let e: TsEngine<u64> = TsEngine::new(5);
         assert!(e.sample(&mut rng).is_none());
         assert!(e.is_empty());
     }
@@ -427,7 +417,7 @@ mod tests {
         for t in 0..trials {
             let mut rng = SmallRng::seed_from_u64(100_000 + t);
             let schedule: Vec<(u64, u64)> = (0..=last_tick).map(|i| (i, 1)).collect();
-            let (mut e, n) = drive(t0, &schedule, &mut rng);
+            let (e, n) = drive(t0, &schedule, &mut rng);
             assert_eq!(n, last_tick + 1);
             let s = e.sample(&mut rng).expect("nonempty");
             // Active indices: last_tick-t0+1 ..= last_tick.
@@ -467,7 +457,7 @@ mod tests {
         let mut counts = vec![0u64; active_count as usize];
         for t in 0..trials {
             let mut rng = SmallRng::seed_from_u64(200_000 + t);
-            let (mut e, _) = drive(t0, &schedule, &mut rng);
+            let (e, _) = drive(t0, &schedule, &mut rng);
             let s = e.sample(&mut rng).expect("nonempty");
             assert!(
                 s.index() >= first_active_idx,
@@ -492,7 +482,7 @@ mod tests {
         let mut counts = vec![0u64; m as usize];
         for t in 0..trials {
             let mut rng = SmallRng::seed_from_u64(300_000 + t);
-            let (mut e, _) = drive(100, &[(0, m)], &mut rng);
+            let (e, _) = drive(100, &[(0, m)], &mut rng);
             counts[e.sample(&mut rng).expect("nonempty").index() as usize] += 1;
         }
         let out = chi_square_uniform_test(&counts);

@@ -14,6 +14,7 @@
 use super::engine::TsEngine;
 use super::wor::fold_lanes;
 use crate::memory::MemoryWords;
+use crate::rngutil::query_rng;
 use crate::sample::Sample;
 use crate::track::{NullTracker, SampleTracker};
 use crate::traits::WindowSampler;
@@ -57,12 +58,15 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> IndependentTsWr<T, R, K> {
 
     /// Draw the `k` samples together with their tracker statistics;
     /// `None` when the window is empty.
-    pub fn sample_k_with_stats(&mut self) -> Option<Vec<(Sample<T>, K::Stat)>> {
-        let mut out = Vec::with_capacity(self.engines.len());
-        for e in &mut self.engines {
-            out.push(e.sample_with_stat(&mut self.rng)?);
-        }
-        Some(out)
+    pub fn sample_k_with_stats(&self) -> Option<Vec<(Sample<T>, K::Stat)>>
+    where
+        R: Clone,
+    {
+        let mut rng = query_rng(&self.rng, self.next_index, self.now);
+        self.engines
+            .iter()
+            .map(|e| e.sample_with_stat(&mut rng))
+            .collect()
     }
 
     /// Engine 0's bucket-boundary profile (all engines hold the same one).
@@ -82,7 +86,7 @@ impl<T, R, K: SampleTracker<T>> MemoryWords for IndependentTsWr<T, R, K> {
     }
 }
 
-impl<T: Clone, R: Rng, K: SampleTracker<T>> WindowSampler<T> for IndependentTsWr<T, R, K> {
+impl<T: Clone, R: Rng + Clone, K: SampleTracker<T>> WindowSampler<T> for IndependentTsWr<T, R, K> {
     fn advance_time(&mut self, now: u64) {
         assert!(now >= self.now, "IndependentTsWr: clock moved backwards");
         self.now = now;
@@ -114,11 +118,11 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> WindowSampler<T> for IndependentTsWr
         }
     }
 
-    fn sample(&mut self) -> Option<Sample<T>> {
-        self.engines[0].sample(&mut self.rng)
+    fn sample(&self) -> Option<Sample<T>> {
+        self.engines[0].sample(&mut query_rng(&self.rng, self.next_index, self.now))
     }
 
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
+    fn sample_k(&self) -> Option<Vec<Sample<T>>> {
         self.sample_k_with_stats()
             .map(|v| v.into_iter().map(|(s, _)| s).collect())
     }
@@ -170,7 +174,7 @@ impl<T, R> MemoryWords for IndependentTsWor<T, R> {
     }
 }
 
-impl<T: Clone, R: Rng> WindowSampler<T> for IndependentTsWor<T, R> {
+impl<T: Clone, R: Rng + Clone> WindowSampler<T> for IndependentTsWor<T, R> {
     fn advance_time(&mut self, now: u64) {
         assert!(now >= self.now, "IndependentTsWor: clock moved backwards");
         self.now = now;
@@ -220,15 +224,15 @@ impl<T: Clone, R: Rng> WindowSampler<T> for IndependentTsWor<T, R> {
         self.recent = combined.split_off(combined.len() - keep).into();
     }
 
-    fn sample(&mut self) -> Option<Sample<T>> {
-        self.engines[0].sample(&mut self.rng)
+    fn sample(&self) -> Option<Sample<T>> {
+        self.engines[0].sample(&mut query_rng(&self.rng, self.next_index, self.now))
     }
 
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
+    fn sample_k(&self) -> Option<Vec<Sample<T>>> {
         let t0 = self.engines[0].window();
-        let (engines, rng) = (&mut self.engines, &mut self.rng);
+        let mut rng = query_rng(&self.rng, self.next_index, self.now);
         fold_lanes(self.k, self.recent.iter().cloned(), self.now, t0, |i| {
-            engines[i].sample(rng)
+            self.engines[i].sample(&mut rng)
         })
     }
 

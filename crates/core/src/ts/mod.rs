@@ -29,6 +29,10 @@
 //! * `independent` — the per-engine reference types, for equivalence
 //!   tests and benchmark baselines only.
 //!
+//! `bucket`, `covering` and `engine` are the reference side: only
+//! `independent` and the tests that hold the bank to it use them. The
+//! samplers a spec builds run on the bank alone, queries included.
+//!
 //! # Design note: why boundary sharing preserves Theorem 3.9 independence
 //!
 //! Theorem 3.9's `k` engines are independent because they share no
@@ -52,8 +56,8 @@
 //!    engine's Markov chain (marginal correctness), and distinct lanes'
 //!    coins are mutually independent (joint correctness: the `k` samples
 //!    are independent, as Theorem 3.9 requires). Query-time draws (bucket
-//!    selection, the Lemma 3.6–3.8 implicit events) were always per-query
-//!    and remain per-lane.
+//!    selection, the Lemma 3.6–3.8 implicit events) come from a per-query
+//!    stream ([`crate::rngutil::query_rng`]), disjoint draws per lane.
 //!
 //! The equivalence is audited, not just argued: the per-engine
 //! construction is kept as the reference types in [`independent`] and

@@ -24,19 +24,27 @@
 //!   are shared; per-arrival cost collapses from `k` covering walks to
 //!   one.
 //! * **Query**: lane `k−1` already has the right domain (it seeds the
-//!   recurrence). For `i < k−1`, lane `i` is extracted as a standalone
-//!   engine and *extended* with its delay-deficit — the `k−1−i` stored
-//!   recent arrivals it has not seen — before sampling.
+//!   recurrence). The others are extended in one pass over a scratch copy
+//!   of the bank: its boundaries and lane slots, with an empty coin
+//!   buffer. Let `p ≤ k−1` be the number of *pending* arrivals, stored in
+//!   the auxiliary array but not yet in the bank. Lanes `p..k` are read
+//!   before any insert; then the pending arrivals enter the copy oldest
+//!   first, and after the `j`-th, lane `p − j` is read. Lane `i` has then
+//!   seen every arrival but the last `i`.
 //!
 //! This is distribution-exact, not approximate: a §3 engine's sample is
 //! uniform over whatever elements it ingested, for **any** valid
 //! insert/advance schedule (Theorem 3.9 is schedule-free), so the
 //! extended lane `i` — having ingested precisely the active elements
 //! minus the last `i` — has exactly the law of PR 3's delayed engine `i`.
-//! Independence across lanes holds because lanes consume disjoint coin
-//! bits at ingestion and disjoint RNG draws at extension. The PR-3
-//! construction is the reference type [`IndependentTsWor`], held to the
-//! same chi-square thresholds in `tests/ts_bank_equivalence.rs`.
+//! The lanes' joint law is the bank's own argument: the boundaries are a
+//! deterministic function of the stream, and the coins are independent
+//! per lane, at ingestion and in the copy's merges alike. The copy's
+//! merges and the lane reads draw only from the query's own stream
+//! ([`query_rng`]), never from the bank's buffered bits, so a query
+//! leaves the sampler exactly as it found it. The PR-3 construction is
+//! the reference type [`IndependentTsWor`], held to the same chi-square
+//! thresholds in `tests/ts_bank_equivalence.rs`.
 //!
 //! Total memory: `Θ(k + k log n)` words, deterministic (shared boundaries
 //! make the bank *smaller* than the `k` separate delayed engines). The
@@ -44,9 +52,12 @@
 //! its indices are consecutive, the newest `next_index − 1`.
 //!
 //! The trade is ingestion-for-query: the fused path makes every arrival
-//! ~20× cheaper, while a full `sample_k` pays `O(k·(log n + k))` clone
-//! work to materialize and extend the lanes ([`IndependentTsWor`] pays
-//! `O(k log n)` RNG draws with no clones). Streaming workloads are
+//! ~20× cheaper, while a full `sample_k` copies the bank (`O(k log n)`
+//! words, its merged buckets' buffers included) and runs up to `k − 1`
+//! inserts on the copy before its `k` lane reads. On a 1k-key zipf(1.1)
+//! fleet at `k = 16`, `w = 1000` (2M events, thread CPU, 2-vCPU guest)
+//! that is about 1.8 µs and 11 allocations per query; the copy is not
+//! allocation-free. Streaming workloads are
 //! ingestion-dominated by orders of magnitude, so the fused bank is the
 //! only construction a spec builds; the reference does not checkpoint.
 //!
@@ -54,6 +65,7 @@
 
 use super::bank::TsEngineBank;
 use crate::memory::MemoryWords;
+use crate::rngutil::query_rng;
 use crate::sample::Sample;
 use crate::state::{self, SamplerState, StateError};
 use crate::track::NullTracker;
@@ -66,8 +78,8 @@ use std::collections::VecDeque;
 ///
 /// When fewer than `k` elements are active the sample is all of them.
 /// Ingestion runs on one fused [`TsEngineBank`] with every lane at delay
-/// `k−1`, extended per lane at query time (see the `ts::wor` source
-/// module docs for the full construction and its equivalence argument);
+/// `k−1`, extended per lane on a scratch copy at query time (see the
+/// `ts::wor` source module docs for the construction and its argument);
 /// the per-engine PR-3 shape is the reference type
 /// [`IndependentTsWor`](super::independent::IndependentTsWor).
 ///
@@ -138,6 +150,33 @@ impl<T: Clone, R: Rng> TsSamplerWor<T, R> {
     pub fn boundaries(&self) -> Vec<(u64, u64, u64)> {
         self.bank.boundaries()
     }
+
+    /// One query's lane reader: lane `i`'s sample of the active elements
+    /// minus the last `i` arrivals, on a scratch copy of the bank (see the
+    /// module docs). Lanes are read in descending order, as in
+    /// [`fold_lanes`].
+    fn lane_reader(&self) -> impl FnMut(usize) -> Option<Sample<T>> + '_
+    where
+        R: Clone,
+    {
+        let mut rng = query_rng(&self.rng, self.next_index, self.now);
+        let mut bank = self.bank.scratch();
+        // The newest `pending` entries of `recent` are not in the bank.
+        let pending = self.recent.len().min(self.k - 1);
+        let first = self.recent.len() - pending;
+        let mut fed = 0;
+        move |lane| {
+            while fed + lane < pending {
+                let (value, ts) = &self.recent[first + fed];
+                let index = self.next_index - (pending - fed) as u64;
+                // Lemma 4.1: the bank skips arrivals that expired while
+                // waiting (only ever offered when it is empty).
+                bank.insert(&mut rng, value.clone(), index, *ts);
+                fed += 1;
+            }
+            bank.sample_lane(lane, &mut rng)
+        }
+    }
 }
 
 /// The auxiliary array `recent` as samples, oldest first: its newest
@@ -155,8 +194,9 @@ fn recent_samples<T: Clone>(
 /// The Lemma 4.2–4.3 recurrence (the cross-lane rejection): fold lane
 /// draws `R_{k−1}, …, R_0` into a `k`-sample without replacement, where
 /// `lane(i)` samples the active elements minus the last `i` arrivals and
-/// `recent` yields the last `k` arrivals, oldest first. When `R_{k−1}`'s
-/// domain is empty, the whole window fits in `recent`.
+/// `recent` yields the last `k` arrivals, oldest first. Lanes are read
+/// in order `k−1, …, 0`. When `R_{k−1}`'s domain is empty, the whole
+/// window fits in `recent`.
 pub(super) fn fold_lanes<T: Clone>(
     k: usize,
     recent: impl Iterator<Item = Sample<T>>,
@@ -193,35 +233,6 @@ pub(super) fn fold_lanes<T: Clone>(
     Some(set)
 }
 
-/// Materialize lane `lane` of the fused bank as a standalone engine,
-/// extend it with its delay-deficit (the stored recent arrivals it has
-/// not ingested), and draw one sample — exactly the law of a PR-3
-/// delayed engine `lane` (see the module docs).
-fn extended_lane_sample<T: Clone, R: Rng>(
-    bank: &TsEngineBank<T, NullTracker>,
-    recent: &VecDeque<(T, u64)>,
-    rng: &mut R,
-    next_index: u64,
-    k: usize,
-    lane: usize,
-) -> Option<Sample<T>> {
-    let mut e = bank.lane_engine(lane);
-    // recent[p] holds stream index `base + p`; the bank has ingested
-    // every index below `released`. Lane `lane` must additionally see
-    // all but the last `lane` arrivals.
-    let base = next_index - recent.len() as u64;
-    let released = next_index.saturating_sub(k as u64 - 1);
-    let start = (released - base) as usize;
-    let stop = recent.len().saturating_sub(lane);
-    for s in recent_samples(recent, next_index).take(stop).skip(start) {
-        // Lemma 4.1: the engine itself skips arrivals that expired while
-        // waiting in the array (only possible when it is empty).
-        let (index, ts) = (s.index(), s.timestamp());
-        e.insert(rng, s.into_value(), index, ts);
-    }
-    e.sample(rng)
-}
-
 impl<T, R> MemoryWords for TsSamplerWor<T, R> {
     fn memory_words(&self) -> usize {
         // Each recent arrival's value and timestamp; then (k, now,
@@ -230,7 +241,7 @@ impl<T, R> MemoryWords for TsSamplerWor<T, R> {
     }
 }
 
-impl<T: Clone, R: Rng + 'static> WindowSampler<T> for TsSamplerWor<T, R> {
+impl<T: Clone, R: Rng + Clone + 'static> WindowSampler<T> for TsSamplerWor<T, R> {
     fn advance_time(&mut self, now: u64) {
         assert!(now >= self.now, "TsSamplerWor: clock moved backwards");
         self.now = now;
@@ -261,30 +272,15 @@ impl<T: Clone, R: Rng + 'static> WindowSampler<T> for TsSamplerWor<T, R> {
         }
     }
 
-    fn sample(&mut self) -> Option<Sample<T>> {
+    fn sample(&self) -> Option<Sample<T>> {
         // Lane 0 extended with everything pending = an undelayed §3
         // sampler of the full window.
-        extended_lane_sample(
-            &self.bank,
-            &self.recent,
-            &mut self.rng,
-            self.next_index,
-            self.k,
-            0,
-        )
+        self.lane_reader()(0)
     }
 
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
-        let (k, t0, next_index) = (self.k, self.bank.window(), self.next_index);
-        let (bank, recent, rng) = (&self.bank, &self.recent, &mut self.rng);
-        // R_{k−1} is lane k−1 as stored; the others need their extension.
-        fold_lanes(k, recent_samples(recent, next_index), self.now, t0, |i| {
-            if i == k - 1 {
-                bank.sample_lane(i, rng)
-            } else {
-                extended_lane_sample(bank, recent, rng, next_index, k, i)
-            }
-        })
+    fn sample_k(&self) -> Option<Vec<Sample<T>>> {
+        let (recent, t0) = (recent_samples(&self.recent, self.next_index), self.window());
+        fold_lanes(self.k, recent, self.now, t0, self.lane_reader())
     }
 
     fn k(&self) -> usize {
@@ -388,10 +384,9 @@ mod tests {
 
     #[test]
     fn empty_returns_none() {
-        let mut s: TsSamplerWor<u64, _> = TsSamplerWor::new(5, 3, SmallRng::seed_from_u64(0));
+        let s: TsSamplerWor<u64, _> = TsSamplerWor::new(5, 3, SmallRng::seed_from_u64(0));
         assert!(s.sample_k().is_none());
-        let mut ind: IndependentTsWor<u64, _> =
-            IndependentTsWor::new(5, 3, SmallRng::seed_from_u64(0));
+        let ind: IndependentTsWor<u64, _> = IndependentTsWor::new(5, 3, SmallRng::seed_from_u64(0));
         assert!(ind.sample_k().is_none());
     }
 
@@ -530,7 +525,7 @@ mod tests {
 
     #[test]
     fn single_sample_works() {
-        let (mut s, _) = drive(10, 3, 40, 21);
+        let (s, _) = drive(10, 3, 40, 21);
         let one = s.sample().expect("nonempty");
         assert!(one.index() >= 30);
     }

@@ -4,6 +4,7 @@
 
 use super::bank::TsEngineBank;
 use crate::memory::MemoryWords;
+use crate::rngutil::query_rng;
 use crate::sample::Sample;
 use crate::state::{self, SamplerState, StateError};
 use crate::track::{NullTracker, SampleTracker};
@@ -71,11 +72,19 @@ impl<T: Clone, R: Rng, K: SampleTracker<T>> TsSamplerWr<T, R, K> {
     }
 
     /// Draw the `k` samples together with their tracker statistics;
-    /// `None` when the window is empty.
-    pub fn sample_k_with_stats(&mut self) -> Option<Vec<(Sample<T>, K::Stat)>> {
-        (0..self.bank.lanes())
-            .map(|lane| self.bank.sample_lane_with_stat(lane, &mut self.rng))
-            .collect()
+    /// `None` when the window is empty. The §3 query draws come from
+    /// [`query_rng`], one stream for all lanes.
+    pub fn sample_k_with_stats(&self) -> Option<Vec<(Sample<T>, K::Stat)>>
+    where
+        R: Clone,
+    {
+        let mut rng = query_rng(&self.rng, self.next_index, self.now);
+        // Sized up front: collecting through `Option` would grow it.
+        let mut out = Vec::with_capacity(self.bank.lanes());
+        for lane in 0..self.bank.lanes() {
+            out.push(self.bank.sample_lane_with_stat(lane, &mut rng)?);
+        }
+        Some(out)
     }
 
     /// Window width `t0`.
@@ -111,7 +120,9 @@ impl<T, R, K: SampleTracker<T>> MemoryWords for TsSamplerWr<T, R, K> {
     }
 }
 
-impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for TsSamplerWr<T, R, K> {
+impl<T: Clone, R: Rng + Clone + 'static, K: SampleTracker<T>> WindowSampler<T>
+    for TsSamplerWr<T, R, K>
+{
     fn advance_time(&mut self, now: u64) {
         assert!(now >= self.now, "TsSamplerWr: clock moved backwards");
         self.now = now;
@@ -137,11 +148,12 @@ impl<T: Clone, R: Rng + 'static, K: SampleTracker<T>> WindowSampler<T> for TsSam
         }
     }
 
-    fn sample(&mut self) -> Option<Sample<T>> {
-        self.bank.sample_lane(0, &mut self.rng)
+    fn sample(&self) -> Option<Sample<T>> {
+        let mut rng = query_rng(&self.rng, self.next_index, self.now);
+        self.bank.sample_lane(0, &mut rng)
     }
 
-    fn sample_k(&mut self) -> Option<Vec<Sample<T>>> {
+    fn sample_k(&self) -> Option<Vec<Sample<T>>> {
         self.sample_k_with_stats()
             .map(|v| v.into_iter().map(|(s, _)| s).collect())
     }
@@ -204,11 +216,10 @@ mod tests {
 
     #[test]
     fn empty_returns_none() {
-        let mut s: TsSamplerWr<u64, _> = TsSamplerWr::new(5, 3, SmallRng::seed_from_u64(0));
+        let s: TsSamplerWr<u64, _> = TsSamplerWr::new(5, 3, SmallRng::seed_from_u64(0));
         assert!(s.sample().is_none());
         assert!(s.sample_k().is_none());
-        let mut ind: IndependentTsWr<u64, _> =
-            IndependentTsWr::new(5, 3, SmallRng::seed_from_u64(0));
+        let ind: IndependentTsWr<u64, _> = IndependentTsWr::new(5, 3, SmallRng::seed_from_u64(0));
         assert!(ind.sample_k().is_none());
     }
 
@@ -333,7 +344,7 @@ mod tests {
     /// position onward.
     fn check_suffix_stats<S: WindowSampler<u64>>(
         mut s: S,
-        stats: fn(&mut S) -> WithStats,
+        stats: fn(&S) -> WithStats,
         label: &str,
     ) {
         let mut values = Vec::new();
@@ -344,7 +355,7 @@ mod tests {
                 s.insert(v);
                 values.push(v);
             }
-            if let Some(all) = stats(&mut s) {
+            if let Some(all) = stats(&s) {
                 for (smp, (val, count)) in all {
                     let truth = values[smp.index() as usize..]
                         .iter()

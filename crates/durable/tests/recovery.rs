@@ -380,3 +380,68 @@ fn live_rescale_then_crash_recovers() {
     assert_eq!(got, expected, "live rescale + crash diverged");
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Queries are not logged, so they must leave nothing a crash could lose:
+/// a fleet queried after every batch, snapshotted between queries, and
+/// recovered after a crash holds exactly the samples and checkpoint
+/// records of an uncrashed twin that never answered a query.
+#[test]
+fn served_queries_leave_nothing_to_recover() {
+    for template in [
+        "--window ts --w 40 --mode wr --algo paper --k 4 --seed 905",
+        "--window ts --w 40 --mode wor --algo paper --k 4 --seed 906",
+    ] {
+        let spec: SamplerSpec = template.parse().expect("spec");
+        let mut twin = MultiStreamEngine::<u64, u64>::with_factory(
+            spec.clone(),
+            4,
+            swsample_baselines::spec::build::<u64>,
+        )
+        .expect("twin engine");
+        let dir = tmp_dir(&format!("queried-{}", spec.seed));
+        let mut durable = DurableEngine::<u64, u64>::create(
+            &dir,
+            spec,
+            4,
+            1,
+            FleetBackend::Auto,
+            DurableOptions {
+                snapshot_every: Some(5),
+                ..DurableOptions::default()
+            },
+        )
+        .expect("create");
+        for b in 0..16 {
+            durable.ingest(&batch(b)).unwrap();
+            twin.ingest(&batch(b));
+            fleet_samples(durable.engine());
+        }
+        // "Crash": drop without `close`, then recover from the newest
+        // snapshot and the log after it.
+        drop(durable);
+        let recovered =
+            DurableEngine::<u64, u64>::open(&dir, DurableOptions::default()).expect("recovery");
+        let records = |engine: &MultiStreamEngine<u64, u64>| {
+            let mut saved: Vec<(u64, Vec<u8>)> = engine
+                .save_states()
+                .expect("ts templates save")
+                .into_iter()
+                .map(|(key, state)| (key, state.encode_record()))
+                .collect();
+            saved.sort_unstable();
+            saved
+        };
+        assert_eq!(
+            fleet_samples(recovered.engine()),
+            fleet_samples(&twin),
+            "{template}: samples after recovery"
+        );
+        assert_eq!(
+            records(recovered.engine()),
+            records(&twin),
+            "{template}: records after recovery"
+        );
+        drop(recovered);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}

@@ -66,7 +66,7 @@ fn sample_quantile(values: &[u64], q: f64) -> u64 {
 }
 
 /// Drain a sampler's current `k`-sample into plain values.
-fn sampled_values(s: &mut dyn ErasedWindowSampler<u64>) -> Option<Vec<u64>> {
+fn sampled_values(s: &dyn ErasedWindowSampler<u64>) -> Option<Vec<u64>> {
     Some(s.sample_k()?.into_iter().map(|x| x.into_value()).collect())
 }
 
@@ -115,7 +115,7 @@ impl std::fmt::Debug for SeqAggregator {
 impl SeqAggregator {
     /// Aggregator over the last `n` arrivals using a `k`-sample
     /// (Theorem 2.2's sampler — `O(k)` deterministic words).
-    pub fn new<R: Rng + Send + Sync + 'static>(n: u64, k: usize, rng: R) -> Self {
+    pub fn new<R: Rng + Clone + Send + Sync + 'static>(n: u64, k: usize, rng: R) -> Self {
         Self::from_sampler(Box::new(SeqSamplerWor::new(n, k, rng)), n)
     }
 
@@ -175,20 +175,20 @@ impl SeqAggregator {
     }
 
     /// Current aggregate estimates; `None` before any arrival.
-    pub fn estimate(&mut self) -> Option<AggregateEstimate> {
+    pub fn estimate(&self) -> Option<AggregateEstimate> {
         let count = self.count() as f64;
-        let values = sampled_values(self.sampler.as_mut())?;
+        let values = sampled_values(self.sampler.as_ref())?;
         Some(estimate_from(&values, count))
     }
 
     /// Sample `q`-quantile of the window; `None` before any arrival.
-    pub fn quantile(&mut self, q: f64) -> Option<u64> {
-        let values = sampled_values(self.sampler.as_mut())?;
+    pub fn quantile(&self, q: f64) -> Option<u64> {
+        let values = sampled_values(self.sampler.as_ref())?;
         Some(sample_quantile(&values, q))
     }
 
     /// Estimated fraction of window elements satisfying `pred`.
-    pub fn share(&mut self, pred: impl Fn(&u64) -> bool) -> Option<f64> {
+    pub fn share(&self, pred: impl Fn(&u64) -> bool) -> Option<f64> {
         let sample = self.sampler.sample_k()?;
         let hits = sample.iter().filter(|s| pred(s.value())).count();
         Some(hits as f64 / sample.len() as f64)
@@ -221,7 +221,10 @@ impl std::fmt::Debug for TsAggregator {
 impl TsAggregator {
     /// Aggregator over the last `t0` ticks with a `k`-sample and a
     /// `(1±epsilon)` window-size counter.
-    pub fn new<R: Rng + Send + Sync + 'static>(t0: u64, k: usize, epsilon: f64, rng: R) -> Self {
+    pub fn new<R>(t0: u64, k: usize, epsilon: f64, rng: R) -> Self
+    where
+        R: Rng + Clone + Send + Sync + 'static,
+    {
         Self::from_sampler(Box::new(TsSamplerWor::new(t0, k, rng)), t0, epsilon)
     }
 
@@ -272,19 +275,19 @@ impl TsAggregator {
     }
 
     /// Current aggregate estimates; `None` when the window is empty.
-    pub fn estimate(&mut self) -> Option<AggregateEstimate> {
-        let values = sampled_values(self.sampler.as_mut())?;
+    pub fn estimate(&self) -> Option<AggregateEstimate> {
+        let values = sampled_values(self.sampler.as_ref())?;
         Some(estimate_from(&values, self.counter.estimate() as f64))
     }
 
     /// Sample `q`-quantile of the window; `None` when the window is empty.
-    pub fn quantile(&mut self, q: f64) -> Option<u64> {
-        let values = sampled_values(self.sampler.as_mut())?;
+    pub fn quantile(&self, q: f64) -> Option<u64> {
+        let values = sampled_values(self.sampler.as_ref())?;
         Some(sample_quantile(&values, q))
     }
 
     /// Estimated fraction of window elements satisfying `pred`.
-    pub fn share(&mut self, pred: impl Fn(&u64) -> bool) -> Option<f64> {
+    pub fn share(&self, pred: impl Fn(&u64) -> bool) -> Option<f64> {
         let sample = self.sampler.sample_k()?;
         let hits = sample.iter().filter(|s| pred(s.value())).count();
         Some(hits as f64 / sample.len() as f64)
@@ -411,7 +414,7 @@ mod tests {
             .expect("spec");
         let mut pre_fed = spec.build::<u64>().expect("builds");
         pre_fed.insert_batch(&(0..1_000u64).collect::<Vec<_>>());
-        let mut agg = SeqAggregator::from_sampler(pre_fed, 100).with_seen(1_000);
+        let agg = SeqAggregator::from_sampler(pre_fed, 100).with_seen(1_000);
         assert_eq!(agg.count(), 100);
         let est = agg.estimate().expect("nonempty");
         assert_eq!(est.count, 100.0);

@@ -44,7 +44,7 @@ pub struct HeavyHitters<R> {
     threshold: f64,
 }
 
-impl<R: Rng + 'static> HeavyHitters<R> {
+impl<R: Rng + Clone + 'static> HeavyHitters<R> {
     /// Detector over the last `n` arrivals reporting values whose sampled
     /// share is at least `threshold ∈ (0, 1]`, using a `k`-sample.
     pub fn new(n: u64, k: usize, threshold: f64, rng: R) -> Self {
@@ -62,7 +62,7 @@ impl<R: Rng + 'static> HeavyHitters<R> {
 
     /// Values whose sampled share meets the threshold, heaviest first;
     /// empty before any arrival.
-    pub fn hitters(&mut self) -> Vec<Hitter> {
+    pub fn hitters(&self) -> Vec<Hitter> {
         let sample = match self.sampler.sample_k() {
             Some(s) => s,
             None => return Vec::new(),
@@ -103,7 +103,7 @@ mod tests {
 
     #[test]
     fn empty_reports_nothing() {
-        let mut h = HeavyHitters::new(10, 4, 0.2, SmallRng::seed_from_u64(0));
+        let h = HeavyHitters::new(10, 4, 0.2, SmallRng::seed_from_u64(0));
         assert!(h.hitters().is_empty());
     }
 

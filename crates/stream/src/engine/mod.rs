@@ -60,12 +60,13 @@
 //! default) never spawns a pool. Scheduler behavior is observable via
 //! [`MultiStreamEngine::parallel_stats`].
 //!
-//! Shards sit behind `RwLock`s: ingestion and sample queries take a
-//! shard's write lock (a sampler query may draw from the key's RNG, so
-//! it needs `&mut` access), while key census, accounting, and
-//! checkpoints share the read lock. Every query and checkpoint first
-//! waits on the epoch watermark (all published batches applied), so sequential
-//! ingest-then-read still observes exactly the ingested prefix.
+//! Shards sit behind `RwLock`s: ingestion takes a shard's write lock,
+//! while sample queries, key census, accounting, and checkpoints share
+//! the read lock (a sampler query is a pure function of the key's state
+//! and clock; see [`WindowSampler`](swsample_core::WindowSampler)).
+//! Every query and checkpoint first waits on the epoch watermark (all
+//! published batches applied), so sequential ingest-then-read still
+//! observes exactly the ingested prefix.
 //! `ingest_parallel` takes `&self`, so queries may run during
 //! ingestion; batches submitted concurrently from several threads are
 //! applied atomically per shard but in unspecified relative order —
@@ -109,7 +110,7 @@ mod registry;
 
 use std::hash::Hash;
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, TryLockError};
 
 use swsample_core::spec::{FleetBackend, SamplerFactory, SamplerSpec, SpecError, WindowKind};
 use swsample_core::state::{SamplerState, StateError};
@@ -424,12 +425,6 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
         shard.read().expect("shard lock poisoned")
     }
 
-    #[inline]
-    #[allow(clippy::type_complexity)]
-    fn write<'a>(&self, shard: &'a Arc<RwLock<Shard<K, T>>>) -> RwLockWriteGuard<'a, Shard<K, T>> {
-        shard.write().expect("shard lock poisoned")
-    }
-
     /// Ingest a keyed batch: `(key, now, value)` triples with
     /// non-decreasing `now` per key (for timestamp-window templates;
     /// sequence templates ignore `now`).
@@ -502,12 +497,12 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
     }
 
     /// The key's current `k`-sample, or `None` if the key has never
-    /// arrived or its window is empty. Takes the shard's write lock:
-    /// sampler queries may draw from the key's RNG.
+    /// arrived or its window is empty. Takes the shard's read lock: a
+    /// query leaves the key's sampler unchanged.
     pub fn sample_k(&self, key: &K) -> Option<Vec<Sample<T>>> {
         self.sync();
         let hash = fx_hash_key(key);
-        let mut guard = self.write(&self.shards[self.shard_of(hash)]);
+        let guard = self.read(&self.shards[self.shard_of(hash)]);
         let slot = guard.registry.find(hash, key)?;
         guard.samplers[slot].sample_k()
     }
@@ -531,7 +526,7 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
             if routed.is_empty() {
                 continue;
             }
-            let mut guard = self.write(shard);
+            let guard = self.read(shard);
             for &(pos, hash) in routed {
                 if let Some(slot) = guard.registry.find(hash, &keys[pos]) {
                     out[pos] = guard.samplers[slot].sample_k();
@@ -546,7 +541,7 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
     pub fn sample(&self, key: &K) -> Option<Sample<T>> {
         self.sync();
         let hash = fx_hash_key(key);
-        let mut guard = self.write(&self.shards[self.shard_of(hash)]);
+        let guard = self.read(&self.shards[self.shard_of(hash)]);
         let slot = guard.registry.find(hash, key)?;
         guard.samplers[slot].sample()
     }

@@ -119,7 +119,7 @@ fn erased_seq_wor_uniform_and_identical_to_concrete() {
         for s in erased.sample_k().expect("nonempty") {
             erased_counts[(s.index() - (stop - n)) as usize] += 1;
         }
-        for s in WindowSampler::sample_k(&mut concrete).expect("nonempty") {
+        for s in WindowSampler::sample_k(&concrete).expect("nonempty") {
             concrete_counts[(s.index() - (stop - n)) as usize] += 1;
         }
     }

@@ -12,12 +12,16 @@
 //! measured. The model column is `(memory_words +
 //! registry_overhead_words) × 8` per key.
 //!
+//! The query column counts allocator calls (allocations and
+//! reallocations) per `sample_k`, over one query of every key of the
+//! 1k-key fleet, the answer's own vector included.
+//!
 //! The binary holds one test, so nothing else allocates while it
 //! measures. Run with `cargo test --test heap_probe -- --nocapture` to
 //! see the table.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
 use swsample::core::MemoryWords;
 use swsample::stream::{zipf_fleet_events, MultiStreamEngine};
@@ -25,10 +29,12 @@ use swsample::stream::{zipf_fleet_events, MultiStreamEngine};
 struct Counting;
 
 static LIVE: AtomicIsize = AtomicIsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every method forwards to `System` unchanged and only counts.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         let p = System.alloc(layout);
         if !p.is_null() {
             LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
@@ -37,6 +43,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
             LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
@@ -50,6 +57,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
             LIVE.fetch_add(
@@ -64,11 +72,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// One probe row: live heap and model bytes per touched key.
+/// One probe row: live heap and model bytes per touched key, and
+/// allocator calls per `sample_k`.
 struct Row {
     keys: usize,
     heap: f64,
     model: f64,
+    allocs: f64,
 }
 
 /// Build a fleet of `template` over `keys` zipf keys, feed it `events`
@@ -89,11 +99,18 @@ fn probe(template: &str, keys: u64, events: usize) -> Row {
     let heap = LIVE.load(Ordering::Relaxed) - before;
     let touched = engine.num_keys();
     let model = (engine.memory_words() + engine.registry_overhead_words()) * 8;
+    let keys = engine.keys();
+    let calls = CALLS.load(Ordering::Relaxed);
+    for key in &keys {
+        engine.sample_k(key);
+    }
+    let allocs = CALLS.load(Ordering::Relaxed) - calls;
     drop(engine);
     Row {
         keys: touched,
         heap: heap as f64 / touched as f64,
         model: model as f64 / touched as f64,
+        allocs: allocs as f64 / keys.len() as f64,
     }
 }
 
@@ -113,6 +130,14 @@ const SEQ_WR_100K_BAR: f64 = 400.0;
 const TS_WOR_1K_BAR: f64 = 1776.0;
 const TS_WOR_100K_BAR: f64 = 436.0;
 
+/// Bars on allocator calls per `sample_k` at 1k keys, in the order of
+/// the families: seq-WR, seq-WOR, ts-WR, ts-WOR. This probe measured
+/// 1.00, 1.05, 3.00 and 17.64 when ts-WOR cloned a standalone engine per
+/// lane and ts-WR grew its answer through `Option`'s collect, and 1.00,
+/// 1.05, 1.00 and 11.16 with the scratch-bank extension and a presized
+/// answer. The bars leave about 10% above the last figures.
+const QUERY_ALLOC_BARS: [f64; 4] = [1.1, 1.2, 1.1, 12.3];
+
 #[test]
 fn heap_bytes_per_key_by_family() {
     let families = [
@@ -124,26 +149,35 @@ fn heap_bytes_per_key_by_family() {
         ("ts-WR", "--window ts --w 1000 --mode wr --k 16 --seed 11"),
         ("ts-WOR", "--window ts --w 1000 --mode wor --k 16 --seed 11"),
     ];
-    println!("| template | 1k keys: heap / model, B per key | 100k keys: heap / model |");
-    println!("|---|---|---|");
+    println!(
+        "| template | 1k keys: heap / model, B per key | allocations per sample_k (bar) \
+         | 100k keys: heap / model |"
+    );
+    println!("|---|---|---|---|");
     let mut seq_wr_100k = None;
     let mut ts_wor = None;
     // Warm-up: grow thread-local scratch before any row is measured.
     for (_, template) in families {
         probe(template, 1_000, 20_000);
     }
-    for (name, template) in families {
+    for ((name, template), bar) in families.into_iter().zip(QUERY_ALLOC_BARS) {
         let small = probe(template, 1_000, 100_000);
         let large = probe(template, 100_000, 200_000);
         println!(
-            "| {name} | {:.0} / {:.0} ({:.1}×) | {:.0} / {:.0} ({:.1}×, {} keys) |",
+            "| {name} | {:.0} / {:.0} ({:.1}×) | {:.2} ({bar}) | {:.0} / {:.0} ({:.1}×, {} keys) |",
             small.heap,
             small.model,
             small.heap / small.model,
+            small.allocs,
             large.heap,
             large.model,
             large.heap / large.model,
             large.keys,
+        );
+        assert!(
+            small.allocs <= bar,
+            "{name}: {:.2} allocations per sample_k at 1k keys, bar {bar}",
+            small.allocs
         );
         for row in [&small, &large] {
             assert!(

@@ -112,7 +112,7 @@ fn every_spec_built_sampler_is_send() {
             .unwrap_or_else(|e| panic!("`{spec}`: {e}"));
         assert_send(&sampler);
         // And they actually survive a thread hop, state intact.
-        let mut sampler = std::thread::spawn(move || {
+        let sampler = std::thread::spawn(move || {
             let mut s = sampler;
             s.advance_and_insert(1, &[1, 2, 3]);
             s

@@ -204,6 +204,55 @@ fn wor_pairs_uniform_through_the_fused_path() {
     );
 }
 
+/// Layer 2 (both): one sampler of each fused family on a steady stream,
+/// queried at every tick after warm-up. Queries draw from a per-query
+/// stream and leave the sampler unchanged, so successive answers are not
+/// independent draws of one state, yet each is uniform over its own
+/// window: the positions relative to the window, pooled over every tick,
+/// pass the chi-square test. Two back-to-back queries at one state
+/// return the same answer.
+#[test]
+fn successive_query_times_pool_uniform() {
+    let (t0, k, warm, ticks) = (16u64, 4usize, 64u64, 20_000u64);
+    let samplers: [(&str, Box<dyn WindowSampler<u64>>); 2] = [
+        (
+            "wr",
+            Box::new(TsSamplerWr::new(t0, k, SmallRng::seed_from_u64(31))),
+        ),
+        (
+            "wor",
+            Box::new(TsSamplerWor::new(t0, k, SmallRng::seed_from_u64(32))),
+        ),
+    ];
+    for (mode, mut s) in samplers {
+        let mut counts = vec![0u64; t0 as usize];
+        for tick in 0..warm + ticks {
+            // One arrival per tick: the arrival's index is its tick, and
+            // the window holds ticks `tick − t0 + 1 ..= tick`.
+            s.advance_and_insert(tick, &[tick]);
+            if tick < warm {
+                continue;
+            }
+            let got = s.sample_k().expect("nonempty");
+            assert_eq!(
+                Some(&got),
+                s.sample_k().as_ref(),
+                "{mode}: repeat at {tick}"
+            );
+            assert_eq!(got.len(), k, "{mode}: tick {tick}");
+            for smp in got {
+                counts[(smp.index() + t0 - 1 - tick) as usize] += 1;
+            }
+        }
+        let out = chi_square_uniform_test(&counts);
+        assert!(
+            out.p_value > 1e-4,
+            "{mode}: positions over successive query times not uniform: p = {} ({counts:?})",
+            out.p_value
+        );
+    }
+}
+
 /// Layer 3: fused ingestion draws — at k = 64 the bank must stay under
 /// k/32 + 1 = 3 RNG words per element (2k merge-coin bits per amortized
 /// merge, packed 64 per word), where the pre-PR4 engines paid ~2k = 128.
