@@ -649,14 +649,14 @@ pub fn run_durable(p: &Params) -> Vec<DurableRow> {
                 _ => Storage::Wal(dir.clone(), opts.clone(), None),
             };
             let fleet: Fleet<u64, u64> =
-                Fleet::open(fleet_template(p), 64, 1, storage).expect("fleet");
+                Fleet::start(fleet_template(p), 64, 1, storage).expect("fleet");
             let seconds = timed(|| {
                 for chunk in events.chunks(p.chunk) {
                     fleet.ingest(chunk).expect("fleet ingest");
                 }
                 fleet.sync().expect("wal sync");
             });
-            let live = fleet.read(|engine| engine.num_keys());
+            let live = fleet.engine().num_keys();
             assert_eq!(live, *distinct, "{mode}: ingested fleet lost keys");
             drop(fleet);
             // Recovery wall-clock: wal-on replays the whole log from the

@@ -438,12 +438,12 @@ fn cmd_multi(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
         ),
     };
     let fleet_err = |e: DurableError| ArgError(e.to_string());
-    let mut fleet = Fleet::open(spec.clone(), shards, threads, storage).map_err(fleet_err)?;
+    let mut fleet = Fleet::start(spec.clone(), shards, threads, storage).map_err(fleet_err)?;
     // `done` = ingest batches already covered by a recovered WAL: the
     // workload is regenerated from scratch (it is deterministic in
     // --workload-seed), traffic is re-counted for every event, but the
     // first `done` batches are not re-ingested.
-    let done = fleet.logged_batches();
+    let done = fleet.next_seq();
     // Stderr, like the throughput line: diagnostics never mix with the
     // sample stream.
     if done > 0 {
@@ -472,8 +472,11 @@ fn cmd_multi(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
                 if rescale_threads > 0 {
                     fleet.set_threads(rescale_threads);
                 }
-                let (s, t) = fleet.read(|e| (e.num_shards(), e.num_threads()));
-                eprintln!("# rescale: {s} shards, {t} threads after batch {chunk_index}");
+                eprintln!(
+                    "# rescale: {} shards, {} threads after batch {chunk_index}",
+                    fleet.engine().num_shards(),
+                    fleet.engine().num_threads()
+                );
             }
         }
     }
@@ -488,8 +491,9 @@ fn cmd_multi(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
     // Scheduler observability (stderr, like `# resume:`): epochs/units
     // drained, steal traffic, and busy-time imbalance across workers.
     // All zeros at threads=1 (the inline path publishes no epochs).
-    let (threads, stats) = fleet.read(|e| (e.num_threads(), e.parallel_stats()));
-    if threads > 1 {
+    let engine = fleet.engine();
+    if engine.num_threads() > 1 {
+        let stats = engine.parallel_stats();
         eprintln!(
             "# parallel: threads={} epochs={} units={} steals={} violations={} imbalance={:.2}",
             stats.threads,
@@ -505,12 +509,11 @@ fn cmd_multi(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
         .into_iter()
         .take(show)
         .map(|(key, cnt)| {
-            let samples = fleet.read(|e| e.sample_k(&key));
+            let samples = engine.sample_k(&key);
             (key, cnt, samples.as_deref().map(wire_samples))
         })
         .collect();
-    let engine = fleet.read(EngineStats::of);
-    write_multi_report(out, &spec, keys, &rows, &engine).map_err(io_err)
+    write_multi_report(out, &spec, keys, &rows, &EngineStats::of(engine)).map_err(io_err)
 }
 
 /// `serve` — the fleet behind a TCP listener speaking the framed binary

@@ -21,7 +21,7 @@
 
 use swsample_core::state::{StateCodec, StateError, StateReader, StateWriter};
 
-use crate::engine::Event;
+use crate::fleet::Event;
 
 /// Wire tag for the generic row-major batch encoding.
 pub const BATCH_ROWS: u8 = 0;

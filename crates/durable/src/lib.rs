@@ -19,7 +19,7 @@
 //!   boundaries are replay-significant: some samplers draw RNG in
 //!   batch-major order). Appends go to the active segment; the file is
 //!   fsynced when it rolls over the segment-size threshold and on
-//!   [`snapshot`](engine::DurableEngine::snapshot). A torn final record
+//!   [`snapshot`](Fleet::snapshot). A torn final record
 //!   in the **final** segment is tolerated at recovery (the crash wrote
 //!   a partial frame); torn or corrupt records anywhere else are hard
 //!   errors.
@@ -34,15 +34,18 @@
 //!   Recovery takes the newest snapshot that validates end-to-end and
 //!   silently falls back to the older one (a corrupted byte anywhere in
 //!   a snapshot fails its CRC). Format-v1 snapshots still open.
-//! * **Recovery** ([`engine::DurableEngine::open`]) — latest valid
-//!   snapshot + replay of WAL records with `seq >=` the snapshot's
-//!   position.
+//! * **Recovery** ([`Fleet::open`]) — latest valid snapshot, then each
+//!   WAL record with `seq >=` the snapshot's position, streamed from the
+//!   log through the same apply the live fleet ran. A record whose
+//!   apply failed live fails again, is counted, and replay goes on.
 //!
-//! Front ends do not build engines themselves: [`Fleet`] is the fleet
-//! the server and the CLI's `multi` hold, a plain [`MultiStreamEngine`]
-//! or a mutex-guarded [`DurableEngine`], and [`Fleet::open`] is the one
-//! place either is made — in memory, as a fresh directory, or resumed
-//! (refusing a template other than the recorded one).
+//! There is one fleet type: [`Fleet`] owns the in-memory
+//! [`MultiStreamEngine`] and, when it is logged, the WAL behind a lock
+//! that only ingest, sync, snapshot and close take — queries read the
+//! engine directly. [`Fleet::start`] is where the server and the CLI's
+//! `multi` make theirs: in memory, as a fresh directory, or resumed
+//! (refusing a template other than the recorded one). [`DurableEngine`]
+//! is another name for the same type.
 //!
 //! Fault injection for all of the above takes one environment variable
 //! and one grammar, the seeded/counted schedule of
@@ -58,16 +61,15 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod engine;
 pub mod fleet;
 pub mod frame;
 pub mod snapshot;
 pub mod wal;
 
-pub use engine::{
-    DurableEngine, DurableOptions, ResumeOverrides, CRASH_EXIT_CODE, SHUTDOWN_EXIT_CODE,
+pub use fleet::{
+    DurableEngine, DurableOptions, Event, Fleet, ResumeOverrides, Storage, CRASH_EXIT_CODE,
+    SHUTDOWN_EXIT_CODE,
 };
-pub use fleet::{Fleet, Storage};
 
 use std::path::PathBuf;
 
@@ -95,8 +97,8 @@ pub enum DurableError {
     /// The on-disk configuration and the caller's disagree (e.g. a
     /// resume with a different template).
     Config(String),
-    /// A batch failed to apply to an in-memory [`Fleet`]: a per-key
-    /// sampler panicked (a key's clock running backwards, say).
+    /// A batch failed to apply: a per-key sampler panicked (a key's
+    /// clock running backwards, say). The fleet stays usable.
     Apply(WorkerPanic),
 }
 

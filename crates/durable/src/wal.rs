@@ -52,12 +52,12 @@ pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 ///
 /// Durability policy: appends are buffered; the active segment is
 /// flushed **and fsynced** when it rolls past the size threshold, and on
-/// [`sync`](SegmentLog::sync) (which [`DurableEngine::snapshot`] calls
-/// before recording a log position). A crash can therefore lose or tear
-/// only the unsynced tail of the final segment — exactly the region
-/// recovery tolerates.
+/// [`sync`](SegmentLog::sync) (which [`Fleet::snapshot`] calls before
+/// recording a log position). A crash can therefore lose or tear only
+/// the unsynced tail of the final segment — exactly the region recovery
+/// tolerates.
 ///
-/// [`DurableEngine::snapshot`]: crate::engine::DurableEngine::snapshot
+/// [`Fleet::snapshot`]: crate::Fleet::snapshot
 #[derive(Debug)]
 pub struct SegmentLog {
     dir: PathBuf,
@@ -94,25 +94,26 @@ impl SegmentLog {
         })
     }
 
-    /// Reopen an existing log for appending, replaying every record.
+    /// Reopen an existing log for appending, handing `replay` each
+    /// record with `seq >= from_seq` as it is read, in `(seq, payload)`
+    /// order; records below `from_seq` are checked and skipped.
     ///
-    /// Returns the log positioned after the last valid record, plus the
-    /// records themselves in `(seq, payload)` order. A torn tail in the
-    /// **final** segment is truncated away (a crash's partial write);
-    /// torn or corrupt records in any earlier segment — or a sequence
-    /// gap — are [`DurableError::Corrupt`].
-    #[allow(clippy::type_complexity)]
+    /// Returns the log positioned after the last valid record. A torn
+    /// tail in the **final** segment is truncated away (a crash's
+    /// partial write); torn or corrupt records in any earlier segment —
+    /// or a sequence gap — are [`DurableError::Corrupt`]. An error from
+    /// `replay` stops the open and is returned as is.
     pub fn open(
         dir: impl Into<PathBuf>,
         segment_bytes: u64,
-    ) -> Result<(Self, Vec<(u64, Vec<u8>)>), DurableError> {
+        from_seq: u64,
+        mut replay: impl FnMut(u64, &[u8]) -> Result<(), DurableError>,
+    ) -> Result<Self, DurableError> {
         let dir = dir.into();
         let segments = list_segments(&dir)?;
         if segments.is_empty() {
-            let log = Self::create(dir, segment_bytes)?;
-            return Ok((log, Vec::new()));
+            return Self::create(dir, segment_bytes);
         }
-        let mut records: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut next_seq = 0u64;
         let last = segments.len() - 1;
         let mut tail_valid_bytes = 0u64;
@@ -154,7 +155,9 @@ impl SegmentLog {
                         }
                         next_seq += 1;
                         offset += (FRAME_HEADER_BYTES + payload.len()) as u64;
-                        records.push((seq, payload[8..].to_vec()));
+                        if seq >= from_seq {
+                            replay(seq, &payload[8..])?;
+                        }
                     }
                 }
             }
@@ -168,15 +171,14 @@ impl SegmentLog {
         let mut file = OpenOptions::new().write(true).open(&last_path)?;
         file.set_len(tail_valid_bytes)?;
         file.seek(SeekFrom::Start(tail_valid_bytes))?;
-        let log = Self {
+        Ok(Self {
             dir,
             file: BufWriter::with_capacity(WRITE_BUF_BYTES, file),
             segment_index: last_index,
             segment_bytes: segment_bytes.max(1),
             written: tail_valid_bytes,
             next_seq,
-        };
-        Ok((log, records))
+        })
     }
 
     /// Append one record, returning its sequence number. Rolls (flush +
@@ -254,6 +256,19 @@ mod tests {
         dir
     }
 
+    /// Every record of a log, as `(seq, payload)` pairs.
+    type Records = Vec<(u64, Vec<u8>)>;
+
+    /// Reopen `dir`, collecting every record from sequence 0.
+    fn open_all(dir: &Path, segment_bytes: u64) -> Result<(SegmentLog, Records), DurableError> {
+        let mut records = Vec::new();
+        let log = SegmentLog::open(dir, segment_bytes, 0, |seq, payload| {
+            records.push((seq, payload.to_vec()));
+            Ok(())
+        })?;
+        Ok((log, records))
+    }
+
     #[test]
     fn append_reopen_replays_in_order() {
         let dir = tmp_dir("replay");
@@ -266,7 +281,7 @@ mod tests {
         drop(log);
         // 64-byte segments force several rolls.
         assert!(list_segments(&dir).expect("list").len() > 1);
-        let (log, records) = SegmentLog::open(&dir, 64).expect("open");
+        let (log, records) = open_all(&dir, 64).expect("open");
         assert_eq!(log.next_seq(), 20);
         assert_eq!(records.len(), 20);
         for (i, (seq, payload)) in records.iter().enumerate() {
@@ -285,7 +300,7 @@ mod tests {
         }
         log.inject_torn_tail(13).expect("tear");
         drop(log);
-        let (mut log, records) = SegmentLog::open(&dir, 1 << 20).expect("open tolerates tail");
+        let (mut log, records) = open_all(&dir, 1 << 20).expect("open tolerates tail");
         assert_eq!(records.len(), 5);
         assert_eq!(log.next_seq(), 5);
         // The torn bytes were truncated away: appending and reopening
@@ -293,7 +308,7 @@ mod tests {
         log.append(b"after-recovery").expect("append");
         log.sync().expect("sync");
         drop(log);
-        let (_, records) = SegmentLog::open(&dir, 1 << 20).expect("clean reopen");
+        let (_, records) = open_all(&dir, 1 << 20).expect("clean reopen");
         assert_eq!(records.len(), 6);
         assert_eq!(records[5].1, b"after-recovery");
         let _ = fs::remove_dir_all(&dir);
@@ -316,10 +331,33 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         fs::write(victim, bytes).expect("write");
-        match SegmentLog::open(&dir, 32) {
+        match open_all(&dir, 32) {
             Err(DurableError::Corrupt { file, .. }) => assert_eq!(&file, victim),
             other => panic!("expected corrupt error, got {other:?}"),
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_below_the_watermark_are_skipped() {
+        let dir = tmp_dir("watermark");
+        let mut log = SegmentLog::create(&dir, 64).expect("create");
+        for i in 0..12u64 {
+            log.append(&i.to_le_bytes()).expect("append");
+        }
+        log.sync().expect("sync");
+        drop(log);
+        let mut seen = Vec::new();
+        let log = SegmentLog::open(&dir, 64, 9, |seq, payload| {
+            seen.push((
+                seq,
+                u64::from_le_bytes(payload.try_into().expect("8 bytes")),
+            ));
+            Ok(())
+        })
+        .expect("open");
+        assert_eq!(seen, vec![(9, 9), (10, 10), (11, 11)]);
+        assert_eq!(log.next_seq(), 12);
         let _ = fs::remove_dir_all(&dir);
     }
 

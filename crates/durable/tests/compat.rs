@@ -72,7 +72,7 @@ fn v1_fixture_opens_and_reencodes_identically() {
             .any(|w| w == b"soa"),
         "fixture header records the legacy store token"
     );
-    let mut durable =
+    let durable =
         DurableEngine::<u64, u64>::open(&dir, DurableOptions::default()).expect("open v1 fixture");
     assert_eq!(
         durable.next_seq(),

@@ -4,8 +4,7 @@
 //! corrupt state past one. Corruption is always an `Err` (or, for the
 //! WAL's final segment, a clean prefix).
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -19,44 +18,12 @@ use swsample_durable::snapshot::{read_snapshot, SNAPSHOT_VERSION};
 use swsample_durable::wal::{self, SegmentLog};
 use swsample_durable::{DurableEngine, DurableError, DurableOptions};
 
-static CASE: AtomicUsize = AtomicUsize::new(0);
+mod common;
 
-/// A case's directory under the system temp directory, removed when the
-/// guard drops: when the case ends, passing or failing.
-struct CaseDir(PathBuf);
-
-impl Drop for CaseDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-impl std::ops::Deref for CaseDir {
-    type Target = Path;
-
-    fn deref(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl AsRef<Path> for CaseDir {
-    fn as_ref(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl From<&CaseDir> for PathBuf {
-    fn from(dir: &CaseDir) -> PathBuf {
-        dir.0.clone()
-    }
-}
+use common::CaseDir;
 
 fn case_dir(tag: &str) -> CaseDir {
-    let n = CASE.fetch_add(1, Ordering::Relaxed);
-    let dir =
-        std::env::temp_dir().join(format!("swsample-robust-{tag}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    CaseDir(dir)
+    common::case_dir("robust", tag)
 }
 
 /// The file name of a case directory's one snapshot.
@@ -70,7 +37,7 @@ fn real_snapshot_bytes() -> &'static [u8] {
         let spec: SamplerSpec = "--window ts --w 16 --mode wor --algo paper --k 3 --seed 5"
             .parse()
             .expect("spec");
-        let mut durable = DurableEngine::<u64, u64>::create(
+        let durable = DurableEngine::<u64, u64>::create(
             &dir,
             spec,
             4,
@@ -861,9 +828,14 @@ proptest! {
             }
             victim -= bytes.len();
         }
-        match SegmentLog::open(&dir, 96) {
+        let mut records: Vec<(u64, Vec<u8>)> = Vec::new();
+        let opened = SegmentLog::open(&dir, 96, 0, |seq, payload| {
+            records.push((seq, payload.to_vec()));
+            Ok(())
+        });
+        match opened {
             Err(_) => {}
-            Ok((_, records)) => {
+            Ok(_) => {
                 prop_assert!(records.len() <= originals.len());
                 for (i, (seq, payload)) in records.iter().enumerate() {
                     prop_assert_eq!(*seq, i as u64);
@@ -879,6 +851,6 @@ proptest! {
         let dir = case_dir("walgarbage");
         std::fs::create_dir_all(&dir).expect("mkdir");
         std::fs::write(dir.join("wal-00000000.seg"), &bytes).expect("write");
-        let _ = SegmentLog::open(&dir, 1024);
+        let _ = SegmentLog::open(&dir, 1024, 0, |_, _| Ok(()));
     }
 }

@@ -110,7 +110,7 @@ fn every_family_survives_save_restore_in_lockstep() {
         // The interrupted run: ingest half, checkpoint through a real
         // snapshot file, reopen, ingest the rest.
         let dir = tmp_dir(name);
-        let mut durable = DurableEngine::<u64, u64>::create(
+        let durable = DurableEngine::<u64, u64>::create(
             &dir,
             spec,
             4,
@@ -131,7 +131,7 @@ fn every_family_survives_save_restore_in_lockstep() {
             "family {name}"
         );
         drop(durable);
-        let mut durable = DurableEngine::<u64, u64>::open(&dir, DurableOptions::default())
+        let durable = DurableEngine::<u64, u64>::open(&dir, DurableOptions::default())
             .unwrap_or_else(|e| panic!("family {name}: open: {e}"));
         assert_eq!(durable.next_seq(), (BATCHES / 2) as u64, "family {name}");
         for b in BATCHES / 2..BATCHES {
@@ -168,7 +168,7 @@ fn checkpoint_at_every_boundary_is_equivalent_for_one_family() {
 
     for cut in 0..=12usize {
         let dir = tmp_dir(&format!("cut{cut}"));
-        let mut durable = DurableEngine::<u64, u64>::create(
+        let durable = DurableEngine::<u64, u64>::create(
             &dir,
             spec.clone(),
             4,
@@ -182,7 +182,7 @@ fn checkpoint_at_every_boundary_is_equivalent_for_one_family() {
         }
         durable.snapshot().unwrap();
         drop(durable);
-        let mut durable =
+        let durable =
             DurableEngine::<u64, u64>::open(&dir, DurableOptions::default()).expect("open");
         for b in cut..12 {
             durable.ingest(&batch(b)).unwrap();

@@ -8,17 +8,21 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use swsample_core::{FleetBackend, Sample, SamplerSpec};
-use swsample_durable::{snapshot, wal, DurableEngine, DurableOptions, ResumeOverrides};
+use swsample_durable::{
+    snapshot, wal, DurableEngine, DurableError, DurableOptions, Fleet, ResumeOverrides, Storage,
+};
 use swsample_stream::MultiStreamEngine;
+
+mod common;
+
+use common::CaseDir;
 
 const KEYS: u64 = 37;
 const BATCHES: usize = 30;
 const BATCH_LEN: u64 = 13;
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("swsample-recovery-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
+fn tmp_dir(tag: &str) -> CaseDir {
+    common::case_dir("recovery", tag)
 }
 
 fn batch(b: usize) -> Vec<(u64, u64, u64)> {
@@ -71,9 +75,8 @@ fn resume_and_finish(
     dir: &Path,
     overrides: ResumeOverrides,
 ) -> Vec<(u64, Option<Vec<Sample<u64>>>)> {
-    let mut durable =
-        DurableEngine::<u64, u64>::open_with(dir, DurableOptions::default(), overrides)
-            .expect("recovery");
+    let durable = DurableEngine::<u64, u64>::open_with(dir, DurableOptions::default(), overrides)
+        .expect("recovery");
     let done = durable.next_seq() as usize;
     assert!(done <= BATCHES, "recovered more batches than were written");
     for b in done..BATCHES {
@@ -94,7 +97,7 @@ fn torn_tail_crash_recovers_bit_identical_across_threads() {
         for resume_threads in [1usize, 2] {
             let tag = format!("torn-{crash_threads}-{resume_threads}");
             let dir = tmp_dir(&tag);
-            let mut durable = DurableEngine::<u64, u64>::create(
+            let durable = DurableEngine::<u64, u64>::create(
                 &dir,
                 spec.clone(),
                 4,
@@ -125,7 +128,6 @@ fn torn_tail_crash_recovers_bit_identical_across_threads() {
                 },
             );
             assert_eq!(got, expected, "case {tag} diverged");
-            let _ = fs::remove_dir_all(&dir);
         }
     }
 }
@@ -140,7 +142,7 @@ fn truncated_final_record_is_replayed_from_the_workload() {
         .expect("spec");
     let expected = reference_samples(&spec);
     let dir = tmp_dir("trunc");
-    let mut durable = DurableEngine::<u64, u64>::create(
+    let durable = DurableEngine::<u64, u64>::create(
         &dir,
         spec,
         4,
@@ -164,7 +166,6 @@ fn truncated_final_record_is_replayed_from_the_workload() {
 
     let got = resume_and_finish(&dir, ResumeOverrides::default());
     assert_eq!(got, expected, "resume after mid-record truncation diverged");
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// A corrupted newest snapshot must not poison recovery: the engine
@@ -177,7 +178,7 @@ fn corrupt_snapshot_falls_back_to_older_and_stays_identical() {
         .expect("spec");
     let expected = reference_samples(&spec);
     let dir = tmp_dir("snapfall");
-    let mut durable = DurableEngine::<u64, u64>::create(
+    let durable = DurableEngine::<u64, u64>::create(
         &dir,
         spec,
         4,
@@ -202,7 +203,6 @@ fn corrupt_snapshot_falls_back_to_older_and_stays_identical() {
 
     let got = resume_and_finish(&dir, ResumeOverrides::default());
     assert_eq!(got, expected, "fallback recovery diverged");
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Snapshot retention: a long run keeps only the newest two snapshots
@@ -215,7 +215,7 @@ fn only_two_snapshots_remain_and_the_older_still_recovers() {
         .expect("spec");
     let expected = reference_samples(&spec);
     let dir = tmp_dir("retention");
-    let mut durable = DurableEngine::<u64, u64>::create(
+    let durable = DurableEngine::<u64, u64>::create(
         &dir,
         spec,
         4,
@@ -243,7 +243,6 @@ fn only_two_snapshots_remain_and_the_older_still_recovers() {
 
     let got = resume_and_finish(&dir, ResumeOverrides::default());
     assert_eq!(got, expected, "fallback recovery after pruning diverged");
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// The `corrupt-snapshot` fault produces the same situation from
@@ -257,7 +256,7 @@ fn corrupt_snapshot_failpoint_is_survivable() {
         .expect("spec");
     let expected = reference_samples(&spec);
     let dir = tmp_dir("snapfp");
-    let mut durable = DurableEngine::<u64, u64>::create(
+    let durable = DurableEngine::<u64, u64>::create(
         &dir,
         spec,
         4,
@@ -290,7 +289,6 @@ fn corrupt_snapshot_failpoint_is_survivable() {
 
     let got = resume_and_finish(&dir, ResumeOverrides::default());
     assert_eq!(got, expected, "fault-corrupted snapshot diverged");
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Rescale-on-resume: reopening with different shard/thread counts
@@ -317,7 +315,7 @@ fn rescale_on_resume_changes_nothing() {
     ];
     for (i, overrides) in cases.into_iter().enumerate() {
         let dir = tmp_dir(&format!("rescale{i}"));
-        let mut durable = DurableEngine::<u64, u64>::create(
+        let durable = DurableEngine::<u64, u64>::create(
             &dir,
             spec.clone(),
             4,
@@ -336,7 +334,6 @@ fn rescale_on_resume_changes_nothing() {
         drop(durable);
         let got = resume_and_finish(&dir, overrides);
         assert_eq!(got, expected, "rescale case {i} diverged");
-        let _ = fs::remove_dir_all(&dir);
     }
 }
 
@@ -378,7 +375,6 @@ fn live_rescale_then_crash_recovers() {
 
     let got = resume_and_finish(&dir, ResumeOverrides::default());
     assert_eq!(got, expected, "live rescale + crash diverged");
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Queries are not logged, so they must leave nothing a crash could lose:
@@ -399,7 +395,7 @@ fn served_queries_leave_nothing_to_recover() {
         )
         .expect("twin engine");
         let dir = tmp_dir(&format!("queried-{}", spec.seed));
-        let mut durable = DurableEngine::<u64, u64>::create(
+        let durable = DurableEngine::<u64, u64>::create(
             &dir,
             spec,
             4,
@@ -442,6 +438,94 @@ fn served_queries_leave_nothing_to_recover() {
             "{template}: records after recovery"
         );
         drop(recovered);
-        let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// A batch in which one key's clock runs backwards fails the same way
+/// in memory, on a WAL, and in replay. The failure comes back as
+/// `DurableError::Apply` (at that batch's call, or with two threads at
+/// the next one); the fleet keeps ingesting and answering, `close`
+/// succeeds, and a reopen — after `close` or after a crash-style drop —
+/// holds exactly the live fleet's checkpoint records.
+#[test]
+fn backwards_clock_fails_one_batch_live_and_in_replay() {
+    for template in [
+        "--window ts --w 40 --mode wr --algo paper --k 4 --seed 907",
+        "--window ts --w 40 --mode wor --algo paper --k 4 --seed 908",
+    ] {
+        for threads in [1usize, 2] {
+            let spec: SamplerSpec = template.parse().expect("spec");
+            let closed_dir = tmp_dir(&format!("backwards-closed-{threads}-{}", spec.seed));
+            let crashed_dir = tmp_dir(&format!("backwards-crashed-{threads}-{}", spec.seed));
+            let start = |storage| {
+                Fleet::<u64, u64>::start(spec.clone(), 4, threads, storage).expect("start")
+            };
+            let wal = |dir: &CaseDir| Storage::Wal(dir.into(), DurableOptions::default(), None);
+            let fleets = [
+                start(Storage::Memory),
+                start(wal(&closed_dir)),
+                start(wal(&crashed_dir)),
+            ];
+            // Batch 6 carries key 7 at t = 27, then back at t = 0, among
+            // other keys' events.
+            let bad = 6;
+            let mut poisoned = batch(bad);
+            poisoned.insert(5, (7, 0, 99));
+            let mut outcomes = Vec::new();
+            for fleet in &fleets {
+                let failed: Vec<usize> = (0..12)
+                    .filter(|&b| {
+                        let events = if b == bad { poisoned.clone() } else { batch(b) };
+                        match fleet.ingest(&events) {
+                            Ok(()) => false,
+                            Err(DurableError::Apply(_)) => true,
+                            Err(e) => panic!("{template} threads={threads}: {e}"),
+                        }
+                    })
+                    .collect();
+                assert!(
+                    failed == [bad] || (threads > 1 && failed == [bad + 1]),
+                    "{template} threads={threads}: failures at {failed:?}"
+                );
+                assert!(fleet.engine().sample_k(&7).is_some(), "key 7 answers");
+                outcomes.push(failed);
+            }
+            assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "{outcomes:?}");
+            let live = records(fleets[0].engine());
+            for fleet in &fleets {
+                assert_eq!(
+                    records(fleet.engine()),
+                    live,
+                    "{template} threads={threads}"
+                );
+            }
+            let [memory, closed, crashed] = fleets;
+            memory.close().expect("close in memory");
+            closed.close().expect("close on a WAL");
+            drop(closed);
+            drop(crashed);
+            for (dir, replayed) in [(&closed_dir, 0), (&crashed_dir, 1)] {
+                let reopened =
+                    DurableEngine::<u64, u64>::open(dir, DurableOptions::default()).expect("open");
+                assert_eq!(
+                    records(reopened.engine()),
+                    live,
+                    "{template} threads={threads}: reopened records"
+                );
+                assert_eq!(reopened.replay_failures(), replayed);
+            }
+        }
+    }
+}
+
+/// Every key's checkpoint record, sorted by key.
+fn records(engine: &MultiStreamEngine<u64, u64>) -> Vec<(u64, Vec<u8>)> {
+    let mut saved: Vec<(u64, Vec<u8>)> = engine
+        .save_states()
+        .expect("ts templates save")
+        .into_iter()
+        .map(|(key, state)| (key, state.encode_record()))
+        .collect();
+    saved.sort_unstable();
+    saved
 }

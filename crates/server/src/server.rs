@@ -16,11 +16,13 @@
 //!   is explicit, the queue's high-watermark can never pass its bound,
 //!   and nothing is silently dropped (the client retries).
 //! * **The ingest loop** drains the queue into the [`Fleet`] — the one
-//!   fleet type `serve` and the CLI's `multi` share: in memory it
-//!   applies through [`MultiStreamEngine::try_ingest_parallel`] and an
-//!   apply failure comes back as a value; with a WAL directory it goes
-//!   through [`DurableEngine::ingest`], append then apply — and acks
-//!   each batch back to its connection. Because every
+//!   fleet type `serve` and the CLI's `multi` share. Every batch applies
+//!   through [`MultiStreamEngine::try_ingest_parallel`], so an apply
+//!   failure comes back as a value and is answered with `ERROR`; with a
+//!   WAL directory the batch is appended first, under the log's lock.
+//!   The loop acks each batch back to its connection. Queries, `HELLO`,
+//!   `STATS` and subscription ticks read the engine directly and never
+//!   wait on that lock. Because every
 //!   connection's batches enter the FIFO queue in connection order,
 //!   each key's event subsequence is applied in order — the engine's
 //!   determinism contract extends across the network boundary.
@@ -54,7 +56,7 @@
 //! * **Deterministic chaos** — one [`FaultSchedule`]
 //!   (`SWSAMPLE_FAULTS`) injects connection drops, read/write stalls,
 //!   and wire byte-flips at the reader/writer layers, and transient WAL
-//!   errors and hard crashes (`kill=@N`) inside the durable engine,
+//!   errors and hard crashes (`kill=@N`) inside the fleet's log,
 //!   replayably.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -69,12 +71,11 @@ use std::time::{Duration, Instant};
 
 use swsample_core::fault::{FaultInjector, FaultSchedule, FaultSite};
 use swsample_core::SamplerSpec;
-use swsample_durable::engine::Event;
 use swsample_durable::frame::write_frame;
 use swsample_durable::wal::DEFAULT_SEGMENT_BYTES;
-#[cfg(doc)]
-use swsample_durable::DurableEngine;
-use swsample_durable::{snapshot, DurableError, DurableOptions, Fleet, ResumeOverrides, Storage};
+use swsample_durable::{
+    snapshot, DurableError, DurableOptions, Event, Fleet, ResumeOverrides, Storage,
+};
 #[cfg(doc)]
 use swsample_stream::MultiStreamEngine;
 
@@ -96,7 +97,7 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Ingest worker threads.
     pub threads: usize,
-    /// When set, the fleet is a [`DurableEngine`] rooted here: created
+    /// When set, the fleet is write-ahead logged here: created
     /// fresh, or resumed if the directory already holds a snapshot. A
     /// resume takes `shards` and `threads` from this config, and
     /// [`Server::start`] fails if the directory recorded a template
@@ -134,7 +135,7 @@ pub struct ServerConfig {
     /// this many pushes. 0 disables.
     pub slow_consumer_budget: u64,
     /// Seeded network-fault schedule (drops, stalls, flips); also
-    /// forwarded to the durable engine for transient WAL faults.
+    /// forwarded to the fleet's log for transient WAL faults.
     /// Empty (the default) injects nothing.
     pub faults: FaultSchedule,
 }
@@ -430,7 +431,7 @@ impl Shared {
             .collect();
         StatsSnapshot {
             global,
-            engine: self.fleet.read(EngineStats::of),
+            engine: EngineStats::of(self.fleet.engine()),
             conns,
         }
     }
@@ -654,7 +655,7 @@ fn open_fleet(cfg: &ServerConfig) -> Result<Fleet<u64, u64>, DurableError> {
                 }),
         ),
     };
-    Fleet::open(cfg.template.clone(), cfg.shards, cfg.threads, storage)
+    Fleet::start(cfg.template.clone(), cfg.shards, cfg.threads, storage)
 }
 
 /// Blocks in `accept`; [`wake_acceptor`] unparks it at shutdown. Any
@@ -882,7 +883,7 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, stream: TcpStream) {
                         &ServerMsg::HelloAck {
                             version: PROTOCOL_VERSION,
                             conn_id: conn.id,
-                            template: shared.fleet.read(|e| e.template().to_string()),
+                            template: shared.fleet.engine().template().to_string(),
                         },
                     );
                     continue;
@@ -953,7 +954,7 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, stream: TcpStream) {
                 }
             }
             ClientMsg::Query { key } => {
-                let samples = shared.fleet.read(|e| e.sample_k(&key));
+                let samples = shared.fleet.engine().sample_k(&key);
                 let samples = samples.as_deref().map(wire_samples);
                 conn.send(false, &ServerMsg::Samples { key, samples });
             }
@@ -1164,7 +1165,7 @@ fn scheduler_loop(shared: Arc<Shared>) {
         keys.dedup();
         // One snapshot-consistent pass over the shard locks for every
         // due key.
-        let samples = shared.fleet.read(|e| e.sample_k_many(&keys));
+        let samples = shared.fleet.engine().sample_k_many(&keys);
         let aggregate = |key: u64| -> Option<(u64, u64)> {
             let at = keys.binary_search(&key).ok()?;
             let sample = samples[at].as_ref()?;

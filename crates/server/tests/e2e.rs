@@ -34,20 +34,31 @@ fn start(mut cfg: ServerConfig) -> Server {
     Server::start(cfg).expect("server start")
 }
 
-/// The tentpole acceptance: the server's answers are byte-identical to
-/// an offline engine at thread counts {1, 2, 8}, with and without a
-/// WAL. The loadgen's `verify` mode replays the exact per-connection
-/// batches offline and compares every touched key.
+/// The server's answers are byte-identical to an offline engine for
+/// each of the four paper families (seq/ts × WR/WOR), in memory and on
+/// a WAL; the seq-WR template also runs at thread counts {1, 2, 8}. The
+/// loadgen's `verify` mode replays the exact per-connection batches
+/// offline and compares every touched key.
 #[test]
 fn answers_are_deterministic_across_the_wire() {
-    for (threads, wal) in [
-        (1usize, false),
-        (2, false),
-        (8, true),
-        (2, true),
-        (8, false),
+    let seq_wr = template().to_string();
+    let seq_wor = "--window seq --n 64 --mode wor --algo paper --k 4 --seed 7";
+    let ts_wr = "--window ts --w 64 --mode wr --algo paper --k 4 --seed 7";
+    let ts_wor = "--window ts --w 64 --mode wor --algo paper --k 4 --seed 7";
+    for (spec, threads, wal) in [
+        (seq_wr.as_str(), 1usize, false),
+        (&seq_wr, 2, false),
+        (&seq_wr, 8, true),
+        (&seq_wr, 2, true),
+        (&seq_wr, 8, false),
+        (seq_wor, 1, true),
+        (seq_wor, 2, false),
+        (ts_wr, 2, true),
+        (ts_wr, 1, false),
+        (ts_wor, 2, true),
+        (ts_wor, 8, false),
     ] {
-        let mut cfg = ServerConfig::new(template());
+        let mut cfg = ServerConfig::new(spec.parse().expect("template spec"));
         cfg.threads = threads;
         let wal_dir = wal.then(|| temp_dir("determinism"));
         cfg.wal_dir = wal_dir.clone();
@@ -62,7 +73,7 @@ fn answers_are_deterministic_across_the_wire() {
         lg.verify = true;
         let mut out = Vec::new();
         let report = loadgen::run(&lg, &mut out)
-            .unwrap_or_else(|e| panic!("threads={threads} wal={wal}: {e}"));
+            .unwrap_or_else(|e| panic!("{spec} threads={threads} wal={wal}: {e}"));
         assert_eq!(report.events_sent, 5_000);
         assert!(
             report.verified_keys > 0,
@@ -72,7 +83,7 @@ fn answers_are_deterministic_across_the_wire() {
         let stats = server.shutdown();
         assert_eq!(
             stats.global.events_applied, 5_000,
-            "threads={threads} wal={wal}"
+            "{spec} threads={threads} wal={wal}"
         );
         if let Some(dir) = wal_dir {
             let _ = std::fs::remove_dir_all(dir);

@@ -1,17 +1,25 @@
 //! Adversarial-bytes robustness for the wire protocol: no truncation,
 //! bitflip, overlong varint, or oversized length prefix may ever panic
 //! or hang the decoder — every failure is a typed [`ProtocolError`]
-//! carrying the byte offset of the offending frame.
+//! carrying the byte offset of the offending frame. A well-formed batch
+//! the fleet cannot apply is answered on its own connection and leaves
+//! the server serving.
+
+use std::path::PathBuf;
+use std::sync::mpsc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use swsample_core::state::StateWriter;
 use swsample_durable::batch::encode_batch;
 use swsample_durable::frame::{write_frame, FRAME_HEADER_BYTES};
+use swsample_durable::{snapshot, DurableEngine, DurableOptions};
 use swsample_server::protocol::{
     encode_ingest, read_client_msg, read_server_msg, ClientMsg, ErrorCode, ReadOutcome, ServerMsg,
     SubscribeKind, MAX_MESSAGE_BYTES, PROTOCOL_VERSION,
 };
 use swsample_server::stats::StatsSnapshot;
+use swsample_server::{Client, IngestOutcome, Server, ServerConfig};
 
 /// One representative of every client message.
 fn client_corpus() -> Vec<ClientMsg> {
@@ -260,4 +268,89 @@ fn corpus_round_trips_with_offsets() {
         ReadOutcome::Eof
     ));
     assert_eq!(FRAME_HEADER_BYTES, 8);
+}
+
+/// A directory removed when the guard drops, passing or failing.
+struct CaseDir(PathBuf);
+
+impl Drop for CaseDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A poison batch on a WAL-backed server — key 7's clock running from
+/// t = 10 back to t = 5 — is answered with `ERROR` on its own
+/// connection. Another connection's later batches still apply, `QUERY`
+/// and `STATS` answer, and `SHUTDOWN` leaves a final snapshot that
+/// covers every logged batch. Every wait is bounded, so a dead ingest
+/// loop fails the test instead of hanging it.
+#[test]
+fn poison_batch_on_a_wal_server_is_answered_and_survived() {
+    const WAIT: Duration = Duration::from_secs(20);
+    let dir = CaseDir(
+        std::env::temp_dir().join(format!("swsample-server-poison-{}", std::process::id())),
+    );
+    let _ = std::fs::remove_dir_all(&dir.0);
+    let mut cfg = ServerConfig::new(
+        "--window ts --w 100 --mode wr --algo paper --k 4 --seed 3"
+            .parse()
+            .expect("template"),
+    );
+    cfg.addr = "127.0.0.1:0".into();
+    cfg.threads = 1;
+    cfg.wal_dir = Some(dir.0.clone());
+    let server = Server::start(cfg).expect("server start");
+    let addr = server.local_addr().to_string();
+    let connect = |name: &str| {
+        let mut client = Client::connect(&addr, name).expect("connect");
+        client.set_read_timeout(Some(WAIT)).expect("read timeout");
+        client
+    };
+
+    let mut a = connect("poisoner");
+    assert!(matches!(
+        a.ingest(0, &[(7, 10, 1)]).expect("first batch"),
+        IngestOutcome::Applied(1)
+    ));
+    let refused = a
+        .ingest(1, &[(7, 5, 2)])
+        .expect_err("a backwards clock must fail");
+    assert!(
+        refused.to_string().contains("Error {"),
+        "expected an ERROR reply, got: {refused}"
+    );
+
+    let mut b = connect("bystander");
+    for (seq, batch) in [(0, vec![(7, 20, 3), (8, 20, 4)]), (1, vec![(9, 30, 5)])] {
+        match b.ingest(seq, &batch).expect("later batch") {
+            IngestOutcome::Applied(n) => assert_eq!(n, batch.len() as u64),
+            IngestOutcome::Busy(_) => panic!("an idle server pushed back"),
+        }
+    }
+    let live = b.query(7).expect("query").expect("key 7 has samples");
+    assert_eq!(b.stats().expect("stats").global.events_applied, 4);
+    b.shutdown_server().expect("shutdown");
+
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(server.shutdown());
+    });
+    let stats = finished.recv_timeout(WAIT).expect("server shut down");
+    assert_eq!(stats.global.events_applied, 4);
+    // All four batches were logged, the refused one included; the final
+    // snapshot covers them, so a reopen replays nothing.
+    let snaps = snapshot::list_snapshots(&dir.0).expect("list snapshots");
+    assert_eq!(snaps.last().map(|(seq, _)| *seq), Some(4));
+    let reopened =
+        DurableEngine::<u64, u64>::open(&dir.0, DurableOptions::default()).expect("reopen");
+    assert_eq!(reopened.replay_failures(), 0);
+    let recovered: Vec<(u64, u64, u64)> = reopened
+        .engine()
+        .sample_k(&7)
+        .expect("key 7 recovered")
+        .iter()
+        .map(|s| (*s.value(), s.index(), s.timestamp()))
+        .collect();
+    assert_eq!(recovered, live);
 }

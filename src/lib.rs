@@ -18,7 +18,7 @@
 //! * [`apps`] — §5 applications (frequency moments, entropy, triangles).
 //! * [`stats`] — the statistical test machinery used for validation.
 //! * [`durable`] — write-ahead logging, O(k) snapshots, and bit-identical
-//!   crash recovery for the keyed fleet ([`durable::DurableEngine`]).
+//!   crash recovery for the keyed fleet ([`durable::Fleet`]).
 //! * [`server`] — a std-only TCP serving layer over the fleet
 //!   ([`server::Server`]): length-prefixed crc-framed wire protocol,
 //!   batched ingest with backpressure, continuous queries, and the
