@@ -108,12 +108,11 @@ pub fn write_help(out: &mut dyn Write) -> std::io::Result<()> {
                  --addr HOST:PORT [--connections C] --keys K --count N\n\
                  [--theta T] [--workload-seed S] [--batch-size B]\n\
                  [--verify] [--render-multi] [--show H] [--shutdown-server]\n\
-                 [--retry-base-us B] [--retry-cap-us C]\n\
-                 [--retry-deadline-ms D] [--io-timeout-ms T]\n\
                  (--verify replays offline and asserts byte-identical\n\
-                 answers; --render-multi reproduces `multi` stdout;\n\
-                 BUSY and dead connections retry under bounded\n\
-                 exponential backoff, reconnects dedupe by session)\n\
+                 answers for any template `serve` accepts; --render-multi\n\
+                 reproduces `multi` stdout; every request retries BUSY\n\
+                 and dead connections under one backoff, 200us doubling\n\
+                 to 50ms for up to 30s, and reconnects dedupe by session)\n\
            seq   shorthand: sample the last N lines of stdin\n\
                  --window N [--k K] [--wor] [--report-every M] [--seed S]\n\
                  [--batch-size B]\n\
@@ -601,15 +600,6 @@ fn cmd_loadgen(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
     cfg.render_multi = args.get_flag("render-multi");
     cfg.show = args.get_usize("show", 3)?;
     cfg.shutdown_server = args.get_flag("shutdown-server");
-    let us = |v: u64| std::time::Duration::from_micros(v);
-    cfg.retry_base = us(args.get_u64("retry-base-us", cfg.retry_base.as_micros() as u64)?);
-    cfg.retry_cap = us(args.get_u64("retry-cap-us", cfg.retry_cap.as_micros() as u64)?);
-    cfg.retry_deadline = std::time::Duration::from_millis(
-        args.get_u64("retry-deadline-ms", cfg.retry_deadline.as_millis() as u64)?,
-    );
-    cfg.io_timeout = std::time::Duration::from_millis(
-        args.get_u64("io-timeout-ms", cfg.io_timeout.as_millis() as u64)?,
-    );
 
     let report = loadgen::run(&cfg, out).map_err(|e| ArgError(format!("loadgen: {e}")))?;
     eprintln!(

@@ -263,7 +263,10 @@ fn shutdown_rate_excludes_idle_time() {
                 (e % 37, e, e)
             })
             .collect();
-        client.ingest_retry(seq, &batch).expect("ingest");
+        assert_eq!(
+            client.ingest(seq, &batch).expect("ingest"),
+            IngestOutcome::Applied(per_batch)
+        );
     }
     let client_span = sent.elapsed().as_secs_f64();
     client.shutdown_server().expect("shutdown");

@@ -7,12 +7,15 @@
 //! protocol answers every request with exactly one frame), pushes that
 //! arrive interleaved are buffered and retrievable with
 //! [`Client::take_pushes`].
+//!
+//! Every method makes a single attempt: a `BUSY` comes back as
+//! [`IngestOutcome::Busy`] and a dead connection as an error. Riding out
+//! faults (backoff, reconnect, resend) is the load generator's job.
 
 use std::io::{self, BufReader, BufWriter, Write as _};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use swsample_core::fault::mix64;
 use swsample_durable::frame::write_frame;
 
 use crate::protocol::{
@@ -28,56 +31,6 @@ pub enum IngestOutcome {
     Applied(u64),
     /// Rejected with backpressure; the server's queued-event count.
     Busy(u64),
-}
-
-/// Bounded exponential backoff with deterministic jitter, for `BUSY`
-/// storms and reconnect loops. Delay for attempt `n` is
-/// `min(cap, base * 2^n)` scaled by a seed-derived factor in
-/// `[0.5, 1.0)` — the same seed replays the same pacing, so chaos runs
-/// stay reproducible while concurrent clients still decorrelate.
-#[derive(Debug, Clone)]
-pub struct Backoff {
-    /// First-retry delay.
-    pub base: Duration,
-    /// Delay ceiling.
-    pub cap: Duration,
-    /// Give up (with `TimedOut`) once an operation has been retrying
-    /// this long. `None` retries forever.
-    pub deadline: Option<Duration>,
-    /// Jitter seed; derive per-client so concurrent backoffs don't
-    /// synchronize.
-    pub seed: u64,
-}
-
-impl Default for Backoff {
-    fn default() -> Backoff {
-        Backoff {
-            base: Duration::from_micros(200),
-            cap: Duration::from_millis(50),
-            deadline: Some(Duration::from_secs(30)),
-            seed: 0,
-        }
-    }
-}
-
-impl Backoff {
-    /// The delay before retry `attempt` (0-based).
-    pub fn delay(&self, attempt: u64) -> Duration {
-        let exp = attempt.min(20) as u32;
-        let raw = self
-            .base
-            .checked_mul(1u32 << exp)
-            .unwrap_or(self.cap)
-            .min(self.cap);
-        // Jitter factor in [1/2, 1): 512..1024 over 1024.
-        let jitter = 512 + (mix64(self.seed, 0x4a49_5454_4552, attempt) % 512);
-        raw.mul_f64(jitter as f64 / 1024.0)
-    }
-
-    /// True once `started` is past the deadline (never, if unset).
-    fn expired(&self, started: Instant) -> bool {
-        self.deadline.is_some_and(|d| started.elapsed() >= d)
-    }
 }
 
 /// A connected, HELLO-completed protocol client.
@@ -205,42 +158,6 @@ impl Client {
             other => Err(io::Error::other(format!(
                 "expected OK/BUSY for seq {seq}, got {other:?}"
             ))),
-        }
-    }
-
-    /// `INGEST` with busy-retry under the default [`Backoff`]. Returns
-    /// the number of `BUSY` rejections absorbed.
-    pub fn ingest_retry(&mut self, seq: u64, batch: &[WireEvent]) -> io::Result<u64> {
-        self.ingest_retry_with(seq, batch, &Backoff::default())
-    }
-
-    /// `INGEST` with busy-retry: resend on `BUSY` until applied, so no
-    /// event is ever silently dropped. Waits `backoff.delay(attempt)`
-    /// between attempts (bounded exponential, not a hot resend loop)
-    /// and fails with `TimedOut` once past `backoff.deadline`. Returns
-    /// the number of `BUSY` rejections absorbed.
-    pub fn ingest_retry_with(
-        &mut self,
-        seq: u64,
-        batch: &[WireEvent],
-        backoff: &Backoff,
-    ) -> io::Result<u64> {
-        let started = Instant::now();
-        let mut retries = 0u64;
-        loop {
-            match self.ingest(seq, batch)? {
-                IngestOutcome::Applied(_) => return Ok(retries),
-                IngestOutcome::Busy(_) => {
-                    if backoff.expired(started) {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!("seq {seq} still BUSY after {retries} retries"),
-                        ));
-                    }
-                    std::thread::sleep(backoff.delay(retries));
-                    retries += 1;
-                }
-            }
         }
     }
 

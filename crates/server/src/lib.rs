@@ -18,9 +18,11 @@
 //!   that drains, fsyncs, and snapshots the WAL.
 //! * [`stats`] — atomically-snapshotted per-connection and global
 //!   counters behind the `STATS` frame.
-//! * [`client`] — a blocking protocol client.
+//! * [`client`] — a blocking protocol client making single attempts.
 //! * [`loadgen`] — N-connection zipf load with latency percentiles and
-//!   the byte-identical offline-replay verification.
+//!   the byte-identical offline-replay verification; it owns fault
+//!   riding, with one reconnect-and-backoff loop under every request it
+//!   sends.
 //! * [`report`] — the `multi` report, shared by the CLI's offline fleet
 //!   and the load generator's rendering of a served one.
 //!
@@ -41,7 +43,7 @@ pub mod report;
 pub mod server;
 pub mod stats;
 
-pub use client::{Backoff, Client, IngestOutcome};
+pub use client::{Client, IngestOutcome};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use protocol::{
     ClientMsg, ErrorCode, ProtocolError, ServerMsg, SubscribeKind, MAX_MESSAGE_BYTES,

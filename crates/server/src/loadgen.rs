@@ -23,7 +23,7 @@ use swsample_core::fault::mix64;
 use swsample_core::spec::SamplerSpec;
 use swsample_stream::{zipf_fleet_events, MultiStreamEngine};
 
-use crate::client::{Backoff, Client};
+use crate::client::{Client, IngestOutcome};
 use crate::protocol::{wire_samples, WireEvent};
 use crate::report::{hot_keys, write_multi_report};
 
@@ -56,13 +56,6 @@ pub struct LoadgenConfig {
     /// Send `SHUTDOWN` when done (after queries), asking the server to
     /// drain, fsync, and snapshot.
     pub shutdown_server: bool,
-    /// First retry delay for `BUSY` storms and reconnects.
-    pub retry_base: Duration,
-    /// Retry delay ceiling (bounded exponential backoff).
-    pub retry_cap: Duration,
-    /// Overall per-operation deadline across `BUSY` retries and
-    /// reconnect attempts; `Duration::ZERO` retries forever.
-    pub retry_deadline: Duration,
     /// Socket read timeout, so a stalled or byte-flipped server reply
     /// surfaces as an error (and a reconnect) instead of hanging a
     /// connection thread forever. `Duration::ZERO` means blocking
@@ -86,23 +79,7 @@ impl LoadgenConfig {
             render_multi: false,
             show: 3,
             shutdown_server: false,
-            retry_base: Duration::from_micros(200),
-            retry_cap: Duration::from_millis(50),
-            retry_deadline: Duration::from_secs(30),
             io_timeout: Duration::from_secs(10),
-        }
-    }
-
-    /// The retry policy for connection `c`, with a seed derived from
-    /// the workload seed and the connection index so concurrent
-    /// backoffs don't synchronize (and a given seed replays the same
-    /// pacing).
-    fn backoff(&self, c: u64) -> Backoff {
-        Backoff {
-            base: self.retry_base,
-            cap: self.retry_cap,
-            deadline: (!self.retry_deadline.is_zero()).then_some(self.retry_deadline),
-            seed: mix64(self.workload_seed, 0x0042_4143_4b4f_4646, c),
         }
     }
 }
@@ -186,139 +163,141 @@ fn generate(cfg: &LoadgenConfig) -> Workload {
     }
 }
 
-/// The query/verify phase's fault-tolerant client: every operation it
-/// runs is idempotent (queries, stats, template fetch), so on any error
-/// it reconnects and simply retries under the backoff's deadline.
-struct QuerySide {
+/// First retry delay; each later one doubles, up to [`RETRY_CAP`].
+const RETRY_BASE: Duration = Duration::from_micros(200);
+/// Retry delay ceiling.
+const RETRY_CAP: Duration = Duration::from_millis(50);
+/// How long one operation may keep retrying before it fails with
+/// `TimedOut`, so a wedged server can't stall a run forever.
+const RETRY_DEADLINE: Duration = Duration::from_secs(30);
+
+/// One logical connection that rides out faults: the single retry loop
+/// behind every operation the load generator sends. [`Conn::run`]
+/// repeats an operation until it succeeds, reconnecting under the same
+/// session after any error (so the server dedupes a resent batch whose
+/// ack was lost) and backing off after an error or a `BUSY`, all on one
+/// clock per operation.
+struct Conn {
     addr: String,
+    name: String,
+    /// Ingest-dedup session id; 0 for the query side, which only sends
+    /// idempotent requests.
+    session: u64,
     io_timeout: Duration,
-    backoff: Backoff,
+    /// Jitter seed, distinct per connection so concurrent backoffs
+    /// don't synchronize (and a given seed replays the same pacing).
+    jitter: u64,
+    deadline: Duration,
     client: Option<Client>,
+    busy: u64,
     reconnects: u64,
 }
 
-impl QuerySide {
-    fn with<T>(&mut self, mut op: impl FnMut(&mut Client) -> io::Result<T>) -> io::Result<T> {
+impl Conn {
+    fn new(cfg: &LoadgenConfig, c: u64, name: String, session: u64) -> Conn {
+        Conn {
+            addr: cfg.addr.clone(),
+            name,
+            session,
+            io_timeout: cfg.io_timeout,
+            jitter: mix64(cfg.workload_seed, 0x0042_4143_4b4f_4646, c),
+            deadline: RETRY_DEADLINE,
+            client: None,
+            busy: 0,
+            reconnects: 0,
+        }
+    }
+
+    /// The live client, connecting (with the read timeout applied)
+    /// first if the last one was dropped.
+    fn connected(&mut self) -> io::Result<&mut Client> {
+        let client = match self.client.take() {
+            Some(client) => client,
+            None => {
+                let mut client =
+                    Client::connect_with_session(&self.addr, &self.name, self.session)?;
+                client.set_read_timeout((!self.io_timeout.is_zero()).then_some(self.io_timeout))?;
+                client
+            }
+        };
+        Ok(self.client.insert(client))
+    }
+
+    /// Run `op` until it yields a value. `op` is handed the live client
+    /// or the error connecting it; `Ok(None)` means `BUSY`: back off
+    /// and resend. Any error drops the connection, and the next attempt
+    /// reconnects. Fails with `TimedOut` once the operation has been
+    /// retrying for the deadline.
+    fn run<T>(
+        &mut self,
+        mut op: impl FnMut(io::Result<&mut Client>) -> io::Result<Option<T>>,
+    ) -> io::Result<T> {
         let started = Instant::now();
         let mut attempt = 0u64;
-        let mut last: Option<io::Error> = None;
         loop {
-            if self.client.is_none() {
-                match Client::connect(&self.addr, "loadgen-query") {
-                    Ok(mut c) => {
-                        if !self.io_timeout.is_zero() {
-                            c.set_read_timeout(Some(self.io_timeout))?;
-                        }
-                        self.client = Some(c);
-                    }
-                    Err(e) => last = Some(e),
+            let why = match op(self.connected()) {
+                Ok(Some(done)) => return Ok(done),
+                Ok(None) => {
+                    self.busy += 1;
+                    "BUSY".to_string()
                 }
-            }
-            if let Some(c) = self.client.as_mut() {
-                match op(c) {
-                    Ok(v) => return Ok(v),
-                    Err(e) => {
-                        self.client = None;
+                Err(e) => {
+                    // The connection is suspect (dropped, stalled past
+                    // the read timeout, or a corrupted frame).
+                    if self.client.take().is_some() {
                         self.reconnects += 1;
-                        last = Some(e);
                     }
+                    e.to_string()
                 }
-            }
-            if self
-                .backoff
-                .deadline
-                .is_some_and(|d| started.elapsed() >= d)
-            {
-                let detail = last.map(|e| e.to_string()).unwrap_or_default();
+            };
+            let elapsed = started.elapsed();
+            if elapsed >= self.deadline {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
-                    format!("query-side retry deadline exceeded: {detail}"),
+                    format!("{}: gave up after {attempt} retries: {why}", self.name),
                 ));
             }
-            std::thread::sleep(self.backoff.delay(attempt));
+            std::thread::sleep(self.delay(attempt).min(self.deadline - elapsed));
             attempt += 1;
+        }
+    }
+
+    /// The delay before retry `attempt` (0-based): `min(cap, base *
+    /// 2^attempt)` scaled by a seed-derived factor in `[0.5, 1.0)`.
+    fn delay(&self, attempt: u64) -> Duration {
+        let raw = RETRY_BASE
+            .saturating_mul(1 << attempt.min(20))
+            .min(RETRY_CAP);
+        let jitter = 512 + (mix64(self.jitter, 0x4a49_5454_4552, attempt) % 512);
+        raw.mul_f64(jitter as f64 / 1024.0)
+    }
+
+    /// Best-effort goodbye: under faults the server may already have
+    /// severed us, and every operation is already answered.
+    fn bye(&mut self) {
+        if let Some(client) = self.client.take() {
+            let _ = client.bye();
         }
     }
 }
 
-/// Per-connection driver: ingest every batch exactly-once, reconnecting
-/// (same session, so the server dedupes resent batches whose acks were
-/// lost) whenever the connection dies under it. Returns the per-batch
-/// latencies, `BUSY` retries absorbed, and reconnect count.
-fn drive_conn(
-    addr: &str,
-    c: usize,
-    session: u64,
-    batches: &[Vec<WireEvent>],
-    backoff: &Backoff,
-    io_timeout: Duration,
-) -> io::Result<(Vec<u64>, u64, u64)> {
-    let name = format!("loadgen-{c}");
-    let mut client: Option<Client> = None;
+/// Per-connection driver: ingest every batch exactly-once. Returns the
+/// per-batch delivery latencies, `BUSY` retries absorbed, and reconnect
+/// count.
+fn drive_conn(mut conn: Conn, batches: &[Vec<WireEvent>]) -> io::Result<(Vec<u64>, u64, u64)> {
     let mut latencies = Vec::with_capacity(batches.len());
-    let mut busy = 0u64;
-    let mut reconnects = 0u64;
-    let mut seq = 0usize;
-    // Per-batch clock: BUSY retries *and* reconnect attempts for one
-    // batch share the deadline, so a wedged server can't stall a
-    // connection thread forever.
-    let mut op_started = Instant::now();
-    let mut attempt = 0u64;
-    while seq < batches.len() {
-        if client.is_none() {
-            match Client::connect_with_session(addr, &name, session) {
-                Ok(mut fresh) => {
-                    if !io_timeout.is_zero() {
-                        fresh.set_read_timeout(Some(io_timeout))?;
-                    }
-                    client = Some(fresh);
-                }
-                Err(e) => {
-                    if backoff.deadline.is_some_and(|d| op_started.elapsed() >= d) {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!("conn {c}: reconnect for seq {seq} failed: {e}"),
-                        ));
-                    }
-                    std::thread::sleep(backoff.delay(attempt));
-                    attempt += 1;
-                    continue;
-                }
-            }
-        }
-        let active = client.as_mut().expect("just connected");
+    for (seq, batch) in batches.iter().enumerate() {
         let t0 = Instant::now();
-        match active.ingest_retry_with(seq as u64, &batches[seq], backoff) {
-            Ok(b) => {
-                busy += b;
-                latencies.push(t0.elapsed().as_micros() as u64);
-                seq += 1;
-                op_started = Instant::now();
-                attempt = 0;
-            }
-            Err(e) => {
-                // Connection is suspect (dropped, stalled past the io
-                // timeout, or a corrupted frame): rebuild it and resend
-                // this seq — dedup makes the resend exactly-once.
-                client = None;
-                reconnects += 1;
-                if backoff.deadline.is_some_and(|d| op_started.elapsed() >= d) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!("conn {c}: seq {seq} undeliverable: {e}"),
-                    ));
-                }
-                std::thread::sleep(backoff.delay(attempt));
-                attempt += 1;
-            }
-        }
+        conn.run(|c| {
+            Ok(match c?.ingest(seq as u64, batch)? {
+                IngestOutcome::Applied(_) => Some(()),
+                IngestOutcome::Busy(_) => None,
+            })
+        })?;
+        latencies.push(t0.elapsed().as_micros() as u64);
     }
-    if let Some(active) = client.take() {
-        // Best-effort: under injected faults the goodbye itself can
-        // die, and that's fine — every batch is already acked.
-        let _ = active.bye();
-    }
-    Ok((latencies, busy, reconnects))
+    conn.bye();
+    Ok((latencies, conn.busy, conn.reconnects))
 }
 
 /// Drive the configured load, then (optionally) verify determinism
@@ -329,17 +308,13 @@ pub fn run(cfg: &LoadgenConfig, out: &mut dyn Write) -> io::Result<LoadgenReport
     let started = Instant::now();
     let mut handles = Vec::new();
     for (c, batches) in workload.per_conn.iter().enumerate() {
-        let addr = cfg.addr.clone();
-        let batches = batches.clone();
-        let backoff = cfg.backoff(c as u64);
         let session = session(nonce, c as u64);
-        let io_timeout = cfg.io_timeout;
+        let conn = Conn::new(cfg, c as u64, format!("loadgen-{c}"), session);
+        let batches = batches.clone();
         handles.push(
             std::thread::Builder::new()
                 .name(format!("swsample-loadgen-{c}"))
-                .spawn(move || -> io::Result<(Vec<u64>, u64, u64)> {
-                    drive_conn(&addr, c, session, &batches, &backoff, io_timeout)
-                })?,
+                .spawn(move || drive_conn(conn, &batches))?,
         );
     }
     let mut latencies: Vec<u64> = Vec::new();
@@ -378,24 +353,24 @@ pub fn run(cfg: &LoadgenConfig, out: &mut dyn Write) -> io::Result<LoadgenReport
     // Every ack is in hand, so the server has applied everything;
     // queries from here are stable (and idempotent, so the query side
     // reconnects and retries freely under injected faults).
-    let mut query_side = QuerySide {
-        addr: cfg.addr.clone(),
-        io_timeout: cfg.io_timeout,
-        backoff: cfg.backoff(u64::MAX),
-        client: None,
-        reconnects: 0,
-    };
-    let template: SamplerSpec = query_side
-        .with(|c| Ok(c.template().to_string()))?
+    let mut query = Conn::new(cfg, u64::MAX, "loadgen-query".into(), 0);
+    let template: SamplerSpec = query
+        .run(|c| Ok(Some(c?.template().to_string())))?
         .parse()
         .map_err(|e| io::Error::other(format!("server template unparseable: {e}")))?;
 
     if cfg.verify {
-        // The offline reference: same batches, connection-major order.
-        // Per-key state folds over that key's own subsequence alone, so
-        // any server-side interleaving of connections must agree.
-        let mut offline: MultiStreamEngine<u64, u64> = MultiStreamEngine::new(template.clone())
-            .map_err(|e| io::Error::other(e.to_string()))?;
+        // The offline reference: same batches, connection-major order,
+        // built by the factory the server uses, so every template
+        // `serve` accepts is checked. Per-key state folds over that
+        // key's own subsequence alone, so any server-side interleaving
+        // of connections must agree.
+        let mut offline: MultiStreamEngine<u64, u64> = MultiStreamEngine::with_factory(
+            template.clone(),
+            MultiStreamEngine::<u64, u64>::DEFAULT_SHARDS,
+            swsample_baselines::spec::build,
+        )
+        .map_err(|e| io::Error::other(e.to_string()))?;
         for batches in &workload.per_conn {
             for batch in batches {
                 offline.ingest(batch);
@@ -403,7 +378,7 @@ pub fn run(cfg: &LoadgenConfig, out: &mut dyn Write) -> io::Result<LoadgenReport
         }
         for &(key, _) in &workload.traffic {
             let expect = offline.sample_k(&key).as_deref().map(wire_samples);
-            let got = query_side.with(|c| c.query(key))?;
+            let got = query.run(|c| c?.query(key).map(Some))?;
             if got != expect {
                 return Err(io::Error::other(format!(
                     "determinism violation at key {key}: server {got:?}, offline {expect:?}"
@@ -414,61 +389,91 @@ pub fn run(cfg: &LoadgenConfig, out: &mut dyn Write) -> io::Result<LoadgenReport
     }
 
     if cfg.render_multi {
-        let stats = query_side.with(|c| c.stats())?;
+        let stats = query.run(|c| c?.stats().map(Some))?;
         let rows = workload
             .traffic
             .iter()
             .take(cfg.show)
-            .map(|&(key, cnt)| Ok((key, cnt, query_side.with(|c| c.query(key))?)))
+            .map(|&(key, cnt)| Ok((key, cnt, query.run(|c| c?.query(key).map(Some))?)))
             .collect::<io::Result<Vec<_>>>()?;
         write_multi_report(out, &template, cfg.keys, &rows, &stats.engine)?;
     }
 
     if cfg.shutdown_server {
         // The SHUTDOWN's BYE ack can itself be lost to an injected
-        // fault; a refused reconnect after at least one attempt means
-        // the server took the order and closed its listener — success.
-        let started = Instant::now();
-        let mut attempt = 0u64;
-        loop {
-            let res = match query_side.client.as_mut() {
-                Some(c) => c.shutdown_server(),
-                None => match Client::connect(&cfg.addr, "loadgen-shutdown") {
-                    Ok(mut c) => {
-                        if !cfg.io_timeout.is_zero() {
-                            c.set_read_timeout(Some(cfg.io_timeout))?;
-                        }
-                        let res = c.shutdown_server();
-                        query_side.client = Some(c);
-                        res
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::ConnectionRefused && attempt > 0 => {
-                        break;
-                    }
-                    Err(e) => Err(e),
-                },
-            };
-            match res {
-                Ok(()) => break,
-                Err(e) => {
-                    query_side.client = None;
-                    let deadline = query_side.backoff.deadline;
-                    if deadline.is_some_and(|d| started.elapsed() >= d) {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!("SHUTDOWN undeliverable: {e}"),
-                        ));
-                    }
-                    std::thread::sleep(query_side.backoff.delay(attempt));
-                    attempt += 1;
-                }
+        // fault; a refused reconnect once the order went out means the
+        // server took it and closed its listener — success.
+        let mut sent = false;
+        query.run(|c| match c {
+            Ok(c) => {
+                sent = true;
+                c.shutdown_server().map(Some)
             }
-        }
-    } else if let Some(c) = query_side.client.take() {
-        // Best-effort goodbye; under faults the server may already have
-        // severed us.
-        let _ = c.bye();
+            Err(e) if sent && e.kind() == io::ErrorKind::ConnectionRefused => Ok(Some(())),
+            Err(e) => Err(e),
+        })?;
+    } else {
+        query.bye();
     }
-    report.reconnects += query_side.reconnects;
+    report.reconnects += query.reconnects;
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Server, ServerConfig};
+
+    const SHORT: Duration = Duration::from_millis(300);
+
+    fn conn(addr: &str) -> Conn {
+        let mut conn = Conn::new(&LoadgenConfig::new(addr), 0, "deadline-test".into(), 0);
+        conn.deadline = SHORT;
+        conn
+    }
+
+    /// Times `run` and checks it gave up with `TimedOut` no sooner than
+    /// the deadline and within one capped delay after it.
+    fn times_out<T: std::fmt::Debug>(
+        conn: &mut Conn,
+        op: impl FnMut(io::Result<&mut Client>) -> io::Result<Option<T>>,
+    ) {
+        let started = Instant::now();
+        let err = conn.run(op).expect_err("the operation never succeeds");
+        let took = started.elapsed();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(
+            took >= SHORT && took <= SHORT + RETRY_CAP,
+            "gave up after {took:?}, deadline {SHORT:?}"
+        );
+    }
+
+    #[test]
+    fn refused_connects_time_out_at_the_deadline() {
+        // Bind an ephemeral port and close it: connects are refused.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("ephemeral port")
+            .to_string();
+        let mut conn = conn(&addr);
+        times_out(&mut conn, |c| c?.stats().map(Some));
+        assert_eq!(conn.reconnects, 0, "no connection was ever made");
+    }
+
+    #[test]
+    fn busy_forever_times_out_on_the_same_clock() {
+        let mut cfg = ServerConfig::new(
+            "--window seq --n 64 --k 4 --seed 7"
+                .parse()
+                .expect("template spec"),
+        );
+        cfg.addr = "127.0.0.1:0".into();
+        let server = Server::start(cfg).expect("server start");
+        let mut conn = conn(&server.local_addr().to_string());
+        times_out(&mut conn, |c| c.map(|_| None::<()>));
+        assert!(conn.busy > 0, "every attempt answered BUSY");
+        assert_eq!(conn.reconnects, 0, "BUSY keeps the connection");
+        conn.bye();
+        drop(server.shutdown());
+    }
 }

@@ -41,7 +41,8 @@ fn start(mut cfg: ServerConfig) -> Server {
     Server::start(cfg).expect("server start")
 }
 
-/// The capstone: a WAL-backed server under every fault site at once —
+/// The capstone, for each of the four paper templates (seq/ts ×
+/// WR/WOR): a WAL-backed server under every fault site at once —
 /// connections dropped mid-frame in both directions, reads stalled,
 /// reply bytes flipped, transient WAL append errors — driven by a
 /// loadgen that must reconnect and resend. Exactly-once end to end:
@@ -70,53 +71,62 @@ fn chaos_schedule_degrades_gracefully_and_loses_nothing() {
         );
     }
 
-    let dir = temp_dir("mixed");
-    let mut cfg = ServerConfig::new(template());
-    cfg.faults = faults;
-    cfg.wal_dir = Some(dir.clone());
-    // A small queue plus a drain delay so BUSY storms happen *under*
-    // the fault schedule too.
-    cfg.queue_max_events = 600;
-    cfg.drain_delay = Duration::from_millis(1);
-    cfg.read_deadline = Duration::from_secs(5);
-    cfg.write_deadline = Duration::from_secs(5);
-    let server = start(cfg);
-    let addr = server.local_addr().to_string();
+    let seq_wr = template().to_string();
+    for spec in [
+        seq_wr.as_str(),
+        "--window seq --n 64 --mode wor --algo paper --k 4 --seed 7",
+        "--window ts --w 64 --mode wr --algo paper --k 4 --seed 7",
+        "--window ts --w 64 --mode wor --algo paper --k 4 --seed 7",
+    ] {
+        let dir = temp_dir("mixed");
+        let mut cfg = ServerConfig::new(spec.parse().expect("template spec"));
+        cfg.faults = faults.clone();
+        cfg.wal_dir = Some(dir.clone());
+        // A small queue plus a drain delay so BUSY storms happen
+        // *under* the fault schedule too.
+        cfg.queue_max_events = 600;
+        cfg.drain_delay = Duration::from_millis(1);
+        cfg.read_deadline = Duration::from_secs(5);
+        cfg.write_deadline = Duration::from_secs(5);
+        let server = start(cfg);
+        let addr = server.local_addr().to_string();
 
-    let mut lg = LoadgenConfig::new(&addr);
-    lg.connections = 4;
-    lg.keys = 60;
-    lg.count = 12_000;
-    lg.batch = 128;
-    lg.verify = true;
-    lg.io_timeout = Duration::from_secs(2);
-    let mut out = Vec::new();
-    let report = loadgen::run(&lg, &mut out).expect("chaos loadgen survives the schedule");
+        let mut lg = LoadgenConfig::new(&addr);
+        lg.connections = 4;
+        lg.keys = 60;
+        lg.count = 12_000;
+        lg.batch = 128;
+        lg.verify = true;
+        lg.io_timeout = Duration::from_secs(2);
+        let mut out = Vec::new();
+        let report = loadgen::run(&lg, &mut out)
+            .unwrap_or_else(|e| panic!("{spec}: chaos loadgen must survive the schedule: {e}"));
 
-    assert_eq!(report.events_sent, 12_000);
-    assert!(
-        report.verified_keys > 0,
-        "the offline oracle must compare at least one key"
-    );
-    assert!(
-        report.reconnects > 0,
-        "drop faults at 1/53–1/61 must kill at least one connection"
-    );
+        assert_eq!(report.events_sent, 12_000, "{spec}");
+        assert!(
+            report.verified_keys > 0,
+            "{spec}: the offline oracle must compare at least one key"
+        );
+        assert!(
+            report.reconnects > 0,
+            "{spec}: drop faults at 1/53–1/61 must kill at least one connection"
+        );
 
-    let stats = server.shutdown();
-    assert_eq!(
-        stats.global.events_applied, 12_000,
-        "exactly-once: every driven event applied, no resend double-applied"
-    );
-    assert!(
-        stats.global.faults_injected > 0,
-        "the schedule verified above must have fired"
-    );
-    assert!(
-        stats.global.wal_retries > 0,
-        "wal-append at 1/23 must have been ridden out at least once"
-    );
-    let _ = std::fs::remove_dir_all(dir);
+        let stats = server.shutdown();
+        assert_eq!(
+            stats.global.events_applied, 12_000,
+            "{spec}: exactly-once: every driven event applied, no resend double-applied"
+        );
+        assert!(
+            stats.global.faults_injected > 0,
+            "{spec}: the schedule verified above must have fired"
+        );
+        assert!(
+            stats.global.wal_retries > 0,
+            "{spec}: wal-append at 1/23 must have been ridden out at least once"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// A connection dying mid-INGEST frame: the server discards the torn

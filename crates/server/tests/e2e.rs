@@ -37,14 +37,18 @@ fn start(mut cfg: ServerConfig) -> Server {
 /// The server's answers are byte-identical to an offline engine for
 /// each of the four paper families (seq/ts × WR/WOR), in memory and on
 /// a WAL; the seq-WR template also runs at thread counts {1, 2, 8}. The
-/// loadgen's `verify` mode replays the exact per-connection batches
-/// offline and compares every touched key.
+/// baseline chain and priority templates check that the offline oracle
+/// builds every template the server accepts. The loadgen's `verify`
+/// mode replays the exact per-connection batches offline and compares
+/// every touched key.
 #[test]
 fn answers_are_deterministic_across_the_wire() {
     let seq_wr = template().to_string();
     let seq_wor = "--window seq --n 64 --mode wor --algo paper --k 4 --seed 7";
     let ts_wr = "--window ts --w 64 --mode wr --algo paper --k 4 --seed 7";
     let ts_wor = "--window ts --w 64 --mode wor --algo paper --k 4 --seed 7";
+    let chain = "--window seq --n 64 --algo chain --k 4 --seed 7";
+    let priority = "--window ts --w 64 --algo priority --k 4 --seed 7";
     for (spec, threads, wal) in [
         (seq_wr.as_str(), 1usize, false),
         (&seq_wr, 2, false),
@@ -57,6 +61,8 @@ fn answers_are_deterministic_across_the_wire() {
         (ts_wr, 1, false),
         (ts_wor, 2, true),
         (ts_wor, 8, false),
+        (chain, 2, true),
+        (priority, 1, false),
     ] {
         let mut cfg = ServerConfig::new(spec.parse().expect("template spec"));
         cfg.threads = threads;
